@@ -64,6 +64,9 @@ class DataManager:
         self.engine = engine
         self.tracer = tracer if tracer is not None else tracing.NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._cascade_depth = self.metrics.histogram(
+            "manager.eviction_cascade_depth"
+        )
         self._regions: dict[tuple[str, int], Region] = {}
         self.objects: dict[int, MemObject] = {}
         # Multi-tenant accounting (docs/architecture.md, "Multi-tenant
@@ -500,9 +503,7 @@ class DataManager:
         victims = self._span(device, start.offset, size)
         if victims is None:
             raise OutOfMemoryError(device, size, self.heap(device).free_bytes)
-        self.metrics.histogram("manager.eviction_cascade_depth").observe(
-            len(victims)
-        )
+        self._cascade_depth.observe(len(victims))
         if self.tracer.enabled:
             self.tracer.emit(
                 tracing.EVICT_SCAN,

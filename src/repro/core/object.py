@@ -78,11 +78,17 @@ def restore_id_floor(watermarks: dict[str, int]) -> None:
 class Region:
     """A contiguous allocation on one heap, possibly backing an object."""
 
-    __slots__ = ("id", "heap", "offset", "size", "parent", "dirty", "freed", "ready_at")
+    __slots__ = (
+        "id", "heap", "device_name", "offset", "size", "parent", "dirty",
+        "freed", "ready_at",
+    )
 
     def __init__(self, heap: "Heap", offset: int, size: int) -> None:
         self.id = _region_ids()
         self.heap = heap
+        # A region never changes heap (defragmentation only rewrites
+        # ``offset``), so its device name is fixed at birth.
+        self.device_name = heap.name
         self.offset = offset
         self.size = size
         self.parent: MemObject | None = None
@@ -91,10 +97,6 @@ class Region:
         # Virtual time at which in-flight (asynchronous) data movement into
         # this region completes; 0.0 means the contents are ready now.
         self.ready_at = 0.0
-
-    @property
-    def device_name(self) -> str:
-        return self.heap.name
 
     @property
     def is_primary(self) -> bool:
@@ -116,7 +118,7 @@ class Region:
 class MemObject:
     """A logical datum: a size, a primary region, and linked secondaries."""
 
-    __slots__ = ("id", "size", "name", "retired", "pin_count", "_regions", "_primary")
+    __slots__ = ("id", "size", "name", "retired", "pin_count", "_regions", "primary")
 
     def __init__(self, size: int, name: str = "") -> None:
         if size <= 0:
@@ -127,13 +129,10 @@ class MemObject:
         self.retired = False
         self.pin_count = 0
         self._regions: dict[str, Region] = {}
-        self._primary: Region | None = None
+        # Written only by attach/detach below; everyone else reads it.
+        self.primary: Region | None = None
 
     # -- state queries ------------------------------------------------------
-
-    @property
-    def primary(self) -> Region | None:
-        return self._primary
 
     @property
     def pinned(self) -> bool:
@@ -164,8 +163,8 @@ class MemObject:
         if (
             primary
             and self.pinned
-            and self._primary is not None
-            and self._primary is not region
+            and self.primary is not None
+            and self.primary is not region
         ):
             # Validate before any mutation so a rejected attach leaves the
             # object untouched.
@@ -175,17 +174,17 @@ class MemObject:
         region.parent = self
         self._regions[region.device_name] = region
         if primary:
-            self._primary = region
+            self.primary = region
 
     def detach(self, region: Region) -> None:
         if self._regions.get(region.device_name) is not region:
             raise LinkError(f"{region!r} is not attached to {self!r}")
-        if region is self._primary:
+        if region is self.primary:
             if self.pinned:
                 raise ObjectStateError(
                     f"cannot detach primary of pinned {self!r} (a kernel holds it)"
                 )
-            self._primary = None
+            self.primary = None
         del self._regions[region.device_name]
         region.parent = None
 
@@ -194,7 +193,7 @@ class MemObject:
     def pin(self) -> None:
         """Freeze the primary for the duration of a kernel."""
         self.check_usable()
-        if self._primary is None:
+        if self.primary is None:
             raise ObjectStateError(f"cannot pin {self!r}: it has no primary region")
         self.pin_count += 1
 
@@ -204,6 +203,6 @@ class MemObject:
         self.pin_count -= 1
 
     def __repr__(self) -> str:
-        where = self._primary.device_name if self._primary is not None else "nowhere"
+        where = self.primary.device_name if self.primary is not None else "nowhere"
         flags = "retired " if self.retired else ""
         return f"MemObject#{self.id}({self.name!r}, {self.size} B, {flags}primary on {where})"

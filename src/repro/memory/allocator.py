@@ -21,20 +21,24 @@ number of live allocations. First-fit and best-fit placement are both
 implemented; first-fit is the default (and what the ablation benchmark
 compares).
 
-Hot-path layout (docs/benchmarking.md): free blocks are additionally indexed
-in size-class bins (one bin per ``size.bit_length()``, each an offset-sorted
-list), so placement probes a handful of bins instead of scanning the whole
-block list, and ``free`` locates its block by binary search instead of a
-linear ``list.index``. The bins are a pure index — placement decisions are
-bit-for-bit identical to the naive linear scans (first-fit: lowest-offset
-free block that fits; best-fit: smallest fitting size, lowest offset on
-ties), which the property tests in ``tests/memory/test_allocator_property.py``
-check against a reference implementation.
+Hot-path layout (docs/benchmarking.md): two pure indexes ride beside the
+block list. Free blocks are indexed in size-class bins (one bin per
+``size.bit_length()``, each an offset-sorted list), so placement probes a
+handful of bins instead of scanning the whole block list. ``_offsets`` is the
+sorted list of every block's start offset, parallel to ``_blocks``;
+``allocate``, ``free`` and ``collect_span`` find the block containing an
+address with one C-level ``bisect_right`` over it. Neither index decides
+anything — placement is bit-for-bit identical to the naive linear scans
+(first-fit: lowest-offset free block that fits; best-fit: smallest fitting
+size, lowest offset on ties) and the address lookup answers what a linear walk
+of the block list would, which the property tests in
+``tests/memory/test_allocator_property.py`` check against reference
+implementations.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Iterator, Literal
 
@@ -92,8 +96,11 @@ class FreeListAllocator:
         self.fault_hook = fault_hook
         self.label = label
         self._blocks: list[Block] = [Block(offset=0, size=capacity, free=True)]
+        # Address index: _offsets[i] == _blocks[i].offset, kept in step at
+        # every site that inserts, removes or renumbers a block.
+        self._offsets: list[int] = [0]
         self._by_offset: dict[int, Block] = {}  # allocated blocks only
-        self._used_bytes = 0
+        self.used_bytes = 0
         # Size-class index over the free blocks: bin k holds the offsets
         # (sorted) of free blocks whose size has bit_length k, and
         # _free_sizes maps each free offset to its size. Everything the
@@ -120,12 +127,8 @@ class FreeListAllocator:
     # -- queries ----------------------------------------------------------
 
     @property
-    def used_bytes(self) -> int:
-        return self._used_bytes
-
-    @property
     def free_bytes(self) -> int:
-        return self.capacity - self._used_bytes
+        return self.capacity - self.used_bytes
 
     def blocks(self) -> Iterator[Block]:
         """All blocks in address order (free and allocated)."""
@@ -157,7 +160,7 @@ class FreeListAllocator:
                 break
         return AllocatorStats(
             capacity=self.capacity,
-            used_bytes=self._used_bytes,
+            used_bytes=self.used_bytes,
             free_bytes=self.free_bytes,
             live_allocations=len(self._by_offset),
             free_blocks=len(self._free_sizes),
@@ -201,10 +204,11 @@ class FreeListAllocator:
             )
             block.size = rounded
             self._blocks.insert(index + 1, remainder)
+            self._offsets.insert(index + 1, remainder.offset)
             self._free_add(remainder.offset, remainder.size)
         block.free = False
         self._by_offset[block.offset] = block
-        self._used_bytes += block.size
+        self.used_bytes += block.size
         return block.offset
 
     def _find_fit(self, size: int) -> int | None:
@@ -255,16 +259,18 @@ class FreeListAllocator:
         if block is None:
             raise AllocationError(f"double free or bad offset {offset:#x}")
         block.free = True
-        self._used_bytes -= block.size
+        self.used_bytes -= block.size
         self._coalesce_around(self._block_index_at(block.offset))
 
     def _coalesce_around(self, index: int) -> None:
         # Merge with successor first so `index` stays valid; the merged
         # result enters the free index exactly once.
         blocks = self._blocks
+        offsets = self._offsets
         block = blocks[index]
         if index + 1 < len(blocks) and blocks[index + 1].free:
             nxt = blocks.pop(index + 1)
+            offsets.pop(index + 1)
             self._free_remove(nxt.offset, nxt.size)
             block.size += nxt.size
         if index > 0 and blocks[index - 1].free:
@@ -272,6 +278,7 @@ class FreeListAllocator:
             self._free_remove(prev.offset, prev.size)
             prev.size += block.size
             blocks.pop(index)
+            offsets.pop(index)
             block = prev
         self._free_add(block.offset, block.size)
 
@@ -290,15 +297,15 @@ class FreeListAllocator:
         if size <= 0:
             raise AllocationError(f"span size must be positive, got {size}")
         rounded = self._round_up(size)
+        blocks = self._blocks
         start_index = self._block_index_at(start_offset)
-        span_start = self._blocks[start_index].offset
+        span_start = blocks[start_index].offset
         victims: list[int] = []
-        covered = 0
-        for block in self._blocks[start_index:]:
+        for index in range(start_index, len(blocks)):
+            block = blocks[index]
             if not block.free:
                 victims.append(block.offset)
-            covered = block.end - span_start
-            if covered >= rounded:
+            if block.end - span_start >= rounded:
                 return victims
         return None
 
@@ -307,17 +314,9 @@ class FreeListAllocator:
             raise AllocationError(
                 f"offset {offset:#x} outside arena [0, {self.capacity:#x})"
             )
-        low, high = 0, len(self._blocks) - 1
-        while low <= high:
-            mid = (low + high) // 2
-            block = self._blocks[mid]
-            if block.contains(offset):
-                return mid
-            if offset < block.offset:
-                high = mid - 1
-            else:
-                low = mid + 1
-        raise AllocationError(f"no block contains offset {offset:#x}")  # unreachable
+        # Blocks tile [0, capacity), so the last start <= offset is the
+        # block that contains it.
+        return bisect_right(self._offsets, offset) - 1
 
     # -- compaction ---------------------------------------------------------
 
@@ -355,6 +354,7 @@ class FreeListAllocator:
             )
             self._free_add(cursor, self.capacity - cursor)
         self._blocks = new_blocks
+        self._offsets = [block.offset for block in new_blocks]
         return moved
 
     # -- dynamic resizing (Section III-C's "growing or shrinking the base
@@ -374,6 +374,7 @@ class FreeListAllocator:
             self._free_add(last.offset, last.size)
         else:
             self._blocks.append(Block(offset=self.capacity, size=added, free=True))
+            self._offsets.append(self.capacity)
             self._free_add(self.capacity, added)
         self.capacity = new_capacity
 
@@ -400,6 +401,7 @@ class FreeListAllocator:
         self._free_remove(last.offset, last.size)
         if last.size == removed:
             self._blocks.pop()
+            self._offsets.pop()
         else:
             last.size -= removed
             self._free_add(last.offset, last.size)
@@ -429,10 +431,12 @@ class FreeListAllocator:
             cursor = block.end
         if cursor != self.capacity:
             raise AssertionError(f"blocks cover {cursor} of {self.capacity} bytes")
-        if used != self._used_bytes:
+        if used != self.used_bytes:
             raise AssertionError(
-                f"used-byte counter {self._used_bytes} != actual {used}"
+                f"used-byte counter {self.used_bytes} != actual {used}"
             )
+        if self._offsets != [block.offset for block in self._blocks]:
+            raise AssertionError("address index out of sync with the block list")
         if len(self._by_offset) != sum(1 for b in self._blocks if not b.free):
             raise AssertionError("allocation index size mismatch")
         free_view = {b.offset: b.size for b in self._blocks if b.free}

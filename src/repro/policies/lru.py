@@ -9,6 +9,7 @@ memory pressure is experienced" — without moving any data.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterator
 
 from repro.core.object import MemObject
@@ -17,11 +18,17 @@ __all__ = ["LruTracker"]
 
 
 class LruTracker:
-    """Ordered set of objects, coldest first. O(1) touch/demote/discard."""
+    """Ordered set of objects, coldest first.
+
+    ``touch``, ``demote`` and ``discard`` are O(1): the order is an
+    :class:`~collections.OrderedDict` keyed by object id, whose
+    ``move_to_end`` reaches either end without rebuilding anything.
+    ``coldest_first``/``ranked`` copy the order (O(n)) so the walk survives
+    mutation; ``rank_of`` is a linear scan.
+    """
 
     def __init__(self) -> None:
-        # dict preserves insertion order; values are the objects themselves.
-        self._order: dict[int, MemObject] = {}
+        self._order: OrderedDict[int, MemObject] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._order)
@@ -31,15 +38,15 @@ class LruTracker:
 
     def touch(self, obj: MemObject) -> None:
         """Mark ``obj`` most recently used (hot end)."""
-        self._order.pop(obj.id, None)
-        self._order[obj.id] = obj
+        order = self._order
+        order[obj.id] = obj
+        order.move_to_end(obj.id)
 
     def demote(self, obj: MemObject) -> None:
         """Send ``obj`` to the cold end (the ``archive`` reaction)."""
-        self._order.pop(obj.id, None)
-        new_order = {obj.id: obj}
-        new_order.update(self._order)
-        self._order = new_order
+        order = self._order
+        order[obj.id] = obj
+        order.move_to_end(obj.id, last=False)
 
     def discard(self, obj: MemObject) -> None:
         self._order.pop(obj.id, None)

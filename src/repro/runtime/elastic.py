@@ -64,7 +64,9 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-runtime-snapshot"
-SNAPSHOT_VERSION = 1
+# Counts pickled layouts: bump it whenever a class in the snapshot's object
+# graph gains, loses or renames a field (docs/robustness.md has the history).
+SNAPSHOT_VERSION = 2
 
 
 @dataclass
@@ -110,9 +112,15 @@ def load_snapshot(path: str) -> RuntimeSnapshot:
     with open(path, "rb") as fh:
         try:
             envelope = pickle.load(fh)
-        except (pickle.UnpicklingError, EOFError) as err:
+        except (
+            pickle.UnpicklingError, AttributeError, EOFError, ImportError,
+            IndexError,
+        ) as err:
+            # The envelope is one pickle, so a snapshot written by a build
+            # with different class layouts (a renamed slot, a moved class)
+            # can fail here, before its version field is readable.
             raise ConfigurationError(
-                f"{path!r} is not a runtime snapshot: {err}"
+                f"{path!r} is not a runtime snapshot this build can read: {err}"
             ) from None
     if (
         not isinstance(envelope, dict)

@@ -25,13 +25,14 @@ from repro.core.object import MemObject
 from repro.core.policy_api import AccessIntent
 from repro.core.session import Session, issue_hints, resolve_residency
 from repro.errors import OutOfMemoryError, TraceError
+from repro.memory.allocator import FreeListAllocator
 from repro.runtime.gc import GarbageCollector, GcConfig
 from repro.runtime.recovery import LadderHooks, recover_allocation
 from repro.runtime.kernel import ExecutionParams, KernelTiming, kernel_timing
 from repro.runtime.scheduler import StreamGen, StreamScheduler
 from repro.sim.clock import SimClock, snap_residue
 from repro.telemetry import trace as tracing
-from repro.telemetry.counters import TrafficSnapshot
+from repro.telemetry.counters import TrafficCounters, TrafficSnapshot
 from repro.telemetry.timeline import Timeline
 from repro.telemetry.trace import TraceEvent
 from repro.twolm.dramcache import CacheStats
@@ -62,6 +63,11 @@ KERNEL = "kernel"
 MOVEMENT = "movement"
 MOVEMENT_WAIT = "movement_wait"  # async mode: stalls on in-flight copies
 GC = "gc"
+
+
+MeterSources = tuple[
+    list[tuple[str, FreeListAllocator]], list[tuple[str, TrafficCounters]]
+]
 
 
 class SystemAdapter(abc.ABC):
@@ -101,6 +107,19 @@ class SystemAdapter(abc.ABC):
 
     @abc.abstractmethod
     def traffic(self) -> dict[str, TrafficSnapshot]: ...
+
+    @abc.abstractmethod
+    def meters(self) -> MeterSources:
+        """The live objects behind :meth:`occupancy` and :meth:`traffic`.
+
+        ``(device, allocator)`` pairs in ``occupancy()`` key order and
+        ``(device, counters)`` pairs in ``traffic()`` key order. The run
+        loop binds them once per ``stream()`` and reads ``used_bytes`` /
+        ``read_bytes + write_bytes`` off them at every event instead of
+        asking for a fresh dict; the sources must therefore stay the same
+        objects for the adapter's lifetime (resizing a heap mutates its
+        allocator in place).
+        """
 
     @abc.abstractmethod
     def live_count(self) -> int: ...
@@ -281,6 +300,13 @@ class CachedArraysAdapter(SystemAdapter):
     def traffic(self) -> dict[str, TrafficSnapshot]:
         return self.session.traffic()
 
+    def meters(self) -> MeterSources:
+        heaps = self.session.heaps
+        return (
+            [(name, heap.allocator) for name, heap in heaps.items()],
+            [(name, heap.traffic) for name, heap in heaps.items()],
+        )
+
     def live_count(self) -> int:
         return len(self.objects)
 
@@ -450,6 +476,16 @@ class TwoLMAdapter(SystemAdapter):
             self.system.nvram.name: self.system.nvram_traffic.snapshot(),
         }
 
+    def meters(self) -> MeterSources:
+        system = self.system
+        return (
+            [(system.nvram.name, system.allocator)],
+            [
+                (system.dram.name, system.dram_traffic),
+                (system.nvram.name, system.nvram_traffic),
+            ],
+        )
+
     def live_count(self) -> int:
         return len(self.offsets)
 
@@ -548,6 +584,15 @@ class _ExecCursor:
     start_collections: int
 
 
+# Bound per stream(): (allocator, track) per device, the ``total`` track, and
+# (counters, track) per device.
+_Tracks = tuple[
+    list[tuple[FreeListAllocator, Timeline]],
+    Timeline,
+    list[tuple[TrafficCounters, Timeline]],
+]
+
+
 class Executor:
     """Walks annotated traces over a system adapter, collecting telemetry."""
 
@@ -635,30 +680,46 @@ class Executor:
         elif tracer.monitoring:
             tracer.monitor.note_gc(self.adapter.clock.now, pause)
 
-    def _sample(self, label: str = "") -> None:
+    def _bind_tracks(self, meters: MeterSources) -> _Tracks | None:
+        """Pair each meter source with its timeline track, once per stream.
+
+        Tracks are created in the order a sample records them — per-device
+        occupancy, ``total``, then ``traffic:<device>`` — and a resumed
+        stream finds the ones its first leg (or a restored snapshot) made.
+        """
         if not self.sample_timeline:
-            return
+            return None
         prefix = self._track_prefix
-        now = self.adapter.clock.now
-        occupancy = self.adapter.occupancy()
-        total = 0
-        for device, used in occupancy.items():
-            key = prefix + device
-            self._timelines.setdefault(key, Timeline(key)).record(
-                now, used, label
-            )
-            total += used
-        total_key = prefix + "total"
-        self._timelines.setdefault(total_key, Timeline(total_key)).record(
-            now, total, label
+        timelines = self._timelines
+
+        def track(key: str) -> Timeline:
+            return timelines.setdefault(key, Timeline(key))
+
+        occupancy, traffic = meters
+        return (
+            [(allocator, track(prefix + device)) for device, allocator in occupancy],
+            track(prefix + "total"),
+            # Cumulative traffic per device: windowed differencing turns these
+            # into utilisation-over-time series (telemetry.stats.windowed_rate).
+            [
+                (counters, track(f"{prefix}traffic:{device}"))
+                for device, counters in traffic
+            ],
         )
-        # Cumulative traffic per device: windowed differencing turns these
-        # into utilisation-over-time series (telemetry.stats.windowed_rate).
-        for device, snap in self.adapter.traffic().items():
-            key = f"{prefix}traffic:{device}"
-            self._timelines.setdefault(key, Timeline(key)).record(
-                now, snap.total_bytes, label
-            )
+
+    def _sample(self, tracks: _Tracks | None, label: str = "") -> None:
+        if tracks is None:
+            return
+        occupancy, total_track, traffic = tracks
+        now = self.adapter.clock.now
+        total = 0
+        for allocator, timeline in occupancy:
+            used = allocator.used_bytes
+            timeline.record(now, used, label)
+            total += used
+        total_track.record(now, total, label)
+        for counters, timeline in traffic:
+            timeline.record(now, counters.read_bytes + counters.write_bytes, label)
 
     # -- the run loop -------------------------------------------------------------
 
@@ -693,6 +754,9 @@ class Executor:
             raise TraceError(f"need at least one iteration, got {iterations}")
         clock = self.adapter.clock
         tracer = self.adapter.tracer
+        meters = self.adapter.meters()
+        occupancy_meters = meters[0]
+        tracks = self._bind_tracks(meters)
         cursor = self._cursor
         self._cursor = None
         self.paused = False
@@ -725,13 +789,12 @@ class Executor:
                 peak = {}
                 saw_iter_end = False
                 first_event = 0
-                self._sample("iteration-start")
+                self._sample(tracks, "iteration-start")
             # Dispatch ordered by event frequency (kernels dominate every
             # model trace, then allocs/retires); the branches are mutually
             # exclusive classes so ordering cannot change which one fires.
             adapter = self.adapter
             adapter_kernel = adapter.kernel
-            adapter_occupancy = adapter.occupancy
             traced = tracer.enabled
             monitoring = tracer.monitoring
             peak_get = peak.get
@@ -766,12 +829,12 @@ class Executor:
                         )
                     compute += timing.compute
                     kernel_memory += timing.memory
-                    self._sample()
+                    self._sample(tracks)
                 elif isinstance(event, Alloc):
                     self._alloc(trace.tensor(event.tensor))
                 elif isinstance(event, Retire):
                     adapter.release(event.tensor)
-                    self._sample()
+                    self._sample(tracks)
                 elif isinstance(event, GcDefer):
                     self.gc.defer(event.tensor)
                 elif isinstance(event, Archive):
@@ -782,7 +845,8 @@ class Executor:
                     adapter.hint_write(event.tensor)
                 elif isinstance(event, IterEnd):
                     saw_iter_end = True
-                for device, used in adapter_occupancy().items():
+                for device, allocator in occupancy_meters:
+                    used = allocator.used_bytes
                     if used > peak_get(device, 0):
                         peak[device] = used
                 if is_kernel:
@@ -817,7 +881,7 @@ class Executor:
             self._collect()
             with tracer.scope("iter_end"):
                 self.adapter.iteration_end()
-            self._sample("iteration-end")
+            self._sample(tracks, "iteration-end")
             delta = clock.since(checkpoint)
             end_traffic = self.adapter.traffic()
             end_cache = self.adapter.cache_stats()

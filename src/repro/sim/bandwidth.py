@@ -69,7 +69,10 @@ class BandwidthModel:
         """
         if nbytes <= 0:
             raise ValueError(f"transfer size must be positive, got {nbytes}")
-        key = (kind, threads)
+        # Keyed on the member's value string, read as the plain ``_value_``
+        # attribute: ``Enum.__hash__`` and the ``.value`` descriptor are both
+        # Python-level calls, once per operand and copy.
+        key = (kind._value_, threads)
         try:
             peak = self._peak_memo[key]
         except KeyError:

@@ -50,42 +50,34 @@ class TrafficCounters:
 
     def __init__(self, device: str) -> None:
         self.device = device
-        self._read_bytes = 0
-        self._write_bytes = 0
-
-    @property
-    def read_bytes(self) -> int:
-        return self._read_bytes
-
-    @property
-    def write_bytes(self) -> int:
-        return self._write_bytes
+        self.read_bytes = 0
+        self.write_bytes = 0
 
     @property
     def total_bytes(self) -> int:
-        return self._read_bytes + self._write_bytes
+        return self.read_bytes + self.write_bytes
 
     def record_read(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError(f"read byte count must be non-negative, got {nbytes}")
-        self._read_bytes += nbytes
+        self.read_bytes += nbytes
 
     def record_write(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError(f"write byte count must be non-negative, got {nbytes}")
-        self._write_bytes += nbytes
+        self.write_bytes += nbytes
 
     def snapshot(self) -> TrafficSnapshot:
         return TrafficSnapshot(
             device=self.device,
-            read_bytes=self._read_bytes,
-            write_bytes=self._write_bytes,
+            read_bytes=self.read_bytes,
+            write_bytes=self.write_bytes,
         )
 
     def reset(self) -> None:
         """Zero the counters (only between experiments, never mid-run)."""
-        self._read_bytes = 0
-        self._write_bytes = 0
+        self.read_bytes = 0
+        self.write_bytes = 0
 
     def __repr__(self) -> str:
         return f"TrafficCounters({self.snapshot()})"

@@ -116,3 +116,33 @@ def test_mechanism_knows_no_policies():
         assert not any(
             name.startswith("repro.policies") for name in imports
         ), f"{module.__name__} depends on policy code"
+
+
+def test_only_the_object_layer_assigns_primary():
+    """``MemObject.primary`` is a plain slot, so nothing but convention
+    stops a stray write; this pins the convention. ``attach``/``detach`` in
+    ``core/object.py`` are its only writers — everyone else goes through
+    ``DataManager.setprimary``."""
+    import pathlib
+
+    import repro
+    import repro.core.object
+
+    root = pathlib.Path(repro.__file__).parent
+    owner = pathlib.Path(repro.core.object.__file__)
+    for path in sorted(root.rglob("*.py")):
+        if path == owner:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            for target in targets:
+                assert not (
+                    isinstance(target, ast.Attribute)
+                    and target.attr == "primary"
+                ), f"{path.relative_to(root)}:{target.lineno} writes .primary"

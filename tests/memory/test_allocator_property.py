@@ -1,5 +1,6 @@
 """Property-based allocator tests: invariants under arbitrary op sequences."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import OutOfMemoryError
@@ -124,9 +125,32 @@ def resize_sequences(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     ops = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["alloc", "free", "grow", "shrink"]))
+        kind = draw(
+            st.sampled_from(["alloc", "free", "grow", "shrink", "compact"])
+        )
         ops.append((kind, draw(st.integers(min_value=1, max_value=8192))))
     return ops
+
+
+def _reference_block_index(allocator, offset: int) -> int:
+    """The naive linear walk ``_block_index_at``'s bisect must agree with."""
+    for index, block in enumerate(allocator._blocks):
+        if block.contains(offset):
+            return index
+    raise AssertionError(f"no block contains {offset:#x}")
+
+
+def _assert_address_index_matches_linear_scan(allocator, probe: int) -> None:
+    """Every block's first, middle and last byte, plus one arbitrary address."""
+    offsets = {probe % allocator.capacity}
+    for block in allocator._blocks:
+        offsets.update(
+            (block.offset, block.offset + block.size // 2, block.end - 1)
+        )
+    for offset in offsets:
+        assert allocator._block_index_at(offset) == _reference_block_index(
+            allocator, offset
+        ), f"address index disagrees with the block list at {offset:#x}"
 
 
 @given(resize_sequences())
@@ -146,12 +170,38 @@ def test_grow_shrink_preserve_invariants(ops):
                 allocator.grow(allocator.capacity + value * 64)
             elif kind == "shrink":
                 allocator.shrink(max(64, allocator.capacity - value * 64))
+            elif kind == "compact":
+                moves: dict[int, int] = {}
+                allocator.compact(
+                    lambda old, new, size: moves.__setitem__(old, new)
+                )
+                live = [moves.get(offset, offset) for offset in live]
         except AllocationError:
             pass  # rejected resizes/allocs must leave state untouched
         allocator.check_invariants()
+        _assert_address_index_matches_linear_scan(allocator, value * 7919)
     # Used bytes always remain addressable.
     for offset in live:
         assert offset + allocator.size_of(offset) <= allocator.capacity
+
+
+def test_check_invariants_catches_a_desynchronised_address_index():
+    allocator = FreeListAllocator(CAPACITY)
+    first = allocator.allocate(4096)
+    allocator.allocate(4096)
+    allocator.free(first)
+    allocator.check_invariants()
+    for damage in (
+        lambda offsets: offsets.pop(),  # a split the index never saw
+        lambda offsets: offsets.insert(1, 64),  # a coalesce it never saw
+        lambda offsets: offsets.__setitem__(1, offsets[1] + 64),  # stale start
+    ):
+        good = list(allocator._offsets)
+        damage(allocator._offsets)
+        with pytest.raises(AssertionError, match="address index"):
+            allocator.check_invariants()
+        allocator._offsets[:] = good
+    allocator.check_invariants()
 
 
 def _reference_find_fit(allocator, size: int, fit: str) -> int | None:

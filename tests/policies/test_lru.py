@@ -1,5 +1,9 @@
 """LRU tracker ordering semantics."""
 
+import pickle
+
+from hypothesis import given, settings, strategies as st
+
 from repro.core.object import MemObject
 from repro.policies.lru import LruTracker
 
@@ -79,3 +83,78 @@ def test_clear():
         tracker.touch(obj)
     tracker.clear()
     assert len(tracker) == 0
+
+
+# -- model-based: the tracker against a plain list, coldest first --------------
+
+POOL = 6  # few objects, so touches, demotes and discards keep colliding
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["touch", "demote", "discard", "clear"]),
+            st.integers(min_value=0, max_value=POOL - 1),
+        ),
+        max_size=80,
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_tracker_matches_a_plain_list_reference(ops):
+    pool = objs(POOL)
+    tracker = LruTracker()
+    reference: list[MemObject] = []
+    for op, index in ops:
+        obj = pool[index]
+        if op == "clear":
+            tracker.clear()
+            reference.clear()
+        else:
+            if obj in reference:
+                reference.remove(obj)
+            getattr(tracker, op)(obj)
+            if op == "touch":
+                reference.append(obj)
+            elif op == "demote":
+                reference.insert(0, obj)
+        assert list(tracker.coldest_first()) == reference
+        assert list(tracker.ranked()) == list(enumerate(reference))
+        assert len(tracker) == len(reference)
+        for candidate in pool:
+            assert (candidate in tracker) == (candidate in reference)
+            assert tracker.rank_of(candidate) == (
+                reference.index(candidate) if candidate in reference else None
+            )
+
+
+def test_pickle_round_trip_preserves_order():
+    tracker = LruTracker()
+    a, b, c, d = objs(4)
+    for obj in (a, b, c, d):
+        tracker.touch(obj)
+    tracker.demote(c)
+    tracker.touch(a)
+    restored = pickle.loads(pickle.dumps(tracker))
+    assert [o.name for o in restored.coldest_first()] == [
+        o.name for o in tracker.coldest_first()
+    ] == ["o2", "o1", "o3", "o0"]
+    # Still a working tracker, not just a readable one.
+    hottest = next(o for o in restored.coldest_first() if o.name == "o0")
+    restored.demote(hottest)
+    assert [o.name for o in restored.coldest_first()] == ["o0", "o2", "o1", "o3"]
+
+
+def test_demote_reorders_in_place():
+    """The ``archive`` reaction must not rebuild the order: one demote per
+    hint on thousands of live objects is the tiny-objects regime."""
+    tracker = LruTracker()
+    items = objs(20_000)
+    for obj in items:
+        tracker.touch(obj)
+    order = tracker._order
+    tracker.demote(items[-1])
+    tracker.demote(MemObject(64, "newcomer"))
+    assert tracker._order is order
+    assert len(tracker) == 20_001
+    coldest = list(tracker.coldest_first())
+    assert [o.name for o in coldest[:3]] == ["newcomer", "o19999", "o0"]

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from repro.core.object import MemObject
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentConfig, run_trace_mode
 from repro.nn.models import MODEL_REGISTRY
@@ -96,6 +97,18 @@ class TestPauseResume:
             resume_snapshot(snap, pause_after=5)
 
 
+class _Version1Object:
+    """Pickles the way the parent build's ``MemObject`` did: slot state
+    naming ``_primary``."""
+
+    def __reduce__(self):
+        return (
+            MemObject.__new__,
+            (MemObject,),
+            (None, {"id": 0, "size": 64, "_primary": None}),
+        )
+
+
 class TestEnvelope:
     def test_round_trip_through_a_file(self, tmp_path, uninterrupted_digest):
         snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=9)
@@ -129,6 +142,36 @@ class TestEnvelope:
         path = tmp_path / "future.snap"
         path.write_bytes(pickle.dumps(envelope))
         with pytest.raises(ConfigurationError):
+            load_snapshot(str(path))
+
+    def test_version_1_envelope_is_rejected(self, tmp_path):
+        """Version 1 predates the plain-slot ``Region.device_name`` /
+        ``MemObject.primary``, the ``OrderedDict`` LRU and the allocator's
+        address index: such a file must be refused, never half-restored."""
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 1, "snapshot": snap,
+        }
+        path = tmp_path / "v1.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 1 unsupported"):
+            load_snapshot(str(path))
+
+    def test_stale_class_layout_is_rejected_with_the_typed_error(
+        self, tmp_path
+    ):
+        """A real version-1 file cannot even be unpickled — its objects carry
+        a ``_primary`` slot this build no longer has — and that failure,
+        which happens before the version field is readable, must surface as
+        the same typed error."""
+        envelope = {
+            "format": SNAPSHOT_FORMAT,
+            "version": 1,
+            "snapshot": _Version1Object(),
+        }
+        path = tmp_path / "stale.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="_primary"):
             load_snapshot(str(path))
 
     def test_wrong_kind_cannot_resume(self):
