@@ -241,13 +241,7 @@ class DataManager:
         obj.check_usable()
         region.check_live()
         obj.attach(region, primary=True)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                tracing.SETPRIMARY,
-                obj=obj.name,
-                device=region.device_name,
-                nbytes=region.size,
-            )
+        self.tracer.setprimary(obj.name, region.device_name, region.size)
 
     # -- region functions -------------------------------------------------------
 
@@ -272,15 +266,7 @@ class DataManager:
             key = (self.active_tenant, device)
             self._tenant_used[key] = self._tenant_used.get(key, 0) + size
             self._region_tenant[(device, offset)] = self.active_tenant
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.ALLOC, device=device, offset=offset, nbytes=size
-            )
-        elif tracer.monitoring:
-            tracer.monitor.note_alloc(
-                tracer.clock.now, device, size, offset, tracer.stream
-            )
+        self.tracer.alloc(device, offset, size)
         return region
 
     def try_allocate(self, device: str, size: int) -> Region | None:
@@ -318,22 +304,7 @@ class DataManager:
                     self._tenant_used.get(key, 0) - region.size
                 )
         region.freed = True
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.FREE,
-                device=region.device_name,
-                offset=region.offset,
-                nbytes=region.size,
-            )
-        elif tracer.monitoring:
-            tracer.monitor.note_free(
-                tracer.clock.now,
-                region.device_name,
-                region.size,
-                region.offset,
-                tracer.stream,
-            )
+        self.tracer.free(region.device_name, region.offset, region.size)
 
     def copyto(self, dst: Region, src: Region) -> None:
         """Copy the full logical contents of ``src`` into ``dst``."""
@@ -349,9 +320,10 @@ class DataManager:
         # Asynchronous copies complete later; consumers of the destination
         # must wait until then (enforced at kernel-pin time).
         dst.ready_at = record.completes_at
-        if self.tracer.enabled and self.engine.async_mode:
-            # Remember what is in flight so DMA-drain stalls can blame the
-            # specific objects still being moved (docs/observability.md).
+        if self.engine.async_mode and self.tracer.enabled:
+            # Extra work only a full trace wants: remember what is in
+            # flight so DMA-drain stalls can blame the specific objects
+            # still being moved (docs/observability.md).
             parent = dst.parent or src.parent
             self.engine.note_pending(
                 record.completes_at, parent.name if parent is not None else ""
@@ -420,17 +392,16 @@ class DataManager:
 
     def setdirty(self, region: Region, dirty: bool = True) -> None:
         region.check_live()
-        if region.dirty != dirty and self.tracer.enabled:
+        if region.dirty != dirty:
             # Only actual transitions: a dirty bit flipping to True is
             # writeback debt a future eviction must pay; flipping to False
             # (post-copy) is that debt settled. Redundant writes are noise.
             parent = region.parent
-            self.tracer.emit(
-                tracing.SETDIRTY,
-                obj=parent.name if parent is not None else "",
-                device=region.device_name,
-                nbytes=region.size,
-                dirty=dirty,
+            self.tracer.setdirty(
+                parent.name if parent is not None else "",
+                region.device_name,
+                region.size,
+                dirty,
             )
         region.dirty = dirty
 
@@ -504,13 +475,7 @@ class DataManager:
         if victims is None:
             raise OutOfMemoryError(device, size, self.heap(device).free_bytes)
         self._cascade_depth.observe(len(victims))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                tracing.EVICT_SCAN,
-                device=device,
-                depth=len(victims),
-                nbytes=size,
-            )
+        self.tracer.evict_scan(device, len(victims), size)
         for offset in victims:
             region = self._regions[(device, offset)]
             callback(region)
@@ -538,8 +503,8 @@ class DataManager:
                 owner = self._region_tenant.pop((device, old), None)
                 if owner is not None:
                     self._region_tenant[(device, new)] = owner
-        if self.tracer.enabled and moved:
-            self.tracer.emit(tracing.DEFRAG, device=device, moves=moved)
+        if moved:
+            self.tracer.defrag(device, moved)
         return moved
 
     def check_invariants(self) -> None:

@@ -353,17 +353,7 @@ class SharedRuntime:
             session._arrays.clear()
             session.closed = True
         quota_total = sum(refunded.values())
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.DETACH,
-                tenant=tenant,
-                objects=len(objs),
-                nbytes=freed,
-                quota=quota_total,
-            )
-        elif getattr(tracer, "monitoring", False):
-            tracer.monitor.note_elastic("detach", self.clock.now, tenant)
+        self.tracer.detach(tenant, len(objs), freed, quota_total)
         return {"objects": len(objs), "bytes": freed, "quota": quota_total}
 
     def resize(self, device: str, new_bytes: int | str) -> dict[str, object]:
@@ -414,17 +404,7 @@ class SharedRuntime:
                     attempt, err, hooks, tracer=self.tracer, metrics=self.metrics
                 )
                 steps = "ladder" if result else ""
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.RESIZE,
-                device=device,
-                old=old,
-                new=new,
-                via=steps,
-            )
-        elif getattr(tracer, "monitoring", False):
-            tracer.monitor.note_elastic("resize", self.clock.now, device)
+        self.tracer.resize(device, old, new, steps)
         self._monitor_capacities[device] = heap.capacity
         self.manager.check_invariants()
         return {"device": device, "old": old, "new": heap.capacity, "via": steps}

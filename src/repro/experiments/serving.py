@@ -52,7 +52,6 @@ from repro.experiments.common import ExperimentConfig, _gc_config
 from repro.policies.modes import ModeConfig, mode as resolve_mode
 from repro.runtime.executor import CachedArraysAdapter, Executor
 from repro.runtime.scheduler import StreamScheduler
-from repro.telemetry import trace as tracing
 from repro.telemetry.counters import TrafficSnapshot
 from repro.telemetry.monitor import QuantileSketch
 from repro.units import GB
@@ -614,17 +613,14 @@ class _PointRunner:
         req.state = outcome
         req.outcome = outcome
         self._open -= 1
-        tracer = self.runtime.tracer
-        if tracer.enabled:
-            wait = req.queue_wait
-            tracer.emit(
-                tracing.REQUEST,
-                request=req.name,
-                klass=req.cls.name,
-                outcome=outcome,
-                seconds=req.latency,
-                queue_wait=-1.0 if wait is None else wait,
-            )
+        wait = req.queue_wait
+        self.runtime.tracer.request(
+            req.name,
+            req.cls.name,
+            outcome,
+            req.latency,
+            -1.0 if wait is None else wait,
+        )
 
 
 def _pick_classes(count: int, seed: int) -> list[RequestClass]:

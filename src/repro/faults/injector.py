@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.faults import plan as _plan
 from repro.faults.plan import FaultPlan, FaultSpec, FiredFault
-from repro.telemetry.trace import FAULT, NULL_TRACER
+from repro.telemetry.trace import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.clock import SimClock
@@ -129,11 +129,7 @@ class FaultInjector:
             detail=detail,
         )
         self.fired.append(fault)
-        if self.tracer.enabled:
-            self.tracer.emit(FAULT, site=site, device=device, op=op,
-                             index=index, **detail)
-        elif self.tracer.monitoring:
-            self.tracer.monitor.note_fault(self._now, site)
+        self.tracer.fault(site, device, op, index, detail)
         return fault
 
     def disarm(self) -> None:

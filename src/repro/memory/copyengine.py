@@ -227,26 +227,15 @@ class CopyEngine:
                     f"{source.name!r} -> {dest.name!r}"
                 )
 
-        tracer = self.tracer
-        if tracer.enabled and failed_attempts:
-            start_ts = completes_at - seconds
-            for attempt in range(1, failed_attempts + 1):
-                tracer.emit_at(
-                    start_ts + attempt_seconds * attempt,
-                    tracing.COPY_RETRY,
-                    src=source.name,
-                    dst=dest.name,
-                    nbytes=nbytes,
-                    attempt=attempt,
-                    reason="injected copy failure",
-                )
-        elif tracer.monitoring and failed_attempts:
-            start_ts = completes_at - seconds
-            for attempt in range(1, failed_attempts + 1):
-                tracer.monitor.note_copy_retry(
-                    start_ts + attempt_seconds * attempt,
-                    "injected copy failure",
-                )
+        for attempt in range(1, failed_attempts + 1):
+            self.tracer.copy_retry(
+                completes_at - seconds + attempt_seconds * attempt,
+                source.name,
+                dest.name,
+                nbytes,
+                attempt,
+                "injected copy failure",
+            )
         if exhausted:
             raise CopyError(
                 source.name,
@@ -276,39 +265,10 @@ class CopyEngine:
         )
         if self.keep_records:
             self.records.append(record)
-        tracer = self.tracer
-        if tracer.enabled:
-            # The span runs [completes_at - seconds, completes_at] in both
-            # modes: synchronous copies just advanced the clock by `seconds`,
-            # asynchronous ones queued on the destination's DMA channel.
-            seq = self._copy_seq = self._copy_seq + 1
-            tracer.emit_at(
-                completes_at - seconds,
-                tracing.COPY_START,
-                src=source.name,
-                dst=dest.name,
-                nbytes=nbytes,
-                threads=threads,
-                seconds=seconds,
-                seq=seq,
-            )
-            tracer.emit_at(
-                completes_at,
-                tracing.COPY_END,
-                src=source.name,
-                dst=dest.name,
-                nbytes=nbytes,
-                seq=seq,
-            )
-        elif tracer.monitoring:
-            tracer.monitor.note_copy(
-                completes_at - seconds,
-                completes_at,
-                nbytes,
-                source.name,
-                dest.name,
-                seconds=seconds,
-            )
+        seq = self._copy_seq = self._copy_seq + 1
+        self.tracer.copy(
+            source.name, dest.name, nbytes, threads, seconds, completes_at, seq
+        )
         return record
 
     def _verify_and_retry(
@@ -352,19 +312,14 @@ class CopyEngine:
             extra += attempt_seconds
             source.traffic.record_read(nbytes)
             dest.traffic.record_write(nbytes)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    tracing.COPY_RETRY,
-                    src=source.name,
-                    dst=dest.name,
-                    nbytes=nbytes,
-                    attempt=mismatches,
-                    reason="verification mismatch",
-                )
-            elif self.tracer.monitoring:
-                self.tracer.monitor.note_copy_retry(
-                    self.clock.now, "verification mismatch"
-                )
+            self.tracer.copy_retry(
+                self.clock.now,
+                source.name,
+                dest.name,
+                nbytes,
+                mismatches,
+                "verification mismatch",
+            )
             self._memcpy(source, source_offset, dest, dest_offset, nbytes)
 
     def _memcpy(

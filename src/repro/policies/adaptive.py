@@ -137,6 +137,7 @@ class AdaptivePolicy(OptimizingPolicy):
     def _find_eviction_start(self, size: int) -> Region | None:
         assert self.fast is not None
         self.stats.forced_eviction_rounds += 1
+        # Extra work only a full trace wants: the rejected-candidate list.
         traced = self.tracer.enabled
         candidates = [
             obj

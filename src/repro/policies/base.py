@@ -15,7 +15,6 @@ from typing import Callable
 from repro.core.manager import DataManager
 from repro.core.object import MemObject, Region
 from repro.errors import OutOfMemoryError
-from repro.telemetry import trace as tracing
 
 __all__ = [
     "evict_object",
@@ -48,24 +47,16 @@ def emit_decision(
     Records the victim a policy chose (``chosen`` is ``""`` when the scan
     came up empty — the precursor to an OOM/recovery climb) *and* the
     considered-but-rejected candidates with their reasons, so a trace reader
-    can answer "why was *this* object evicted and not that one?". Callers
-    must already have checked ``tracer.enabled``; the untraced fast path
-    never builds the rejected list.
+    can answer "why was *this* object evicted and not that one?". Only a
+    full trace wants the rejected list, so callers build it (and call this)
+    under their own enabled-tracer guard; the untraced scan builds nothing.
     """
     dropped = 0
     if len(rejected) > DECISION_REJECTED_LIMIT:
         dropped = len(rejected) - DECISION_REJECTED_LIMIT
         rejected = rejected[:DECISION_REJECTED_LIMIT]
-    tracer.emit(
-        tracing.DECISION,
-        policy=policy,
-        action=action,
-        device=device,
-        need=need,
-        chosen=chosen,
-        considered=considered,
-        rejected=rejected,
-        rejected_dropped=dropped,
+    tracer.decision(
+        policy, action, device, need, chosen, considered, rejected, dropped,
         **extra,
     )
 

@@ -27,7 +27,6 @@ from repro.core.policy_api import AccessIntent, Policy
 from repro.errors import ConfigurationError, OutOfMemoryError, PolicyError
 from repro.policies.base import emit_decision, evict_object, prefetch_object
 from repro.policies.lru import LruTracker
-from repro.telemetry import trace as tracing
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["MultiTierPolicy", "TierStats"]
@@ -131,10 +130,7 @@ class MultiTierPolicy(Policy):
                 self.manager.setprimary(obj, region)
                 self.lru[tier].touch(obj)
                 self.stats.bump(self.stats.placed, tier)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        tracing.PLACE, obj=obj.name, device=tier, nbytes=obj.size
-                    )
+                self.tracer.place(obj.name, tier, obj.size)
                 return region
         bottom = self.tiers[-1]
         raise OutOfMemoryError(bottom, obj.size, self.manager.free_bytes(bottom))
@@ -160,8 +156,8 @@ class MultiTierPolicy(Policy):
 
     def _find_eviction_start(self, index: int, size: int) -> Region | None:
         tier = self.tiers[index]
-        traced = self.tracer.enabled
-        rejected: list[dict] | None = [] if traced else None
+        # Extra work only a full trace wants: the rejected-candidate list.
+        rejected: list[dict] | None = [] if self.tracer.enabled else None
         considered = 0
         for rank, candidate in self.lru[tier].ranked():
             considered += 1
@@ -224,6 +220,13 @@ class MultiTierPolicy(Policy):
     def _demote_region(self, region: Region, index: int) -> None:
         """Evict one region's object from tier ``index`` to ``index + 1``."""
         obj = self.manager.parent(region)
+        if region is not obj.primary:
+            # A promotion left this region behind as a clean linked copy
+            # (the primary now lives in a faster tier). There is nothing to
+            # demote: dropping the copy loses no data and moves no object.
+            self.manager.unlink(obj.primary, region)
+            self.manager.free(region)
+            return
         if obj.pinned:
             raise PolicyError(f"asked to demote pinned {obj!r}")
         below = self.tiers[index + 1]
@@ -237,33 +240,14 @@ class MultiTierPolicy(Policy):
                 )
             # evict_object allocates for itself; release the probe.
             self.manager.free(room)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.EVICT,
-                obj=obj.name,
-                src=self.tiers[index],
-                dst=below,
-                nbytes=obj.size,
-                clean=linked is not None and not self.manager.isdirty(region),
-            )
-            with tracer.scope("evict", obj):
-                evicted = evict_object(self.manager, obj, self.tiers[index], below)
-        elif tracer.monitoring:
-            monitor = tracer.monitor
-            monitor.note_evict(tracer.clock.now, obj.name, obj.size)
-            # See OptimizingPolicy._evict_region: demotion writebacks are
-            # attributed "evict" via the monitor's copy_cause string, the
-            # cheap tier's stand-in for attribution scopes.
-            prev = monitor.copy_cause
-            monitor.copy_cause = "evict"
-            try:
-                evicted = evict_object(
-                    self.manager, obj, self.tiers[index], below
-                )
-            finally:
-                monitor.copy_cause = prev
-        else:
+        self.tracer.evict(
+            obj.name,
+            self.tiers[index],
+            below,
+            obj.size,
+            linked is not None and not self.manager.isdirty(region),
+        )
+        with self.tracer.scope("evict", obj):
             evicted = evict_object(self.manager, obj, self.tiers[index], below)
         if evicted:
             self.stats.bump(self.stats.demotions, below)
@@ -317,18 +301,7 @@ class MultiTierPolicy(Policy):
             self.lru[self.tiers[current]].discard(obj)
             self.lru[top].touch(obj)
             self.stats.bump(self.stats.promotions, top)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    tracing.PREFETCH,
-                    obj=obj.name,
-                    src=self.tiers[current],
-                    dst=top,
-                    nbytes=obj.size,
-                )
-            elif self.tracer.monitoring:
-                self.tracer.monitor.note_prefetch(
-                    self.tracer.clock.now, obj.name, obj.size
-                )
+            self.tracer.prefetch(obj.name, self.tiers[current], top, obj.size)
         return region
 
     # -- recovery (docs/robustness.md) -----------------------------------------------

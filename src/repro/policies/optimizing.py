@@ -31,7 +31,6 @@ from repro.core.policy_api import AccessIntent, Policy
 from repro.errors import ConfigurationError, OutOfMemoryError, PolicyError
 from repro.policies.base import emit_decision, evict_object, prefetch_object
 from repro.policies.lru import LruTracker
-from repro.telemetry import trace as tracing
 from repro.telemetry.metrics import Counter, MetricsRegistry
 
 __all__ = ["OptimizingPolicy", "PolicyStats"]
@@ -138,21 +137,12 @@ class OptimizingPolicy(Policy):
                 self.manager.setprimary(obj, region)
                 self.lru.touch(obj)
                 self.stats.placed_fast += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        tracing.PLACE,
-                        obj=obj.name,
-                        device=region.device_name,
-                        nbytes=obj.size,
-                    )
+                self.tracer.place(obj.name, region.device_name, obj.size)
                 return region
         region = self.manager.allocate(self.slow, obj.size)
         self.manager.setprimary(obj, region)
         self.stats.placed_slow += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                tracing.PLACE, obj=obj.name, device=self.slow, nbytes=obj.size
-            )
+        self.tracer.place(obj.name, self.slow, obj.size)
         return region
 
     # -- hints ------------------------------------------------------------------
@@ -228,19 +218,9 @@ class OptimizingPolicy(Policy):
         )
         if region is not None and region.device_name == self.fast:
             self.lru.touch(obj)
-            if was_slow and self.tracer.enabled:
+            if was_slow:
                 # An actual slow->fast move, not a no-op on already-fast data.
-                self.tracer.emit(
-                    tracing.PREFETCH,
-                    obj=obj.name,
-                    src=self.slow,
-                    dst=self.fast,
-                    nbytes=obj.size,
-                )
-            elif was_slow and self.tracer.monitoring:
-                self.tracer.monitor.note_prefetch(
-                    self.tracer.clock.now, obj.name, obj.size
-                )
+                self.tracer.prefetch(obj.name, self.slow, self.fast, obj.size)
         return region
 
     def _allocate_fast(self, size: int, *, force: bool) -> Region | None:
@@ -270,8 +250,8 @@ class OptimizingPolicy(Policy):
         """
         assert self.fast is not None
         self.stats.forced_eviction_rounds += 1
-        traced = self.tracer.enabled
-        rejected: list[dict] | None = [] if traced else None
+        # Extra work only a full trace wants: the rejected-candidate list.
+        rejected: list[dict] | None = [] if self.tracer.enabled else None
         considered = 0
         for rank, candidate in self.lru.ranked():
             considered += 1
@@ -338,32 +318,8 @@ class OptimizingPolicy(Policy):
         was_clean = not self.manager.isdirty(region) and (
             self.manager.getlinked(region, self.slow) is not None
         )
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.EVICT,
-                obj=obj.name,
-                src=self.fast,
-                dst=self.slow,
-                nbytes=obj.size,
-                clean=was_clean,
-            )
-            with tracer.scope("evict", obj):
-                evicted = evict_object(self.manager, obj, self.fast, self.slow)
-        elif tracer.monitoring:
-            monitor = tracer.monitor
-            monitor.note_evict(tracer.clock.now, obj.name, obj.size)
-            # Cheap stand-in for the full tier's `with tracer.scope("evict")`:
-            # the writeback copy evict_object performs lands in the monitor's
-            # by-cause rollup under "evict". Restored (not cleared) so
-            # cascaded demotions keep the outer attribution.
-            prev = monitor.copy_cause
-            monitor.copy_cause = "evict"
-            try:
-                evicted = evict_object(self.manager, obj, self.fast, self.slow)
-            finally:
-                monitor.copy_cause = prev
-        else:
+        self.tracer.evict(obj.name, self.fast, self.slow, obj.size, was_clean)
+        with self.tracer.scope("evict", obj):
             evicted = evict_object(self.manager, obj, self.fast, self.slow)
         if evicted:
             self.stats.evictions += 1

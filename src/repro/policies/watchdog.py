@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.core.object import MemObject, Region
 from repro.core.policy_api import AccessIntent, DelegatingPolicy, Policy
 from repro.errors import PolicyError
-from repro.telemetry import trace as tracing
 
 __all__ = ["PolicyWatchdog"]
 
@@ -69,30 +68,15 @@ class PolicyWatchdog(DelegatingPolicy):
         # Attribute the strike to the tenant whose operation tripped it, so
         # multi-tenant escalations separate in `repro explain`/flight dumps.
         tenant = getattr(self.manager, "active_tenant", "")
-        if tracer.enabled:
-            tracer.emit(
-                tracing.POLICY_STRIKE,
-                op=op,
-                strikes=self.strikes,
-                error=str(error),
-                tenant=tenant,
-            )
-        elif tracer.monitoring:
-            tracer.monitor.note_strike(tracer.clock.now, op, tenant)
+        tracer.policy_strike(op, self.strikes, str(error), tenant)
         self.manager.metrics.counter("watchdog.strikes").inc()
         if self.strikes >= self.max_strikes and not self.quarantined:
             self.quarantined = True
-            if tracer.enabled:
-                tracer.emit(
-                    tracing.QUARANTINE,
-                    policy=type(self.inner).__name__,
-                    fallback=type(self.fallback).__name__,
-                    strikes=self.strikes,
-                )
-            elif tracer.monitoring:
-                tracer.monitor.note_quarantine(
-                    tracer.clock.now, type(self.inner).__name__
-                )
+            tracer.quarantine(
+                type(self.inner).__name__,
+                type(self.fallback).__name__,
+                self.strikes,
+            )
             self.manager.metrics.counter("watchdog.quarantines").inc()
             # The quarantined policy may have died mid-operation; make sure
             # it did not leave the mechanism layer inconsistent before the

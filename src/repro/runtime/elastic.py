@@ -66,7 +66,7 @@ __all__ = [
 SNAPSHOT_FORMAT = "repro-runtime-snapshot"
 # Counts pickled layouts: bump it whenever a class in the snapshot's object
 # graph gains, loses or renames a field (docs/robustness.md has the history).
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 @dataclass
@@ -142,12 +142,9 @@ def load_snapshot(path: str) -> RuntimeSnapshot:
 
 
 def _emit_elastic(prepared: PreparedRun, kind: str, label: str) -> None:
-    tracer = prepared.adapter.tracer
-    clock = prepared.adapter.clock
-    if tracer.enabled:
-        tracer.emit(kind, label=label, kernels=prepared.executor.kernels_done)
-    elif tracer.monitoring:
-        tracer.monitor.note_elastic(kind, clock.now, label)
+    prepared.adapter.tracer.checkpoint(
+        kind, label, prepared.executor.kernels_done
+    )
 
 
 def _snapshot_of(prepared: PreparedRun) -> RuntimeSnapshot:

@@ -226,34 +226,17 @@ class CachedArraysAdapter(SystemAdapter):
             )
             wait = snap_residue(ready_at - self.clock.now, self.clock.now)
             if wait > 0:
-                if tracer.enabled:
-                    # Charge the stall to the operands still in flight,
-                    # proportionally to how late each one is — the ledger
-                    # uses this to blame wait time on specific objects.
-                    now = self.clock.now
-                    late = [
-                        (obj.name, obj.primary.ready_at - now)
-                        for obj in pinned
-                        if obj.primary is not None and obj.primary.ready_at > now
-                    ]
-                    total_late = sum(remaining for _, remaining in late)
-                    self.clock.advance(wait, MOVEMENT_WAIT)
-                    tracer.emit(
-                        tracing.STALL,
-                        kernel=kernel.name,
-                        seconds=wait,
-                        objects=[name for name, _ in late],
-                        charged=[
-                            wait * remaining / total_late
-                            for _, remaining in late
-                        ] if total_late > 0 else [],
-                    )
-                else:
-                    self.clock.advance(wait, MOVEMENT_WAIT)
-                    if tracer.monitoring:
-                        tracer.monitor.note_stall(
-                            self.clock.now, wait, kernel.name
-                        )
+                # Extra work only a full trace wants: which operands are
+                # still in flight, and by how much, read off the clock
+                # *before* the wait advances it.
+                now = self.clock.now
+                late = [
+                    (obj.name, obj.primary.ready_at - now)
+                    for obj in pinned
+                    if obj.primary is not None and obj.primary.ready_at > now
+                ] if tracer.enabled else ()
+                self.clock.advance(wait, MOVEMENT_WAIT)
+                tracer.stall(kernel.name, wait, late)
             reads: list[tuple] = []
             writes: list[tuple] = []
             for obj in read_objs:
@@ -291,8 +274,7 @@ class CachedArraysAdapter(SystemAdapter):
         check = getattr(self.session.policy, "check_invariant", None)
         if check is not None:
             check()
-        if self.tracer.enabled:
-            self.tracer.emit(tracing.INVARIANT_CHECK, kernels=self._kernel_count)
+        self.tracer.invariant_check(self._kernel_count)
 
     def occupancy(self) -> dict[str, int]:
         return self.session.occupancy()
@@ -316,30 +298,15 @@ class CachedArraysAdapter(SystemAdapter):
         engine = self.session.engine
         drain = engine.drain_wait()
         if drain > 0:
-            tracer = self.tracer
-            if tracer.enabled:
-                # Blame the drain on the objects still in flight,
-                # proportionally to how late each one lands (same charging
-                # scheme as the kernel-entry stall above).
-                late = engine.pending_labels(self.clock.now)
-                total_late = sum(remaining for _, remaining in late)
-                self.clock.advance(drain, MOVEMENT_WAIT)
-                tracer.emit(
-                    tracing.STALL,
-                    kernel="iter_end_drain",
-                    seconds=drain,
-                    objects=[name for name, _ in late],
-                    charged=[
-                        drain * remaining / total_late
-                        for _, remaining in late
-                    ] if total_late > 0 else [],
-                )
-            else:
-                self.clock.advance(drain, MOVEMENT_WAIT)
-                if tracer.monitoring:
-                    tracer.monitor.note_stall(
-                        self.clock.now, drain, "iter_end_drain"
-                    )
+            # Extra work only a full trace wants: blame the drain on the
+            # objects still in flight (same scheme as the kernel-entry
+            # stall above), read before the wait advances the clock.
+            late = (
+                engine.pending_labels(self.clock.now)
+                if self.tracer.enabled else ()
+            )
+            self.clock.advance(drain, MOVEMENT_WAIT)
+            self.tracer.stall("iter_end_drain", drain, late)
         self.session.defragment()
         self.session.policy.on_iteration_end()
 
@@ -391,19 +358,9 @@ class TwoLMAdapter(SystemAdapter):
         offset = self.system.allocate(spec.nbytes)
         self.offsets[spec.name] = offset
         self.sizes[spec.name] = spec.nbytes
-        if self.tracer.enabled:
-            self.tracer.emit(
-                tracing.ALLOC,
-                device=self.system.nvram.name,
-                obj=spec.name,
-                offset=offset,
-                nbytes=spec.nbytes,
-            )
-        elif self.tracer.monitoring:
-            self.tracer.monitor.note_alloc(
-                self.clock.now, self.system.nvram.name, spec.nbytes,
-                offset, self.tracer.stream,
-            )
+        self.tracer.alloc(
+            self.system.nvram.name, offset, spec.nbytes, spec.name
+        )
 
     def exists(self, name: str) -> bool:
         return name in self.offsets
@@ -412,19 +369,7 @@ class TwoLMAdapter(SystemAdapter):
         offset = self.offsets.pop(name)
         nbytes = self.sizes.pop(name)
         self.system.free(offset)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                tracing.FREE,
-                device=self.system.nvram.name,
-                obj=name,
-                offset=offset,
-                nbytes=nbytes,
-            )
-        elif self.tracer.monitoring:
-            self.tracer.monitor.note_free(
-                self.clock.now, self.system.nvram.name, nbytes,
-                offset, self.tracer.stream,
-            )
+        self.tracer.free(self.system.nvram.name, offset, nbytes, name)
 
     def archive(self, name: str) -> None:
         """Hardware caches receive no semantic hints — deliberately a no-op."""
@@ -642,12 +587,7 @@ class Executor:
             # for contiguous space, defragment, then cross-tier fallback.
             # Exhaustion raises RecoveryExhaustedError (an OutOfMemoryError).
             tracer = self.adapter.tracer
-            if tracer.enabled:
-                tracer.emit(tracing.OOM_RETRY, obj=spec.name, nbytes=spec.nbytes)
-            elif tracer.monitoring:
-                tracer.monitor.note_oom_retry(
-                    self.adapter.clock.now, spec.name
-                )
+            tracer.oom_retry(spec.name, spec.nbytes)
             recover_allocation(
                 lambda: self.adapter.alloc(spec),
                 err,
@@ -675,10 +615,7 @@ class Executor:
         with tracer.scope("gc"):
             pause = self.gc.collect()
         self.adapter.clock.advance(pause, GC)
-        if tracer.enabled:
-            tracer.emit(tracing.GC, seconds=pause)
-        elif tracer.monitoring:
-            tracer.monitor.note_gc(self.adapter.clock.now, pause)
+        tracer.gc(pause)
 
     def _bind_tracks(self, meters: MeterSources) -> _Tracks | None:
         """Pair each meter source with its timeline track, once per stream.
@@ -795,38 +732,25 @@ class Executor:
             # exclusive classes so ordering cannot change which one fires.
             adapter = self.adapter
             adapter_kernel = adapter.kernel
-            traced = tracer.enabled
-            monitoring = tracer.monitoring
             peak_get = peak.get
             events = trace.events
             for pos in range(first_event, len(events)):
                 event = events[pos]
                 is_kernel = isinstance(event, Kernel)
                 if is_kernel:
-                    if traced:
-                        tracer.emit(tracing.KERNEL_START, kernel=event.name)
+                    tracer.kernel_start(event.name)
                     timing = adapter_kernel(event, trace)
                     # Yield the kernel's duration to the scheduler; other
                     # streams may run before this one resumes.
                     yield timing.total, KERNEL
-                    if traced:
-                        tracer.emit(
-                            tracing.KERNEL_END,
-                            kernel=event.name,
-                            seconds=timing.total,
-                            compute=timing.compute,
-                            memory=timing.memory,
-                            fixed=timing.fixed,
-                            phase=event.phase,
-                        )
-                    elif monitoring:
-                        tracer.monitor.note_kernel(
-                            clock.now,
-                            timing.total,
-                            timing.compute,
-                            timing.memory,
-                            timing.fixed,
-                        )
+                    tracer.kernel_end(
+                        event.name,
+                        timing.total,
+                        timing.compute,
+                        timing.memory,
+                        timing.fixed,
+                        event.phase,
+                    )
                     compute += timing.compute
                     kernel_memory += timing.memory
                     self._sample(tracks)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
 from repro.errors import OutOfMemoryError, RecoveryExhaustedError
-from repro.telemetry import trace as tracing
 from repro.telemetry.trace import NULL_TRACER
 
 __all__ = [
@@ -93,31 +92,14 @@ def recover_allocation(
     steps_taken: list[str] = []
 
     def _emit_step(step: str, acted: bool) -> None:
-        if tracer.enabled:
-            tracer.emit(
-                tracing.RECOVERY_STEP,
-                step=step,
-                device=error.device,
-                requested=error.requested,
-                free=error.free,
-                acted=acted,
-                tenant=tenant,
-            )
-        elif tracer.monitoring:
-            tracer.monitor.note_recovery_step(tracer.clock.now, step, tenant)
+        tracer.recovery_step(
+            step, error.device, error.requested, error.free, acted, tenant
+        )
 
     def _succeed(step: str, result: T) -> T:
-        if tracer.enabled:
-            tracer.emit(
-                tracing.RECOVERY,
-                step=step,
-                device=error.device,
-                requested=error.requested,
-                steps=",".join(steps_taken),
-                tenant=tenant,
-            )
-        elif tracer.monitoring:
-            tracer.monitor.note_recovery(tracer.clock.now, step)
+        tracer.recovery(
+            step, error.device, error.requested, ",".join(steps_taken), tenant
+        )
         if metrics is not None:
             metrics.counter("recovery.success", step=step).inc()
         return result

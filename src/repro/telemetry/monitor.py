@@ -65,6 +65,7 @@ from repro.telemetry.trace import (
     RESTORE,
     SNAPSHOT,
     STALL,
+    NullTracer,
     TraceEvent,
     Tracer,
     _NULL_SCOPE,
@@ -374,10 +375,10 @@ class RollupAggregator:
         self.windows_closed = 0
         self._highest = -1
         # One-entry cache for the common case (consecutive events landing in
-        # the same window). The bounds are plain floats so the monitor-tier
-        # fast path can test membership with two comparisons — no division,
-        # no dict probe, no call. Invalidated whenever the cached window
-        # could be folded away or has been closed by finish().
+        # the same window). The bounds are plain floats so window_for tests
+        # membership with two comparisons — no division, no dict probe.
+        # Invalidated whenever the cached window could be folded away or
+        # has been closed by finish().
         self._cache_lo = math.inf
         self._cache_hi = -math.inf
         self._cache_window: RollupWindow | None = None
@@ -874,9 +875,9 @@ class RuntimeMonitor:
         # Live aggregates (exact, maintained incrementally from events).
         self.occupancy: dict[str, int] = {}
         self.inflight_copy_bytes = 0
-        # The current copy-cause bucket for note_copy (monitor tier only):
-        # eviction sites set it to "evict" around evict_object() — the
-        # cheap stand-in for the full tier's attribution scopes.
+        # The copy-cause bucket note_copy reads (monitor-only tier): the
+        # tier's ``scope("evict", ...)`` sets it for the scope's extent —
+        # the cheap stand-in for the full tier's attribution stack.
         self.copy_cause = "unattributed"
         self._inflight: dict[int, tuple[float, int]] = {}  # seq -> (ts, nbytes)
         self.totals: dict[str, Any] = {
@@ -951,178 +952,44 @@ class RuntimeMonitor:
         self._alert_sink = sink
 
     # -- event intake --------------------------------------------------------
+    #
+    # Two intakes, one arithmetic body per kind. ``observe`` takes a
+    # :class:`TraceEvent` (full tracing, offline replay): it rings the
+    # event, counts it in its window, and lets ``_EXTRACTORS`` pull the
+    # payload out of ``event.args`` for the kind's ``_fold_*``. The
+    # ``note_*`` methods take the same values positionally (the
+    # monitor-only tier: no kwargs dict, no TraceEvent), ring a compact
+    # ``(kind, ts, *values)`` tuple (see ``_RING_FIELDS``; alloc/free and
+    # kernel notes skip the ring — pure volume, no forensic value) and call
+    # the same fold. What legitimately differs per tier is therefore only
+    # what an intake *sees*: the cheap tier neither sees the unfolded kinds
+    # (so per-window event counts are lower) nor opens per-operand
+    # attribution scopes (copies attribute to ``copy_cause`` alone).
+
+    def _intake(self, ts: float) -> RollupWindow:
+        """Count one event at ``ts``; returns the window it landed in."""
+        self.events_seen += 1
+        if ts > self.last_ts:
+            self.last_ts = ts
+        # Every event passes through here, and consecutive events nearly
+        # always land in the aggregator's cached current window: test its
+        # bounds in place rather than paying a call to find that out.
+        rollups = self.rollups
+        window = (
+            rollups._cache_window
+            if rollups._cache_lo <= ts < rollups._cache_hi
+            else rollups.window_for(ts)
+        )
+        window.events += 1
+        return window
 
     def observe(self, event: TraceEvent) -> None:
         """Fold one event into every monitor structure. Hot path."""
-        self.events_seen += 1
-        ts = event.ts
-        if ts > self.last_ts:
-            self.last_ts = ts
         self.ring.append(event)
-        window = self.rollups.window_for(ts)
-        window.events += 1
-        kind = event.kind
-        totals = self.totals
-        args = event.args
-        if kind == KERNEL_END:
-            seconds = float(args.get("seconds", 0.0))
-            compute = float(args.get("compute", 0.0))
-            memory = float(args.get("memory", 0.0))
-            fixed = float(args.get("fixed", 0.0))
-            window.kernels += 1
-            window.kernel_seconds += seconds
-            window.kernel_compute_seconds += compute
-            window.kernel_memory_seconds += memory
-            window.kernel_fixed_seconds += fixed
-            totals["kernels"] += 1
-            totals["kernel_seconds"] += seconds
-            totals["kernel_compute_seconds"] += compute
-            totals["kernel_memory_seconds"] += memory
-            totals["kernel_fixed_seconds"] += fixed
-            self.kernel_latency.observe(seconds)
-        elif kind == ALLOC:
-            nbytes = int(args.get("nbytes", 0))
-            device = args.get("device", "?")
-            window.allocs += 1
-            window.alloc_bytes += nbytes
-            totals["allocs"] += 1
-            self.occupancy[device] = self.occupancy.get(device, 0) + nbytes
-            if event.stream:
-                offset = args.get("offset")
-                if offset is not None:
-                    self._region_tenant[(device, int(offset))] = (
-                        event.stream, nbytes,
-                    )
-                key = f"{event.stream}/{device}"
-                self._tenant_used[key] = self._tenant_used.get(key, 0) + nbytes
-        elif kind == FREE:
-            nbytes = int(args.get("nbytes", 0))
-            device = args.get("device", "?")
-            window.frees += 1
-            window.free_bytes += nbytes
-            totals["frees"] += 1
-            self.occupancy[device] = self.occupancy.get(device, 0) - nbytes
-            offset = args.get("offset")
-            owner = None
-            if offset is not None:
-                owner = self._region_tenant.pop((device, int(offset)), None)
-            tenant = owner[0] if owner else event.stream
-            if tenant:
-                key = f"{tenant}/{device}"
-                remaining = self._tenant_used.get(key, 0) - nbytes
-                if remaining > 0:
-                    self._tenant_used[key] = remaining
-                else:
-                    self._tenant_used.pop(key, None)
-        elif kind == COPY_START:
-            nbytes = int(args.get("nbytes", 0))
-            seconds = float(args.get("seconds", 0.0))
-            window.copies += 1
-            window.copy_bytes += nbytes
-            window.copy_seconds += seconds
-            # Bytes attribute to the *root* cause (who started the cascade);
-            # seconds/counts attribute to the *innermost* cause (what the
-            # copy mechanically was — an eviction nested under a placement
-            # is still eviction work). The innermost keying also matches the
-            # cheap tier's ``copy_cause`` string, so the bottleneck taxonomy
-            # reads the same mechanism mix from either tier.
-            cause = cause_kind(event.root)
-            window.copy_bytes_by_cause[cause] = (
-                window.copy_bytes_by_cause.get(cause, 0) + nbytes
-            )
-            mechanism = cause_kind(event.cause)
-            window.copy_seconds_by_cause[mechanism] = (
-                window.copy_seconds_by_cause.get(mechanism, 0.0) + seconds
-            )
-            window.copies_by_cause[mechanism] = (
-                window.copies_by_cause.get(mechanism, 0) + 1
-            )
-            totals["copies"] += 1
-            totals["copy_bytes"] += nbytes
-            totals["copy_seconds"] += seconds
-            self.copies_by_cause[mechanism] = (
-                self.copies_by_cause.get(mechanism, 0) + 1
-            )
-            self.copy_seconds_by_cause[mechanism] = (
-                self.copy_seconds_by_cause.get(mechanism, 0.0) + seconds
-            )
-            self.inflight_copy_bytes += nbytes
-            seq = args.get("seq")
-            if seq is not None:
-                self._inflight[int(seq)] = (ts, nbytes)
-        elif kind == COPY_END:
-            seq = args.get("seq")
-            started = None
-            if seq is not None:
-                started = self._inflight.pop(int(seq), None)
-            if started is not None:
-                start_ts, nbytes = started
-                self.inflight_copy_bytes -= nbytes
-                self.copy_latency.observe(ts - start_ts)
-        elif kind == STALL:
-            seconds = float(args.get("seconds", 0.0))
-            window.stalls += 1
-            window.stall_seconds += seconds
-            totals["stalls"] += 1
-            totals["stall_seconds"] += seconds
-            self.stall_latency.observe(seconds)
-        elif kind == EVICT:
-            window.evictions += 1
-            totals["evictions"] += 1
-        elif kind == PREFETCH:
-            window.prefetches += 1
-            totals["prefetches"] += 1
-        elif kind == GC:
-            seconds = float(args.get("seconds", 0.0))
-            window.gcs += 1
-            window.gc_seconds += seconds
-            totals["gcs"] += 1
-            totals["gc_seconds"] += seconds
-        elif kind == OOM_RETRY:
-            window.oom_retries += 1
-            totals["oom_retries"] += 1
-        elif kind == FAULT:
-            window.faults += 1
-            totals["faults"] += 1
-            label = args.get("fault") or args.get("site") or "?"
-            self._maybe_dump(f"fault:{label}", ts)
-        elif kind == RECOVERY_STEP:
-            step = str(args.get("step", "?"))
-            window.recovery_steps += 1
-            totals["recovery_steps"] += 1
-            self.recovery_steps_by_rung[step] = (
-                self.recovery_steps_by_rung.get(step, 0) + 1
-            )
-            if step in _ESCALATION_STEPS:
-                self._maybe_dump(f"recovery:{step}", ts)
-        elif kind == RECOVERY:
-            window.recoveries += 1
-            totals["recoveries"] += 1
-            step = str(args.get("step", "?"))
-            self.recoveries_by_step[step] = (
-                self.recoveries_by_step.get(step, 0) + 1
-            )
-        elif kind == COPY_RETRY:
-            window.copy_retries += 1
-            totals["copy_retries"] += 1
-        elif kind == POLICY_STRIKE:
-            window.strikes += 1
-            totals["strikes"] += 1
-            self._maybe_dump("policy_strike", ts)
-        elif kind == QUARANTINE:
-            window.quarantines += 1
-            totals["quarantines"] += 1
-            self._maybe_dump("quarantine", ts)
-        elif kind == DETACH:
-            totals["detaches"] += 1
-            self._maybe_dump(f"detach:{args.get('tenant', '?')}", ts)
-        elif kind == RESIZE:
-            totals["resizes"] += 1
-            self._maybe_dump(f"resize:{args.get('device', '?')}", ts)
-        elif kind == SNAPSHOT:
-            totals["snapshots"] += 1
-        elif kind == RESTORE:
-            totals["restores"] += 1
+        window = self._intake(event.ts)
+        extract = _EXTRACTORS.get(event.kind)
+        if extract is not None:
+            extract(self, window, event)
         # Other kinds (hint/place/decision/...) only count toward
         # window.events and ride in the flight ring.
 
@@ -1136,27 +1003,6 @@ class RuntimeMonitor:
         """Close the trailing window so its stats and alerts are visible."""
         self.rollups.finish()
 
-    # -- monitor-tier fast intake (note_*) -----------------------------------
-    #
-    # The inlined twins of observe()'s per-kind branches, called straight
-    # from instrumented sites through the ``elif tracer.monitoring:`` guard:
-    # positional arguments only, no kwargs dict, no TraceEvent. Each method
-    # must keep the same arithmetic as its observe() branch for totals,
-    # occupancy, and latency sketches, so offline replay of a recorded
-    # stream agrees with live monitoring on those (the CLI test suite holds
-    # the two paths equal there; per-window event counts and copy-cause
-    # attribution legitimately differ, because the cheap tier neither sees
-    # the skipped event kinds nor opens attribution scopes). Movement and
-    # robustness notes also drop a compact ``(kind, ts, *values)`` tuple
-    # into the flight ring (see ``_RING_FIELDS``) so the black box stays
-    # useful in the cheap tier; alloc/free and kernel notes skip the ring
-    # (pure volume, no forensic value).
-    #
-    # Every note opens with the same hand-inlined window lookup — two float
-    # comparisons against the aggregator's cached current window — because
-    # at ~50k notes per benchmark run even one extra call frame per note is
-    # measurable against the <=5% overhead budget (docs/observability.md).
-
     def note_kernel(
         self,
         ts: float,
@@ -1165,15 +1011,16 @@ class RuntimeMonitor:
         memory: float = 0.0,
         fixed: float = 0.0,
     ) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+        self._fold_kernel(self._intake(ts), seconds, compute, memory, fixed)
+
+    def _fold_kernel(
+        self,
+        window: RollupWindow,
+        seconds: float,
+        compute: float,
+        memory: float,
+        fixed: float,
+    ) -> None:
         window.kernels += 1
         window.kernel_seconds += seconds
         window.kernel_compute_seconds += compute
@@ -1188,22 +1035,16 @@ class RuntimeMonitor:
         self.kernel_latency.observe(seconds)
 
     def note_stall(self, ts: float, seconds: float, kernel: str = "") -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+        window = self._intake(ts)
+        self.ring.append((STALL, ts, kernel, seconds))
+        self._fold_stall(window, seconds)
+
+    def _fold_stall(self, window: RollupWindow, seconds: float) -> None:
         window.stalls += 1
         window.stall_seconds += seconds
-        totals = self.totals
-        totals["stalls"] += 1
-        totals["stall_seconds"] += seconds
+        self.totals["stalls"] += 1
+        self.totals["stall_seconds"] += seconds
         self.stall_latency.observe(seconds)
-        self.ring.append((STALL, ts, kernel, seconds))
 
     def note_copy(
         self,
@@ -1214,219 +1055,222 @@ class RuntimeMonitor:
         dst: str,
         seconds: float | None = None,
     ) -> None:
-        # Mirrors the observe() pairing order exactly: the start window is
-        # touched, the copy goes in flight, then the end window is touched
-        # (possibly closing the start window with this copy still counted
-        # in-flight), then the copy lands. The cause comes from
-        # ``copy_cause`` — a plain string the eviction sites set around
-        # evict_object() in place of the full tier's tracer scopes.
-        # ``seconds`` is the exact copy duration when the caller has it;
-        # ``end_ts - start_ts`` recomputes it with float rounding, which
-        # would break note/observe totals parity.
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= start_ts < r._cache_hi
-            else r.window_for(start_ts)
-        )
-        self.events_seen += 2
+        # The same order a COPY_START/COPY_END pair is observed in: the
+        # start window is touched, the copy goes in flight, then the end
+        # window is touched (possibly closing the start window with this
+        # copy still counted in-flight), then the copy lands. ``seconds``
+        # is the exact copy duration when the caller has it; ``end_ts -
+        # start_ts`` recomputes it with float rounding, which would break
+        # note/observe totals parity.
         if seconds is None:
             seconds = end_ts - start_ts
-        window.events += 1
-        window.copies += 1
-        window.copy_bytes += nbytes
-        window.copy_seconds += seconds
         cause = self.copy_cause
-        by_cause = window.copy_bytes_by_cause
-        by_cause[cause] = by_cause.get(cause, 0) + nbytes
-        by_seconds = window.copy_seconds_by_cause
-        by_seconds[cause] = by_seconds.get(cause, 0.0) + seconds
-        by_count = window.copies_by_cause
-        by_count[cause] = by_count.get(cause, 0) + 1
-        totals = self.totals
-        totals["copies"] += 1
-        totals["copy_bytes"] += nbytes
-        totals["copy_seconds"] += seconds
-        self.copies_by_cause[cause] = (
-            self.copies_by_cause.get(cause, 0) + 1
+        self._fold_copy_start(
+            self._intake(start_ts), nbytes, seconds, cause, cause
         )
-        self.copy_seconds_by_cause[cause] = (
-            self.copy_seconds_by_cause.get(cause, 0.0) + seconds
-        )
-        self.inflight_copy_bytes += nbytes
-        end_window = (
-            r._cache_window if r._cache_lo <= end_ts < r._cache_hi
-            else r.window_for(end_ts)
-        )
-        end_window.events += 1
-        if end_ts > self.last_ts:
-            self.last_ts = end_ts
-        self.inflight_copy_bytes -= nbytes
-        self.copy_latency.observe(end_ts - start_ts)
+        self._intake(end_ts)
+        self._fold_copy_end(end_ts - start_ts, nbytes)
         self.ring.append(
             (COPY_START, start_ts, src, dst, nbytes, end_ts - start_ts)
         )
 
+    def _fold_copy_start(
+        self,
+        window: RollupWindow,
+        nbytes: int,
+        seconds: float,
+        bytes_cause: str,
+        mechanism: str,
+    ) -> None:
+        # Bytes attribute to ``bytes_cause`` (on the observe path the *root*
+        # cause: who started the cascade); seconds and counts attribute to
+        # ``mechanism`` (the *innermost* cause: what the copy mechanically
+        # was — an eviction nested under a placement is still eviction
+        # work). The cheap tier passes ``copy_cause`` for both, which is the
+        # innermost keying, so the bottleneck taxonomy reads the same
+        # mechanism mix from either tier.
+        window.copies += 1
+        window.copy_bytes += nbytes
+        window.copy_seconds += seconds
+        by_bytes = window.copy_bytes_by_cause
+        by_bytes[bytes_cause] = by_bytes.get(bytes_cause, 0) + nbytes
+        by_seconds = window.copy_seconds_by_cause
+        by_seconds[mechanism] = by_seconds.get(mechanism, 0.0) + seconds
+        by_count = window.copies_by_cause
+        by_count[mechanism] = by_count.get(mechanism, 0) + 1
+        totals = self.totals
+        totals["copies"] += 1
+        totals["copy_bytes"] += nbytes
+        totals["copy_seconds"] += seconds
+        self.copies_by_cause[mechanism] = (
+            self.copies_by_cause.get(mechanism, 0) + 1
+        )
+        self.copy_seconds_by_cause[mechanism] = (
+            self.copy_seconds_by_cause.get(mechanism, 0.0) + seconds
+        )
+        self.inflight_copy_bytes += nbytes
+
+    def _fold_copy_end(self, latency: float, nbytes: int) -> None:
+        self.inflight_copy_bytes -= nbytes
+        self.copy_latency.observe(latency)
+
     def note_alloc(
         self, ts: float, device: str, nbytes: int, offset: int, stream: str
     ) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+        self._fold_alloc(self._intake(ts), device, nbytes, offset, stream)
+
+    def _fold_alloc(
+        self,
+        window: RollupWindow,
+        device: str,
+        nbytes: int,
+        offset: int | None,
+        stream: str,
+    ) -> None:
         window.allocs += 1
         window.alloc_bytes += nbytes
         self.totals["allocs"] += 1
         occupancy = self.occupancy
         occupancy[device] = occupancy.get(device, 0) + nbytes
         if stream:
-            self._region_tenant[(device, offset)] = (stream, nbytes)
+            if offset is not None:
+                self._region_tenant[(device, offset)] = (stream, nbytes)
             key = f"{stream}/{device}"
             self._tenant_used[key] = self._tenant_used.get(key, 0) + nbytes
 
     def note_free(
         self, ts: float, device: str, nbytes: int, offset: int, stream: str
     ) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+        self._fold_free(self._intake(ts), device, nbytes, offset, stream)
+
+    def _fold_free(
+        self,
+        window: RollupWindow,
+        device: str,
+        nbytes: int,
+        offset: int | None,
+        stream: str,
+    ) -> None:
         window.frees += 1
         window.free_bytes += nbytes
         self.totals["frees"] += 1
         occupancy = self.occupancy
         occupancy[device] = occupancy.get(device, 0) - nbytes
-        if stream or self._region_tenant:
+        owner = None
+        if offset is not None and self._region_tenant:
             owner = self._region_tenant.pop((device, offset), None)
-            tenant = owner[0] if owner else stream
-            if tenant:
-                key = f"{tenant}/{device}"
-                remaining = self._tenant_used.get(key, 0) - nbytes
-                if remaining > 0:
-                    self._tenant_used[key] = remaining
-                else:
-                    self._tenant_used.pop(key, None)
+        tenant = owner[0] if owner else stream
+        if tenant:
+            key = f"{tenant}/{device}"
+            remaining = self._tenant_used.get(key, 0) - nbytes
+            if remaining > 0:
+                self._tenant_used[key] = remaining
+            else:
+                self._tenant_used.pop(key, None)
 
     def note_evict(self, ts: float, obj: str, nbytes: int) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
-        window.evictions += 1
-        self.totals["evictions"] += 1
+        window = self._intake(ts)
         self.ring.append((EVICT, ts, obj, nbytes))
+        self._fold_count(window, "evictions")
 
     def note_prefetch(self, ts: float, obj: str, nbytes: int) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
-        window.prefetches += 1
-        self.totals["prefetches"] += 1
+        window = self._intake(ts)
         self.ring.append((PREFETCH, ts, obj, nbytes))
+        self._fold_count(window, "prefetches")
 
-    def _note_slow(self, ts: float) -> RollupWindow:
-        """Shared intake for the rare robustness notes (not hot)."""
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window = self.rollups.window_for(ts)
-        window.events += 1
-        return window
+    def _fold_count(
+        self, window: RollupWindow, name: str, ts: float = 0.0, dump: str = ""
+    ) -> None:
+        """The kinds that are only counted: ``name`` is both the window
+        attribute and the totals key; ``dump`` names a flight dump."""
+        setattr(window, name, getattr(window, name) + 1)
+        self.totals[name] += 1
+        if dump:
+            self._maybe_dump(dump, ts)
 
     def note_gc(self, ts: float, seconds: float) -> None:
-        window = self._note_slow(ts)
+        window = self._intake(ts)
+        self.ring.append((GC, ts, seconds))
+        self._fold_gc(window, seconds)
+
+    def _fold_gc(self, window: RollupWindow, seconds: float) -> None:
         window.gcs += 1
         window.gc_seconds += seconds
         self.totals["gcs"] += 1
         self.totals["gc_seconds"] += seconds
-        self.ring.append((GC, ts, seconds))
 
     def note_oom_retry(self, ts: float, obj: str = "") -> None:
-        window = self._note_slow(ts)
-        window.oom_retries += 1
-        self.totals["oom_retries"] += 1
+        window = self._intake(ts)
         self.ring.append((OOM_RETRY, ts, obj))
+        self._fold_count(window, "oom_retries")
 
     def note_copy_retry(self, ts: float, reason: str = "") -> None:
-        window = self._note_slow(ts)
-        window.copy_retries += 1
-        self.totals["copy_retries"] += 1
+        window = self._intake(ts)
         self.ring.append((COPY_RETRY, ts, reason))
+        self._fold_count(window, "copy_retries")
 
     def note_fault(self, ts: float, label: str) -> None:
-        window = self._note_slow(ts)
-        window.faults += 1
-        self.totals["faults"] += 1
+        window = self._intake(ts)
         self.ring.append((FAULT, ts, label))
-        self._maybe_dump(f"fault:{label}", ts)
+        self._fold_count(window, "faults", ts, f"fault:{label}")
 
     def note_recovery_step(self, ts: float, step: str, tenant: str = "") -> None:
-        window = self._note_slow(ts)
-        window.recovery_steps += 1
-        self.totals["recovery_steps"] += 1
+        window = self._intake(ts)
+        self.ring.append((RECOVERY_STEP, ts, step, tenant))
+        self._fold_recovery_step(window, ts, step)
+
+    def _fold_recovery_step(
+        self, window: RollupWindow, ts: float, step: str
+    ) -> None:
+        self._fold_count(window, "recovery_steps")
         self.recovery_steps_by_rung[step] = (
             self.recovery_steps_by_rung.get(step, 0) + 1
         )
-        self.ring.append((RECOVERY_STEP, ts, step, tenant))
         if step in _ESCALATION_STEPS:
             self._maybe_dump(f"recovery:{step}", ts)
 
     def note_recovery(self, ts: float, step: str) -> None:
-        window = self._note_slow(ts)
-        window.recoveries += 1
-        self.totals["recoveries"] += 1
+        window = self._intake(ts)
+        self.ring.append((RECOVERY, ts, step))
+        self._fold_recovery(window, step)
+
+    def _fold_recovery(self, window: RollupWindow, step: str) -> None:
+        self._fold_count(window, "recoveries")
         self.recoveries_by_step[step] = (
             self.recoveries_by_step.get(step, 0) + 1
         )
-        self.ring.append((RECOVERY, ts, step))
 
     def note_strike(self, ts: float, op: str = "", tenant: str = "") -> None:
-        window = self._note_slow(ts)
-        window.strikes += 1
-        self.totals["strikes"] += 1
+        window = self._intake(ts)
         self.ring.append((POLICY_STRIKE, ts, op, tenant))
-        self._maybe_dump("policy_strike", ts)
+        self._fold_count(window, "strikes", ts, "policy_strike")
 
     def note_quarantine(self, ts: float, policy: str = "") -> None:
-        window = self._note_slow(ts)
-        window.quarantines += 1
-        self.totals["quarantines"] += 1
+        window = self._intake(ts)
         self.ring.append((QUARANTINE, ts, policy))
-        self._maybe_dump("quarantine", ts)
+        self._fold_count(window, "quarantines", ts, "quarantine")
 
     def note_elastic(self, kind: str, ts: float, subject: str) -> None:
-        """Monitor-tier intake for rare elastic events (detach/resize).
+        """Monitor-tier intake for rare elastic events.
 
         ``kind`` is ``"detach"``, ``"resize"``, ``"snapshot"`` or
         ``"restore"``; ``subject`` is the tenant, device, or checkpoint
         label. Counted in totals and dropped into the flight ring —
         elastic reconfiguration is exactly the context a post-mortem needs.
         """
-        self._note_slow(ts)
-        key = _ELASTIC_TOTALS[kind]
-        self.totals[key] = self.totals.get(key, 0) + 1
+        self._intake(ts)
         self.ring.append((kind, ts, subject))
-        self._maybe_dump(f"{kind}:{subject}", ts)
+        self._fold_elastic(kind, ts, subject)
+
+    def _fold_elastic(
+        self, kind: str, ts: float, subject: str | None = None
+    ) -> None:
+        """Totals only (elastic events have no window counters); a subject
+        names a flight dump. The observe path dumps on detach and resize,
+        the note path on all four kinds — each tier as it always has."""
+        self.totals[_ELASTIC_TOTALS[kind]] += 1
+        if subject is not None:
+            self._maybe_dump(f"{kind}:{subject}", ts)
 
     def _current_usage(self) -> Mapping[str, int]:
         """Per-tenant usage, "tenant/device"-keyed: exact probe when bound
@@ -1649,33 +1493,150 @@ class RuntimeMonitor:
         return out
 
 
+# -- observe-path extractors ---------------------------------------------------
+#
+# kind -> extractor(monitor, window, event): pull the kind's payload out of
+# ``event.args`` (tolerantly — offline replay reads foreign JSONL) and hand
+# it to the fold the ``note_*`` intake shares.
+
+
+def _x_kernel(monitor, window, event):
+    args = event.args
+    monitor._fold_kernel(
+        window,
+        float(args.get("seconds", 0.0)),
+        float(args.get("compute", 0.0)),
+        float(args.get("memory", 0.0)),
+        float(args.get("fixed", 0.0)),
+    )
+
+
+def _x_region(fold):
+    def extract(monitor, window, event):
+        args = event.args
+        offset = args.get("offset")
+        fold(
+            monitor,
+            window,
+            args.get("device", "?"),
+            int(args.get("nbytes", 0)),
+            None if offset is None else int(offset),
+            event.stream,
+        )
+
+    return extract
+
+
+def _x_copy_start(monitor, window, event):
+    args = event.args
+    nbytes = int(args.get("nbytes", 0))
+    monitor._fold_copy_start(
+        window,
+        nbytes,
+        float(args.get("seconds", 0.0)),
+        cause_kind(event.root),
+        cause_kind(event.cause),
+    )
+    seq = args.get("seq")
+    if seq is not None:
+        monitor._inflight[int(seq)] = (event.ts, nbytes)
+
+
+def _x_copy_end(monitor, window, event):
+    # Paired with its start by ``seq``; an unmatched end (a replayed trace
+    # that begins mid-copy) only counts as an event.
+    seq = event.args.get("seq")
+    started = None if seq is None else monitor._inflight.pop(int(seq), None)
+    if started is not None:
+        start_ts, nbytes = started
+        monitor._fold_copy_end(event.ts - start_ts, nbytes)
+
+
+def _x_stall(monitor, window, event):
+    monitor._fold_stall(window, float(event.args.get("seconds", 0.0)))
+
+
+def _x_gc(monitor, window, event):
+    monitor._fold_gc(window, float(event.args.get("seconds", 0.0)))
+
+
+def _x_count(name, dump=""):
+    return lambda monitor, window, event: monitor._fold_count(
+        window, name, event.ts, dump
+    )
+
+
+def _x_fault(monitor, window, event):
+    args = event.args
+    label = args.get("fault") or args.get("site") or "?"
+    monitor._fold_count(window, "faults", event.ts, f"fault:{label}")
+
+
+def _x_recovery_step(monitor, window, event):
+    monitor._fold_recovery_step(
+        window, event.ts, str(event.args.get("step", "?"))
+    )
+
+
+def _x_recovery(monitor, window, event):
+    monitor._fold_recovery(window, str(event.args.get("step", "?")))
+
+
+def _x_elastic(subject_field):
+    def extract(monitor, window, event):
+        subject = (
+            None if subject_field is None
+            else event.args.get(subject_field, "?")
+        )
+        monitor._fold_elastic(event.kind, event.ts, subject)
+
+    return extract
+
+
+_EXTRACTORS: dict[
+    str, Callable[[RuntimeMonitor, RollupWindow, TraceEvent], None]
+] = {
+    KERNEL_END: _x_kernel,
+    ALLOC: _x_region(RuntimeMonitor._fold_alloc),
+    FREE: _x_region(RuntimeMonitor._fold_free),
+    COPY_START: _x_copy_start,
+    COPY_END: _x_copy_end,
+    STALL: _x_stall,
+    GC: _x_gc,
+    EVICT: _x_count("evictions"),
+    PREFETCH: _x_count("prefetches"),
+    OOM_RETRY: _x_count("oom_retries"),
+    COPY_RETRY: _x_count("copy_retries"),
+    FAULT: _x_fault,
+    RECOVERY_STEP: _x_recovery_step,
+    RECOVERY: _x_recovery,
+    POLICY_STRIKE: _x_count("strikes", "policy_strike"),
+    QUARANTINE: _x_count("quarantines", "quarantine"),
+    DETACH: _x_elastic("tenant"),
+    RESIZE: _x_elastic("device"),
+    SNAPSHOT: _x_elastic(None),
+    RESTORE: _x_elastic(None),
+}
+
+
 # -- tracer adapter ------------------------------------------------------------
 
 
 class MonitorTracer(Tracer):
     """A :class:`Tracer` that streams events into a :class:`RuntimeMonitor`.
 
-    Two tiers share this class:
+    ``keep_events`` picks the listener once, at construction:
 
     * ``keep_events=True`` — full tracing *plus* live monitoring (the
-      profile/chaos configuration): ``enabled`` stays True, every emit site
-      runs, every event is retained *and* folded into the monitor.
-    * ``keep_events=False`` (the default, the "monitor tier") — the cheap
-      always-on configuration. The tracer reports ``enabled=False`` so
-      every full-trace emit site keeps its untraced fast path, and sets
-      ``monitoring=True`` so the sites the monitor cares about call the
-      ``RuntimeMonitor.note_*`` fast intake directly (no kwargs dict, no
-      :class:`TraceEvent`). Nothing is retained, and both ``hint()`` and
-      ``scope()`` degrade to a shared no-op scope — per-operand hint and
-      attribution scopes were the largest costs of the tier, and the only
-      attribution the monitor still wants (copy cause) travels through
-      :attr:`RuntimeMonitor.copy_cause` instead.
+      profile/chaos configuration): this class. Every typed call builds its
+      event as :class:`Tracer` does; ``emit``/``emit_at`` retain it *and*
+      fold it into the monitor through ``observe``.
+    * ``keep_events=False`` (the default, the "monitor-only tier") — the
+      cheap always-on configuration: :class:`_MonitorOnlyTracer`.
 
     Either way the monitor is pure observation — it never advances the
     clock — so results are bit-identical with monitoring on or off.
     """
-
-    monitoring = True
 
     def __init__(
         self,
@@ -1687,48 +1648,138 @@ class MonitorTracer(Tracer):
         super().__init__(clock)
         self.monitor = monitor if monitor is not None else RuntimeMonitor()
         self.keep_events = keep_events
-        # Instance attribute (shadowing the class default) so the hot-site
-        # ``tracer.monitoring`` check hits the instance dict directly.
-        self.monitoring = True
         if keep_events:
             self.monitor.set_alert_sink(self.events.append)
         else:
-            self.enabled = False
-
-    def hint(self, kind: str, subject: object):
-        if self.keep_events:
-            return super().hint(kind, subject)
-        return _NULL_SCOPE
-
-    def scope(self, kind: str, subject: object = ""):
-        if self.keep_events:
-            return super().scope(kind, subject)
-        return _NULL_SCOPE
+            # The listener is picked here, once — not by a flag every typed
+            # call would have to test. (Re-classing, rather than a __new__
+            # that inspects keep_events, keeps pickling by class trivial.)
+            self.__class__ = _MonitorOnlyTracer
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
-        scopes = self._scopes
-        if scopes:
-            cause = scopes[-1][0]
-            root, root_ts = scopes[0]
-        else:
-            cause, root, root_ts = "", "", None
-        event = TraceEvent(
-            self.clock.now, kind, args, cause, root, root_ts, self.stream
-        )
-        if self.keep_events:
-            self.events.append(event)
+        event = self._event(self.clock.now, kind, args)
         self.monitor.observe(event)
         return event
 
     def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
-        scopes = self._scopes
-        if scopes:
-            cause = scopes[-1][0]
-            root, root_ts = scopes[0]
-        else:
-            cause, root, root_ts = "", "", None
-        event = TraceEvent(ts, kind, args, cause, root, root_ts, self.stream)
-        if self.keep_events:
-            self.events.append(event)
+        event = self._event(ts, kind, args)
         self.monitor.observe(event)
         return event
+
+    # Unchanged from Tracer; bound here because the layered benchmark
+    # resolves its telemetry spans through this class's own namespace.
+    scope = Tracer.scope
+    hint = Tracer.hint
+
+
+class _CauseScope:
+    """The one attribution the monitor-only tier tracks: while open,
+    ``note_copy`` buckets copies under ``kind``. Restores (does not clear)
+    on exit, so a demotion cascading out of another keeps the outer cause.
+    """
+
+    __slots__ = ("_monitor", "_kind", "_outer")
+
+    def __init__(self, monitor: RuntimeMonitor, kind: str) -> None:
+        self._monitor = monitor
+        self._kind = kind
+
+    def __enter__(self) -> "_CauseScope":
+        self._outer = self._monitor.copy_cause
+        self._monitor.copy_cause = self._kind
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._monitor.copy_cause = self._outer
+
+
+class _MonitorOnlyTracer(NullTracer, MonitorTracer):
+    """``MonitorTracer(keep_events=False)``: the always-on cheap tier.
+
+    A :class:`NullTracer` to every site the monitor does not fold — same
+    no-op typed calls, same shared no-op ``hint()`` scope, ``enabled`` False
+    so no traced-only work runs — that forwards the kinds it does fold
+    straight to the ``RuntimeMonitor.note_*`` intake: positional values, no
+    kwargs dict, no :class:`TraceEvent`, nothing retained. ``scope()`` stays
+    the no-op for the per-operand kinds (their cost is why this tier
+    exists) and tracks only the kinds the copy-cause rollups report.
+    """
+
+    _TRACKED_SCOPES = frozenset({"evict"})
+
+    def scope(self, kind: str, subject: object = ""):
+        if kind in self._TRACKED_SCOPES:
+            return _CauseScope(self.monitor, kind)
+        return _NULL_SCOPE
+
+    def emit(self, kind: str, **args: Any) -> TraceEvent:
+        return self.emit_at(self.clock.now, kind, **args)
+
+    def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
+        # No typed call lands here; a hand-emitted event is folded through
+        # the replay intake and dropped (no scopes are ever open).
+        event = TraceEvent(ts, kind, args, stream=self.stream)
+        self.monitor.observe(event)
+        return event
+
+    def alloc(self, device, offset, nbytes, obj=None) -> None:
+        self.monitor.note_alloc(
+            self.clock.now, device, nbytes, offset, self.stream
+        )
+
+    def free(self, device, offset, nbytes, obj=None) -> None:
+        self.monitor.note_free(
+            self.clock.now, device, nbytes, offset, self.stream
+        )
+
+    def copy(self, src, dst, nbytes, threads, seconds, completes_at, seq) -> None:
+        self.monitor.note_copy(
+            completes_at - seconds, completes_at, nbytes, src, dst, seconds
+        )
+
+    def copy_retry(self, ts, src, dst, nbytes, attempt, reason) -> None:
+        self.monitor.note_copy_retry(ts, reason)
+
+    def prefetch(self, obj, src, dst, nbytes) -> None:
+        self.monitor.note_prefetch(self.clock.now, obj, nbytes)
+
+    def evict(self, obj, src, dst, nbytes, clean) -> None:
+        self.monitor.note_evict(self.clock.now, obj, nbytes)
+
+    def kernel_end(self, kernel, seconds, compute, memory, fixed, phase) -> None:
+        self.monitor.note_kernel(
+            self.clock.now, seconds, compute, memory, fixed
+        )
+
+    def stall(self, kernel, seconds, late=()) -> None:
+        self.monitor.note_stall(self.clock.now, seconds, kernel)
+
+    def gc(self, seconds) -> None:
+        self.monitor.note_gc(self.clock.now, seconds)
+
+    def oom_retry(self, obj, nbytes) -> None:
+        self.monitor.note_oom_retry(self.clock.now, obj)
+
+    def fault(self, site, device, op, index, detail) -> None:
+        self.monitor.note_fault(self.clock.now, site)
+
+    def recovery_step(self, step, device, requested, free, acted, tenant) -> None:
+        self.monitor.note_recovery_step(self.clock.now, step, tenant)
+
+    def recovery(self, step, device, requested, steps, tenant) -> None:
+        self.monitor.note_recovery(self.clock.now, step)
+
+    def policy_strike(self, op, strikes, error, tenant) -> None:
+        self.monitor.note_strike(self.clock.now, op, tenant)
+
+    def quarantine(self, policy, fallback, strikes) -> None:
+        self.monitor.note_quarantine(self.clock.now, policy)
+
+    def detach(self, tenant, objects, nbytes, quota) -> None:
+        self.monitor.note_elastic(DETACH, self.clock.now, tenant)
+
+    def resize(self, device, old, new, via) -> None:
+        self.monitor.note_elastic(RESIZE, self.clock.now, device)
+
+    def checkpoint(self, kind, label, kernels) -> None:
+        self.monitor.note_elastic(kind, self.clock.now, label)

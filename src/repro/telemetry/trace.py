@@ -25,26 +25,34 @@ eviction that was itself triggered by a ``will_write`` hint reads
 ``cause="evict:a3" root="hint:will_write:a7"``. That is the hint → policy
 decision → manager action chain the profile report aggregates.
 
-**Zero cost when disabled.** The default tracer is :data:`NULL_TRACER`: all
-of its methods are no-ops, ``scope()``/``hint()`` return a shared singleton
-context manager (no per-call allocation), and hot paths guard event
-construction with ``if tracer.enabled:`` so no argument dicts are built.
-Tracing never advances the clock, so enabling it cannot change results.
+**One reporting seam, three listeners.** An instrumented site makes exactly
+one unconditional, positional, typed call — ``tracer.copy(...)``,
+``tracer.alloc(...)``, ``tracer.kernel_end(...)`` — and cannot tell who is
+listening:
 
-**The monitor tier.** Between off and full tracing sits a third tier, the
-always-on runtime monitor (``telemetry.monitor``). Its tracer reports
-``enabled=False`` — so every full-trace emit site keeps its untraced fast
-path — but sets ``monitoring=True``, and the handful of sites whose data
-the monitor folds (kernels, stalls, copies, evictions, allocations,
-faults) add an ``elif tracer.monitoring:`` branch that calls a
-``RuntimeMonitor.note_*`` method directly: positional arguments only, no
-kwargs dict, no :class:`TraceEvent`. That keeps the tier cheap enough to
-leave on for every run (see docs/observability.md for the measured cost).
+* :data:`NULL_TRACER` (the default): every typed call is a no-op and
+  ``scope()``/``hint()`` return a shared singleton context manager, so an
+  untraced site pays one method call with its arguments evaluated and
+  allocates nothing.
+* :class:`Tracer` (full tracing): each typed call builds its
+  :class:`TraceEvent` through :meth:`Tracer.emit`/:meth:`Tracer.emit_at`.
+  These methods are the only code that knows the event schema — kind,
+  field names, field order, timestamp.
+* the monitor-only tier (``telemetry.monitor``): the kinds the always-on
+  :class:`~repro.telemetry.monitor.RuntimeMonitor` folds forward their
+  positional values to its ``note_*`` intake — no kwargs dict, no
+  :class:`TraceEvent` — and every other kind is the no-op above.
+
+``tracer.enabled`` survives only where full tracing does extra *work*
+rather than different *reporting* (per-operand attribution scopes, stall
+blame lists, rejected-candidate lists, in-flight copy labels); the
+structural test ``tests/core/test_seam.py`` holds the allow-list. Tracing
+never advances the clock, so no listener can change results.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.clock import SimClock
@@ -238,10 +246,6 @@ class Tracer:
     """Collects :class:`TraceEvent` records against a virtual clock."""
 
     enabled = True
-    # True only on the monitor-tier tracer (telemetry.monitor.MonitorTracer):
-    # instrumented sites check it *after* `enabled`, so the flag costs the
-    # untraced path one extra class-attribute load on the miss branch only.
-    monitoring = False
 
     def __init__(self, clock: "SimClock") -> None:
         self.clock = clock
@@ -256,22 +260,16 @@ class Tracer:
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
         """Record an event at the current virtual time."""
-        # Duplicated from emit_at: this is the hottest telemetry call site
-        # and the extra frame + kwargs re-pack were visible in profiles.
-        scopes = self._scopes
-        if scopes:
-            cause = scopes[-1][0]
-            root, root_ts = scopes[0]
-        else:
-            cause, root, root_ts = "", "", None
-        event = TraceEvent(
-            self.clock.now, kind, args, cause, root, root_ts, self.stream
-        )
-        self.events.append(event)
-        return event
+        return self._event(self.clock.now, kind, args)
 
     def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
         """Record an event at an explicit virtual time (async completions)."""
+        return self._event(ts, kind, args)
+
+    def _event(self, ts: float, kind: str, args: dict[str, Any]) -> TraceEvent:
+        # The one place an event is stamped with its attribution scopes and
+        # retained. Takes the kwargs dict positionally: re-packing it through
+        # a second ``**args`` call costs more than everything else here.
         scopes = self._scopes
         if scopes:
             cause = scopes[-1][0]
@@ -281,6 +279,164 @@ class Tracer:
         event = TraceEvent(ts, kind, args, cause, root, root_ts, self.stream)
         self.events.append(event)
         return event
+
+    # -- the typed seam -------------------------------------------------------
+    #
+    # One method per instrumented site kind, called unconditionally with
+    # positional values (see NullTracer for what each reports). These bodies
+    # are the event schema: kind, field names, field order, timestamp.
+
+    def alloc(
+        self, device: str, offset: int, nbytes: int, obj: str | None = None
+    ) -> None:
+        if obj is None:
+            self.emit(ALLOC, device=device, offset=offset, nbytes=nbytes)
+        else:
+            self.emit(ALLOC, device=device, obj=obj, offset=offset, nbytes=nbytes)
+
+    def free(
+        self, device: str, offset: int, nbytes: int, obj: str | None = None
+    ) -> None:
+        if obj is None:
+            self.emit(FREE, device=device, offset=offset, nbytes=nbytes)
+        else:
+            self.emit(FREE, device=device, obj=obj, offset=offset, nbytes=nbytes)
+
+    def setprimary(self, obj: str, device: str, nbytes: int) -> None:
+        self.emit(SETPRIMARY, obj=obj, device=device, nbytes=nbytes)
+
+    def setdirty(self, obj: str, device: str, nbytes: int, dirty: bool) -> None:
+        self.emit(SETDIRTY, obj=obj, device=device, nbytes=nbytes, dirty=dirty)
+
+    def evict_scan(self, device: str, depth: int, nbytes: int) -> None:
+        self.emit(EVICT_SCAN, device=device, depth=depth, nbytes=nbytes)
+
+    def defrag(self, device: str, moves: int) -> None:
+        self.emit(DEFRAG, device=device, moves=moves)
+
+    def copy(
+        self, src: str, dst: str, nbytes: int, threads: int, seconds: float,
+        completes_at: float, seq: int,
+    ) -> None:
+        # The span runs [completes_at - seconds, completes_at] in both
+        # modes: synchronous copies just advanced the clock by `seconds`,
+        # asynchronous ones queued on the destination's DMA channel.
+        self.emit_at(
+            completes_at - seconds, COPY_START, src=src, dst=dst, nbytes=nbytes,
+            threads=threads, seconds=seconds, seq=seq,
+        )
+        self.emit_at(completes_at, COPY_END, src=src, dst=dst, nbytes=nbytes, seq=seq)
+
+    def copy_retry(
+        self, ts: float, src: str, dst: str, nbytes: int, attempt: int, reason: str
+    ) -> None:
+        self.emit_at(
+            ts, COPY_RETRY, src=src, dst=dst, nbytes=nbytes, attempt=attempt,
+            reason=reason,
+        )
+
+    def place(self, obj: str, device: str, nbytes: int) -> None:
+        self.emit(PLACE, obj=obj, device=device, nbytes=nbytes)
+
+    def prefetch(self, obj: str, src: str, dst: str, nbytes: int) -> None:
+        self.emit(PREFETCH, obj=obj, src=src, dst=dst, nbytes=nbytes)
+
+    def evict(self, obj: str, src: str, dst: str, nbytes: int, clean: bool) -> None:
+        self.emit(EVICT, obj=obj, src=src, dst=dst, nbytes=nbytes, clean=clean)
+
+    def decision(
+        self, policy: str, action: str, device: str, need: int, chosen: str,
+        considered: int, rejected: list[dict], rejected_dropped: int, **extra: Any,
+    ) -> None:
+        self.emit(
+            DECISION, policy=policy, action=action, device=device, need=need,
+            chosen=chosen, considered=considered, rejected=rejected,
+            rejected_dropped=rejected_dropped, **extra,
+        )
+
+    def kernel_start(self, kernel: str) -> None:
+        self.emit(KERNEL_START, kernel=kernel)
+
+    def kernel_end(
+        self, kernel: str, seconds: float, compute: float, memory: float,
+        fixed: float, phase: str,
+    ) -> None:
+        self.emit(
+            KERNEL_END, kernel=kernel, seconds=seconds, compute=compute,
+            memory=memory, fixed=fixed, phase=phase,
+        )
+
+    def stall(
+        self, kernel: str, seconds: float, late: Sequence[tuple[str, float]] = ()
+    ) -> None:
+        # Charge the stall to the operands still in flight, proportionally
+        # to how late each one is — the ledger uses this to blame wait time
+        # on specific objects.
+        total_late = sum(remaining for _, remaining in late)
+        self.emit(
+            STALL,
+            kernel=kernel,
+            seconds=seconds,
+            objects=[name for name, _ in late],
+            charged=[
+                seconds * remaining / total_late for _, remaining in late
+            ] if total_late > 0 else [],
+        )
+
+    def gc(self, seconds: float) -> None:
+        self.emit(GC, seconds=seconds)
+
+    def oom_retry(self, obj: str, nbytes: int) -> None:
+        self.emit(OOM_RETRY, obj=obj, nbytes=nbytes)
+
+    def invariant_check(self, kernels: int) -> None:
+        self.emit(INVARIANT_CHECK, kernels=kernels)
+
+    def fault(
+        self, site: str, device: str, op: str, index: int, detail: Mapping[str, Any]
+    ) -> None:
+        self.emit(FAULT, site=site, device=device, op=op, index=index, **detail)
+
+    def recovery_step(
+        self, step: str, device: str, requested: int, free: int, acted: bool,
+        tenant: str,
+    ) -> None:
+        self.emit(
+            RECOVERY_STEP, step=step, device=device, requested=requested,
+            free=free, acted=acted, tenant=tenant,
+        )
+
+    def recovery(
+        self, step: str, device: str, requested: int, steps: str, tenant: str
+    ) -> None:
+        self.emit(
+            RECOVERY, step=step, device=device, requested=requested, steps=steps,
+            tenant=tenant,
+        )
+
+    def policy_strike(self, op: str, strikes: int, error: str, tenant: str) -> None:
+        self.emit(POLICY_STRIKE, op=op, strikes=strikes, error=error, tenant=tenant)
+
+    def quarantine(self, policy: str, fallback: str, strikes: int) -> None:
+        self.emit(QUARANTINE, policy=policy, fallback=fallback, strikes=strikes)
+
+    def detach(self, tenant: str, objects: int, nbytes: int, quota: int) -> None:
+        self.emit(DETACH, tenant=tenant, objects=objects, nbytes=nbytes, quota=quota)
+
+    def resize(self, device: str, old: int, new: int, via: str) -> None:
+        self.emit(RESIZE, device=device, old=old, new=new, via=via)
+
+    def checkpoint(self, kind: str, label: str, kernels: int) -> None:
+        self.emit(kind, label=label, kernels=kernels)
+
+    def request(
+        self, request: str, klass: str, outcome: str, seconds: float,
+        queue_wait: float,
+    ) -> None:
+        self.emit(
+            REQUEST, request=request, klass=klass, outcome=outcome,
+            seconds=seconds, queue_wait=queue_wait,
+        )
 
     # -- attribution scopes -------------------------------------------------
 
@@ -321,10 +477,14 @@ class Tracer:
 
 
 class NullTracer:
-    """The zero-cost disabled tracer; see the module docstring contract."""
+    """The disabled tracer, and the seam's documented protocol.
+
+    Every typed call an instrumented site can make is listed here with what
+    it reports; here each does nothing. :class:`Tracer` turns the same calls
+    into events and the monitor-only tier forwards the ones it folds.
+    """
 
     enabled = False
-    monitoring = False
     events: tuple[TraceEvent, ...] = ()
     cause = ""
     root = ""
@@ -344,6 +504,99 @@ class NullTracer:
 
     def clear(self) -> None:
         pass
+
+    # -- mechanism (DataManager, CopyEngine, the 2LM adapter) ----------------
+
+    def alloc(self, device, offset, nbytes, obj=None) -> None:
+        """A region was allocated (``obj`` only where the site names one)."""
+
+    def free(self, device, offset, nbytes, obj=None) -> None:
+        """A region was freed."""
+
+    def setprimary(self, obj, device, nbytes) -> None:
+        """A region became its object's primary."""
+
+    def setdirty(self, obj, device, nbytes, dirty) -> None:
+        """A region's dirty bit actually flipped."""
+
+    def evict_scan(self, device, depth, nbytes) -> None:
+        """``evictfrom`` is about to free a span of ``depth`` victims."""
+
+    def defrag(self, device, moves) -> None:
+        """A heap compaction relocated ``moves`` blocks."""
+
+    def copy(self, src, dst, nbytes, threads, seconds, completes_at, seq) -> None:
+        """One copy, start to completion (``seq`` pairs start with end)."""
+
+    def copy_retry(self, ts, src, dst, nbytes, attempt, reason) -> None:
+        """A failed or corrupted copy attempt, charged and retried at ``ts``."""
+
+    # -- policy decisions ----------------------------------------------------
+
+    def place(self, obj, device, nbytes) -> None:
+        """A policy chose a new object's first device."""
+
+    def prefetch(self, obj, src, dst, nbytes) -> None:
+        """A policy moved an object up to faster memory."""
+
+    def evict(self, obj, src, dst, nbytes, clean) -> None:
+        """A policy is about to move an object down (``clean``: no writeback)."""
+
+    def decision(
+        self, policy, action, device, need, chosen, considered, rejected,
+        rejected_dropped, **extra,
+    ) -> None:
+        """A victim scan's outcome: the chosen and the rejected candidates."""
+
+    # -- executor boundaries -------------------------------------------------
+
+    def kernel_start(self, kernel) -> None:
+        """A kernel is about to resolve its operands."""
+
+    def kernel_end(self, kernel, seconds, compute, memory, fixed, phase) -> None:
+        """A kernel finished; its duration and exact timing split."""
+
+    def stall(self, kernel, seconds, late=()) -> None:
+        """The stream waited on in-flight movement; ``late`` is the
+        ``(object, seconds still outstanding)`` blame list."""
+
+    def gc(self, seconds) -> None:
+        """A garbage collection paused the stream."""
+
+    def oom_retry(self, obj, nbytes) -> None:
+        """An allocation failed and is entering the recovery ladder."""
+
+    def invariant_check(self, kernels) -> None:
+        """A paranoia-mode invariant sweep passed."""
+
+    # -- robustness and elastic operations -----------------------------------
+
+    def fault(self, site, device, op, index, detail) -> None:
+        """The injector fired a fault."""
+
+    def recovery_step(self, step, device, requested, free, acted, tenant) -> None:
+        """One rung of the OOM escalation ladder ran."""
+
+    def recovery(self, step, device, requested, steps, tenant) -> None:
+        """The ladder recovered the allocation at rung ``step``."""
+
+    def policy_strike(self, op, strikes, error, tenant) -> None:
+        """The watchdog caught a policy failure."""
+
+    def quarantine(self, policy, fallback, strikes) -> None:
+        """The watchdog switched to the fallback policy."""
+
+    def detach(self, tenant, objects, nbytes, quota) -> None:
+        """A tenant departed; its objects and quota were reclaimed."""
+
+    def resize(self, device, old, new, via) -> None:
+        """A heap's capacity changed mid-run."""
+
+    def checkpoint(self, kind, label, kernels) -> None:
+        """A snapshot or restore boundary (``kind`` says which)."""
+
+    def request(self, request, klass, outcome, seconds, queue_wait) -> None:
+        """A serving request reached a final outcome."""
 
 
 NULL_TRACER = NullTracer()

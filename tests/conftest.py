@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.session import Session, SessionConfig
 from repro.memory.copyengine import CopyEngine
@@ -12,6 +13,17 @@ from repro.core.manager import DataManager
 from repro.policies.optimizing import OptimizingPolicy
 from repro.sim.clock import SimClock
 from repro.units import KiB, MiB
+
+# Tier-1 fuzzing is deterministic: every property test replays the same
+# derived examples on every run and keeps no example database, so a red run
+# is red for everyone. CI's fuzz-random job explores fresh seeds instead
+# (``--hypothesis-profile fuzz-random``) and prints the blob that
+# reproduces a failure.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile(
+    "fuzz-random", derandomize=False, database=None, print_blob=True
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

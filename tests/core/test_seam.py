@@ -1,0 +1,120 @@
+"""One reporting seam: the telemetry side of the Figure 1 firewall, enforced.
+
+Every instrumented site outside ``repro/telemetry`` makes one unconditional
+typed call on its tracer (``tracer.copy(...)``, ``tracer.alloc(...)``) and
+cannot tell which listener is attached — the no-op, the full tracer, or the
+monitor-only tier. These tests pin that, in the idiom of
+``test_separation.py``: an AST walk over the sources, so a refactor cannot
+quietly grow a second reporting arm back.
+"""
+
+import ast
+import inspect
+import pathlib
+
+import repro
+from repro.telemetry.monitor import MonitorTracer
+from repro.telemetry.trace import NullTracer, Tracer
+
+ROOT = pathlib.Path(repro.__file__).parent
+
+# The only places a caller may ask ``tracer.enabled``: where full tracing
+# does extra *work* (not different reporting) that an untraced run skips.
+ENABLED_READS = {
+    # per-operand hint events + attribution scopes around policy entry points
+    ("core/session.py", "issue_hints"): 1,
+    ("core/session.py", "resolve_residency"): 1,
+    # in-flight labels for async copies, so drain stalls can name objects
+    ("core/manager.py", "copyto"): 1,
+    # stall blame lists, read off the clock before the wait advances it
+    ("runtime/executor.py", "kernel"): 1,
+    ("runtime/executor.py", "iteration_end"): 1,
+    # rejected-candidate lists for ``decision`` events
+    ("policies/optimizing.py", "_find_eviction_start"): 1,
+    ("policies/adaptive.py", "_find_eviction_start"): 1,
+    ("policies/multitier.py", "_find_eviction_start"): 1,
+}
+
+
+def caller_sources():
+    for path in sorted(ROOT.rglob("*.py")):
+        relative = path.relative_to(ROOT).as_posix()
+        if not relative.startswith("telemetry/"):
+            yield relative, ast.parse(path.read_text())
+
+
+def attributes_by_function(tree):
+    """``(enclosing function name, ast.Attribute)`` for every attribute."""
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute):
+            yield function, node
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    yield from walk(tree, "<module>")
+
+
+def test_callers_cannot_tell_which_tier_is_listening():
+    for relative, tree in caller_sources():
+        for node in ast.walk(tree):
+            where = f"{relative}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("monitoring", "copy_cause"), where
+                assert not (
+                    node.attr.startswith("note_")
+                    and isinstance(node.value, (ast.Attribute, ast.Name))
+                    and "monitor" in ast.unparse(node.value)
+                ), f"{where} calls the monitor's intake directly"
+            elif isinstance(node, ast.Constant):
+                assert node.value not in ("monitoring", "copy_cause"), where
+
+
+def test_enabled_is_read_only_where_tracing_does_extra_work():
+    found: dict[tuple[str, str], int] = {}
+    for relative, tree in caller_sources():
+        for function, node in attributes_by_function(tree):
+            if node.attr == "enabled":
+                key = (relative, function)
+                found[key] = found.get(key, 0) + 1
+    assert found == ENABLED_READS
+    assert sum(found.values()) <= 12
+
+
+def test_listing_one_is_called_once_per_eviction_site():
+    for module in ("policies/optimizing.py", "policies/multitier.py"):
+        tree = ast.parse((ROOT / module).read_text())
+        calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "evict_object"
+        ]
+        assert len(calls) == 1, module
+
+
+def typed_calls(cls):
+    return {
+        name for name, value in vars(cls).items()
+        if callable(value) and not name.startswith("_")
+        and name not in ("emit", "emit_at", "scope", "hint", "clear")
+    }
+
+
+def test_every_listener_answers_every_typed_call():
+    protocol = typed_calls(NullTracer)
+    assert protocol <= typed_calls(Tracer)
+    # The monitor-only tier either forwards a kind or inherits the no-op;
+    # it never falls through to Tracer's event-building body.
+    monitor_only = type(MonitorTracer(None))
+    for name in protocol:
+        owner = next(c for c in monitor_only.__mro__ if name in vars(c))
+        assert owner in (monitor_only, NullTracer), name
+        # Same positional signature everywhere: a site's one call must mean
+        # the same thing to whichever listener is attached.
+        expected = list(inspect.signature(getattr(Tracer, name)).parameters)
+        for listener in (NullTracer, monitor_only):
+            got = list(inspect.signature(getattr(listener, name)).parameters)
+            assert got == expected, f"{listener.__name__}.{name}"

@@ -8,7 +8,7 @@ two systems agree on what was allocated.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.session import Session, SessionConfig
 from repro.memory.device import MemoryDevice
@@ -29,11 +29,10 @@ from repro.workloads.trace import (
 )
 
 
-@st.composite
-def random_traces(draw) -> KernelTrace:
-    """A random valid single-iteration trace."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    n_tensors = draw(st.integers(min_value=2, max_value=24))
+def build_trace(seed: int, n_tensors: int, steps: int) -> KernelTrace:
+    """The valid single-iteration trace three integers determine — the unit
+    a failing fuzz case is pinned by (``@example(build_trace(...), ...)``)."""
+    rng = np.random.default_rng(seed)
     trace = KernelTrace(name="fuzz")
     live: list[str] = []
     created = 0
@@ -51,7 +50,6 @@ def random_traces(draw) -> KernelTrace:
         live.append(name)
         return name
 
-    steps = draw(st.integers(min_value=1, max_value=40))
     new_tensor()
     for step in range(steps):
         roll = rng.random()
@@ -85,6 +83,15 @@ def random_traces(draw) -> KernelTrace:
     trace.append(IterEnd())
     trace.validate()
     return trace
+
+
+@st.composite
+def random_traces(draw) -> KernelTrace:
+    """A random valid single-iteration trace."""
+    seed = draw(st.integers(0, 2**31))
+    n_tensors = draw(st.integers(min_value=2, max_value=24))
+    steps = draw(st.integers(min_value=1, max_value=40))
+    return build_trace(seed, n_tensors, steps)
 
 
 POLICY_FACTORIES = [
@@ -149,6 +156,9 @@ def test_2lm_system_survives_any_trace(trace, memopt):
 
 
 @given(random_traces(), st.booleans())
+# Shrunk from --hypothesis-seed=59: a CXL->DRAM promotion leaves the CXL copy
+# linked as a clean secondary, and a later CXL span eviction covers it.
+@example(build_trace(524650, 15, 28), False)
 @settings(
     max_examples=20,
     deadline=None,

@@ -125,6 +125,63 @@ class TestPromotion:
         assert region.device_name == "DRAM"
 
 
+class TestDemotionAcrossLinkedSecondaries:
+    """A promotion leaves the lower-tier copy linked as a clean secondary;
+    a later span eviction of that tier may cover it (ROADMAP item 1: the
+    seed-59 fuzz failure, built here by hand)."""
+
+    def promoted(self):
+        manager, policy = build()
+        obj = manager.new_object(16 * KiB, "a")
+        manager.setprimary(obj, manager.allocate("CXL", obj.size))
+        policy.lru["CXL"].touch(obj)
+        policy.will_write(obj)  # CXL -> DRAM; the CXL region stays linked
+        secondary = obj.region_on("CXL")
+        assert manager.getprimary(obj).device_name == "DRAM"
+        assert secondary is not None and not secondary.is_primary
+        return manager, policy, obj, secondary
+
+    def test_span_eviction_drops_the_clean_secondary(self):
+        manager, policy, obj, secondary = self.promoted()
+        primary = manager.getprimary(obj)
+        demotions = dict(policy.stats.demotions)
+        manager.evictfrom(
+            "CXL", secondary, secondary.size,
+            lambda region: policy._demote_region(region, 1),
+        )
+        assert secondary.freed
+        assert obj.region_on("CXL") is None
+        # Nothing was demoted: the object did not move, no data was copied.
+        assert manager.getprimary(obj) is primary
+        assert policy.stats.demotions == demotions
+        assert obj in policy.lru["DRAM"]
+        policy.check_invariant()
+        manager.check_invariants()
+
+    def test_pressure_on_the_middle_tier_survives_a_secondary(self):
+        manager, policy, obj, secondary = self.promoted()
+        # Fill CXL so making room has to sweep a span that includes the
+        # secondary (it sits at the bottom of the heap).
+        fillers = []
+        while True:
+            region = manager.try_allocate("CXL", 16 * KiB)
+            if region is None:
+                break
+            filler = manager.new_object(16 * KiB, f"f{len(fillers)}")
+            manager.setprimary(filler, region)
+            policy.lru["CXL"].touch(filler)
+            fillers.append(filler)
+        # Make the heap's last block the coldest victim: a request two
+        # regions wide cannot start there, so the span retries from the
+        # bottom of the heap — offset 0, where the secondary lives.
+        policy.archive(fillers[-1])
+        assert policy.handle_pressure("CXL", 32 * KiB)
+        assert secondary.freed
+        assert manager.getprimary(obj).device_name == "DRAM"
+        policy.check_invariant()
+        manager.check_invariants()
+
+
 class TestLifecycle:
     def test_archive_prioritises_victim(self):
         manager, policy = build()

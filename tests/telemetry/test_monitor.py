@@ -308,9 +308,9 @@ def test_snapshot_status_reflects_worst_active_severity():
 
 def test_monitor_tracer_folds_without_retaining_by_default():
     tracer = MonitorTracer(SimClock())
-    # scope() is a no-op in the cheap tier — attribution scopes were a
-    # measurable share of the tier's overhead, so copy causes travel
-    # through monitor.copy_cause instead (see the eviction sites).
+    # Per-operand scopes are no-ops in the monitor-only tier — they were a
+    # measurable share of its overhead; only the scope kinds the copy-cause
+    # rollups report are tracked (see the next test).
     with tracer.scope("hint:will_write", "a7"):
         tracer.emit(COPY_START, nbytes=32, seq=0)
     assert tracer.events == []  # monitor tier retains nothing
@@ -320,14 +320,37 @@ def test_monitor_tracer_folds_without_retaining_by_default():
 
 
 def test_monitor_tier_copy_cause_attributes_note_copies():
-    monitor = RuntimeMonitor(MonitorConfig(window_seconds=1.0))
-    monitor.note_copy(0.0, 0.1, 64, "DRAM", "NVRAM")
-    monitor.copy_cause = "evict"
-    monitor.note_copy(0.2, 0.3, 32, "DRAM", "NVRAM")
-    monitor.copy_cause = "unattributed"
+    clock = SimClock()
+    tracer = MonitorTracer(clock, RuntimeMonitor(MonitorConfig(window_seconds=1.0)))
+    tracer.copy("DRAM", "NVRAM", 64, 8, 0.1, 0.1, 1)
+    with tracer.scope("evict", "victim"):
+        tracer.copy("DRAM", "NVRAM", 32, 8, 0.1, 0.3, 2)
+        # A demotion cascading out of another: leaving the inner scope
+        # restores the outer attribution instead of clearing it.
+        with tracer.scope("evict", "cascaded"):
+            tracer.copy("CXL", "NVRAM", 8, 8, 0.1, 0.4, 3)
+        tracer.copy("DRAM", "CXL", 16, 8, 0.1, 0.5, 4)
+    tracer.copy("NVRAM", "DRAM", 4, 8, 0.1, 0.6, 5)
+    monitor = tracer.monitor
     window = monitor.rollups.window_for(0.0)
-    assert window.copy_bytes_by_cause == {"unattributed": 64, "evict": 32}
-    assert monitor.totals["copy_bytes"] == 96
+    assert window.copy_bytes_by_cause == {"unattributed": 68, "evict": 56}
+    assert monitor.copies_by_cause == {"unattributed": 2, "evict": 3}
+    assert monitor.totals["copy_bytes"] == 124
+
+
+def test_both_monitor_tiers_survive_a_pickle_round_trip_as_themselves():
+    """Snapshots pickle the tracer; a restored run must keep its tier."""
+    import pickle
+
+    for keep_events in (False, True):
+        tracer = MonitorTracer(SimClock(), keep_events=keep_events)
+        tracer.gc(0.5)
+        restored = pickle.loads(pickle.dumps(tracer))
+        assert type(restored) is type(tracer)
+        assert restored.enabled is keep_events
+        restored.gc(0.25)
+        assert len(restored.events) == (2 if keep_events else 0)
+        assert restored.monitor.totals["gcs"] == 2
 
 
 def test_monitor_tracer_keep_events_gives_full_tracing_plus_alerts():

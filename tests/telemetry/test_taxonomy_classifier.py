@@ -10,7 +10,8 @@ import pytest
 
 from repro.experiments.common import ExperimentConfig, run_trace_mode
 from repro.telemetry.ledger import build_ledger
-from repro.telemetry.monitor import MonitorConfig, RuntimeMonitor
+from repro.sim.clock import SimClock
+from repro.telemetry.monitor import MonitorConfig, MonitorTracer, RuntimeMonitor
 from repro.telemetry.taxonomy import (
     CAPACITY_KINDS,
     CLASSES,
@@ -258,12 +259,11 @@ class TestMonitorTier:
         ]
         from_trace = classify_trace(events, COST)
         monitor = RuntimeMonitor(MonitorConfig(rules=()))
+        tracer = MonitorTracer(SimClock(), monitor)
         monitor.note_kernel(1.0, 1.0, 0.4, 0.7, 0.1)
-        monitor.copy_cause = "place"
         monitor.note_copy(1.0, 1.5, 1 << 30, "NVRAM", "DRAM")
-        monitor.copy_cause = "evict"
-        monitor.note_copy(1.5, 1.8, 1 << 30, "DRAM", "NVRAM")
-        monitor.copy_cause = "unattributed"
+        with tracer.scope("evict", "v"):
+            monitor.note_copy(1.5, 1.8, 1 << 30, "DRAM", "NVRAM")
         monitor.note_stall(1.9, 0.2)
         from_monitor = classify_monitor(monitor, COST)
         assert from_monitor.source == "monitor"
