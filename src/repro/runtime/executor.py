@@ -375,36 +375,38 @@ class TwoLMAdapter(SystemAdapter):
         """Hardware caches receive no semantic hints — deliberately a no-op."""
 
     def _access_scaled(self, name: str, factor: float, *, is_write: bool):
-        """Stream over a tensor ``factor`` times (fractional tail allowed)."""
+        """Stream over a tensor ``factor`` times (fractional tail allowed),
+        yielding each sweep's access result."""
         offset, size = self.offsets[name], self.sizes[name]
-        results = []
+        system = self.system
+        line_size = system.cache.line_size
         remaining = factor
         while remaining > 1e-9:
             part = min(remaining, 1.0)
-            nbytes = max(self.system.cache.line_size, int(size * part))
-            nbytes = min(nbytes, size)
-            results.append(self.system.access(offset, nbytes, is_write=is_write))
+            nbytes = min(max(line_size, int(size * part)), size)
+            yield system.access(offset, nbytes, is_write=is_write)
             remaining -= part
-        return results
 
     def kernel(self, kernel: Kernel, trace: KernelTrace) -> KernelTiming:
         dram_time = 0.0
         nvram_time = 0.0
+        time_of = self.system.time_of
+        sensitivity = kernel.read_sensitivity
         for name in kernel.reads:
             for result in self._access_scaled(
                 name, kernel.read_factor, is_write=False
             ):
-                dram, nvram = self.system.time_of(result)
+                dram, nvram = time_of(result)
                 # Demand fills on reads overlap like DRAM traffic for
                 # read-insensitive kernels (hardware MLP), mirroring the CA
                 # path so the two systems stay comparable.
-                dram_time += dram + nvram * (1.0 - kernel.read_sensitivity)
-                nvram_time += nvram * kernel.read_sensitivity
+                dram_time += dram + nvram * (1.0 - sensitivity)
+                nvram_time += nvram * sensitivity
         for name in kernel.writes:
             for result in self._access_scaled(
                 name, kernel.write_factor, is_write=True
             ):
-                dram, nvram = self.system.time_of(result)
+                dram, nvram = time_of(result)
                 dram_time += dram
                 nvram_time += nvram
         compute = self.params.launch_overhead + (

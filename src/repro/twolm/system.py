@@ -19,8 +19,6 @@ copies (Section V-b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigurationError
 from repro.memory.allocator import FreeListAllocator
 from repro.memory.device import MemoryDevice
@@ -29,17 +27,6 @@ from repro.telemetry.counters import TrafficCounters
 from repro.twolm.dramcache import AccessResult, CacheStats, DramCacheSim
 
 __all__ = ["TwoLMSystem"]
-
-
-@dataclass(frozen=True)
-class TwoLMConfig:
-    """Sizing and derates for a Memory-Mode system."""
-
-    dram_capacity: int
-    nvram_capacity: int
-    line_size: int = 4096
-    nvram_read_efficiency: float = 0.75  # line-granularity fills vs streaming
-    cache_threads: int = 4  # concurrency the cache controller presents
 
 
 class TwoLMSystem:
@@ -108,46 +95,43 @@ class TwoLMSystem:
     def access(self, offset: int, size: int, *, is_write: bool) -> AccessResult:
         """Route a tensor access through the DRAM cache; account traffic."""
         result = self.cache.access_range(offset, size, is_write=is_write)
-        # The demand access itself plus fills hit DRAM; split the DRAM byte
-        # total into reads/writes: fills and write-accesses write DRAM,
-        # read-accesses and victim readouts read it.
-        misses = result.clean_misses + result.dirty_misses
-        line = self.cache.line_size
-        access_bytes = (result.hits + misses) * line
-        fill_bytes = misses * line
-        victim_bytes = result.dirty_misses * line
-        metadata_bytes = int(result.dram_bytes * self.metadata_overhead)
+        # dram_bytes = the demand access + miss fills + dirty-victim
+        # readouts, and the last two are exactly the NVRAM byte counts.
+        # Fills and write-accesses write DRAM; read-accesses, victim
+        # readouts and the metadata surcharge read it.
+        _, _, _, dram_bytes, fill_bytes, victim_bytes = result
+        metadata_bytes = int(dram_bytes * self.metadata_overhead)
         if is_write:
-            self.dram_traffic.record_write(access_bytes + fill_bytes)
+            self.dram_traffic.record_write(dram_bytes - victim_bytes)
             self.dram_traffic.record_read(victim_bytes + metadata_bytes)
         else:
-            self.dram_traffic.record_read(
-                access_bytes + victim_bytes + metadata_bytes
-            )
+            self.dram_traffic.record_read(dram_bytes - fill_bytes + metadata_bytes)
             self.dram_traffic.record_write(fill_bytes)
-        self.nvram_traffic.record_read(result.nvram_read_bytes)
-        self.nvram_traffic.record_write(result.nvram_write_bytes)
+        self.nvram_traffic.record_read(fill_bytes)
+        self.nvram_traffic.record_write(victim_bytes)
         return result
 
     def time_of(self, result: AccessResult) -> tuple[float, float]:
         """(DRAM seconds, NVRAM seconds) of service time for one access."""
-        dram_seconds = 0.0
-        nvram_seconds = 0.0
-        if result.dram_bytes:
-            dram_seconds += self.dram.bandwidth.transfer_time(
+        _, _, _, dram_bytes, nvram_read_bytes, nvram_write_bytes = result
+        dram_seconds = nvram_seconds = 0.0
+        if dram_bytes:
+            dram_seconds = self.dram.bandwidth.transfer_time(
                 TransferKind.READ,
-                int(result.dram_bytes * (1.0 + self.metadata_overhead)),
+                int(dram_bytes * (1.0 + self.metadata_overhead)),
                 self.fill_threads,
             )
-        if result.nvram_read_bytes:
-            read_time = self.nvram.bandwidth.transfer_time(
-                TransferKind.READ, result.nvram_read_bytes, self.fill_threads
+        if nvram_read_bytes:
+            nvram_seconds = (
+                self.nvram.bandwidth.transfer_time(
+                    TransferKind.READ, nvram_read_bytes, self.fill_threads
+                )
+                / self.nvram_read_efficiency
             )
-            nvram_seconds += read_time / self.nvram_read_efficiency
-        if result.nvram_write_bytes:
+        if nvram_write_bytes:
             # Writebacks are cached (temporal) line writes — the slow path.
             nvram_seconds += self.nvram.bandwidth.transfer_time(
-                TransferKind.WRITE, result.nvram_write_bytes, self.writeback_threads
+                TransferKind.WRITE, nvram_write_bytes, self.writeback_threads
             )
         return dram_seconds, nvram_seconds
 

@@ -27,11 +27,12 @@ from repro.faults.plan import FAULT_PLANS, fault_plan
 from repro.faults.policy import FaultyPolicy
 from repro.policies.optimizing import OptimizingPolicy
 from repro.policies.watchdog import PolicyWatchdog
-from repro.runtime.executor import CachedArraysAdapter, Executor
+from repro.runtime.executor import CachedArraysAdapter, Executor, TwoLMAdapter
 from repro.runtime.gc import GcConfig
 from repro.runtime.kernel import ExecutionParams
 from repro.telemetry.export import write_jsonl
 from repro.telemetry.monitor import MonitorConfig
+from repro.twolm.system import TwoLMSystem
 from repro.units import KiB, MiB
 from repro.workloads.annotate import annotate
 from repro.workloads.synthetic import streaming_trace
@@ -252,3 +253,65 @@ def test_monitor_only_tier_elastic_events_bytes(tmp_path):
     assert (
         _tree_digest(tmp_path), _snapshot_digest(monitor)
     ) == GOLDEN_CHEAP_ELASTIC
+
+
+# -- the 2LM half ---------------------------------------------------------------
+#
+# Recorded at the commit before the DRAM-cache tag passes moved from
+# per-pass gather/scatter to quotient tags on slice views: every iteration's
+# full-precision timings, tag statistics and device traffic on the
+# hardware-cache baseline, which the golden results hold only to rel=0.03.
+
+TWOLM_SCALE = 64
+TWOLM_MODELS = ("densenet264-small", "resnet200-small", "vgg116-small")
+GOLDEN_TWOLM = {
+    ("densenet264-small", "2LM:0"): "20e5f62c266c9ef216cabab10c7ee55d91c752212a055f2bbd54c05db511b1e2",
+    ("densenet264-small", "2LM:M"): "0e6cc76e1fd0fc331c09023d0e56236d52f7e3dda08a10e97202b2e827fca691",
+    ("resnet200-small", "2LM:0"): "d125a4c0d9a758166dd227e0c0914d6ebea3178d4f91b99bb7232817bf2b8724",
+    ("resnet200-small", "2LM:M"): "464d043b188ff94b70f6dd1c47a434c8a39d2691ac18ccfa549ae74195f3961f",
+    ("vgg116-small", "2LM:0"): "ce27f96c81eb064476c5f9a0b6e4d1c1f24c582ce9754948fa877477decb1446",
+    ("vgg116-small", "2LM:M"): "30794d52257e97e08d47841524bbc06e6842be1a2f56b4ace125bd57a245a865",
+}
+# DramCacheSim(ways=4) on vgg116-small, unannotated for memory optimisation.
+GOLDEN_TWOLM_WAYS4 = "666ed30a023ae18da336c81483638bd4b19c1c85a5c41d055da1cbbcbfeba03e"
+
+
+def _twolm_digest(run) -> str:
+    dump = [
+        {
+            "seconds": float(it.seconds).hex(),
+            "compute": float(it.compute_seconds).hex(),
+            "kernel_memory": float(it.kernel_memory_seconds).hex(),
+            "cache": [it.cache.hits, it.cache.clean_misses, it.cache.dirty_misses],
+            "traffic": {
+                device: [snap.read_bytes, snap.write_bytes]
+                for device, snap in sorted(it.traffic.items())
+            },
+        }
+        for it in run.iterations
+    ]
+    return _sha(json.dumps(dump, sort_keys=True).encode())
+
+
+@pytest.mark.parametrize("mode", ["2LM:0", "2LM:M"])
+@pytest.mark.parametrize("model", TWOLM_MODELS)
+def test_twolm_iteration_results_bytes(model, mode):
+    config = ExperimentConfig(scale=TWOLM_SCALE, iterations=2)
+    result = run_trace_mode(trace_for(model, config), mode, config)
+    assert _twolm_digest(result.run) == GOLDEN_TWOLM[model, mode]
+
+
+def test_twolm_four_way_cache_results_bytes():
+    config = ExperimentConfig(scale=TWOLM_SCALE, iterations=2)
+    system = TwoLMSystem(
+        config.build_dram(),
+        config.build_nvram(),
+        line_size=config.line_size,
+        ways=4,
+    )
+    executor = Executor(
+        TwoLMAdapter(system, config.scaled_params()), sample_timeline=False
+    )
+    trace = annotate(trace_for("vgg116-small", config), memopt=False)
+    run = executor.run(trace, iterations=2)
+    assert _twolm_digest(run) == GOLDEN_TWOLM_WAYS4

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dramcache_reference import ScalarAssocCache
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
@@ -67,44 +68,6 @@ class TestBasics:
         sim.invalidate_range(0, KiB)
         assert sim.resident_fraction(0, KiB) == 0.0
         assert sim.dirty_lines() == 0
-
-
-class ScalarAssocCache:
-    """Line-at-a-time N-way LRU reference implementation."""
-
-    def __init__(self, num_sets: int, ways: int, line: int):
-        self.num_sets = num_sets
-        self.ways = ways
-        self.line = line
-        # per set: list of [tag, dirty, stamp]
-        self.sets = [[[-1, False, 0] for _ in range(ways)] for _ in range(num_sets)]
-        self.tick = 0
-
-    def access(self, addr: int, size: int, is_write: bool):
-        hits = clean = dirty = 0
-        first = addr // self.line
-        last = (addr + size - 1) // self.line
-        for line in range(first, last + 1):
-            self.tick += 1
-            ways = self.sets[line % self.num_sets]
-            entry = next((w for w in ways if w[0] == line), None)
-            if entry is not None:
-                hits += 1
-                entry[2] = self.tick
-                if is_write:
-                    entry[1] = True
-                continue
-            victim = min(
-                ways, key=lambda w: -1 if w[0] < 0 else w[2]
-            )
-            if victim[0] >= 0 and victim[1]:
-                dirty += 1
-            else:
-                clean += 1
-            victim[0] = line
-            victim[1] = is_write
-            victim[2] = self.tick
-        return hits, clean, dirty
 
 
 @st.composite

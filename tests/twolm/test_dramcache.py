@@ -158,6 +158,26 @@ class TestManagement:
         sim.access_range(0, 128, is_write=False)
         assert sim.resident_fraction(0, 256) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "addr, size",
+        [(-64, 64), (0, 0), (0, -64), (10**9, 64), (64 * KiB - 32, 64)],
+    )
+    def test_every_entry_point_validates_the_range(self, addr, size):
+        """One shared check: a non-positive size or a range outside the
+        backing store raises from all three entry points and changes
+        nothing (an empty cache used to report line -1 as resident)."""
+        sim = make(cache=4 * KiB, backing=64 * KiB)
+        sim.access_range(0, 256, is_write=True)
+        before = (sim.resident_fraction(0, 4 * KiB), sim.dirty_lines())
+        with pytest.raises(ConfigurationError):
+            sim.resident_fraction(addr, size)
+        with pytest.raises(ConfigurationError):
+            sim.invalidate_range(addr, size)
+        with pytest.raises(ConfigurationError):
+            sim.access_range(addr, size, is_write=True)
+        assert (sim.resident_fraction(0, 4 * KiB), sim.dirty_lines()) == before
+        assert sim.stats.accesses == 4
+
     def test_reset(self):
         sim = make()
         sim.access_range(0, 256, is_write=True)
