@@ -25,6 +25,9 @@ from repro.faults.chaos import run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_PLANS, fault_plan
 from repro.faults.policy import FaultyPolicy
+from repro.memory.device import MemoryDevice
+from repro.policies.adaptive import AdaptivePolicy
+from repro.policies.multitier import MultiTierPolicy
 from repro.policies.optimizing import OptimizingPolicy
 from repro.policies.watchdog import PolicyWatchdog
 from repro.runtime.executor import CachedArraysAdapter, Executor, TwoLMAdapter
@@ -33,8 +36,9 @@ from repro.runtime.kernel import ExecutionParams
 from repro.telemetry.export import write_jsonl
 from repro.telemetry.monitor import MonitorConfig
 from repro.twolm.system import TwoLMSystem
-from repro.units import KiB, MiB
+from repro.units import GB, KiB, MiB
 from repro.workloads.annotate import annotate
+from repro.workloads.signatures import tiny_objects_trace
 from repro.workloads.synthetic import streaming_trace
 
 SCALE = 256
@@ -253,6 +257,71 @@ def test_monitor_only_tier_elastic_events_bytes(tmp_path):
     assert (
         _tree_digest(tmp_path), _snapshot_digest(monitor)
     ) == GOLDEN_CHEAP_ELASTIC
+
+
+# -- the victim scans ------------------------------------------------------------
+#
+# Recorded at the commit before the three hand-copied ``_find_eviction_start``
+# bodies became one scan in ``policies/base.py``: the full event stream
+# (every ``decision`` event's chosen victim, ``considered`` and rejected
+# list included) and the full-precision iteration seconds of a run that is
+# at DRAM capacity throughout, for the policies whose streams nothing above
+# pins. The three-tier platform is sized so most DRAM demotions cascade
+# into a CXL demotion.
+
+PRESSURE_SCALE = 4096
+GOLDEN_PRESSURE_JSONL = {
+    "adaptive": "8492713b45093340b1449db9dfc21d870866b215a27ef21b5252259a7cbc8f89",
+    "two-tier": "84925b0d645677cb77d55083b17766b6cf289fe1e81afd7a9d2eca8ab33cf25d",
+    "three-tier": "fe614652c6a724fa58aef2928145de5c4729a9dbbf13d398a1a5e1c2c36a0eed",
+}
+GOLDEN_PRESSURE_SECONDS = {
+    "adaptive": ["0x1.defff73bc9b44p-5", "0x1.dc179be2c4056p-5"],
+    "two-tier": ["0x1.defff73bc9b44p-5", "0x1.dc179be2c4056p-5"],
+    "three-tier": ["0x1.148951994e5d3p-4", "0x1.de7d2f9f4780ep-5"],
+}
+
+
+def _pressure_run(name: str):
+    config = ExperimentConfig(
+        scale=PRESSURE_SCALE,
+        iterations=2,
+        dram_bytes=(90 if name == "three-tier" else 180) * GB,
+    )
+    devices = [config.build_dram(), config.build_nvram()]
+    if name == "three-tier":
+        devices.insert(
+            1, MemoryDevice.cxl(45 * GB // PRESSURE_SCALE, name="CXL")
+        )
+    policy = (
+        AdaptivePolicy(local_alloc=True)
+        if name == "adaptive"
+        else MultiTierPolicy([device.name for device in devices])
+    )
+    session = Session(
+        SessionConfig(devices=devices, tracing=True), policy=policy
+    )
+    executor = Executor(
+        CachedArraysAdapter(session, config.scaled_params()),
+        sample_timeline=False,
+    )
+    trace = annotate(
+        tiny_objects_trace(seed=7).scaled(PRESSURE_SCALE), memopt=True
+    )
+    run = executor.run(trace, iterations=2)
+    stream = io.StringIO()
+    write_jsonl(session.tracer.events, stream)
+    return (
+        _sha(stream.getvalue().encode()),
+        [float(it.seconds).hex() for it in run.iterations],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PRESSURE_JSONL))
+def test_pressure_run_event_stream_and_seconds_bytes(name):
+    stream, seconds = _pressure_run(name)
+    assert seconds == GOLDEN_PRESSURE_SECONDS[name]
+    assert stream == GOLDEN_PRESSURE_JSONL[name]
 
 
 # -- the 2LM half ---------------------------------------------------------------
