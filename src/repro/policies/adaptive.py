@@ -8,7 +8,7 @@ skewed random reuse: a burst of cold-tail lookups evicts the hot head.
 :class:`AdaptivePolicy` extends the reference policy with:
 
 * **decayed access frequency** per object (an exponential moving count,
-  halved every ``decay_every`` hint events), and
+  halved every ``DECAY_EVERY`` hint events), and
 * **victim scoring** that blends recency rank with frequency:
   ``score = (1 - alpha) * recency + alpha * frequency`` — lowest score is
   evicted first;
@@ -25,9 +25,10 @@ without touching applications or the data manager.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 
 from repro.core.object import MemObject, Region
-from repro.policies.base import emit_decision
+from repro.policies.base import find_eviction_start
 from repro.policies.optimizing import OptimizingPolicy
 
 __all__ = ["AdaptivePolicy"]
@@ -36,37 +37,33 @@ __all__ = ["AdaptivePolicy"]
 class AdaptivePolicy(OptimizingPolicy):
     """Frequency/recency-blended victim selection with regret feedback."""
 
+    # Recency must always retain some weight: a pure-frequency policy
+    # evicts low-frequency-but-imminently-needed tensors (fresh
+    # activations), which thrashes pipeline workloads.
+    ALPHA_MAX = 0.7
+    ALPHA_STEP = 0.05
+    # Hint events within which touching an evicted object counts as regret.
+    REGRET_WINDOW = 64
+    # Segmented protection: objects touched within the last
+    # ``PROTECT_WINDOW`` hint events are never preferred victims —
+    # in-flight activations stay resident regardless of their (still
+    # tiny) frequency, like SLRU's protected segment.
+    PROTECT_WINDOW = 32
+    # Frequencies are halved every this many hint events.
+    DECAY_EVERY = 256
+
     def __init__(
         self,
         fast: str | None = "DRAM",
         slow: str = "NVRAM",
         *,
         alpha: float = 0.5,
-        alpha_max: float = 0.7,
-        alpha_step: float = 0.05,
-        regret_window: int = 64,
-        protect_window: int = 32,
-        decay_every: int = 256,
         **kwargs: object,
     ) -> None:
         super().__init__(fast, slow, **kwargs)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if not 0.0 < alpha_max <= 1.0:
-            raise ValueError(f"alpha_max must be in (0, 1], got {alpha_max}")
-        # Recency must always retain some weight: a pure-frequency policy
-        # evicts low-frequency-but-imminently-needed tensors (fresh
-        # activations), which thrashes pipeline workloads.
-        self.alpha_max = alpha_max
-        self.alpha = min(alpha, alpha_max)
-        self.alpha_step = alpha_step
-        self.regret_window = regret_window
-        # Segmented protection: objects touched within the last
-        # ``protect_window`` hint events are never preferred victims —
-        # in-flight activations stay resident regardless of their (still
-        # tiny) frequency, like SLRU's protected segment.
-        self.protect_window = protect_window
-        self.decay_every = decay_every
+        self.alpha = min(alpha, self.ALPHA_MAX)
         self._frequency: dict[int, float] = {}
         self._recency_clock = 0
         self._last_touch: dict[int, int] = {}
@@ -84,28 +81,28 @@ class AdaptivePolicy(OptimizingPolicy):
         self._last_touch[obj.id] = self._recency_clock
         self._first_seen.setdefault(obj.id, self._recency_clock)
         self._frequency[obj.id] = self._frequency.get(obj.id, 0.0) + 1.0
-        if self._recency_clock % self.decay_every == 0:
+        if self._recency_clock % self.DECAY_EVERY == 0:
             for key in self._frequency:
                 self._frequency[key] *= 0.5
         # Regret detection: touching something we just evicted means the
         # victim choice was wrong -> lean more on frequency.
         evicted_at = self._recently_evicted.pop(obj.id, None)
         if evicted_at is not None:
-            if self._recency_clock - evicted_at <= self.regret_window:
+            if self._recency_clock - evicted_at <= self.REGRET_WINDOW:
                 self.regrets += 1
-                self.alpha = min(self.alpha_max, self.alpha + self.alpha_step)
+                self.alpha = min(self.ALPHA_MAX, self.alpha + self.ALPHA_STEP)
 
     def _evict_region(self, region: Region) -> None:
         obj = region.parent
         super()._evict_region(region)
         if obj is not None:
             self._recently_evicted[obj.id] = self._recency_clock
-            while len(self._recently_evicted) > 4 * self.regret_window:
+            while len(self._recently_evicted) > 4 * self.REGRET_WINDOW:
                 stale_id, _ = self._recently_evicted.popitem(last=False)
                 # An eviction that aged out untouched was a good choice ->
                 # drift back toward recency.
                 self.quiet_evictions += 1
-                self.alpha = max(0.0, self.alpha - self.alpha_step / 4)
+                self.alpha = max(0.0, self.alpha - self.ALPHA_STEP / 4)
 
     def retire(self, obj: MemObject) -> None:
         self._frequency.pop(obj.id, None)
@@ -135,98 +132,48 @@ class AdaptivePolicy(OptimizingPolicy):
         return (1.0 - self.alpha) * recency + self.alpha * frequency
 
     def _find_eviction_start(self, size: int) -> Region | None:
+        """Victim order: probation by blended score, then protected by last
+        touch; objects that were never scored (off-device, pinned) go first
+        in recency order so a trace answers "why was X never even scored?".
+        """
         assert self.fast is not None
         self.stats.forced_eviction_rounds += 1
-        # Extra work only a full trace wants: the rejected-candidate list.
-        traced = self.tracer.enabled
-        candidates = [
-            obj
-            for obj in self.lru.coldest_first()
-            if obj.primary is not None
-            and obj.primary.device_name == self.fast
-            and not obj.pinned
-        ]
-        horizon = self._recency_clock - self.protect_window
-        probation = [
-            c for c in candidates if self._last_touch.get(c.id, 0) <= horizon
-        ]
-        protected = [
-            c for c in candidates if self._last_touch.get(c.id, 0) > horizon
-        ]
+        horizon = self._recency_clock - self.PROTECT_WINDOW
+        last_touch = self._last_touch
+        skipped: list[tuple[int | None, MemObject]] = []
+        probation: list[MemObject] = []
+        protected: list[MemObject] = []
+        for rank, obj in self.lru.ranked():
+            primary = obj.primary
+            if primary is None or primary.device_name != self.fast or obj.pinned:
+                skipped.append((rank, obj))
+            elif last_touch.get(obj.id, 0) <= horizon:
+                probation.append(obj)
+            else:
+                protected.append(obj)
         probation.sort(key=self._score)
         # Protected objects are last-resort victims, oldest-touch first.
-        protected.sort(key=lambda c: self._last_touch.get(c.id, 0))
-        candidates = probation + protected
-        rejected: list[dict] | None = None
-        segments: dict[int, str] | None = None
-        if traced:
-            # The pre-filter above silently dropped off-device/pinned objects;
-            # surface those in the decision record too so the trace answers
-            # "why was X never even scored?".
-            rejected = []
-            for rank, obj in self.lru.ranked():
-                primary = obj.primary
-                if primary is None or primary.device_name != self.fast:
-                    rejected.append(
-                        {"obj": obj.name, "rank": rank,
-                         "reason": "not_resident_fast"}
-                    )
-                elif obj.pinned:
-                    rejected.append(
-                        {"obj": obj.name, "rank": rank, "reason": "pinned"}
-                    )
-            segments = {c.id: "probation" for c in probation}
-            segments.update({c.id: "protected" for c in protected})
-        considered = len(rejected) if rejected is not None else 0
-        for candidate in candidates:
-            considered += 1
-            primary = candidate.primary
-            assert primary is not None
-            victims = self.manager.span_victims(self.fast, primary, size)
-            entry: dict | None = None
-            if rejected is not None and segments is not None:
-                entry = {
-                    "obj": candidate.name,
-                    "score": self._score(candidate),
-                    "segment": segments[candidate.id],
-                }
-            if victims is None:
-                if entry is not None:
-                    entry["reason"] = "no_contiguous_span"
-                    rejected.append(entry)
-                continue
-            if any(v.parent is not None and v.parent.pinned for v in victims):
-                if entry is not None:
-                    entry["reason"] = "span_pinned"
-                    rejected.append(entry)
-                continue
-            if rejected is not None and entry is not None:
-                emit_decision(
-                    self.tracer,
-                    policy=type(self).__name__,
-                    device=self.fast,
-                    need=size,
-                    chosen=candidate.name,
-                    score=entry["score"],
-                    segment=entry["segment"],
-                    alpha=self.alpha,
-                    probation=len(probation),
-                    protected=len(protected),
-                    rejected=rejected,
-                    considered=considered,
-                )
-            return primary
-        if rejected is not None:
-            emit_decision(
-                self.tracer,
-                policy=type(self).__name__,
-                device=self.fast,
-                need=size,
-                chosen="",
-                alpha=self.alpha,
-                probation=len(probation),
-                protected=len(protected),
-                rejected=rejected,
-                considered=considered,
-            )
-        return None
+        protected.sort(key=lambda c: last_touch.get(c.id, 0))
+
+        def describe(rank: int | None, candidate: MemObject) -> dict:
+            if rank is not None:
+                return {"rank": rank}
+            in_probation = last_touch.get(candidate.id, 0) <= horizon
+            return {
+                "score": self._score(candidate),
+                "segment": "probation" if in_probation else "protected",
+            }
+
+        return find_eviction_start(
+            self.manager,
+            self.tracer,
+            self.fast,
+            size,
+            chain(skipped, ((None, c) for c in probation + protected)),
+            policy=type(self).__name__,
+            absent="not_resident_fast",
+            describe=describe,
+            alpha=self.alpha,
+            probation=len(probation),
+            protected=len(protected),
+        )

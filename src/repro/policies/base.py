@@ -1,16 +1,18 @@
 """Eviction and prefetch built from the data-management API.
 
-These two functions are line-for-line transcriptions of the paper's
-Listing 1 (``evict``) and Listing 2 (``prefetch``), written against
-:class:`~repro.core.manager.DataManager`. They are deliberately free
-functions: the listings demonstrate that a policy author needs *only* the
-data-management API, and keeping them standalone lets several policies share
-them (and lets the tests exercise them in isolation).
+The four building blocks of the paper's Listing 1 (``evict_object``) and
+Listing 2 (``prefetch_object``, its ``find_region`` as
+``find_eviction_start``, and its "pick a start, ``evictfrom``" step as
+``make_room``), written against :class:`~repro.core.manager.DataManager`.
+They are deliberately free functions: the listings demonstrate that a policy
+author needs *only* the data-management API, and keeping them standalone
+lets several policies share them (and lets the tests exercise them in
+isolation). What a policy adds is the *order* it offers victims in.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.core.manager import DataManager
 from repro.core.object import MemObject, Region
@@ -19,6 +21,8 @@ from repro.errors import OutOfMemoryError
 __all__ = [
     "evict_object",
     "prefetch_object",
+    "find_eviction_start",
+    "make_room",
     "emit_decision",
     "DECISION_REJECTED_LIMIT",
 ]
@@ -48,8 +52,9 @@ def emit_decision(
     came up empty — the precursor to an OOM/recovery climb) *and* the
     considered-but-rejected candidates with their reasons, so a trace reader
     can answer "why was *this* object evicted and not that one?". Only a
-    full trace wants the rejected list, so callers build it (and call this)
-    under their own enabled-tracer guard; the untraced scan builds nothing.
+    full trace wants the rejected list, so :func:`find_eviction_start`
+    builds it (and calls this) under its enabled-tracer guard; the untraced
+    scan builds nothing.
     """
     dropped = 0
     if len(rejected) > DECISION_REJECTED_LIMIT:
@@ -132,3 +137,104 @@ def prefetch_object(
     dm.setprimary(obj, y)
     dm.setdirty(y, False)
     return y
+
+
+def _recency_rank(rank: int, candidate: MemObject) -> dict:
+    return {"rank": rank}
+
+
+def find_eviction_start(
+    dm: DataManager,
+    tracer,
+    device: str,
+    size: int,
+    ranked: Iterable[tuple[int | None, MemObject]],
+    *,
+    policy: str,
+    absent: str,
+    describe: Callable[[int | None, MemObject], dict] = _recency_rank,
+    **extra,
+) -> Region | None:
+    """Listing 2's ``find_region``: the first candidate of ``ranked`` that is
+    resident on ``device``, unpinned, and starts a ``size``-byte span clear
+    of pinned operands.
+
+    ``ranked`` yields ``(rank, object)`` pairs in the order the policy wants
+    them evicted — the only thing the LRU-family policies differ in. When
+    tracing is on, the scan doubles as an explainability source: it emits
+    one ``decision`` event recording the chosen victim *and* every candidate
+    it skipped, with the reason (``absent`` — not resident on the device —
+    pinned, no contiguous span, span holds a pinned operand) and whatever
+    ``describe(rank, object)`` says about its standing (the recency rank by
+    default); ``extra`` fields go on the event itself. The untraced scan
+    builds none of that.
+    """
+    # Extra work only a full trace wants: the rejected-candidate list.
+    rejected: list[dict] | None = [] if tracer.enabled else None
+    considered = 0
+    for rank, candidate in ranked:
+        considered += 1
+        primary = candidate.primary
+        if primary is None or primary.device_name != device:
+            reason = absent
+        elif candidate.pinned:
+            reason = "pinned"
+        else:
+            victims = dm.span_victims(device, primary, size)
+            if victims is None:
+                reason = "no_contiguous_span"
+            elif any(v.parent is not None and v.parent.pinned for v in victims):
+                reason = "span_pinned"
+            else:
+                if rejected is not None:
+                    emit_decision(
+                        tracer,
+                        policy=policy,
+                        device=device,
+                        need=size,
+                        chosen=candidate.name,
+                        rejected=rejected,
+                        considered=considered,
+                        **describe(rank, candidate),
+                        **extra,
+                    )
+                return primary
+        if rejected is not None:
+            rejected.append(
+                {"obj": candidate.name, **describe(rank, candidate),
+                 "reason": reason}
+            )
+    if rejected is not None:
+        emit_decision(
+            tracer,
+            policy=policy,
+            device=device,
+            need=size,
+            chosen="",
+            rejected=rejected,
+            considered=considered,
+            **extra,
+        )
+    return None
+
+
+def make_room(
+    dm: DataManager,
+    device: str,
+    size: int,
+    find_start: Callable[[int], Region | None],
+    evict_callback: Callable[[Region], None],
+) -> bool:
+    """Free a contiguous ``size``-byte span of ``device`` (Listing 2, lines
+    6-8): ``find_start`` picks where, ``evictfrom`` sweeps the span through
+    ``evict_callback``. ``False`` when no start qualifies or the callback
+    ran out of room to evict *into*; the caller allocates again on ``True``.
+    """
+    start = find_start(size)
+    if start is None:
+        return False
+    try:
+        dm.evictfrom(device, start, size, evict_callback)
+    except OutOfMemoryError:
+        return False
+    return True

@@ -21,11 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.manager import DataManager
 from repro.core.object import MemObject, Region
 from repro.core.policy_api import AccessIntent, Policy
 from repro.errors import ConfigurationError, OutOfMemoryError, PolicyError
-from repro.policies.base import emit_decision, evict_object, prefetch_object
+from repro.policies.base import (
+    evict_object,
+    find_eviction_start,
+    make_room,
+    prefetch_object,
+)
 from repro.policies.lru import LruTracker
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -139,83 +143,34 @@ class MultiTierPolicy(Policy):
         """Allocate in tier ``index``, demoting victims downward if needed."""
         tier = self.tiers[index]
         region = self.manager.try_allocate(tier, size)
-        if region is not None:
-            return region
+        if region is None and self._make_room(index, size):
+            region = self.manager.try_allocate(tier, size)
+        return region
+
+    def _make_room(self, index: int, size: int) -> bool:
+        """Demote a ``size``-byte span of tier ``index`` one tier down."""
         if index == len(self.tiers) - 1:
-            return None  # bottom tier: nothing below to demote into
-        start = self._find_eviction_start(index, size)
-        if start is None:
-            return None
-        try:
-            self.manager.evictfrom(
-                tier, start, size, lambda r: self._demote_region(r, index)
-            )
-        except OutOfMemoryError:
-            return None
-        return self.manager.try_allocate(tier, size)
+            return False  # bottom tier: nothing below to demote into
+        return make_room(
+            self.manager,
+            self.tiers[index],
+            size,
+            lambda size: self._find_eviction_start(index, size),
+            lambda region: self._demote_region(region, index),
+        )
 
     def _find_eviction_start(self, index: int, size: int) -> Region | None:
         tier = self.tiers[index]
-        # Extra work only a full trace wants: the rejected-candidate list.
-        rejected: list[dict] | None = [] if self.tracer.enabled else None
-        considered = 0
-        for rank, candidate in self.lru[tier].ranked():
-            considered += 1
-            primary = candidate.primary
-            if primary is None or primary.device_name != tier:
-                if rejected is not None:
-                    rejected.append(
-                        {"obj": candidate.name, "rank": rank,
-                         "reason": "not_resident_tier"}
-                    )
-                continue
-            if candidate.pinned:
-                if rejected is not None:
-                    rejected.append(
-                        {"obj": candidate.name, "rank": rank,
-                         "reason": "pinned"}
-                    )
-                continue
-            victims = self.manager.span_victims(tier, primary, size)
-            if victims is None:
-                if rejected is not None:
-                    rejected.append(
-                        {"obj": candidate.name, "rank": rank,
-                         "reason": "no_contiguous_span"}
-                    )
-                continue
-            if any(v.parent is not None and v.parent.pinned for v in victims):
-                if rejected is not None:
-                    rejected.append(
-                        {"obj": candidate.name, "rank": rank,
-                         "reason": "span_pinned"}
-                    )
-                continue
-            if rejected is not None:
-                emit_decision(
-                    self.tracer,
-                    policy=type(self).__name__,
-                    device=tier,
-                    need=size,
-                    chosen=candidate.name,
-                    rank=rank,
-                    tier=index,
-                    rejected=rejected,
-                    considered=considered,
-                )
-            return primary
-        if rejected is not None:
-            emit_decision(
-                self.tracer,
-                policy=type(self).__name__,
-                device=tier,
-                need=size,
-                chosen="",
-                tier=index,
-                rejected=rejected,
-                considered=considered,
-            )
-        return None
+        return find_eviction_start(
+            self.manager,
+            self.tracer,
+            tier,
+            size,
+            self.lru[tier].ranked(),
+            policy=type(self).__name__,
+            absent="not_resident_tier",
+            tier=index,
+        )
 
     def _demote_region(self, region: Region, index: int) -> None:
         """Evict one region's object from tier ``index`` to ``index + 1``."""
@@ -312,18 +267,7 @@ class MultiTierPolicy(Policy):
             index = self._tier_index(device)
         except PolicyError:
             return False
-        if index == len(self.tiers) - 1:
-            return False  # bottom tier: nowhere to demote to
-        start = self._find_eviction_start(index, nbytes)
-        if start is None:
-            return False
-        try:
-            self.manager.evictfrom(
-                device, start, nbytes, lambda r: self._demote_region(r, index)
-            )
-        except OutOfMemoryError:
-            return False
-        return True
+        return self._make_room(index, nbytes)
 
     # -- validation ----------------------------------------------------------------------
 

@@ -25,11 +25,15 @@ Independent of the toggles, the policy:
 
 from __future__ import annotations
 
-from repro.core.manager import DataManager
 from repro.core.object import MemObject, Region
 from repro.core.policy_api import AccessIntent, Policy
-from repro.errors import ConfigurationError, OutOfMemoryError, PolicyError
-from repro.policies.base import emit_decision, evict_object, prefetch_object
+from repro.errors import ConfigurationError, PolicyError
+from repro.policies.base import (
+    evict_object,
+    find_eviction_start,
+    make_room,
+    prefetch_object,
+)
 from repro.policies.lru import LruTracker
 from repro.telemetry.metrics import Counter, MetricsRegistry
 
@@ -102,7 +106,6 @@ class OptimizingPolicy(Policy):
         *,
         local_alloc: bool = True,
         prefetch: bool = False,
-        migrate_on_write: bool = True,
     ) -> None:
         super().__init__()
         if fast == slow:
@@ -111,7 +114,6 @@ class OptimizingPolicy(Policy):
         self.slow = slow
         self.local_alloc = local_alloc
         self.prefetch = prefetch
-        self.migrate_on_write = migrate_on_write
         self.lru = LruTracker()
         self.stats = PolicyStats()
 
@@ -158,7 +160,7 @@ class OptimizingPolicy(Policy):
 
     def will_write(self, obj: MemObject) -> None:
         self._note_use(obj)
-        if self.migrate_on_write and self.fast is not None:
+        if self.fast is not None:
             self._prefetch(obj, force=True)
 
     def archive(self, obj: MemObject) -> None:
@@ -189,10 +191,7 @@ class OptimizingPolicy(Policy):
         if self.fast is None:
             return primary
         cache_like = not self.local_alloc
-        wants_fast = (
-            cache_like
-            or (intent is AccessIntent.WRITE and self.migrate_on_write)
-        )
+        wants_fast = cache_like or intent is AccessIntent.WRITE
         if wants_fast and primary.device_name == self.slow:
             moved = self._prefetch(obj, force=True)
             if moved is not None:
@@ -227,87 +226,32 @@ class OptimizingPolicy(Policy):
         """Allocate raw space in fast memory, evicting cold objects if asked."""
         assert self.fast is not None
         region = self.manager.try_allocate(self.fast, size)
-        if region is not None or not force:
-            return region
-        start = self._find_eviction_start(size)
-        if start is None:
-            return None
-        try:
-            self.manager.evictfrom(self.fast, start, size, self._evict_region)
-        except OutOfMemoryError:
-            return None
-        return self.manager.try_allocate(self.fast, size)
+        if region is None and force and self._make_room(size):
+            region = self.manager.try_allocate(self.fast, size)
+        return region
+
+    def _make_room(self, size: int) -> bool:
+        return make_room(
+            self.manager,
+            self.fast,
+            size,
+            self._find_eviction_start,
+            self._evict_region,
+        )
 
     def _find_eviction_start(self, size: int) -> Region | None:
-        """Listing 2's ``find_region``: coldest unpinned object whose span is
-        clear of pinned operands.
-
-        When tracing is on, the scan doubles as an explainability source: it
-        emits one ``decision`` event recording the chosen victim *and* every
-        candidate it skipped, with the reason (not resident in fast memory,
-        pinned, no contiguous span, span holds a pinned operand) and its
-        recency rank. The untraced path builds none of that.
-        """
+        """Coldest-first victim order for Listing 2's ``find_region``."""
         assert self.fast is not None
         self.stats.forced_eviction_rounds += 1
-        # Extra work only a full trace wants: the rejected-candidate list.
-        rejected: list[dict] | None = [] if self.tracer.enabled else None
-        considered = 0
-        for rank, candidate in self.lru.ranked():
-            considered += 1
-            primary = candidate.primary
-            if primary is None or primary.device_name != self.fast:
-                if rejected is not None:
-                    rejected.append(
-                        {"obj": candidate.name, "rank": rank,
-                         "reason": "not_resident_fast"}
-                    )
-                continue
-            if candidate.pinned:
-                if rejected is not None:
-                    rejected.append(
-                        {"obj": candidate.name, "rank": rank,
-                         "reason": "pinned"}
-                    )
-                continue
-            victims = self.manager.span_victims(self.fast, primary, size)
-            if victims is None:
-                if rejected is not None:
-                    rejected.append(
-                        {"obj": candidate.name, "rank": rank,
-                         "reason": "no_contiguous_span"}
-                    )
-                continue
-            if any(v.parent is not None and v.parent.pinned for v in victims):
-                if rejected is not None:
-                    rejected.append(
-                        {"obj": candidate.name, "rank": rank,
-                         "reason": "span_pinned"}
-                    )
-                continue
-            if rejected is not None:
-                emit_decision(
-                    self.tracer,
-                    policy=type(self).__name__,
-                    device=self.fast,
-                    need=size,
-                    chosen=candidate.name,
-                    rank=rank,
-                    rejected=rejected,
-                    considered=considered,
-                )
-            return primary
-        if rejected is not None:
-            emit_decision(
-                self.tracer,
-                policy=type(self).__name__,
-                device=self.fast,
-                need=size,
-                chosen="",
-                rejected=rejected,
-                considered=considered,
-            )
-        return None
+        return find_eviction_start(
+            self.manager,
+            self.tracer,
+            self.fast,
+            size,
+            self.lru.ranked(),
+            policy=type(self).__name__,
+            absent="not_resident_fast",
+        )
 
     def _evict_region(self, region: Region) -> None:
         """``evictfrom`` callback: evict the region's whole object."""
@@ -338,14 +282,7 @@ class OptimizingPolicy(Policy):
         """
         if self.fast is None or device != self.fast:
             return False
-        start = self._find_eviction_start(nbytes)
-        if start is None:
-            return False
-        try:
-            self.manager.evictfrom(self.fast, start, nbytes, self._evict_region)
-        except OutOfMemoryError:
-            return False
-        return True
+        return self._make_room(nbytes)
 
     # -- bookkeeping ----------------------------------------------------------------------
 

@@ -30,9 +30,7 @@ ENABLED_READS = {
     ("runtime/executor.py", "kernel"): 1,
     ("runtime/executor.py", "iteration_end"): 1,
     # rejected-candidate lists for ``decision`` events
-    ("policies/optimizing.py", "_find_eviction_start"): 1,
-    ("policies/adaptive.py", "_find_eviction_start"): 1,
-    ("policies/multitier.py", "_find_eviction_start"): 1,
+    ("policies/base.py", "find_eviction_start"): 1,
 }
 
 
@@ -43,14 +41,13 @@ def caller_sources():
             yield relative, ast.parse(path.read_text())
 
 
-def attributes_by_function(tree):
-    """``(enclosing function name, ast.Attribute)`` for every attribute."""
+def nodes_by_function(tree):
+    """``(enclosing function name, node)`` for every node."""
 
     def walk(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Attribute):
-            yield function, node
+        yield function, node
         for child in ast.iter_child_nodes(node):
             yield from walk(child, function)
 
@@ -75,8 +72,8 @@ def test_callers_cannot_tell_which_tier_is_listening():
 def test_enabled_is_read_only_where_tracing_does_extra_work():
     found: dict[tuple[str, str], int] = {}
     for relative, tree in caller_sources():
-        for function, node in attributes_by_function(tree):
-            if node.attr == "enabled":
+        for function, node in nodes_by_function(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "enabled":
                 key = (relative, function)
                 found[key] = found.get(key, 0) + 1
     assert found == ENABLED_READS
@@ -93,6 +90,36 @@ def test_listing_one_is_called_once_per_eviction_site():
             and node.func.id == "evict_object"
         ]
         assert len(calls) == 1, module
+
+
+def policy_functions_calling(name):
+    """``{(module, function)}`` under ``policies/`` calling ``name(…)`` or
+    ``….name(…)``."""
+    found = set()
+    for relative, tree in caller_sources():
+        if not relative.startswith("policies/"):
+            continue
+        for function, node in nodes_by_function(tree):
+            if isinstance(node, ast.Call) and name == getattr(
+                node.func, "attr", getattr(node.func, "id", None)
+            ):
+                found.add((relative, function))
+    return found
+
+
+def test_listing_two_is_written_once():
+    """One victim scan and one make-room block: a policy supplies the order
+    victims are offered in, never a second copy of the loop."""
+    base = "policies/base.py"
+    assert policy_functions_calling("span_victims") == {
+        (base, "find_eviction_start")
+    }
+    assert policy_functions_calling("emit_decision") == {
+        (base, "find_eviction_start")
+    }
+    assert policy_functions_calling("evictfrom") == {
+        (base, "make_room"), (base, "prefetch_object")
+    }
 
 
 def typed_calls(cls):
