@@ -67,12 +67,20 @@ def emit_decision(
 
 
 def evict_object(
-    dm: DataManager, obj: MemObject, fast: str, slow: str
+    dm: DataManager,
+    obj: MemObject,
+    fast: str,
+    slow: str,
+    *,
+    room: Region | None = None,
 ) -> bool:
     """Move ``obj``'s primary from ``fast`` to ``slow`` (paper Listing 1).
 
     If a linked (clean) copy already exists in slow memory the expensive
     cross-device copy is elided — the optimisation of Listing 1 lines 11-13.
+    ``room`` is a region the caller already reserved in ``slow`` for an
+    object it knows has no linked copy there (a multi-tier demotion has to
+    make that room itself, by cascading); without it the listing allocates.
     Returns True when an eviction actually happened (primary was in fast).
     """
     x = dm.getprimary(obj)
@@ -82,7 +90,7 @@ def evict_object(
     sz = dm.sizeof(x)
     allocated = False
     if y is None:
-        y = dm.allocate(slow, sz)
+        y = room if room is not None else dm.allocate(slow, sz)
         allocated = True
     if dm.isdirty(x) or allocated:
         dm.copyto(y, x)

@@ -184,29 +184,28 @@ class MultiTierPolicy(Policy):
             return
         if obj.pinned:
             raise PolicyError(f"asked to demote pinned {obj!r}")
-        below = self.tiers[index + 1]
-        # Make room below first (may cascade further down).
+        tier, below = self.tiers[index], self.tiers[index + 1]
+        room = None
         linked = self.manager.getlinked(region, below)
         if linked is None:
+            # Reserve room below first (may cascade further down).
             room = self._allocate_in_tier(index + 1, region.size)
             if room is None:
                 raise OutOfMemoryError(
                     below, region.size, self.manager.free_bytes(below)
                 )
-            # evict_object allocates for itself; release the probe.
-            self.manager.free(room)
         self.tracer.evict(
             obj.name,
-            self.tiers[index],
+            tier,
             below,
             obj.size,
             linked is not None and not self.manager.isdirty(region),
         )
         with self.tracer.scope("evict", obj):
-            evicted = evict_object(self.manager, obj, self.tiers[index], below)
+            evicted = evict_object(self.manager, obj, tier, below, room=room)
         if evicted:
             self.stats.bump(self.stats.demotions, below)
-        self.lru[self.tiers[index]].discard(obj)
+        self.lru[tier].discard(obj)
         self.lru[below].touch(obj)
 
     # -- hints ------------------------------------------------------------------------
