@@ -358,6 +358,38 @@ def _explain(
     return 0
 
 
+def _check_contract(
+    result, rerun, problems: list[str], ok_line: str, fail_prefix: str,
+    as_json: bool,
+) -> int:
+    """The ``--check`` CI contract of colo/serve/taxonomy.
+
+    The experiment must be (a) deterministic — ``rerun()``, a second
+    identical run, produces the same digest — and (b) pass its own gates:
+    ``problems`` lists the ones ``result`` failed. With ``--json`` the
+    prose goes to stderr so stdout stays pure JSON.
+    """
+    info = sys.stderr if as_json else sys.stdout
+    repeat = rerun()
+    ok = True
+    if repeat.digest() != result.digest():
+        print(
+            f"DETERMINISM FAIL: digests differ across identical runs "
+            f"({result.digest()} vs {repeat.digest()})",
+            file=info,
+        )
+        ok = False
+    else:
+        print("determinism: digests match across repeated runs", file=info)
+    if problems:
+        for problem in problems:
+            print(f"{fail_prefix}: {problem}", file=info)
+        ok = False
+    else:
+        print(ok_line, file=info)
+    return 0 if ok else 1
+
+
 def _colo(
     tenants: str,
     config: ExperimentConfig,
@@ -380,33 +412,19 @@ def _colo(
         print(colo_mod.render(result))
     if not check:
         return 0
-    # --check: the CI contract. The co-run must be (a) deterministic —
-    # a second identical run produces the same digest — and (b) explainable:
-    # at least 90% of movement-wait stall time attributed to a specific
-    # (tenant, object) pair.
-    info = sys.stderr if as_json else sys.stdout
-    repeat = colo_mod.run_colo(names, config, mode_name=mode)
-    ok = True
-    if repeat.digest() != result.digest():
-        print(
-            f"DETERMINISM FAIL: digests differ across identical runs "
-            f"({result.digest()} vs {repeat.digest()})",
-            file=info,
-        )
-        ok = False
-    else:
-        print("determinism: digests match across repeated runs", file=info)
+    # --check: the co-run must also be explainable — at least 90% of
+    # movement-wait stall time attributed to a specific (tenant, object) pair.
     fraction = result.attribution.get("attributed_fraction", 0.0)
-    if fraction < 0.9:
-        print(
-            f"ATTRIBUTION FAIL: only {fraction:.1%} of stall time attributed "
-            f"(need >= 90%)",
-            file=info,
-        )
-        ok = False
-    else:
-        print(f"attribution: {fraction:.1%} of stall time attributed", file=info)
-    return 0 if ok else 1
+    return _check_contract(
+        result,
+        lambda: colo_mod.run_colo(names, config, mode_name=mode),
+        [f"only {fraction:.1%} of stall time attributed (need >= 90%)"]
+        if fraction < 0.9
+        else [],
+        f"attribution: {fraction:.1%} of stall time attributed",
+        "ATTRIBUTION FAIL",
+        as_json,
+    )
 
 
 def _serve(
@@ -460,34 +478,18 @@ def _serve(
         print(serving_mod.render(result))
     if not check:
         return 0
-    # --check: the CI contract. The sweep must be (a) deterministic — a
-    # second identical run produces the same digest — and (b) shaped like a
-    # saturating system: normalized p99 never falls as load rises, goodput
-    # never rises past saturation (see check_serving).
-    info = sys.stderr if as_json else sys.stdout
-    repeat = serving_mod.run_serving(config, serving_cfg, mode_name=mode)
-    ok = True
-    if repeat.digest() != result.digest():
-        print(
-            f"DETERMINISM FAIL: digests differ across identical runs "
-            f"({result.digest()} vs {repeat.digest()})",
-            file=info,
-        )
-        ok = False
-    else:
-        print("determinism: digests match across repeated runs", file=info)
-    problems = serving_mod.check_serving(result)
-    if problems:
-        for problem in problems:
-            print(f"SWEEP-SHAPE FAIL: {problem}", file=info)
-        ok = False
-    else:
-        print(
-            "sweep shape: normalized p99 non-decreasing, goodput "
-            "non-increasing past saturation",
-            file=info,
-        )
-    return 0 if ok else 1
+    # --check: the sweep must also be shaped like a saturating system:
+    # normalized p99 never falls as load rises, goodput never rises past
+    # saturation (see check_serving).
+    return _check_contract(
+        result,
+        lambda: serving_mod.run_serving(config, serving_cfg, mode_name=mode),
+        serving_mod.check_serving(result),
+        "sweep shape: normalized p99 non-decreasing, goodput "
+        "non-increasing past saturation",
+        "SWEEP-SHAPE FAIL",
+        as_json,
+    )
 
 
 def _taxonomy(
@@ -523,37 +525,21 @@ def _taxonomy(
         print(taxonomy_mod.render(result))
     if not check:
         return 0
-    # --check: the CI contract. The matrix must be (a) deterministic — a
-    # second identical run produces the same digest — and (b) correctly
-    # classified: fractions sum to 1, >=95% of reference-cell time is
-    # attributed, pinned verdicts hold, and the cheap monitor tier agrees
-    # with the full trace (see check_taxonomy).
-    info = sys.stderr if as_json else sys.stdout
-    repeat = taxonomy_mod.run_taxonomy(
-        config, workloads=names, modes=mode_names
+    # --check: the matrix must also be correctly classified: fractions sum
+    # to 1, >=95% of reference-cell time is attributed, pinned verdicts
+    # hold, and the cheap monitor tier agrees with the full trace (see
+    # check_taxonomy).
+    return _check_contract(
+        result,
+        lambda: taxonomy_mod.run_taxonomy(
+            config, workloads=names, modes=mode_names
+        ),
+        taxonomy_mod.check_taxonomy(result),
+        "classification: fractions exact, verdicts pinned, "
+        "monitor tier agrees with full trace",
+        "CLASSIFICATION FAIL",
+        as_json,
     )
-    ok = True
-    if repeat.digest() != result.digest():
-        print(
-            f"DETERMINISM FAIL: digests differ across identical runs "
-            f"({result.digest()} vs {repeat.digest()})",
-            file=info,
-        )
-        ok = False
-    else:
-        print("determinism: digests match across repeated runs", file=info)
-    problems = taxonomy_mod.check_taxonomy(result)
-    if problems:
-        for problem in problems:
-            print(f"CLASSIFICATION FAIL: {problem}", file=info)
-        ok = False
-    else:
-        print(
-            "classification: fractions exact, verdicts pinned, "
-            "monitor tier agrees with full trace",
-            file=info,
-        )
-    return 0 if ok else 1
 
 
 def _diff(

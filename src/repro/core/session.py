@@ -91,25 +91,35 @@ def issue_hints(
 def resolve_residency(
     policy: Policy,
     tracer: "tracing.Tracer | tracing.NullTracer",
-    intents: Iterable[tuple[MemObject, AccessIntent]],
+    read_objs: Iterable[MemObject],
+    write_objs: Iterable[MemObject],
     pinned: list[MemObject],
 ) -> None:
-    """Ensure residency for each ``(object, intent)`` pair and pin it.
+    """Ensure residency for each of a kernel's operands and pin it.
 
-    Objects are appended to ``pinned`` as they are pinned, so a failure
-    mid-way leaves the caller able to unpin exactly what was pinned. The
-    traced and untraced branches are kept separate for the same zero-cost
-    reason as :func:`issue_hints`; this helper is the single definition both
-    the :class:`Session` kernel scope and the trace executor share.
+    Residency is resolved once per unique object — write intent wins for an
+    operand that is both read and written (in-place updates) — and the
+    object pinned immediately, so no later ensure can evict an operand that
+    is already placed. Objects are appended to ``pinned`` as they are
+    pinned, so a failure mid-way leaves the caller able to unpin exactly
+    what was pinned. The traced and untraced branches are kept separate for
+    the same zero-cost reason as :func:`issue_hints`; this helper is the
+    single definition both the :class:`Session` kernel scope and the trace
+    executor share.
     """
+    intents: dict[int, tuple[MemObject, AccessIntent]] = {}
+    for obj in read_objs:
+        intents[obj.id] = (obj, AccessIntent.READ)
+    for obj in write_objs:
+        intents[obj.id] = (obj, AccessIntent.WRITE)
     if tracer.enabled:
-        for obj, intent in intents:
+        for obj, intent in intents.values():
             with tracer.scope(RESIDENCY_LABELS[intent], obj):
                 policy.ensure_resident(obj, intent)
             obj.pin()
             pinned.append(obj)
     else:
-        for obj, intent in intents:
+        for obj, intent in intents.values():
             policy.ensure_resident(obj, intent)
             obj.pin()
             pinned.append(obj)
@@ -648,15 +658,8 @@ class Session:
         if hints:
             issue_hints(self.policy, tracer, read_objs, write_objs)
         pinned: list[MemObject] = []
-        # Resolve residency once per unique object; write intent dominates
-        # when an operand is both read and written (in-place updates).
-        intents: dict[int, tuple[MemObject, AccessIntent]] = {}
-        for obj in read_objs:
-            intents[obj.id] = (obj, AccessIntent.READ)
-        for obj in write_objs:
-            intents[obj.id] = (obj, AccessIntent.WRITE)
         try:
-            resolve_residency(self.policy, tracer, intents.values(), pinned)
+            resolve_residency(self.policy, tracer, read_objs, write_objs, pinned)
             if self.is_real:
                 yield [a.view() for a in reads], [a.view() for a in writes]
             else:

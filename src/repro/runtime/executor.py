@@ -22,7 +22,6 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.core.object import MemObject
-from repro.core.policy_api import AccessIntent
 from repro.core.session import Session, issue_hints, resolve_residency
 from repro.errors import OutOfMemoryError, TraceError
 from repro.memory.allocator import FreeListAllocator
@@ -207,16 +206,8 @@ class CachedArraysAdapter(SystemAdapter):
         if kernel.hinted:
             issue_hints(policy, tracer, read_objs, write_objs)
         pinned: list[MemObject] = []
-        # Residency is resolved once per unique object (write intent wins
-        # for read+write operands) and pinned immediately, so no later
-        # ensure can evict an operand that is already placed.
-        intents: dict[int, tuple[MemObject, AccessIntent]] = {}
-        for obj in read_objs:
-            intents[obj.id] = (obj, AccessIntent.READ)
-        for obj in write_objs:
-            intents[obj.id] = (obj, AccessIntent.WRITE)
         try:
-            resolve_residency(policy, tracer, intents.values(), pinned)
+            resolve_residency(policy, tracer, read_objs, write_objs, pinned)
             # Asynchronous movement: the kernel cannot start until every
             # operand's in-flight copy has completed. The wait is clamped
             # at the source: ready_at sums can drift a few ULPs past the
