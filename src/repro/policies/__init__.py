@@ -11,13 +11,20 @@ optimisations (Section IV):
 * **P** — prefetching: ``will_read`` pulls objects into fast memory ahead of
   the kernel.
 
-:mod:`repro.policies.base` contains ``evict_object`` and ``prefetch_object``
-— direct transcriptions of the paper's Listings 1 and 2 against the
-data-management API. :class:`~repro.policies.optimizing.OptimizingPolicy`
-composes them with LRU victim selection.
+:mod:`repro.policies.base` contains the four building blocks of the paper's
+Listings 1 and 2 against the data-management API: ``evict_object``
+(Listing 1), ``prefetch_object`` (Listing 2), ``find_eviction_start`` (its
+``find_region`` victim scan) and ``make_room`` (its "pick a start,
+``evictfrom``" step). :class:`~repro.policies.optimizing.OptimizingPolicy`
+composes them with LRU victim order.
 """
 
-from repro.policies.base import evict_object, prefetch_object
+from repro.policies.base import (
+    evict_object,
+    find_eviction_start,
+    make_room,
+    prefetch_object,
+)
 from repro.policies.lru import LruTracker
 from repro.policies.noop import PinnedPolicy, SingleDevicePolicy
 from repro.policies.optimizing import OptimizingPolicy
@@ -29,6 +36,8 @@ from repro.policies.modes import ModeConfig, MODES, mode
 __all__ = [
     "evict_object",
     "prefetch_object",
+    "find_eviction_start",
+    "make_room",
     "LruTracker",
     "PinnedPolicy",
     "SingleDevicePolicy",
