@@ -359,8 +359,7 @@ def _explain(
 
 
 def _check_contract(
-    result, rerun, problems: list[str], ok_line: str, fail_prefix: str,
-    as_json: bool,
+    result, rerun, problems: list[str], ok_line: str, fail_prefix: str, as_json: bool
 ) -> int:
     """The ``--check`` CI contract of colo/serve/taxonomy.
 

@@ -140,7 +140,7 @@ class AdaptivePolicy(OptimizingPolicy):
         self.stats.forced_eviction_rounds += 1
         horizon = self._recency_clock - self.PROTECT_WINDOW
         last_touch = self._last_touch
-        skipped: list[tuple[int | None, MemObject]] = []
+        skipped: list[tuple[int, MemObject]] = []
         probation: list[MemObject] = []
         protected: list[MemObject] = []
         for rank, obj in self.lru.ranked():

@@ -67,12 +67,7 @@ def emit_decision(
 
 
 def evict_object(
-    dm: DataManager,
-    obj: MemObject,
-    fast: str,
-    slow: str,
-    *,
-    room: Region | None = None,
+    dm: DataManager, obj: MemObject, fast: str, slow: str, *, room: Region | None = None
 ) -> bool:
     """Move ``obj``'s primary from ``fast`` to ``slow`` (paper Listing 1).
 
@@ -180,6 +175,7 @@ def find_eviction_start(
     # Extra work only a full trace wants: the rejected-candidate list.
     rejected: list[dict] | None = [] if tracer.enabled else None
     considered = 0
+    start, chosen, standing = None, "", {}
     for rank, candidate in ranked:
         considered += 1
         primary = candidate.primary
@@ -194,23 +190,13 @@ def find_eviction_start(
             elif any(v.parent is not None and v.parent.pinned for v in victims):
                 reason = "span_pinned"
             else:
+                start = primary
                 if rejected is not None:
-                    emit_decision(
-                        tracer,
-                        policy=policy,
-                        device=device,
-                        need=size,
-                        chosen=candidate.name,
-                        rejected=rejected,
-                        considered=considered,
-                        **describe(rank, candidate),
-                        **extra,
-                    )
-                return primary
+                    chosen, standing = candidate.name, describe(rank, candidate)
+                break
         if rejected is not None:
             rejected.append(
-                {"obj": candidate.name, **describe(rank, candidate),
-                 "reason": reason}
+                {"obj": candidate.name, **describe(rank, candidate), "reason": reason}
             )
     if rejected is not None:
         emit_decision(
@@ -218,12 +204,13 @@ def find_eviction_start(
             policy=policy,
             device=device,
             need=size,
-            chosen="",
+            chosen=chosen,
             rejected=rejected,
             considered=considered,
+            **standing,
             **extra,
         )
-    return None
+    return start
 
 
 def make_room(

@@ -155,7 +155,7 @@ class MultiTierPolicy(Policy):
             self.manager,
             self.tiers[index],
             size,
-            lambda size: self._find_eviction_start(index, size),
+            lambda need: self._find_eviction_start(index, need),
             lambda region: self._demote_region(region, index),
         )
 
@@ -262,11 +262,9 @@ class MultiTierPolicy(Policy):
 
     def handle_pressure(self, device: str, nbytes: int) -> bool:
         """Ladder rung: demote a contiguous span of ``device`` one tier down."""
-        try:
-            index = self._tier_index(device)
-        except PolicyError:
+        if device not in self.tiers:
             return False
-        return self._make_room(index, nbytes)
+        return self._make_room(self.tiers.index(device), nbytes)
 
     # -- validation ----------------------------------------------------------------------
 

@@ -134,7 +134,7 @@ class OptimizingPolicy(Policy):
         NVRAM — the compulsory-miss model of CA: ∅.
         """
         if self.fast is not None and self.local_alloc:
-            region = self._allocate_fast(obj.size, force=True)
+            region = self._allocate_fast(obj.size)
             if region is not None:
                 self.manager.setprimary(obj, region)
                 self.lru.touch(obj)
@@ -155,13 +155,13 @@ class OptimizingPolicy(Policy):
     def will_read(self, obj: MemObject) -> None:
         self._note_use(obj)
         if self.prefetch and self.fast is not None:
-            if self._prefetch(obj, force=True) is not None:
+            if self._prefetch(obj) is not None:
                 self.stats.prefetches += 1
 
     def will_write(self, obj: MemObject) -> None:
         self._note_use(obj)
         if self.fast is not None:
-            self._prefetch(obj, force=True)
+            self._prefetch(obj)
 
     def archive(self, obj: MemObject) -> None:
         """No data movement — just make the object the preferred victim."""
@@ -193,7 +193,7 @@ class OptimizingPolicy(Policy):
         cache_like = not self.local_alloc
         wants_fast = cache_like or intent is AccessIntent.WRITE
         if wants_fast and primary.device_name == self.slow:
-            moved = self._prefetch(obj, force=True)
+            moved = self._prefetch(obj)
             if moved is not None:
                 return moved
         self._note_use(obj)
@@ -201,7 +201,7 @@ class OptimizingPolicy(Policy):
 
     # -- movement internals -----------------------------------------------------------
 
-    def _prefetch(self, obj: MemObject, *, force: bool) -> Region | None:
+    def _prefetch(self, obj: MemObject) -> Region | None:
         assert self.fast is not None
         was_slow = (
             obj.primary is not None and obj.primary.device_name == self.slow
@@ -211,7 +211,7 @@ class OptimizingPolicy(Policy):
             obj,
             self.fast,
             self.slow,
-            force=force,
+            force=True,
             find_start=self._find_eviction_start,
             evict_callback=self._evict_region,
         )
@@ -222,21 +222,17 @@ class OptimizingPolicy(Policy):
                 self.tracer.prefetch(obj.name, self.slow, self.fast, obj.size)
         return region
 
-    def _allocate_fast(self, size: int, *, force: bool) -> Region | None:
-        """Allocate raw space in fast memory, evicting cold objects if asked."""
+    def _allocate_fast(self, size: int) -> Region | None:
+        """Allocate raw space in fast memory, evicting cold objects if needed."""
         assert self.fast is not None
         region = self.manager.try_allocate(self.fast, size)
-        if region is None and force and self._make_room(size):
+        if region is None and self._make_room(size):
             region = self.manager.try_allocate(self.fast, size)
         return region
 
     def _make_room(self, size: int) -> bool:
         return make_room(
-            self.manager,
-            self.fast,
-            size,
-            self._find_eviction_start,
-            self._evict_region,
+            self.manager, self.fast, size, self._find_eviction_start, self._evict_region
         )
 
     def _find_eviction_start(self, size: int) -> Region | None:
