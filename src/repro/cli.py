@@ -370,23 +370,20 @@ def _check_contract(
     """
     info = sys.stderr if as_json else sys.stdout
     repeat = rerun()
-    ok = True
-    if repeat.digest() != result.digest():
+    deterministic = repeat.digest() == result.digest()
+    if deterministic:
+        print("determinism: digests match across repeated runs", file=info)
+    else:
         print(
             f"DETERMINISM FAIL: digests differ across identical runs "
             f"({result.digest()} vs {repeat.digest()})",
             file=info,
         )
-        ok = False
-    else:
-        print("determinism: digests match across repeated runs", file=info)
-    if problems:
-        for problem in problems:
-            print(f"{fail_prefix}: {problem}", file=info)
-        ok = False
-    else:
+    for problem in problems:
+        print(f"{fail_prefix}: {problem}", file=info)
+    if not problems:
         print(ok_line, file=info)
-    return 0 if ok else 1
+    return 0 if deterministic and not problems else 1
 
 
 def _colo(

@@ -15,7 +15,7 @@ opportunities for the policy.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -143,8 +143,3 @@ class CachedArray:
             f"CachedArray(shape={self.shape}, dtype={self.dtype.name}, "
             f"{where}, obj={self._obj.name!r})"
         )
-
-
-def total_nbytes(arrays: Iterable[CachedArray]) -> int:
-    """Sum of backing sizes; handy for tests and reports."""
-    return sum(array.nbytes for array in arrays)

@@ -43,7 +43,6 @@ def emit_decision(
     chosen: str,
     rejected: list[dict],
     considered: int,
-    action: str = "select_victim",
     **extra,
 ) -> None:
     """Emit one structured ``decision`` event (docs/observability.md).
@@ -61,8 +60,8 @@ def emit_decision(
         dropped = len(rejected) - DECISION_REJECTED_LIMIT
         rejected = rejected[:DECISION_REJECTED_LIMIT]
     tracer.decision(
-        policy, action, device, need, chosen, considered, rejected, dropped,
-        **extra,
+        policy, "select_victim", device, need, chosen, considered, rejected,
+        dropped, **extra,
     )
 
 

@@ -110,19 +110,9 @@ class MultiTierPolicy(Policy):
         except ValueError:
             raise PolicyError(f"device {device!r} is not a managed tier") from None
 
-    def _primary_tier(self, obj: MemObject) -> int:
-        primary = obj.primary
-        if primary is None:
-            raise PolicyError(f"{obj!r} has no primary region")
-        return self._tier_index(primary.device_name)
-
     def _touch(self, obj: MemObject) -> None:
         if obj.primary is not None:
             self.lru[obj.primary.device_name].touch(obj)
-
-    def _discard_everywhere(self, obj: MemObject) -> None:
-        for tracker in self.lru.values():
-            tracker.discard(obj)
 
     # -- placement ----------------------------------------------------------------
 
@@ -224,7 +214,8 @@ class MultiTierPolicy(Policy):
             self.lru[obj.primary.device_name].demote(obj)
 
     def retire(self, obj: MemObject) -> None:
-        self._discard_everywhere(obj)
+        for tracker in self.lru.values():
+            tracker.discard(obj)
         self.manager.destroy_object(obj)
 
     # -- residency ---------------------------------------------------------------------
@@ -238,7 +229,9 @@ class MultiTierPolicy(Policy):
 
     def _promote(self, obj: MemObject) -> Region | None:
         """Move the object's primary to the top tier, best effort."""
-        current = self._primary_tier(obj)
+        if obj.primary is None:
+            raise PolicyError(f"{obj!r} has no primary region")
+        current = self._tier_index(obj.primary.device_name)
         if current == 0:
             return obj.primary
         top = self.tiers[0]

@@ -142,10 +142,6 @@ class ParallelismCurveBandwidth(BandwidthModel):
             bandwidth /= self.temporal_write_derate
         return bandwidth
 
-    def best_write_threads(self) -> int:
-        """The concurrency at which write bandwidth peaks (for copy engines)."""
-        return self.best_threads_write
-
 
 @dataclass(frozen=True)
 class DegradedBandwidth(BandwidthModel):

@@ -354,10 +354,6 @@ def movement_intensity(ledger: "ObjectLedger") -> float | None:
     return moved / used
 
 
-def _copy_class(kind: str) -> int:
-    return 0 if kind in CAPACITY_KINDS else 1  # 1 = demand (split later)
-
-
 def classify_trace(
     events: Iterable[TraceEvent],
     cost: CostModel,
