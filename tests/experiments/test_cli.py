@@ -367,3 +367,42 @@ def test_taxonomy_unknown_workload_returns_2(capsys):
 def test_taxonomy_modes_must_include_reference(capsys):
     assert main(["taxonomy", "--modes", "2LM:0,CA:0"]) == 2
     assert "reference mode" in capsys.readouterr().err
+
+
+class _Digest:
+    def __init__(self, value):
+        self.value = value
+
+    def digest(self):
+        return self.value
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_check_contract_failure_lines_and_exit_code(capsys, as_json):
+    """The failing arms of colo/serve/taxonomy ``--check``: one line per
+    broken gate, prose on stderr under ``--json``, exit 1."""
+    from repro.cli import _check_contract
+
+    code = _check_contract(
+        _Digest("aa"), lambda: _Digest("bb"), ["p99 fell", "goodput rose"],
+        "shape ok", "SHAPE FAIL", as_json,
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (captured.err if as_json else captured.out).splitlines() == [
+        "DETERMINISM FAIL: digests differ across identical runs (aa vs bb)",
+        "SHAPE FAIL: p99 fell",
+        "SHAPE FAIL: goodput rose",
+    ]
+    assert (captured.out if as_json else captured.err) == ""
+    # One broken gate is enough to fail; a clean run prints both ok lines.
+    assert _check_contract(
+        _Digest("aa"), lambda: _Digest("aa"), ["p99 fell"], "ok", "F", False
+    ) == 1
+    assert _check_contract(
+        _Digest("aa"), lambda: _Digest("aa"), [], "shape ok", "F", False
+    ) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "determinism: digests match across repeated runs",
+        "shape ok",
+    ]
