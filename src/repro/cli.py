@@ -1,269 +1,64 @@
-"""Command-line entry: regenerate any table or figure of the paper.
+"""Command-line entry: ``python -m repro <command>``.
 
-Usage::
+One table, :data:`COMMANDS`, is the whole description of the surface: a
+subcommand is one row — its help line, the options it reads, and the
+handler that runs it. :func:`main` adds one subparser per row, so
+``python -m repro <command> --help`` is the flag reference for exactly that
+command, and a flag a command never reads is a usage error rather than
+silently ignored.
 
-    python -m repro table3
-    python -m repro fig2 [--scale N] [--iterations N] [--json]
-    python -m repro fig3 ... fig7
-    python -m repro all
-    python -m repro trace --model resnet200-large [--out trace.json]
-    python -m repro profile --model tiny [--mode CA:LM] [--out trace.json]
-    python -m repro explain run.jsonl [--window K] [--out report.json]
-    python -m repro diff a.jsonl b.jsonl [--window K] [--out report.json]
-    python -m repro monitor [run.jsonl | --model tiny] [--interval S] [--json]
-    python -m repro chaos [--plan copy-flaky | --plan all] [--dump-dir D] [--json]
-    python -m repro chaos --bisect --plan bisect-demo [--json]
-    python -m repro bench [--quick] [--baseline FILE] [--threshold 0.2]
-    python -m repro colo [--tenants cnn,dlrm] [--check] [--json]
-    python -m repro snapshot --model tiny [--mode CA:LM] [--pause-after K] --out s.bin
-    python -m repro restore s.bin [--pause-after K --out s2.bin]
-    python -m repro serve [--rates R1,R2,..] [--requests N] [--slots N] [--check] [--json]
-    python -m repro taxonomy [--workloads W1,W2,..] [--modes M1,..] [--check] [--json]
-
-Times are reported rescaled to paper magnitudes (see
-:class:`~repro.experiments.common.ExperimentConfig`). ``--json`` emits a
-machine-readable results summary instead of the text report; ``trace``
-exports a model's kernel trace as a portable JSON artifact
-(:mod:`repro.workloads.serialize`); ``profile`` runs a model with event
-tracing on and prints the movement-attribution report, optionally writing a
-Perfetto-loadable Chrome trace (``--out``) and/or a raw event stream
-(``--jsonl``) — see ``docs/observability.md``. ``explain`` folds one such
-event stream into a lifetime-ledger report (where the time went, which
-objects thrash); ``diff`` aligns two streams of the same workload
-kernel-by-kernel and attributes the end-to-end virtual-time delta to named
-kernels, objects, and root causes (docs/observability.md, "Explaining a
-run"). ``monitor`` folds a run — a recorded stream or a fresh ``--model``
-run — through the always-on runtime monitor and prints its health dashboard:
-windowed rollups, latency percentiles, alerts, flight-recorder state
-(docs/observability.md, "Live monitoring"). ``chaos`` runs the workloads
-under a named fault plan and reports recovery outcomes (exit status 1 if any
-scenario violates the robustness contract); failing scenarios name their
-flight-recorder dump — see ``docs/robustness.md``.
-``bench`` runs the pinned performance suite at ``BENCH_SCALE``, writes a
-``BENCH_<date>.json`` trajectory point, and gates against the previous
-point (exit status 1 on regression) — see ``docs/benchmarking.md``.
-``colo`` co-runs two or more tenant workloads on one shared memory system
-under the multi-stream scheduler and reports per-tenant slowdown vs solo,
-fairness, aggregate traffic, and cross-tenant stall attribution
-(``--check`` additionally enforces determinism and the >=90% attribution
-contract) — see ``docs/architecture.md``, "Multi-tenant runtime".
-``snapshot`` pauses a run at a kernel boundary and serializes the complete
-runtime state; ``restore`` resumes it — in the same or a fresh process — to
-a bit-identical final digest, and ``chaos --bisect`` uses the same
-checkpoints to binary-search a failing plan's fired faults down to the
-narrowest window that still reproduces the failure — see
-``docs/robustness.md``, "Elastic operations".
-``serve`` drives the shared runtime with a seeded open-loop arrival process
-of short-lived request sessions (KV-cache-like lifetimes) under admission
-control, sweeping offered load and reporting latency percentiles, goodput,
-rejection rate, and fairness per rate point; ``--check`` additionally
-enforces determinism across two runs and the sweep-shape monotonicity
-gates — see ``docs/serving.md``.
-``taxonomy`` runs the movement-signature workloads under every operating
-mode, classifies each run into DAMOV-style bottleneck classes
-(compute/bandwidth/latency/capacity), and prints the workload x policy
-matrix with per-class verdicts, the winning mode per workload, and ledger
-evidence; ``--check`` additionally enforces determinism across two runs
-plus the classification contract (pinned reference verdicts, exact class
-fractions, monitor-tier agreement) — see ``docs/observability.md``,
-"Bottleneck attribution".
+Conventions every handler keeps: times are reported rescaled to paper
+magnitudes (see :class:`~repro.experiments.common.ExperimentConfig`);
+``--json`` keeps stdout pure JSON (prose such as the ``--check`` verdicts
+moves to stderr); exit status is 0 on success, 1 when a contract or gate
+failed (``--check``, ``chaos``, ``bench``), 2 on a usage or configuration
+error. What each command computes is documented where it lives — see the
+"CLI reference" table in ``README.md`` for the page per command.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentConfig
 
 __all__ = ["main"]
 
-EXPERIMENTS = ("table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "ext")
 
-# Every valid first positional argument. ``tools/check_docs.py`` imports this
-# to verify that docs never reference a subcommand that does not exist.
-SUBCOMMANDS = EXPERIMENTS + (
-    "all", "trace", "profile", "explain", "diff", "monitor", "chaos",
-    "bench", "colo", "snapshot", "restore", "serve", "taxonomy",
-)
+# -- shared helpers -----------------------------------------------------------
 
 
-def _module_for(name: str):
-    if name == "table3":
-        from repro.experiments import table3_models as module
-    elif name == "fig2":
-        from repro.experiments import fig2_runtime as module
-    elif name == "fig3":
-        from repro.experiments import fig3_heap as module
-    elif name == "fig4":
-        from repro.experiments import fig4_cachestats as module
-    elif name == "fig5":
-        from repro.experiments import fig5_traffic as module
-    elif name == "fig6":
-        from repro.experiments import fig6_utilization as module
-    elif name == "fig7":
-        from repro.experiments import fig7_sensitivity as module
-    elif name == "ext":
-        from repro.experiments import extensions as module
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown experiment {name!r}")
-    return module
+def _fail(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
 
 
-def _run_one(name: str, config: ExperimentConfig, *, as_json: bool) -> str:
-    module = _module_for(name)
-    result = module.run() if name == "table3" else module.run(config)
+def _csv(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _config(args) -> ExperimentConfig:
+    return ExperimentConfig(scale=args.scale, iterations=args.iterations)
+
+
+def _report(to_json, render, as_json: bool) -> None:
     if as_json:
-        return json.dumps({name: _summarise(name, result, config)}, indent=2)
-    return module.render(result)
-
-
-def _summarise(name: str, result, config: ExperimentConfig) -> dict:
-    """A compact JSON summary per experiment (full data stays in Python)."""
-    scale = config.scale
-    if name == "table3":
-        return {
-            row.spec.key: {
-                "batch": row.spec.batch,
-                "measured_footprint_bytes": row.measured_footprint,
-                "paper_footprint_bytes": row.spec.paper_footprint,
-                "kernels": row.kernels,
-            }
-            for row in result.rows
-        }
-    if name in ("fig2", "fig5", "fig6"):
-        out: dict = {}
-        for model, by_mode in result.results.items():
-            out[model] = {}
-            for mode, mode_result in by_mode.items():
-                iteration = mode_result.iteration
-                entry = {
-                    "seconds": round(iteration.seconds * scale, 2),
-                    "traffic_gb": {
-                        device: [
-                            round(v, 1) for v in mode_result.traffic_gb(device)
-                        ]
-                        for device in iteration.traffic
-                    },
-                }
-                if name == "fig6":
-                    entry["dram_utilization"] = round(
-                        mode_result.dram_utilization(), 4
-                    )
-                out[model][mode] = entry
-        return out
-    if name == "fig3":
-        return {
-            "model": result.model,
-            "peak_heap_gb": {
-                "2LM:0": round(result.peak_gb(result.unoptimized), 1),
-                "2LM:M": round(result.peak_gb(result.optimized), 1),
-            },
-            "gc_collections_2lm0": result.unoptimized.iteration.gc_collections,
-        }
-    if name == "fig4":
-        base = result.stats(result.unoptimized)
-        opt = result.stats(result.optimized)
-        return {
-            "2LM:0": {
-                "hit_rate": round(base.hit_rate, 4),
-                "clean_miss_rate": round(base.clean_miss_rate, 4),
-                "dirty_miss_rate": round(base.dirty_miss_rate, 4),
-            },
-            "2LM:M": {
-                "hit_rate": round(opt.hit_rate, 4),
-                "clean_miss_rate": round(opt.clean_miss_rate, 4),
-                "dirty_miss_rate": round(opt.dirty_miss_rate, 4),
-            },
-        }
-    if name == "ext":
-        scale = config.scale
-        return {
-            "platforms_seconds": {
-                label: round(it.seconds * scale, 1)
-                for label, it in result.platforms.items()
-            },
-            "async_seconds": result.async_movement,
-            "numa_seconds": {
-                label: round(it.seconds * scale, 1)
-                for label, it in result.numa.items()
-            },
-        }
-    if name == "fig7":
-        return {
-            model: {
-                str(budget): {
-                    "wall_seconds": round(result.seconds(model, budget), 2),
-                    "async_projection_seconds": round(
-                        result.async_seconds(model, budget), 2
-                    ),
-                }
-                for budget in result.budgets_gb
-            }
-            for model in result.results
-        }
-    raise ValueError(name)  # pragma: no cover
-
-
-def _export_trace(model: str, out_path: str | None, scale: int) -> int:
-    from repro.nn.models import MODEL_REGISTRY
-    from repro.workloads.serialize import save_trace
-
-    if model not in MODEL_REGISTRY:
-        print(
-            f"unknown model {model!r}; known: {', '.join(sorted(MODEL_REGISTRY))}",
-            file=sys.stderr,
-        )
-        return 2
-    trace = MODEL_REGISTRY[model].builder().training_trace()
-    if scale > 1:
-        trace = trace.scaled(scale)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fp:
-            save_trace(trace, fp)
-        print(
-            f"wrote {trace.name}: {len(trace.events)} events, "
-            f"{len(trace.tensors)} tensors -> {out_path}"
-        )
+        print(json.dumps(to_json(), indent=2, sort_keys=True))
     else:
-        save_trace(trace, sys.stdout)
-    return 0
+        print(render())
 
 
-def _profile(
-    model: str,
-    mode: str,
-    out_path: str | None,
-    jsonl_path: str | None,
-    config: ExperimentConfig,
-) -> int:
-    from repro.experiments import profile as profile_mod
-    from repro.telemetry.export import write_jsonl
-
-    if model not in profile_mod.available_models():
-        print(
-            f"unknown model {model!r}; known: "
-            f"{', '.join(profile_mod.available_models())}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        result = profile_mod.run_profile(model, mode, config)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fp:
-            json.dump(result.chrome_trace(), fp)
-        print(f"wrote Chrome trace ({len(result.events)} events) -> {out_path}")
-    if jsonl_path:
-        with open(jsonl_path, "w", encoding="utf-8") as fp:
-            write_jsonl(result.events, fp)
-        print(f"wrote event stream -> {jsonl_path}")
-    print(profile_mod.render(result))
-    return 0
+def _write_json(path: str | None, to_json, what: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fp:
+            json.dump(to_json(), fp, indent=2, sort_keys=True)
+        print(f"wrote {what} -> {path}")
 
 
 def _load_events(path: str):
@@ -288,19 +83,193 @@ def _load_events(path: str):
     return None
 
 
-def _explain(
-    paths: list[str], *, window: int, out: str | None, as_json: bool
-) -> int:
+# -- the paper's tables and figures -------------------------------------------
+
+
+def _table3_json(result, scale: int) -> dict:
+    return {
+        row.spec.key: {
+            "batch": row.spec.batch,
+            "measured_footprint_bytes": row.measured_footprint,
+            "paper_footprint_bytes": row.spec.paper_footprint,
+            "kernels": row.kernels,
+        }
+        for row in result.rows
+    }
+
+
+def _modes_json(result, scale: int, *, utilization: bool = False) -> dict:
+    def entry(mode_result) -> dict:
+        iteration = mode_result.iteration
+        doc = {
+            "seconds": round(iteration.seconds * scale, 2),
+            "traffic_gb": {
+                device: [round(v, 1) for v in mode_result.traffic_gb(device)]
+                for device in iteration.traffic
+            },
+        }
+        if utilization:
+            doc["dram_utilization"] = round(mode_result.dram_utilization(), 4)
+        return doc
+
+    return {
+        model: {mode: entry(mode_result) for mode, mode_result in by_mode.items()}
+        for model, by_mode in result.results.items()
+    }
+
+
+def _fig3_json(result, scale: int) -> dict:
+    return {
+        "model": result.model,
+        "peak_heap_gb": {
+            "2LM:0": round(result.peak_gb(result.unoptimized), 1),
+            "2LM:M": round(result.peak_gb(result.optimized), 1),
+        },
+        "gc_collections_2lm0": result.unoptimized.iteration.gc_collections,
+    }
+
+
+def _fig4_json(result, scale: int) -> dict:
+    runs = (("2LM:0", result.unoptimized), ("2LM:M", result.optimized))
+    return {
+        label: {
+            rate: round(getattr(result.stats(run), rate), 4)
+            for rate in ("hit_rate", "clean_miss_rate", "dirty_miss_rate")
+        }
+        for label, run in runs
+    }
+
+
+def _fig7_json(result, scale: int) -> dict:
+    return {
+        model: {
+            str(budget): {
+                "wall_seconds": round(result.seconds(model, budget), 2),
+                "async_projection_seconds": round(
+                    result.async_seconds(model, budget), 2
+                ),
+            }
+            for budget in result.budgets_gb
+        }
+        for model in result.results
+    }
+
+
+def _ext_json(result, scale: int) -> dict:
+    def seconds(by_label):
+        return {
+            label: round(it.seconds * scale, 1) for label, it in by_label.items()
+        }
+
+    return {
+        "platforms_seconds": seconds(result.platforms),
+        "async_seconds": result.async_movement,
+        "numa_seconds": seconds(result.numa),
+    }
+
+
+# name -> (module under repro.experiments, help line, compact --json summary;
+# the full data stays in Python).
+_fig6_json = partial(_modes_json, utilization=True)
+EXPERIMENTS = {
+    "table3": ("table3_models", "Table III: model shapes & footprints", _table3_json),
+    "fig2": ("fig2_runtime", "runtime across the six operating modes", _modes_json),
+    "fig3": ("fig3_heap", "heap occupancy over time, GC vs eager retire", _fig3_json),
+    "fig4": ("fig4_cachestats", "DRAM-cache hit/miss/writeback rates", _fig4_json),
+    "fig5": ("fig5_traffic", "GB moved per device and direction", _modes_json),
+    "fig6": ("fig6_utilization", "DRAM bus utilisation over time", _fig6_json),
+    "fig7": ("fig7_sensitivity", "DRAM-capacity sensitivity sweep", _fig7_json),
+    "ext": ("extensions", "Section VI extensions (CXL, async, NUMA)", _ext_json),
+}
+
+
+def _experiments(names, args) -> int:
+    config = _config(args)
+    summaries = {}
+    for name in names:
+        module_name, _, summarise = EXPERIMENTS[name]
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        # Table III is a property of the model zoo, not of a run.
+        result = module.run() if name == "table3" else module.run(config)
+        if args.json:
+            summaries[name] = summarise(result, config.scale)
+        else:
+            print(module.render(result), end="\n\n")
+    if args.json:
+        # One document keyed by experiment name, also for `all`.
+        print(json.dumps(summaries, indent=2), end="\n\n")
+    return 0
+
+
+# -- trace / profile / explain / diff / monitor --------------------------------
+
+
+def _trace(args) -> int:
+    from repro.nn.models import MODEL_REGISTRY
+    from repro.workloads.serialize import save_trace
+
+    if args.model not in MODEL_REGISTRY:
+        return _fail(
+            f"unknown model {args.model!r}; "
+            f"known: {', '.join(sorted(MODEL_REGISTRY))}"
+        )
+    trace = MODEL_REGISTRY[args.model].builder().training_trace()
+    if args.scale > 1:
+        trace = trace.scaled(args.scale)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fp:
+            save_trace(trace, fp)
+        print(
+            f"wrote {trace.name}: {len(trace.events)} events, "
+            f"{len(trace.tensors)} tensors -> {args.out}"
+        )
+    else:
+        save_trace(trace, sys.stdout)
+    return 0
+
+
+def _profile(args) -> int:
+    from repro.experiments import profile as profile_mod
+    from repro.telemetry.export import write_jsonl
+
+    result = profile_mod.run_profile(args.model, args.mode, _config(args))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fp:
+            json.dump(result.chrome_trace(), fp)
+        print(f"wrote Chrome trace ({len(result.events)} events) -> {args.out}")
+    if args.jsonl:
+        with open(args.jsonl, "w", encoding="utf-8") as fp:
+            write_jsonl(result.events, fp)
+        print(f"wrote event stream -> {args.jsonl}")
+    print(profile_mod.render(result))
+    return 0
+
+
+def _render_streams(explanations, attribution) -> str:
+    lines = [exp.render() + "\n" for exp in explanations]
+    lines.append(
+        f"stall attribution: {attribution['attributed_fraction']:.1%} of "
+        f"{attribution['total_stall_seconds']:.6f} s of movement-wait "
+        f"attributed to (stream, object) pairs"
+    )
+    lines.extend(
+        f"  {pair['stream'] or '<unattributed>'}: "
+        f"{pair['object']} {pair['seconds']:.6f} s"
+        for pair in attribution["pairs"][:8]
+    )
+    return "\n".join(lines)
+
+
+def _explain(args) -> int:
     from repro.telemetry.diff import explain_run, stall_attribution, streams_in
 
-    if len(paths) != 1:
-        print(
+    if len(args.paths) != 1:
+        return _fail(
             "explain takes exactly one trace path "
-            "(write one with: profile --model ... --jsonl run.jsonl)",
-            file=sys.stderr,
+            "(write one with: profile --model ... --jsonl run.jsonl)"
         )
-        return 2
-    events = _load_events(paths[0])
+    path = args.paths[0]
+    events = _load_events(path)
     if events is None:
         return 2
     # A multi-stream trace (a co-located run) gets one report per tenant
@@ -310,52 +279,117 @@ def _explain(
     if streams:
         explanations = [
             explain_run(
-                events, label=paths[0], ping_pong_window=window, stream=name
+                events, label=path, ping_pong_window=args.window, stream=name
             )
             for name in streams
         ]
         attribution = stall_attribution(events)
-        payload: dict = {
-            "streams": {
-                name: exp.to_json()
-                for name, exp in zip(streams, explanations)
-            },
-            "stall_attribution": attribution,
-        }
-        if out:
-            with open(out, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-            print(f"wrote explanation -> {out}")
-        if as_json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            for exp in explanations:
-                print(exp.render())
-                print()
-            print(
-                f"stall attribution: "
-                f"{attribution['attributed_fraction']:.1%} of "
-                f"{attribution['total_stall_seconds']:.6f} s of movement-wait "
-                f"attributed to (stream, object) pairs"
-            )
-            for pair in attribution["pairs"][:8]:
-                print(
-                    f"  {pair['stream'] or '<unattributed>'}: "
-                    f"{pair['object']} {pair['seconds']:.6f} s"
-                )
-        return 0
-    explanation = explain_run(
-        events, label=paths[0], ping_pong_window=window
-    )
-    if out:
-        with open(out, "w", encoding="utf-8") as fp:
-            json.dump(explanation.to_json(), fp, indent=2, sort_keys=True)
-        print(f"wrote explanation -> {out}")
-    if as_json:
-        print(json.dumps(explanation.to_json(), indent=2, sort_keys=True))
+
+        def to_json() -> dict:
+            return {
+                "streams": {
+                    name: exp.to_json() for name, exp in zip(streams, explanations)
+                },
+                "stall_attribution": attribution,
+            }
+
+        render = partial(_render_streams, explanations, attribution)
     else:
-        print(explanation.render())
+        explanation = explain_run(events, label=path, ping_pong_window=args.window)
+        to_json, render = explanation.to_json, explanation.render
+    _write_json(args.out, to_json, "explanation")
+    _report(to_json, render, args.json)
     return 0
+
+
+def _diff(args) -> int:
+    from repro.telemetry.diff import diff_runs
+
+    if len(args.paths) != 2:
+        return _fail(
+            "diff takes exactly two trace paths (baseline first): "
+            "python -m repro diff a.jsonl b.jsonl"
+        )
+    streams = []
+    for path in args.paths:
+        streams.append(_load_events(path))
+        if streams[-1] is None:
+            return 2
+    run_diff = diff_runs(
+        *streams,
+        label_a=args.paths[0],
+        label_b=args.paths[1],
+        ping_pong_window=args.window,
+    )
+    _write_json(args.out, run_diff.to_json, "diff report")
+    _report(run_diff.to_json, run_diff.render, args.json)
+    return 0
+
+
+def _monitor(args) -> int:
+    """The runtime-monitor dashboard: health, rollups, latencies, alerts.
+
+    Two sources: replay an existing JSONL trace (positional path), or attach
+    the monitor to a fresh run of ``--model`` under ``--mode``. Either way
+    the run folds into bounded-memory rollups and prints one
+    :class:`HealthSnapshot` dashboard (``--json`` for the machine form;
+    ``--out`` additionally writes the occupancy / in-flight-copy counter
+    tracks as a Perfetto-loadable Chrome trace).
+    """
+    from dataclasses import replace
+
+    from repro.telemetry.export import to_chrome_trace
+    from repro.telemetry.monitor import MonitorConfig, RuntimeMonitor
+
+    if args.interval <= 0:
+        return _fail("--interval must be positive")
+    monitor_cfg = MonitorConfig(window_seconds=args.interval, dump_dir=args.dump_dir)
+    events_for_trace = []
+    if args.paths:
+        if len(args.paths) != 1 or args.model:
+            return _fail(
+                "monitor takes one recorded trace path (from 'profile "
+                "--jsonl') or --model to run live, not both"
+            )
+        label = args.paths[0]
+        events_for_trace = _load_events(label)
+        if events_for_trace is None:
+            return 2
+        monitor = RuntimeMonitor(monitor_cfg)
+        monitor.observe_all(events_for_trace)
+        monitor.finish()
+    elif args.model:
+        from repro.experiments import profile as profile_mod
+        from repro.experiments.common import run_trace_mode
+
+        run_config = replace(_config(args), monitor=True, monitor_config=monitor_cfg)
+        trace = profile_mod.trace_for(args.model, run_config)
+        monitor = run_trace_mode(
+            trace, args.mode, run_config, model_label=args.model
+        ).monitor
+        label = f"{args.model} under {args.mode}"
+    else:
+        return _fail(
+            "monitor needs a recorded trace path or --model "
+            "(e.g. python -m repro monitor --model tiny)"
+        )
+    if args.out:
+        doc = to_chrome_trace(events_for_trace, timelines=monitor.counter_timelines())
+        with open(args.out, "w", encoding="utf-8") as fp:
+            json.dump(doc, fp)
+        # With --json, stdout carries exactly the snapshot document.
+        info = sys.stderr if args.json else sys.stdout
+        print(f"wrote counter trace -> {args.out}", file=info)
+    snapshot = monitor.snapshot(recent_windows=8)
+    _report(
+        snapshot.to_json,
+        lambda: f"runtime monitor: {label}\n{snapshot.render()}",
+        args.json,
+    )
+    return 0
+
+
+# -- colo / serve / taxonomy: run, report, --check ------------------------------
 
 
 def _check_contract(
@@ -386,397 +420,185 @@ def _check_contract(
     return 0 if deterministic and not problems else 1
 
 
-def _colo(
-    tenants: str,
-    config: ExperimentConfig,
-    *,
-    mode: str,
-    check: bool,
-    as_json: bool,
-) -> int:
+def _checked(args, module, run, gate, fail_prefix: str) -> int:
+    """Run, report, and under ``--check`` rerun and apply ``gate``.
+
+    ``gate(result)`` returns the failed-gate messages and the line printed
+    when there are none.
+    """
+    result = run()
+    _report(result.to_json, lambda: module.render(result), args.json)
+    if not args.check:
+        return 0
+    problems, ok_line = gate(result)
+    return _check_contract(result, run, problems, ok_line, fail_prefix, args.json)
+
+
+def _colo(args) -> int:
     from repro.experiments import colo as colo_mod
 
-    names = tuple(t.strip() for t in tenants.split(",") if t.strip())
-    try:
-        result = colo_mod.run_colo(names, config, mode_name=mode)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if as_json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        print(colo_mod.render(result))
-    if not check:
-        return 0
-    # --check: the co-run must also be explainable — at least 90% of
-    # movement-wait stall time attributed to a specific (tenant, object) pair.
-    fraction = result.attribution.get("attributed_fraction", 0.0)
-    return _check_contract(
-        result,
-        lambda: colo_mod.run_colo(names, config, mode_name=mode),
-        [f"only {fraction:.1%} of stall time attributed (need >= 90%)"]
-        if fraction < 0.9
-        else [],
-        f"attribution: {fraction:.1%} of stall time attributed",
-        "ATTRIBUTION FAIL",
-        as_json,
+    def gate(result):
+        # The co-run must also be explainable: at least 90% of movement-wait
+        # stall time attributed to a specific (tenant, object) pair.
+        fraction = result.attribution.get("attributed_fraction", 0.0)
+        if fraction < 0.9:
+            return [f"only {fraction:.1%} of stall time attributed (need >= 90%)"], ""
+        return [], f"attribution: {fraction:.1%} of stall time attributed"
+
+    run = partial(
+        colo_mod.run_colo, _csv(args.tenants), _config(args), mode_name=args.mode
     )
+    return _checked(args, colo_mod, run, gate, "ATTRIBUTION FAIL")
 
 
-def _serve(
-    config: ExperimentConfig,
-    *,
-    mode: str,
-    rates: str | None,
-    requests: int,
-    slots: int,
-    seed: int,
-    check: bool,
-    as_json: bool,
-) -> int:
+def _serve(args) -> int:
     from repro.experiments import serving as serving_mod
 
-    explicit_rates: tuple[float, ...] | None = None
-    if rates:
+    rates = None
+    if args.rates:
         try:
-            explicit_rates = tuple(
-                float(r.strip()) for r in rates.split(",") if r.strip()
-            )
+            rates = tuple(float(rate) for rate in _csv(args.rates))
         except ValueError:
-            print(
-                f"--rates must be comma-separated numbers, got {rates!r}",
-                file=sys.stderr,
+            return _fail(
+                f"--rates must be comma-separated numbers, got {args.rates!r}"
             )
-            return 2
     # --check pins the documented 3-point sweep (unless --rates overrides
     # it): one point below saturation and two past it, so the monotonicity
     # gates have load points on both sides of the knee.
     multipliers = (
         serving_mod.CHECK_MULTIPLIERS
-        if check and explicit_rates is None
+        if args.check and rates is None
         else serving_mod.ServingConfig.rate_multipliers
     )
-    try:
-        serving_cfg = serving_mod.ServingConfig(
-            slots=slots,
-            requests=requests,
-            seed=seed,
-            rates=explicit_rates,
-            rate_multipliers=multipliers,
-        )
-        result = serving_mod.run_serving(config, serving_cfg, mode_name=mode)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if as_json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        print(serving_mod.render(result))
-    if not check:
-        return 0
-    # --check: the sweep must also be shaped like a saturating system:
-    # normalized p99 never falls as load rises, goodput never rises past
-    # saturation (see check_serving).
-    return _check_contract(
-        result,
-        lambda: serving_mod.run_serving(config, serving_cfg, mode_name=mode),
-        serving_mod.check_serving(result),
-        "sweep shape: normalized p99 non-decreasing, goodput "
-        "non-increasing past saturation",
-        "SWEEP-SHAPE FAIL",
-        as_json,
+    serving_cfg = serving_mod.ServingConfig(
+        slots=args.slots,
+        requests=args.requests,
+        seed=args.seed,
+        rates=rates,
+        rate_multipliers=multipliers,
+    )
+    run = partial(
+        serving_mod.run_serving, _config(args), serving_cfg, mode_name=args.mode
     )
 
+    def gate(result):
+        # The sweep must also be shaped like a saturating system.
+        return serving_mod.check_serving(result), (
+            "sweep shape: normalized p99 non-decreasing, goodput "
+            "non-increasing past saturation"
+        )
 
-def _taxonomy(
-    config: ExperimentConfig,
-    *,
-    workloads: str | None,
-    modes: str | None,
-    check: bool,
-    as_json: bool,
-) -> int:
+    return _checked(args, serving_mod, run, gate, "SWEEP-SHAPE FAIL")
+
+
+def _taxonomy(args) -> int:
     from repro.experiments import taxonomy as taxonomy_mod
 
-    names = (
-        tuple(w.strip() for w in workloads.split(",") if w.strip())
-        if workloads
-        else taxonomy_mod.DEFAULT_WORKLOADS
+    workloads = taxonomy_mod.DEFAULT_WORKLOADS
+    if args.workloads:
+        workloads = _csv(args.workloads)
+    run = partial(
+        taxonomy_mod.run_taxonomy,
+        _config(args),
+        workloads=workloads,
+        modes=_csv(args.modes) if args.modes else None,
     )
-    mode_names = (
-        tuple(m.strip() for m in modes.split(",") if m.strip())
-        if modes
-        else None
-    )
-    try:
-        result = taxonomy_mod.run_taxonomy(
-            config, workloads=names, modes=mode_names
+
+    def gate(result):
+        # The matrix must also be correctly classified: fractions sum to 1,
+        # >=95% of reference-cell time attributed, pinned verdicts hold, and
+        # the cheap monitor tier agrees with the full trace.
+        return taxonomy_mod.check_taxonomy(result), (
+            "classification: fractions exact, verdicts pinned, "
+            "monitor tier agrees with full trace"
         )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if as_json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
-    else:
-        print(taxonomy_mod.render(result))
-    if not check:
-        return 0
-    # --check: the matrix must also be correctly classified: fractions sum
-    # to 1, >=95% of reference-cell time is attributed, pinned verdicts
-    # hold, and the cheap monitor tier agrees with the full trace (see
-    # check_taxonomy).
-    return _check_contract(
-        result,
-        lambda: taxonomy_mod.run_taxonomy(
-            config, workloads=names, modes=mode_names
-        ),
-        taxonomy_mod.check_taxonomy(result),
-        "classification: fractions exact, verdicts pinned, "
-        "monitor tier agrees with full trace",
-        "CLASSIFICATION FAIL",
-        as_json,
-    )
+
+    return _checked(args, taxonomy_mod, run, gate, "CLASSIFICATION FAIL")
 
 
-def _diff(
-    paths: list[str], *, window: int, out: str | None, as_json: bool
-) -> int:
-    from repro.telemetry.diff import diff_runs
-
-    if len(paths) != 2:
-        print(
-            "diff takes exactly two trace paths (baseline first): "
-            "python -m repro diff a.jsonl b.jsonl",
-            file=sys.stderr,
-        )
-        return 2
-    events_a = _load_events(paths[0])
-    if events_a is None:
-        return 2
-    events_b = _load_events(paths[1])
-    if events_b is None:
-        return 2
-    run_diff = diff_runs(
-        events_a,
-        events_b,
-        label_a=paths[0],
-        label_b=paths[1],
-        ping_pong_window=window,
-    )
-    if out:
-        with open(out, "w", encoding="utf-8") as fp:
-            json.dump(run_diff.to_json(), fp, indent=2, sort_keys=True)
-        print(f"wrote diff report -> {out}")
-    if as_json:
-        print(json.dumps(run_diff.to_json(), indent=2, sort_keys=True))
-    else:
-        print(run_diff.render())
-    return 0
+# -- snapshot / restore ---------------------------------------------------------
 
 
-def _monitor(
-    paths: list[str],
-    model: str | None,
-    mode: str,
-    config: ExperimentConfig,
-    *,
-    interval: float,
-    out: str | None,
-    dump_dir: str | None,
-    as_json: bool,
-) -> int:
-    """The runtime-monitor dashboard: health, rollups, latencies, alerts.
-
-    Two sources: replay an existing JSONL trace (positional path), or attach
-    the monitor to a fresh run of ``--model`` under ``--mode``. Either way
-    the run folds into bounded-memory rollups and prints one
-    :class:`HealthSnapshot` dashboard (``--json`` for the machine form;
-    ``--out`` additionally writes the occupancy / in-flight-copy counter
-    tracks as a Perfetto-loadable Chrome trace).
-    """
-    from dataclasses import replace
-
-    from repro.telemetry.export import to_chrome_trace
-    from repro.telemetry.monitor import MonitorConfig, RuntimeMonitor
-
-    if interval <= 0:
-        print("--interval must be positive", file=sys.stderr)
-        return 2
-    monitor_cfg = MonitorConfig(window_seconds=interval, dump_dir=dump_dir)
-    events_for_trace = []
-    if paths:
-        if len(paths) != 1 or model:
-            print(
-                "monitor takes one recorded trace path (from 'profile "
-                "--jsonl') or --model to run live, not both",
-                file=sys.stderr,
-            )
-            return 2
-        stream = _load_events(paths[0])
-        if stream is None:
-            return 2
-        monitor = RuntimeMonitor(monitor_cfg)
-        monitor.observe_all(stream)
-        monitor.finish()
-        events_for_trace = stream
-        label = paths[0]
-    else:
-        if not model:
-            print(
-                "monitor needs a recorded trace path or --model "
-                "(e.g. python -m repro monitor --model tiny)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.experiments import profile as profile_mod
-        from repro.experiments.common import run_trace_mode
-
-        run_config = replace(config, monitor=True, monitor_config=monitor_cfg)
-        try:
-            trace = profile_mod.trace_for(model, run_config)
-            result = run_trace_mode(trace, mode, run_config, model_label=model)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        monitor = result.monitor
-        label = f"{model} under {mode}"
-    if out:
-        doc = to_chrome_trace(
-            events_for_trace, timelines=monitor.counter_timelines()
-        )
-        with open(out, "w", encoding="utf-8") as fp:
-            json.dump(doc, fp)
-        # With --json, stdout carries exactly the snapshot document.
-        info = sys.stderr if as_json else sys.stdout
-        print(f"wrote counter trace -> {out}", file=info)
-    snapshot = monitor.snapshot(recent_windows=8)
-    if as_json:
-        print(json.dumps(snapshot.to_json(), indent=2, sort_keys=True))
-    else:
-        print(f"runtime monitor: {label}")
-        print(snapshot.render())
-    return 0
-
-
-def _snapshot_cmd(
-    model: str,
-    mode: str,
-    out_path: str | None,
-    config: ExperimentConfig,
-    *,
-    pause_after: int,
-) -> int:
-    """Run a model, pause at a kernel boundary, and save the runtime snapshot.
-
-    When the run finishes before ``pause_after`` kernels there is nothing to
-    snapshot; the final digest is printed instead (the same digest `restore`
-    prints on completion, so the pair scripts a round-trip check).
-    """
+def _paused_or_done(result, out_path, need_out: str, done: str) -> int:
+    """Save ``result`` if the run paused again, else print its final digest
+    (the same digest from `snapshot` and `restore`, so the pair scripts a
+    round-trip check)."""
     from repro.runtime.elastic import (
         RuntimeSnapshot,
-        checkpoint_model_mode,
         digest_mode_result,
         save_snapshot,
     )
 
-    try:
-        result = checkpoint_model_mode(
-            model, mode, config, pause_after=pause_after
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if isinstance(result, RuntimeSnapshot):
-        if not out_path:
-            print("snapshot requires --out to name the snapshot file",
-                  file=sys.stderr)
-            return 2
-        save_snapshot(result, out_path)
-        print(
-            f"paused {result.label} at t={result.virtual_time:.6f} "
-            f"after {result.kernels_done} kernels -> {out_path}"
-        )
+    if not isinstance(result, RuntimeSnapshot):
+        print(f"{done}; digest {digest_mode_result(result)}")
         return 0
+    if not out_path:
+        return _fail(need_out)
+    save_snapshot(result, out_path)
     print(
-        f"run completed before kernel {pause_after}; "
-        f"digest {digest_mode_result(result)}"
+        f"paused {result.label} at t={result.virtual_time:.6f} "
+        f"after {result.kernels_done} kernels -> {out_path}"
     )
     return 0
 
 
-def _restore_cmd(
-    paths: list[str], out_path: str | None, *, pause_after: int | None
-) -> int:
-    """Resume a saved snapshot; print the final digest (or re-pause)."""
-    from repro.runtime.elastic import (
-        RuntimeSnapshot,
-        digest_mode_result,
-        load_snapshot,
-        resume_snapshot,
+def _snapshot(args) -> int:
+    from repro.runtime.elastic import checkpoint_model_mode
+
+    pause_after = 8 if args.pause_after is None else args.pause_after
+    return _paused_or_done(
+        checkpoint_model_mode(
+            args.model, args.mode, _config(args), pause_after=pause_after
+        ),
+        args.out,
+        "snapshot requires --out to name the snapshot file",
+        f"run completed before kernel {pause_after}",
     )
 
-    if len(paths) != 1:
-        print(
+
+def _restore(args) -> int:
+    from repro.runtime.elastic import load_snapshot, resume_snapshot
+
+    if len(args.paths) != 1:
+        return _fail(
             "restore takes exactly one snapshot path (written by 'snapshot "
-            "--out')",
-            file=sys.stderr,
+            "--out')"
         )
-        return 2
     try:
-        snapshot = load_snapshot(paths[0])
-        result = resume_snapshot(snapshot, pause_after=pause_after)
-    except (ConfigurationError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if isinstance(result, RuntimeSnapshot):
-        if not out_path:
-            print(
-                "re-pausing (--pause-after) requires --out for the chained "
-                "snapshot",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.runtime.elastic import save_snapshot
-
-        save_snapshot(result, out_path)
-        print(
-            f"paused {result.label} at t={result.virtual_time:.6f} "
-            f"after {result.kernels_done} kernels -> {out_path}"
-        )
-        return 0
-    print(
-        f"resumed {snapshot.label} from kernel {snapshot.kernels_done}; "
-        f"digest {digest_mode_result(result)}"
+        snapshot = load_snapshot(args.paths[0])
+    except OSError as exc:
+        return _fail(str(exc))
+    return _paused_or_done(
+        resume_snapshot(snapshot, pause_after=args.pause_after),
+        args.out,
+        "re-pausing (--pause-after) requires --out for the chained snapshot",
+        f"resumed {snapshot.label} from kernel {snapshot.kernels_done}",
     )
-    return 0
 
 
-def _bisect(plan_name: str, *, as_json: bool) -> int:
+# -- chaos ----------------------------------------------------------------------
+
+
+def _bisect(args) -> int:
     from repro.faults.chaos import bisect_plan
     from repro.faults.plan import FAULT_PLANS
 
-    if plan_name not in FAULT_PLANS:
-        print(
-            f"--bisect needs a specific fault plan, not {plan_name!r}; "
-            f"known: {', '.join(FAULT_PLANS)}",
-            file=sys.stderr,
+    if args.plan not in FAULT_PLANS:
+        return _fail(
+            f"--bisect needs a specific fault plan, not {args.plan!r}; "
+            f"known: {', '.join(FAULT_PLANS)}"
         )
-        return 2
-    result = bisect_plan(plan_name)
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "plan": result.plan.name,
-                    "error": result.error,
-                    "failing_step": result.failing_step,
-                    "fired_total": result.fired_total,
-                    "probes": result.probes,
-                    "window": [fault.to_json() for fault in result.window],
-                },
-                indent=2,
-            )
-        )
+    result = bisect_plan(args.plan)
+    if args.json:
+        doc = {
+            "plan": result.plan.name,
+            "error": result.error,
+            "failing_step": result.failing_step,
+            "fired_total": result.fired_total,
+            "probes": result.probes,
+            "window": [fault.to_json() for fault in result.window],
+        }
+        print(json.dumps(doc, indent=2))
     else:
         print(result.render())
     # Exit 0 when the plan passed (nothing to narrow) or the window was
@@ -784,82 +606,66 @@ def _bisect(plan_name: str, *, as_json: bool) -> int:
     return 0 if (not result.error or result.ok) else 1
 
 
-def _chaos(
-    plan_name: str, *, as_json: bool, dump_dir: str | None = None
-) -> int:
+_OUTCOME_FIELDS = (
+    "ok", "completed", "error", "typed_abort", "digests_match",
+    "invariants_clean", "faults_fired", "recoveries", "copy_retries",
+    "strikes", "quarantined", "flight_record",
+)
+
+
+def _chaos(args) -> int:
     import tempfile
 
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FAULT_PLANS
 
-    if plan_name == "all":
+    if args.bisect:
+        return _bisect(args)
+    if args.plan == "all":
         names = tuple(FAULT_PLANS)
-    elif plan_name in FAULT_PLANS:
-        names = (plan_name,)
+    elif args.plan in FAULT_PLANS:
+        names = (args.plan,)
     else:
-        print(
-            f"unknown fault plan {plan_name!r}; known: "
-            f"{', '.join(FAULT_PLANS)} (or 'all')",
-            file=sys.stderr,
+        return _fail(
+            f"unknown fault plan {args.plan!r}; known: "
+            f"{', '.join(FAULT_PLANS)} (or 'all')"
         )
-        return 2
     # Flight-recorder dumps outlive the process so a failing scenario's
     # black box can be inspected (or attached to a CI artifact): default to
     # a fresh temp directory rather than discarding the recordings.
+    dump_dir = args.dump_dir
     if dump_dir is None:
         dump_dir = tempfile.mkdtemp(prefix="repro-chaos-flight-")
     reports = [run_chaos(name, dump_dir=dump_dir) for name in names]
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    report.plan.name: {
-                        "ok": report.ok,
-                        "scenarios": {
-                            o.scenario: {
-                                "ok": o.ok,
-                                "completed": o.completed,
-                                "error": o.error,
-                                "typed_abort": o.typed_abort,
-                                "digests_match": o.digests_match,
-                                "invariants_clean": o.invariants_clean,
-                                "faults_fired": o.faults_fired,
-                                "recoveries": o.recoveries,
-                                "copy_retries": o.copy_retries,
-                                "strikes": o.strikes,
-                                "quarantined": o.quarantined,
-                                "flight_record": o.flight_record,
-                            }
-                            for o in report.outcomes
-                        },
-                    }
-                    for report in reports
+    if args.json:
+        doc = {
+            report.plan.name: {
+                "ok": report.ok,
+                "scenarios": {
+                    o.scenario: {f: getattr(o, f) for f in _OUTCOME_FIELDS}
+                    for o in report.outcomes
                 },
-                indent=2,
-            )
-        )
+            }
+            for report in reports
+        }
+        print(json.dumps(doc, indent=2))
     else:
         for report in reports:
             print(report.render())
             print()
         failed = [r.plan.name for r in reports if not r.ok]
-        verdict = (
+        print(
             f"FAILED plans: {', '.join(failed)}"
             if failed
             else f"all {len(reports)} plan(s) honoured the robustness contract"
         )
-        print(verdict)
     return 0 if all(report.ok for report in reports) else 1
 
 
-def _bench(
-    *,
-    quick: bool,
-    out: str | None,
-    baseline: str | None,
-    threshold: float,
-    as_json: bool,
-) -> int:
+# -- bench ----------------------------------------------------------------------
+
+
+def _bench(args) -> int:
     import os
 
     from repro.bench import (
@@ -871,27 +677,25 @@ def _bench(
     )
 
     try:
-        report = run_suite(quick=quick)
+        report = run_suite(quick=args.quick)
     except ValueError as exc:  # bad BENCH_SCALE
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _fail(str(exc))
 
     # Resolve the output path: --out may name a file or a directory;
     # default is bench-results/BENCH_<date>.json (gitignored scratch).
+    out = args.out
     if out and out.endswith(".json"):
         out_dir, out_path = os.path.dirname(out) or ".", out
     else:
         out_dir = out or "bench-results"
-        out_path = os.path.join(
-            out_dir, bench_filename(report.created_at[:10])
-        )
+        out_path = os.path.join(out_dir, bench_filename(report.created_at[:10]))
     os.makedirs(out_dir, exist_ok=True)
 
     # Previous trajectory point: explicit --baseline, else the newest
     # BENCH_*.json already in the output directory (dates sort); a same-day
     # rerun gates against the point it is about to overwrite, so the
     # baseline must be loaded *before* the report is written.
-    previous_path = baseline
+    previous_path = args.baseline
     if previous_path is None:
         candidates = sorted(
             name
@@ -909,13 +713,10 @@ def _bench(
         try:
             previous = load_report(previous_path)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(
-                f"cannot read baseline {previous_path}: {exc}", file=sys.stderr
-            )
-            return 2
+            return _fail(f"cannot read baseline {previous_path}: {exc}")
 
     write_report(report, out_path)
-    if as_json:
+    if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         print(f"wrote trajectory point -> {out_path}")
@@ -930,273 +731,208 @@ def _bench(
 
     # With --json, stdout carries exactly the report; gate prose goes to
     # stderr so `python -m repro bench --json > point.json` stays parseable.
-    info = sys.stderr if as_json else sys.stdout
+    info = sys.stderr if args.json else sys.stdout
     if previous is None:
         print("no previous trajectory point; regression gate skipped", file=info)
         return 0
-    comparison = compare(report, previous, threshold=threshold)
+    comparison = compare(report, previous, threshold=args.threshold)
     print(f"gate vs {previous_path}:", file=info)
     print(comparison.render(), file=info)
     return 0 if comparison.ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+# -- the table ------------------------------------------------------------------
+
+
+def _opt(*flags: str, **kwargs):
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+def _model(required: bool):
+    return _opt("--model", required=required, help="model key (see table3)")
+
+
+def _out(what: str):
+    return _opt("--out", help=f"write {what} to this path")
+
+
+SCALE = _opt("--scale", type=int, default=16,
+             help="divide workload and device sizes by this factor (default 16)")
+ITERATIONS = _opt("--iterations", type=int, default=2,
+                  help="training iterations per run; the last is reported "
+                  "(default 2)")
+JSON = _opt("--json", action="store_true",
+            help="emit machine-readable JSON on stdout instead of the text report")
+MODE = _opt("--mode", default="CA:LM", help="operating mode (default CA:LM)")
+CHECK = _opt("--check", action="store_true",
+             help="also verify determinism across two runs plus the command's "
+             "result contract (exit status 1 on failure)")
+WINDOW = _opt("--window", type=int, default=8,
+              help="kernels within which an evict-then-refetch counts as a "
+              "ping-pong (default 8)")
+DUMP_DIR = _opt("--dump-dir",
+                help="directory for flight-recorder dumps (chaos defaults to a "
+                "fresh temp directory)")
+PAUSE_AFTER = _opt("--pause-after", type=int,
+                   help="pause after this many completed kernels (snapshot "
+                   "default 8; restore default runs to completion)")
+PATHS = _opt("paths", nargs="*",
+             help="recorded inputs: JSONL event streams written by the profile "
+             "command (explain one, diff two with the baseline first, monitor "
+             "at most one) or, for restore, one snapshot file")
+
+
+class Command(NamedTuple):
+    """One subcommand: everything argparse and ``--help`` know about it."""
+
+    help: str
+    options: tuple
+    run: Callable[[argparse.Namespace], int]
+
+
+COMMANDS: dict[str, Command] = {
+    **{
+        name: Command(line, (SCALE, ITERATIONS, JSON), partial(_experiments, (name,)))
+        for name, (_, line, _) in EXPERIMENTS.items()
+    },
+    "all": Command(
+        "every table and figure above, one run",
+        (SCALE, ITERATIONS, JSON),
+        partial(_experiments, tuple(EXPERIMENTS)),
+    ),
+    "trace": Command(
+        "export a model's kernel trace as versioned JSON",
+        (_model(True), SCALE, _out("the kernel trace (default: stdout)")),
+        _trace,
+    ),
+    "profile": Command(
+        "traced run + 'top movers by cause' movement report",
+        (_model(True), MODE, SCALE, ITERATIONS,
+         _out("a Perfetto-loadable Chrome trace"),
+         _opt("--jsonl", help="also write the raw event stream here")),
+        _profile,
+    ),
+    "explain": Command(
+        "object-lifetime ledger report from one recorded event stream",
+        (PATHS, WINDOW, _out("the report JSON"), JSON),
+        _explain,
+    ),
+    "diff": Command(
+        "attribute the virtual-time delta between two recorded runs",
+        (PATHS, WINDOW, _out("the report JSON"), JSON),
+        _diff,
+    ),
+    "monitor": Command(
+        "fold a run (recorded or live) into the runtime-monitor dashboard",
+        (PATHS, _model(False), MODE, SCALE, ITERATIONS,
+         _opt("--interval", type=float, default=0.25,
+              help="rollup window length in virtual seconds (default 0.25)"),
+         _out("the counter tracks as a Chrome trace"), DUMP_DIR, JSON),
+        _monitor,
+    ),
+    "chaos": Command(
+        "run the workloads under seeded fault plans (exit 1 on a violation)",
+        (_opt("--plan", default="all",
+              help="fault plan name, or 'all' (default all)"),
+         _opt("--bisect", action="store_true",
+              help="binary-search the named plan's fired faults down to the "
+              "narrowest window that still reproduces the failure"),
+         DUMP_DIR, JSON),
+        _chaos,
+    ),
+    "bench": Command(
+        "pinned wall-clock suite + trajectory regression gate",
+        (_opt("--quick", action="store_true",
+              help="reduced suite for CI smoke runs (docs/benchmarking.md)"),
+         _out("BENCH_<date>.json (file or directory; default bench-results/)"),
+         _opt("--baseline",
+              help="gate against this BENCH_*.json instead of the newest point "
+              "in the output directory"),
+         _opt("--threshold", type=float, default=0.2,
+              help="fail when normalized wall time regresses more than this "
+              "fraction (default 0.2)"),
+         JSON),
+        _bench,
+    ),
+    "colo": Command(
+        "co-run tenant workloads on one shared memory system",
+        (_opt("--tenants", default="cnn,dlrm",
+              help="comma-separated tenant workloads to co-run (default "
+              "cnn,dlrm; known: cnn, dlrm, stream)"),
+         MODE, SCALE, ITERATIONS, CHECK, JSON),
+        _colo,
+    ),
+    "snapshot": Command(
+        "pause a run at a kernel boundary and save the runtime state",
+        (_model(True), MODE, SCALE, ITERATIONS, PAUSE_AFTER, _out("the snapshot")),
+        _snapshot,
+    ),
+    "restore": Command(
+        "resume a saved snapshot and print the final digest",
+        (PATHS, PAUSE_AFTER, _out("the chained snapshot when re-pausing")),
+        _restore,
+    ),
+    "serve": Command(
+        "open-loop request-load sweep over the shared runtime",
+        (_opt("--rates",
+              help="comma-separated offered loads in requests/s (default: "
+              "multiples of the measured saturation rate)"),
+         _opt("--requests", type=int, default=60,
+              help="arrivals per rate point (default 60)"),
+         _opt("--slots", type=int, default=4,
+              help="concurrent request slots, as in llama.cpp's parallel "
+              "example (default 4)"),
+         _opt("--seed", type=int, default=7,
+              help="arrival-process seed (default 7)"),
+         MODE, SCALE, ITERATIONS, CHECK, JSON),
+        _serve,
+    ),
+    "taxonomy": Command(
+        "classify the movement-signature workloads into bottleneck classes",
+        (_opt("--workloads",
+              help="comma-separated movement-signature workloads (default "
+              "pointer-chase,scan,tiny-objects,stream-compute)"),
+         _opt("--modes",
+              help="comma-separated operating modes to sweep (default: all "
+              "six; must include the CA:LM reference mode)"),
+         SCALE, ITERATIONS, CHECK, JSON),
+        _taxonomy,
+    ),
+}
+
+# Every valid first positional argument, in ``--help`` order.
+# (``tools/check_docs.py`` holds the docs to COMMANDS, flags included.)
+SUBCOMMANDS = tuple(COMMANDS)
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cachedarrays",
-        description="Regenerate the CachedArrays (IPDPS 2024) tables and figures.",
+        description="Regenerate the CachedArrays (IPDPS 2024) tables and "
+        "figures, and drive the runtime's tools. `<command> --help` lists "
+        "that command's options.",
     )
-    parser.add_argument(
-        "experiment",
-        choices=SUBCOMMANDS,
-        help="which table/figure to regenerate, 'trace' to export a model's "
-        "kernel trace, 'profile' to run one with event tracing on, "
-        "'explain' to report on a recorded event stream, 'diff' to "
-        "attribute the delta between two recorded runs, 'monitor' to "
-        "fold a run (recorded or live) into the runtime-monitor health "
-        "dashboard, 'chaos' to run "
-        "the fault-injection suite, 'bench' to run the pinned "
-        "performance suite, 'colo' to co-run tenant workloads on one "
-        "shared memory system, 'snapshot' to pause a run at a kernel "
-        "boundary and save it, 'restore' to resume a saved snapshot, "
-        "'serve' to sweep open-loop request load over the shared runtime, "
-        "or 'taxonomy' to classify the movement-signature workloads into "
-        "bottleneck classes across every operating mode",
+    subparsers = parser.add_subparsers(
+        dest="command", metavar="<command>", required=True
     )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="JSONL event streams for 'explain' (one), 'diff' (two, "
-        "baseline first), and 'monitor' (one, optional); written by "
-        "'profile --jsonl'. For 'restore': one snapshot file written by "
-        "'snapshot --out'",
-    )
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=16,
-        help="divide workload and device sizes by this factor (default 16)",
-    )
-    parser.add_argument(
-        "--iterations",
-        type=int,
-        default=2,
-        help="training iterations per run; the last is reported (default 2)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable summary instead of the text report",
-    )
-    parser.add_argument(
-        "--model", help="model key for the 'trace' and 'profile' commands"
-    )
-    parser.add_argument(
-        "--out",
-        help="output path: the kernel trace for 'trace', the Chrome "
-        "trace-event JSON for 'profile'",
-    )
-    parser.add_argument(
-        "--mode",
-        default="CA:LM",
-        help="operating mode for 'profile' (default CA:LM)",
-    )
-    parser.add_argument(
-        "--jsonl", help="also write the raw event stream ('profile' only)"
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        help="explain/diff: kernels within which an evict-then-refetch "
-        "counts as a ping-pong (default 8)",
-    )
-    parser.add_argument(
-        "--plan",
-        default="all",
-        help="fault plan for 'chaos': a plan name or 'all' (default all)",
-    )
-    parser.add_argument(
-        "--bisect",
-        action="store_true",
-        help="chaos: binary-search the named --plan's fired faults down to "
-        "the narrowest window that still reproduces the failure",
-    )
-    parser.add_argument(
-        "--pause-after",
-        type=int,
-        default=None,
-        help="snapshot/restore: pause after this many completed kernels "
-        "(snapshot default 8; restore default runs to completion)",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=0.25,
-        help="monitor: rollup window length in virtual seconds "
-        "(default 0.25)",
-    )
-    parser.add_argument(
-        "--dump-dir",
-        help="monitor/chaos: directory for flight-recorder dumps "
-        "(chaos defaults to a fresh temp directory)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="bench: reduced suite for CI smoke runs (see docs/benchmarking.md)",
-    )
-    parser.add_argument(
-        "--baseline",
-        help="bench: gate against this BENCH_*.json instead of the newest "
-        "point in the output directory",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help="bench: fail when normalized wall time regresses more than "
-        "this fraction (default 0.2)",
-    )
-    parser.add_argument(
-        "--tenants",
-        default="cnn,dlrm",
-        help="colo: comma-separated tenant workloads to co-run "
-        "(default cnn,dlrm; known: cnn, dlrm, stream)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="colo/serve/taxonomy: verify determinism across two runs plus "
-        "the command's result contract (exit status 1 on failure)",
-    )
-    parser.add_argument(
-        "--workloads",
-        help="taxonomy: comma-separated movement-signature workloads "
-        "(default pointer-chase,scan,tiny-objects,stream-compute)",
-    )
-    parser.add_argument(
-        "--modes",
-        help="taxonomy: comma-separated operating modes to sweep "
-        "(default: all six; must include the CA:LM reference mode)",
-    )
-    parser.add_argument(
-        "--rates",
-        help="serve: comma-separated offered loads in requests/s (default: "
-        "multiples of the measured saturation rate)",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=60,
-        help="serve: arrivals per rate point (default 60)",
-    )
-    parser.add_argument(
-        "--slots",
-        type=int,
-        default=4,
-        help="serve: concurrent request slots, as in llama.cpp's parallel "
-        "example (default 4)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="serve: arrival-process seed (default 7)",
-    )
-    args = parser.parse_args(argv)
-    if args.paths and args.experiment not in (
-        "explain", "diff", "monitor", "restore"
-    ):
-        parser.error(
-            f"positional paths only apply to 'explain', 'diff', 'monitor', "
-            f"and 'restore', not {args.experiment!r}"
+    for name, command in COMMANDS.items():
+        # No prefix matching: `taxonomy --mode` must not resolve to --modes.
+        sub = subparsers.add_parser(
+            name, help=command.help, description=command.help, allow_abbrev=False
         )
-    if args.experiment == "restore":
-        return _restore_cmd(
-            args.paths, args.out, pause_after=args.pause_after
-        )
-    if args.experiment == "explain":
-        return _explain(
-            args.paths, window=args.window, out=args.out, as_json=args.json
-        )
-    if args.experiment == "diff":
-        return _diff(
-            args.paths, window=args.window, out=args.out, as_json=args.json
-        )
-    if args.experiment == "bench":
-        return _bench(
-            quick=args.quick,
-            out=args.out,
-            baseline=args.baseline,
-            threshold=args.threshold,
-            as_json=args.json,
-        )
-    if args.experiment == "chaos":
-        if args.bisect:
-            return _bisect(args.plan, as_json=args.json)
-        return _chaos(args.plan, as_json=args.json, dump_dir=args.dump_dir)
-    if args.experiment == "trace":
-        if not args.model:
-            parser.error("trace requires --model")
-        return _export_trace(args.model, args.out, args.scale)
-    config = ExperimentConfig(scale=args.scale, iterations=args.iterations)
-    if args.experiment == "snapshot":
-        if not args.model:
-            parser.error("snapshot requires --model")
-        return _snapshot_cmd(
-            args.model,
-            args.mode,
-            args.out,
-            config,
-            pause_after=args.pause_after or 8,
-        )
-    if args.experiment == "monitor":
-        return _monitor(
-            args.paths,
-            args.model,
-            args.mode,
-            config,
-            interval=args.interval,
-            out=args.out,
-            dump_dir=args.dump_dir,
-            as_json=args.json,
-        )
-    if args.experiment == "serve":
-        return _serve(
-            config,
-            mode=args.mode,
-            rates=args.rates,
-            requests=args.requests,
-            slots=args.slots,
-            seed=args.seed,
-            check=args.check,
-            as_json=args.json,
-        )
-    if args.experiment == "taxonomy":
-        return _taxonomy(
-            config,
-            workloads=args.workloads,
-            modes=args.modes,
-            check=args.check,
-            as_json=args.json,
-        )
-    if args.experiment == "colo":
-        return _colo(
-            args.tenants,
-            config,
-            mode=args.mode,
-            check=args.check,
-            as_json=args.json,
-        )
-    if args.experiment == "profile":
-        if not args.model:
-            parser.error("profile requires --model")
-        return _profile(args.model, args.mode, args.out, args.jsonl, config)
-    names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    for name in names:
-        print(_run_one(name, config, as_json=args.json))
-        print()
-    return 0
+        for flags, kwargs in command.options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=command.run)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except ConfigurationError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

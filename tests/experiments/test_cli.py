@@ -170,6 +170,11 @@ def test_monitor_runs_a_model_live_with_json_snapshot(tmp_path, capsys):
     assert snapshot["totals"]["copies"] > 0
     assert "DRAM" in snapshot["occupancy"]
     assert snapshot["occupancy"]["DRAM"]["capacity"] > 0
+    # The health snapshot is complete (formerly CI's monitor-smoke heredoc).
+    assert snapshot["status"] in ("ok", "warning", "critical")
+    assert snapshot["totals"]["kernels"] > 0
+    assert snapshot["latencies"]["kernel_seconds"]["count"] > 0
+    assert snapshot["recent_windows"], "no rollup windows closed"
     with open(counters, encoding="utf-8") as fp:
         doc = json.load(fp)
     names = {e["name"] for e in doc["traceEvents"] if e.get("ph") == "C"}
@@ -226,10 +231,8 @@ def test_chaos_json_includes_flight_records(tmp_path, capsys):
         assert scenario["flight_record"].startswith(str(tmp_path)), name
 
 
-def test_explain_renders_per_stream_reports(tmp_path, capsys):
-    import io
-    import json
-
+def _write_multi_stream_jsonl(path):
+    """A two-tenant event stream (nothing on the CLI records one)."""
     from repro.telemetry.export import write_jsonl
     from repro.telemetry.trace import TraceEvent
 
@@ -255,9 +258,15 @@ def test_explain_renders_per_stream_reports(tmp_path, capsys):
             stream="a",
         )
     )
-    path = tmp_path / "multi.jsonl"
     with open(path, "w", encoding="utf-8") as fp:
         write_jsonl(events, fp)
+
+
+def test_explain_renders_per_stream_reports(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "multi.jsonl"
+    _write_multi_stream_jsonl(path)
     assert main(["explain", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["streams"]) == {"a", "b"}
@@ -406,3 +415,234 @@ def test_check_contract_failure_lines_and_exit_code(capsys, as_json):
         "determinism: digests match across repeated runs",
         "shape ok",
     ]
+
+
+# -- the surface, pinned ------------------------------------------------------
+#
+# (argv, exit status, sha256[:16] of stdout, of stderr; "" = nothing printed),
+# recorded at the commit before `cli.py` became the COMMANDS table (PR 15's
+# flat parser + if-chain). `{d}` is a scratch directory holding the inputs
+# `cli_dir` records; it is spelled `{d}` again before hashing. Every valid
+# invocation and every handler-level error arm must stay byte-identical;
+# only argparse's own usage errors are free to change wording.
+_FAST = "--scale 256 --iterations 1"
+_SNAP = "--model resnet200-small --mode CA:LM --scale 2048"
+PINNED = [
+    ("table3", 0, "7a71a9f933f7b991", ""),
+    ("table3 --json", 0, "66d40e47b2d3fe31", ""),
+    (f"fig3 {_FAST}", 0, "6edf62ba08f38b02", ""),
+    (f"fig3 {_FAST} --json", 0, "5a07161641fd3921", ""),
+    (f"fig4 {_FAST}", 0, "80d05d73893f5375", ""),
+    (f"fig4 {_FAST} --json", 0, "6d732368409fea6b", ""),
+    ("ext --scale 2048 --iterations 1", 0, "304f333431a7e6c8", ""),
+    ("ext --scale 2048 --iterations 1 --json", 0, "0b4f2c1cc22a28b1", ""),
+    ("fig6 --scale 2048 --iterations 1 --json", 0, "609a66643a0f38c6", ""),
+    ("fig7 --scale 2048 --iterations 1 --json", 0, "a9be2b5a8cc86600", ""),
+    ("trace --model vgg116-small --scale 64", 0, "8e7bd3bc7ca7ea44", ""),
+    ("trace --model vgg116-small --scale 64 --out {d}/t.json",
+     0, "02d48945a194371c", ""),
+    ("trace --model alexnet", 2, "", "d48d58c15dcc35d3"),
+    (f"profile --model tiny {_FAST} --jsonl {{d}}/p.jsonl --out {{d}}/p.json",
+     0, "d5063512eea84067", ""),
+    ("profile --model nosuch", 2, "", "307a1486846013bd"),
+    (f"profile --model tiny --mode bogus {_FAST}", 2, "", "966ac0aa74cfaa89"),
+    ("explain {d}/lmp.jsonl", 0, "6901ae2c603b374c", ""),
+    ("explain {d}/lmp.jsonl --json --window 4", 0, "af14bdf3789702bb", ""),
+    ("explain {d}/lmp.jsonl --out {d}/explain.json", 0, "f370e1169dfd36f1", ""),
+    ("explain {d}/multi.jsonl", 0, "f8d050a1d20b452e", ""),
+    ("explain {d}/multi.jsonl --json --out {d}/multi.json", 0, "a230b19b26def675", ""),
+    ("explain", 2, "", "57894af9f19e2c08"),
+    ("explain {d}/nope.jsonl", 2, "", "6433c8e9c80c620d"),
+    ("diff {d}/lm.jsonl {d}/lmp.jsonl", 0, "ab9fb0636ef8befa", ""),
+    ("diff {d}/lm.jsonl {d}/lmp.jsonl --json", 0, "b3b733118f511714", ""),
+    ("diff {d}/lm.jsonl {d}/lmp.jsonl --out {d}/diff.json", 0, "f40c3f51b25dcdbf", ""),
+    ("diff {d}/lm.jsonl", 2, "", "e7063c52bccb4aa4"),
+    ("diff {d}/lm.jsonl {d}/nope.jsonl", 2, "", "6433c8e9c80c620d"),
+    ("monitor {d}/lm.jsonl", 0, "1a3c7a58ea103a9d", ""),
+    ("monitor {d}/lm.jsonl --json --out {d}/counters.json",
+     0, "0347f51825031663", "247d95ef9a07351a"),
+    (f"monitor --model tiny {_FAST} --mode CA:LMP --interval 0.5",
+     0, "c1d796db9a3c9b86", ""),
+    ("monitor {d}/lm.jsonl --model tiny", 2, "", "fe54b4475856651c"),
+    ("monitor", 2, "", "8346264d421a7a4d"),
+    ("monitor --model tiny --interval 0", 2, "", "15ad426605b1f2b5"),
+    ("monitor --model nosuch", 2, "", "307a1486846013bd"),
+    ("colo --scale 4096 --iterations 1", 0, "6579e911150d48c3", ""),
+    ("colo --tenants cnn,dlrm --scale 4096 --iterations 1 --check",
+     0, "c4f6b07f74142af8", ""),
+    ("colo --scale 4096 --iterations 1 --check --json",
+     0, "aa4cc71fcee4b530", "5007899156a91542"),
+    ("colo --tenants cnn,bogus --scale 4096", 2, "", "39d03d78abeaed47"),
+    ("serve --scale 1024 --requests 20", 0, "d7818a447dd141f0", ""),
+    ("serve --scale 1024 --requests 20 --check", 0, "0871077c87e0a475", ""),
+    ("serve --scale 1024 --requests 20 --check --json",
+     0, "1795331578390b4c", "ad0504bdef6e7f8a"),
+    ("serve --scale 1024 --requests 20 --rates 0.5,2.0 --slots 2 --seed 3 --json",
+     0, "a308ca3d3e3de837", ""),
+    ("serve --rates fast,faster", 2, "", "13b108d94a77e7bc"),
+    ("serve --scale 1024 --slots 0", 2, "", "28d810e6cda41519"),
+    ("taxonomy --scale 2048 --workloads pointer-chase,scan --modes CA:0,CA:LM",
+     0, "93f6ffb24793435f", ""),
+    ("taxonomy --scale 2048 --workloads pointer-chase,scan --check",
+     0, "547ae83ca2e95549", ""),
+    ("taxonomy --scale 2048 --workloads pointer-chase --modes CA:0,CA:LM --check "
+     "--json",
+     0, "c5d5beb56784506c", "d2ce702cfd6e9759"),
+    ("taxonomy --workloads scan,bogus", 2, "", "68a80e0258a673b9"),
+    ("taxonomy --modes 2LM:0,CA:0", 2, "", "0ebde80d8049e1a9"),
+    ("chaos --plan copy-flaky --dump-dir {d}/flight", 0, "34445998c707ab02", ""),
+    ("chaos --plan copy-flaky --dump-dir {d}/flight-json --json",
+     0, "e4b5d8a10d613a1c", ""),
+    ("chaos --plan nosuch", 2, "", "130f91d7068407db"),
+    ("chaos --bisect --plan bisect-demo", 0, "072a972431e24d15", ""),
+    ("chaos --bisect --plan bisect-demo --json", 0, "c8036f80dd8f51b0", ""),
+    ("chaos --bisect", 2, "", "fde39c1f55c13a98"),
+    (f"snapshot {_SNAP} --pause-after 20 --out {{d}}/again.snap",
+     0, "ae9553e91fe76434", ""),
+    (f"snapshot {_SNAP} --out {{d}}/k8.snap", 0, "5304f0dd22fa251b", ""),
+    (f"snapshot {_SNAP} --pause-after 20", 2, "", "851d72ef1e93a0a9"),
+    (f"snapshot {_SNAP} --pause-after 999999", 0, "75da2b1cf4f3016f", ""),
+    (f"snapshot {_SNAP} --pause-after -3", 2, "", "438d01083b54b759"),
+    ("snapshot --model nosuch", 2, "", "75e6a76c990b2432"),
+    ("restore {d}/run.snap", 0, "495c44c7dd4bf624", ""),
+    ("restore {d}/run.snap --pause-after 30 --out {d}/chained.snap",
+     0, "a31f87e98473027e", ""),
+    ("restore {d}/run.snap --pause-after 30", 2, "", "cf4f0e11e92e5e30"),
+    ("restore", 2, "", "ca0dea5123173039"),
+    ("restore {d}/nope.snap", 2, "", "7ce3183c09df06b7"),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """Two tiny event streams, a two-tenant stream and a paused snapshot."""
+    import contextlib
+    import io
+
+    d = tmp_path_factory.mktemp("cli")
+    _write_multi_stream_jsonl(d / "multi.jsonl")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, mode in (("lm", "CA:LM"), ("lmp", "CA:LMP")):
+            assert main(
+                f"profile --model tiny {_FAST} --mode {mode} "
+                f"--jsonl {d}/{name}.jsonl".split()
+            ) == 0
+        assert main(
+            f"snapshot {_SNAP} --pause-after 20 --out {d}/run.snap".split()
+        ) == 0
+    return str(d)
+
+
+def _run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "command, code, out, err", PINNED, ids=[pin[0] for pin in PINNED]
+)
+def test_invocation_is_byte_identical_to_the_flat_parser(
+    command, code, out, err, cli_dir, capsys
+):
+    import hashlib
+
+    def short(text):
+        text = text.replace(cli_dir, "{d}")
+        return hashlib.sha256(text.encode()).hexdigest()[:16] if text else ""
+
+    got_code, got_out, got_err = _run(command.format(d=cli_dir).split(), capsys)
+    assert (got_code, short(got_out), short(got_err)) == (code, out, err), (
+        got_out[-2000:] + got_err
+    )
+
+
+# -- one row per subcommand ---------------------------------------------------
+
+
+def _flags(command):
+    return {
+        flag for flags, _ in command.options for flag in flags if flag[0] == "-"
+    }
+
+
+def test_subcommands_are_derived_from_the_table():
+    from repro.cli import COMMANDS, SUBCOMMANDS
+
+    assert SUBCOMMANDS == tuple(COMMANDS)
+    assert len(COMMANDS) == 21
+    # The surface this table replaced: 24 flags plus the positional paths.
+    every = set().union(*(_flags(c) for c in COMMANDS.values()))
+    assert len(every) == 24
+    assert any(
+        "paths" in flags for c in COMMANDS.values() for flags, _ in c.options
+    )
+
+
+def _command_names():
+    from repro.cli import COMMANDS
+
+    return list(COMMANDS)
+
+
+@pytest.mark.parametrize("name", _command_names())
+def test_help_lists_exactly_the_rows_own_flags(name, capsys):
+    import re
+
+    from repro.cli import COMMANDS
+
+    code, out, _ = _run([name, "--help"], capsys)
+    assert code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+    assert listed == _flags(COMMANDS[name]) | {"--help"}
+
+
+@pytest.mark.parametrize("name", _command_names())
+def test_a_flag_the_row_never_reads_is_a_usage_error(name, capsys):
+    from repro.cli import COMMANDS
+
+    own = _flags(COMMANDS[name])
+    required = ["--model", "tiny"] if "--model" in own else []
+    every = set().union(*(_flags(c) for c in COMMANDS.values()))
+    for foreign in sorted(every - own):
+        code, out, err = _run([name, *required, foreign], capsys)
+        assert (code, out) == (2, ""), (name, foreign)
+        assert f"unrecognized arguments: {foreign}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["taxonomy", "--plan", "x"],
+        ["fig2", "--tenants", "a"],
+        ["explain", "--scale", "4"],
+        # No prefix matching: --mode must not be read as taxonomy's --modes.
+        ["taxonomy", "--mode", "CA:LM"],
+    ],
+)
+def test_foreign_flag_is_named_in_the_error(argv, capsys):
+    code, _, err = _run(argv, capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {argv[1]}" in err
+
+
+def test_snapshot_pause_after_zero_is_rejected_not_defaulted(capsys):
+    code, out, err = _run(f"snapshot {_SNAP} --pause-after 0".split(), capsys)
+    assert (code, out) == (2, "")
+    assert err == "pause_after must be >= 1, got 0\n"
+
+
+def test_all_json_is_one_document_keyed_by_experiment(capsys):
+    import json
+
+    from repro.cli import EXPERIMENTS
+
+    code, out, _ = _run("all --scale 2048 --iterations 1 --json".split(), capsys)
+    assert code == 0
+    document = json.loads(out)
+    assert list(document) == list(EXPERIMENTS)
+    assert "resnet200-large" in document["table3"]
+    assert 0 < document["fig4"]["2LM:M"]["hit_rate"] <= 1

@@ -53,6 +53,7 @@ class TestSweep:
 
     def test_every_arrival_reaches_one_final_outcome(self, result):
         for point in result.points:
+            assert point.completed > 0  # even 3x overload serves someone
             assert (
                 point.completed
                 + point.rejected

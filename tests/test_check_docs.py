@@ -73,6 +73,41 @@ class TestCheckRepo:
         (repo / "docs" / "guide.md").write_text(names + "\n")
         assert check_docs.check_repo(repo) == []
 
+    def test_flag_of_another_subcommand_flagged(self, repo):
+        (repo / "docs" / "guide.md").write_text(
+            "Run `python -m repro taxonomy --scale 2048 --plan x`, or\n\n"
+            "```bash\npython -m repro explain run.jsonl \\\n"
+            "    --window 4 --tenants a   # continued line\n```\n"
+        )
+        problems = check_docs.check_repo(repo)
+        assert [p.split(": ", 1)[1] for p in problems] == [
+            "'python -m repro taxonomy' takes no --plan",
+            "'python -m repro explain' takes no --tenants",
+        ]
+
+    def test_own_flags_help_and_later_commands_accepted(self, repo):
+        (repo / "docs" / "guide.md").write_text(
+            "`python -m repro serve --rates 1,2 --check --json > out.json`, "
+            "`python -m repro chaos --help`; piping is not a flag: "
+            "`python -m repro table3 | grep --color x`.\n"
+        )
+        assert check_docs.check_repo(repo) == []
+
+    def test_readme_command_table_must_match_the_cli(self, repo):
+        from repro.cli import COMMANDS
+
+        rows = [name for name in COMMANDS if name != "serve"]
+        rows += ["colo", "frobnicate"]
+        with open(repo / "README.md", "a") as fp:
+            fp.write("\n| Command | What it does |\n|---|---|\n")
+            fp.writelines(f"| `{name}` | ... |\n" for name in rows)
+        problems = check_docs.check_repo(repo)
+        assert [p.split(": ", 1)[1] for p in problems] == [
+            "CLI reference table has 2 row(s) for 'colo', the CLI has 1",
+            "CLI reference table has 1 row(s) for 'frobnicate', the CLI has 0",
+            "CLI reference table has 0 row(s) for 'serve', the CLI has 1",
+        ]
+
 
 class TestMain:
     def test_exit_status_reflects_problems(self, repo, capsys):

@@ -12,9 +12,11 @@ wired into CI as the ``docs-check`` job):
 2. **Link integrity** — every relative link or path mention in the scanned
    markdown must resolve to a real file (anchors stripped; http/mailto
    ignored).
-3. **CLI accuracy** — every ``python -m repro <cmd>`` invocation mentioned
-   anywhere in the scanned markdown must name a real subcommand
-   (``repro.cli.SUBCOMMANDS``), so the docs cannot drift from the CLI.
+3. **CLI accuracy** — every ``python -m repro <cmd> --flag ...`` invocation
+   mentioned anywhere in the scanned markdown must name a row of
+   ``repro.cli.COMMANDS`` and only flags that row takes, and the README's
+   "CLI reference" table must have exactly one row per command, so the
+   docs cannot drift from the CLI.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -31,10 +33,18 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Inline-code path mentions: `docs/foo.md`, `tools/check_docs.py`, ...
 # (the README references its documentation pages this way).
 _CODE_PATH = re.compile(r"`([A-Za-z0-9_./-]+\.(?:md|py|toml|json|yml))`")
-# CLI invocations anywhere in prose or fenced blocks.
-_CLI = re.compile(r"python\s+-m\s+repro\s+([A-Za-z0-9_-]+)")
+# CLI invocations anywhere in prose or fenced blocks: the subcommand word and
+# the rest of the command (through backslash-continued lines, up to whatever
+# ends it in prose or shell: a backtick, pipe, comment, `;` or `&&`).
+_CLI = re.compile(
+    r"python\s+-m\s+repro\s+([A-Za-z0-9_-]+)((?:\\\n|[^\n`|#;&])*)"
+)
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
 # Flags and placeholders are not subcommands.
 _NON_COMMANDS = {"-h", "--help"}
+# The README's CLI reference: `| Command | ...` header, one `| `cmd` | ...` row
+# per subcommand.
+_TABLE_ROW = re.compile(r"^\| `([A-Za-z0-9_-]+)` \|", re.MULTILINE)
 
 # Top-level pages scanned in addition to README.md and docs/*.md. Links in
 # working notes (ISSUE.md, CHANGES.md, SNIPPETS.md, PAPERS.md) are not
@@ -44,18 +54,21 @@ EXTRA_PAGES = (
     "CONTRIBUTING.md",
     "DESIGN.md",
     "ROADMAP.md",
-    "CHANGELOG.md",
 )
 
 
-def _subcommands(root: Path) -> frozenset[str]:
-    """The CLI's real subcommand set (import the installed/src package)."""
+def _commands(root: Path) -> dict[str, frozenset[str]]:
+    """The CLI's real surface, ``{subcommand: its flags}`` (import the
+    installed/src package)."""
     src = root / "src"
     if src.is_dir() and str(src) not in sys.path:
         sys.path.insert(0, str(src))
-    from repro.cli import SUBCOMMANDS
+    from repro.cli import COMMANDS
 
-    return frozenset(SUBCOMMANDS)
+    return {
+        name: frozenset(flag for flags, _ in command.options for flag in flags)
+        for name, command in COMMANDS.items()
+    }
 
 
 def _scanned_pages(root: Path) -> list[Path]:
@@ -115,20 +128,36 @@ def check_links(page: Path, root: Path) -> list[str]:
 
 
 def check_cli_mentions(
-    page: Path, root: Path, subcommands: frozenset[str]
+    page: Path, root: Path, commands: dict[str, frozenset[str]]
 ) -> list[str]:
-    """``python -m repro <cmd>`` mentions naming nonexistent subcommands."""
+    """``python -m repro <cmd> --flag`` mentions the CLI would reject, and a
+    README command table that is not one row per subcommand."""
     problems = []
     text = page.read_text(encoding="utf-8")
+    where = page.relative_to(root)
     for match in _CLI.finditer(text):
-        command = match.group(1)
-        if command in subcommands or command in _NON_COMMANDS:
+        command, rest = match.groups()
+        if command in _NON_COMMANDS:
             continue
         line = text.count("\n", 0, match.start()) + 1
-        problems.append(
-            f"{page.relative_to(root)}:{line}: no such subcommand "
-            f"'python -m repro {command}'"
-        )
+        if command not in commands:
+            problems.append(
+                f"{where}:{line}: no such subcommand 'python -m repro {command}'"
+            )
+            continue
+        for flag in _FLAG.findall(rest):
+            if flag not in commands[command] and flag not in _NON_COMMANDS:
+                problems.append(
+                    f"{where}:{line}: 'python -m repro {command}' takes no {flag}"
+                )
+    if page.name == "README.md" and "| Command |" in text:
+        rows = _TABLE_ROW.findall(text)
+        for name in sorted(set(commands) | set(rows)):
+            if rows.count(name) != (name in commands):
+                problems.append(
+                    f"{where}: CLI reference table has {rows.count(name)} "
+                    f"row(s) for '{name}', the CLI has {int(name in commands)}"
+                )
     return problems
 
 
@@ -158,11 +187,11 @@ def check_reachability(root: Path) -> list[str]:
 def check_repo(root: Path) -> list[str]:
     """All three audits; one message per problem (empty = clean)."""
     root = root.resolve()
-    subcommands = _subcommands(root)
+    commands = _commands(root)
     problems = check_reachability(root)
     for page in _scanned_pages(root):
         problems.extend(check_links(page, root))
-        problems.extend(check_cli_mentions(page, root, subcommands))
+        problems.extend(check_cli_mentions(page, root, commands))
     return problems
 
 
