@@ -11,9 +11,9 @@ Conventions every handler keeps: times are reported rescaled to paper
 magnitudes (see :class:`~repro.experiments.common.ExperimentConfig`);
 ``--json`` keeps stdout pure JSON (prose such as the ``--check`` verdicts
 moves to stderr); exit status is 0 on success, 1 when a contract or gate
-failed (``--check``, ``chaos``, ``bench``), 2 on a usage or configuration
-error. What each command computes is documented where it lives — see the
-"CLI reference" table in ``README.md`` for the page per command.
+failed (``--check``, ``chaos``), 2 on a usage or configuration error. What
+each command computes is documented where it lives — see the "CLI
+reference" table in ``README.md`` for the page per command.
 """
 
 from __future__ import annotations
@@ -662,85 +662,6 @@ def _chaos(args) -> int:
     return 0 if all(report.ok for report in reports) else 1
 
 
-# -- bench ----------------------------------------------------------------------
-
-
-def _bench(args) -> int:
-    import os
-
-    from repro.bench import (
-        bench_filename,
-        compare,
-        load_report,
-        run_suite,
-        write_report,
-    )
-
-    try:
-        report = run_suite(quick=args.quick)
-    except ValueError as exc:  # bad BENCH_SCALE
-        return _fail(str(exc))
-
-    # Resolve the output path: --out may name a file or a directory;
-    # default is bench-results/BENCH_<date>.json (gitignored scratch).
-    out = args.out
-    if out and out.endswith(".json"):
-        out_dir, out_path = os.path.dirname(out) or ".", out
-    else:
-        out_dir = out or "bench-results"
-        out_path = os.path.join(out_dir, bench_filename(report.created_at[:10]))
-    os.makedirs(out_dir, exist_ok=True)
-
-    # Previous trajectory point: explicit --baseline, else the newest
-    # BENCH_*.json already in the output directory (dates sort); a same-day
-    # rerun gates against the point it is about to overwrite, so the
-    # baseline must be loaded *before* the report is written.
-    previous_path = args.baseline
-    if previous_path is None:
-        candidates = sorted(
-            name
-            for name in os.listdir(out_dir)
-            if name.startswith("BENCH_")
-            and name.endswith(".json")
-            and os.path.join(out_dir, name) != out_path
-        )
-        if candidates:
-            previous_path = os.path.join(out_dir, candidates[-1])
-        elif os.path.exists(out_path):
-            previous_path = out_path
-    previous = None
-    if previous_path is not None:
-        try:
-            previous = load_report(previous_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            return _fail(f"cannot read baseline {previous_path}: {exc}")
-
-    write_report(report, out_path)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(f"wrote trajectory point -> {out_path}")
-        for name, record in sorted(report.benchmarks.items()):
-            extras = []
-            if record.events_per_second is not None:
-                extras.append(f"{record.events_per_second:,.0f} events/s")
-            if record.sim_to_wall is not None:
-                extras.append(f"sim/wall {record.sim_to_wall:.2f}")
-            suffix = f" ({', '.join(extras)})" if extras else ""
-            print(f"  {name:<18} {record.wall_seconds:8.3f} s{suffix}")
-
-    # With --json, stdout carries exactly the report; gate prose goes to
-    # stderr so `python -m repro bench --json > point.json` stays parseable.
-    info = sys.stderr if args.json else sys.stdout
-    if previous is None:
-        print("no previous trajectory point; regression gate skipped", file=info)
-        return 0
-    comparison = compare(report, previous, threshold=args.threshold)
-    print(f"gate vs {previous_path}:", file=info)
-    print(comparison.render(), file=info)
-    return 0 if comparison.ok else 1
-
-
 # -- the table ------------------------------------------------------------------
 
 
@@ -840,20 +761,6 @@ COMMANDS: dict[str, Command] = {
               "narrowest window that still reproduces the failure"),
          DUMP_DIR, JSON),
         _chaos,
-    ),
-    "bench": Command(
-        "pinned wall-clock suite + trajectory regression gate",
-        (_opt("--quick", action="store_true",
-              help="reduced suite for CI smoke runs (docs/benchmarking.md)"),
-         _out("BENCH_<date>.json (file or directory; default bench-results/)"),
-         _opt("--baseline",
-              help="gate against this BENCH_*.json instead of the newest point "
-              "in the output directory"),
-         _opt("--threshold", type=float, default=0.2,
-              help="fail when normalized wall time regresses more than this "
-              "fraction (default 0.2)"),
-         JSON),
-        _bench,
     ),
     "colo": Command(
         "co-run tenant workloads on one shared memory system",

@@ -67,6 +67,14 @@ class ExperimentConfig:
     # Optional monitor tuning (window size, alert rules, flight-dump dir).
     monitor_config: "MonitorConfig | None" = None
 
+    def __post_init__(self) -> None:
+        # Both arrive from the command line; a non-positive value would
+        # otherwise surface as a ZeroDivisionError or TraceError mid-run.
+        for name in ("scale", "iterations"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+
     def scaled_dram(self) -> int:
         return max(self.line_size, self.dram_bytes // self.scale)
 

@@ -723,25 +723,22 @@ def run_chaos(
             return None
         return os.path.join(dump_dir, plan.name, scenario)
 
-    report = ChaosReport(plan=plan)
+    scenarios = []
     elastic_specs = plan.for_site(CHURN) + plan.for_site(RESIZE)
     if len(elastic_specs) < len(plan.specs):
         # Mechanism-fault specs exist: run the classic scenarios. A purely
         # elastic plan skips them — churn/resize events only fire at the
         # elastic scenario's step boundaries, and a scenario that can fire
         # nothing proves nothing.
-        report.outcomes.append(
-            _run_real_scenario(plan, dump_dir=scenario_dir("session-real"))
-        )
-        report.outcomes.append(
-            _run_virtual_scenario(plan, dump_dir=scenario_dir("trace-virtual"))
-        )
+        scenarios += ["session-real", "trace-virtual"]
     if elastic_specs:
         # Elastic plans get the multi-tenant scenario: churn and resize
         # only mean something with tenants to detach and heaps to migrate.
-        report.outcomes.append(
-            _run_elastic_scenario(
-                plan, dump_dir=scenario_dir("session-elastic")
-            )
-        )
-    return report
+        scenarios.append("session-elastic")
+    return ChaosReport(
+        plan=plan,
+        outcomes=[
+            run_scenario(plan, scenario, dump_dir=scenario_dir(scenario))
+            for scenario in scenarios
+        ],
+    )

@@ -136,9 +136,6 @@ class FaultInjector:
         """Stop firing new faults (already-applied damage stays applied)."""
         self.armed = False
 
-    def rearm(self) -> None:
-        self.armed = True
-
     def _matching(self, site: str, index: int, device: str | None = "*",
                   op: str | None = "*") -> list[_SpecState]:
         """Spec states at ``site`` that fire on this eligible operation.
@@ -202,10 +199,6 @@ class FaultInjector:
     def on_defragment(self, device: str) -> bool:
         """Called by the heap after compaction; clears sticky fragmentation."""
         return self._fragmented.pop(device, None) is not None
-
-    def fragmented_devices(self) -> dict[str, int]:
-        """Active fragmentation faults (device -> threshold), for tests."""
-        return dict(self._fragmented)
 
     # -- copy-engine site ----------------------------------------------------
 

@@ -21,7 +21,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sim.bandwidth import (
     BandwidthModel,
-    TransferKind,
     dram_bandwidth_model,
     optane_bandwidth_model,
 )
@@ -127,21 +126,6 @@ class MemoryDevice:
                 f"{self.name!r} of {self.capacity} bytes"
             )
         return self._arena[offset : offset + size]
-
-    def read_time(self, nbytes: int, threads: int = 1) -> float:
-        """Modelled seconds to stream-read ``nbytes`` from this device."""
-        if nbytes == 0:
-            return 0.0
-        return self.bandwidth.transfer_time(TransferKind.READ, nbytes, threads)
-
-    def write_time(
-        self, nbytes: int, threads: int = 1, *, nt_stores: bool = False
-    ) -> float:
-        """Modelled seconds to stream-write ``nbytes`` to this device."""
-        if nbytes == 0:
-            return 0.0
-        kind = TransferKind.WRITE_NT if nt_stores else TransferKind.WRITE
-        return self.bandwidth.transfer_time(kind, nbytes, threads)
 
     def __repr__(self) -> str:
         backing = "real" if self.is_real else "virtual"

@@ -161,22 +161,5 @@ class Heap:
             self.injector.on_defragment(self.name)
         return moved
 
-    def render_map(self, width: int = 64) -> str:
-        """An ASCII occupancy map of the arena (``#`` used, ``.`` free).
-
-        Each character covers ``capacity / width`` bytes and is drawn used if
-        any allocation overlaps it — a quick visual fragmentation check.
-        """
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        cell = max(1, self.capacity // width)
-        cells = ["."] * width
-        for block in self.allocator.live_blocks():
-            first = min(width - 1, block.offset // cell)
-            last = min(width - 1, (block.end - 1) // cell)
-            for index in range(first, last + 1):
-                cells[index] = "#"
-        return f"{self.name} [{''.join(cells)}]"
-
     def __repr__(self) -> str:
         return f"Heap({self.device!r}, used={self.used_bytes}/{self.capacity})"

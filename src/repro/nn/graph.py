@@ -297,9 +297,6 @@ class GraphBuilder:
     def activation_bytes(self) -> int:
         return sum(node.output.nbytes for node in self.nodes)
 
-    def forward_flops(self) -> float:
-        return sum(node.flops for node in self.nodes)
-
     # -- lowering -------------------------------------------------------------------
 
     def training_trace(self) -> KernelTrace:

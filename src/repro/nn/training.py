@@ -28,12 +28,6 @@ class TrainResult:
     traffic: dict[str, tuple[int, int]] = field(default_factory=dict)
     evictions: int = 0
 
-    @property
-    def converged(self) -> bool:
-        if len(self.losses) < 2:
-            return False
-        return self.losses[-1] < self.losses[0]
-
 
 def make_blobs(
     samples: int,

@@ -476,11 +476,6 @@ class RunResult:
         iteration behaviour is consistent."""
         return self.iterations[-1]
 
-    def mean_seconds(self, *, skip_first: bool = True) -> float:
-        iters = self.iterations[1:] if skip_first and len(self.iterations) > 1 \
-            else self.iterations
-        return sum(i.seconds for i in iters) / len(iters)
-
     def iteration_variance(self) -> float:
         """Coefficient of variation of post-warmup iteration times.
 
@@ -629,8 +624,8 @@ class Executor:
         return (
             [(allocator, track(prefix + device)) for device, allocator in occupancy],
             track(prefix + "total"),
-            # Cumulative traffic per device: windowed differencing turns these
-            # into utilisation-over-time series (telemetry.stats.windowed_rate).
+            # Cumulative traffic per device: differencing two samples gives
+            # the utilisation over the window between them.
             [
                 (counters, track(f"{prefix}traffic:{device}"))
                 for device, counters in traffic

@@ -75,10 +75,6 @@ class KernelTiming:
         # DRAM traffic overlaps with compute; NVRAM traffic stalls.
         return max(self.compute, self.dram) + self.nvram
 
-    @property
-    def memory_bound(self) -> bool:
-        return self.total > self.compute
-
 
 def kernel_timing(
     flops: float,

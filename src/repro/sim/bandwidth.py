@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from repro.units import GB, KiB
+from repro.units import GB
 
 __all__ = [
     "TransferKind",
@@ -234,19 +234,6 @@ def copy_time(
     return nbytes / effective_copy_bandwidth(
         source, dest, nbytes, threads, nt_stores=nt_stores
     )
-
-
-def chunk_sizes(nbytes: int, chunk: int = 4 * 1024 * KiB) -> list[int]:
-    """Split a transfer into copy-engine chunks (last one may be short)."""
-    if nbytes < 0:
-        raise ValueError(f"transfer size must be non-negative, got {nbytes}")
-    if nbytes == 0:
-        return []
-    full, rest = divmod(nbytes, chunk)
-    sizes = [chunk] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
 
 
 def optimal_copy_threads(

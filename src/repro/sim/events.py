@@ -76,15 +76,6 @@ class EventQueue:
         """Remove and return the earliest event (FIFO among ties)."""
         return heapq.heappop(self._heap)
 
-    def peek(self) -> ScheduledEvent:
-        """The earliest event without removing it."""
-        return self._heap[0]
-
-    @property
-    def next_time(self) -> float | None:
-        """Virtual time of the earliest event, or ``None`` when empty."""
-        return self._heap[0].time if self._heap else None
-
     def drain(self) -> Iterator[ScheduledEvent]:
         """Pop every event in order (consumes the queue)."""
         while self._heap:

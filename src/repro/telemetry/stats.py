@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.telemetry.counters import TrafficSnapshot
 
-__all__ = ["BusUtilization", "summarize_series", "windowed_rate"]
+__all__ = ["BusUtilization", "summarize_series"]
 
 
 @dataclass(frozen=True)
@@ -91,28 +91,3 @@ def summarize_series(values: list[float]) -> SeriesSummary:
         maximum=max(values),
         std=math.sqrt(variance),
     )
-
-
-def windowed_rate(cumulative: "Timeline", window: float) -> "Timeline":
-    """Differentiate a cumulative-bytes timeline into a rate series (B/s).
-
-    Produces one sample per input sample (from the second onward): the
-    average rate over the trailing ``window`` seconds. Feeding the result's
-    values through ``value / peak_bandwidth`` yields utilisation-over-time —
-    the time-resolved version of Figure 6.
-    """
-    from repro.telemetry.timeline import Timeline
-
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    out = Timeline(f"{cumulative.name}/rate")
-    times = cumulative.times()
-    values = cumulative.values()
-    for i in range(1, len(times)):
-        start_time = times[i] - window
-        start_value = cumulative.value_at(start_time)
-        span = times[i] - max(start_time, times[0])
-        if span <= 0:
-            continue
-        out.record(times[i], (values[i] - start_value) / span)
-    return out

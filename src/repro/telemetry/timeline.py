@@ -7,7 +7,6 @@ kernel boundary, producing exactly that series against virtual time.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -63,29 +62,6 @@ class Timeline:
     def last(self) -> float:
         """Most recent value (0.0 when empty)."""
         return self._values[-1] if self._values else 0.0
-
-    def value_at(self, time: float) -> float:
-        """Step-interpolated value at ``time`` (0.0 before the first sample)."""
-        index = bisect.bisect_right(self._times, time) - 1
-        if index < 0:
-            return 0.0
-        return self._values[index]
-
-    def time_average(self) -> float:
-        """Time-weighted average value over the sampled window.
-
-        Each sample's value is held until the next sample (step function).
-        With fewer than two samples the plain value (or 0.0) is returned.
-        """
-        if len(self._times) < 2:
-            return self.last()
-        total = 0.0
-        span = self._times[-1] - self._times[0]
-        if span <= 0.0:
-            return self._values[-1]
-        for i in range(len(self._times) - 1):
-            total += self._values[i] * (self._times[i + 1] - self._times[i])
-        return total / span
 
     def to_dict(self) -> dict:
         """A JSON-serialisable view: ``{"name": ..., "samples": [[t, v, label], ...]}``.

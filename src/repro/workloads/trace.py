@@ -197,15 +197,6 @@ class KernelTrace:
     def total_kernel_flops(self) -> float:
         return sum(k.flops for k in self.kernels())
 
-    def total_allocated_bytes(self) -> int:
-        seen: set[str] = set()
-        total = 0
-        for event in self.events:
-            if isinstance(event, Alloc) and event.tensor not in seen:
-                seen.add(event.tensor)
-                total += self.tensors[event.tensor].nbytes
-        return total
-
     # -- validation ---------------------------------------------------------------
 
     def validate(self) -> None:

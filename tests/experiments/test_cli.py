@@ -573,10 +573,9 @@ def test_subcommands_are_derived_from_the_table():
     from repro.cli import COMMANDS, SUBCOMMANDS
 
     assert SUBCOMMANDS == tuple(COMMANDS)
-    assert len(COMMANDS) == 21
-    # The surface this table replaced: 24 flags plus the positional paths.
+    assert len(COMMANDS) == 20
     every = set().union(*(_flags(c) for c in COMMANDS.values()))
-    assert len(every) == 24
+    assert len(every) == 21
     assert any(
         "paths" in flags for c in COMMANDS.values() for flags, _ in c.options
     )
@@ -633,6 +632,29 @@ def test_snapshot_pause_after_zero_is_rejected_not_defaulted(capsys):
     code, out, err = _run(f"snapshot {_SNAP} --pause-after 0".split(), capsys)
     assert (code, out) == (2, "")
     assert err == "pause_after must be >= 1, got 0\n"
+
+
+def test_bench_is_no_longer_a_subcommand(capsys):
+    code, out, err = _run(["bench"], capsys)
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'bench'" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "fig3 --scale -1",
+        "profile --model resnet200-small --scale 0",
+        "fig3 --iterations 0",
+        "taxonomy --scale 0",
+        "table3 --scale 0",
+    ],
+)
+def test_non_positive_scale_or_iterations_exits_2_in_one_line(command, capsys):
+    *_, flag, value = command.split()
+    code, out, err = _run(command.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err == f"{flag[2:]} must be >= 1, got {value}\n"
 
 
 def test_all_json_is_one_document_keyed_by_experiment(capsys):

@@ -16,16 +16,18 @@ from repro.experiments.common import ExperimentConfig
 FAST = ExperimentConfig(scale=256, iterations=1, sample_timeline=False)
 FAST_TL = ExperimentConfig(scale=256, iterations=1, sample_timeline=True)
 ONE_MODEL = ("resnet200-large",)
+LARGE_MODELS = ("densenet264-large", "resnet200-large", "vgg416-large")
+SMALL_MODELS = ("densenet264-small", "resnet200-small", "vgg116-small")
 TWO_MODES = ("2LM:0", "CA:LM")
 
 
 class TestFig2:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig2_runtime.run(FAST, models=ONE_MODEL, modes=TWO_MODES)
+        return fig2_runtime.run(FAST, models=LARGE_MODELS, modes=TWO_MODES)
 
     def test_structure(self, result):
-        assert set(result.results) == set(ONE_MODEL)
+        assert set(result.results) == set(LARGE_MODELS)
         assert set(result.results["resnet200-large"]) == set(TWO_MODES)
 
     def test_seconds_rescaled(self, result):
@@ -33,7 +35,9 @@ class TestFig2:
         assert result.seconds("resnet200-large", "CA:LM") == raw * 256
 
     def test_speedup(self, result):
-        assert result.speedup("resnet200-large") > 1.0
+        # CA:LM over 2LM:0 on every large net (paper: 1.4x-2.03x).
+        for model in LARGE_MODELS:
+            assert result.speedup(model) > 1.1, model
 
     def test_render_mentions_modes(self, result):
         text = fig2_runtime.render(result)
@@ -53,6 +57,9 @@ class TestFig3:
 
     def test_gc_run_has_higher_peak(self, result):
         assert result.peak_gb(result.unoptimized) > result.peak_gb(result.optimized)
+        # Figure 3's shape: the GC-managed heap overshoots the footprint.
+        footprint_gb = result.unoptimized.footprint_bytes * 256 / 1e9
+        assert result.peak_gb(result.unoptimized) > footprint_gb * 1.1
 
     def test_optimized_peak_is_footprint(self, result):
         footprint_gb = result.optimized.footprint_bytes * 256 / 1e9
@@ -82,11 +89,14 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig5_traffic.run(FAST, models=ONE_MODEL, modes=("CA:L", "CA:LM", "CA:LMP"))
+        return fig5_traffic.run(
+            FAST, models=LARGE_MODELS, modes=("CA:L", "CA:LM", "CA:LMP")
+        )
 
     def test_reduction_factors(self, result):
-        assert result.nvram_write_drop_with_memopt("resnet200-large") > 1.0
-        assert result.nvram_read_drop_with_prefetch("resnet200-large") > 1.0
+        for model in LARGE_MODELS:
+            assert result.nvram_write_drop_with_memopt(model) > 1.0, model
+            assert result.nvram_read_drop_with_prefetch(model) > 1.0, model
 
     def test_render(self, result):
         text = fig5_traffic.render(result)
@@ -96,11 +106,19 @@ class TestFig5:
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig6_utilization.run(FAST, models=ONE_MODEL, modes=TWO_MODES)
+        return fig6_utilization.run(
+            FAST, models=("resnet200-large", "vgg416-large"), modes=("2LM:0", "CA:0")
+        )
 
     def test_utilizations_in_unit_range(self, result):
-        for mode in TWO_MODES:
-            assert 0.0 < result.utilization("resnet200-large", mode) < 1.0
+        for model, by_mode in result.results.items():
+            for mode in by_mode:
+                assert 0.0 < result.utilization(model, mode) < 1.0
+
+    def test_ca0_beats_2lm0_for_resnet_and_loses_for_vgg(self, result):
+        resnet, vgg = "resnet200-large", "vgg416-large"
+        assert result.utilization(resnet, "CA:0") > result.utilization(resnet, "2LM:0")
+        assert result.utilization(vgg, "CA:0") < result.utilization(vgg, "2LM:0")
 
     def test_render(self, result):
         assert "utilisation" in fig6_utilization.render(result)
@@ -110,17 +128,19 @@ class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
         return fig7_sensitivity.run(
-            FAST, models=("densenet264-small",), budgets_gb=(180, 45, 0)
+            FAST, models=SMALL_MODELS, budgets_gb=(180, 45, 20, 0)
         )
 
     def test_monotone_slowdown(self, result):
-        t180 = result.seconds("densenet264-small", 180)
-        t45 = result.seconds("densenet264-small", 45)
-        t0 = result.seconds("densenet264-small", 0)
-        assert t180 < t45 < t0
+        # Less DRAM is never faster.
+        for model in SMALL_MODELS:
+            t180, t45, t20, t0 = (result.seconds(model, gb) for gb in (180, 45, 20, 0))
+            assert t180 < t45 < t20 < t0, model
 
     def test_penalty(self, result):
         assert result.nvram_only_penalty("densenet264-small") > 2.0
+        for model in SMALL_MODELS:
+            assert result.nvram_only_penalty(model) > 1.5, model
 
     def test_async_at_most_wall(self, result):
         for budget in (180, 45, 0):

@@ -40,13 +40,11 @@ def test_fragmentation_is_sticky_until_defrag():
     )
     # The fault activates on allocation index 0 and rejects large requests.
     assert injector.alloc_fault("DRAM", 8192, 64 * KiB) == "fragment"
-    assert injector.fragmented_devices() == {"DRAM": 4096}
     # Small allocations still succeed; the fault persists across calls.
     assert injector.alloc_fault("DRAM", 1024, 64 * KiB) is None
     assert injector.alloc_fault("DRAM", 8192, 64 * KiB) == "fragment"
     # Defragmentation clears it.
     assert injector.on_defragment("DRAM") is True
-    assert injector.fragmented_devices() == {}
     assert injector.alloc_fault("DRAM", 8192, 64 * KiB) is None
     assert injector.on_defragment("DRAM") is False
 
@@ -57,11 +55,10 @@ def test_heap_defragment_notifies_injector():
     )
     heap = Heap(MemoryDevice.dram(1 * MiB), injector=injector)
     heap.allocate(512)  # small enough to succeed; activates the fault
-    assert injector.fragmented_devices() == {"DRAM": 1024}
     with pytest.raises(OutOfMemoryError):
         heap.allocate(64 * KiB)  # over the fragmentation threshold
     heap.defragment()
-    assert injector.fragmented_devices() == {}
+    heap.allocate(64 * KiB)  # the fault is cleared: the same request fits
 
 
 def test_copy_plan_aggregates_sites():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.memory.device import MemoryDevice, MemoryKind
+from repro.sim.bandwidth import TransferKind
 from repro.units import KiB, MiB
 
 
@@ -61,21 +62,19 @@ def test_view_bounds_checked():
 
 
 def test_nvram_write_slower_than_read():
-    device = MemoryDevice.nvram(MiB)
-    assert device.write_time(MiB, 4) > device.read_time(MiB, 4)
+    seconds = MemoryDevice.nvram(MiB).bandwidth.transfer_time
+    assert seconds(TransferKind.WRITE, MiB, 4) > seconds(TransferKind.READ, MiB, 4)
 
 
 def test_nt_stores_faster_than_temporal():
-    device = MemoryDevice.nvram(MiB)
-    assert device.write_time(MiB, 4, nt_stores=True) < device.write_time(
-        MiB, 4, nt_stores=False
-    )
+    seconds = MemoryDevice.nvram(MiB).bandwidth.transfer_time
+    assert seconds(TransferKind.WRITE_NT, MiB, 4) < seconds(TransferKind.WRITE, MiB, 4)
 
 
 def test_zero_byte_transfers_free():
-    device = MemoryDevice.dram(MiB)
-    assert device.read_time(0) == 0.0
-    assert device.write_time(0) == 0.0
+    seconds = MemoryDevice.dram(MiB).bandwidth.transfer_time
+    assert seconds(TransferKind.READ, 0) == 0.0
+    assert seconds(TransferKind.WRITE, 0) == 0.0
 
 
 def test_repr_mentions_backing():

@@ -124,17 +124,3 @@ def test_real_heap_shrink_refuses_occupied_tail():
         heap.shrink(4 * KiB)
 
 
-def test_render_map_shows_fragmentation():
-    heap = make(8 * KiB)
-    a = heap.allocate(2 * KiB)
-    heap.allocate(2 * KiB)
-    heap.free(a)
-    rendered = heap.render_map(width=8)
-    assert rendered == "DRAM [..##....]"
-    heap.defragment()
-    assert heap.render_map(width=8) == "DRAM [##......]"
-
-
-def test_render_map_width_validated():
-    with pytest.raises(ValueError):
-        make().render_map(width=0)

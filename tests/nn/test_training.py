@@ -25,7 +25,7 @@ def test_requires_real_session(virtual_session):
 def test_mlp_converges_with_plenty_of_dram():
     with session_with(8 * MiB) as session:
         result = train_mlp(session, steps=25, seed=0)
-    assert result.converged
+    assert result.losses[-1] < result.losses[0]
     assert result.losses[-1] < 0.2
     assert result.final_accuracy > 0.9
 
@@ -34,7 +34,7 @@ def test_mlp_converges_under_memory_pressure():
     """Same training, but DRAM far too small: evictions must not break it."""
     with session_with(256 * KiB) as session:
         result = train_mlp(session, steps=25, seed=0)
-    assert result.converged
+    assert result.losses[-1] < result.losses[0]
     assert result.final_accuracy > 0.9
     assert result.evictions > 0  # tiering actually happened
 
@@ -51,7 +51,7 @@ def test_training_identical_regardless_of_dram_budget():
 def test_cnn_converges_under_pressure():
     with session_with(128 * KiB) as session:
         result = train_cnn(session, steps=15, seed=1)
-    assert result.converged
+    assert result.losses[-1] < result.losses[0]
     assert result.evictions > 0
     assert result.final_accuracy > 0.6
 

@@ -10,6 +10,7 @@ from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
 from repro.policies.multitier import MultiTierPolicy
+from repro.sim.bandwidth import TransferKind
 from repro.sim.clock import SimClock
 from repro.units import KiB, MiB
 
@@ -232,6 +233,7 @@ class TestUnmodifiedPolicyAcrossPlatforms:
         session.close()
 
     def test_cxl_is_faster_tier_than_nvram(self):
-        cxl = MemoryDevice.cxl(MiB)
-        nvram = MemoryDevice.nvram(MiB)
-        assert cxl.write_time(MiB, 8) < nvram.write_time(MiB, 8)
+        cxl = MemoryDevice.cxl(MiB).bandwidth
+        nvram = MemoryDevice.nvram(MiB).bandwidth
+        write = (TransferKind.WRITE, MiB, 8)
+        assert cxl.transfer_time(*write) < nvram.transfer_time(*write)

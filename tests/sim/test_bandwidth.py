@@ -7,7 +7,6 @@ from repro.sim.bandwidth import (
     ConstantBandwidth,
     ParallelismCurveBandwidth,
     TransferKind,
-    chunk_sizes,
     copy_time,
     dram_bandwidth_model,
     effective_copy_bandwidth,
@@ -151,20 +150,3 @@ class TestCopyModel:
         assert 12 * GB < from_bw < 30 * GB
 
 
-class TestChunking:
-    def test_exact_division(self):
-        assert chunk_sizes(8 * MiB, 4 * MiB) == [4 * MiB, 4 * MiB]
-
-    def test_remainder(self):
-        assert chunk_sizes(9 * MiB, 4 * MiB) == [4 * MiB, 4 * MiB, 1 * MiB]
-
-    def test_zero(self):
-        assert chunk_sizes(0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            chunk_sizes(-1)
-
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_chunks_sum_to_total(self, nbytes):
-        assert sum(chunk_sizes(nbytes)) == nbytes

@@ -41,16 +41,6 @@ class TestOrdering:
 
 
 class TestQueueApi:
-    def test_peek_and_next_time(self):
-        queue = EventQueue()
-        assert queue.next_time is None
-        with pytest.raises(IndexError):
-            queue.peek()
-        queue.push(2.5, "x")
-        assert queue.peek().payload == "x"
-        assert queue.next_time == 2.5
-        assert len(queue) == 1  # peek does not consume
-
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()

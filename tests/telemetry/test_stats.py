@@ -52,38 +52,6 @@ def test_summary_empty_rejected():
         summarize_series([])
 
 
-class TestWindowedRate:
-    def _cumulative(self):
-        from repro.telemetry.timeline import Timeline
-
-        timeline = Timeline("traffic:DRAM")
-        # 100 B/s for 10 s, then idle for 10 s.
-        for t in range(0, 11):
-            timeline.record(float(t), 100.0 * t)
-        for t in range(11, 21):
-            timeline.record(float(t), 1000.0)
-        return timeline
-
-    def test_rate_during_activity(self):
-        from repro.telemetry.stats import windowed_rate
-
-        rates = windowed_rate(self._cumulative(), window=2.0)
-        assert rates.value_at(5.0) == pytest.approx(100.0)
-
-    def test_rate_after_idle(self):
-        from repro.telemetry.stats import windowed_rate
-
-        rates = windowed_rate(self._cumulative(), window=2.0)
-        assert rates.value_at(20.0) == pytest.approx(0.0)
-
-    def test_invalid_window(self):
-        from repro.telemetry.stats import windowed_rate
-        from repro.telemetry.timeline import Timeline
-
-        with pytest.raises(ValueError):
-            windowed_rate(Timeline("x"), window=0.0)
-
-
 def test_executor_records_traffic_timelines():
     from repro.experiments.common import ExperimentConfig, run_trace_mode
     from repro.units import KiB, MiB

@@ -17,7 +17,6 @@ def test_empty():
     assert len(timeline) == 0
     assert timeline.peak() == 0.0
     assert timeline.last() == 0.0
-    assert timeline.value_at(5.0) == 0.0
 
 
 def test_record_and_iterate():
@@ -41,25 +40,6 @@ def test_peak_and_last():
     timeline = make([(0, 5), (1, 9), (2, 3)])
     assert timeline.peak() == 9
     assert timeline.last() == 3
-
-
-def test_value_at_step_semantics():
-    timeline = make([(1.0, 10.0), (3.0, 20.0)])
-    assert timeline.value_at(0.5) == 0.0  # before first sample
-    assert timeline.value_at(1.0) == 10.0
-    assert timeline.value_at(2.9) == 10.0
-    assert timeline.value_at(3.0) == 20.0
-    assert timeline.value_at(99.0) == 20.0
-
-
-def test_time_average_weighted():
-    # value 10 for 1s, then 20 for 1s -> average 15
-    timeline = make([(0.0, 10.0), (1.0, 20.0), (2.0, 20.0)])
-    assert timeline.time_average() == pytest.approx(15.0)
-
-
-def test_time_average_single_sample():
-    assert make([(0.0, 7.0)]).time_average() == 7.0
 
 
 def test_downsample_keeps_endpoints():

@@ -19,7 +19,7 @@ def repo(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text(
         "# Demo\n\nSee `docs/guide.md` and [the API](docs/api.md).\n"
-        "Run `python -m repro bench --quick` first.\n"
+        "Run `python -m repro fig2 --scale 64` first.\n"
     )
     (tmp_path / "docs" / "guide.md").write_text(
         "Back to [README](../README.md). Also `python -m repro serve`.\n"
@@ -65,10 +65,18 @@ class TestCheckRepo:
         problems = check_docs.check_repo(repo)
         assert any("frobnicate" in p for p in problems)
 
+    def test_removed_bench_subcommand_flagged(self, repo):
+        (repo / "docs" / "guide.md").write_text(
+            "Gate with `python -m repro bench --quick`.\n"
+        )
+        assert [p.split(": ", 1)[1] for p in check_docs.check_repo(repo)] == [
+            "no such subcommand 'python -m repro bench'"
+        ]
+
     def test_known_subcommands_accepted(self, repo):
         names = " ".join(
             f"`python -m repro {cmd}`"
-            for cmd in ("serve", "colo", "bench", "profile", "table3")
+            for cmd in ("serve", "colo", "chaos", "profile", "table3")
         )
         (repo / "docs" / "guide.md").write_text(names + "\n")
         assert check_docs.check_repo(repo) == []
