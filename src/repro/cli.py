@@ -205,17 +205,10 @@ def _experiments(names, args) -> int:
 
 
 def _trace(args) -> int:
-    from repro.nn.models import MODEL_REGISTRY
+    from repro.experiments.common import model_trace
     from repro.workloads.serialize import save_trace
 
-    if args.model not in MODEL_REGISTRY:
-        return _fail(
-            f"unknown model {args.model!r}; "
-            f"known: {', '.join(sorted(MODEL_REGISTRY))}"
-        )
-    trace = MODEL_REGISTRY[args.model].builder().training_trace()
-    if args.scale > 1:
-        trace = trace.scaled(args.scale)
+    trace = model_trace(args.model, ExperimentConfig(scale=args.scale))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fp:
             save_trace(trace, fp)
@@ -359,14 +352,10 @@ def _monitor(args) -> int:
         monitor.observe_all(events_for_trace)
         monitor.finish()
     elif args.model:
-        from repro.experiments import profile as profile_mod
-        from repro.experiments.common import run_trace_mode
+        from repro.experiments.common import run_mode
 
         run_config = replace(_config(args), monitor=True, monitor_config=monitor_cfg)
-        trace = profile_mod.trace_for(args.model, run_config)
-        monitor = run_trace_mode(
-            trace, args.mode, run_config, model_label=args.model
-        ).monitor
+        monitor = run_mode(args.model, args.mode, run_config).monitor
         label = f"{args.model} under {args.mode}"
     else:
         return _fail(

@@ -40,7 +40,7 @@ from repro.sim.clock import SimClock
 from repro.telemetry import trace as tracing
 from repro.telemetry.counters import TrafficSnapshot
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.monitor import MonitorConfig, MonitorTracer, RuntimeMonitor
+from repro.telemetry.monitor import MonitorConfig, RuntimeMonitor, pick_tracer
 from repro.units import parse_size
 
 __all__ = [
@@ -205,16 +205,7 @@ class SharedRuntime:
                 "async_movement is a timing model and requires virtual devices"
             )
         if tracer is None:
-            if self.config.monitor:
-                tracer = MonitorTracer(
-                    self.clock,
-                    RuntimeMonitor(self.config.monitor_config),
-                    keep_events=self.config.tracing,
-                )
-            elif self.config.tracing:
-                tracer = tracing.Tracer(self.clock)
-            else:
-                tracer = tracing.NULL_TRACER
+            tracer = pick_tracer(self.clock, self.config)
         self.tracer = tracer
         # Chaos mode (docs/robustness.md): a FaultInjector wired through the
         # mechanism layer as a duck-typed hook. The runtime is the only place

@@ -34,11 +34,11 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.core.session import SessionConfig, SharedRuntime
+from repro.core.session import SharedRuntime
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig, _gc_config
+from repro.experiments.common import ExperimentConfig, tenant_executor
 from repro.policies.modes import ModeConfig, mode as resolve_mode
-from repro.runtime.executor import CachedArraysAdapter, Executor, RunResult
+from repro.runtime.executor import RunResult
 from repro.runtime.scheduler import StreamScheduler
 from repro.telemetry.counters import TrafficSnapshot
 from repro.telemetry.diff import stall_attribution
@@ -227,26 +227,20 @@ def _run_group(
     With one pair this is exactly a solo run: the scheduler's single-stream
     fast path replays the sequential executor loop.
     """
-    session_cfg = SessionConfig(
-        devices=[config.build_dram(), config.build_nvram()],
-        copy_overhead=config.copy_overhead / config.scale,
-        # Co-location is only interesting with the DMA channels modelled:
-        # tenants contend for them, and stalls need completion times to
-        # attribute. Solo baselines use the same setting for a fair ratio.
-        async_movement=True,
-        tracing=config.tracing,
-    )
-    runtime = SharedRuntime(session_cfg)
+    # Co-location is only interesting with the DMA channels modelled:
+    # tenants contend for them, and stalls need completion times to
+    # attribute. Solo baselines use the same setting for a fair ratio.
+    config = replace(config, async_movement=True)
+    runtime = SharedRuntime(config.session_config())
     scheduler = StreamScheduler(runtime.clock, tracer=runtime.tracer)
-    params = config.scaled_params()
     streams = {}
     for spec, trace in pairs:
         policy = mode_cfg.make_policy("DRAM", "NVRAM")
         session = runtime.session(policy, tenant=spec.name)
-        adapter = CachedArraysAdapter(session, params)
-        executor = Executor(
-            adapter,
-            gc_config=_gc_config(trace.peak_live_bytes(), config),
+        executor = tenant_executor(
+            session,
+            config,
+            trace.peak_live_bytes(),
             sample_timeline=config.sample_timeline,
             stream_name=spec.name,
         )
@@ -283,9 +277,7 @@ def run_colo(
             f"dram_fraction must be in (0, 1], got {dram_fraction}"
         )
     config = config or ExperimentConfig()
-    mode_cfg = (
-        mode_name if isinstance(mode_name, ModeConfig) else resolve_mode(mode_name)
-    )
+    mode_cfg = resolve_mode(mode_name)
     if mode_cfg.system != "ca":
         raise ConfigurationError(
             f"co-location runs on the CA runtime; mode {mode_cfg.name!r} does not"

@@ -7,6 +7,11 @@ paper-shaped experiments run quickly: placement decisions, hit ratios, and
 traffic *ratios* are scale-invariant because everything shrinks together
 (the per-transfer overhead term is the one exception, which is why published
 numbers in EXPERIMENTS.md use moderate scales).
+
+How a run is stood up is written here once (docs/architecture.md, "How a
+run is built"): :func:`model_trace` resolves a ``--model`` key,
+:meth:`ExperimentConfig.session_config` describes the CA platform, and
+:func:`tenant_executor` stacks the adapter and executor on a session.
 """
 
 from __future__ import annotations
@@ -27,19 +32,23 @@ from repro.runtime.executor import (
 )
 from repro.runtime.gc import GcConfig
 from repro.runtime.kernel import ExecutionParams
-from repro.telemetry.monitor import MonitorConfig, MonitorTracer, RuntimeMonitor
+from repro.telemetry.monitor import MonitorConfig, RuntimeMonitor, pick_tracer
 from repro.twolm.system import TwoLMSystem
 from repro.units import GB
 from repro.workloads.annotate import annotate
+from repro.workloads.synthetic import filo_stack_trace
 from repro.workloads.trace import KernelTrace
 
 __all__ = [
     "ExperimentConfig",
     "ModeResult",
     "PreparedRun",
+    "available_models",
+    "model_trace",
     "prepare_trace_mode",
     "run_mode",
     "run_modes",
+    "tenant_executor",
 ]
 
 
@@ -109,6 +118,21 @@ class ExperimentConfig:
         model = optane_bandwidth_model(setup_latency=3e-6 / self.scale)
         return MemoryDevice("NVRAM", MemoryKind.NVRAM, self.scaled_nvram(), model)
 
+    def session_config(self) -> SessionConfig:
+        """The CA platform this config describes: the scaled devices (NVRAM
+        alone when the DRAM budget is zero) and the per-transfer copy ramp
+        shrunk with them. Every experiment's runtime is built from this."""
+        devices = [self.build_dram()] if self.dram_bytes > 0 else []
+        devices.append(self.build_nvram())
+        return SessionConfig(
+            devices=devices,
+            copy_overhead=self.copy_overhead / self.scale,
+            async_movement=self.async_movement,
+            tracing=self.tracing,
+            monitor=self.monitor,
+            monitor_config=self.monitor_config,
+        )
+
 
 @dataclass
 class ModeResult:
@@ -148,15 +172,36 @@ class ModeResult:
         return snap.total_bytes / (self.seconds * peak)
 
 
-def _trace_for(model_key: str, config: ExperimentConfig) -> tuple[KernelTrace, int]:
-    try:
-        spec = MODEL_REGISTRY[model_key]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown model {model_key!r}; known: {sorted(MODEL_REGISTRY)}"
-        ) from None
-    trace = spec.builder().training_trace().scaled(config.scale)
-    return trace, trace.peak_live_bytes()
+def available_models() -> list[str]:
+    """Every ``--model`` key: Table III plus ``tiny``."""
+    return sorted([*MODEL_REGISTRY, "tiny"])
+
+
+def model_trace(model_key: str, config: ExperimentConfig) -> KernelTrace:
+    """The scaled training trace a ``--model`` key names.
+
+    Besides the Table III models, ``tiny`` is a synthetic 12-layer FILO
+    stack small enough for CI smoke tests: ~60 kernels, but a ~360 GB peak
+    footprint against 180 GB of DRAM, so real eviction/prefetch traffic
+    shows up at any ``scale`` (tensors and capacities shrink together).
+    """
+    if model_key == "tiny":
+        trace = filo_stack_trace(
+            depth=12,
+            activation_bytes=24 * GB,
+            weight_bytes=2 * GB,
+            flops_per_layer=2e12,
+        )
+    else:
+        try:
+            spec = MODEL_REGISTRY[model_key]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown model {model_key!r}; "
+                f"known: {', '.join(available_models())}"
+            ) from None
+        trace = spec.builder().training_trace()
+    return trace.scaled(config.scale)
 
 
 def _gc_config(footprint: int, config: ExperimentConfig) -> GcConfig:
@@ -164,6 +209,28 @@ def _gc_config(footprint: int, config: ExperimentConfig) -> GcConfig:
         trigger_bytes=max(1, int(footprint * config.gc_trigger_fraction)),
         pause_per_object=2e-6 / config.scale,
         base_pause=0.05 / config.scale,
+    )
+
+
+def tenant_executor(
+    session: Session,
+    config: ExperimentConfig,
+    footprint: int | None,
+    *,
+    sample_timeline: bool,
+    stream_name: str = "",
+) -> Executor:
+    """The adapter + executor one experiment tenant runs on.
+
+    ``footprint`` sizes the collector's trigger and scales its pauses with
+    the workload; ``None`` keeps the executor's unscaled default collector
+    (the Section VI panels, whose traces retire eagerly).
+    """
+    return Executor(
+        CachedArraysAdapter(session, config.scaled_params()),
+        gc_config=None if footprint is None else _gc_config(footprint, config),
+        sample_timeline=sample_timeline,
+        stream_name=stream_name,
     )
 
 
@@ -216,69 +283,45 @@ def prepare_trace_mode(
     model_label: str = "",
 ) -> PreparedRun:
     """Build the system + executor for one mode without running it."""
-    mode_cfg = (
-        mode_name if isinstance(mode_name, ModeConfig) else resolve_mode(mode_name)
-    )
-    params = config.scaled_params()
+    mode_cfg = resolve_mode(mode_name)
     footprint = trace.peak_live_bytes()
     annotated = annotate(trace, memopt=mode_cfg.memopt)
-    gc_cfg = _gc_config(footprint, config)
     if mode_cfg.system == "2lm":
         system = TwoLMSystem(
             config.build_dram(),
             config.build_nvram(),
             line_size=config.line_size,
         )
-        adapter: CachedArraysAdapter | TwoLMAdapter = TwoLMAdapter(
-            system, params
+        adapter = TwoLMAdapter(system, config.scaled_params())
+        adapter.tracer = pick_tracer(adapter.clock, config)
+        executor = Executor(
+            adapter,
+            gc_config=_gc_config(footprint, config),
+            sample_timeline=config.sample_timeline,
         )
-        if config.monitor:
-            adapter.tracer = MonitorTracer(
-                adapter.clock,
-                RuntimeMonitor(config.monitor_config),
-                keep_events=config.tracing,
-            )
-        elif config.tracing:
-            from repro.telemetry.trace import Tracer
-
-            adapter.tracer = Tracer(adapter.clock)
     else:
-        devices = (
-            [config.build_dram(), config.build_nvram()]
-            if config.dram_bytes > 0
-            else [config.build_nvram()]
-        )
-        session_cfg = SessionConfig(
-            devices=devices,
-            copy_overhead=config.copy_overhead / config.scale,
-            async_movement=config.async_movement,
-            tracing=config.tracing,
-            monitor=config.monitor,
-            monitor_config=config.monitor_config,
-        )
         if config.dram_bytes > 0:
             policy = mode_cfg.make_policy("DRAM", "NVRAM")
         else:
             from repro.policies.noop import SingleDevicePolicy
 
             policy = SingleDevicePolicy("NVRAM")
-        session = Session(session_cfg, policy=policy)
+        session = Session(config.session_config(), policy=policy)
         # Ablation hygiene: PolicyStats.attach deliberately carries counts
         # accumulated before bind into the session registry, so a policy
         # that saw any pre-session use would leak them into this mode's
         # report. Zero everything in place before the run starts.
         session.metrics.reset()
-        adapter = CachedArraysAdapter(session, params)
-    executor = Executor(
-        adapter, gc_config=gc_cfg, sample_timeline=config.sample_timeline
-    )
+        executor = tenant_executor(
+            session, config, footprint, sample_timeline=config.sample_timeline
+        )
     return PreparedRun(
         model=model_label or trace.name,
         mode=mode_cfg,
         config=config,
         footprint_bytes=footprint,
         annotated=annotated,
-        adapter=adapter,
+        adapter=executor.adapter,
         executor=executor,
     )
 
@@ -303,8 +346,8 @@ def run_trace_mode(
 def run_mode(
     model_key: str, mode_name: str | ModeConfig, config: ExperimentConfig
 ) -> ModeResult:
-    """Run one Table III model under one operating mode."""
-    trace, _ = _trace_for(model_key, config)
+    """Run one model key (Table III or ``tiny``) under one operating mode."""
+    trace = model_trace(model_key, config)
     return run_trace_mode(trace, mode_name, config, model_label=model_key)
 
 
@@ -312,7 +355,7 @@ def run_modes(
     model_key: str, mode_names: list[str], config: ExperimentConfig
 ) -> dict[str, ModeResult]:
     """Run one model across several modes (fresh system per mode)."""
-    trace, _ = _trace_for(model_key, config)
+    trace = model_trace(model_key, config)
     return {
         name: run_trace_mode(trace, name, config, model_label=model_key)
         for name in mode_names

@@ -19,10 +19,14 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.policy_api import Policy
 from repro.core.session import Session, SessionConfig
-from repro.experiments.common import ExperimentConfig, run_mode
+from repro.experiments.common import (
+    ExperimentConfig,
+    model_trace,
+    run_mode,
+    tenant_executor,
+)
 from repro.experiments.report import header, table
 from repro.memory.device import MemoryDevice
-from repro.nn.models import MODEL_REGISTRY
 from repro.policies import (
     AdaptivePolicy,
     FirstTouchPolicy,
@@ -30,7 +34,7 @@ from repro.policies import (
     MultiTierPolicy,
     OptimizingPolicy,
 )
-from repro.runtime.executor import CachedArraysAdapter, Executor, IterationResult
+from repro.runtime.executor import IterationResult
 from repro.units import GB, MiB
 from repro.workloads.annotate import annotate
 from repro.workloads.synthetic import random_reuse_trace, shifting_reuse_trace
@@ -60,20 +64,10 @@ def _execute(
         SessionConfig(devices=devices, async_movement=async_movement),
         policy=policy,
     )
-    executor = Executor(
-        CachedArraysAdapter(session, config.scaled_params()),
-        sample_timeline=False,
-    )
+    executor = tenant_executor(session, config, None, sample_timeline=False)
     iteration = executor.run(trace, iterations=config.iterations).steady_state()
     session.close()
     return iteration
-
-
-def _model_trace(key: str, config: ExperimentConfig) -> KernelTrace:
-    return annotate(
-        MODEL_REGISTRY[key].builder().training_trace().scaled(config.scale),
-        memopt=True,
-    )
 
 
 def run(config: ExperimentConfig | None = None) -> ExtensionsResult:
@@ -81,7 +75,7 @@ def run(config: ExperimentConfig | None = None) -> ExtensionsResult:
     result = ExtensionsResult(config=config)
 
     # --- panel 1: platforms -------------------------------------------------
-    trace = _model_trace("resnet200-large", config)
+    trace = annotate(model_trace("resnet200-large", config), memopt=True)
     cxl = lambda: MemoryDevice.cxl(512 * GB // config.scale, name="CXL")  # noqa: E731
     result.platforms["DRAM+NVRAM (paper)"] = _execute(
         [config.build_dram(), config.build_nvram()],
@@ -213,11 +207,3 @@ def render(result: ExtensionsResult) -> str:
     ]
     sections.append(table(("policy", "iteration"), rows))
     return "\n".join(sections)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

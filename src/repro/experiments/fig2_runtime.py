@@ -79,11 +79,3 @@ def render(result: Fig2Result) -> str:
             "(paper reports 1.4x-2.03x)"
         )
     return "\n".join(sections)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -75,11 +75,3 @@ def render(result: Fig3Result) -> str:
         _render_series(result, result.optimized),
     ]
     return "\n".join(sections)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

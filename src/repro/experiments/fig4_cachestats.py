@@ -82,11 +82,3 @@ def render(result: Fig4Result) -> str:
             "(paper: ~50%)",
         ]
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -89,11 +89,3 @@ def render(result: Fig5Result) -> str:
             f"P cuts NVRAM reads by {result.nvram_read_drop_with_prefetch(model):.1f}x"
         )
     return "\n".join(sections)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

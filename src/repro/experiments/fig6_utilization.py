@@ -59,11 +59,3 @@ def render(result: Fig6Result) -> str:
                 f"(paper: higher for ResNet, reversed for VGG)"
             )
     return "\n".join(sections)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -91,11 +91,3 @@ def render(result: Fig7Result) -> str:
             "(paper: 3-4x for DenseNet, similar for others)"
         )
     return "\n".join(sections)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,20 +8,16 @@ bytes; the ``--out`` artifact is a Chrome trace-event JSON loadable in
 Perfetto (see ``docs/observability.md``), and ``--jsonl`` streams the raw
 events for diffing.
 
-Besides the Table III models, the key ``tiny`` names a synthetic FILO
-training workload small enough for CI smoke tests: few kernels, but a
-footprint about twice the platform's DRAM, so real eviction/prefetch traffic
-shows up at any ``scale`` (tensors and capacities shrink together).
+Model keys are the ones every command takes (Table III plus ``tiny``, see
+:func:`repro.experiments.common.model_trace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.errors import ConfigurationError
 from repro.experiments import report
-from repro.experiments.common import ExperimentConfig, ModeResult, run_trace_mode
-from repro.nn.models import MODEL_REGISTRY
+from repro.experiments.common import ExperimentConfig, ModeResult, run_mode
 from repro.telemetry.export import to_chrome_trace
 from repro.telemetry.ledger import ObjectLedger, build_ledger
 from repro.telemetry.monitor import MonitorConfig
@@ -31,44 +27,9 @@ from repro.telemetry.metrics import (
     attribute_copies,
     derive_metrics,
 )
-from repro.units import GB, format_size
-from repro.workloads.synthetic import filo_stack_trace
-from repro.workloads.trace import KernelTrace
+from repro.units import format_size
 
-__all__ = [
-    "ProfileResult", "available_models", "trace_for", "run_profile", "render",
-]
-
-TINY = "tiny"
-
-
-def available_models() -> list[str]:
-    """Model keys the profiler accepts (Table III plus ``tiny``)."""
-    return sorted([*MODEL_REGISTRY, TINY])
-
-
-def _tiny_trace() -> KernelTrace:
-    # A 12-layer FILO stack with ~360 GB peak footprint against 180 GB of
-    # DRAM: guaranteed movement, ~60 kernels, runs in well under a second.
-    return filo_stack_trace(
-        depth=12,
-        activation_bytes=24 * GB,
-        weight_bytes=2 * GB,
-        flops_per_layer=2e12,
-    )
-
-
-def trace_for(model: str, config: ExperimentConfig) -> KernelTrace:
-    """Build the scaled kernel trace for any profilable model key."""
-    if model == TINY:
-        return _tiny_trace().scaled(config.scale)
-    try:
-        spec = MODEL_REGISTRY[model]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown model {model!r}; known: {', '.join(available_models())}"
-        ) from None
-    return spec.builder().training_trace().scaled(config.scale)
+__all__ = ["ProfileResult", "run_profile", "render"]
 
 
 @dataclass
@@ -118,8 +79,7 @@ def run_profile(
         monitor=True,
         monitor_config=MonitorConfig(rules=()),
     )
-    trace = trace_for(model, config)
-    result = run_trace_mode(trace, mode, config, model_label=model)
+    result = run_mode(model, mode, config)
     events = result.run.trace
     registry = derive_metrics(events)
     return ProfileResult(

@@ -41,16 +41,16 @@ import hashlib
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
 
-from repro.core.session import Session, SessionConfig, SharedRuntime
+from repro.core.session import Session, SharedRuntime
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig, _gc_config
+from repro.experiments.common import ExperimentConfig, tenant_executor
 from repro.policies.modes import ModeConfig, mode as resolve_mode
-from repro.runtime.executor import CachedArraysAdapter, Executor
+from repro.runtime.executor import Executor
 from repro.runtime.scheduler import StreamScheduler
 from repro.telemetry.counters import TrafficSnapshot
 from repro.telemetry.monitor import QuantileSketch
@@ -204,6 +204,9 @@ class ServingConfig:
             raise ConfigurationError(
                 f"need at least one request, got {self.requests}"
             )
+        if self.seed < 0:
+            # numpy's default_rng raises a bare ValueError on a negative seed.
+            raise ConfigurationError(f"seed cannot be negative, got {self.seed}")
         if self.patience_factor <= 1.0:
             raise ConfigurationError(
                 "patience_factor must exceed 1.0 (a solo request must be "
@@ -451,20 +454,12 @@ class _PointRunner:
         self.mode_cfg = mode_cfg
         self.budget = budget
         self.solo = solo
-        session_cfg = SessionConfig(
-            devices=[config.build_dram(), config.build_nvram()],
-            copy_overhead=config.copy_overhead / config.scale,
-            # Slots contend for the DMA channels like colo tenants do.
-            async_movement=True,
-            tracing=config.tracing,
-        )
-        self.runtime = SharedRuntime(session_cfg)
+        self.runtime = SharedRuntime(config.session_config())
         self.scheduler = StreamScheduler(
             self.runtime.clock, tracer=self.runtime.tracer, dynamic=True
         )
         # detach() cancels the departing request's stream through this.
         self.runtime.attach_scheduler(self.scheduler)
-        self.params = config.scaled_params()
         self.clock = self.runtime.clock
         self._pending = deque(requests)
         self._deadlines: list[tuple[float, int]] = []
@@ -544,10 +539,10 @@ class _PointRunner:
             policy, tenant=req.name, dram_quota=req.footprint
         )
         self._sessions[req.name] = session
-        adapter = CachedArraysAdapter(session, self.params)
-        executor = Executor(
-            adapter,
-            gc_config=_gc_config(req.footprint, self.config),
+        executor = tenant_executor(
+            session,
+            self.config,
+            req.footprint,
             sample_timeline=False,
             stream_name=req.name,
         )
@@ -673,23 +668,13 @@ def _solo_latency(
     mode_cfg: ModeConfig,
 ) -> float:
     """One request alone on the serving platform (no queue, no contention)."""
-    session_cfg = SessionConfig(
-        devices=[config.build_dram(), config.build_nvram()],
-        copy_overhead=config.copy_overhead / config.scale,
-        async_movement=True,
-        tracing=False,
+    runtime = SharedRuntime(replace(config, tracing=False).session_config())
+    session = runtime.session(
+        mode_cfg.make_policy("DRAM", "NVRAM"), tenant="solo"
     )
-    runtime = SharedRuntime(session_cfg)
-    policy = mode_cfg.make_policy("DRAM", "NVRAM")
-    session = runtime.session(policy, tenant="solo")
-    adapter = CachedArraysAdapter(session, config.scaled_params())
-    executor = Executor(
-        adapter,
-        gc_config=_gc_config(footprint, config),
-        sample_timeline=False,
-        stream_name="solo",
-    )
-    executor.run(trace, iterations=1)
+    tenant_executor(
+        session, config, footprint, sample_timeline=False, stream_name="solo"
+    ).run(trace, iterations=1)
     latency = runtime.clock.now
     runtime.close()
     return latency
@@ -782,9 +767,7 @@ def run_serving(
     config = config or ExperimentConfig()
     serving = serving or ServingConfig()
     serving.validate()
-    mode_cfg = (
-        mode_name if isinstance(mode_name, ModeConfig) else resolve_mode(mode_name)
-    )
+    mode_cfg = resolve_mode(mode_name)
     if mode_cfg.system != "ca":
         raise ConfigurationError(
             f"serving runs on the CA runtime; mode {mode_cfg.name!r} does not"
@@ -809,7 +792,9 @@ def run_serving(
         )
         * config.scale
     )
-    sized = config.with_dram(dram_bytes)
+    # Slots contend for the DMA channels like colo tenants do; the solo
+    # baselines run on the same platform.
+    sized = replace(config, dram_bytes=dram_bytes, async_movement=True)
     budget = (
         serving.admission_budget_bytes
         if serving.admission_budget_bytes is not None

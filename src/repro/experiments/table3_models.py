@@ -96,11 +96,3 @@ def render(result: Table3Result) -> str:
             ),
         ]
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

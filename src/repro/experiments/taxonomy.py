@@ -270,8 +270,9 @@ def run_taxonomy(
         raise ConfigurationError(
             f"unknown workloads {unknown}; known: {sorted(WORKLOADS)}"
         )
-    if len(set(workloads)) != len(workloads):
-        raise ConfigurationError(f"duplicate workloads: {list(workloads)}")
+    for what, names in (("workloads", workloads), ("modes", mode_names)):
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"duplicate {what}: {list(names)}")
     traced = replace(
         config, tracing=True, monitor=True, monitor_config=MonitorConfig(rules=())
     )

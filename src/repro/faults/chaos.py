@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,33 +178,36 @@ class ChaosReport:
 # -- scenario A: real-backed session, scripted workload ------------------------
 
 
-def _build_session(
-    plan: FaultPlan | None,
+def _platform(
     *,
-    real: bool,
-    dram: int,
-    nvram: int,
+    real: bool = True,
+    dram: int = REAL_DRAM,
+    nvram: int = REAL_NVRAM,
     dump_dir: str | None = None,
+) -> SessionConfig:
+    """The chaos platform: the scripted workload's real-backed geometry
+    unless told otherwise, fully traced."""
+    return SessionConfig(
+        dram=dram,
+        nvram=nvram,
+        real=real,
+        tracing=True,
+        # The runtime monitor rides along for free counting (the outcome's
+        # recovery/strike tallies) and, when a dump directory is given,
+        # flight-records every escalation.
+        monitor=True,
+        monitor_config=MonitorConfig(dump_dir=dump_dir),
+    )
+
+
+def _build_session(
+    plan: FaultPlan | None, **platform
 ) -> tuple[Session, FaultInjector | None]:
     injector = FaultInjector(plan) if plan is not None else None
     policy = OptimizingPolicy(fast="DRAM", slow="NVRAM", local_alloc=True)
     if injector is not None:
         policy = PolicyWatchdog(FaultyPolicy(policy, injector))
-    session = Session(
-        SessionConfig(
-            dram=dram,
-            nvram=nvram,
-            real=real,
-            tracing=True,
-            # The runtime monitor rides along for free counting (the
-            # outcome's recovery/strike tallies) and, when a dump
-            # directory is given, flight-records every escalation.
-            monitor=True,
-            monitor_config=MonitorConfig(dump_dir=dump_dir),
-        ),
-        policy=policy,
-        injector=injector,
-    )
+    session = Session(_platform(**platform), policy=policy, injector=injector)
     return session, injector
 
 
@@ -285,69 +289,79 @@ def _scripted_workload(session: Session) -> dict[str, str]:
     return ScriptedWorkload().run(session)
 
 
-def _collect_stats(session: Session, outcome: ScenarioOutcome) -> None:
-    """Fill the outcome's tallies from the run's monitor.
+@contextmanager
+def _guarded(outcome: ScenarioOutcome):
+    """The contract's guard around a scenario body: leaving the block
+    normally marks the outcome completed; a raise is recorded as a typed
+    abort (a :class:`CachedArraysError`) or an untyped crash, not re-raised."""
+    try:
+        yield
+    except CachedArraysError as error:
+        outcome.error = type(error).__name__
+        outcome.error_detail = str(error)
+        outcome.typed_abort = True
+    except Exception as error:  # noqa: BLE001 - the contract check itself
+        outcome.error = type(error).__name__
+        outcome.error_detail = str(error)
+    else:
+        outcome.completed = True
 
-    The monitor folded every event as it was emitted, so this is a constant-
-    time read of its cumulative totals — no post-hoc scan over the trace.
+
+def _sweep(sessions: list[Session]) -> bool:
+    try:
+        sessions[0].manager.check()
+        for session in sessions:
+            check = getattr(session.policy, "check_invariant", None)
+            if check is not None and not session.closed:
+                check()
+    except Exception:
+        return False
+    return True
+
+
+def _close_out(
+    outcome: ScenarioOutcome,
+    sessions: list[Session],
+    injector: FaultInjector | None,
+) -> None:
+    """Everything a scenario reports once its guarded body is over, for the
+    tenant ``sessions`` of one runtime: the abort's black box, the invariant
+    sweep, and the fault / recovery / watchdog tallies.
+
+    The monitor folded every event as it was emitted, so the tallies are a
+    constant-time read of its cumulative totals — no scan over the trace.
     """
-    monitor = session.monitor
-    if monitor is None:  # pragma: no cover - chaos always attaches one
-        return
+    monitor = sessions[0].monitor
+    assert monitor is not None  # both session builders here attach one
+    if outcome.error:
+        # Capture the black box at the abort, whatever escalated first.
+        monitor.record_escalation(f"abort:{outcome.error}")
+    monitor.finish()
+    outcome.invariants_clean = _sweep(sessions)
+    outcome.faults_fired = len(injector.fired) if injector else 0
     outcome.recoveries = dict(monitor.recoveries_by_step)
     outcome.copy_retries = monitor.totals["copy_retries"]
     outcome.strikes = monitor.totals["strikes"]
     outcome.quarantined |= monitor.totals["quarantines"] > 0
+    for session in sessions:
+        if isinstance(session.policy, PolicyWatchdog):
+            outcome.quarantined |= session.policy.quarantined
     if monitor.dumps:
         outcome.flight_record = monitor.dumps[-1]
-
-
-def _sweep(session: Session) -> bool:
-    try:
-        session.manager.check()
-        check = getattr(session.policy, "check_invariant", None)
-        if check is not None:
-            check()
-    except Exception:
-        return False
-    return True
 
 
 def _run_real_scenario(
     plan: FaultPlan, *, dump_dir: str | None = None
 ) -> ScenarioOutcome:
     outcome = ScenarioOutcome(scenario="session-real", completed=False)
-    baseline_session, _ = _build_session(
-        None, real=True, dram=REAL_DRAM, nvram=REAL_NVRAM
-    )
+    baseline_session, _ = _build_session(None)
     with baseline_session:
         baseline = _scripted_workload(baseline_session)
-    session, injector = _build_session(
-        plan, real=True, dram=REAL_DRAM, nvram=REAL_NVRAM, dump_dir=dump_dir
-    )
+    session, injector = _build_session(plan, dump_dir=dump_dir)
     with session:
-        try:
-            digests = _scripted_workload(session)
-        except CachedArraysError as error:
-            outcome.error = type(error).__name__
-            outcome.error_detail = str(error)
-            outcome.typed_abort = True
-        except Exception as error:  # noqa: BLE001 - the contract check itself
-            outcome.error = type(error).__name__
-            outcome.error_detail = str(error)
-        else:
-            outcome.completed = True
-            outcome.digests_match = digests == baseline
-        if outcome.error and session.monitor is not None:
-            # Capture the black box at the abort, whatever escalated first.
-            session.monitor.record_escalation(f"abort:{outcome.error}")
-        if session.monitor is not None:
-            session.monitor.finish()
-        outcome.invariants_clean = _sweep(session)
-        outcome.faults_fired = len(injector.fired) if injector else 0
-        _collect_stats(session, outcome)
-        if isinstance(session.policy, PolicyWatchdog):
-            outcome.quarantined |= session.policy.quarantined
+        with _guarded(outcome):
+            outcome.digests_match = _scripted_workload(session) == baseline
+        _close_out(outcome, [session], injector)
     return outcome
 
 
@@ -368,26 +382,9 @@ def _run_virtual_scenario(
     trace = annotate(
         streaming_trace(stages=24, tensor_bytes=512 * KiB), memopt=False
     )
-    try:
+    with _guarded(outcome):
         executor.run(trace, iterations=2)
-    except CachedArraysError as error:
-        outcome.error = type(error).__name__
-        outcome.error_detail = str(error)
-        outcome.typed_abort = True
-    except Exception as error:  # noqa: BLE001
-        outcome.error = type(error).__name__
-        outcome.error_detail = str(error)
-    else:
-        outcome.completed = True
-    if outcome.error and session.monitor is not None:
-        session.monitor.record_escalation(f"abort:{outcome.error}")
-    if session.monitor is not None:
-        session.monitor.finish()
-    outcome.invariants_clean = _sweep(session)
-    outcome.faults_fired = len(injector.fired) if injector else 0
-    _collect_stats(session, outcome)
-    if isinstance(session.policy, PolicyWatchdog):
-        outcome.quarantined |= session.policy.quarantined
+    _close_out(outcome, [session], injector)
     return outcome
 
 
@@ -417,17 +414,7 @@ def _run_elastic_scenario(
     no owned blocks left), clean invariant sweep after every resize."""
     outcome = ScenarioOutcome(scenario="session-elastic", completed=False)
     injector = FaultInjector(plan)
-    runtime = SharedRuntime(
-        SessionConfig(
-            dram=REAL_DRAM,
-            nvram=REAL_NVRAM,
-            real=True,
-            tracing=True,
-            monitor=True,
-            monitor_config=MonitorConfig(dump_dir=dump_dir),
-        ),
-        injector=injector,
-    )
+    runtime = SharedRuntime(_platform(dump_dir=dump_dir), injector=injector)
     sessions: dict[str, Session] = {}
     workloads: dict[str, ScriptedWorkload] = {}
     for tenant in ELASTIC_TENANTS:
@@ -439,7 +426,7 @@ def _run_elastic_scenario(
         )
         workloads[tenant] = ScriptedWorkload()
     detach_stats: dict[str, dict[str, int]] = {}
-    try:
+    with _guarded(outcome):
         for step in range(WORKLOAD_STEPS):
             for kind, subject, factor in injector.elastic_events(step):
                 if kind == "churn":
@@ -460,15 +447,6 @@ def _run_elastic_scenario(
         for tenant, workload in workloads.items():
             runtime.activate(tenant)
             digests_ok &= workload.digests() == _expected_digests(workload)
-    except CachedArraysError as error:
-        outcome.error = type(error).__name__
-        outcome.error_detail = str(error)
-        outcome.typed_abort = True
-    except Exception as error:  # noqa: BLE001 - the contract check itself
-        outcome.error = type(error).__name__
-        outcome.error_detail = str(error)
-    else:
-        outcome.completed = True
         outcome.digests_match = digests_ok
     if outcome.detached:
         refund_ok = True
@@ -479,30 +457,7 @@ def _run_elastic_scenario(
             )
             refund_ok &= not runtime.manager.tenant_objects(tenant)
         outcome.refund_ok = refund_ok
-    monitor = runtime.monitor
-    if outcome.error and monitor is not None:
-        monitor.record_escalation(f"abort:{outcome.error}")
-    if monitor is not None:
-        monitor.finish()
-    try:
-        runtime.manager.check()
-        for session in sessions.values():
-            if not session.closed:
-                check = getattr(session.policy, "check_invariant", None)
-                if check is not None:
-                    check()
-    except Exception:
-        outcome.invariants_clean = False
-    else:
-        outcome.invariants_clean = True
-    outcome.faults_fired = len(injector.fired)
-    if monitor is not None:
-        outcome.recoveries = dict(monitor.recoveries_by_step)
-        outcome.copy_retries = monitor.totals["copy_retries"]
-        outcome.strikes = monitor.totals["strikes"]
-        outcome.quarantined |= monitor.totals["quarantines"] > 0
-        if monitor.dumps:
-            outcome.flight_record = monitor.dumps[-1]
+    _close_out(outcome, list(sessions.values()), injector)
     runtime.close()
     return outcome
 
@@ -583,9 +538,7 @@ def bisect_plan(plan_or_name: FaultPlan | str) -> BisectResult:
         if isinstance(plan_or_name, str)
         else plan_or_name
     )
-    session, injector = _build_session(
-        plan, real=True, dram=REAL_DRAM, nvram=REAL_NVRAM
-    )
+    session, injector = _build_session(plan)
     assert injector is not None
     snapshots: list[tuple[bytes, int]] = []
     error = ""
@@ -657,9 +610,7 @@ def bisect_plan(plan_or_name: FaultPlan | str) -> BisectResult:
         replay = replay_plan(
             f"{plan.name}-bisect", subset, seed=plan.seed
         )
-        probe_session, _ = _build_session(
-            replay, real=True, dram=REAL_DRAM, nvram=REAL_NVRAM
-        )
+        probe_session, _ = _build_session(replay)
         with probe_session:
             try:
                 ScriptedWorkload().run(probe_session)

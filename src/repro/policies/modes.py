@@ -69,8 +69,11 @@ MODES: dict[str, ModeConfig] = {
 }
 
 
-def mode(name: str) -> ModeConfig:
-    """Resolve a mode by name; accepts ``∅`` as a synonym for ``0``."""
+def mode(name: str | ModeConfig) -> ModeConfig:
+    """Resolve a mode by name (an already-resolved :class:`ModeConfig`
+    passes through); accepts ``∅`` as a synonym for ``0``."""
+    if isinstance(name, ModeConfig):
+        return name
     canonical = name.replace("∅", "0").replace(" ", "").upper()
     try:
         return MODES[canonical]

@@ -46,7 +46,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     ModeResult,
     PreparedRun,
-    _trace_for,
+    model_trace,
     prepare_trace_mode,
 )
 from repro.telemetry import trace as tracing
@@ -196,10 +196,9 @@ def checkpoint_model_mode(
     pause_after: int,
 ) -> RuntimeSnapshot | ModeResult:
     """Model-registry convenience wrapper over :func:`checkpoint_trace_mode`."""
-    trace, _ = _trace_for(model_key, config)
     return checkpoint_trace_mode(
-        trace, mode_name, config, pause_after=pause_after,
-        model_label=model_key,
+        model_trace(model_key, config), mode_name, config,
+        pause_after=pause_after, model_label=model_key,
     )
 
 

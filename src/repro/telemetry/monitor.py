@@ -65,6 +65,7 @@ from repro.telemetry.trace import (
     RESTORE,
     SNAPSHOT,
     STALL,
+    NULL_TRACER,
     NullTracer,
     TraceEvent,
     Tracer,
@@ -86,6 +87,7 @@ __all__ = [
     "MonitorConfig",
     "RuntimeMonitor",
     "MonitorTracer",
+    "pick_tracer",
     "FLIGHT_SCHEMA_VERSION",
 ]
 
@@ -223,20 +225,36 @@ def cause_kind(root: str) -> str:
     return first
 
 
+# The rollup counter schema, written once: (name, zero) in report order. An
+# int zero is a count or byte total, a float zero a seconds sum (reported as
+# ``0.0`` when nothing landed), a dict a per-cause breakdown, and ``None`` a
+# value derived from the others (reported, never stored). Drives
+# RollupWindow's slots, constructor and ``to_json``, and the aggregator's
+# fold; the hot-path ``window.x += ...`` sites name their counter directly.
+_ROLLUP_SCHEMA: tuple[tuple[str, Any], ...] = (
+    ("events", 0),
+    ("copies", 0), ("copy_bytes", 0), ("copy_bytes_by_cause", {}),
+    ("copy_seconds", 0.0), ("copy_seconds_by_cause", {}), ("copies_by_cause", {}),
+    ("stalls", 0), ("stall_seconds", 0.0), ("stall_fraction", None),
+    ("evictions", 0), ("prefetches", 0), ("ping_pong_rate", None),
+    ("allocs", 0), ("alloc_bytes", 0), ("frees", 0), ("free_bytes", 0),
+    ("kernels", 0), ("kernel_seconds", 0.0), ("kernel_compute_seconds", 0.0),
+    ("kernel_memory_seconds", 0.0), ("kernel_fixed_seconds", 0.0),
+    ("gcs", 0), ("gc_seconds", 0.0), ("oom_retries", 0),
+    ("faults", 0), ("recovery_steps", 0), ("recoveries", 0), ("copy_retries", 0),
+    ("strikes", 0), ("quarantines", 0),
+)
+_ROLLUP_COUNTERS = tuple(
+    (name, zero) for name, zero in _ROLLUP_SCHEMA if zero is not None
+)
+
+
 class RollupWindow:
     """Aggregated activity for one fixed virtual-time interval."""
 
     __slots__ = (
-        "index", "start", "duration", "events",
-        "copies", "copy_bytes", "copy_bytes_by_cause",
-        "copy_seconds", "copy_seconds_by_cause", "copies_by_cause",
-        "stalls", "stall_seconds", "evictions", "prefetches",
-        "allocs", "alloc_bytes", "frees", "free_bytes",
-        "kernels", "kernel_seconds", "kernel_compute_seconds",
-        "kernel_memory_seconds", "kernel_fixed_seconds",
-        "gcs", "gc_seconds", "oom_retries",
-        "faults", "recovery_steps", "recoveries", "copy_retries",
-        "strikes", "quarantines",
+        "index", "start", "duration",
+        *(name for name, _ in _ROLLUP_COUNTERS),
         "occupancy", "inflight_copy_bytes", "tenant_used",
     )
 
@@ -244,35 +262,8 @@ class RollupWindow:
         self.index = index
         self.start = index * duration
         self.duration = duration
-        self.events = 0
-        self.copies = 0
-        self.copy_bytes = 0
-        self.copy_bytes_by_cause: dict[str, int] = {}
-        self.copy_seconds = 0.0
-        self.copy_seconds_by_cause: dict[str, float] = {}
-        self.copies_by_cause: dict[str, int] = {}
-        self.stalls = 0
-        self.stall_seconds = 0.0
-        self.evictions = 0
-        self.prefetches = 0
-        self.allocs = 0
-        self.alloc_bytes = 0
-        self.frees = 0
-        self.free_bytes = 0
-        self.kernels = 0
-        self.kernel_seconds = 0.0
-        self.kernel_compute_seconds = 0.0
-        self.kernel_memory_seconds = 0.0
-        self.kernel_fixed_seconds = 0.0
-        self.gcs = 0
-        self.gc_seconds = 0.0
-        self.oom_retries = 0
-        self.faults = 0
-        self.recovery_steps = 0
-        self.recoveries = 0
-        self.copy_retries = 0
-        self.strikes = 0
-        self.quarantines = 0
+        for name, zero in _ROLLUP_COUNTERS:
+            setattr(self, name, {} if isinstance(zero, dict) else zero)
         # Filled at window close from the monitor's live state.
         self.occupancy: dict[str, int] = {}
         self.inflight_copy_bytes = 0
@@ -298,49 +289,16 @@ class RollupWindow:
         return min(self.evictions, self.prefetches) / self.duration
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "start": self.start,
-            "duration": self.duration,
-            "events": self.events,
-            "copies": self.copies,
-            "copy_bytes": self.copy_bytes,
-            "copy_bytes_by_cause": dict(
-                sorted(self.copy_bytes_by_cause.items())
-            ),
-            "copy_seconds": self.copy_seconds,
-            "copy_seconds_by_cause": dict(
-                sorted(self.copy_seconds_by_cause.items())
-            ),
-            "copies_by_cause": dict(sorted(self.copies_by_cause.items())),
-            "stalls": self.stalls,
-            "stall_seconds": self.stall_seconds,
-            "stall_fraction": self.stall_fraction,
-            "evictions": self.evictions,
-            "prefetches": self.prefetches,
-            "ping_pong_rate": self.ping_pong_rate,
-            "allocs": self.allocs,
-            "alloc_bytes": self.alloc_bytes,
-            "frees": self.frees,
-            "free_bytes": self.free_bytes,
-            "kernels": self.kernels,
-            "kernel_seconds": self.kernel_seconds,
-            "kernel_compute_seconds": self.kernel_compute_seconds,
-            "kernel_memory_seconds": self.kernel_memory_seconds,
-            "kernel_fixed_seconds": self.kernel_fixed_seconds,
-            "gcs": self.gcs,
-            "gc_seconds": self.gc_seconds,
-            "oom_retries": self.oom_retries,
-            "faults": self.faults,
-            "recovery_steps": self.recovery_steps,
-            "recoveries": self.recoveries,
-            "copy_retries": self.copy_retries,
-            "strikes": self.strikes,
-            "quarantines": self.quarantines,
-            "occupancy": dict(sorted(self.occupancy.items())),
-            "inflight_copy_bytes": self.inflight_copy_bytes,
-            "tenant_used": dict(sorted(self.tenant_used.items())),
-        }
+        doc = {"index": self.index, "start": self.start, "duration": self.duration}
+        for name, zero in _ROLLUP_SCHEMA:
+            value = getattr(self, name)
+            if isinstance(zero, dict):
+                value = dict(sorted(value.items()))
+            doc[name] = value
+        doc["occupancy"] = dict(sorted(self.occupancy.items()))
+        doc["inflight_copy_bytes"] = self.inflight_copy_bytes
+        doc["tenant_used"] = dict(sorted(self.tenant_used.items()))
+        return doc
 
 
 class RollupAggregator:
@@ -411,15 +369,18 @@ class RollupAggregator:
     def _close_through(self, last: int) -> None:
         # Close every retained window up to `last`, materialising empty gap
         # windows so hysteresis counts idle intervals too. A jump larger
-        # than the retention span skips the unobservable middle.
-        first = self._highest
-        if last - first >= self.max_windows:
-            first = last - self.max_windows + 1
-        for index in range(self._highest, last + 1):
+        # than the retention span skips the unobservable middle — without
+        # walking it, so one event after an idle gap costs O(max_windows)
+        # however many windows the gap spans.
+        first = max(self._highest, last - self.max_windows + 1)
+        indices: Iterable[int] = range(first, last + 1)
+        if first > self._highest and self._highest in self.windows:
+            # Nothing above `_highest` was ever opened, so it is the only
+            # retained window the skipped stretch can hold.
+            indices = (self._highest, *indices)
+        for index in indices:
             window = self.windows.get(index)
             if window is None:
-                if index < first:
-                    continue
                 window = self.windows[index] = RollupWindow(
                     index, self.window_seconds
                 )
@@ -445,44 +406,14 @@ class RollupAggregator:
 
     def _fold(self, window: RollupWindow) -> None:
         into = self.folded
-        into.events += window.events
-        into.copies += window.copies
-        into.copy_bytes += window.copy_bytes
-        for cause, nbytes in window.copy_bytes_by_cause.items():
-            into.copy_bytes_by_cause[cause] = (
-                into.copy_bytes_by_cause.get(cause, 0) + nbytes
-            )
-        into.copy_seconds += window.copy_seconds
-        for cause, seconds in window.copy_seconds_by_cause.items():
-            into.copy_seconds_by_cause[cause] = (
-                into.copy_seconds_by_cause.get(cause, 0.0) + seconds
-            )
-        for cause, count in window.copies_by_cause.items():
-            into.copies_by_cause[cause] = (
-                into.copies_by_cause.get(cause, 0) + count
-            )
-        into.stalls += window.stalls
-        into.stall_seconds += window.stall_seconds
-        into.evictions += window.evictions
-        into.prefetches += window.prefetches
-        into.allocs += window.allocs
-        into.alloc_bytes += window.alloc_bytes
-        into.frees += window.frees
-        into.free_bytes += window.free_bytes
-        into.kernels += window.kernels
-        into.kernel_seconds += window.kernel_seconds
-        into.kernel_compute_seconds += window.kernel_compute_seconds
-        into.kernel_memory_seconds += window.kernel_memory_seconds
-        into.kernel_fixed_seconds += window.kernel_fixed_seconds
-        into.gcs += window.gcs
-        into.gc_seconds += window.gc_seconds
-        into.oom_retries += window.oom_retries
-        into.faults += window.faults
-        into.recovery_steps += window.recovery_steps
-        into.recoveries += window.recoveries
-        into.copy_retries += window.copy_retries
-        into.strikes += window.strikes
-        into.quarantines += window.quarantines
+        for name, zero in _ROLLUP_COUNTERS:
+            value = getattr(window, name)
+            if isinstance(zero, dict):
+                merged = getattr(into, name)
+                for cause, amount in value.items():
+                    merged[cause] = merged.get(cause, 0) + amount
+            else:
+                setattr(into, name, getattr(into, name) + value)
 
     def recent(self, limit: int | None = None) -> list[RollupWindow]:
         """Retained windows in index order (most recent last)."""
@@ -1783,3 +1714,20 @@ class _MonitorOnlyTracer(NullTracer, MonitorTracer):
 
     def checkpoint(self, kind, label, kernels) -> None:
         self.monitor.note_elastic(kind, self.clock.now, label)
+
+
+def pick_tracer(clock: "SimClock", config: Any) -> "Tracer | NullTracer":
+    """The one listener a run's instrumented sites call, chosen from the
+    ``tracing`` / ``monitor`` / ``monitor_config`` fields of ``config`` (a
+    ``SessionConfig`` or an ``ExperimentConfig``).
+
+    Nothing asked for: the shared no-op :data:`NULL_TRACER`. ``tracing``
+    alone: a recording :class:`Tracer`. ``monitor``: a fresh
+    :class:`RuntimeMonitor` behind a :class:`MonitorTracer`, which retains
+    events only when ``tracing`` is on too.
+    """
+    if config.monitor:
+        return MonitorTracer(
+            clock, RuntimeMonitor(config.monitor_config), keep_events=config.tracing
+        )
+    return Tracer(clock) if config.tracing else NULL_TRACER

@@ -95,16 +95,8 @@ def test_listing_one_is_called_once_per_eviction_site():
 def policy_functions_calling(name):
     """``{(module, function)}`` under ``policies/`` calling ``name(…)`` or
     ``….name(…)``."""
-    found = set()
-    for relative, tree in caller_sources():
-        if not relative.startswith("policies/"):
-            continue
-        for function, node in nodes_by_function(tree):
-            if isinstance(node, ast.Call) and name == getattr(
-                node.func, "attr", getattr(node.func, "id", None)
-            ):
-                found.add((relative, function))
-    return found
+    policies = [r for r, _ in caller_sources() if r.startswith("policies/")]
+    return functions_with(policies, calls(name))
 
 
 def test_listing_two_is_written_once():
@@ -145,3 +137,53 @@ def test_every_listener_answers_every_typed_call():
         for listener in (NullTracer, monitor_only):
             got = list(inspect.signature(getattr(listener, name)).parameters)
             assert got == expected, f"{listener.__name__}.{name}"
+
+
+def functions_with(relatives, matches):
+    """``{(module, function)}`` among ``relatives`` holding a node that
+    ``matches``."""
+    return {
+        (relative, function)
+        for relative in relatives
+        for function, node in nodes_by_function(
+            ast.parse((ROOT / relative).read_text())
+        )
+        if matches(node)
+    }
+
+
+def calls(name, keyword=None):
+    def matches(node):
+        return (
+            isinstance(node, ast.Call)
+            and name == getattr(node.func, "attr", getattr(node.func, "id", None))
+            and (keyword is None or keyword in {k.arg for k in node.keywords})
+        )
+
+    return matches
+
+
+def test_a_run_is_stood_up_one_way():
+    """Model key -> trace, config -> platform, tenant -> executor and the
+    listener choice are each one function (docs/architecture.md, "How a run
+    is built"); an experiment never grows a private copy."""
+    everything = [
+        path.relative_to(ROOT).as_posix() for path in sorted(ROOT.rglob("*.py"))
+    ]
+    runs = [r for r in everything if r.startswith("experiments/")]
+    runs.append("runtime/elastic.py")
+    common = "experiments/common.py"
+    assert functions_with(runs, calls("SessionConfig", "copy_overhead")) == {
+        (common, "session_config")
+    }
+    assert functions_with(runs, calls("CachedArraysAdapter")) == {
+        (common, "tenant_executor")
+    }
+    assert functions_with(
+        runs,
+        lambda node: isinstance(node, ast.Subscript)
+        and ast.unparse(node.value) == "MODEL_REGISTRY",
+    ) == {(common, "model_trace")}
+    assert functions_with(everything, calls("MonitorTracer")) == {
+        ("telemetry/monitor.py", "pick_tracer")
+    }

@@ -19,8 +19,7 @@ import pytest
 
 from repro.core.session import Session, SessionConfig, SharedRuntime
 from repro.errors import CachedArraysError
-from repro.experiments.common import ExperimentConfig, run_trace_mode
-from repro.experiments.profile import trace_for
+from repro.experiments.common import ExperimentConfig, model_trace, run_trace_mode
 from repro.faults.chaos import run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_PLANS, fault_plan
@@ -138,7 +137,7 @@ def _run(async_movement: bool, *, tracing: bool):
         async_movement=async_movement,
         monitor_config=MonitorConfig(window_seconds=0.01, ring_capacity=4096),
     )
-    return run_trace_mode(trace_for("tiny", config), MODE, config)
+    return run_trace_mode(model_trace("tiny", config), MODE, config)
 
 
 def _tree_digest(root: Path) -> str:
@@ -369,7 +368,7 @@ def _twolm_digest(run) -> str:
 @pytest.mark.parametrize("model", TWOLM_MODELS)
 def test_twolm_iteration_results_bytes(model, mode):
     config = ExperimentConfig(scale=TWOLM_SCALE, iterations=2)
-    result = run_trace_mode(trace_for(model, config), mode, config)
+    result = run_trace_mode(model_trace(model, config), mode, config)
     assert _twolm_digest(result.run) == GOLDEN_TWOLM[model, mode]
 
 
@@ -384,6 +383,6 @@ def test_twolm_four_way_cache_results_bytes():
     executor = Executor(
         TwoLMAdapter(system, config.scaled_params()), sample_timeline=False
     )
-    trace = annotate(trace_for("vgg116-small", config), memopt=False)
+    trace = annotate(model_trace("vgg116-small", config), memopt=False)
     run = executor.run(trace, iterations=2)
     assert _twolm_digest(run) == GOLDEN_TWOLM_WAYS4

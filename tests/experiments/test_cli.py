@@ -424,7 +424,9 @@ def test_check_contract_failure_lines_and_exit_code(capsys, as_json):
 # flat parser + if-chain). `{d}` is a scratch directory holding the inputs
 # `cli_dir` records; it is spelled `{d}` again before hashing. Every valid
 # invocation and every handler-level error arm must stay byte-identical;
-# only argparse's own usage errors are free to change wording.
+# only argparse's own usage errors are free to change wording. (PR 18: the
+# unknown-model arms of `trace` and `snapshot` now print the one resolver's
+# message, the text `profile` and `monitor` always printed.)
 _FAST = "--scale 256 --iterations 1"
 _SNAP = "--model resnet200-small --mode CA:LM --scale 2048"
 PINNED = [
@@ -441,7 +443,7 @@ PINNED = [
     ("trace --model vgg116-small --scale 64", 0, "8e7bd3bc7ca7ea44", ""),
     ("trace --model vgg116-small --scale 64 --out {d}/t.json",
      0, "02d48945a194371c", ""),
-    ("trace --model alexnet", 2, "", "d48d58c15dcc35d3"),
+    ("trace --model alexnet", 2, "", "5bd6e1e1ffdaff89"),
     (f"profile --model tiny {_FAST} --jsonl {{d}}/p.jsonl --out {{d}}/p.json",
      0, "d5063512eea84067", ""),
     ("profile --model nosuch", 2, "", "307a1486846013bd"),
@@ -503,7 +505,7 @@ PINNED = [
     (f"snapshot {_SNAP} --pause-after 20", 2, "", "851d72ef1e93a0a9"),
     (f"snapshot {_SNAP} --pause-after 999999", 0, "75da2b1cf4f3016f", ""),
     (f"snapshot {_SNAP} --pause-after -3", 2, "", "438d01083b54b759"),
-    ("snapshot --model nosuch", 2, "", "75e6a76c990b2432"),
+    ("snapshot --model nosuch", 2, "", "307a1486846013bd"),
     ("restore {d}/run.snap", 0, "495c44c7dd4bf624", ""),
     ("restore {d}/run.snap --pause-after 30 --out {d}/chained.snap",
      0, "a31f87e98473027e", ""),
@@ -648,6 +650,9 @@ def test_bench_is_no_longer_a_subcommand(capsys):
         "fig3 --iterations 0",
         "taxonomy --scale 0",
         "table3 --scale 0",
+        # used to emit the *unscaled* trace, silently
+        "trace --model resnet200-small --scale 0",
+        "trace --model resnet200-small --scale -5",
     ],
 )
 def test_non_positive_scale_or_iterations_exits_2_in_one_line(command, capsys):
@@ -655,6 +660,39 @@ def test_non_positive_scale_or_iterations_exits_2_in_one_line(command, capsys):
     code, out, err = _run(command.split(), capsys)
     assert (code, out) == (2, "")
     assert err == f"{flag[2:]} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        # numpy's ValueError traceback
+        ("serve --seed -1", "seed cannot be negative, got -1"),
+        # ran and reported the cell twice
+        ("taxonomy --modes CA:LM,CA:LM", "duplicate modes: ['CA:LM', 'CA:LM']"),
+    ],
+)
+def test_a_bad_value_exits_2_in_one_line(command, message, capsys):
+    assert _run(command.split(), capsys) == (2, "", message + "\n")
+
+
+def test_every_command_resolves_a_model_key_the_same_way(tmp_path, capsys):
+    """One resolver: `tiny` is a model wherever --model is, and an unknown
+    key gets the same message from every command."""
+    out = tmp_path / "tiny"
+    for command in (
+        f"snapshot --model tiny --scale 256 --out {out}.snap",
+        f"trace --model tiny --scale 256 --out {out}.json",
+    ):
+        code, _, err = _run(command.split(), capsys)
+        assert (code, err) == (0, ""), command
+    messages = {
+        _run([command, "--model", "nope"], capsys)
+        for command in ("profile", "snapshot", "trace", "monitor")
+    }
+    assert len(messages) == 1
+    code, out, err = messages.pop()
+    assert (code, out) == (2, "")
+    assert err.startswith("unknown model 'nope'; known: ") and "tiny" in err
 
 
 def test_all_json_is_one_document_keyed_by_experiment(capsys):

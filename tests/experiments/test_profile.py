@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig
-from repro.experiments.profile import available_models, render, run_profile
+from repro.experiments.common import ExperimentConfig, available_models
+from repro.experiments.profile import render, run_profile
 from repro.nn.models import MODEL_REGISTRY
 
 

@@ -90,6 +90,30 @@ def test_totals_stay_exact_across_window_folding():
     ) == 1000
 
 
+def test_an_idle_gap_costs_the_retention_span_not_the_gap():
+    """One event 10^9 windows after the last closes the retained window and
+    the trailing ``max_windows`` gap windows; the unobservable middle is
+    skipped, not walked (`monitor --interval 1e-12` used to never return)."""
+    import time
+
+    closed = []
+    agg = RollupAggregator(1.0, 240, on_close=lambda w: closed.append(w.index))
+    agg.window_for(0.5).copies += 1
+    started = time.perf_counter()
+    agg.window_for(1e9 + 0.5).copies += 1
+    assert time.perf_counter() - started < 1.0
+    assert closed == [0, *range(10**9 - 240, 10**9)]
+    assert agg.windows_closed == 241
+    assert [w.index for w in agg.recent()] == list(range(10**9 - 239, 10**9 + 1))
+    assert agg.folded.copies == 1
+
+
+def test_an_empty_window_reports_float_zeros_for_the_seconds_sums():
+    text = json.dumps(RollupAggregator(1.0, 4).folded.to_json())
+    assert '"copies": 0,' in text and '"copy_seconds": 0.0,' in text
+    assert '"stall_fraction": 0.0,' in text and '"copy_bytes_by_cause": {}' in text
+
+
 def test_aggregator_rejects_bad_parameters():
     with pytest.raises(ValueError):
         RollupAggregator(0.0, 4)
@@ -391,11 +415,14 @@ def test_counter_timelines_expose_occupancy_and_inflight():
 def test_monitor_on_off_results_bit_identical():
     """The monitor is pure observation: attaching it must not change any
     simulated time (golden-digest equivalence, ISSUE acceptance)."""
-    from repro.experiments.common import ExperimentConfig, run_trace_mode
-    from repro.experiments.profile import trace_for
+    from repro.experiments.common import (
+        ExperimentConfig,
+        model_trace,
+        run_trace_mode,
+    )
 
     config = ExperimentConfig(scale=256, iterations=1)
-    trace = trace_for("tiny", config)
+    trace = model_trace("tiny", config)
     plain = run_trace_mode(trace, "CA:LM", config)
     monitored = run_trace_mode(
         trace, "CA:LM", replace(config, monitor=True)
@@ -407,11 +434,14 @@ def test_monitor_on_off_results_bit_identical():
 
 
 def test_session_monitor_binds_capacities():
-    from repro.experiments.common import ExperimentConfig, run_trace_mode
-    from repro.experiments.profile import trace_for
+    from repro.experiments.common import (
+        ExperimentConfig,
+        model_trace,
+        run_trace_mode,
+    )
 
     config = ExperimentConfig(scale=256, iterations=1, monitor=True)
-    result = run_trace_mode(trace_for("tiny", config), "CA:LM", config)
+    result = run_trace_mode(model_trace("tiny", config), "CA:LM", config)
     monitor = result.monitor
     assert set(monitor.capacities) == {"DRAM", "NVRAM"}
     snapshot = monitor.snapshot(recent_windows=4)
@@ -423,13 +453,16 @@ def test_session_monitor_binds_capacities():
 def test_offline_replay_matches_live_monitoring():
     """Replaying the recorded stream produces the same rollup state the
     live MonitorTracer saw — the `repro monitor trace.jsonl` contract."""
-    from repro.experiments.common import ExperimentConfig, run_trace_mode
-    from repro.experiments.profile import trace_for
+    from repro.experiments.common import (
+        ExperimentConfig,
+        model_trace,
+        run_trace_mode,
+    )
 
     config = ExperimentConfig(
         scale=256, iterations=1, tracing=True, monitor=True
     )
-    result = run_trace_mode(trace_for("tiny", config), "CA:LM", config)
+    result = run_trace_mode(model_trace("tiny", config), "CA:LM", config)
     live = result.monitor
     replayed = RuntimeMonitor().observe_all(result.run.trace)
     replayed.finish()
@@ -444,15 +477,18 @@ def test_cheap_tier_notes_agree_with_full_tier_totals():
     identical totals, occupancy, and latency sketches (window event counts
     and copy attribution legitimately differ — the cheap tier neither sees
     skipped event kinds nor opens attribution scopes)."""
-    from repro.experiments.common import ExperimentConfig, run_trace_mode
-    from repro.experiments.profile import trace_for
+    from repro.experiments.common import (
+        ExperimentConfig,
+        model_trace,
+        run_trace_mode,
+    )
 
     cheap_cfg = ExperimentConfig(scale=256, iterations=1, monitor=True)
     full_cfg = ExperimentConfig(
         scale=256, iterations=1, tracing=True, monitor=True
     )
-    cheap = run_trace_mode(trace_for("tiny", cheap_cfg), "CA:LM", cheap_cfg)
-    full = run_trace_mode(trace_for("tiny", full_cfg), "CA:LM", full_cfg)
+    cheap = run_trace_mode(model_trace("tiny", cheap_cfg), "CA:LM", cheap_cfg)
+    full = run_trace_mode(model_trace("tiny", full_cfg), "CA:LM", full_cfg)
     assert cheap.iteration.seconds == full.iteration.seconds
     assert cheap.monitor.totals == full.monitor.totals
     assert cheap.monitor.occupancy == full.monitor.occupancy
