@@ -26,7 +26,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import ExperimentConfig, model_trace, run_matrix, run_mode
 
 __all__ = ["main"]
 
@@ -75,12 +75,13 @@ def _load_events(path: str):
         with open(path, "r", encoding="utf-8") as fp:
             for _ in iter_jsonl(fp):
                 break
-        return EventStream(path)
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
-        print(f"{path} is not a JSONL event stream: {exc}", file=sys.stderr)
-    return None
+        raise ConfigurationError(
+            f"{path} is not a JSONL event stream: {exc}"
+        ) from None
+    return EventStream(path)
 
 
 # -- the paper's tables and figures -------------------------------------------
@@ -98,45 +99,47 @@ def _table3_json(result, scale: int) -> dict:
     }
 
 
-def _modes_json(result, scale: int, *, utilization: bool = False) -> dict:
-    def entry(mode_result) -> dict:
-        iteration = mode_result.iteration
+def _modes_json(matrix, scale: int, *, utilization: bool = False) -> dict:
+    def entry(cell) -> dict:
+        iteration = cell.iteration
         doc = {
             "seconds": round(iteration.seconds * scale, 2),
             "traffic_gb": {
-                device: [round(v, 1) for v in mode_result.traffic_gb(device)]
+                device: [round(v, 1) for v in cell.traffic_gb(device)]
                 for device in iteration.traffic
             },
         }
         if utilization:
-            doc["dram_utilization"] = round(mode_result.dram_utilization(), 4)
+            doc["dram_utilization"] = round(cell.dram_utilization(), 4)
         return doc
 
     return {
-        model: {mode: entry(mode_result) for mode, mode_result in by_mode.items()}
-        for model, by_mode in result.results.items()
+        model: {mode: entry(cell) for mode, cell in by_mode.items()}
+        for model, by_mode in matrix.items()
     }
 
 
-def _fig3_json(result, scale: int) -> dict:
+def _fig3_json(matrix, scale: int) -> dict:
+    from repro.experiments.fig3_heap import peak_gb
+
+    ((model, by_mode),) = matrix.items()
     return {
-        "model": result.model,
+        "model": model,
         "peak_heap_gb": {
-            "2LM:0": round(result.peak_gb(result.unoptimized), 1),
-            "2LM:M": round(result.peak_gb(result.optimized), 1),
+            mode: round(peak_gb(cell), 1) for mode, cell in by_mode.items()
         },
-        "gc_collections_2lm0": result.unoptimized.iteration.gc_collections,
+        "gc_collections_2lm0": by_mode["2LM:0"].iteration.gc_collections,
     }
 
 
-def _fig4_json(result, scale: int) -> dict:
-    runs = (("2LM:0", result.unoptimized), ("2LM:M", result.optimized))
+def _fig4_json(matrix, scale: int) -> dict:
+    ((_, by_mode),) = matrix.items()
     return {
-        label: {
-            rate: round(getattr(result.stats(run), rate), 4)
+        mode: {
+            rate: round(getattr(cell.iteration.cache, rate), 4)
             for rate in ("hit_rate", "clean_miss_rate", "dirty_miss_rate")
         }
-        for label, run in runs
+        for mode, cell in by_mode.items()
     }
 
 
@@ -185,14 +188,30 @@ EXPERIMENTS = {
 
 def _experiments(names, args) -> int:
     config = _config(args)
+    modules = {
+        name: importlib.import_module(f"repro.experiments.{EXPERIMENTS[name][0]}")
+        for name in names
+    }
+    # Figures 2-6 are views of one evaluation matrix: the union of the
+    # requested views' cells is simulated once and each view reads its own.
+    views = [module for module in modules.values() if hasattr(module, "MODES")]
+    matrix = run_matrix(
+        config,
+        tuple(dict.fromkeys(model for view in views for model in view.MODELS)),
+        tuple(dict.fromkeys(mode for view in views for mode in view.MODES)),
+    )
     summaries = {}
-    for name in names:
-        module_name, _, summarise = EXPERIMENTS[name]
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        # Table III is a property of the model zoo, not of a run.
-        result = module.run() if name == "table3" else module.run(config)
+    for name, module in modules.items():
+        if module in views:
+            result = {
+                model: {mode: matrix[model][mode] for mode in module.MODES}
+                for model in module.MODELS
+            }
+        else:
+            # Table III is a property of the model zoo, not of a run.
+            result = module.run() if name == "table3" else module.run(config)
         if args.json:
-            summaries[name] = summarise(result, config.scale)
+            summaries[name] = EXPERIMENTS[name][2](result, config.scale)
         else:
             print(module.render(result), end="\n\n")
     if args.json:
@@ -205,7 +224,6 @@ def _experiments(names, args) -> int:
 
 
 def _trace(args) -> int:
-    from repro.experiments.common import model_trace
     from repro.workloads.serialize import save_trace
 
     trace = model_trace(args.model, ExperimentConfig(scale=args.scale))
@@ -263,8 +281,6 @@ def _explain(args) -> int:
         )
     path = args.paths[0]
     events = _load_events(path)
-    if events is None:
-        return 2
     # A multi-stream trace (a co-located run) gets one report per tenant
     # stream plus the cross-tenant stall attribution; a single-stream trace
     # keeps the historical single-report output.
@@ -303,13 +319,8 @@ def _diff(args) -> int:
             "diff takes exactly two trace paths (baseline first): "
             "python -m repro diff a.jsonl b.jsonl"
         )
-    streams = []
-    for path in args.paths:
-        streams.append(_load_events(path))
-        if streams[-1] is None:
-            return 2
     run_diff = diff_runs(
-        *streams,
+        *(_load_events(path) for path in args.paths),
         label_a=args.paths[0],
         label_b=args.paths[1],
         ping_pong_window=args.window,
@@ -346,14 +357,10 @@ def _monitor(args) -> int:
             )
         label = args.paths[0]
         events_for_trace = _load_events(label)
-        if events_for_trace is None:
-            return 2
         monitor = RuntimeMonitor(monitor_cfg)
         monitor.observe_all(events_for_trace)
         monitor.finish()
     elif args.model:
-        from repro.experiments.common import run_mode
-
         run_config = replace(_config(args), monitor=True, monitor_config=monitor_cfg)
         monitor = run_mode(args.model, args.mode, run_config).monitor
         label = f"{args.model} under {args.mode}"
@@ -553,10 +560,7 @@ def _restore(args) -> int:
             "restore takes exactly one snapshot path (written by 'snapshot "
             "--out')"
         )
-    try:
-        snapshot = load_snapshot(args.paths[0])
-    except OSError as exc:
-        return _fail(str(exc))
+    snapshot = load_snapshot(args.paths[0])
     return _paused_or_done(
         resume_snapshot(snapshot, pause_after=args.pause_after),
         args.out,
@@ -827,9 +831,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
+        # OSError: a snapshot that cannot be read, an --out/--jsonl/--dump-dir
+        # path that cannot be written.
         return _fail(str(exc))
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

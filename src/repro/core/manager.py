@@ -77,7 +77,6 @@ class DataManager:
         self.active_tenant: str = ""
         self._quota: dict[tuple[str, str], int] = {}
         self._tenant_used: dict[tuple[str, str], int] = {}
-        self._region_tenant: dict[tuple[str, int], str] = {}
 
     # -- tenant quotas --------------------------------------------------------
 
@@ -127,18 +126,14 @@ class DataManager:
         ``""`` account for orphans). Without this, a departing tenant either
         leaks charged bytes or strands a row that can go negative later.
         """
-        for key, owner in list(self._region_tenant.items()):
-            if owner != tenant:
-                continue
-            region = self._regions.get(key)
-            if region is None:  # pragma: no cover - defensive
-                del self._region_tenant[key]
+        for region in self._regions.values():
+            if region.tenant != tenant:
                 continue
             parent = region.parent
             name = parent.name if parent is not None else ""
             new_owner = name.split("/", 1)[0] if "/" in name else ""
-            device = key[0]
-            self._region_tenant[key] = new_owner
+            device = region.device_name
+            region.tenant = new_owner
             old_key = (tenant, device)
             self._tenant_used[old_key] = (
                 self._tenant_used.get(old_key, 0) - region.size
@@ -265,7 +260,7 @@ class DataManager:
         if self._quota:
             key = (self.active_tenant, device)
             self._tenant_used[key] = self._tenant_used.get(key, 0) + size
-            self._region_tenant[(device, offset)] = self.active_tenant
+            region.tenant = self.active_tenant
         self.tracer.alloc(device, offset, size)
         return region
 
@@ -292,17 +287,11 @@ class DataManager:
     def _release(self, region: Region) -> None:
         region.heap.free(region.offset)
         del self._regions[(region.device_name, region.offset)]
-        if self._quota:
-            # Charge the recorded owner, not the active tenant: cross-tenant
+        if self._quota and region.tenant is not None:
+            # Refund the recorded owner, not the active tenant: cross-tenant
             # evictions must refund the victim's budget, not the evictor's.
-            owner = self._region_tenant.pop(
-                (region.device_name, region.offset), None
-            )
-            if owner is not None:
-                key = (owner, region.device_name)
-                self._tenant_used[key] = (
-                    self._tenant_used.get(key, 0) - region.size
-                )
+            key = (region.tenant, region.device_name)
+            self._tenant_used[key] = self._tenant_used.get(key, 0) - region.size
         region.freed = True
         self.tracer.free(region.device_name, region.offset, region.size)
 
@@ -499,10 +488,6 @@ class DataManager:
             region = self._regions.pop((device, old))
             region.offset = new
             self._regions[(device, new)] = region
-            if self._quota:
-                owner = self._region_tenant.pop((device, old), None)
-                if owner is not None:
-                    self._region_tenant[(device, new)] = owner
         if moved:
             self.tracer.defrag(device, moved)
         return moved

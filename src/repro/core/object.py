@@ -80,7 +80,7 @@ class Region:
 
     __slots__ = (
         "id", "heap", "device_name", "offset", "size", "parent", "dirty",
-        "freed", "ready_at",
+        "freed", "ready_at", "tenant",
     )
 
     def __init__(self, heap: "Heap", offset: int, size: int) -> None:
@@ -97,6 +97,9 @@ class Region:
         # Virtual time at which in-flight (asynchronous) data movement into
         # this region completes; 0.0 means the contents are ready now.
         self.ready_at = 0.0
+        # The tenant whose quota this region is charged to: whoever was
+        # active when it was allocated. None = uncharged (no quotas set).
+        self.tenant: str | None = None
 
     @property
     def is_primary(self) -> bool:

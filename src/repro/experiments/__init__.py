@@ -2,8 +2,11 @@
 
 Every harness returns plain result objects and renders a text report whose
 rows mirror the corresponding figure's series, so running e.g.
-``python -m repro fig2`` regenerates the Figure 2 comparison. The shared
-machinery (mode construction, scaling, device sizing) lives in
+``python -m repro fig2`` regenerates the Figure 2 comparison. Figures 2-6
+are views of one evaluation matrix (:func:`~repro.experiments.common.run_matrix`,
+``{model: {mode: ModeResult}}``): each module names the cells it reads and
+derives its claims from that mapping. The shared machinery (mode
+construction, scaling, device sizing) lives in
 :mod:`repro.experiments.common`. See DESIGN.md §4 for the full index and
 EXPERIMENTS.md for paper-vs-measured values.
 """
@@ -12,6 +15,7 @@ from repro.experiments.colo import ColoResult, TenantOutcome, run_colo
 from repro.experiments.common import (
     ExperimentConfig,
     ModeResult,
+    run_matrix,
     run_mode,
     run_modes,
 )
@@ -22,6 +26,7 @@ __all__ = [
     "ModeResult",
     "TenantOutcome",
     "run_colo",
+    "run_matrix",
     "run_mode",
     "run_modes",
 ]

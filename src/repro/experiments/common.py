@@ -12,6 +12,8 @@ How a run is stood up is written here once (docs/architecture.md, "How a
 run is built"): :func:`model_trace` resolves a ``--model`` key,
 :meth:`ExperimentConfig.session_config` describes the CA platform, and
 :func:`tenant_executor` stacks the adapter and executor on a session.
+:func:`run_matrix` is the one models x modes loop; Figures 2-6 are views of
+the mapping it returns.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ from repro.workloads.trace import KernelTrace
 
 __all__ = [
     "ExperimentConfig",
+    "Matrix",
     "ModeResult",
     "PreparedRun",
     "available_models",
     "model_trace",
     "prepare_trace_mode",
+    "run_matrix",
     "run_mode",
     "run_modes",
     "tenant_executor",
@@ -170,6 +174,10 @@ class ModeResult:
             return 0.0
         peak = dram_bandwidth_model().peak(TransferKind.READ)
         return snap.total_bytes / (self.seconds * peak)
+
+
+# The evaluation matrix: ``matrix[model][mode]`` is that cell's run.
+Matrix = dict[str, dict[str, ModeResult]]
 
 
 def available_models() -> list[str]:
@@ -360,3 +368,15 @@ def run_modes(
         name: run_trace_mode(trace, name, config, model_label=model_key)
         for name in mode_names
     }
+
+
+def run_matrix(
+    config: ExperimentConfig, models: tuple[str, ...], modes: tuple[str, ...]
+) -> Matrix:
+    """The evaluation matrix: every (model, mode) cell, each run once.
+
+    Figures 2-6 are views of this one mapping (runtime, heap occupancy,
+    cache tags, traffic and bus utilisation are all counters of the same
+    iterations), so this is the only models x modes loop they share.
+    """
+    return {model: run_modes(model, list(modes), config) for model in models}

@@ -13,69 +13,59 @@ Paper claims this harness must reproduce:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.experiments.common import ExperimentConfig, ModeResult, run_modes
+from repro.experiments.common import ExperimentConfig, Matrix, run_matrix
 from repro.experiments.report import bars, header, table
 
-__all__ = ["Fig2Result", "run", "render"]
+__all__ = ["MODELS", "MODES", "run", "seconds", "speedup", "render"]
 
-LARGE_MODELS = ("densenet264-large", "resnet200-large", "vgg416-large")
-ALL_MODES = ("2LM:0", "2LM:M", "CA:0", "CA:L", "CA:LM", "CA:LMP")
+MODELS = ("densenet264-large", "resnet200-large", "vgg416-large")
+MODES = ("2LM:0", "2LM:M", "CA:0", "CA:L", "CA:LM", "CA:LMP")
 
 
-@dataclass
-class Fig2Result:
-    """Iteration runtimes per (model, mode), in unscaled seconds."""
+def seconds(matrix: Matrix, model: str, mode: str) -> float:
+    """Iteration runtime of one cell, in unscaled seconds."""
+    cell = matrix[model][mode]
+    return cell.iteration.seconds * cell.config.scale
 
-    config: ExperimentConfig
-    results: dict[str, dict[str, ModeResult]] = field(default_factory=dict)
 
-    def seconds(self, model: str, mode: str) -> float:
-        return self.results[model][mode].iteration.seconds * self.config.scale
-
-    def speedup(self, model: str, mode: str = "CA:LM", base: str = "2LM:0") -> float:
-        return self.seconds(model, base) / self.seconds(model, mode)
+def speedup(
+    matrix: Matrix, model: str, mode: str = "CA:LM", base: str = "2LM:0"
+) -> float:
+    return seconds(matrix, model, base) / seconds(matrix, model, mode)
 
 
 def run(
     config: ExperimentConfig | None = None,
     *,
-    models: tuple[str, ...] = LARGE_MODELS,
-    modes: tuple[str, ...] = ALL_MODES,
-) -> Fig2Result:
-    config = config or ExperimentConfig()
-    out = Fig2Result(config=config)
-    for model in models:
-        out.results[model] = run_modes(model, list(modes), config)
-    return out
+    models: tuple[str, ...] = MODELS,
+    modes: tuple[str, ...] = MODES,
+) -> Matrix:
+    return run_matrix(config or ExperimentConfig(), models, modes)
 
 
-def render(result: Fig2Result) -> str:
+def render(matrix: Matrix) -> str:
+    first_row = next(iter(matrix.values()))
+    scale = next(iter(first_row.values())).config.scale
     sections = [
         header(
             "Figure 2 — average execution time per training iteration (large networks)",
-            f"scale=1/{result.config.scale}; times rescaled to paper magnitudes",
+            f"scale=1/{scale}; times rescaled to paper magnitudes",
         )
     ]
     rows = []
-    for model, by_mode in result.results.items():
-        for mode, mode_result in by_mode.items():
+    for model, by_mode in matrix.items():
+        for mode, cell in by_mode.items():
             rows.append(
-                (
-                    model,
-                    mode_result.mode.pretty,
-                    f"{result.seconds(model, mode):.1f} s",
-                )
+                (model, cell.mode.pretty, f"{seconds(matrix, model, mode):.1f} s")
             )
     sections.append(table(("model", "mode", "iteration time"), rows))
-    for model in result.results:
+    for model, by_mode in matrix.items():
         sections.append(f"\n{model}:")
-        labels = [result.results[model][m].mode.pretty for m in result.results[model]]
-        values = [result.seconds(model, m) for m in result.results[model]]
+        labels = [cell.mode.pretty for cell in by_mode.values()]
+        values = [seconds(matrix, model, mode) for mode in by_mode]
         sections.append(bars(labels, values, unit=" s"))
         sections.append(
-            f"CA:LM speedup over 2LM:∅ = {result.speedup(model):.2f}x "
+            f"CA:LM speedup over 2LM:∅ = {speedup(matrix, model):.2f}x "
             "(paper reports 1.4x-2.03x)"
         )
     return "\n".join(sections)

@@ -8,50 +8,38 @@ them — so its peak occupancy stays at the model's true footprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.common import ExperimentConfig, ModeResult, run_mode
+from repro.experiments.common import ExperimentConfig, Matrix, ModeResult, run_matrix
 from repro.experiments.report import header
 from repro.telemetry.timeline import Timeline
 from repro.units import GB
 
-__all__ = ["Fig3Result", "run", "render"]
+__all__ = ["MODELS", "MODES", "run", "heap_timeline", "peak_gb", "render"]
+
+MODELS = ("resnet200-large",)
+MODES = ("2LM:0", "2LM:M")  # GC-managed vs eager retire
 
 
-@dataclass
-class Fig3Result:
-    config: ExperimentConfig
-    model: str
-    unoptimized: ModeResult  # 2LM:0
-    optimized: ModeResult  # 2LM:M
-
-    def heap_timeline(self, mode_result: ModeResult) -> Timeline:
-        return mode_result.run.occupancy_timeline["NVRAM"]
-
-    def peak_gb(self, mode_result: ModeResult) -> float:
-        return self.heap_timeline(mode_result).peak() * self.config.scale / GB
+def heap_timeline(cell: ModeResult) -> Timeline:
+    return cell.run.occupancy_timeline["NVRAM"]
 
 
-def run(
-    config: ExperimentConfig | None = None, *, model: str = "resnet200-large"
-) -> Fig3Result:
+def peak_gb(cell: ModeResult) -> float:
+    return heap_timeline(cell).peak() * cell.config.scale / GB
+
+
+def run(config: ExperimentConfig | None = None) -> Matrix:
     config = config or ExperimentConfig()
     if not config.sample_timeline:
         raise ValueError("Figure 3 needs sample_timeline=True")
-    return Fig3Result(
-        config=config,
-        model=model,
-        unoptimized=run_mode(model, "2LM:0", config),
-        optimized=run_mode(model, "2LM:M", config),
-    )
+    return run_matrix(config, MODELS, MODES)
 
 
-def _render_series(result: Fig3Result, mode_result: ModeResult, points: int = 60) -> str:
-    timeline = result.heap_timeline(mode_result).downsample(points)
-    scale = result.config.scale
-    it = mode_result.run.steady_state()
+def _render_series(cell: ModeResult, points: int = 60) -> str:
+    timeline = heap_timeline(cell).downsample(points)
+    scale = cell.config.scale
+    it = cell.run.steady_state()
     lines = []
-    peak = result.heap_timeline(mode_result).peak()
+    peak = heap_timeline(cell).peak()
     for sample in timeline:
         if not it.start_time <= sample.time <= it.end_time:
             continue
@@ -62,16 +50,19 @@ def _render_series(result: Fig3Result, mode_result: ModeResult, points: int = 60
     return "\n".join(lines)
 
 
-def render(result: Fig3Result) -> str:
-    sections = [
-        header(
-            f"Figure 3 — resident heap memory through one {result.model} iteration",
-            "2LM heap is implicitly managed by the hardware DRAM cache",
-        ),
-        f"\n2LM:∅  (GC-managed; peak {result.peak_gb(result.unoptimized):.0f} GB, "
-        f"{result.unoptimized.iteration.gc_collections} collection(s) in-iteration):",
-        _render_series(result, result.unoptimized),
-        f"\n2LM:M  (eager retire; peak {result.peak_gb(result.optimized):.0f} GB):",
-        _render_series(result, result.optimized),
-    ]
+def render(matrix: Matrix) -> str:
+    sections = []
+    for model, by_mode in matrix.items():
+        unoptimized, optimized = by_mode["2LM:0"], by_mode["2LM:M"]
+        sections += [
+            header(
+                f"Figure 3 — resident heap memory through one {model} iteration",
+                "2LM heap is implicitly managed by the hardware DRAM cache",
+            ),
+            f"\n2LM:∅  (GC-managed; peak {peak_gb(unoptimized):.0f} GB, "
+            f"{unoptimized.iteration.gc_collections} collection(s) in-iteration):",
+            _render_series(unoptimized),
+            f"\n2LM:M  (eager retire; peak {peak_gb(optimized):.0f} GB):",
+            _render_series(optimized),
+        ]
     return "\n".join(sections)

@@ -9,76 +9,65 @@ dead data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.experiments.common import ExperimentConfig, ModeResult, run_mode
+from repro.experiments.common import ExperimentConfig, Matrix, ModeResult, run_matrix
 from repro.experiments.report import header, table
 from repro.twolm.dramcache import CacheStats
 
-__all__ = ["Fig4Result", "run", "render"]
+__all__ = [
+    "MODELS",
+    "MODES",
+    "run",
+    "stats",
+    "hit_rate_uplift",
+    "dirty_miss_drop",
+    "render",
+]
+
+MODELS = ("resnet200-large",)
+MODES = ("2LM:0", "2LM:M")
 
 
-@dataclass
-class Fig4Result:
-    config: ExperimentConfig
-    model: str
-    unoptimized: ModeResult
-    optimized: ModeResult
-
-    def stats(self, mode_result: ModeResult) -> CacheStats:
-        cache = mode_result.iteration.cache
-        assert cache is not None, "2LM runs always carry cache stats"
-        return cache
-
-    @property
-    def hit_rate_uplift(self) -> float:
-        base = self.stats(self.unoptimized).hit_rate
-        return (self.stats(self.optimized).hit_rate - base) / base
-
-    @property
-    def dirty_miss_drop(self) -> float:
-        base = self.stats(self.unoptimized).dirty_miss_rate
-        return (base - self.stats(self.optimized).dirty_miss_rate) / base
+def stats(cell: ModeResult) -> CacheStats:
+    cache = cell.iteration.cache
+    assert cache is not None, "2LM runs always carry cache stats"
+    return cache
 
 
-def run(
-    config: ExperimentConfig | None = None, *, model: str = "resnet200-large"
-) -> Fig4Result:
-    config = config or ExperimentConfig()
-    return Fig4Result(
-        config=config,
-        model=model,
-        unoptimized=run_mode(model, "2LM:0", config),
-        optimized=run_mode(model, "2LM:M", config),
-    )
+def hit_rate_uplift(matrix: Matrix, model: str = MODELS[0]) -> float:
+    base = stats(matrix[model]["2LM:0"]).hit_rate
+    return (stats(matrix[model]["2LM:M"]).hit_rate - base) / base
 
 
-def render(result: Fig4Result) -> str:
-    rows = []
-    for label, mode_result in (
-        ("2LM: ∅", result.unoptimized),
-        ("2LM: M", result.optimized),
-    ):
-        stats = result.stats(mode_result)
-        rows.append(
-            (
-                label,
-                f"{100 * stats.hit_rate:.1f}%",
-                f"{100 * stats.clean_miss_rate:.1f}%",
-                f"{100 * stats.dirty_miss_rate:.1f}%",
-                f"{stats.accesses:,}",
+def dirty_miss_drop(matrix: Matrix, model: str = MODELS[0]) -> float:
+    base = stats(matrix[model]["2LM:0"]).dirty_miss_rate
+    return (base - stats(matrix[model]["2LM:M"]).dirty_miss_rate) / base
+
+
+def run(config: ExperimentConfig | None = None) -> Matrix:
+    return run_matrix(config or ExperimentConfig(), MODELS, MODES)
+
+
+def render(matrix: Matrix) -> str:
+    sections = []
+    for model, by_mode in matrix.items():
+        rows = []
+        for cell in by_mode.values():
+            cache = stats(cell)
+            rows.append(
+                (
+                    cell.mode.pretty,
+                    f"{100 * cache.hit_rate:.1f}%",
+                    f"{100 * cache.clean_miss_rate:.1f}%",
+                    f"{100 * cache.dirty_miss_rate:.1f}%",
+                    f"{cache.accesses:,}",
+                )
             )
-        )
-    return "\n".join(
-        [
-            header(
-                f"Figure 4 — DRAM cache tag statistics, one {result.model} iteration"
-            ),
+        uplift, drop = hit_rate_uplift(matrix, model), dirty_miss_drop(matrix, model)
+        sections += [
+            header(f"Figure 4 — DRAM cache tag statistics, one {model} iteration"),
             table(("mode", "hit", "clean miss", "dirty miss", "line accesses"), rows),
             "",
-            f"hit-rate uplift from annotations: {100 * result.hit_rate_uplift:.0f}% "
-            "(paper: ~18%)",
-            f"dirty-miss-rate reduction:        {100 * result.dirty_miss_drop:.0f}% "
-            "(paper: ~50%)",
+            f"hit-rate uplift from annotations: {100 * uplift:.0f}% (paper: ~18%)",
+            f"dirty-miss-rate reduction:        {100 * drop:.0f}% (paper: ~50%)",
         ]
-    )
+    return "\n".join(sections)

@@ -13,37 +13,34 @@ Key shapes from the paper this harness reproduces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.experiments.common import ExperimentConfig, ModeResult, run_modes
+from repro.experiments.common import ExperimentConfig, Matrix, run_matrix
 from repro.experiments.report import header, table
 
-__all__ = ["Fig5Result", "run", "render"]
+__all__ = [
+    "MODELS",
+    "MODES",
+    "run",
+    "nvram_write_drop_with_memopt",
+    "nvram_read_drop_with_prefetch",
+    "render",
+]
 
 MODELS = ("densenet264-large", "resnet200-large", "vgg416-large")
 MODES = ("2LM:0", "2LM:M", "CA:0", "CA:L", "CA:LM", "CA:LMP")
 
 
-@dataclass
-class Fig5Result:
-    config: ExperimentConfig
-    results: dict[str, dict[str, ModeResult]] = field(default_factory=dict)
+def nvram_write_drop_with_memopt(matrix: Matrix, model: str) -> float:
+    """NVRAM write reduction factor CA:L -> CA:LM."""
+    _, writes_l = matrix[model]["CA:L"].traffic_gb("NVRAM")
+    _, writes_lm = matrix[model]["CA:LM"].traffic_gb("NVRAM")
+    return writes_l / writes_lm if writes_lm else float("inf")
 
-    def gb(self, model: str, mode: str, device: str) -> tuple[float, float]:
-        """(read GB, write GB) at paper magnitude."""
-        return self.results[model][mode].traffic_gb(device)
 
-    def nvram_write_drop_with_memopt(self, model: str) -> float:
-        """NVRAM write reduction factor CA:L -> CA:LM."""
-        _, writes_l = self.gb(model, "CA:L", "NVRAM")
-        _, writes_lm = self.gb(model, "CA:LM", "NVRAM")
-        return writes_l / writes_lm if writes_lm else float("inf")
-
-    def nvram_read_drop_with_prefetch(self, model: str) -> float:
-        """NVRAM read reduction factor CA:LM -> CA:LMP."""
-        reads_lm, _ = self.gb(model, "CA:LM", "NVRAM")
-        reads_lmp, _ = self.gb(model, "CA:LMP", "NVRAM")
-        return reads_lm / reads_lmp if reads_lmp else float("inf")
+def nvram_read_drop_with_prefetch(matrix: Matrix, model: str) -> float:
+    """NVRAM read reduction factor CA:LM -> CA:LMP."""
+    reads_lm, _ = matrix[model]["CA:LM"].traffic_gb("NVRAM")
+    reads_lmp, _ = matrix[model]["CA:LMP"].traffic_gb("NVRAM")
+    return reads_lm / reads_lmp if reads_lmp else float("inf")
 
 
 def run(
@@ -51,26 +48,22 @@ def run(
     *,
     models: tuple[str, ...] = MODELS,
     modes: tuple[str, ...] = MODES,
-) -> Fig5Result:
-    config = config or ExperimentConfig()
-    out = Fig5Result(config=config)
-    for model in models:
-        out.results[model] = run_modes(model, list(modes), config)
-    return out
+) -> Matrix:
+    return run_matrix(config or ExperimentConfig(), models, modes)
 
 
-def render(result: Fig5Result) -> str:
+def render(matrix: Matrix) -> str:
     sections = [
         header("Figure 5 — data moved in one training iteration (GB, paper scale)")
     ]
-    for model, by_mode in result.results.items():
+    for model, by_mode in matrix.items():
         rows = []
-        for mode, mode_result in by_mode.items():
-            dram_r, dram_w = result.gb(model, mode, "DRAM")
-            nvram_r, nvram_w = result.gb(model, mode, "NVRAM")
+        for cell in by_mode.values():
+            dram_r, dram_w = cell.traffic_gb("DRAM")
+            nvram_r, nvram_w = cell.traffic_gb("NVRAM")
             rows.append(
                 (
-                    mode_result.mode.pretty,
+                    cell.mode.pretty,
                     f"{dram_r:,.0f}",
                     f"{dram_w:,.0f}",
                     f"{nvram_r:,.0f}",
@@ -84,8 +77,9 @@ def render(result: Fig5Result) -> str:
                 rows,
             )
         )
+        writes = nvram_write_drop_with_memopt(matrix, model)
+        reads = nvram_read_drop_with_prefetch(matrix, model)
         sections.append(
-            f"M cuts NVRAM writes by {result.nvram_write_drop_with_memopt(model):.1f}x; "
-            f"P cuts NVRAM reads by {result.nvram_read_drop_with_prefetch(model):.1f}x"
+            f"M cuts NVRAM writes by {writes:.1f}x; P cuts NVRAM reads by {reads:.1f}x"
         )
     return "\n".join(sections)

@@ -10,24 +10,17 @@ utilisation tends up while total traffic goes down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.experiments.common import ExperimentConfig, ModeResult, run_modes
+from repro.experiments.common import ExperimentConfig, Matrix, run_matrix
 from repro.experiments.report import bars, header
 
-__all__ = ["Fig6Result", "run", "render"]
+__all__ = ["MODELS", "MODES", "run", "utilization", "render"]
 
 MODELS = ("resnet200-large", "vgg416-large")
 MODES = ("2LM:0", "2LM:M", "CA:0", "CA:L", "CA:LM", "CA:LMP")
 
 
-@dataclass
-class Fig6Result:
-    config: ExperimentConfig
-    results: dict[str, dict[str, ModeResult]] = field(default_factory=dict)
-
-    def utilization(self, model: str, mode: str) -> float:
-        return self.results[model][mode].dram_utilization()
+def utilization(matrix: Matrix, model: str, mode: str) -> float:
+    return matrix[model][mode].dram_utilization()
 
 
 def run(
@@ -35,24 +28,20 @@ def run(
     *,
     models: tuple[str, ...] = MODELS,
     modes: tuple[str, ...] = MODES,
-) -> Fig6Result:
-    config = config or ExperimentConfig()
-    out = Fig6Result(config=config)
-    for model in models:
-        out.results[model] = run_modes(model, list(modes), config)
-    return out
+) -> Matrix:
+    return run_matrix(config or ExperimentConfig(), models, modes)
 
 
-def render(result: Fig6Result) -> str:
+def render(matrix: Matrix) -> str:
     sections = [header("Figure 6 — average DRAM bus utilisation (one iteration)")]
-    for model, by_mode in result.results.items():
+    for model, by_mode in matrix.items():
         sections.append(f"\n{model}:")
-        labels = [r.mode.pretty for r in by_mode.values()]
-        values = [100.0 * result.utilization(model, m) for m in by_mode]
+        labels = [cell.mode.pretty for cell in by_mode.values()]
+        values = [100.0 * utilization(matrix, model, mode) for mode in by_mode]
         sections.append(bars(labels, values, unit="%"))
         if "CA:0" in by_mode and "2LM:0" in by_mode:
-            ca0 = result.utilization(model, "CA:0")
-            hw = result.utilization(model, "2LM:0")
+            ca0 = utilization(matrix, model, "CA:0")
+            hw = utilization(matrix, model, "2LM:0")
             relation = ">" if ca0 > hw else "<"
             sections.append(
                 f"CA:∅ {relation} 2LM:∅ "

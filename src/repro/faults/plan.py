@@ -8,9 +8,9 @@ the same virtual times, every run, on every machine. The optional
 ``probability`` field draws from a ``random.Random`` seeded by the plan, so
 even probabilistic plans replay exactly.
 
-Plans serialise to JSON (:meth:`FaultPlan.to_json` /
-:meth:`FaultPlan.from_json`) and every fault the injector fires is recorded
-as a :class:`FiredFault` stamped with virtual time. :func:`replay_plan`
+Every fault the injector fires is recorded as a :class:`FiredFault` stamped
+with virtual time (:meth:`FiredFault.to_json` is its row in the chaos and
+bisect reports). :func:`replay_plan`
 turns a fired-fault record back into a plan that reproduces exactly those
 faults — the trace-replay loop for debugging a failure found by a
 probabilistic plan.
@@ -18,9 +18,8 @@ probabilistic plan.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from typing import IO, Any, Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 
@@ -99,13 +98,6 @@ class FaultSpec:
             return False
         return (index - self.start) % self.every == 0
 
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
 class FiredFault:
@@ -130,17 +122,6 @@ class FiredFault:
             out["detail"] = dict(self.detail)
         return out
 
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "FiredFault":
-        return cls(
-            ts=float(data["ts"]),
-            site=str(data["site"]),
-            device=str(data["device"]),
-            op=str(data.get("op", "*")),
-            index=int(data["index"]),
-            detail=dict(data.get("detail", {})),
-        )
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -156,32 +137,6 @@ class FaultPlan:
 
     def for_site(self, site: str) -> tuple[FaultSpec, ...]:
         return tuple(spec for spec in self.specs if spec.site == site)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "description": self.description,
-            "specs": [spec.to_json() for spec in self.specs],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        return cls(
-            name=str(data["name"]),
-            specs=tuple(
-                FaultSpec.from_json(spec) for spec in data.get("specs", ())
-            ),
-            seed=int(data.get("seed", 0)),
-            description=str(data.get("description", "")),
-        )
-
-    def save(self, fp: IO[str]) -> None:
-        json.dump(self.to_json(), fp, indent=2)
-
-    @classmethod
-    def load(cls, fp: IO[str]) -> "FaultPlan":
-        return cls.from_json(json.load(fp))
 
 
 def replay_plan(

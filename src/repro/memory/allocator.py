@@ -145,10 +145,6 @@ class FreeListAllocator:
             raise AllocationError(f"no allocation at offset {offset:#x}")
         return block.size
 
-    def owns(self, offset: int) -> bool:
-        """Whether ``offset`` is the start of a live allocation."""
-        return offset in self._by_offset
-
     def stats(self) -> AllocatorStats:
         # The largest free block lives in the highest non-empty size-class
         # bin (bin k holds sizes in [2^(k-1), 2^k), disjoint across bins).

@@ -29,14 +29,6 @@ class Block:
         """One past the last byte of this block."""
         return self.offset + self.size
 
-    def contains(self, offset: int) -> bool:
-        """Whether ``offset`` lies inside this block."""
-        return self.offset <= offset < self.end
-
-    def overlaps(self, offset: int, size: int) -> bool:
-        """Whether this block intersects the range ``[offset, offset+size)``."""
-        return self.offset < offset + size and offset < self.end
-
     def __repr__(self) -> str:
         state = "free" if self.free else "used"
         return f"Block[{self.offset:#x}:{self.end:#x}] ({self.size} B, {state})"

@@ -12,7 +12,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.errors import OutOfMemoryError
 from repro.memory.allocator import AllocatorStats, FreeListAllocator, FitPolicy
 from repro.memory.block import Block
 from repro.memory.device import MemoryDevice
@@ -64,28 +63,12 @@ class Heap:
         return self.allocator.free_bytes
 
     def allocate(self, size: int) -> int:
-        """Allocate ``size`` bytes; raises a device-tagged OOM on exhaustion."""
-        try:
-            return self.allocator.allocate(size)
-        except OutOfMemoryError as err:
-            raise OutOfMemoryError(self.name, err.requested, err.free) from None
-
-    def try_allocate(self, size: int) -> int | None:
-        """Allocate, returning ``None`` instead of raising when full.
-
-        This mirrors Listing 2, where ``DM.allocate`` returning ``nothing``
-        drives the forced-eviction path.
-        """
-        try:
-            return self.allocate(size)
-        except OutOfMemoryError:
-            return None
+        """Allocate ``size`` bytes; raises a device-tagged OOM on exhaustion
+        (the allocator is labelled with the device name)."""
+        return self.allocator.allocate(size)
 
     def free(self, offset: int) -> None:
         self.allocator.free(offset)
-
-    def size_of(self, offset: int) -> int:
-        return self.allocator.size_of(offset)
 
     def view(self, offset: int, size: int | None = None) -> np.ndarray:
         """Byte view of an allocation (real-backed devices only)."""

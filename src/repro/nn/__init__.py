@@ -20,10 +20,8 @@ from repro.nn.transformer import moe_transformer, transformer
 from repro.nn.models import (
     MODEL_REGISTRY,
     ModelSpec,
-    build_model,
     densenet264,
     resnet200,
-    table3_configs,
     vgg,
 )
 
@@ -33,10 +31,8 @@ __all__ = [
     "TensorHandle",
     "MODEL_REGISTRY",
     "ModelSpec",
-    "build_model",
     "densenet264",
     "resnet200",
-    "table3_configs",
     "vgg",
     "lstm",
     "moe_transformer",

@@ -42,8 +42,6 @@ __all__ = [
     "vgg",
     "resnet200",
     "densenet264",
-    "build_model",
-    "table3_configs",
     "MODEL_REGISTRY",
 ]
 
@@ -225,18 +223,3 @@ MODEL_REGISTRY: dict[str, ModelSpec] = {
         ),
     )
 }
-
-
-def build_model(key: str) -> GraphBuilder:
-    """Build a registered Table III network by key."""
-    try:
-        return MODEL_REGISTRY[key].builder()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown model {key!r}; known: {sorted(MODEL_REGISTRY)}"
-        ) from None
-
-
-def table3_configs() -> list[ModelSpec]:
-    """All six Table III rows (three large, three small networks)."""
-    return list(MODEL_REGISTRY.values())

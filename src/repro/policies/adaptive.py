@@ -54,7 +54,7 @@ class AdaptivePolicy(OptimizingPolicy):
 
     def __init__(
         self,
-        fast: str | None = "DRAM",
+        fast: str = "DRAM",
         slow: str = "NVRAM",
         *,
         alpha: float = 0.5,
@@ -136,7 +136,6 @@ class AdaptivePolicy(OptimizingPolicy):
         touch; objects that were never scored (off-device, pinned) go first
         in recency order so a trace answers "why was X never even scored?".
         """
-        assert self.fast is not None
         self.stats.forced_eviction_rounds += 1
         horizon = self._recency_clock - self.PROTECT_WINDOW
         last_touch = self._last_touch

@@ -24,7 +24,7 @@ class LruTracker:
     :class:`~collections.OrderedDict` keyed by object id, whose
     ``move_to_end`` reaches either end without rebuilding anything.
     ``coldest_first``/``ranked`` copy the order (O(n)) so the walk survives
-    mutation; ``rank_of`` is a linear scan.
+    mutation.
     """
 
     def __init__(self) -> None:
@@ -64,13 +64,6 @@ class LruTracker:
         Mutation-safe like :meth:`coldest_first`.
         """
         return enumerate(self.coldest_first())
-
-    def rank_of(self, obj: MemObject) -> int | None:
-        """Current recency rank of ``obj`` (``None`` if untracked)."""
-        for rank, candidate in self.ranked():
-            if candidate.id == obj.id:
-                return rank
-        return None
 
     def clear(self) -> None:
         self._order.clear()

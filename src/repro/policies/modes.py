@@ -43,7 +43,7 @@ class ModeConfig:
         base, _, opts = self.name.partition(":")
         return f"{base}: {'∅' if opts == '0' else opts}"
 
-    def make_policy(self, fast: str | None, slow: str) -> OptimizingPolicy:
+    def make_policy(self, fast: str, slow: str) -> OptimizingPolicy:
         if self.system != "ca":
             raise ConfigurationError(f"mode {self.name!r} does not use a CA policy")
         return OptimizingPolicy(

@@ -101,7 +101,7 @@ class OptimizingPolicy(Policy):
 
     def __init__(
         self,
-        fast: str | None = "DRAM",
+        fast: str = "DRAM",
         slow: str = "NVRAM",
         *,
         local_alloc: bool = True,
@@ -121,7 +121,7 @@ class OptimizingPolicy(Policy):
         devices = self.manager.devices()
         if self.slow not in devices:
             raise ConfigurationError(f"slow device {self.slow!r} not in {devices}")
-        if self.fast is not None and self.fast not in devices:
+        if self.fast not in devices:
             raise ConfigurationError(f"fast device {self.fast!r} not in {devices}")
 
     # -- placement ------------------------------------------------------------
@@ -133,7 +133,7 @@ class OptimizingPolicy(Policy):
         the fallback for objects that cannot fit. Without **L**: always
         NVRAM — the compulsory-miss model of CA: ∅.
         """
-        if self.fast is not None and self.local_alloc:
+        if self.local_alloc:
             region = self._allocate_fast(obj.size)
             if region is not None:
                 self.manager.setprimary(obj, region)
@@ -154,14 +154,12 @@ class OptimizingPolicy(Policy):
 
     def will_read(self, obj: MemObject) -> None:
         self._note_use(obj)
-        if self.prefetch and self.fast is not None:
-            if self._prefetch(obj) is not None:
-                self.stats.prefetches += 1
+        if self.prefetch and self._prefetch(obj) is not None:
+            self.stats.prefetches += 1
 
     def will_write(self, obj: MemObject) -> None:
         self._note_use(obj)
-        if self.fast is not None:
-            self._prefetch(obj)
+        self._prefetch(obj)
 
     def archive(self, obj: MemObject) -> None:
         """No data movement — just make the object the preferred victim."""
@@ -188,8 +186,6 @@ class OptimizingPolicy(Policy):
         """
         obj.check_usable()
         primary = self.manager.getprimary(obj)
-        if self.fast is None:
-            return primary
         cache_like = not self.local_alloc
         wants_fast = cache_like or intent is AccessIntent.WRITE
         if wants_fast and primary.device_name == self.slow:
@@ -202,7 +198,6 @@ class OptimizingPolicy(Policy):
     # -- movement internals -----------------------------------------------------------
 
     def _prefetch(self, obj: MemObject) -> Region | None:
-        assert self.fast is not None
         was_slow = (
             obj.primary is not None and obj.primary.device_name == self.slow
         )
@@ -224,7 +219,6 @@ class OptimizingPolicy(Policy):
 
     def _allocate_fast(self, size: int) -> Region | None:
         """Allocate raw space in fast memory, evicting cold objects if needed."""
-        assert self.fast is not None
         region = self.manager.try_allocate(self.fast, size)
         if region is None and self._make_room(size):
             region = self.manager.try_allocate(self.fast, size)
@@ -237,7 +231,6 @@ class OptimizingPolicy(Policy):
 
     def _find_eviction_start(self, size: int) -> Region | None:
         """Coldest-first victim order for Listing 2's ``find_region``."""
-        assert self.fast is not None
         self.stats.forced_eviction_rounds += 1
         return find_eviction_start(
             self.manager,
@@ -251,7 +244,6 @@ class OptimizingPolicy(Policy):
 
     def _evict_region(self, region: Region) -> None:
         """``evictfrom`` callback: evict the region's whole object."""
-        assert self.fast is not None
         obj = self.manager.parent(region)
         if obj.pinned:
             raise PolicyError(f"asked to evict pinned {obj!r}")
@@ -276,9 +268,7 @@ class OptimizingPolicy(Policy):
         policy has nowhere to evict *to*, so it declines and lets the ladder
         fall through to defragmentation and cross-tier fallback.
         """
-        if self.fast is None or device != self.fast:
-            return False
-        return self._make_room(nbytes)
+        return device == self.fast and self._make_room(nbytes)
 
     # -- bookkeeping ----------------------------------------------------------------------
 
@@ -294,8 +284,6 @@ class OptimizingPolicy(Policy):
 
     def check_invariant(self) -> None:
         """Paper's policy invariant: any fast-memory region is a primary."""
-        if self.fast is None:
-            return
         for region in self.manager.regions_on(self.fast):
             if region.parent is not None and not region.is_primary:
                 raise PolicyError(

@@ -142,10 +142,6 @@ class StreamScheduler:
             self._queue.push(stream.local_time, stream)
         return stream
 
-    def results(self) -> dict[str, Any]:
-        """Stream name -> generator return value (after :meth:`run`)."""
-        return {s.name: s.result for s in self.streams}
-
     def find(self, name: str) -> Stream | None:
         """The stream registered under ``name``, if any."""
         for stream in self.streams:

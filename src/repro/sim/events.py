@@ -21,7 +21,7 @@ opaque payload. Policy lives in :mod:`repro.runtime.scheduler`.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["ScheduledEvent", "EventQueue"]
 
@@ -75,8 +75,3 @@ class EventQueue:
     def pop(self) -> ScheduledEvent:
         """Remove and return the earliest event (FIFO among ties)."""
         return heapq.heappop(self._heap)
-
-    def drain(self) -> Iterator[ScheduledEvent]:
-        """Pop every event in order (consumes the queue)."""
-        while self._heap:
-            yield heapq.heappop(self._heap)

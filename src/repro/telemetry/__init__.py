@@ -57,13 +57,11 @@ from repro.telemetry.monitor import (
 from repro.telemetry.metrics import (
     Attribution,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     attribute_copies,
     derive_metrics,
 )
-from repro.telemetry.stats import BusUtilization, summarize_series
 from repro.telemetry.taxonomy import (
     CauseRollup,
     CostModel,
@@ -88,8 +86,6 @@ __all__ = [
     "TrafficSnapshot",
     "Timeline",
     "TimelineSample",
-    "BusUtilization",
-    "summarize_series",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -97,7 +93,6 @@ __all__ = [
     "subject_label",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "derive_metrics",
     "attribute_copies",

@@ -1,4 +1,4 @@
-"""Metrics registry: named counters, gauges, and histograms.
+"""Metrics registry: named counters and histograms.
 
 One :class:`MetricsRegistry` per session replaces the scattered
 ``policy_stats()`` dicts: policy counters are registry-backed (see
@@ -24,7 +24,6 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "derive_metrics",
@@ -47,21 +46,6 @@ class Counter:
 
     def reset(self) -> None:
         self.value = 0
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -109,7 +93,7 @@ class MetricsRegistry:
     """A flat namespace of typed metrics, keyed by name + sorted labels."""
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     @staticmethod
     def key(name: str, labels: dict[str, str]) -> str:
@@ -133,9 +117,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         return self._get(Histogram, name, labels)

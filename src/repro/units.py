@@ -22,8 +22,6 @@ __all__ = [
     "TB",
     "parse_size",
     "format_size",
-    "format_rate",
-    "format_time",
 ]
 
 KiB = 1024
@@ -88,20 +86,3 @@ def format_size(nbytes: float, *, decimal: bool = True) -> str:
         if nbytes >= factor:
             return f"{nbytes / factor:.2f} {name}"
     return f"{int(nbytes)} B"
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Format a bandwidth in the paper's GB/s convention."""
-    return f"{bytes_per_second / GB:.2f} GB/s"
-
-
-def format_time(seconds: float) -> str:
-    """Format a duration with a sensible unit for iteration-scale times."""
-    if seconds >= 60.0:
-        minutes, secs = divmod(seconds, 60.0)
-        return f"{int(minutes)}m{secs:04.1f}s"
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.1f} us"

@@ -163,13 +163,15 @@ def calls(name, keyword=None):
     return matches
 
 
+def all_sources():
+    return [path.relative_to(ROOT).as_posix() for path in sorted(ROOT.rglob("*.py"))]
+
+
 def test_a_run_is_stood_up_one_way():
     """Model key -> trace, config -> platform, tenant -> executor and the
     listener choice are each one function (docs/architecture.md, "How a run
     is built"); an experiment never grows a private copy."""
-    everything = [
-        path.relative_to(ROOT).as_posix() for path in sorted(ROOT.rglob("*.py"))
-    ]
+    everything = all_sources()
     runs = [r for r in everything if r.startswith("experiments/")]
     runs.append("runtime/elastic.py")
     common = "experiments/common.py"
@@ -187,3 +189,21 @@ def test_a_run_is_stood_up_one_way():
     assert functions_with(everything, calls("MonitorTracer")) == {
         ("telemetry/monitor.py", "pick_tracer")
     }
+
+
+def test_figures_two_to_six_are_views_of_one_matrix():
+    """One run set, five views: a figure module never runs a cell itself or
+    grows its own result class back; the models x modes loop is
+    ``run_matrix``, defined once."""
+    views = sorted(
+        path.relative_to(ROOT).as_posix()
+        for path in ROOT.glob("experiments/fig[2-6]_*.py")
+    )
+    assert len(views) == 5
+    assert functions_with(views, calls("run_mode")) == set()
+    assert functions_with(views, calls("run_modes")) == set()
+    assert functions_with(views, lambda node: isinstance(node, ast.ClassDef)) == set()
+    assert functions_with(
+        all_sources(),
+        lambda node: isinstance(node, ast.FunctionDef) and node.name == "run_matrix",
+    ) == {("experiments/common.py", "run_matrix")}

@@ -428,6 +428,7 @@ def test_check_contract_failure_lines_and_exit_code(capsys, as_json):
 # unknown-model arms of `trace` and `snapshot` now print the one resolver's
 # message, the text `profile` and `monitor` always printed.)
 _FAST = "--scale 256 --iterations 1"
+_TINY = "--scale 2048 --iterations 1"
 _SNAP = "--model resnet200-small --mode CA:LM --scale 2048"
 PINNED = [
     ("table3", 0, "7a71a9f933f7b991", ""),
@@ -440,6 +441,16 @@ PINNED = [
     ("ext --scale 2048 --iterations 1 --json", 0, "0b4f2c1cc22a28b1", ""),
     ("fig6 --scale 2048 --iterations 1 --json", 0, "609a66643a0f38c6", ""),
     ("fig7 --scale 2048 --iterations 1 --json", 0, "a9be2b5a8cc86600", ""),
+    # Recorded at the parent of PR 22, where every figure ran its own cells.
+    (f"fig2 {_TINY}", 0, "dec75925653145e6", ""),
+    (f"fig2 {_TINY} --json", 0, "ce44159e422f3727", ""),
+    (f"fig3 {_TINY}", 0, "6a65ce39b6656bb4", ""),
+    (f"fig4 {_TINY} --json", 0, "50df2d19750b8d8b", ""),
+    (f"fig5 {_TINY}", 0, "35b06943722f06cc", ""),
+    (f"fig5 {_TINY} --json", 0, "caec236628335fce", ""),
+    (f"fig6 {_TINY}", 0, "60173cf4991f3b8f", ""),
+    (f"all {_TINY}", 0, "6229f0dd771363cb", ""),
+    (f"all {_TINY} --json", 0, "bc65dddbf4d02898", ""),
     ("trace --model vgg116-small --scale 64", 0, "8e7bd3bc7ca7ea44", ""),
     ("trace --model vgg116-small --scale 64 --out {d}/t.json",
      0, "02d48945a194371c", ""),
@@ -675,6 +686,31 @@ def test_a_bad_value_exits_2_in_one_line(command, message, capsys):
     assert _run(command.split(), capsys) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "trace --model tiny --scale 256 --out {bad}",
+        f"profile --model tiny {_FAST} --out {{bad}}",
+        f"profile --model tiny {_FAST} --jsonl {{bad}}",
+        "explain {d}/lm.jsonl --out {bad}",
+        "diff {d}/lm.jsonl {d}/lmp.jsonl --out {bad}",
+        f"snapshot {_SNAP} --out {{bad}}",
+        "chaos --plan copy-flaky --dump-dir {bad}",
+    ],
+)
+def test_an_unwritable_output_path_exits_2_in_one_line(
+    command, cli_dir, tmp_path, capsys
+):
+    """What an unreadable input path gets; it used to be a traceback after
+    the whole run. (The parent is a regular file, not merely missing,
+    because the flight recorder creates missing directories.)"""
+    (tmp_path / "file").write_text("")
+    bad = str(tmp_path / "file" / "out")
+    code, out, err = _run(command.format(d=cli_dir, bad=bad).split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and bad in err
+
+
 def test_every_command_resolves_a_model_key_the_same_way(tmp_path, capsys):
     """One resolver: `tiny` is a model wherever --model is, and an unknown
     key gets the same message from every command."""
@@ -706,3 +742,28 @@ def test_all_json_is_one_document_keyed_by_experiment(capsys):
     assert list(document) == list(EXPERIMENTS)
     assert "resnet200-large" in document["table3"]
     assert 0 < document["fig4"]["2LM:M"]["hit_rate"] <= 1
+
+
+@pytest.mark.parametrize("command, cells", [("all", 18), ("fig3", 2), ("fig6", 12)])
+def test_each_evaluation_matrix_cell_is_simulated_once(
+    command, cells, monkeypatch, capsys
+):
+    """Figures 2-6 are views of one run set: `all` simulates the 18 distinct
+    (model, mode) cells once (it was 52), a single figure only its own."""
+    from repro.experiments import common, fig2_runtime
+
+    calls = []
+    prepare = common.prepare_trace_mode
+
+    def counting(trace, mode_name, config, *, model_label=""):
+        calls.append((model_label, mode_name, config.dram_bytes))
+        return prepare(trace, mode_name, config, model_label=model_label)
+
+    monkeypatch.setattr(common, "prepare_trace_mode", counting)
+    code, _, _ = _run([command, *_TINY.split()], capsys)
+    assert code == 0
+    # fig7 and ext (small models, other DRAM budgets) keep their own runners.
+    matrix = [call for call in calls if call[0] in fig2_runtime.MODELS]
+    assert len(matrix) == len(set(matrix)) == cells
+    if command != "all":
+        assert calls == matrix

@@ -27,17 +27,17 @@ class TestFig2:
         return fig2_runtime.run(FAST, models=LARGE_MODELS, modes=TWO_MODES)
 
     def test_structure(self, result):
-        assert set(result.results) == set(LARGE_MODELS)
-        assert set(result.results["resnet200-large"]) == set(TWO_MODES)
+        assert set(result) == set(LARGE_MODELS)
+        assert set(result["resnet200-large"]) == set(TWO_MODES)
 
     def test_seconds_rescaled(self, result):
-        raw = result.results["resnet200-large"]["CA:LM"].iteration.seconds
-        assert result.seconds("resnet200-large", "CA:LM") == raw * 256
+        raw = result["resnet200-large"]["CA:LM"].iteration.seconds
+        assert fig2_runtime.seconds(result, "resnet200-large", "CA:LM") == raw * 256
 
     def test_speedup(self, result):
         # CA:LM over 2LM:0 on every large net (paper: 1.4x-2.03x).
         for model in LARGE_MODELS:
-            assert result.speedup(model) > 1.1, model
+            assert fig2_runtime.speedup(result, model) > 1.1, model
 
     def test_render_mentions_modes(self, result):
         text = fig2_runtime.render(result)
@@ -49,23 +49,23 @@ class TestFig2:
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig3_heap.run(FAST_TL, model="resnet200-large")
+        return fig3_heap.run(FAST_TL)
 
     def test_requires_timeline(self):
         with pytest.raises(ValueError):
-            fig3_heap.run(FAST, model="resnet200-large")
+            fig3_heap.run(FAST)
 
     def test_gc_run_has_higher_peak(self, result):
-        assert result.peak_gb(result.unoptimized) > result.peak_gb(result.optimized)
+        unoptimized, optimized = result["resnet200-large"].values()
+        assert fig3_heap.peak_gb(unoptimized) > fig3_heap.peak_gb(optimized)
         # Figure 3's shape: the GC-managed heap overshoots the footprint.
-        footprint_gb = result.unoptimized.footprint_bytes * 256 / 1e9
-        assert result.peak_gb(result.unoptimized) > footprint_gb * 1.1
+        footprint_gb = unoptimized.footprint_bytes * 256 / 1e9
+        assert fig3_heap.peak_gb(unoptimized) > footprint_gb * 1.1
 
     def test_optimized_peak_is_footprint(self, result):
-        footprint_gb = result.optimized.footprint_bytes * 256 / 1e9
-        assert result.peak_gb(result.optimized) == pytest.approx(
-            footprint_gb, rel=0.05
-        )
+        optimized = result["resnet200-large"]["2LM:M"]
+        footprint_gb = optimized.footprint_bytes * 256 / 1e9
+        assert fig3_heap.peak_gb(optimized) == pytest.approx(footprint_gb, rel=0.05)
 
     def test_render(self, result):
         text = fig3_heap.render(result)
@@ -78,8 +78,8 @@ class TestFig4:
         return fig4_cachestats.run(FAST)
 
     def test_directions(self, result):
-        assert result.hit_rate_uplift > 0
-        assert result.dirty_miss_drop > 0
+        assert fig4_cachestats.hit_rate_uplift(result) > 0
+        assert fig4_cachestats.dirty_miss_drop(result) > 0
 
     def test_render(self, result):
         text = fig4_cachestats.render(result)
@@ -95,8 +95,8 @@ class TestFig5:
 
     def test_reduction_factors(self, result):
         for model in LARGE_MODELS:
-            assert result.nvram_write_drop_with_memopt(model) > 1.0, model
-            assert result.nvram_read_drop_with_prefetch(model) > 1.0, model
+            assert fig5_traffic.nvram_write_drop_with_memopt(result, model) > 1.0
+            assert fig5_traffic.nvram_read_drop_with_prefetch(result, model) > 1.0
 
     def test_render(self, result):
         text = fig5_traffic.render(result)
@@ -111,14 +111,15 @@ class TestFig6:
         )
 
     def test_utilizations_in_unit_range(self, result):
-        for model, by_mode in result.results.items():
+        for model, by_mode in result.items():
             for mode in by_mode:
-                assert 0.0 < result.utilization(model, mode) < 1.0
+                assert 0.0 < fig6_utilization.utilization(result, model, mode) < 1.0
 
     def test_ca0_beats_2lm0_for_resnet_and_loses_for_vgg(self, result):
         resnet, vgg = "resnet200-large", "vgg416-large"
-        assert result.utilization(resnet, "CA:0") > result.utilization(resnet, "2LM:0")
-        assert result.utilization(vgg, "CA:0") < result.utilization(vgg, "2LM:0")
+        util = fig6_utilization.utilization
+        assert util(result, resnet, "CA:0") > util(result, resnet, "2LM:0")
+        assert util(result, vgg, "CA:0") < util(result, vgg, "2LM:0")
 
     def test_render(self, result):
         assert "utilisation" in fig6_utilization.render(result)

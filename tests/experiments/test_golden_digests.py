@@ -76,7 +76,7 @@ def _digest(result) -> str:
             }
             for mode, mode_result in by_mode.items()
         }
-        for model, by_mode in result.results.items()
+        for model, by_mode in result.items()
     }
     blob = json.dumps(dump, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -1,13 +1,10 @@
-"""Fault plans: spec validation, index arithmetic, serialisation, replay."""
-
-import io
+"""Fault plans: spec validation, index arithmetic, replay."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import (
     FAULT_PLANS,
-    FaultPlan,
     FaultSpec,
     FiredFault,
     fault_plan,
@@ -45,25 +42,6 @@ def test_spec_open_ended_count():
     spec = FaultSpec(site="bandwidth", start=0, every=1, count=None)
     assert spec.count is None
     assert all(spec.matches_index(i) for i in range(10))
-
-
-def test_plan_json_round_trip():
-    plan = FAULT_PLANS["kitchen-sink"]
-    clone = FaultPlan.from_json(plan.to_json())
-    assert clone == plan
-
-    buffer = io.StringIO()
-    plan.save(buffer)
-    buffer.seek(0)
-    assert FaultPlan.load(buffer) == plan
-
-
-def test_fired_fault_json_round_trip():
-    fault = FiredFault(
-        ts=1.5, site="copy", device="DRAM", op="*", index=7,
-        detail={"magnitude": 3.0},
-    )
-    assert FiredFault.from_json(fault.to_json()) == fault
 
 
 def test_builtin_plans_are_wellformed():

@@ -135,7 +135,7 @@ def resize_sequences(draw):
 def _reference_block_index(allocator, offset: int) -> int:
     """The naive linear walk ``_block_index_at``'s bisect must agree with."""
     for index, block in enumerate(allocator._blocks):
-        if block.contains(offset):
+        if block.offset <= offset < block.end:
             return index
     raise AssertionError(f"no block contains {offset:#x}")
 

@@ -7,23 +7,6 @@ def test_end():
     assert Block(offset=10, size=5, free=True).end == 15
 
 
-def test_contains():
-    block = Block(offset=10, size=5, free=False)
-    assert block.contains(10)
-    assert block.contains(14)
-    assert not block.contains(15)
-    assert not block.contains(9)
-
-
-def test_overlaps():
-    block = Block(offset=10, size=5, free=False)
-    assert block.overlaps(12, 1)
-    assert block.overlaps(0, 11)
-    assert block.overlaps(14, 100)
-    assert not block.overlaps(15, 5)
-    assert not block.overlaps(0, 10)
-
-
 def test_repr_shows_state():
     assert "free" in repr(Block(0, 64, True))
     assert "used" in repr(Block(0, 64, False))

@@ -29,12 +29,6 @@ def test_oom_is_tagged_with_device_name():
     assert err.value.device == "DRAM"
 
 
-def test_try_allocate_returns_none_on_full():
-    heap = make(KiB)
-    assert heap.try_allocate(2 * KiB) is None
-    assert heap.try_allocate(512) is not None
-
-
 def test_view_of_allocation():
     heap = make(real=True)
     offset = heap.allocate(256)

@@ -7,10 +7,8 @@ from repro.nn.models import (
     MODEL_REGISTRY,
     VGG116_STAGES,
     VGG416_STAGES,
-    build_model,
     densenet264,
     resnet200,
-    table3_configs,
     vgg,
 )
 from repro.units import GB
@@ -34,13 +32,6 @@ class TestRegistry:
             "resnet200-small": 640,
             "vgg116-small": 320,
         }
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_model("alexnet")
-
-    def test_table3_configs_lists_all(self):
-        assert len(table3_configs()) == 6
 
 
 class TestArchitectures:

@@ -122,9 +122,6 @@ def test_tracker_matches_a_plain_list_reference(ops):
         assert len(tracker) == len(reference)
         for candidate in pool:
             assert (candidate in tracker) == (candidate in reference)
-            assert tracker.rank_of(candidate) == (
-                reference.index(candidate) if candidate in reference else None
-            )
 
 
 def test_pickle_round_trip_preserves_order():

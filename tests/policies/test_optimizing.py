@@ -157,17 +157,6 @@ class TestResidency:
         a.unpin()
         b.unpin()
 
-    def test_nvram_only_mode(self):
-        heaps = {"NVRAM": Heap(MemoryDevice.nvram(1024 * KiB))}
-        manager = DataManager(heaps, CopyEngine(SimClock()))
-        policy = OptimizingPolicy(fast=None, slow="NVRAM")
-        policy.bind(manager)
-        obj = manager.new_object(KiB)
-        policy.place(obj)
-        assert manager.getprimary(obj).device_name == "NVRAM"
-        region = policy.ensure_resident(obj, AccessIntent.WRITE)
-        assert region.device_name == "NVRAM"
-
 
 class TestInvariant:
     def test_fast_regions_are_always_primaries(self):

@@ -46,7 +46,6 @@ class TestSingleStream:
         stream = scheduler.spawn("s", gen())
         scheduler.run()
         assert stream.result == {"answer": 42}
-        assert scheduler.results() == {"s": {"answer": 42}}
 
     def test_activate_hook_runs(self):
         clock = SimClock()

@@ -52,13 +52,6 @@ class TestQueueApi:
         assert queue
         assert len(queue) == 1
 
-    def test_drain(self):
-        queue = EventQueue()
-        queue.push(2.0, "b")
-        queue.push(1.0, "a")
-        assert [e.payload for e in queue.drain()] == ["a", "b"]
-        assert not queue
-
     def test_rejects_nan_time(self):
         with pytest.raises(ValueError):
             EventQueue().push(math.nan, "x")

@@ -10,16 +10,14 @@ from repro.telemetry.metrics import (
 from repro.telemetry.trace import COPY_START, EVICT_SCAN, HINT, TraceEvent
 
 
-def test_counter_gauge_histogram():
+def test_counter_and_histogram():
     registry = MetricsRegistry()
     registry.counter("copies").inc()
     registry.counter("copies").inc(4)
-    registry.gauge("occupancy").set(0.75)
     registry.histogram("depth").observe(2)
     registry.histogram("depth").observe(4)
     data = registry.as_dict()
     assert data["copies"] == 5
-    assert data["occupancy"] == 0.75
     assert data["depth"]["count"] == 2
     assert data["depth"]["mean"] == pytest.approx(3.0)
     assert data["depth"]["min"] == 2 and data["depth"]["max"] == 4
@@ -38,7 +36,7 @@ def test_kind_conflict_raises():
     registry = MetricsRegistry()
     registry.counter("x")
     with pytest.raises(TypeError):
-        registry.gauge("x")
+        registry.histogram("x")
 
 
 def _copy(ts, nbytes, root="", root_ts=None):
@@ -91,14 +89,11 @@ def test_registry_reset_zeroes_in_place():
     registry = MetricsRegistry()
     counter = registry.counter("copies")
     counter.inc(9)
-    gauge = registry.gauge("occupancy")
-    gauge.set(0.5)
     histogram = registry.histogram("depth")
     histogram.observe(4.0)
     registry.reset()
     # Values are zeroed...
     assert counter.value == 0
-    assert gauge.value == 0.0
     assert histogram.count == 0
     assert histogram.as_dict() == {
         "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,

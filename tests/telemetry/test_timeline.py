@@ -116,3 +116,21 @@ def test_extreme_sample_values_round_trip():
     assert rebuilt.times() == timeline.times()
     assert rebuilt.values() == timeline.values()
     assert rebuilt.peak() == timeline.peak()
+
+
+def test_executor_records_traffic_timelines():
+    from repro.experiments.common import ExperimentConfig, run_trace_mode
+    from repro.units import KiB, MiB
+    from repro.workloads.annotate import annotate
+    from repro.workloads.synthetic import filo_stack_trace
+
+    trace = annotate(filo_stack_trace(depth=8, activation_bytes=256 * KiB), memopt=True)
+    config = ExperimentConfig(
+        scale=1, iterations=1, dram_bytes=MiB, nvram_bytes=64 * MiB,
+        sample_timeline=True,
+    )
+    result = run_trace_mode(trace, "CA:LM", config, model_label="t")
+    timeline = result.run.occupancy_timeline["traffic:NVRAM"]
+    values = timeline.values()
+    assert values == sorted(values)  # cumulative => monotone
+    assert values[-1] > 0

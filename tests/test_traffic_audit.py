@@ -1,0 +1,55 @@
+"""The traffic audit script: which functions a command list never enters."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+spec = importlib.util.spec_from_file_location(
+    "traffic_audit", REPO_ROOT / "tools" / "traffic_audit.py"
+)
+traffic_audit = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(traffic_audit)
+
+
+def test_lists_exactly_the_functions_no_command_entered(tmp_path, monkeypatch, capsys):
+    package = tmp_path / "auditdemo"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "import functools\n"
+        "\n"
+        "def used():\n"
+        "    return Thing().value\n"
+        "\n"
+        "def unused():\n"
+        "    x = 1\n"
+        "    return x\n"
+        "\n"
+        "class Thing:\n"
+        "    @property\n"
+        "    def value(self):\n"
+        "        return 1\n"
+        "\n"
+        "    @functools.lru_cache\n"
+        "    def cold(self):\n"
+        "        return 2\n"
+    )
+    script = tmp_path / "script.py"
+    script.write_text(
+        "import sys\nfrom auditdemo.mod import used\nprint(used())\nsys.exit(3)\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    argv = list(sys.argv)
+    misses = traffic_audit.audit([[str(script)]], root=package)
+    assert [(name, body) for _, _, name, body in misses] == [
+        ("unused", 2),
+        ("Thing.cold", 1),
+    ]
+    # The command's stdout is swallowed, its exit status reported, and the
+    # interpreter state it touched is put back.
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"[exit 3] python {script}\n"
+    assert sys.argv == argv and sys.getprofile() is None

@@ -7,9 +7,7 @@ from repro.units import (
     GiB,
     KiB,
     MiB,
-    format_rate,
     format_size,
-    format_time,
     parse_size,
 )
 
@@ -63,21 +61,6 @@ class TestFormat:
 
     def test_format_size_negative(self):
         assert format_size(-2 * GB) == "-2.00 GB"
-
-    def test_format_rate(self):
-        assert format_rate(13 * GB) == "13.00 GB/s"
-
-    @pytest.mark.parametrize(
-        "seconds, expected",
-        [
-            (125.0, "2m05.0s"),
-            (2.5, "2.50 s"),
-            (0.0025, "2.50 ms"),
-            (2.5e-6, "2.5 us"),
-        ],
-    )
-    def test_format_time(self, seconds, expected):
-        assert format_time(seconds) == expected
 
 
 def test_constants_consistent():
