@@ -334,16 +334,16 @@ class SharedRuntime:
         if not tenant:
             raise ConfigurationError("detach needs a non-empty tenant id")
         session = self._sessions.pop(tenant, None)
-        known = session is not None or any(
+        objs = self.manager.tenant_objects(tenant)
+        known = session is not None or objs or any(
             owner == tenant for owner, _ in self.manager.tenant_quotas()
-        ) or self.manager.tenant_objects(tenant)
+        )
         if not known:
             raise ConfigurationError(f"unknown tenant {tenant!r}")
         if self._scheduler is not None:
             # Closing the generator unwinds kernel scopes (unpins operands),
             # so reclamation below goes through the normal free path.
             self._scheduler.cancel(tenant)  # type: ignore[attr-defined]
-        objs = self.manager.tenant_objects(tenant)
         freed = 0
         for obj in objs:
             freed += sum(region.size for region in obj.regions())

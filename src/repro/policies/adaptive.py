@@ -120,15 +120,11 @@ class AdaptivePolicy(OptimizingPolicy):
         age = max(1, self._recency_clock - self._first_seen.get(obj_id, 0) + 1)
         return self._frequency.get(obj_id, 0.0) / age
 
-    def _score(self, obj: MemObject) -> float:
-        """Lower = better eviction victim."""
+    def _score(self, obj: MemObject, max_rate: float) -> float:
+        """Lower = better eviction victim. ``max_rate`` is the highest
+        :meth:`_rate` of any tracked object, taken once per scan."""
         recency = self._last_touch.get(obj.id, 0) / max(1, self._recency_clock)
-        rate = self._rate(obj.id)
-        max_rate = max(
-            (self._rate(candidate_id) for candidate_id in self._frequency),
-            default=1.0,
-        )
-        frequency = rate / max(max_rate, 1e-12)
+        frequency = self._rate(obj.id) / max(max_rate, 1e-12)
         return (1.0 - self.alpha) * recency + self.alpha * frequency
 
     def _find_eviction_start(self, size: int) -> Region | None:
@@ -150,7 +146,9 @@ class AdaptivePolicy(OptimizingPolicy):
                 probation.append(obj)
             else:
                 protected.append(obj)
-        probation.sort(key=self._score)
+        # No hint lands mid-scan, so one normaliser serves every score.
+        max_rate = max(map(self._rate, self._frequency), default=1.0)
+        probation.sort(key=lambda c: self._score(c, max_rate))
         # Protected objects are last-resort victims, oldest-touch first.
         protected.sort(key=lambda c: last_touch.get(c.id, 0))
 
@@ -159,7 +157,7 @@ class AdaptivePolicy(OptimizingPolicy):
                 return {"rank": rank}
             in_probation = last_touch.get(candidate.id, 0) <= horizon
             return {
-                "score": self._score(candidate),
+                "score": self._score(candidate, max_rate),
                 "segment": "probation" if in_probation else "protected",
             }
 

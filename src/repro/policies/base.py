@@ -118,7 +118,7 @@ def prefetch_object(
     """
     x = dm.getprimary(obj)
     if not dm.in_device(x, slow):
-        return dm.getprimary(obj)
+        return x
     sz = dm.sizeof(obj)
     y = dm.try_allocate(fast, sz)
     if y is None:

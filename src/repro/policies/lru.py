@@ -23,8 +23,7 @@ class LruTracker:
     ``touch``, ``demote`` and ``discard`` are O(1): the order is an
     :class:`~collections.OrderedDict` keyed by object id, whose
     ``move_to_end`` reaches either end without rebuilding anything.
-    ``coldest_first``/``ranked`` copy the order (O(n)) so the walk survives
-    mutation.
+    ``ranked`` walks the live order, so a victim scan costs what it examines.
     """
 
     def __init__(self) -> None:
@@ -51,19 +50,18 @@ class LruTracker:
     def discard(self, obj: MemObject) -> None:
         self._order.pop(obj.id, None)
 
-    def coldest_first(self) -> Iterator[MemObject]:
-        """Objects from coldest to hottest; safe against mutation mid-walk."""
-        return iter(list(self._order.values()))
-
     def ranked(self) -> Iterator[tuple[int, MemObject]]:
         """``(recency_rank, object)`` pairs, coldest first (rank 0 = coldest).
 
         The rank is the score LRU-family policies report in their
         ``decision`` trace events: it says *why* an object was the preferred
         victim (low rank) or a reluctant one (high rank) at selection time.
-        Mutation-safe like :meth:`coldest_first`.
+
+        A live, read-only walk: finish it (or drop it) before the order is
+        mutated — advancing it after a ``touch``, ``demote`` or ``discard``
+        raises ``RuntimeError`` instead of reading a stale order.
         """
-        return enumerate(self.coldest_first())
+        return enumerate(self._order.values())
 
     def clear(self) -> None:
         self._order.clear()

@@ -184,7 +184,6 @@ class OptimizingPolicy(Policy):
         * read/use intent: migrate only in cache-like mode (no **L**) —
           with **L**, reads run from NVRAM unless **P** prefetched earlier.
         """
-        obj.check_usable()
         primary = self.manager.getprimary(obj)
         cache_like = not self.local_alloc
         wants_fast = cache_like or intent is AccessIntent.WRITE
@@ -192,8 +191,10 @@ class OptimizingPolicy(Policy):
             moved = self._prefetch(obj)
             if moved is not None:
                 return moved
+            # A failed prefetch may still have run evictions: re-read.
+            primary = self.manager.getprimary(obj)
         self._note_use(obj)
-        return self.manager.getprimary(obj)
+        return primary
 
     # -- movement internals -----------------------------------------------------------
 

@@ -104,7 +104,8 @@ class StreamScheduler:
         # Dynamic schedules accept spawn() mid-run (open-loop arrivals) and
         # always take the multi-stream path so the event queue exists.
         self.dynamic = dynamic
-        self.streams: list[Stream] = []
+        # Every stream ever spawned, by name, in spawn order.
+        self.streams: dict[str, Stream] = {}
         self._started = False
         self._queue: EventQueue | None = None
 
@@ -125,11 +126,16 @@ class StreamScheduler:
         time (mid-run arrivals cannot be scheduled into the past).
         """
         if self._started and not (self.dynamic and self._queue is not None):
+            if self.dynamic:
+                raise ConfigurationError(
+                    "cannot spawn streams after the schedule finished "
+                    "(run() already returned)"
+                )
             raise ConfigurationError(
                 "cannot spawn streams mid-run (build the scheduler with "
                 "dynamic=True for open-loop arrivals)"
             )
-        if any(s.name == name for s in self.streams):
+        if name in self.streams:
             raise ConfigurationError(f"duplicate stream name {name!r}")
         stream = Stream(name, gen, activate=activate)
         stream.local_time = (
@@ -137,17 +143,14 @@ class StreamScheduler:
         )
         if self._started:
             stream.local_time = max(stream.local_time, self.clock.now)
-        self.streams.append(stream)
-        if self._started and self._queue is not None:
+        self.streams[name] = stream
+        if self._started:
             self._queue.push(stream.local_time, stream)
         return stream
 
     def find(self, name: str) -> Stream | None:
         """The stream registered under ``name``, if any."""
-        for stream in self.streams:
-            if stream.name == name:
-                return stream
-        return None
+        return self.streams.get(name)
 
     def cancel(self, name: str) -> bool:
         """Cancel a stream: close its generator and retire it from scheduling.
@@ -183,7 +186,7 @@ class StreamScheduler:
         if not self.streams:
             return
         if len(self.streams) == 1 and not self.dynamic:
-            self._run_single(self.streams[0])
+            self._run_single(next(iter(self.streams.values())))
             return
         self._run_many()
 
@@ -221,7 +224,7 @@ class StreamScheduler:
     def _run_many(self) -> None:
         clock = self.clock
         queue = EventQueue()
-        for stream in self.streams:
+        for stream in self.streams.values():
             queue.push(stream.local_time, stream)
         # Expose the live queue so dynamic spawn() can join mid-run.
         self._queue = queue
@@ -261,7 +264,8 @@ class StreamScheduler:
             self._tag("")
             # Leave the clock at the frontier: the latest local time any
             # stream reached (the co-run's end-to-end makespan).
-            clock.seek(max((s.local_time for s in self.streams), default=clock.now))
+            frontier = (s.local_time for s in self.streams.values())
+            clock.seek(max(frontier, default=clock.now))
 
     def _tag(self, name: str) -> None:
         tracer = self.tracer

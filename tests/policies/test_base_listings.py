@@ -1,8 +1,11 @@
 """Listing 1 (evict) and Listing 2 (prefetch) behaviour against the DM API."""
 
+import inspect
+
 import pytest
 
-from repro.errors import OutOfMemoryError
+from repro.errors import ConfigurationError, ObjectStateError, OutOfMemoryError
+from repro.policies import base
 from repro.policies.base import evict_object, prefetch_object
 from repro.units import KiB
 
@@ -133,6 +136,68 @@ class TestPrefetch:
             evict_callback=lambda region: None,
         )
         assert region is None
+
+
+def retired(manager):
+    obj = place(manager, device=SLOW)
+    manager.destroy_object(obj)
+    return obj
+
+
+# What Listing 2's first two lines validate, and the parent's wording for it:
+# case -> (operand, fast, slow, exception, message).
+UNKNOWN_HBM = r"^unknown device 'HBM'; have \['DRAM', 'NVRAM'\]$"
+REJECTED_OPERANDS = {
+    "retired": (
+        retired, FAST, SLOW,
+        ObjectStateError, r"retired primary on nowhere\) was retired and cannot be used$",
+    ),
+    "no primary": (
+        lambda manager: manager.new_object(KiB), FAST, SLOW,
+        ObjectStateError, r" B, primary on nowhere\) has no primary region$",
+    ),
+    "unknown slow device, object in fast": (
+        lambda manager: place(manager, device=FAST), FAST, "HBM",
+        ConfigurationError, UNKNOWN_HBM,
+    ),
+    "unknown slow device, object in slow": (
+        lambda manager: place(manager, device=SLOW), FAST, "HBM",
+        ConfigurationError, UNKNOWN_HBM,
+    ),
+    "unknown fast device, object in slow": (
+        lambda manager: place(manager, device=SLOW), "HBM", SLOW,
+        ConfigurationError, UNKNOWN_HBM,
+    ),
+}
+
+
+def check_prefetch_rejects(manager, case, prefetch=prefetch_object):
+    operand, fast, slow, error, message = REJECTED_OPERANDS[case]
+    obj = operand(manager)
+    before = manager.heap(FAST).used_bytes, manager.heap(SLOW).used_bytes
+    with pytest.raises(error, match=message):
+        prefetch(manager, obj, fast, slow)
+    assert (manager.heap(FAST).used_bytes, manager.heap(SLOW).used_bytes) == before
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_OPERANDS))
+def test_prefetch_validates_its_operand_before_moving_anything(manager, case):
+    check_prefetch_rejects(manager, case)
+
+
+def test_operand_checks_catch_a_prefetch_that_skips_in_device(manager):
+    """Seeded mutation: returning the already-read primary must not cost the
+    ``in_device`` validation — a copy without it fails the check above."""
+    source = inspect.getsource(prefetch_object)
+    mutant = source.replace("not dm.in_device(x, slow)", "x.device_name != slow")
+    assert mutant != source
+    namespace = dict(vars(base))
+    exec("from __future__ import annotations\n" + mutant, namespace)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        check_prefetch_rejects(
+            manager, "unknown slow device, object in fast",
+            prefetch=namespace["prefetch_object"],
+        )
 
 
 def test_evict_prefetch_roundtrip_preserves_data(manager):

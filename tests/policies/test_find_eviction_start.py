@@ -8,6 +8,8 @@ must carry exactly the reference's chosen victim, ``considered`` count and
 rejected list.
 """
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from repro.errors import OutOfMemoryError, PolicyError
 from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
+from repro.policies import adaptive, multitier, optimizing
 from repro.policies.base import (
     DECISION_REJECTED_LIMIT,
     evict_object,
@@ -161,6 +164,88 @@ def test_describe_replaces_the_rank_on_entries_and_on_the_event():
     assert event.args["rejected"] == [
         {"obj": pinned.name, "score": 16.0, "reason": "pinned"}
     ]
+
+
+# -- laziness: a scan pays for the candidates it examines, not for what is alive --
+
+POPULATION = 5_000
+
+
+class CountingOrder(OrderedDict):
+    """An LRU order that counts every entry a walk pulls out of it."""
+
+    pulled = 0
+
+    def values(self):
+        for value in super().values():
+            self.pulled += 1
+            yield value
+
+
+# policy -> (module whose scan is intercepted, constructor, scan, its tracker)
+SCANS = {
+    "OptimizingPolicy": (
+        optimizing,
+        optimizing.OptimizingPolicy,
+        lambda policy, size: policy._find_eviction_start(size),
+        lambda policy: policy.lru,
+    ),
+    "MultiTierPolicy": (
+        multitier,
+        lambda: multitier.MultiTierPolicy([FAST, SLOW]),
+        lambda policy, size: policy._find_eviction_start(0, size),
+        lambda policy: policy.lru[FAST],
+    ),
+    # Scores every live object by design; what it *hands on* is
+    # ``chain(skipped, probation + protected)`` and must be walked lazily.
+    "AdaptivePolicy": (
+        adaptive,
+        adaptive.AdaptivePolicy,
+        lambda policy, size: policy._find_eviction_start(size),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("pinned", [0, 3])
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_scan_consumes_only_the_candidates_it_examines(monkeypatch, name, pinned):
+    module, make, scan, tracker_of = SCANS[name]
+    manager = DataManager(
+        {
+            FAST: Heap(MemoryDevice.dram(POPULATION * KiB)),
+            SLOW: Heap(MemoryDevice.nvram(POPULATION * KiB)),
+        },
+        CopyEngine(SimClock()),
+    )
+    policy = make()
+    policy.bind(manager)
+    live = [manager.new_object(KiB, f"o{i}") for i in range(POPULATION)]
+    for obj in live:
+        assert policy.place(obj).device_name == FAST
+    for obj in live[:pinned]:
+        obj.pin()
+
+    consumed = []
+
+    def counting_scan(dm, tracer, device, size, ranked, **kwargs):
+        def counted():
+            for rank, candidate in ranked:
+                consumed.append(candidate)
+                yield rank, candidate
+
+        return find_eviction_start(dm, tracer, device, size, counted(), **kwargs)
+
+    monkeypatch.setattr(module, "find_eviction_start", counting_scan)
+    if tracker_of is not None:
+        tracker = tracker_of(policy)
+        tracker._order = order = CountingOrder(tracker._order)
+
+    assert scan(policy, KiB) is live[pinned].primary
+    assert consumed == live[: pinned + 1]
+    if tracker_of is not None:
+        # ... and nothing upstream copied the order to produce them.
+        assert order.pulled == pinned + 1
 
 
 class TestMakeRoom:

@@ -2,6 +2,7 @@
 
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.object import MemObject
@@ -12,12 +13,16 @@ def objs(n):
     return [MemObject(64, f"o{i}") for i in range(n)]
 
 
+def coldest_first(tracker):
+    return [obj for _, obj in tracker.ranked()]
+
+
 def test_touch_orders_cold_to_hot():
     tracker = LruTracker()
     a, b, c = objs(3)
     for obj in (a, b, c):
         tracker.touch(obj)
-    assert list(tracker.coldest_first()) == [a, b, c]
+    assert coldest_first(tracker) == [a, b, c]
 
 
 def test_touch_moves_to_hot_end():
@@ -26,7 +31,7 @@ def test_touch_moves_to_hot_end():
     for obj in (a, b, c):
         tracker.touch(obj)
     tracker.touch(a)
-    assert list(tracker.coldest_first()) == [b, c, a]
+    assert coldest_first(tracker) == [b, c, a]
 
 
 def test_demote_moves_to_cold_end():
@@ -35,7 +40,7 @@ def test_demote_moves_to_cold_end():
     for obj in (a, b, c):
         tracker.touch(obj)
     tracker.demote(c)
-    assert list(tracker.coldest_first()) == [c, a, b]
+    assert coldest_first(tracker) == [c, a, b]
 
 
 def test_demote_untracked_inserts_cold():
@@ -43,7 +48,7 @@ def test_demote_untracked_inserts_cold():
     a, b = objs(2)
     tracker.touch(a)
     tracker.demote(b)
-    assert list(tracker.coldest_first()) == [b, a]
+    assert coldest_first(tracker) == [b, a]
 
 
 def test_discard():
@@ -53,7 +58,7 @@ def test_discard():
     tracker.touch(b)
     tracker.discard(a)
     assert a not in tracker
-    assert list(tracker.coldest_first()) == [b]
+    assert coldest_first(tracker) == [b]
     tracker.discard(a)  # idempotent
 
 
@@ -65,16 +70,21 @@ def test_contains_and_len():
     assert len(tracker) == 1
 
 
-def test_iteration_safe_against_mutation():
+@pytest.mark.parametrize("mutation", ["touch", "demote", "discard"])
+def test_ranked_walk_fails_loudly_after_mutation(mutation):
+    """``ranked()`` is a live walk, not a snapshot: advancing it after the
+    order changed raises instead of reading a stale (or skipping) order."""
     tracker = LruTracker()
     items = objs(4)
     for obj in items:
         tracker.touch(obj)
-    seen = []
-    for obj in tracker.coldest_first():
-        tracker.discard(obj)
-        seen.append(obj)
-    assert seen == items
+    walk = tracker.ranked()
+    assert next(walk) == (0, items[0])
+    getattr(tracker, mutation)(items[2])
+    with pytest.raises(RuntimeError):
+        next(walk)
+    # A fresh walk sees the new order; a dropped one costs nothing.
+    assert len(list(tracker.ranked())) == len(tracker)
 
 
 def test_clear():
@@ -106,6 +116,10 @@ def test_tracker_matches_a_plain_list_reference(ops):
     reference: list[MemObject] = []
     for op, index in ops:
         obj = pool[index]
+        before = list(reference)
+        stale = tracker.ranked()  # opened before the op, advanced after it
+        next(stale, None)
+        unfinished = len(before) > 1
         if op == "clear":
             tracker.clear()
             reference.clear()
@@ -117,8 +131,12 @@ def test_tracker_matches_a_plain_list_reference(ops):
                 reference.append(obj)
             elif op == "demote":
                 reference.insert(0, obj)
-        assert list(tracker.coldest_first()) == reference
         assert list(tracker.ranked()) == list(enumerate(reference))
+        if unfinished and reference != before:
+            with pytest.raises(RuntimeError):
+                next(stale)
+        elif unfinished:
+            assert list(stale) == list(enumerate(reference))[1:]
         assert len(tracker) == len(reference)
         for candidate in pool:
             assert (candidate in tracker) == (candidate in reference)
@@ -132,13 +150,13 @@ def test_pickle_round_trip_preserves_order():
     tracker.demote(c)
     tracker.touch(a)
     restored = pickle.loads(pickle.dumps(tracker))
-    assert [o.name for o in restored.coldest_first()] == [
-        o.name for o in tracker.coldest_first()
+    assert [o.name for o in coldest_first(restored)] == [
+        o.name for o in coldest_first(tracker)
     ] == ["o2", "o1", "o3", "o0"]
     # Still a working tracker, not just a readable one.
-    hottest = next(o for o in restored.coldest_first() if o.name == "o0")
+    hottest = next(o for o in coldest_first(restored) if o.name == "o0")
     restored.demote(hottest)
-    assert [o.name for o in restored.coldest_first()] == ["o0", "o2", "o1", "o3"]
+    assert [o.name for o in coldest_first(restored)] == ["o0", "o2", "o1", "o3"]
 
 
 def test_demote_reorders_in_place():
@@ -153,5 +171,5 @@ def test_demote_reorders_in_place():
     tracker.demote(MemObject(64, "newcomer"))
     assert tracker._order is order
     assert len(tracker) == 20_001
-    coldest = list(tracker.coldest_first())
+    coldest = coldest_first(tracker)
     assert [o.name for o in coldest[:3]] == ["newcomer", "o19999", "o0"]

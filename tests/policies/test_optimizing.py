@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.manager import DataManager
 from repro.core.policy_api import AccessIntent
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ObjectStateError
 from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
@@ -143,6 +143,45 @@ class TestResidency:
         manager.setprimary(obj, manager.allocate("NVRAM", KiB))
         region = policy.ensure_resident(obj, AccessIntent.WRITE)
         assert region.device_name == "DRAM"
+
+    def test_no_move_path_returns_the_primary_it_read(self):
+        manager, policy = build()
+        obj = new_obj(manager, policy)
+        other = new_obj(manager, policy)
+        region = policy.ensure_resident(obj, AccessIntent.WRITE)
+        assert region is obj.primary and region.device_name == "DRAM"
+        assert [o for _, o in policy.lru.ranked()] == [other, obj]
+
+    def test_write_intent_runs_from_slow_when_no_room_can_be_made(self):
+        manager, policy = build(fast_capacity=16 * KiB)
+        holder = new_obj(manager, policy, size=16 * KiB)
+        holder.pin()
+        obj = manager.new_object(KiB)
+        manager.setprimary(obj, manager.allocate("NVRAM", KiB))
+        region = policy.ensure_resident(obj, AccessIntent.WRITE)
+        assert region is obj.primary and region.device_name == "NVRAM"
+        holder.unpin()
+
+    @pytest.mark.parametrize("intent", list(AccessIntent))
+    @pytest.mark.parametrize("local_alloc", [True, False])
+    @pytest.mark.parametrize(
+        "retire, message",
+        [
+            (True, r"retired primary on nowhere\) was retired and cannot be used$"),
+            (False, r" B, primary on nowhere\) has no primary region$"),
+        ],
+        ids=["retired", "no-primary"],
+    )
+    def test_unusable_operands_are_rejected(self, intent, local_alloc, retire, message):
+        manager, policy = build()
+        policy.local_alloc = local_alloc
+        obj = manager.new_object(KiB)
+        if retire:
+            policy.place(obj)
+            policy.retire(obj)
+        with pytest.raises(ObjectStateError, match=message):
+            policy.ensure_resident(obj, intent)
+        assert obj not in policy.lru
 
     def test_pinned_objects_never_chosen_as_victims(self):
         manager, policy = build(fast_capacity=32 * KiB)

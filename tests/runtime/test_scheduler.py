@@ -1,5 +1,7 @@
 """The multi-stream scheduler: interleaving, determinism, reduction."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -302,9 +304,81 @@ class TestDynamicSchedules:
 
         scheduler.spawn("x", gen())
         scheduler.run()
-        # The live queue is gone; late spawns fail even in dynamic mode.
-        with pytest.raises(ConfigurationError):
+        # The live queue is gone; late spawns fail even in dynamic mode —
+        # and the message must not blame the option the caller did set.
+        with pytest.raises(ConfigurationError, match="schedule finished") as info:
             scheduler.spawn("y", gen())
+        assert "dynamic=True" not in str(info.value)
+        assert scheduler.find("y") is None
+
+    def test_thousands_of_spawns_finds_and_cancels_keep_the_schedule(self):
+        """The serve-churn shape: one driver admits 2 000 short request
+        streams, looks each up and cancels every third a step later. Order,
+        results and clock are what the list-backed stream table produced."""
+        clock = SimClock()
+        scheduler = StreamScheduler(clock, dynamic=True)
+        log: list = []
+        count = 2_000
+        names = [f"req{i}" for i in range(count)]
+        cancelled = []
+
+        def driver():
+            for index, name in enumerate(names):
+                yield 0.5, "wait"
+                stream = scheduler.spawn(
+                    name, make_stream(log, name, [1.0, 0.25])(clock)
+                )
+                assert scheduler.find(name) is stream
+                if index % 3 == 2:
+                    # Spawned one step ago: ran its first step, still live.
+                    assert scheduler.cancel(names[index - 1])
+                    cancelled.append(names[index - 1])
+            return "driver-done"
+
+        scheduler.spawn("driver", driver())
+        scheduler.run()
+
+        assert list(scheduler.streams) == ["driver", *names]
+        assert scheduler.find("driver").result == "driver-done"
+        assert all(scheduler.find(name).done for name in names)
+        assert [
+            name for name in names
+            if scheduler.find(name).result != f"{name}-done"
+        ] == cancelled
+        assert all(scheduler.find(name).result is None for name in cancelled)
+        assert not scheduler.cancel(names[0])  # finished long ago
+        assert scheduler.find("req-1") is None
+        # Recorded at the parent commit (list-backed table, linear find).
+        assert len(log) == 3_334 and len(cancelled) == 666
+        assert log[:4] == [
+            ("req0", 0, 0.5), ("req1", 0, 1.0), ("req0", 1, 1.5), ("req2", 0, 1.5)
+        ]
+        assert clock.now == 1001.25
+        digest = hashlib.sha256(repr(log).encode()).hexdigest()
+        assert digest == (
+            "ffa895bad408f952d91234f2755310db493d31a9609d449a22b9b6d7a732a3eb"
+        )
+
+    def test_a_finished_streams_name_stays_taken(self):
+        clock = SimClock()
+        scheduler = StreamScheduler(clock, dynamic=True)
+        failures = []
+
+        def driver():
+            yield 5.0, "wait"
+            assert scheduler.find("first").done
+            try:
+                scheduler.spawn("first", make_stream([], "again", [1.0])(clock))
+            except ConfigurationError as exc:
+                failures.append(str(exc))
+            yield 1.0, "wait"
+
+        first = scheduler.spawn("first", make_stream([], "first", [1.0])(clock))
+        scheduler.spawn("driver", driver())
+        scheduler.run()
+        assert failures == ["duplicate stream name 'first'"]
+        assert scheduler.find("first") is first and first.result == "first-done"
+        assert clock.now == 6.0
 
 
 class TestTracerTagging:

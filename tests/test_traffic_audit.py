@@ -1,6 +1,8 @@
 """The traffic audit script: which functions a command list never enters."""
 
 import importlib.util
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,9 +49,34 @@ def test_lists_exactly_the_functions_no_command_entered(tmp_path, monkeypatch, c
         ("unused", 2),
         ("Thing.cold", 1),
     ]
-    # The command's stdout is swallowed, its exit status reported, and the
-    # interpreter state it touched is put back.
+    # The command's stdout is swallowed, its exit status and its calls into
+    # the audited tree reported (the two module bodies, the ``Thing`` class
+    # body, ``used`` and ``Thing.value``), and the interpreter state it
+    # touched is put back.
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"[exit 3] python {script}\n"
+    assert captured.err == f"[exit 3, 5 calls] python {script}\n"
     assert sys.argv == argv and sys.getprofile() is None
+
+
+def test_call_count_of_a_fixed_command_repeats_exactly():
+    """ROADMAP item 1(a): function calls per pass as a deterministic number —
+    two fresh processes running one fixed command report the same count."""
+    command = "-m repro serve --scale 2048 --requests 20"
+
+    def status_line():
+        done = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "traffic_audit.py"), "-"],
+            input=command + "\n",
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        (line,) = [ln for ln in done.stderr.splitlines() if ln.startswith("[exit")]
+        return line
+
+    first, second = status_line(), status_line()
+    assert first == second
+    match = re.fullmatch(r"\[exit 0, (\d{1,3}(?: \d{3})*) calls\] python " + command, first)
+    assert match and int(match.group(1).replace(" ", "")) > 100_000

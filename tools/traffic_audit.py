@@ -21,6 +21,12 @@ judgement the tool does not make — CONTRIBUTING.md records the kept ones.
 A command's own exit status is reported but does not stop the audit; a
 command that spawns subprocesses is only traced up to the spawn (give
 ``benchmarks/layered/run.py`` one ``--workload`` per line, not ``--all``).
+The status line on stderr also carries the number of Python-level calls the
+command made into ``src/repro`` (``[exit 0, 12 859 974 calls] python -m
+repro serve ...``; one per function entry or generator resume, imports
+included): the deterministic "function calls per pass" a hot-path PR
+quotes. Compare first commands of fresh processes — a later command finds
+the package already imported.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import os
 import runpy
 import shlex
 import sys
@@ -85,22 +92,36 @@ def audit(
     commands: list[list[str]], root: Path = ROOT
 ) -> list[tuple[str, int, str, int]]:
     """``(file, line, name, body lines)`` of each function never entered."""
-    codes = set()
+    calls: dict = {}  # code object -> times entered
 
     def profiler(frame, event, arg) -> None:
         if event == "call":
-            codes.add(frame.f_code)
+            code = frame.f_code
+            calls[code] = calls.get(code, 0) + 1
+
+    def calls_under_root() -> int:
+        prefix = str(root) + os.sep
+        # A snapshot: this very function is profiled and lands in ``calls``.
+        return sum(
+            n for code, n in tuple(calls.items())
+            if code.co_filename.startswith(prefix)
+        )
 
     threading.setprofile(profiler)
     sys.setprofile(profiler)
     try:
         for argv in commands:
+            before = calls_under_root()
             status = run_command(argv)
-            print(f"[exit {status}] python {shlex.join(argv)}", file=sys.stderr)
+            made = f"{calls_under_root() - before:,}".replace(",", " ")
+            print(
+                f"[exit {status}, {made} calls] python {shlex.join(argv)}",
+                file=sys.stderr,
+            )
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-    entered = {(code.co_filename, code.co_firstlineno) for code in codes}
+    entered = {(code.co_filename, code.co_firstlineno) for code in calls}
     return [
         (file, line, name, body)
         for (file, line), (name, body) in defined_functions(root).items()
