@@ -225,9 +225,9 @@ class DataManager:
     # -- object functions ------------------------------------------------------
 
     def getprimary(self, obj: MemObject) -> Region:
-        obj.check_usable()
         primary = obj.primary
-        if primary is None:
+        if primary is None or obj.retired:
+            obj.check_usable()
             raise ObjectStateError(f"{obj!r} has no primary region")
         return primary
 

@@ -195,8 +195,8 @@ class MemObject:
 
     def pin(self) -> None:
         """Freeze the primary for the duration of a kernel."""
-        self.check_usable()
-        if self.primary is None:
+        if self.retired or self.primary is None:
+            self.check_usable()
             raise ObjectStateError(f"cannot pin {self!r}: it has no primary region")
         self.pin_count += 1
 

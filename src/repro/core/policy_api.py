@@ -18,13 +18,18 @@ here, because some placement decision must happen at these moments:
   **L** optimisation toggles what this does);
 * :meth:`Policy.ensure_resident` — a kernel is about to pin the object, so a
   primary must exist *somewhere* readable.
+
+The runtime crosses this boundary once per kernel sweep, not once per
+operand: :meth:`Policy.hint_operands` and :meth:`Policy.resolve_operands`
+take a kernel's operand list and default to the per-object loops, so a
+policy written against Table II alone never sees them.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.object import MemObject, Region
 from repro.telemetry.trace import NULL_TRACER
@@ -41,6 +46,10 @@ class AccessIntent(enum.Enum):
     USE = "use"  # unspecified read and/or write
     READ = "read"
     WRITE = "write"
+
+
+# One (object, intent) pair per unique operand of a kernel.
+Intents = Iterable[tuple[MemObject, AccessIntent]]
 
 
 class Policy(abc.ABC):
@@ -121,6 +130,34 @@ class Policy(abc.ABC):
         """The object will never be used again; default frees everything."""
         self.manager.destroy_object(obj)
 
+    # -- per-kernel batch entry points ------------------------------------------------
+
+    def hint_operands(
+        self, reads: Iterable[MemObject], writes: Iterable[MemObject]
+    ) -> None:
+        """Every ``will_read``/``will_write`` hint of one kernel, in one call.
+
+        The default is the per-object loop; a policy overrides it to answer
+        a whole operand list without a call chain per operand, and must
+        leave exactly the state that loop would.
+        """
+        for obj in reads:
+            self.will_read(obj)
+        for obj in writes:
+            self.will_write(obj)
+
+    def resolve_operands(self, intents: Intents, pinned: list[MemObject]) -> None:
+        """Ensure residency for each of a kernel's unique operands and pin it.
+
+        Each object is pinned as soon as it is resident — so a sibling's
+        forced prefetch cannot evict it — and appended to ``pinned``, so a
+        failure mid-way tells the caller exactly what to unpin.
+        """
+        for obj, intent in intents:
+            self.ensure_resident(obj, intent)
+            obj.pin()
+            pinned.append(obj)
+
     # -- bookkeeping hooks ----------------------------------------------------------
 
     def on_kernel_finish(self, read: list[MemObject], wrote: list[MemObject]) -> None:
@@ -155,6 +192,11 @@ class DelegatingPolicy(Policy):
     Binding is forwarded, not duplicated: the wrapper records the manager
     and binds the *inner* policy, whose ``bind`` attaches its own stats to
     the metrics registry exactly once.
+
+    The batch entry points are deliberately *not* forwarded: a wrapper
+    inherits the per-object loops, so each operand still passes through its
+    ``will_read``/``will_write``/``ensure_resident`` — a strike or an
+    injected fault lands on the operand that caused it.
     """
 
     def __init__(self, inner: Policy) -> None:

@@ -68,11 +68,12 @@ def issue_hints(
 ) -> None:
     """Fire ``will_read``/``will_write`` hints for a kernel's operands.
 
-    The untraced branch (the default for every figure) skips the scope/hint
-    context managers entirely rather than entering no-op ones — this runs
-    once per kernel and the manager overhead was visible in profiles. Both
-    branches drive the policy identically, so enabling tracing cannot
-    change placement or timing.
+    Untraced (the default for every figure), the whole operand list crosses
+    the policy boundary in one :meth:`Policy.hint_operands` call, whose
+    default is the per-object loop. A trace wants one hint scope per
+    operand, so the traced branch keeps that loop here. Both drive the
+    policy identically, so enabling tracing cannot change placement or
+    timing.
     """
     if tracer.enabled:
         for obj in read_objs:
@@ -82,10 +83,7 @@ def issue_hints(
             with tracer.hint("will_write", obj):
                 policy.will_write(obj)
     else:
-        for obj in read_objs:
-            policy.will_read(obj)
-        for obj in write_objs:
-            policy.will_write(obj)
+        policy.hint_operands(read_objs, write_objs)
 
 
 def resolve_residency(
@@ -102,16 +100,17 @@ def resolve_residency(
     object pinned immediately, so no later ensure can evict an operand that
     is already placed. Objects are appended to ``pinned`` as they are
     pinned, so a failure mid-way leaves the caller able to unpin exactly
-    what was pinned. The traced and untraced branches are kept separate for
-    the same zero-cost reason as :func:`issue_hints`; this helper is the
-    single definition both the :class:`Session` kernel scope and the trace
-    executor share.
+    what was pinned. Untraced, that is one :meth:`Policy.resolve_operands`
+    call (whose default is the loop spelled out in the traced branch, minus
+    the per-operand cause scope); this helper is the single definition both
+    the :class:`Session` kernel scope and the trace executor share.
     """
+    read, write = AccessIntent.READ, AccessIntent.WRITE
     intents: dict[int, tuple[MemObject, AccessIntent]] = {}
     for obj in read_objs:
-        intents[obj.id] = (obj, AccessIntent.READ)
+        intents[obj.id] = (obj, read)
     for obj in write_objs:
-        intents[obj.id] = (obj, AccessIntent.WRITE)
+        intents[obj.id] = (obj, write)
     if tracer.enabled:
         for obj, intent in intents.values():
             with tracer.scope(RESIDENCY_LABELS[intent], obj):
@@ -119,10 +118,7 @@ def resolve_residency(
             obj.pin()
             pinned.append(obj)
     else:
-        for obj, intent in intents.values():
-            policy.ensure_resident(obj, intent)
-            obj.pin()
-            pinned.append(obj)
+        policy.resolve_operands(intents.values(), pinned)
 
 
 @dataclass

@@ -75,22 +75,23 @@ class AdaptivePolicy(OptimizingPolicy):
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _note_use(self, obj: MemObject) -> None:
-        super()._note_use(obj)
-        self._recency_clock += 1
-        self._last_touch[obj.id] = self._recency_clock
-        self._first_seen.setdefault(obj.id, self._recency_clock)
-        self._frequency[obj.id] = self._frequency.get(obj.id, 0.0) + 1.0
-        if self._recency_clock % self.DECAY_EVERY == 0:
-            for key in self._frequency:
-                self._frequency[key] *= 0.5
-        # Regret detection: touching something we just evicted means the
-        # victim choice was wrong -> lean more on frequency.
-        evicted_at = self._recently_evicted.pop(obj.id, None)
-        if evicted_at is not None:
-            if self._recency_clock - evicted_at <= self.REGRET_WINDOW:
-                self.regrets += 1
-                self.alpha = min(self.ALPHA_MAX, self.alpha + self.ALPHA_STEP)
+    def _note_uses(self, objs: list[MemObject]) -> None:
+        super()._note_uses(objs)
+        for obj in objs:
+            self._recency_clock += 1
+            self._last_touch[obj.id] = self._recency_clock
+            self._first_seen.setdefault(obj.id, self._recency_clock)
+            self._frequency[obj.id] = self._frequency.get(obj.id, 0.0) + 1.0
+            if self._recency_clock % self.DECAY_EVERY == 0:
+                for key in self._frequency:
+                    self._frequency[key] *= 0.5
+            # Regret detection: touching something we just evicted means the
+            # victim choice was wrong -> lean more on frequency.
+            evicted_at = self._recently_evicted.pop(obj.id, None)
+            if evicted_at is not None:
+                if self._recency_clock - evicted_at <= self.REGRET_WINDOW:
+                    self.regrets += 1
+                    self.alpha = min(self.ALPHA_MAX, self.alpha + self.ALPHA_STEP)
 
     def _evict_region(self, region: Region) -> None:
         obj = region.parent

@@ -10,7 +10,7 @@ memory pressure is experienced" — without moving any data.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.object import MemObject
 
@@ -40,6 +40,16 @@ class LruTracker:
         order = self._order
         order[obj.id] = obj
         order.move_to_end(obj.id)
+
+    def touch_all(self, objs: Iterable[MemObject]) -> None:
+        """:meth:`touch` each of ``objs`` in order (one kernel's operands)."""
+        order = self._order
+        move_to_end = order.move_to_end
+        for obj in objs:
+            try:
+                move_to_end(obj.id)
+            except KeyError:  # first use: enters the order at the hot end
+                order[obj.id] = obj
 
     def demote(self, obj: MemObject) -> None:
         """Send ``obj`` to the cold end (the ``archive`` reaction)."""

@@ -25,8 +25,10 @@ Independent of the toggles, the policy:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.object import MemObject, Region
-from repro.core.policy_api import AccessIntent, Policy
+from repro.core.policy_api import AccessIntent, Intents, Policy
 from repro.errors import ConfigurationError, PolicyError
 from repro.policies.base import (
     evict_object,
@@ -40,15 +42,30 @@ from repro.telemetry.metrics import Counter, MetricsRegistry
 __all__ = ["OptimizingPolicy", "PolicyStats"]
 
 
+class _CounterField:
+    """``stats.<name>``: the value of the field's backing counter."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, stats: "PolicyStats | None", owner: type | None = None):
+        if stats is None:
+            return self
+        return stats._counters[self.name].value
+
+    def __set__(self, stats: "PolicyStats", value: int) -> None:
+        stats._counters[self.name].value = value
+
+
 class PolicyStats:
     """Observable policy behaviour, for reports and regression tests.
 
     Attribute access works exactly like the old plain-int dataclass
-    (``stats.evictions += 1``), but each field is backed by a telemetry
-    :class:`Counter`. When the policy binds to a session, :meth:`attach`
-    re-homes the counters into the session's :class:`MetricsRegistry` under
-    ``policy.*`` names, so reports read one flat namespace instead of
-    scattered per-policy dicts.
+    (``stats.evictions += 1``), but each field is a descriptor over a
+    telemetry :class:`Counter`. When the policy binds to a session,
+    :meth:`attach` re-homes the counters into the session's
+    :class:`MetricsRegistry` under ``policy.*`` names, so reports read one
+    flat namespace instead of scattered per-policy dicts.
     """
 
     FIELDS = (
@@ -62,9 +79,7 @@ class PolicyStats:
     )
 
     def __init__(self) -> None:
-        object.__setattr__(
-            self, "_counters", {name: Counter() for name in self.FIELDS}
-        )
+        self._counters = {name: Counter() for name in self.FIELDS}
 
     def attach(self, registry: MetricsRegistry) -> None:
         """Back the fields with registry counters (pre-bind counts carry over)."""
@@ -74,26 +89,16 @@ class PolicyStats:
             shared.value += counters[name].value
             counters[name] = shared
 
-    def __getattr__(self, name: str) -> int:
-        counters = object.__getattribute__(self, "_counters")
-        try:
-            return counters[name].value
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value: int) -> None:
-        counter = self._counters.get(name)
-        if counter is None:
-            object.__setattr__(self, name, value)
-        else:
-            counter.value = value
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"PolicyStats({fields})"
 
     def as_dict(self) -> dict[str, int]:
         return {name: counter.value for name, counter in self._counters.items()}
+
+
+for _name in PolicyStats.FIELDS:
+    setattr(PolicyStats, _name, _CounterField(_name))
 
 
 class OptimizingPolicy(Policy):
@@ -149,17 +154,40 @@ class OptimizingPolicy(Policy):
 
     # -- hints ------------------------------------------------------------------
 
+    def hint_operands(
+        self, reads: Iterable[MemObject], writes: Iterable[MemObject]
+    ) -> None:
+        """One kernel's hints: every operand counts as used; write targets
+        and — with **P** — reads are pulled into fast memory."""
+        getprimary = self.manager.getprimary
+        slow = self.slow
+        used: list[MemObject] = []
+        try:
+            if self.prefetch:
+                for obj in reads:
+                    used.append(obj)
+                    if (
+                        getprimary(obj).device_name != slow
+                        or self._fetch(obj, used) is not None
+                    ):
+                        self.stats.prefetches += 1
+            else:
+                used.extend(reads)
+            for obj in writes:
+                used.append(obj)
+                if getprimary(obj).device_name == slow:
+                    self._fetch(obj, used)
+        finally:
+            self._note_uses(used)
+
     def will_use(self, obj: MemObject) -> None:
-        self._note_use(obj)
+        self._note_uses([obj])
 
     def will_read(self, obj: MemObject) -> None:
-        self._note_use(obj)
-        if self.prefetch and self._prefetch(obj) is not None:
-            self.stats.prefetches += 1
+        self.hint_operands((obj,), ())
 
     def will_write(self, obj: MemObject) -> None:
-        self._note_use(obj)
-        self._prefetch(obj)
+        self.hint_operands((), (obj,))
 
     def archive(self, obj: MemObject) -> None:
         """No data movement — just make the object the preferred victim."""
@@ -171,32 +199,55 @@ class OptimizingPolicy(Policy):
         self.manager.destroy_object(obj)
         self.stats.retires += 1
 
-    def _note_use(self, obj: MemObject) -> None:
-        if obj.primary is not None and obj.primary.device_name == self.fast:
-            self.lru.touch(obj)
+    def _note_uses(self, objs: list[MemObject]) -> None:
+        """Recency bookkeeping for a run of uses with no movement between
+        them: those in fast memory become the most recently used."""
+        fast = self.fast
+        self.lru.touch_all(
+            [o for o in objs if (p := o.primary) is not None and p.device_name == fast]
+        )
 
     # -- residency ----------------------------------------------------------------
 
-    def ensure_resident(self, obj: MemObject, intent: AccessIntent) -> Region:
-        """Make the object usable for a kernel about to pin it.
+    def resolve_operands(self, intents: Intents, pinned: list[MemObject]) -> None:
+        """Make each operand usable for the kernel about to run, and pin it.
 
         * write intent: migrate into fast memory (best effort);
         * read/use intent: migrate only in cache-like mode (no **L**) —
           with **L**, reads run from NVRAM unless **P** prefetched earlier.
         """
-        primary = self.manager.getprimary(obj)
+        getprimary = self.manager.getprimary
+        slow = self.slow
         cache_like = not self.local_alloc
-        wants_fast = cache_like or intent is AccessIntent.WRITE
-        if wants_fast and primary.device_name == self.slow:
-            moved = self._prefetch(obj)
-            if moved is not None:
-                return moved
-            # A failed prefetch may still have run evictions: re-read.
-            primary = self.manager.getprimary(obj)
-        self._note_use(obj)
-        return primary
+        write = AccessIntent.WRITE
+        used: list[MemObject] = []
+        try:
+            for obj, intent in intents:
+                if (
+                    getprimary(obj).device_name != slow
+                    or not (cache_like or intent is write)
+                    or self._fetch(obj, used) is None
+                ):
+                    used.append(obj)  # stayed where it was: a plain use
+                obj.pin()
+                pinned.append(obj)
+        finally:
+            self._note_uses(used)
+
+    def ensure_resident(self, obj: MemObject, intent: AccessIntent) -> Region:
+        """:meth:`resolve_operands` for one operand outside a kernel."""
+        self.resolve_operands(((obj, intent),), [])
+        obj.unpin()  # a lone residency request holds no pin
+        return obj.primary
 
     # -- movement internals -----------------------------------------------------------
+
+    def _fetch(self, obj: MemObject, used: list[MemObject]) -> Region | None:
+        """Prefetch a slow operand mid-sweep. The uses collected so far are
+        noted first: a forced prefetch's victim scan reads the order."""
+        self._note_uses(used)
+        used.clear()
+        return self._prefetch(obj)
 
     def _prefetch(self, obj: MemObject) -> Region | None:
         was_slow = (
@@ -274,14 +325,13 @@ class OptimizingPolicy(Policy):
     # -- bookkeeping ----------------------------------------------------------------------
 
     def on_kernel_finish(self, read: list[MemObject], wrote: list[MemObject]) -> None:
-        for obj in read:
-            self._note_use(obj)
+        self._note_uses([*read, *wrote])
+        setdirty = self.manager.setdirty
         for obj in wrote:
-            self._note_use(obj)
             primary = obj.primary
             if primary is not None:
                 # A written primary invalidates any linked secondary.
-                self.manager.setdirty(primary, True)
+                setdirty(primary, True)
 
     def check_invariant(self) -> None:
         """Paper's policy invariant: any fast-memory region is a primary."""

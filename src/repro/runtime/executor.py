@@ -212,9 +212,11 @@ class CachedArraysAdapter(SystemAdapter):
             # operand's in-flight copy has completed. The wait is clamped
             # at the source: ready_at sums can drift a few ULPs past the
             # clock, and those residues are not real stalls.
-            ready_at = max(
-                (obj.primary.ready_at for obj in pinned if obj.primary), default=0.0
-            )
+            ready_at = 0.0
+            for obj in pinned:
+                primary = obj.primary
+                if primary and primary.ready_at > ready_at:
+                    ready_at = primary.ready_at
             wait = snap_residue(ready_at - self.clock.now, self.clock.now)
             if wait > 0:
                 # Extra work only a full trace wants: which operands are
@@ -677,11 +679,17 @@ class Executor:
         """
         if iterations < 1:
             raise TraceError(f"need at least one iteration, got {iterations}")
-        clock = self.adapter.clock
-        tracer = self.adapter.tracer
-        meters = self.adapter.meters()
+        adapter = self.adapter
+        clock = adapter.clock
+        tracer = adapter.tracer
+        adapter_kernel = adapter.kernel
+        kernel_start, kernel_end = tracer.kernel_start, tracer.kernel_end
+        meters = adapter.meters()
         occupancy_meters = meters[0]
         tracks = self._bind_tracks(meters)
+        # Decided once: a stream without timelines (every serving request)
+        # never enters the sampler at its two per-event sites.
+        sampling = tracks is not None
         cursor = self._cursor
         self._cursor = None
         self.paused = False
@@ -718,20 +726,18 @@ class Executor:
             # Dispatch ordered by event frequency (kernels dominate every
             # model trace, then allocs/retires); the branches are mutually
             # exclusive classes so ordering cannot change which one fires.
-            adapter = self.adapter
-            adapter_kernel = adapter.kernel
             peak_get = peak.get
             events = trace.events
             for pos in range(first_event, len(events)):
                 event = events[pos]
                 is_kernel = isinstance(event, Kernel)
                 if is_kernel:
-                    tracer.kernel_start(event.name)
+                    kernel_start(event.name)
                     timing = adapter_kernel(event, trace)
                     # Yield the kernel's duration to the scheduler; other
                     # streams may run before this one resumes.
                     yield timing.total, KERNEL
-                    tracer.kernel_end(
+                    kernel_end(
                         event.name,
                         timing.total,
                         timing.compute,
@@ -741,12 +747,14 @@ class Executor:
                     )
                     compute += timing.compute
                     kernel_memory += timing.memory
-                    self._sample(tracks)
+                    if sampling:
+                        self._sample(tracks)
                 elif isinstance(event, Alloc):
                     self._alloc(trace.tensor(event.tensor))
                 elif isinstance(event, Retire):
                     adapter.release(event.tensor)
-                    self._sample(tracks)
+                    if sampling:
+                        self._sample(tracks)
                 elif isinstance(event, GcDefer):
                     self.gc.defer(event.tensor)
                 elif isinstance(event, Archive):

@@ -207,3 +207,34 @@ def test_figures_two_to_six_are_views_of_one_matrix():
         all_sources(),
         lambda node: isinstance(node, ast.FunctionDef) and node.name == "run_matrix",
     ) == {("experiments/common.py", "run_matrix")}
+
+
+def test_an_untraced_kernel_makes_one_policy_call_per_sweep():
+    """``issue_hints`` and ``resolve_residency`` loop over operands only in
+    their traced arm (one scope per operand); the untraced arm hands the
+    operand list to the policy in one call. The robustness wrappers take
+    the base-class loops — they never forward a batch to ``inner``, so a
+    strike or an injected fault still lands on the operand that drew it."""
+    tree = ast.parse((ROOT / "core/session.py").read_text())
+    untraced = {}
+    for function, node in nodes_by_function(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "tracer.enabled":
+            untraced[function] = [
+                call.func.attr
+                for arm in node.orelse
+                for call in ast.walk(arm)
+                if isinstance(call, ast.Call)
+                and ast.unparse(call.func).startswith("policy.")
+            ]
+    assert untraced == {
+        "issue_hints": ["hint_operands"],
+        "resolve_residency": ["resolve_operands"],
+    }
+
+    from repro.core.policy_api import DelegatingPolicy, Policy
+    from repro.faults.policy import FaultyPolicy
+    from repro.policies.watchdog import PolicyWatchdog
+
+    for wrapper in (DelegatingPolicy, PolicyWatchdog, FaultyPolicy):
+        assert wrapper.hint_operands is Policy.hint_operands, wrapper
+        assert wrapper.resolve_operands is Policy.resolve_operands, wrapper

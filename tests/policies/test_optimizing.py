@@ -1,5 +1,7 @@
 """The reference policy: L/P toggles, LRU victims, invariant, stats."""
 
+import pickle
+
 import pytest
 
 from repro.core.manager import DataManager
@@ -8,8 +10,9 @@ from repro.errors import ConfigurationError, ObjectStateError
 from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
-from repro.policies.optimizing import OptimizingPolicy
+from repro.policies.optimizing import OptimizingPolicy, PolicyStats
 from repro.sim.clock import SimClock
+from repro.telemetry.metrics import MetricsRegistry
 from repro.units import KiB
 
 
@@ -228,3 +231,51 @@ class TestInvariant:
         new_obj(manager, policy, size=32 * KiB)  # evicts clean a
         assert manager.heap("NVRAM").traffic.write_bytes == written_before
         assert policy.stats.elided_writebacks >= 1
+
+
+class TestPolicyStats:
+    """Seven named fields over telemetry counters, read and written like
+    plain ints without a failed attribute lookup on the way."""
+
+    def test_fields_read_and_increment_like_ints(self):
+        stats = PolicyStats()
+        stats.evictions += 1
+        stats.evictions += 2
+        stats.retires = 7
+        assert (stats.evictions, stats.retires, stats.prefetches) == (3, 7, 0)
+        assert stats.as_dict() == {
+            **dict.fromkeys(PolicyStats.FIELDS, 0), "evictions": 3, "retires": 7
+        }
+        assert list(stats.as_dict()) == list(PolicyStats.FIELDS)
+        assert repr(stats).startswith("PolicyStats(placed_fast=0, placed_slow=0, ")
+        assert "evictions=3" in repr(stats)
+
+    def test_every_field_resolves_on_the_class(self):
+        # A field found by the normal lookup never reaches ``__getattr__``:
+        # there is none to reach, and an unknown name is an AttributeError.
+        assert "__getattr__" not in vars(PolicyStats)
+        assert "__setattr__" not in vars(PolicyStats)
+        for name in PolicyStats.FIELDS:
+            assert name in vars(PolicyStats)
+        with pytest.raises(AttributeError):
+            PolicyStats().evictoins
+
+    def test_attach_rehomes_counts_into_the_registry(self):
+        registry = MetricsRegistry()
+        registry.counter("policy.evictions").inc(10)
+        stats = PolicyStats()
+        stats.evictions = 5  # pre-bind counts carry over
+        stats.attach(registry)
+        assert stats.evictions == 15
+        stats.evictions += 1
+        assert registry.counter("policy.evictions").value == 16
+        registry.counter("policy.retires").inc()
+        assert stats.retires == 1
+
+    def test_pickles_with_its_counts(self):
+        stats = PolicyStats()
+        stats.prefetches = 4
+        restored = pickle.loads(pickle.dumps(stats))
+        assert restored.as_dict() == stats.as_dict()
+        restored.prefetches += 1
+        assert (restored.prefetches, stats.prefetches) == (5, 4)

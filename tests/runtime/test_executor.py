@@ -13,7 +13,7 @@ from repro.twolm.system import TwoLMSystem
 from repro.units import KiB, MiB
 from repro.workloads.annotate import annotate
 from repro.workloads.synthetic import filo_stack_trace, streaming_trace
-from repro.workloads.trace import IterEnd, KernelTrace, TensorSpec
+from repro.workloads.trace import IterEnd, Kernel, KernelTrace, TensorSpec
 
 PARAMS = ExecutionParams()
 
@@ -185,3 +185,71 @@ def test_iteration_variance_degenerate_cases():
     trace = annotate(streaming_trace(stages=2), memopt=True)
     result = executor.run(trace, iterations=1)
     assert result.iteration_variance() == 0.0
+
+
+class CountingSpy:
+    """Stands in for a policy and records every method called on it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        attribute = getattr(self.inner, name)
+        if not callable(attribute):
+            return attribute
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attribute(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("operands", [1, 4, 12])
+@pytest.mark.parametrize("hinted", [True, False])
+def test_an_untraced_kernel_crosses_the_policy_boundary_once_per_sweep(
+    operands, hinted
+):
+    """However many operands a kernel has, the untraced path makes one
+    policy call per sweep: hints (when the kernel is hinted), residency,
+    finish. A traced kernel still opens one scope per operand and sweep."""
+
+    def kernel_calls(tracing):
+        spy = CountingSpy(OptimizingPolicy())
+        session = Session(
+            SessionConfig(dram=4 * MiB, nvram=64 * MiB, tracing=tracing), policy=spy
+        )
+        adapter = CachedArraysAdapter(session, PARAMS)
+        names = [f"t{i}" for i in range(operands)]
+        trace = KernelTrace()
+        for name in names:
+            adapter.alloc(trace.add_tensor(TensorSpec(name, 64 * KiB)))
+        del spy.calls[:]
+        opened = []
+        if tracing:  # the untraced listener is the shared no-op: leave it be
+            tracer = session.tracer
+            for method in ("hint", "scope"):
+                original = getattr(tracer, method)
+                setattr(
+                    tracer,
+                    method,
+                    lambda kind, subject="", original=original: (
+                        opened.append(kind) or original(kind, subject)
+                    ),
+                )
+        kernel = Kernel("k", tuple(names), (names[0],), 1e6, hinted=hinted)
+        adapter.kernel(kernel, trace)
+        session.close()
+        return spy.calls, opened
+
+    calls, _ = kernel_calls(tracing=False)
+    sweeps = ["resolve_operands", "on_kernel_finish"]
+    assert calls == (["hint_operands"] if hinted else []) + sweeps
+
+    calls, opened = kernel_calls(tracing=True)
+    hints = ["will_read"] * operands + ["will_write"] if hinted else []
+    assert calls == hints + ["ensure_resident"] * operands + ["on_kernel_finish"]
+    # names[0] is read and written: one residency scope, write intent wins.
+    residency = ["resident_write"] + ["resident_read"] * (operands - 1)
+    assert opened == hints + residency

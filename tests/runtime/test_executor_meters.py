@@ -212,3 +212,36 @@ def test_twolm_meters_match_public_dicts():
     ]
     assert_matches_oracle(run, adapter, trace)
     assert run.steady_state().peak_occupancy["NVRAM"] > 0
+
+
+def test_a_stream_without_timelines_skips_the_per_event_sampler(monkeypatch):
+    """Whether a stream samples is decided once, where its tracks are bound:
+    with ``sample_timeline=False`` (every serving request) the kernel and
+    retire sites never enter ``_sample``; only the two per-iteration
+    boundary samples still ask, and record nothing."""
+    entered = []
+    sample = Executor._sample
+    monkeypatch.setattr(
+        Executor,
+        "_sample",
+        lambda self, tracks, label="": entered.append(label)
+        or sample(self, tracks, label),
+    )
+    trace = _trace()
+    per_event = sum(isinstance(e, (Kernel, Retire)) for e in trace.events)
+    boundaries = ["iteration-start", "iteration-end"] * ITERATIONS
+
+    executor = ca_executor()
+    executor.sample_timeline = False
+    run = executor.run(trace, iterations=ITERATIONS)
+    assert entered == boundaries
+    assert run.occupancy_timeline == {}
+
+    del entered[:]
+    sampled = ca_executor().run(trace, iterations=ITERATIONS)
+    assert len(entered) == len(boundaries) + per_event * ITERATIONS
+    assert len(sampled.occupancy_timeline["total"]) == len(entered)
+    # Sampling is observation only: the simulated run is the same run.
+    assert [it.seconds for it in sampled.iterations] == [
+        it.seconds for it in run.iterations
+    ]

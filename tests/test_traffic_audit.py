@@ -59,24 +59,45 @@ def test_lists_exactly_the_functions_no_command_entered(tmp_path, monkeypatch, c
     assert sys.argv == argv and sys.getprofile() is None
 
 
+def status_line(command):
+    """The audit's ``[exit N, M calls] python <command>`` line for one
+    command run in a fresh process."""
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "traffic_audit.py"), "-"],
+        input=command + "\n",
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    (line,) = [ln for ln in done.stderr.splitlines() if ln.startswith("[exit")]
+    return line
+
+
+def calls_in(line, command):
+    match = re.fullmatch(r"\[exit 0, (\d{1,3}(?: \d{3})*) calls\] python " + command, line)
+    assert match, line
+    return int(match.group(1).replace(" ", ""))
+
+
 def test_call_count_of_a_fixed_command_repeats_exactly():
     """ROADMAP item 1(a): function calls per pass as a deterministic number —
     two fresh processes running one fixed command report the same count."""
     command = "-m repro serve --scale 2048 --requests 20"
-
-    def status_line():
-        done = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "traffic_audit.py"), "-"],
-            input=command + "\n",
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        (line,) = [ln for ln in done.stderr.splitlines() if ln.startswith("[exit")]
-        return line
-
-    first, second = status_line(), status_line()
+    first, second = status_line(command), status_line(command)
     assert first == second
-    match = re.fullmatch(r"\[exit 0, (\d{1,3}(?: \d{3})*) calls\] python " + command, first)
-    assert match and int(match.group(1).replace(" ", "")) > 100_000
+    assert calls_in(first, command) > 100_000
+
+
+# Calls into src/repro (imports included) of the command below at PR 24,
+# which made a kernel's hints, residency and finish one policy call each;
+# the per-operand chain it replaced cost 613 278.
+SERVE_CALLS = 400_694
+
+
+def test_serving_calls_per_command_do_not_creep_back():
+    """The count is exact, so a small allowance is enough to tell a new
+    per-operand crossing on the kernel path (tens of thousands of calls
+    here) from an unrelated helper call or import."""
+    command = "-m repro serve --scale 2048 --requests 60"
+    assert calls_in(status_line(command), command) <= SERVE_CALLS * 1.02
