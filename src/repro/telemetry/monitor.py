@@ -6,7 +6,8 @@ costs nothing and sees nothing. This module is the production-grade middle
 tier the paper's online-guidance relatives (Olson et al., Jenga) assume: an
 event *consumer* whose memory is bounded no matter how long the run is.
 
-Four cooperating pieces, all driven by :meth:`RuntimeMonitor.observe`:
+Four cooperating pieces, all fed one event at a time by
+:class:`RuntimeMonitor`'s intakes:
 
 * :class:`RollupAggregator` — folds events into fixed-interval virtual-time
   windows (bytes moved per cause, stall seconds, evictions/prefetches,
@@ -26,14 +27,17 @@ Four cooperating pieces, all driven by :meth:`RuntimeMonitor.observe`:
 
 :class:`MonitorTracer` adapts the monitor to the runtime's tracer slot: it
 *is* a :class:`Tracer` (same scopes, same virtual-time stamps — so cause
-attribution and determinism carry over) but feeds each event straight into
-the monitor and, by default, does not retain it. The monitor is pure
-observation: it never advances the clock and never feeds back into policy
-decisions, so results are bit-identical with it on or off.
+attribution and determinism carry over). With ``keep_events=True`` (the
+full tier) each typed call folds its event where it is built, from the
+values the call holds; by default (the monitor-only tier) the kinds the
+monitor folds go to the ``note_*`` intake and nothing is retained. The
+monitor is pure observation: it never advances the clock and never feeds
+back into policy decisions, so results are bit-identical with it on or off.
 
-Everything here also works *offline*: replaying a JSONL trace through
-``observe`` produces the same rollups/alerts the live run would have seen —
-that is what ``python -m repro monitor trace.jsonl`` does.
+Everything here also works *offline*: :meth:`RuntimeMonitor.observe` is
+the replay intake — feeding it a recorded JSONL trace produces the same
+rollups/alerts the live run saw — and that is what ``python -m repro
+monitor trace.jsonl`` does.
 """
 
 from __future__ import annotations
@@ -430,7 +434,7 @@ class FlightRecorder:
     """A fixed-size ring of the most recent events: the run's black box.
 
     Appending is O(1) with no allocation beyond the slot write. Slots hold
-    either full :class:`TraceEvent` records (the observe/replay path) or
+    either full :class:`TraceEvent` records (the full tier and replay) or
     plain dicts (the monitor-tier ``note_*`` fast path appends compact
     pre-shaped records to avoid building events it would never retain). A
     dump writes a ``repro.flight`` JSONL document — header line (reason,
@@ -884,12 +888,15 @@ class RuntimeMonitor:
 
     # -- event intake --------------------------------------------------------
     #
-    # Two intakes, one arithmetic body per kind. ``observe`` takes a
-    # :class:`TraceEvent` (full tracing, offline replay): it rings the
-    # event, counts it in its window, and lets ``_EXTRACTORS`` pull the
-    # payload out of ``event.args`` for the kind's ``_fold_*``. The
-    # ``note_*`` methods take the same values positionally (the
-    # monitor-only tier: no kwargs dict, no TraceEvent), ring a compact
+    # Three ways in, one arithmetic body per kind (the ``_fold_*``s).
+    # ``observe`` takes a finished :class:`TraceEvent` — offline replay and
+    # hand-emitted events: it rings the event, counts it in its window, and
+    # lets ``_EXTRACTORS`` pull the payload out of ``event.args``
+    # (tolerantly: replay reads foreign JSONL) for the kind's fold. The full
+    # tier's typed calls (``MonitorTracer``) ring and count each event as
+    # they build it and call the fold with the values in hand — no
+    # re-parsing. The ``note_*`` methods take the same values positionally
+    # (the monitor-only tier: no kwargs dict, no TraceEvent), ring a compact
     # ``(kind, ts, *values)`` tuple (see ``_RING_FIELDS``; alloc/free and
     # kernel notes skip the ring — pure volume, no forensic value) and call
     # the same fold. What legitimately differs per tier is therefore only
@@ -898,13 +905,14 @@ class RuntimeMonitor:
     # attribution scopes (copies attribute to ``copy_cause`` alone).
 
     def _intake(self, ts: float) -> RollupWindow:
-        """Count one event at ``ts``; returns the window it landed in."""
+        """Count one event at ``ts``; returns the window it landed in, which
+        is also left as the aggregator's cached window."""
         self.events_seen += 1
         if ts > self.last_ts:
             self.last_ts = ts
-        # Every event passes through here, and consecutive events nearly
-        # always land in the aggregator's cached current window: test its
-        # bounds in place rather than paying a call to find that out.
+        # Consecutive events nearly always land in the aggregator's cached
+        # current window: test its bounds in place rather than paying a
+        # call to find that out.
         rollups = self.rollups
         window = (
             rollups._cache_window
@@ -915,7 +923,8 @@ class RuntimeMonitor:
         return window
 
     def observe(self, event: TraceEvent) -> None:
-        """Fold one event into every monitor structure. Hot path."""
+        """Fold one finished event into every monitor structure (the replay
+        intake; a live full-tier run folds at the typed call instead)."""
         self.ring.append(event)
         window = self._intake(event.ts)
         extract = _EXTRACTORS.get(event.kind)
@@ -1428,7 +1437,8 @@ class RuntimeMonitor:
 #
 # kind -> extractor(monitor, window, event): pull the kind's payload out of
 # ``event.args`` (tolerantly — offline replay reads foreign JSONL) and hand
-# it to the fold the ``note_*`` intake shares.
+# it to the fold the typed calls and the ``note_*`` intake share. Only
+# replay and hand-emitted events come this way.
 
 
 def _x_kernel(monitor, window, event):
@@ -1559,9 +1569,13 @@ class MonitorTracer(Tracer):
     ``keep_events`` picks the listener once, at construction:
 
     * ``keep_events=True`` — full tracing *plus* live monitoring (the
-      profile/chaos configuration): this class. Every typed call builds its
-      event as :class:`Tracer` does; ``emit``/``emit_at`` retain it *and*
-      fold it into the monitor through ``observe``.
+      profile/chaos configuration): this class. Every typed call builds and
+      retains its event through :class:`Tracer`'s body, whose ``_event`` is
+      extended here to ring the event and count it in its window as it is
+      built; each kind the monitor folds then calls its ``_fold_*`` with the
+      values the call already holds — the same arithmetic ``observe`` would
+      reach by re-reading ``event.args``. ``emit``/``emit_at`` (hand-built
+      events) go through ``observe``.
     * ``keep_events=False`` (the default, the "monitor-only tier") — the
       cheap always-on configuration: :class:`_MonitorOnlyTracer`.
 
@@ -1588,19 +1602,136 @@ class MonitorTracer(Tracer):
             self.__class__ = _MonitorOnlyTracer
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
-        event = self._event(self.clock.now, kind, args)
+        return self.emit_at(self.clock.now, kind, **args)
+
+    def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
+        # A hand-built event: stamped and retained, then the replay intake.
+        event = Tracer._event(self, ts, kind, args)
         self.monitor.observe(event)
         return event
 
-    def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
-        event = self._event(ts, kind, args)
-        self.monitor.observe(event)
+    def _event(self, ts: float, kind: str, args: dict[str, Any]) -> TraceEvent:
+        # Tracer._event (stamp, retain), then what ``observe`` does before it
+        # folds — ring, then count — with ``FlightRecorder.append`` and
+        # ``RuntimeMonitor._intake`` written in place: this runs once per
+        # event of a traced run, and the two calls cost more than their
+        # bodies. The window the event landed in is left as the aggregator's
+        # cached window, which is where the typed folds below find it.
+        event = Tracer._event(self, ts, kind, args)
+        monitor = self.monitor
+        ring = monitor.ring
+        ring._ring[ring._next] = event
+        ring._next = (ring._next + 1) % ring.capacity
+        ring.total += 1
+        monitor.events_seen += 1
+        if ts > monitor.last_ts:
+            monitor.last_ts = ts
+        rollups = monitor.rollups
+        if rollups._cache_lo <= ts < rollups._cache_hi:
+            rollups._cache_window.events += 1
+        else:
+            rollups.window_for(ts).events += 1
         return event
 
     # Unchanged from Tracer; bound here because the layered benchmark
     # resolves its telemetry spans through this class's own namespace.
     scope = Tracer.scope
     hint = Tracer.hint
+
+    # -- the kinds the monitor folds (those _MonitorOnlyTracer forwards) -----
+    #
+    # Each builds its event through Tracer's body, which rings and counts it,
+    # then folds the values in hand into the window the event landed in.
+
+    def alloc(self, device, offset, nbytes, obj=None) -> None:
+        Tracer.alloc(self, device, offset, nbytes, obj)
+        window = self.monitor.rollups._cache_window
+        self.monitor._fold_alloc(window, device, nbytes, offset, self.stream)
+
+    def free(self, device, offset, nbytes, obj=None) -> None:
+        Tracer.free(self, device, offset, nbytes, obj)
+        window = self.monitor.rollups._cache_window
+        self.monitor._fold_free(window, device, nbytes, offset, self.stream)
+
+    def copy(self, src, dst, nbytes, threads, seconds, completes_at, seq) -> None:
+        # The start folds before the end event is counted: that count may
+        # close the start's window, which must see this copy in flight.
+        start = self._copy_start(src, dst, nbytes, threads, seconds, completes_at, seq)
+        monitor = self.monitor
+        window = monitor.rollups._cache_window
+        monitor._fold_copy_start(
+            window, nbytes, seconds, cause_kind(start.root), cause_kind(start.cause)
+        )
+        end = self._copy_end(src, dst, nbytes, completes_at, seq)
+        monitor._fold_copy_end(end.ts - start.ts, nbytes)
+
+    def copy_retry(self, ts, src, dst, nbytes, attempt, reason) -> None:
+        Tracer.copy_retry(self, ts, src, dst, nbytes, attempt, reason)
+        self._fold_count("copy_retries")
+
+    def prefetch(self, obj, src, dst, nbytes) -> None:
+        Tracer.prefetch(self, obj, src, dst, nbytes)
+        self._fold_count("prefetches")
+
+    def evict(self, obj, src, dst, nbytes, clean) -> None:
+        Tracer.evict(self, obj, src, dst, nbytes, clean)
+        self._fold_count("evictions")
+
+    def kernel_end(self, kernel, seconds, compute, memory, fixed, phase) -> None:
+        Tracer.kernel_end(self, kernel, seconds, compute, memory, fixed, phase)
+        window = self.monitor.rollups._cache_window
+        self.monitor._fold_kernel(window, seconds, compute, memory, fixed)
+
+    def stall(self, kernel, seconds, late=()) -> None:
+        Tracer.stall(self, kernel, seconds, late)
+        self.monitor._fold_stall(self.monitor.rollups._cache_window, seconds)
+
+    def gc(self, seconds) -> None:
+        Tracer.gc(self, seconds)
+        self.monitor._fold_gc(self.monitor.rollups._cache_window, seconds)
+
+    def oom_retry(self, obj, nbytes) -> None:
+        Tracer.oom_retry(self, obj, nbytes)
+        self._fold_count("oom_retries")
+
+    def fault(self, site, device, op, index, detail) -> None:
+        Tracer.fault(self, site, device, op, index, detail)
+        label = detail.get("fault") or site or "?"
+        self._fold_count("faults", f"fault:{label}")
+
+    def recovery_step(self, step, device, requested, free, acted, tenant) -> None:
+        Tracer.recovery_step(self, step, device, requested, free, acted, tenant)
+        window = self.monitor.rollups._cache_window
+        self.monitor._fold_recovery_step(window, self.clock.now, step)
+
+    def recovery(self, step, device, requested, steps, tenant) -> None:
+        Tracer.recovery(self, step, device, requested, steps, tenant)
+        self.monitor._fold_recovery(self.monitor.rollups._cache_window, step)
+
+    def policy_strike(self, op, strikes, error, tenant) -> None:
+        Tracer.policy_strike(self, op, strikes, error, tenant)
+        self._fold_count("strikes", "policy_strike")
+
+    def quarantine(self, policy, fallback, strikes) -> None:
+        Tracer.quarantine(self, policy, fallback, strikes)
+        self._fold_count("quarantines", "quarantine")
+
+    def detach(self, tenant, objects, nbytes, quota) -> None:
+        Tracer.detach(self, tenant, objects, nbytes, quota)
+        self.monitor._fold_elastic(DETACH, self.clock.now, tenant)
+
+    def resize(self, device, old, new, via) -> None:
+        Tracer.resize(self, device, old, new, via)
+        self.monitor._fold_elastic(RESIZE, self.clock.now, device)
+
+    def checkpoint(self, kind, label, kernels) -> None:
+        # Snapshot/restore name no flight dump on this tier, as on replay.
+        Tracer.checkpoint(self, kind, label, kernels)
+        self.monitor._fold_elastic(kind, self.clock.now)
+
+    def _fold_count(self, name: str, dump: str = "") -> None:
+        monitor = self.monitor
+        monitor._fold_count(monitor.rollups._cache_window, name, self.clock.now, dump)
 
 
 class _CauseScope:

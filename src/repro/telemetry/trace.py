@@ -35,9 +35,13 @@ listening:
   untraced site pays one method call with its arguments evaluated and
   allocates nothing.
 * :class:`Tracer` (full tracing): each typed call builds its
-  :class:`TraceEvent` through :meth:`Tracer.emit`/:meth:`Tracer.emit_at`.
-  These methods are the only code that knows the event schema — kind,
-  field names, field order, timestamp.
+  :class:`TraceEvent` positionally through ``Tracer._event`` and returns
+  it. These bodies are the only code that knows the event schema — kind,
+  field names, field order, timestamp. :meth:`Tracer.emit`/
+  :meth:`Tracer.emit_at` remain for hand-emitted events only. With the
+  monitor attached (``MonitorTracer(keep_events=True)``) each event is
+  also rung and counted as it is built, and the kinds the monitor folds
+  are folded right there, from the values the typed call already holds.
 * the monitor-only tier (``telemetry.monitor``): the kinds the always-on
   :class:`~repro.telemetry.monitor.RuntimeMonitor` folds forward their
   positional values to its ``note_*`` intake — no kwargs dict, no
@@ -136,6 +140,9 @@ def subject_label(subject: object) -> str:
     return f"#{getattr(subject, 'id', '?')}"
 
 
+_new_object = object.__new__
+
+
 class TraceEvent:
     """One structured event, stamped with virtual time.
 
@@ -151,7 +158,8 @@ class TraceEvent:
     construction is the single hottest allocation in an enabled-tracer run
     (one per alloc/copy/kernel boundary), and skipping the per-instance
     ``__dict__`` plus the dataclass ``__init__`` indirection measurably
-    cuts emission cost. Events are treated as immutable by convention.
+    cuts emission cost (``Tracer._event`` goes further and fills the slots
+    directly). Events are treated as immutable by convention.
     """
 
     __slots__ = ("ts", "kind", "args", "cause", "root", "root_ts", "stream")
@@ -220,11 +228,12 @@ class _Scope:
         self._label = label
 
     def __enter__(self) -> "_Scope":
-        self._tracer._push(self._label)
+        tracer = self._tracer
+        tracer._scopes.append((self._label, tracer.clock.now))
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._tracer._pop()
+        self._tracer._scopes.pop()
 
 
 class _NullScope:
@@ -259,24 +268,32 @@ class Tracer:
     # -- emission -----------------------------------------------------------
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
-        """Record an event at the current virtual time."""
+        """Record a hand-built event at the current virtual time."""
         return self._event(self.clock.now, kind, args)
 
     def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
-        """Record an event at an explicit virtual time (async completions)."""
+        """Record a hand-built event at an explicit virtual time."""
         return self._event(ts, kind, args)
 
     def _event(self, ts: float, kind: str, args: dict[str, Any]) -> TraceEvent:
         # The one place an event is stamped with its attribution scopes and
-        # retained. Takes the kwargs dict positionally: re-packing it through
-        # a second ``**args`` call costs more than everything else here.
+        # retained. Takes the args dict positionally: re-packing it through
+        # a second ``**args`` call costs more than everything else here. The
+        # event is filled field by field rather than through TraceEvent(...):
+        # a class call runs ``__init__`` in a fresh interpreter frame, which
+        # costs more than the stores it makes.
+        event = _new_object(TraceEvent)
+        event.ts = ts
+        event.kind = kind
+        event.args = args
         scopes = self._scopes
         if scopes:
-            cause = scopes[-1][0]
-            root, root_ts = scopes[0]
+            event.cause = scopes[-1][0]
+            event.root, event.root_ts = scopes[0]
         else:
-            cause, root, root_ts = "", "", None
-        event = TraceEvent(ts, kind, args, cause, root, root_ts, self.stream)
+            event.cause = event.root = ""
+            event.root_ts = None
+        event.stream = self.stream
         self.events.append(event)
         return event
 
@@ -284,159 +301,175 @@ class Tracer:
     #
     # One method per instrumented site kind, called unconditionally with
     # positional values (see NullTracer for what each reports). These bodies
-    # are the event schema: kind, field names, field order, timestamp.
+    # are the event schema: kind, field names, field order, timestamp. Each
+    # builds its args dict in place and hands it to ``_event`` positionally
+    # (never through ``emit``'s kwargs repack) and returns the event, so a
+    # listener that extends a body has the event it built in hand.
 
     def alloc(
         self, device: str, offset: int, nbytes: int, obj: str | None = None
-    ) -> None:
-        if obj is None:
-            self.emit(ALLOC, device=device, offset=offset, nbytes=nbytes)
-        else:
-            self.emit(ALLOC, device=device, obj=obj, offset=offset, nbytes=nbytes)
+    ) -> TraceEvent:
+        args = {"device": device, "offset": offset, "nbytes": nbytes}
+        if obj is not None:  # named only where the site names one (2LM)
+            args = {"device": device, "obj": obj, **args}
+        return self._event(self.clock.now, ALLOC, args)
 
     def free(
         self, device: str, offset: int, nbytes: int, obj: str | None = None
-    ) -> None:
-        if obj is None:
-            self.emit(FREE, device=device, offset=offset, nbytes=nbytes)
-        else:
-            self.emit(FREE, device=device, obj=obj, offset=offset, nbytes=nbytes)
+    ) -> TraceEvent:
+        args = {"device": device, "offset": offset, "nbytes": nbytes}
+        if obj is not None:  # named only where the site names one (2LM)
+            args = {"device": device, "obj": obj, **args}
+        return self._event(self.clock.now, FREE, args)
 
-    def setprimary(self, obj: str, device: str, nbytes: int) -> None:
-        self.emit(SETPRIMARY, obj=obj, device=device, nbytes=nbytes)
+    def setprimary(self, obj: str, device: str, nbytes: int) -> TraceEvent:
+        args = {"obj": obj, "device": device, "nbytes": nbytes}
+        return self._event(self.clock.now, SETPRIMARY, args)
 
-    def setdirty(self, obj: str, device: str, nbytes: int, dirty: bool) -> None:
-        self.emit(SETDIRTY, obj=obj, device=device, nbytes=nbytes, dirty=dirty)
+    def setdirty(self, obj: str, device: str, nbytes: int, dirty: bool) -> TraceEvent:
+        args = {"obj": obj, "device": device, "nbytes": nbytes, "dirty": dirty}
+        return self._event(self.clock.now, SETDIRTY, args)
 
-    def evict_scan(self, device: str, depth: int, nbytes: int) -> None:
-        self.emit(EVICT_SCAN, device=device, depth=depth, nbytes=nbytes)
+    def evict_scan(self, device: str, depth: int, nbytes: int) -> TraceEvent:
+        args = {"device": device, "depth": depth, "nbytes": nbytes}
+        return self._event(self.clock.now, EVICT_SCAN, args)
 
-    def defrag(self, device: str, moves: int) -> None:
-        self.emit(DEFRAG, device=device, moves=moves)
+    def defrag(self, device: str, moves: int) -> TraceEvent:
+        args = {"device": device, "moves": moves}
+        return self._event(self.clock.now, DEFRAG, args)
 
     def copy(
         self, src: str, dst: str, nbytes: int, threads: int, seconds: float,
         completes_at: float, seq: int,
-    ) -> None:
+    ) -> TraceEvent:
         # The span runs [completes_at - seconds, completes_at] in both
         # modes: synchronous copies just advanced the clock by `seconds`,
-        # asynchronous ones queued on the destination's DMA channel.
-        self.emit_at(
-            completes_at - seconds, COPY_START, src=src, dst=dst, nbytes=nbytes,
-            threads=threads, seconds=seconds, seq=seq,
-        )
-        self.emit_at(completes_at, COPY_END, src=src, dst=dst, nbytes=nbytes, seq=seq)
+        # asynchronous ones queued on the destination's DMA channel. Two
+        # steps, so a listener can act between the start and the end.
+        self._copy_start(src, dst, nbytes, threads, seconds, completes_at, seq)
+        return self._copy_end(src, dst, nbytes, completes_at, seq)
+
+    def _copy_start(self, src, dst, nbytes, threads, seconds, completes_at, seq):
+        args = {"src": src, "dst": dst, "nbytes": nbytes, "threads": threads,
+                "seconds": seconds, "seq": seq}
+        return self._event(completes_at - seconds, COPY_START, args)
+
+    def _copy_end(self, src, dst, nbytes, completes_at, seq):
+        args = {"src": src, "dst": dst, "nbytes": nbytes, "seq": seq}
+        return self._event(completes_at, COPY_END, args)
 
     def copy_retry(
         self, ts: float, src: str, dst: str, nbytes: int, attempt: int, reason: str
-    ) -> None:
-        self.emit_at(
-            ts, COPY_RETRY, src=src, dst=dst, nbytes=nbytes, attempt=attempt,
-            reason=reason,
-        )
+    ) -> TraceEvent:
+        args = {"src": src, "dst": dst, "nbytes": nbytes, "attempt": attempt,
+                "reason": reason}
+        return self._event(ts, COPY_RETRY, args)
 
-    def place(self, obj: str, device: str, nbytes: int) -> None:
-        self.emit(PLACE, obj=obj, device=device, nbytes=nbytes)
+    def place(self, obj: str, device: str, nbytes: int) -> TraceEvent:
+        args = {"obj": obj, "device": device, "nbytes": nbytes}
+        return self._event(self.clock.now, PLACE, args)
 
-    def prefetch(self, obj: str, src: str, dst: str, nbytes: int) -> None:
-        self.emit(PREFETCH, obj=obj, src=src, dst=dst, nbytes=nbytes)
+    def prefetch(self, obj: str, src: str, dst: str, nbytes: int) -> TraceEvent:
+        args = {"obj": obj, "src": src, "dst": dst, "nbytes": nbytes}
+        return self._event(self.clock.now, PREFETCH, args)
 
-    def evict(self, obj: str, src: str, dst: str, nbytes: int, clean: bool) -> None:
-        self.emit(EVICT, obj=obj, src=src, dst=dst, nbytes=nbytes, clean=clean)
+    def evict(
+        self, obj: str, src: str, dst: str, nbytes: int, clean: bool
+    ) -> TraceEvent:
+        args = {"obj": obj, "src": src, "dst": dst, "nbytes": nbytes, "clean": clean}
+        return self._event(self.clock.now, EVICT, args)
 
     def decision(
         self, policy: str, action: str, device: str, need: int, chosen: str,
         considered: int, rejected: list[dict], rejected_dropped: int, **extra: Any,
-    ) -> None:
-        self.emit(
-            DECISION, policy=policy, action=action, device=device, need=need,
-            chosen=chosen, considered=considered, rejected=rejected,
-            rejected_dropped=rejected_dropped, **extra,
-        )
+    ) -> TraceEvent:
+        args = {"policy": policy, "action": action, "device": device, "need": need,
+                "chosen": chosen, "considered": considered, "rejected": rejected,
+                "rejected_dropped": rejected_dropped, **extra}
+        return self._event(self.clock.now, DECISION, args)
 
-    def kernel_start(self, kernel: str) -> None:
-        self.emit(KERNEL_START, kernel=kernel)
+    def kernel_start(self, kernel: str) -> TraceEvent:
+        return self._event(self.clock.now, KERNEL_START, {"kernel": kernel})
 
     def kernel_end(
         self, kernel: str, seconds: float, compute: float, memory: float,
         fixed: float, phase: str,
-    ) -> None:
-        self.emit(
-            KERNEL_END, kernel=kernel, seconds=seconds, compute=compute,
-            memory=memory, fixed=fixed, phase=phase,
-        )
+    ) -> TraceEvent:
+        args = {"kernel": kernel, "seconds": seconds, "compute": compute,
+                "memory": memory, "fixed": fixed, "phase": phase}
+        return self._event(self.clock.now, KERNEL_END, args)
 
     def stall(
         self, kernel: str, seconds: float, late: Sequence[tuple[str, float]] = ()
-    ) -> None:
+    ) -> TraceEvent:
         # Charge the stall to the operands still in flight, proportionally
         # to how late each one is — the ledger uses this to blame wait time
         # on specific objects.
         total_late = sum(remaining for _, remaining in late)
-        self.emit(
-            STALL,
-            kernel=kernel,
-            seconds=seconds,
-            objects=[name for name, _ in late],
-            charged=[
-                seconds * remaining / total_late for _, remaining in late
-            ] if total_late > 0 else [],
-        )
+        charged = ([seconds * remaining / total_late for _, remaining in late]
+                   if total_late > 0 else [])
+        args = {"kernel": kernel, "seconds": seconds,
+                "objects": [name for name, _ in late], "charged": charged}
+        return self._event(self.clock.now, STALL, args)
 
-    def gc(self, seconds: float) -> None:
-        self.emit(GC, seconds=seconds)
+    def gc(self, seconds: float) -> TraceEvent:
+        return self._event(self.clock.now, GC, {"seconds": seconds})
 
-    def oom_retry(self, obj: str, nbytes: int) -> None:
-        self.emit(OOM_RETRY, obj=obj, nbytes=nbytes)
+    def oom_retry(self, obj: str, nbytes: int) -> TraceEvent:
+        return self._event(self.clock.now, OOM_RETRY, {"obj": obj, "nbytes": nbytes})
 
-    def invariant_check(self, kernels: int) -> None:
-        self.emit(INVARIANT_CHECK, kernels=kernels)
+    def invariant_check(self, kernels: int) -> TraceEvent:
+        return self._event(self.clock.now, INVARIANT_CHECK, {"kernels": kernels})
 
     def fault(
         self, site: str, device: str, op: str, index: int, detail: Mapping[str, Any]
-    ) -> None:
-        self.emit(FAULT, site=site, device=device, op=op, index=index, **detail)
+    ) -> TraceEvent:
+        args = {"site": site, "device": device, "op": op, "index": index, **detail}
+        return self._event(self.clock.now, FAULT, args)
 
     def recovery_step(
         self, step: str, device: str, requested: int, free: int, acted: bool,
         tenant: str,
-    ) -> None:
-        self.emit(
-            RECOVERY_STEP, step=step, device=device, requested=requested,
-            free=free, acted=acted, tenant=tenant,
-        )
+    ) -> TraceEvent:
+        args = {"step": step, "device": device, "requested": requested,
+                "free": free, "acted": acted, "tenant": tenant}
+        return self._event(self.clock.now, RECOVERY_STEP, args)
 
     def recovery(
         self, step: str, device: str, requested: int, steps: str, tenant: str
-    ) -> None:
-        self.emit(
-            RECOVERY, step=step, device=device, requested=requested, steps=steps,
-            tenant=tenant,
-        )
+    ) -> TraceEvent:
+        args = {"step": step, "device": device, "requested": requested,
+                "steps": steps, "tenant": tenant}
+        return self._event(self.clock.now, RECOVERY, args)
 
-    def policy_strike(self, op: str, strikes: int, error: str, tenant: str) -> None:
-        self.emit(POLICY_STRIKE, op=op, strikes=strikes, error=error, tenant=tenant)
+    def policy_strike(
+        self, op: str, strikes: int, error: str, tenant: str
+    ) -> TraceEvent:
+        args = {"op": op, "strikes": strikes, "error": error, "tenant": tenant}
+        return self._event(self.clock.now, POLICY_STRIKE, args)
 
-    def quarantine(self, policy: str, fallback: str, strikes: int) -> None:
-        self.emit(QUARANTINE, policy=policy, fallback=fallback, strikes=strikes)
+    def quarantine(self, policy: str, fallback: str, strikes: int) -> TraceEvent:
+        args = {"policy": policy, "fallback": fallback, "strikes": strikes}
+        return self._event(self.clock.now, QUARANTINE, args)
 
-    def detach(self, tenant: str, objects: int, nbytes: int, quota: int) -> None:
-        self.emit(DETACH, tenant=tenant, objects=objects, nbytes=nbytes, quota=quota)
+    def detach(self, tenant: str, objects: int, nbytes: int, quota: int) -> TraceEvent:
+        args = {"tenant": tenant, "objects": objects, "nbytes": nbytes, "quota": quota}
+        return self._event(self.clock.now, DETACH, args)
 
-    def resize(self, device: str, old: int, new: int, via: str) -> None:
-        self.emit(RESIZE, device=device, old=old, new=new, via=via)
+    def resize(self, device: str, old: int, new: int, via: str) -> TraceEvent:
+        args = {"device": device, "old": old, "new": new, "via": via}
+        return self._event(self.clock.now, RESIZE, args)
 
-    def checkpoint(self, kind: str, label: str, kernels: int) -> None:
-        self.emit(kind, label=label, kernels=kernels)
+    def checkpoint(self, kind: str, label: str, kernels: int) -> TraceEvent:
+        return self._event(self.clock.now, kind, {"label": label, "kernels": kernels})
 
     def request(
         self, request: str, klass: str, outcome: str, seconds: float,
         queue_wait: float,
-    ) -> None:
-        self.emit(
-            REQUEST, request=request, klass=klass, outcome=outcome,
-            seconds=seconds, queue_wait=queue_wait,
-        )
+    ) -> TraceEvent:
+        args = {"request": request, "klass": klass, "outcome": outcome,
+                "seconds": seconds, "queue_wait": queue_wait}
+        return self._event(self.clock.now, REQUEST, args)
 
     # -- attribution scopes -------------------------------------------------
 
@@ -452,14 +485,8 @@ class Tracer:
         movement a policy performs in response is attributed to the hint.
         """
         label = subject_label(subject)
-        self.emit(HINT, hint=kind, subject=label)
+        self._event(self.clock.now, HINT, {"hint": kind, "subject": label})
         return _Scope(self, f"hint:{kind}:{label}")
-
-    def _push(self, label: str) -> None:
-        self._scopes.append((label, self.clock.now))
-
-    def _pop(self) -> None:
-        self._scopes.pop()
 
     @property
     def cause(self) -> str:

@@ -134,9 +134,46 @@ def test_every_listener_answers_every_typed_call():
         # Same positional signature everywhere: a site's one call must mean
         # the same thing to whichever listener is attached.
         expected = list(inspect.signature(getattr(Tracer, name)).parameters)
-        for listener in (NullTracer, monitor_only):
+        for listener in (NullTracer, monitor_only, MonitorTracer):
             got = list(inspect.signature(getattr(listener, name)).parameters)
             assert got == expected, f"{listener.__name__}.{name}"
+
+
+def class_methods(relative, cls):
+    """``{method name: FunctionDef}`` of class ``cls`` in module ``relative``."""
+    tree = ast.parse((ROOT / relative).read_text())
+    (body,) = [n.body for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls]
+    return {n.name: n for n in body if isinstance(n, ast.FunctionDef)}
+
+
+def test_the_full_tier_folds_at_the_typed_call():
+    """Both monitored tiers fold the same kinds: each kind the monitor-only
+    tier forwards to a ``note_*`` intake, the full tier answers with its own
+    typed method (building the event, then folding the values in hand), and
+    every other kind falls through to ``Tracer``'s body. No typed body
+    reaches the ``emit``/``emit_at`` replay intake."""
+    monitor = "telemetry/monitor.py"
+    forwarded = {
+        name
+        for name, node in class_methods(monitor, "_MonitorOnlyTracer").items()
+        if any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "attr", "").startswith("note_")
+            for call in ast.walk(node)
+        )
+    }
+    assert len(forwarded) == 18
+    assert typed_calls(MonitorTracer) == forwarded
+    assert typed_calls(type(MonitorTracer(None))) == forwarded
+    reaches_emit = [calls("emit"), calls("emit_at")]
+    for relative, cls in (("telemetry/trace.py", "Tracer"), (monitor, "MonitorTracer")):
+        for name, node in class_methods(relative, cls).items():
+            if name not in ("emit", "emit_at"):
+                assert not any(
+                    matches(child)
+                    for child in ast.walk(node)
+                    for matches in reaches_emit
+                ), f"{cls}.{name}"
 
 
 def functions_with(relatives, matches):

@@ -2,7 +2,7 @@
 
 The golden digests hold the *simulated* result; these hold what the three
 tracer tiers *report* about it, byte for byte: the full tier's JSONL v3
-export, the monitor-only tier's health snapshot and flight ring, and the
+export, each monitored tier's health snapshot and flight ring, and the
 flight-dump tree a chaos plan leaves behind. They were recorded at the
 commit before the one-seam refactor (every site hand-building its event in
 an ``if tracer.enabled`` arm and again in an ``elif tracer.monitoring``
@@ -54,6 +54,19 @@ GOLDEN_SNAPSHOT = {
 GOLDEN_CHEAP_FLIGHT = {
     False: "07aa71c18d926f912f6f9b8c957918f27517588d2eff929810bb48ce2912af05",
     True: "00b330a6fa28911721dca9788f409119688879373d6ad5ff956c1a7737b40548",
+}
+# The full tier's monitor (tracing + monitor: every event rung and folded),
+# recorded before its typed calls folded in place instead of through
+# ``observe``: (health snapshot, flight ring).
+GOLDEN_FULL_MONITOR = {
+    False: (
+        "fa8ceb12205fe0209e2b52a4d94cd733caf21d74031d41639d1593fd119b1ffd",
+        "f113380dda93ded016abad6cacc9e5f07f32396c55b8ac3b8aabc92159ce63cf",
+    ),
+    True: (
+        "8da1b28f078275ad3f8c548fa3aab5b66cd0ca66d0a2050f3c76b5d077ab56a3",
+        "1bffe943727df93af52c18bcb4d1003ccffacf84cdb71dddba720d9be360ca5c",
+    ),
 }
 # Flight-dump tree of `repro chaos --plan <name> --dump-dir D` (full tier +
 # monitor: TraceEvent ring records through observe()).
@@ -156,6 +169,12 @@ def _snapshot_digest(monitor) -> str:
     return _sha(json.dumps(snapshot, sort_keys=True).encode())
 
 
+def _ring_digest(monitor) -> str:
+    ring = io.StringIO()
+    monitor.ring.dump(ring, reason="pin", ts=monitor.last_ts)
+    return _sha(ring.getvalue().encode())
+
+
 @pytest.mark.parametrize("async_movement", [False, True])
 def test_full_tier_jsonl_export_bytes(async_movement):
     result = _run(async_movement, tracing=True)
@@ -165,12 +184,18 @@ def test_full_tier_jsonl_export_bytes(async_movement):
 
 
 @pytest.mark.parametrize("async_movement", [False, True])
+def test_full_tier_snapshot_and_flight_ring_bytes(async_movement):
+    monitor = _run(async_movement, tracing=True).monitor
+    assert (
+        _snapshot_digest(monitor), _ring_digest(monitor)
+    ) == GOLDEN_FULL_MONITOR[async_movement]
+
+
+@pytest.mark.parametrize("async_movement", [False, True])
 def test_monitor_only_tier_snapshot_and_flight_ring_bytes(async_movement):
     monitor = _run(async_movement, tracing=False).monitor
     assert _snapshot_digest(monitor) == GOLDEN_SNAPSHOT[async_movement]
-    ring = io.StringIO()
-    monitor.ring.dump(ring, reason="pin", ts=monitor.last_ts)
-    assert _sha(ring.getvalue().encode()) == GOLDEN_CHEAP_FLIGHT[async_movement]
+    assert _ring_digest(monitor) == GOLDEN_CHEAP_FLIGHT[async_movement]
 
 
 @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))

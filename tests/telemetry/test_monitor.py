@@ -19,6 +19,7 @@ from repro.telemetry.monitor import (
     FlightRecorder,
     MonitorConfig,
     MonitorTracer,
+    QuantileSketch,
     RollupAggregator,
     RuntimeMonitor,
     cause_kind,
@@ -399,6 +400,32 @@ def test_monitor_tracer_emit_at_supports_async_completions():
     assert tracer.monitor.inflight_copy_bytes == 0
 
 
+def test_copy_straddling_a_window_is_in_flight_when_its_start_window_closes():
+    """The copy's start folds before its end is counted: counting the end
+    closes the start's window, and that window must report the copy as in
+    flight — on the full tier's typed call, on replay, and on the cheap
+    tier's ``note_copy``."""
+    config = MonitorConfig(window_seconds=1.0, rules=())
+
+    def copy_across_the_boundary(keep_events):
+        clock = SimClock()
+        clock.advance(0.5, "kernel")
+        tracer = MonitorTracer(clock, RuntimeMonitor(config), keep_events=keep_events)
+        tracer.copy("NVRAM", "DRAM", 64, 1, 1.0, 1.5, 0)
+        return tracer
+
+    full = copy_across_the_boundary(True)
+    replayed = RuntimeMonitor(config).observe_all(full.events)
+    cheap = copy_across_the_boundary(False).monitor
+    for monitor in (full.monitor, replayed, cheap):
+        first, second = monitor.rollups.recent()
+        assert (first.copies, first.inflight_copy_bytes) == (1, 64)
+        assert monitor.inflight_copy_bytes == 0
+        monitor.finish()
+        assert second.inflight_copy_bytes == 0
+        assert monitor.copy_latency.count == 1
+
+
 def test_counter_timelines_expose_occupancy_and_inflight():
     monitor = RuntimeMonitor(MonitorConfig(window_seconds=1.0))
     monitor.observe(ev(0.1, ALLOC, device="DRAM", nbytes=128, offset=0))
@@ -450,25 +477,59 @@ def test_session_monitor_binds_capacities():
     assert "health:" in snapshot.render()
 
 
+def monitor_state(monitor):
+    """Everything a monitor holds that a live run and its replay must agree
+    on: the snapshot with every retained window, the folded totals, the
+    ring, the three latency sketches and the per-cause copy maps."""
+    sketches = (
+        monitor.kernel_latency, monitor.stall_latency, monitor.copy_latency
+    )
+    return {
+        "snapshot": monitor.snapshot(recent_windows=1 << 20).to_json(),
+        "folded": monitor.rollups.folded.to_json(),
+        "ring": [
+            entry.to_json() for entry in monitor.ring.snapshot()
+        ] + [monitor.ring.total],
+        "sketches": [
+            [getattr(sketch, slot) for slot in QuantileSketch.__slots__]
+            for sketch in sketches
+        ],
+        "copies_by_cause": monitor.copies_by_cause,
+        "copy_seconds_by_cause": monitor.copy_seconds_by_cause,
+    }
+
+
 def test_offline_replay_matches_live_monitoring():
-    """Replaying the recorded stream produces the same rollup state the
-    live MonitorTracer saw — the `repro monitor trace.jsonl` contract."""
+    """Replaying the recorded stream produces the whole state the live
+    MonitorTracer built — the `repro monitor trace.jsonl` contract. The live
+    run folds at each typed call, the replay re-reads every event through
+    ``observe``; both land on the same state, sync and async."""
     from repro.experiments.common import (
         ExperimentConfig,
         model_trace,
         run_trace_mode,
     )
 
-    config = ExperimentConfig(
-        scale=256, iterations=1, tracing=True, monitor=True
-    )
-    result = run_trace_mode(model_trace("tiny", config), "CA:LM", config)
-    live = result.monitor
-    replayed = RuntimeMonitor().observe_all(result.run.trace)
-    replayed.finish()
-    assert replayed.totals == live.totals
-    assert replayed.occupancy == live.occupancy
-    assert replayed.events_seen == live.events_seen
+    for async_movement in (False, True):
+        config = ExperimentConfig(
+            scale=256,
+            iterations=1,
+            tracing=True,
+            monitor=True,
+            async_movement=async_movement,
+            monitor_config=MonitorConfig(window_seconds=0.01),
+        )
+        result = run_trace_mode(model_trace("tiny", config), "CA:LM", config)
+        live = result.monitor
+        replayed = RuntimeMonitor(config.monitor_config)
+        replayed.bind_capacities(live.capacities)
+        replayed.bind_quotas(live.quotas)
+        # The live run's alerts are in its trace; the replay raises its own.
+        replayed.observe_all(e for e in result.run.trace if e.kind != ALERT)
+        replayed.finish()
+        assert live.rollups.windows_closed > 1
+        assert monitor_state(replayed) == monitor_state(live), async_movement
+        assert live._inflight == {} and replayed._inflight == {}
 
 
 def test_cheap_tier_notes_agree_with_full_tier_totals():
