@@ -233,8 +233,9 @@ class DataManager:
 
     def setprimary(self, obj: MemObject, region: Region) -> None:
         """Make ``region`` the object's primary (attaching it if needed)."""
-        obj.check_usable()
-        region.check_live()
+        if obj.retired or region.freed:
+            obj.check_usable()
+            region.check_live()
         obj.attach(region, primary=True)
         self.tracer.setprimary(obj.name, region.device_name, region.size)
 
@@ -246,7 +247,9 @@ class DataManager:
         With tenant quotas configured, the active tenant's budget on the
         device is checked first and charged on success.
         """
-        heap = self.heap(device)
+        heap = self.heaps.get(device)
+        if heap is None:
+            heap = self.heap(device)
         if self._quota:
             key = (self.active_tenant, device)
             limit = self._quota.get(key)
@@ -275,13 +278,15 @@ class DataManager:
         """Free a region. A primary must be detached from its object first
         (``setprimary`` elsewhere or ``destroy_object``), mirroring Listing 1
         where ``free(x)`` happens only after ``setprimary(object, y)``."""
-        region.check_live()
-        if region.is_primary:
+        if region.freed:
+            region.check_live()
+        parent = region.parent
+        if parent is not None and parent.primary is region:
             raise RegionStateError(
                 f"cannot free {region!r}: it is still its object's primary"
             )
-        if region.parent is not None:
-            region.parent.detach(region)
+        if parent is not None:
+            parent.detach(region)
         self._release(region)
 
     def _release(self, region: Region) -> None:
@@ -297,8 +302,9 @@ class DataManager:
 
     def copyto(self, dst: Region, src: Region) -> None:
         """Copy the full logical contents of ``src`` into ``dst``."""
-        src.check_live()
-        dst.check_live()
+        if src.freed or dst.freed:
+            src.check_live()
+            dst.check_live()
         if dst.size < src.size:
             raise RegionStateError(
                 f"copyto target {dst!r} smaller than source {src!r}"
@@ -320,8 +326,9 @@ class DataManager:
 
     def link(self, x: Region, y: Region) -> None:
         """Associate two regions with the same object (primary stays put)."""
-        x.check_live()
-        y.check_live()
+        if x.freed or y.freed:
+            x.check_live()
+            y.check_live()
         owner_x, owner_y = x.parent, y.parent
         if owner_x is None and owner_y is None:
             raise LinkError(f"neither {x!r} nor {y!r} belongs to an object")
@@ -336,51 +343,58 @@ class DataManager:
 
     def unlink(self, x: Region, y: Region) -> None:
         """Break the association; the non-primary region is detached."""
-        x.check_live()
-        y.check_live()
-        if x.parent is None or x.parent is not y.parent:
-            raise LinkError(f"{x!r} and {y!r} are not linked")
+        if x.freed or y.freed:
+            x.check_live()
+            y.check_live()
         owner = x.parent
-        if x.is_primary and y.is_primary:  # pragma: no cover - impossible
+        if owner is None or owner is not y.parent:
+            raise LinkError(f"{x!r} and {y!r} are not linked")
+        primary = owner.primary
+        if x is primary and y is primary:  # pragma: no cover - impossible
             raise LinkError("both regions claim to be primary")
-        if not x.is_primary and not y.is_primary:
+        if x is not primary and y is not primary:
             raise LinkError(
                 f"refusing to unlink two secondaries of {owner!r}; "
                 "detach them individually via free()"
             )
-        orphan = y if x.is_primary else x
-        owner.detach(orphan)
+        owner.detach(y if x is primary else x)
 
     # -- query functions ---------------------------------------------------------
 
     def sizeof(self, target: Region | MemObject) -> int:
         """Logical size in bytes of a region or an object."""
         if isinstance(target, Region):
-            target.check_live()
-        else:
+            if target.freed:
+                target.check_live()
+        elif target.retired:
             target.check_usable()
         return target.size
 
     def getlinked(self, region: Region, device: str) -> Region | None:
         """The linked region of ``region``'s object on ``device``, if any."""
-        region.check_live()
-        self.heap(device)  # validate the device name
-        if region.parent is None:
+        if region.freed or device not in self.heaps:
+            region.check_live()
+            self.heap(device)
+        parent = region.parent
+        if parent is None:
             return None
-        return region.parent.region_on(device)
+        return parent.region_on(device)
 
     def in_device(self, region: Region, device: str) -> bool:
         """Paper's ``in(x, DEV)``: does ``region`` live on ``device``?"""
-        region.check_live()
-        self.heap(device)
+        if region.freed or device not in self.heaps:
+            region.check_live()
+            self.heap(device)
         return region.device_name == device
 
     def isdirty(self, region: Region) -> bool:
-        region.check_live()
+        if region.freed:
+            region.check_live()
         return region.dirty
 
     def setdirty(self, region: Region, dirty: bool = True) -> None:
-        region.check_live()
+        if region.freed:
+            region.check_live()
         if region.dirty != dirty:
             # Only actual transitions: a dirty bit flipping to True is
             # writeback debt a future eviction must pay; flipping to False
@@ -395,10 +409,12 @@ class DataManager:
         region.dirty = dirty
 
     def parent(self, region: Region) -> MemObject:
-        region.check_live()
-        if region.parent is None:
+        if region.freed:
+            region.check_live()
+        parent = region.parent
+        if parent is None:
             raise ObjectStateError(f"{region!r} belongs to no object")
-        return region.parent
+        return parent
 
     def region_at(self, device: str, offset: int) -> Region:
         """The live region starting at ``offset`` on ``device``."""
@@ -415,14 +431,24 @@ class DataManager:
 
     # -- eviction support -----------------------------------------------------------
 
-    def _span(self, device: str, start_offset: int, size: int) -> list[int] | None:
-        """The span ``evictfrom`` would pick: forward from ``start_offset``,
-        falling back to the bottom of the heap when the arena end is hit."""
-        heap = self.heap(device)
+    def _span(
+        self, device: str, start: Region, size: int
+    ) -> tuple[Heap, list[int] | None]:
+        """``start``'s heap and the span ``evictfrom`` would pick: forward
+        from ``start``, falling back to the bottom of the heap when the
+        arena end is hit. Rejects a freed ``start``, an unknown device and a
+        ``start`` on another device, in that order."""
+        heap = self.heaps.get(device)
+        if start.freed or heap is None:
+            start.check_live()
+            heap = self.heap(device)
+        if start.heap is not heap:
+            raise RegionStateError(f"{start!r} is not on device {device!r}")
+        start_offset = start.offset
         victims = heap.collect_span(start_offset, size)
         if victims is None and start_offset != 0:
             victims = heap.collect_span(0, size)
-        return victims
+        return heap, victims
 
     def span_victims(
         self, device: str, start: Region, size: int
@@ -433,13 +459,11 @@ class DataManager:
         containing pinned kernel operands) before committing to an eviction.
         Returns ``None`` when no contiguous span is reachable.
         """
-        start.check_live()
-        if start.heap is not self.heap(device):
-            raise RegionStateError(f"{start!r} is not on device {device!r}")
-        offsets = self._span(device, start.offset, size)
+        offsets = self._span(device, start, size)[1]
         if offsets is None:
             return None
-        return [self._regions[(device, offset)] for offset in offsets]
+        regions = self._regions
+        return [regions[device, offset] for offset in offsets]
 
     def evictfrom(
         self,
@@ -457,12 +481,9 @@ class DataManager:
         example because the object is pinned) aborts with ``PolicyError``
         so policies cannot silently fail to make room.
         """
-        start.check_live()
-        if start.heap is not self.heap(device):
-            raise RegionStateError(f"{start!r} is not on device {device!r}")
-        victims = self._span(device, start.offset, size)
+        heap, victims = self._span(device, start, size)
         if victims is None:
-            raise OutOfMemoryError(device, size, self.heap(device).free_bytes)
+            raise OutOfMemoryError(device, size, heap.free_bytes)
         self._cascade_depth.observe(len(victims))
         self.tracer.evict_scan(device, len(victims), size)
         for offset in victims:

@@ -21,7 +21,7 @@ Invariants enforced here and in the manager:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import LinkError, ObjectStateError, RegionStateError
 
@@ -88,7 +88,7 @@ class Region:
         self.heap = heap
         # A region never changes heap (defragmentation only rewrites
         # ``offset``), so its device name is fixed at birth.
-        self.device_name = heap.name
+        self.device_name = heap.device.name
         self.offset = offset
         self.size = size
         self.parent: MemObject | None = None
@@ -155,7 +155,8 @@ class MemObject:
     # -- attachment (called only by the DataManager) --------------------------
 
     def attach(self, region: Region, *, primary: bool) -> None:
-        region.check_live()
+        if region.freed:
+            region.check_live()
         if region.parent is not None and region.parent is not self:
             raise LinkError(f"{region!r} already belongs to {region.parent!r}")
         existing = self._regions.get(region.device_name)
@@ -201,9 +202,16 @@ class MemObject:
         self.pin_count += 1
 
     def unpin(self) -> None:
-        if self.pin_count <= 0:
-            raise ObjectStateError(f"unbalanced unpin of {self!r}")
-        self.pin_count -= 1
+        MemObject.unpin_all((self,))
+
+    @staticmethod
+    def unpin_all(objs: Iterable["MemObject"]) -> None:
+        """Release one pin on each of ``objs`` in order (a kernel's pinned
+        operands, in one sweep); the first unbalanced one raises."""
+        for obj in objs:
+            if obj.pin_count <= 0:
+                raise ObjectStateError(f"unbalanced unpin of {obj!r}")
+            obj.pin_count -= 1
 
     def __repr__(self) -> str:
         where = self.primary.device_name if self.primary is not None else "nowhere"

@@ -652,8 +652,7 @@ class Session:
             else:
                 yield [], []
         finally:
-            for obj in pinned:
-                obj.unpin()
+            MemObject.unpin_all(pinned)
         self.policy.on_kernel_finish(read_objs, write_objs)
 
     # -- maintenance & introspection ---------------------------------------------------

@@ -21,7 +21,7 @@ The engine does three things per copy:
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +38,15 @@ __all__ = ["CopyEngine", "CopyRecord"]
 MOVEMENT = "movement"  # clock busy-category for data movement
 
 
-@dataclass(frozen=True)
-class CopyRecord:
+class CopyRecord(NamedTuple):
     """Outcome of one bulk copy, for logs and tests.
 
     ``completes_at`` is the virtual time the destination's contents become
     valid: equal to "now" for synchronous copies, later for asynchronous
     ones queued on the DMA channel. Always populated — consumers (ledger,
-    export) never need to special-case a missing value.
+    export) never need to special-case a missing value. A tuple, built once
+    per copy: a frozen dataclass sets each field through
+    ``object.__setattr__``.
     """
 
     source: str
@@ -102,7 +103,7 @@ class CopyEngine:
         self.parallel_threshold = parallel_threshold
         self._pool_workers = pool_workers
         self._pool: ThreadPoolExecutor | None = None
-        self._thread_cache: dict[tuple[int, int, bool], int] = {}
+        self._thread_cache: dict[tuple[int, int], tuple[int, bool]] = {}
         self.records: list[CopyRecord] = []
         self.keep_records = False
         # Fault-injection seam (docs/robustness.md): duck-typed object with
@@ -123,17 +124,12 @@ class CopyEngine:
 
     def threads_for(self, source: Heap, dest: Heap, *, nt_stores: bool) -> int:
         """Optimal worker count for this (source, destination) device pair."""
-        key = (id(source.device.bandwidth), id(dest.device.bandwidth), nt_stores)
-        cached = self._thread_cache.get(key)
-        if cached is None:
-            cached = optimal_copy_threads(
-                source.device.bandwidth,
-                dest.device.bandwidth,
-                self.max_threads,
-                nt_stores=nt_stores,
-            )
-            self._thread_cache[key] = cached
-        return cached
+        return optimal_copy_threads(
+            source.device.bandwidth,
+            dest.device.bandwidth,
+            self.max_threads,
+            nt_stores=nt_stores,
+        )
 
     @staticmethod
     def _use_nt_stores(dest: Heap) -> bool:
@@ -141,6 +137,15 @@ class CopyEngine:
         # (Section V-d); toward DRAM they avoid cache pollution for bulk
         # copies, so the engine always streams.
         return True
+
+    def _tune_pair(self, source: Heap, dest: Heap) -> tuple[int, bool]:
+        """The thread memo's miss path: a device pair's worker count and
+        store kind, remembered per pair of bandwidth models."""
+        nt_stores = self._use_nt_stores(dest)
+        tuning = (self.threads_for(source, dest, nt_stores=nt_stores), nt_stores)
+        key = (id(source.device.bandwidth), id(dest.device.bandwidth))
+        self._thread_cache[key] = tuning
+        return tuning
 
     # -- the copy -----------------------------------------------------------
 
@@ -154,6 +159,9 @@ class CopyEngine:
     ) -> CopyRecord:
         """Copy ``nbytes`` between heap allocations, accounting everything.
 
+        A copy the engine cannot make (an asynchronous one touching a real
+        device, a synchronous one between a real and a virtual device) is
+        refused before anything is charged or the fault plan consulted.
         With a fault injector attached, injected copy failures are absorbed by
         retrying (each failed attempt is honestly charged: full transfer time
         on the clock and full traffic on both heaps, plus a ``copy_retry``
@@ -168,20 +176,38 @@ class CopyEngine:
             raise ConfigurationError(f"copy size must be non-negative, got {nbytes}")
         src_device = source.device
         dst_device = dest.device
-        nt_stores = self._use_nt_stores(dest)
-        threads = self.threads_for(source, dest, nt_stores=nt_stores)
+        src_name = src_device.name
+        dst_name = dst_device.name
+        src_real = src_device.is_real
+        dst_real = dst_device.is_real
+        if self.async_mode:
+            if src_real or dst_real:
+                raise ConfigurationError(
+                    "asynchronous movement is a timing model; it requires "
+                    "virtual devices"
+                )
+        elif src_real != dst_real:
+            raise ConfigurationError(
+                "cannot copy between a real and a virtual device: "
+                f"{src_name!r} -> {dst_name!r}"
+            )
+        src_model = src_device.bandwidth
+        dest_model = dst_device.bandwidth
+        try:
+            threads, nt_stores = self._thread_cache[id(src_model), id(dest_model)]
+        except KeyError:
+            threads, nt_stores = self._tune_pair(source, dest)
 
         fault = None
         if self.injector is not None:
-            fault = self.injector.copy_plan(source.name, dest.name, nbytes)
+            fault = self.injector.copy_plan(src_name, dst_name, nbytes)
             if fault.clean:
                 fault = None
-        dest_model = dst_device.bandwidth
         if fault is not None and fault.slowdown > 1.0:
             dest_model = DegradedBandwidth(inner=dest_model, factor=fault.slowdown)
 
         attempt_seconds = copy_time(
-            src_device.bandwidth,
+            src_model,
             dest_model,
             nbytes,
             threads,
@@ -190,7 +216,7 @@ class CopyEngine:
         if nbytes:
             attempt_seconds += self.per_transfer_overhead
 
-        real_pair = src_device.is_real and dst_device.is_real
+        real_pair = src_real and dst_real
         failures = fault.failures if fault is not None else 0
         corrupt = fault.corrupt if fault is not None else 0
         if corrupt and not real_pair:
@@ -209,43 +235,33 @@ class CopyEngine:
             dest.traffic.record_write(nbytes)
 
         if self.async_mode:
-            if src_device.is_real or dst_device.is_real:
-                raise ConfigurationError(
-                    "asynchronous movement is a timing model; it requires "
-                    "virtual devices"
-                )
-            free_at = self._channel_free_at.get(dest.name, 0.0)
+            free_at = self._channel_free_at.get(dst_name, 0.0)
             start = max(self.clock.now, free_at)
             completes_at = start + seconds
-            self._channel_free_at[dest.name] = completes_at
+            self._channel_free_at[dst_name] = completes_at
         else:
             self.clock.advance(seconds, MOVEMENT)
             completes_at = self.clock.now
-            if src_device.is_real != dst_device.is_real:
-                raise ConfigurationError(
-                    "cannot copy between a real and a virtual device: "
-                    f"{source.name!r} -> {dest.name!r}"
-                )
 
         for attempt in range(1, failed_attempts + 1):
             self.tracer.copy_retry(
                 completes_at - seconds + attempt_seconds * attempt,
-                source.name,
-                dest.name,
+                src_name,
+                dst_name,
                 nbytes,
                 attempt,
                 "injected copy failure",
             )
         if exhausted:
             raise CopyError(
-                source.name,
-                dest.name,
+                src_name,
+                dst_name,
                 nbytes,
                 failed_attempts,
                 "injected copy fault persisted past the retry budget",
             )
 
-        if not self.async_mode and real_pair and nbytes:
+        if real_pair and nbytes:  # real devices only ever copy synchronously
             self._memcpy(source, source_offset, dest, dest_offset, nbytes)
             if self.injector is not None:
                 extra, completes_at = self._verify_and_retry(
@@ -255,19 +271,13 @@ class CopyEngine:
                 seconds += extra
 
         record = CopyRecord(
-            source=source.name,
-            dest=dest.name,
-            nbytes=nbytes,
-            threads=threads,
-            seconds=seconds,
-            nt_stores=nt_stores,
-            completes_at=completes_at,
+            src_name, dst_name, nbytes, threads, seconds, nt_stores, completes_at
         )
         if self.keep_records:
             self.records.append(record)
         seq = self._copy_seq = self._copy_seq + 1
         self.tracer.copy(
-            source.name, dest.name, nbytes, threads, seconds, completes_at, seq
+            src_name, dst_name, nbytes, threads, seconds, completes_at, seq
         )
         return record
 

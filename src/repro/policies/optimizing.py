@@ -138,18 +138,20 @@ class OptimizingPolicy(Policy):
         the fallback for objects that cannot fit. Without **L**: always
         NVRAM — the compulsory-miss model of CA: ∅.
         """
+        manager = self.manager
+        tracer = manager.tracer
         if self.local_alloc:
             region = self._allocate_fast(obj.size)
             if region is not None:
-                self.manager.setprimary(obj, region)
+                manager.setprimary(obj, region)
                 self.lru.touch(obj)
                 self.stats.placed_fast += 1
-                self.tracer.place(obj.name, region.device_name, obj.size)
+                tracer.place(obj.name, region.device_name, obj.size)
                 return region
-        region = self.manager.allocate(self.slow, obj.size)
-        self.manager.setprimary(obj, region)
+        region = manager.allocate(self.slow, obj.size)
+        manager.setprimary(obj, region)
         self.stats.placed_slow += 1
-        self.tracer.place(obj.name, self.slow, obj.size)
+        tracer.place(obj.name, self.slow, obj.size)
         return region
 
     # -- hints ------------------------------------------------------------------
@@ -250,11 +252,11 @@ class OptimizingPolicy(Policy):
         return self._prefetch(obj)
 
     def _prefetch(self, obj: MemObject) -> Region | None:
-        was_slow = (
-            obj.primary is not None and obj.primary.device_name == self.slow
-        )
+        manager = self.manager
+        primary = obj.primary
+        was_slow = primary is not None and primary.device_name == self.slow
         region = prefetch_object(
-            self.manager,
+            manager,
             obj,
             self.fast,
             self.slow,
@@ -266,14 +268,15 @@ class OptimizingPolicy(Policy):
             self.lru.touch(obj)
             if was_slow:
                 # An actual slow->fast move, not a no-op on already-fast data.
-                self.tracer.prefetch(obj.name, self.slow, self.fast, obj.size)
+                manager.tracer.prefetch(obj.name, self.slow, self.fast, obj.size)
         return region
 
     def _allocate_fast(self, size: int) -> Region | None:
         """Allocate raw space in fast memory, evicting cold objects if needed."""
-        region = self.manager.try_allocate(self.fast, size)
+        try_allocate = self.manager.try_allocate
+        region = try_allocate(self.fast, size)
         if region is None and self._make_room(size):
-            region = self.manager.try_allocate(self.fast, size)
+            region = try_allocate(self.fast, size)
         return region
 
     def _make_room(self, size: int) -> bool:
@@ -284,9 +287,10 @@ class OptimizingPolicy(Policy):
     def _find_eviction_start(self, size: int) -> Region | None:
         """Coldest-first victim order for Listing 2's ``find_region``."""
         self.stats.forced_eviction_rounds += 1
+        manager = self.manager
         return find_eviction_start(
-            self.manager,
-            self.tracer,
+            manager,
+            manager.tracer,
             self.fast,
             size,
             self.lru.ranked(),
@@ -296,15 +300,17 @@ class OptimizingPolicy(Policy):
 
     def _evict_region(self, region: Region) -> None:
         """``evictfrom`` callback: evict the region's whole object."""
-        obj = self.manager.parent(region)
+        manager = self.manager
+        tracer = manager.tracer
+        obj = manager.parent(region)
         if obj.pinned:
             raise PolicyError(f"asked to evict pinned {obj!r}")
-        was_clean = not self.manager.isdirty(region) and (
-            self.manager.getlinked(region, self.slow) is not None
+        was_clean = not manager.isdirty(region) and (
+            manager.getlinked(region, self.slow) is not None
         )
-        self.tracer.evict(obj.name, self.fast, self.slow, obj.size, was_clean)
-        with self.tracer.scope("evict", obj):
-            evicted = evict_object(self.manager, obj, self.fast, self.slow)
+        tracer.evict(obj.name, self.fast, self.slow, obj.size, was_clean)
+        with tracer.scope("evict", obj):
+            evicted = evict_object(manager, obj, self.fast, self.slow)
         if evicted:
             self.stats.evictions += 1
             if was_clean:

@@ -25,6 +25,7 @@ from repro.core.object import MemObject
 from repro.core.session import Session, issue_hints, resolve_residency
 from repro.errors import OutOfMemoryError, TraceError
 from repro.memory.allocator import FreeListAllocator
+from repro.memory.heap import Heap
 from repro.runtime.gc import GarbageCollector, GcConfig
 from repro.runtime.recovery import LadderHooks, recover_allocation
 from repro.runtime.kernel import ExecutionParams, KernelTiming, kernel_timing
@@ -230,20 +231,33 @@ class CachedArraysAdapter(SystemAdapter):
                 ] if tracer.enabled else ()
                 self.clock.advance(wait, MOVEMENT_WAIT)
                 tracer.stall(kernel.name, wait, late)
+            # Traffic is summed per device and recorded once per device:
+            # the counters see the same integer totals as one record per
+            # operand would give them.
             reads: list[tuple] = []
             writes: list[tuple] = []
+            read_bytes: dict[Heap, int] = {}
+            write_bytes: dict[Heap, int] = {}
+            factor = kernel.read_factor
             for obj in read_objs:
                 primary = obj.primary
                 assert primary is not None
-                nbytes = int(obj.size * kernel.read_factor)
-                primary.heap.traffic.record_read(nbytes)
-                reads.append((primary.heap.device, nbytes))
+                heap = primary.heap
+                nbytes = int(obj.size * factor)
+                read_bytes[heap] = read_bytes.get(heap, 0) + nbytes
+                reads.append((heap.device, nbytes))
+            factor = kernel.write_factor
             for obj in write_objs:
                 primary = obj.primary
                 assert primary is not None
-                nbytes = int(obj.size * kernel.write_factor)
-                primary.heap.traffic.record_write(nbytes)
-                writes.append((primary.heap.device, nbytes))
+                heap = primary.heap
+                nbytes = int(obj.size * factor)
+                write_bytes[heap] = write_bytes.get(heap, 0) + nbytes
+                writes.append((heap.device, nbytes))
+            for heap, nbytes in read_bytes.items():
+                heap.traffic.record_read(nbytes)
+            for heap, nbytes in write_bytes.items():
+                heap.traffic.record_write(nbytes)
             timing = kernel_timing(
                 kernel.flops,
                 reads,
@@ -252,8 +266,7 @@ class CachedArraysAdapter(SystemAdapter):
                 read_sensitivity=kernel.read_sensitivity,
             )
         finally:
-            for obj in pinned:
-                obj.unpin()
+            MemObject.unpin_all(pinned)
         policy.on_kernel_finish(read_objs, write_objs)
         self._kernel_count += 1
         paranoia = self.params.paranoia
@@ -734,12 +747,13 @@ class Executor:
                 if is_kernel:
                     kernel_start(event.name)
                     timing = adapter_kernel(event, trace)
+                    total = timing.total
                     # Yield the kernel's duration to the scheduler; other
                     # streams may run before this one resumes.
-                    yield timing.total, KERNEL
+                    yield total, KERNEL
                     kernel_end(
                         event.name,
-                        timing.total,
+                        total,
                         timing.compute,
                         timing.memory,
                         timing.fixed,

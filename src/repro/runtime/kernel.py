@@ -27,6 +27,11 @@ from repro.sim.bandwidth import TransferKind
 
 __all__ = ["ExecutionParams", "KernelTiming", "kernel_timing"]
 
+# Enum members bound once: a class-attribute read of a member is a
+# Python-level lookup, and the sweep below makes several per operand.
+_READ, _WRITE, _WRITE_NT = TransferKind.READ, TransferKind.WRITE, TransferKind.WRITE_NT
+_NVRAM = MemoryKind.NVRAM
+
 
 @dataclass(frozen=True)
 class ExecutionParams:
@@ -100,14 +105,14 @@ def kernel_timing(
     dram = 0.0
     nvram = 0.0
     fixed = 0.0
+    threads = params.kernel_threads
     for device, nbytes in reads:
         if nbytes <= 0:
             continue
-        seconds = device.bandwidth.transfer_time(
-            TransferKind.READ, nbytes, params.kernel_threads
-        )
-        fixed += device.bandwidth.setup_latency
-        if device.kind is MemoryKind.NVRAM:
+        model = device.bandwidth
+        seconds = model.transfer_time(_READ, nbytes, threads)
+        fixed += model.setup_latency
+        if device.kind is _NVRAM:
             nvram += seconds * read_sensitivity
             dram += seconds * (1.0 - read_sensitivity)
         else:
@@ -115,13 +120,10 @@ def kernel_timing(
     for device, nbytes in writes:
         if nbytes <= 0:
             continue
-        fixed += device.bandwidth.setup_latency
-        if device.kind is MemoryKind.NVRAM:
-            nvram += device.bandwidth.transfer_time(
-                TransferKind.WRITE_NT, nbytes, params.nvram_write_threads
-            )
+        model = device.bandwidth
+        fixed += model.setup_latency
+        if device.kind is _NVRAM:
+            nvram += model.transfer_time(_WRITE_NT, nbytes, params.nvram_write_threads)
         else:
-            dram += device.bandwidth.transfer_time(
-                TransferKind.WRITE, nbytes, params.kernel_threads
-            )
+            dram += model.transfer_time(_WRITE, nbytes, threads)
     return KernelTiming(compute=compute, dram=dram, nvram=nvram, fixed=fixed)

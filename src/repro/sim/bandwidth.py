@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.units import GB
 
@@ -45,12 +46,22 @@ class TransferKind(enum.Enum):
     WRITE_NT = "write_nt"  # streaming non-temporal stores
 
 
+# Enum members bound once: a class-attribute read of a member is a
+# Python-level lookup on every use.
+_READ, _WRITE, _WRITE_NT = TransferKind.READ, TransferKind.WRITE, TransferKind.WRITE_NT
+_READ_KEY = _READ._value_
+
+
 @dataclass(frozen=True)
 class BandwidthModel:
-    """Base interface: map (kind, size, threads) to effective bandwidth.
+    """Base interface: map (kind, threads) to a peak rate, and a transfer's
+    size to its time.
 
-    ``bandwidth`` returns bytes/second; ``transfer_time`` folds in the fixed
-    per-transfer overhead so that tiny transfers never see peak bandwidth.
+    A transfer of ``nbytes`` runs at the effective bandwidth ``nbytes /
+    (nbytes / peak + setup_latency)`` B/s, which folds in the fixed
+    per-transfer overhead so that tiny transfers never see peak bandwidth;
+    :meth:`transfer_time` and :func:`copy_time` are the two users of that
+    formula.
     """
 
     setup_latency: float = 0.0  # seconds of fixed cost per transfer
@@ -58,37 +69,38 @@ class BandwidthModel:
     def peak(self, kind: TransferKind, threads: int = 1) -> float:
         raise NotImplementedError
 
-    def bandwidth(self, kind: TransferKind, nbytes: int, threads: int = 1) -> float:
-        """Effective bandwidth for a transfer of ``nbytes`` (B/s).
+    @cached_property
+    def _peak_memo(self) -> dict[tuple[str, int], float]:
+        """``peak`` per ``(kind._value_, threads)``, filled by :meth:`_remember_peak`.
 
-        ``peak`` is pure in ``(kind, threads)`` (all models are frozen
-        dataclasses), so results are memoised per instance: the kernel/copy
-        timing paths call this once per operand and the curve arithmetic was
-        measurable. The memo only stores values ``peak`` actually returned,
-        so the arithmetic — and any validation error — is unchanged.
+        ``peak`` is pure in its arguments (every model is a frozen
+        dataclass), so each pair is computed once per instance and the
+        timing paths read it with one subscript, in their own frame. Keyed
+        on the member's value string: ``Enum.__hash__`` and the ``.value``
+        descriptor are both Python-level calls. The memo only stores values
+        ``peak`` returned, so the arithmetic — and any validation error — is
+        unchanged. ``cached_property`` writes the instance ``__dict__``
+        directly, around the frozen ``__setattr__``.
         """
-        if nbytes <= 0:
-            raise ValueError(f"transfer size must be positive, got {nbytes}")
-        # Keyed on the member's value string, read as the plain ``_value_``
-        # attribute: ``Enum.__hash__`` and the ``.value`` descriptor are both
-        # Python-level calls, once per operand and copy.
-        key = (kind._value_, threads)
-        try:
-            peak = self._peak_memo[key]
-        except KeyError:
-            peak = self._peak_memo[key] = self.peak(kind, threads)
-        except AttributeError:
-            peak = self.peak(kind, threads)
-            # Frozen dataclass: route the one-time cache attach around
-            # __setattr__. Item writes on the dict itself are unrestricted.
-            object.__setattr__(self, "_peak_memo", {key: peak})
-        return nbytes / (nbytes / peak + self.setup_latency)
+        return {}
+
+    def _remember_peak(self, kind: TransferKind, threads: int) -> float:
+        """The memo's miss path."""
+        peak = self._peak_memo[kind._value_, threads] = self.peak(kind, threads)
+        return peak
 
     def transfer_time(self, kind: TransferKind, nbytes: int, threads: int = 1) -> float:
-        """Modelled seconds to move ``nbytes`` with ``threads`` workers."""
-        if nbytes == 0:
-            return 0.0
-        return nbytes / self.bandwidth(kind, nbytes, threads)
+        """Modelled seconds to move ``nbytes`` with ``threads`` workers:
+        ``nbytes`` over the effective bandwidth."""
+        if nbytes <= 0:
+            if nbytes == 0:
+                return 0.0
+            raise ValueError(f"transfer size must be positive, got {nbytes}")
+        try:
+            peak = self._peak_memo[kind._value_, threads]
+        except KeyError:
+            peak = self._remember_peak(kind, threads)
+        return nbytes / (nbytes / (nbytes / peak + self.setup_latency))
 
 
 @dataclass(frozen=True)
@@ -196,30 +208,6 @@ def optane_bandwidth_model(
     )
 
 
-def effective_copy_bandwidth(
-    source: BandwidthModel,
-    dest: BandwidthModel,
-    nbytes: int,
-    threads: int = 1,
-    *,
-    nt_stores: bool = True,
-) -> float:
-    """Peak-rate of a copy: serialized load+store per worker thread.
-
-    A copy thread alternates cache-line loads from ``source`` with
-    (non-temporal) stores to ``dest``; non-temporal stores do not pipeline
-    behind loads, so the achieved rate is the harmonic combination
-    ``1 / (1/read_bw + 1/write_bw)`` rather than the optimistic ``min``.
-    This matches the measured DRAM<->Optane copy rates in [4], [6]
-    (~10 GB/s toward NVRAM, ~15-25 GB/s from it) and preserves their
-    headline anomaly: copy bandwidth *decreases* with extra parallelism.
-    """
-    write_kind = TransferKind.WRITE_NT if nt_stores else TransferKind.WRITE
-    read_bw = source.bandwidth(TransferKind.READ, nbytes, threads)
-    write_bw = dest.bandwidth(write_kind, nbytes, threads)
-    return 1.0 / (1.0 / read_bw + 1.0 / write_bw)
-
-
 def copy_time(
     source: BandwidthModel,
     dest: BandwidthModel,
@@ -228,12 +216,33 @@ def copy_time(
     *,
     nt_stores: bool = True,
 ) -> float:
-    """Modelled seconds for a traffic-shaped bulk copy of ``nbytes``."""
-    if nbytes == 0:
-        return 0.0
-    return nbytes / effective_copy_bandwidth(
-        source, dest, nbytes, threads, nt_stores=nt_stores
-    )
+    """Modelled seconds for a traffic-shaped bulk copy of ``nbytes``.
+
+    A copy thread alternates cache-line loads from ``source`` with
+    (non-temporal) stores to ``dest``; non-temporal stores do not pipeline
+    behind loads, so the achieved rate is the harmonic combination
+    ``1 / (1/read_bw + 1/write_bw)`` of the two effective bandwidths rather
+    than the optimistic ``min``, and the copy takes ``nbytes`` over it.
+    This matches the measured DRAM<->Optane copy rates in [4], [6]
+    (~10 GB/s toward NVRAM, ~15-25 GB/s from it) and preserves their
+    headline anomaly: copy bandwidth *decreases* with extra parallelism.
+    """
+    if nbytes <= 0:
+        if nbytes == 0:
+            return 0.0
+        raise ValueError(f"transfer size must be positive, got {nbytes}")
+    try:
+        read_peak = source._peak_memo[_READ_KEY, threads]
+    except KeyError:
+        read_peak = source._remember_peak(_READ, threads)
+    read_bw = nbytes / (nbytes / read_peak + source.setup_latency)
+    write_kind = _WRITE_NT if nt_stores else _WRITE
+    try:
+        write_peak = dest._peak_memo[write_kind._value_, threads]
+    except KeyError:
+        write_peak = dest._remember_peak(write_kind, threads)
+    write_bw = nbytes / (nbytes / write_peak + dest.setup_latency)
+    return nbytes / (1.0 / (1.0 / read_bw + 1.0 / write_bw))
 
 
 def optimal_copy_threads(

@@ -111,10 +111,10 @@ class TestMovementExact:
         engine = CopyEngine(SimClock())
         nbytes = 2 * MiB
         record = engine.copy(dram, 0, nvram, 0, nbytes)
-        read_bw = dram.device.bandwidth.bandwidth(
+        read_bw = nbytes / dram.device.bandwidth.transfer_time(
             TransferKind.READ, nbytes, record.threads
         )
-        write_bw = nvram.device.bandwidth.bandwidth(
+        write_bw = nbytes / nvram.device.bandwidth.transfer_time(
             TransferKind.WRITE_NT, nbytes, record.threads
         )
         expected = nbytes / (1.0 / (1.0 / read_bw + 1.0 / write_bw))

@@ -115,6 +115,58 @@ def test_mixed_real_virtual_rejected():
         engine.copy(real, a, virtual, b, KiB)
 
 
+def rejected_copy_state(engine, source, dest):
+    return (
+        engine.clock.now,
+        dict(engine.clock.categories()),
+        (source.traffic.read_bytes, source.traffic.write_bytes),
+        (dest.traffic.read_bytes, dest.traffic.write_bytes),
+        engine._copy_seq,
+        dict(engine._channel_free_at),
+        dict(engine.injector._counts),
+        list(engine.injector.fired),
+    )
+
+
+MIXED = "cannot copy between a real and a virtual device: 'DRAM' -> 'NVRAM'"
+ASYNC_REAL = "asynchronous movement is a timing model; it requires virtual devices"
+
+
+@pytest.mark.parametrize(
+    "async_mode, source_real, dest_real, message",
+    [
+        pytest.param(False, True, False, MIXED, id="sync real->virtual"),
+        pytest.param(False, False, True, MIXED, id="sync virtual->real"),
+        pytest.param(True, True, False, ASYNC_REAL, id="async real->virtual"),
+        pytest.param(True, False, True, ASYNC_REAL, id="async virtual->real"),
+        pytest.param(True, True, True, ASYNC_REAL, id="async real->real"),
+    ],
+)
+def test_a_rejected_copy_leaves_every_counter_untouched(
+    async_mode, source_real, dest_real, message
+):
+    """A copy the engine refuses is refused before it is charged: no clock
+    advance, no traffic on either heap, no sequence number, no DMA-channel
+    booking, and the fault plan's copy counter has not moved."""
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import COPY, FaultPlan, FaultSpec
+
+    clock = SimClock()
+    plan = FaultPlan("copy-fails", specs=(FaultSpec(COPY),))
+    injector = FaultInjector(plan, clock=clock)
+    engine = CopyEngine(clock, async_mode=async_mode, injector=injector)
+    engine._channel_free_at["NVRAM"] = 1.0
+    source = Heap(MemoryDevice.dram(MiB, real=source_real))
+    dest = Heap(MemoryDevice.nvram(MiB, real=dest_real))
+    before = rejected_copy_state(engine, source, dest)
+    with pytest.raises(ConfigurationError) as caught:
+        engine.copy(source, source.allocate(4 * KiB), dest, dest.allocate(4 * KiB),
+                    4 * KiB)
+    assert str(caught.value) == message
+    assert rejected_copy_state(engine, source, dest) == before
+    assert before[0] == 0.0 and before[2] == before[3] == (0, 0)
+
+
 def test_keep_records():
     engine = CopyEngine(SimClock())
     engine.keep_records = True

@@ -9,7 +9,6 @@ from repro.sim.bandwidth import (
     TransferKind,
     copy_time,
     dram_bandwidth_model,
-    effective_copy_bandwidth,
     optane_bandwidth_model,
     optimal_copy_threads,
 )
@@ -39,13 +38,15 @@ class TestConstantBandwidth:
 
     def test_setup_latency_penalises_small_transfers(self):
         model = ConstantBandwidth(read=1 * GB, setup_latency=1e-3)
-        small = model.bandwidth(TransferKind.READ, 1 * MiB)
-        large = model.bandwidth(TransferKind.READ, 1 * GB)
+        small = MiB / model.transfer_time(TransferKind.READ, 1 * MiB)
+        large = GB / model.transfer_time(TransferKind.READ, 1 * GB)
         assert small < large < 1 * GB + 1
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantBandwidth().bandwidth(TransferKind.READ, -1)
+        with pytest.raises(ValueError, match="transfer size must be positive, got -1"):
+            ConstantBandwidth().transfer_time(TransferKind.READ, -1)
+        with pytest.raises(ValueError, match="transfer size must be positive, got -1"):
+            copy_time(ConstantBandwidth(), ConstantBandwidth(), -1)
 
 
 class TestOptaneCurve:
@@ -97,7 +98,7 @@ class TestCopyModel:
     def test_copy_rate_harmonic_combination(self):
         dram = dram_bandwidth_model(setup_latency=0.0)
         nvram = optane_bandwidth_model(setup_latency=0.0)
-        rate = effective_copy_bandwidth(dram, nvram, GB, threads=4)
+        rate = GB / copy_time(dram, nvram, GB, threads=4)
         read = dram.peak(TransferKind.READ, 4)
         write = nvram.peak(TransferKind.WRITE_NT, 4)
         assert rate == pytest.approx(1.0 / (1.0 / read + 1.0 / write))
@@ -140,12 +141,8 @@ class TestCopyModel:
         """Eviction copies land near the ~10 GB/s of [4]; fills faster."""
         dram = dram_bandwidth_model(setup_latency=0.0)
         nvram = optane_bandwidth_model(setup_latency=0.0)
-        to_bw = effective_copy_bandwidth(
-            dram, nvram, GB, optimal_copy_threads(dram, nvram, 8)
-        )
-        from_bw = effective_copy_bandwidth(
-            nvram, dram, GB, optimal_copy_threads(nvram, dram, 8)
-        )
+        to_bw = GB / copy_time(dram, nvram, GB, optimal_copy_threads(dram, nvram, 8))
+        from_bw = GB / copy_time(nvram, dram, GB, optimal_copy_threads(nvram, dram, 8))
         assert 8 * GB < to_bw < 14 * GB
         assert 12 * GB < from_bw < 30 * GB
 

@@ -89,10 +89,11 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
     assert calls_in(first, command) > 100_000
 
 
-# Calls into src/repro (imports included) of the command below at PR 24,
-# which made a kernel's hints, residency and finish one policy call each;
-# the per-operand chain it replaced cost 613 278.
-SERVE_CALLS = 400_694
+# Calls into src/repro (imports included) of the command below once the
+# mechanism tested state inline, read each device constant in one call and
+# recorded a kernel's traffic once per device (400 694 before that; 613 278
+# before a kernel's hints, residency and finish became one policy call each).
+SERVE_CALLS = 332_872
 
 
 def test_serving_calls_per_command_do_not_creep_back():
