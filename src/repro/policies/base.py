@@ -129,7 +129,13 @@ def prefetch_object(
         start = find_start(sz)
         if start is None:
             return None
-        dm.evictfrom(fast, start, sz, evict_callback)
+        # Pinned for the eviction only: a demotion cascading into ``slow``
+        # (three or more tiers) must not pick ``obj`` and free ``x``.
+        obj.pin()
+        try:
+            dm.evictfrom(fast, start, sz, evict_callback)
+        finally:
+            obj.unpin()
         y = dm.try_allocate(fast, sz)
         if y is None:
             return None

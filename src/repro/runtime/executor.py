@@ -19,6 +19,7 @@ system — the controlled comparison the paper runs on real hardware.
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.object import MemObject
@@ -482,8 +483,9 @@ class RunResult:
     trace_name: str
     iterations: list[IterationResult]
     occupancy_timeline: dict[str, Timeline]
-    # Structured events collected during the run (empty when tracing is off).
-    trace: list[TraceEvent] = field(default_factory=list)
+    # Structured events collected during the run (empty when tracing is off):
+    # an EventView over the tracer's records as they stood at the end.
+    trace: Sequence[TraceEvent] = field(default_factory=list)
 
     def steady_state(self) -> IterationResult:
         """The last iteration — warmup (first-touch allocation of weights,
@@ -847,5 +849,5 @@ class Executor:
             trace_name=trace.name,
             iterations=results,
             occupancy_timeline=dict(self._timelines),
-            trace=list(tracer.events),
+            trace=tracer.events.copy(),
         )

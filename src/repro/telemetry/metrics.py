@@ -99,6 +99,9 @@ class MetricsRegistry:
     def key(name: str, labels: dict[str, str]) -> str:
         if not labels:
             return name
+        if len(labels) == 1:  # the common case: nothing to sort or join
+            ((label, value),) = labels.items()
+            return f"{name}{{{label}={value}}}"
         inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
         return f"{name}{{{inner}}}"
 

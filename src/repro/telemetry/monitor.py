@@ -74,6 +74,7 @@ from repro.telemetry.trace import (
     TraceEvent,
     Tracer,
     _NULL_SCOPE,
+    _as_event,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -434,9 +435,10 @@ class FlightRecorder:
     """A fixed-size ring of the most recent events: the run's black box.
 
     Appending is O(1) with no allocation beyond the slot write. Slots hold
-    either full :class:`TraceEvent` records (the full tier and replay) or
-    plain dicts (the monitor-tier ``note_*`` fast path appends compact
-    pre-shaped records to avoid building events it would never retain). A
+    the full tier's retained records (see :mod:`repro.telemetry.trace`),
+    :class:`TraceEvent` objects (replay and alerts), or the monitor-only
+    tier's compact ``(kind, ts, *values)`` tuples (its ``note_*`` fast path
+    builds no event it would never retain). A
     dump writes a ``repro.flight`` JSONL document — header line (reason,
     virtual dump time, drop count) followed by the retained records in
     arrival order with sorted keys and compact separators (the same
@@ -461,11 +463,14 @@ class FlightRecorder:
         self.total += 1
 
     def snapshot(self) -> list["TraceEvent | dict | tuple"]:
-        """Retained records in arrival order (oldest first)."""
-        if self.total < self.capacity:
-            return [e for e in self._ring[: self._next] if e is not None]
+        """Retained entries in arrival order (oldest first), a full-tier
+        record as the event the trace view reads; cheap-tier tuples (kind
+        first, where a record starts with its ts) stay as they are."""
         tail = self._ring[self._next:] + self._ring[: self._next]
-        return [e for e in tail if e is not None]
+        return [
+            _as_event(e) if type(e) is tuple and type(e[0]) is not str else e
+            for e in tail if e is not None
+        ]
 
     def dump(self, fp: IO[str], *, reason: str, ts: float) -> int:
         """Write the ring as a flight-record JSONL document; returns count."""
@@ -1594,7 +1599,7 @@ class MonitorTracer(Tracer):
         self.monitor = monitor if monitor is not None else RuntimeMonitor()
         self.keep_events = keep_events
         if keep_events:
-            self.monitor.set_alert_sink(self.events.append)
+            self.monitor.set_alert_sink(self._log_alert)
         else:
             # The listener is picked here, once — not by a flag every typed
             # call would have to test. (Re-classing, rather than a __new__
@@ -1606,21 +1611,28 @@ class MonitorTracer(Tracer):
 
     def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
         # A hand-built event: stamped and retained, then the replay intake.
-        event = Tracer._event(self, ts, kind, args)
+        record = Tracer._event(self, ts, kind, tuple(args), tuple(args.values()))
+        event = _as_event(record)
         self.monitor.observe(event)
         return event
 
-    def _event(self, ts: float, kind: str, args: dict[str, Any]) -> TraceEvent:
+    def _log_alert(self, event: TraceEvent) -> None:
+        # The monitor's alerts join the log as records, outside any scope.
+        args = event.args
+        self._records.append((event.ts, ALERT, "", "", None, "", tuple(args),
+                              *args.values()))
+
+    def _event(self, ts: float, kind: str, fields: tuple, values: tuple) -> tuple:
         # Tracer._event (stamp, retain), then what ``observe`` does before it
         # folds — ring, then count — with ``FlightRecorder.append`` and
         # ``RuntimeMonitor._intake`` written in place: this runs once per
         # event of a traced run, and the two calls cost more than their
         # bodies. The window the event landed in is left as the aggregator's
         # cached window, which is where the typed folds below find it.
-        event = Tracer._event(self, ts, kind, args)
+        record = Tracer._event(self, ts, kind, fields, values)
         monitor = self.monitor
         ring = monitor.ring
-        ring._ring[ring._next] = event
+        ring._ring[ring._next] = record
         ring._next = (ring._next + 1) % ring.capacity
         ring.total += 1
         monitor.events_seen += 1
@@ -1631,7 +1643,7 @@ class MonitorTracer(Tracer):
             rollups._cache_window.events += 1
         else:
             rollups.window_for(ts).events += 1
-        return event
+        return record
 
     # Unchanged from Tracer; bound here because the layered benchmark
     # resolves its telemetry spans through this class's own namespace.
@@ -1640,8 +1652,8 @@ class MonitorTracer(Tracer):
 
     # -- the kinds the monitor folds (those _MonitorOnlyTracer forwards) -----
     #
-    # Each builds its event through Tracer's body, which rings and counts it,
-    # then folds the values in hand into the window the event landed in.
+    # Each builds its record through Tracer's body, which rings and counts
+    # it, then folds the values in hand into the window it landed in.
 
     def alloc(self, device, offset, nbytes, obj=None) -> None:
         Tracer.alloc(self, device, offset, nbytes, obj)
@@ -1656,14 +1668,15 @@ class MonitorTracer(Tracer):
     def copy(self, src, dst, nbytes, threads, seconds, completes_at, seq) -> None:
         # The start folds before the end event is counted: that count may
         # close the start's window, which must see this copy in flight.
+        # (A record reads ts, kind, cause, root, ...: see Tracer._event.)
         start = self._copy_start(src, dst, nbytes, threads, seconds, completes_at, seq)
         monitor = self.monitor
         window = monitor.rollups._cache_window
         monitor._fold_copy_start(
-            window, nbytes, seconds, cause_kind(start.root), cause_kind(start.cause)
+            window, nbytes, seconds, cause_kind(start[3]), cause_kind(start[2])
         )
         end = self._copy_end(src, dst, nbytes, completes_at, seq)
-        monitor._fold_copy_end(end.ts - start.ts, nbytes)
+        monitor._fold_copy_end(end[0] - start[0], nbytes)
 
     def copy_retry(self, ts, src, dst, nbytes, attempt, reason) -> None:
         Tracer.copy_retry(self, ts, src, dst, nbytes, attempt, reason)

@@ -34,18 +34,30 @@ listening:
   ``scope()``/``hint()`` return a shared singleton context manager, so an
   untraced site pays one method call with its arguments evaluated and
   allocates nothing.
-* :class:`Tracer` (full tracing): each typed call builds its
-  :class:`TraceEvent` positionally through ``Tracer._event`` and returns
-  it. These bodies are the only code that knows the event schema — kind,
-  field names, field order, timestamp. :meth:`Tracer.emit`/
+* :class:`Tracer` (full tracing): each typed call retains one flat
+  *record* through ``Tracer._event`` and returns it — a tuple of ts, kind,
+  cause, root, root_ts, stream, a constant tuple of field names, then the
+  values. These bodies are the only code that knows the event schema —
+  kind, field names, field order, timestamp. :meth:`Tracer.emit`/
   :meth:`Tracer.emit_at` remain for hand-emitted events only. With the
-  monitor attached (``MonitorTracer(keep_events=True)``) each event is
+  monitor attached (``MonitorTracer(keep_events=True)``) each record is
   also rung and counted as it is built, and the kinds the monitor folds
   are folded right there, from the values the typed call already holds.
 * the monitor-only tier (``telemetry.monitor``): the kinds the always-on
   :class:`~repro.telemetry.monitor.RuntimeMonitor` folds forward their
   positional values to its ``note_*`` intake — no kwargs dict, no
   :class:`TraceEvent` — and every other kind is the no-op above.
+
+**Retained events are records, read through a view.** A traced run keeps
+every event, so what it keeps must cost the cyclic collector nothing: a
+tuple holding only atomic values (strings, numbers, ``None`` and the
+field-name tuple) is untracked at its first young collection and never
+reaches a full one, where a slotted :class:`TraceEvent` would be walked by
+every one. ``Tracer.events`` is an :class:`EventView`, a read-only
+sequence that builds each :class:`TraceEvent` when it is read; its
+:meth:`~EventView.copy` (``RunResult.trace``) builds them once, on the
+first read. ``stall`` and ``decision`` records carry lists, so those rare
+ones stay tracked.
 
 ``tracer.enabled`` survives only where full tracing does extra *work*
 rather than different *reporting* (per-operand attribution scopes, stall
@@ -56,13 +68,15 @@ never advances the clock, so no listener can change results.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.clock import SimClock
 
 __all__ = [
     "TraceEvent",
+    "EventView",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -154,12 +168,12 @@ class TraceEvent:
     the tenant id under the multi-stream scheduler, which retags the
     tracer on every stream switch.
 
-    A hand-rolled ``__slots__`` class rather than a dataclass: event
-    construction is the single hottest allocation in an enabled-tracer run
-    (one per alloc/copy/kernel boundary), and skipping the per-instance
-    ``__dict__`` plus the dataclass ``__init__`` indirection measurably
-    cuts emission cost (``Tracer._event`` goes further and fills the slots
-    directly). Events are treated as immutable by convention.
+    What readers see, not what a tracer keeps: a :class:`Tracer` retains
+    flat records and its :class:`EventView` builds one event per access
+    (``_as_event`` fills the slots directly). A hand-rolled ``__slots__``
+    class rather than a dataclass, so a reader walking a long trace pays
+    no per-instance ``__dict__``. Events are treated as immutable by
+    convention.
     """
 
     __slots__ = ("ts", "kind", "args", "cause", "root", "root_ts", "stream")
@@ -218,6 +232,80 @@ class TraceEvent:
         return out
 
 
+# -- retained records ------------------------------------------------------------
+#
+# A record is ``(ts, kind, cause, root, root_ts, stream, fields, *values)``,
+# ``fields`` naming the values in args order. Each typed body passes its
+# field names as a tuple literal: a code constant, one shared object, so a
+# record adds no container of its own.
+
+
+def _as_event(record: tuple) -> TraceEvent:
+    """The :class:`TraceEvent` a record stands for (args in field order)."""
+    event = _new_object(TraceEvent)
+    (event.ts, event.kind, event.cause, event.root, event.root_ts, event.stream,
+     fields) = record[:7]
+    event.args = dict(zip(fields, record[7:]))
+    return event
+
+
+class EventView(Sequence):
+    """A read-only sequence of :class:`TraceEvent` over retained records.
+
+    Each access builds a fresh event, so a reader making several passes
+    should ``list()`` the view once. Supports ``len``, indexing (negative
+    indexes and slices; a slice is a list), iteration, ``==`` against any
+    sequence of events, and :meth:`clear`.
+    """
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: "list[tuple] | tuple" = ()) -> None:
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_as_event(record) for record in self._records[index]]
+        return _as_event(self._records[index])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(_as_event, self._records)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def copy(self) -> "EventView":
+        """A read-only snapshot of the records retained so far."""
+        return _Snapshot(tuple(self._records))
+
+    def clear(self) -> None:
+        self._records.clear()
+
+
+class _Snapshot(EventView):
+    """What :meth:`EventView.copy` returns (``RunResult.trace``): records
+    no one appends to, so the first read builds every event once and later
+    passes reuse them. One that is only counted builds none."""
+
+    __slots__ = ("_events",)
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._read())
+
+    def _read(self) -> list[TraceEvent]:
+        if not hasattr(self, "_events"):
+            self._events = list(map(_as_event, self._records))
+        return self._events
+
+
 class _Scope:
     """A cause-attribution scope; push on ``__enter__``, pop on ``__exit__``."""
 
@@ -252,13 +340,15 @@ _NULL_SCOPE = _NullScope()
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records against a virtual clock."""
+    """Retains one record per event against a virtual clock; ``events`` is
+    the :class:`EventView` readers see them through."""
 
     enabled = True
 
     def __init__(self, clock: "SimClock") -> None:
         self.clock = clock
-        self.events: list[TraceEvent] = []
+        self._records: list[tuple] = []
+        self.events = EventView(self._records)
         # (label, open-time) pairs, outermost first.
         self._scopes: list[tuple[str, float]] = []
         # The active execution stream (tenant); the multi-stream scheduler
@@ -269,79 +359,75 @@ class Tracer:
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
         """Record a hand-built event at the current virtual time."""
-        return self._event(self.clock.now, kind, args)
+        return self.emit_at(self.clock.now, kind, **args)
 
     def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
         """Record a hand-built event at an explicit virtual time."""
-        return self._event(ts, kind, args)
+        return _as_event(self._event(ts, kind, tuple(args), tuple(args.values())))
 
-    def _event(self, ts: float, kind: str, args: dict[str, Any]) -> TraceEvent:
-        # The one place an event is stamped with its attribution scopes and
-        # retained. Takes the args dict positionally: re-packing it through
-        # a second ``**args`` call costs more than everything else here. The
-        # event is filled field by field rather than through TraceEvent(...):
-        # a class call runs ``__init__`` in a fresh interpreter frame, which
-        # costs more than the stores it makes.
-        event = _new_object(TraceEvent)
-        event.ts = ts
-        event.kind = kind
-        event.args = args
+    def _event(self, ts: float, kind: str, fields: tuple, values: tuple) -> tuple:
+        # The one place a record is stamped with its attribution scopes and
+        # retained. The values arrive as one tuple, so a listener extending
+        # this passes them on without a ``*values`` repack.
         scopes = self._scopes
         if scopes:
-            event.cause = scopes[-1][0]
-            event.root, event.root_ts = scopes[0]
+            root, root_ts = scopes[0]
+            head = (ts, kind, scopes[-1][0], root, root_ts, self.stream, fields)
         else:
-            event.cause = event.root = ""
-            event.root_ts = None
-        event.stream = self.stream
-        self.events.append(event)
-        return event
+            head = (ts, kind, "", "", None, self.stream, fields)
+        record = head + values
+        self._records.append(record)
+        return record
 
     # -- the typed seam -------------------------------------------------------
     #
     # One method per instrumented site kind, called unconditionally with
     # positional values (see NullTracer for what each reports). These bodies
     # are the event schema: kind, field names, field order, timestamp. Each
-    # builds its args dict in place and hands it to ``_event`` positionally
-    # (never through ``emit``'s kwargs repack) and returns the event, so a
-    # listener that extends a body has the event it built in hand.
+    # hands ``_event`` its field names and values positionally (never
+    # through ``emit``'s kwargs repack) and returns the record, so a
+    # listener that extends a body has what it built in hand.
 
     def alloc(
         self, device: str, offset: int, nbytes: int, obj: str | None = None
-    ) -> TraceEvent:
-        args = {"device": device, "offset": offset, "nbytes": nbytes}
+    ) -> tuple:
         if obj is not None:  # named only where the site names one (2LM)
-            args = {"device": device, "obj": obj, **args}
-        return self._event(self.clock.now, ALLOC, args)
+            fields = ("device", "obj", "offset", "nbytes")
+            values = (device, obj, offset, nbytes)
+            return self._event(self.clock.now, ALLOC, fields, values)
+        fields = ("device", "offset", "nbytes")
+        return self._event(self.clock.now, ALLOC, fields, (device, offset, nbytes))
 
     def free(
         self, device: str, offset: int, nbytes: int, obj: str | None = None
-    ) -> TraceEvent:
-        args = {"device": device, "offset": offset, "nbytes": nbytes}
+    ) -> tuple:
         if obj is not None:  # named only where the site names one (2LM)
-            args = {"device": device, "obj": obj, **args}
-        return self._event(self.clock.now, FREE, args)
+            fields = ("device", "obj", "offset", "nbytes")
+            values = (device, obj, offset, nbytes)
+            return self._event(self.clock.now, FREE, fields, values)
+        fields = ("device", "offset", "nbytes")
+        return self._event(self.clock.now, FREE, fields, (device, offset, nbytes))
 
-    def setprimary(self, obj: str, device: str, nbytes: int) -> TraceEvent:
-        args = {"obj": obj, "device": device, "nbytes": nbytes}
-        return self._event(self.clock.now, SETPRIMARY, args)
+    def setprimary(self, obj: str, device: str, nbytes: int) -> tuple:
+        fields = ("obj", "device", "nbytes")
+        return self._event(self.clock.now, SETPRIMARY, fields, (obj, device, nbytes))
 
-    def setdirty(self, obj: str, device: str, nbytes: int, dirty: bool) -> TraceEvent:
-        args = {"obj": obj, "device": device, "nbytes": nbytes, "dirty": dirty}
-        return self._event(self.clock.now, SETDIRTY, args)
+    def setdirty(self, obj: str, device: str, nbytes: int, dirty: bool) -> tuple:
+        fields = ("obj", "device", "nbytes", "dirty")
+        values = (obj, device, nbytes, dirty)
+        return self._event(self.clock.now, SETDIRTY, fields, values)
 
-    def evict_scan(self, device: str, depth: int, nbytes: int) -> TraceEvent:
-        args = {"device": device, "depth": depth, "nbytes": nbytes}
-        return self._event(self.clock.now, EVICT_SCAN, args)
+    def evict_scan(self, device: str, depth: int, nbytes: int) -> tuple:
+        fields = ("device", "depth", "nbytes")
+        return self._event(self.clock.now, EVICT_SCAN, fields, (device, depth, nbytes))
 
-    def defrag(self, device: str, moves: int) -> TraceEvent:
-        args = {"device": device, "moves": moves}
-        return self._event(self.clock.now, DEFRAG, args)
+    def defrag(self, device: str, moves: int) -> tuple:
+        return self._event(self.clock.now, DEFRAG, ("device", "moves"), (device, moves))
 
     def copy(
         self, src: str, dst: str, nbytes: int, threads: int, seconds: float,
         completes_at: float, seq: int,
-    ) -> TraceEvent:
+    ) -> tuple:
         # The span runs [completes_at - seconds, completes_at] in both
         # modes: synchronous copies just advanced the clock by `seconds`,
         # asynchronous ones queued on the destination's DMA channel. Two
@@ -350,126 +436,131 @@ class Tracer:
         return self._copy_end(src, dst, nbytes, completes_at, seq)
 
     def _copy_start(self, src, dst, nbytes, threads, seconds, completes_at, seq):
-        args = {"src": src, "dst": dst, "nbytes": nbytes, "threads": threads,
-                "seconds": seconds, "seq": seq}
-        return self._event(completes_at - seconds, COPY_START, args)
+        fields = ("src", "dst", "nbytes", "threads", "seconds", "seq")
+        values = (src, dst, nbytes, threads, seconds, seq)
+        return self._event(completes_at - seconds, COPY_START, fields, values)
 
     def _copy_end(self, src, dst, nbytes, completes_at, seq):
-        args = {"src": src, "dst": dst, "nbytes": nbytes, "seq": seq}
-        return self._event(completes_at, COPY_END, args)
+        fields = ("src", "dst", "nbytes", "seq")
+        return self._event(completes_at, COPY_END, fields, (src, dst, nbytes, seq))
 
     def copy_retry(
         self, ts: float, src: str, dst: str, nbytes: int, attempt: int, reason: str
-    ) -> TraceEvent:
-        args = {"src": src, "dst": dst, "nbytes": nbytes, "attempt": attempt,
-                "reason": reason}
-        return self._event(ts, COPY_RETRY, args)
+    ) -> tuple:
+        fields = ("src", "dst", "nbytes", "attempt", "reason")
+        return self._event(ts, COPY_RETRY, fields, (src, dst, nbytes, attempt, reason))
 
-    def place(self, obj: str, device: str, nbytes: int) -> TraceEvent:
-        args = {"obj": obj, "device": device, "nbytes": nbytes}
-        return self._event(self.clock.now, PLACE, args)
+    def place(self, obj: str, device: str, nbytes: int) -> tuple:
+        fields = ("obj", "device", "nbytes")
+        return self._event(self.clock.now, PLACE, fields, (obj, device, nbytes))
 
-    def prefetch(self, obj: str, src: str, dst: str, nbytes: int) -> TraceEvent:
-        args = {"obj": obj, "src": src, "dst": dst, "nbytes": nbytes}
-        return self._event(self.clock.now, PREFETCH, args)
+    def prefetch(self, obj: str, src: str, dst: str, nbytes: int) -> tuple:
+        fields = ("obj", "src", "dst", "nbytes")
+        return self._event(self.clock.now, PREFETCH, fields, (obj, src, dst, nbytes))
 
     def evict(
         self, obj: str, src: str, dst: str, nbytes: int, clean: bool
-    ) -> TraceEvent:
-        args = {"obj": obj, "src": src, "dst": dst, "nbytes": nbytes, "clean": clean}
-        return self._event(self.clock.now, EVICT, args)
+    ) -> tuple:
+        fields = ("obj", "src", "dst", "nbytes", "clean")
+        values = (obj, src, dst, nbytes, clean)
+        return self._event(self.clock.now, EVICT, fields, values)
 
     def decision(
         self, policy: str, action: str, device: str, need: int, chosen: str,
         considered: int, rejected: list[dict], rejected_dropped: int, **extra: Any,
-    ) -> TraceEvent:
-        args = {"policy": policy, "action": action, "device": device, "need": need,
-                "chosen": chosen, "considered": considered, "rejected": rejected,
-                "rejected_dropped": rejected_dropped, **extra}
-        return self._event(self.clock.now, DECISION, args)
+    ) -> tuple:
+        fields = ("policy", "action", "device", "need", "chosen", "considered",
+                  "rejected", "rejected_dropped", *extra)
+        values = (policy, action, device, need, chosen, considered, rejected,
+                  rejected_dropped, *extra.values())
+        return self._event(self.clock.now, DECISION, fields, values)
 
-    def kernel_start(self, kernel: str) -> TraceEvent:
-        return self._event(self.clock.now, KERNEL_START, {"kernel": kernel})
+    def kernel_start(self, kernel: str) -> tuple:
+        return self._event(self.clock.now, KERNEL_START, ("kernel",), (kernel,))
 
     def kernel_end(
         self, kernel: str, seconds: float, compute: float, memory: float,
         fixed: float, phase: str,
-    ) -> TraceEvent:
-        args = {"kernel": kernel, "seconds": seconds, "compute": compute,
-                "memory": memory, "fixed": fixed, "phase": phase}
-        return self._event(self.clock.now, KERNEL_END, args)
+    ) -> tuple:
+        fields = ("kernel", "seconds", "compute", "memory", "fixed", "phase")
+        values = (kernel, seconds, compute, memory, fixed, phase)
+        return self._event(self.clock.now, KERNEL_END, fields, values)
 
     def stall(
         self, kernel: str, seconds: float, late: Sequence[tuple[str, float]] = ()
-    ) -> TraceEvent:
+    ) -> tuple:
         # Charge the stall to the operands still in flight, proportionally
         # to how late each one is — the ledger uses this to blame wait time
         # on specific objects.
         total_late = sum(remaining for _, remaining in late)
         charged = ([seconds * remaining / total_late for _, remaining in late]
                    if total_late > 0 else [])
-        args = {"kernel": kernel, "seconds": seconds,
-                "objects": [name for name, _ in late], "charged": charged}
-        return self._event(self.clock.now, STALL, args)
+        fields = ("kernel", "seconds", "objects", "charged")
+        values = (kernel, seconds, [name for name, _ in late], charged)
+        return self._event(self.clock.now, STALL, fields, values)
 
-    def gc(self, seconds: float) -> TraceEvent:
-        return self._event(self.clock.now, GC, {"seconds": seconds})
+    def gc(self, seconds: float) -> tuple:
+        return self._event(self.clock.now, GC, ("seconds",), (seconds,))
 
-    def oom_retry(self, obj: str, nbytes: int) -> TraceEvent:
-        return self._event(self.clock.now, OOM_RETRY, {"obj": obj, "nbytes": nbytes})
+    def oom_retry(self, obj: str, nbytes: int) -> tuple:
+        return self._event(self.clock.now, OOM_RETRY, ("obj", "nbytes"), (obj, nbytes))
 
-    def invariant_check(self, kernels: int) -> TraceEvent:
-        return self._event(self.clock.now, INVARIANT_CHECK, {"kernels": kernels})
+    def invariant_check(self, kernels: int) -> tuple:
+        return self._event(self.clock.now, INVARIANT_CHECK, ("kernels",), (kernels,))
 
     def fault(
         self, site: str, device: str, op: str, index: int, detail: Mapping[str, Any]
-    ) -> TraceEvent:
-        args = {"site": site, "device": device, "op": op, "index": index, **detail}
-        return self._event(self.clock.now, FAULT, args)
+    ) -> tuple:
+        fields = ("site", "device", "op", "index", *detail)
+        values = (site, device, op, index, *detail.values())
+        return self._event(self.clock.now, FAULT, fields, values)
 
     def recovery_step(
         self, step: str, device: str, requested: int, free: int, acted: bool,
         tenant: str,
-    ) -> TraceEvent:
-        args = {"step": step, "device": device, "requested": requested,
-                "free": free, "acted": acted, "tenant": tenant}
-        return self._event(self.clock.now, RECOVERY_STEP, args)
+    ) -> tuple:
+        fields = ("step", "device", "requested", "free", "acted", "tenant")
+        values = (step, device, requested, free, acted, tenant)
+        return self._event(self.clock.now, RECOVERY_STEP, fields, values)
 
     def recovery(
         self, step: str, device: str, requested: int, steps: str, tenant: str
-    ) -> TraceEvent:
-        args = {"step": step, "device": device, "requested": requested,
-                "steps": steps, "tenant": tenant}
-        return self._event(self.clock.now, RECOVERY, args)
+    ) -> tuple:
+        fields = ("step", "device", "requested", "steps", "tenant")
+        values = (step, device, requested, steps, tenant)
+        return self._event(self.clock.now, RECOVERY, fields, values)
 
     def policy_strike(
         self, op: str, strikes: int, error: str, tenant: str
-    ) -> TraceEvent:
-        args = {"op": op, "strikes": strikes, "error": error, "tenant": tenant}
-        return self._event(self.clock.now, POLICY_STRIKE, args)
+    ) -> tuple:
+        fields = ("op", "strikes", "error", "tenant")
+        values = (op, strikes, error, tenant)
+        return self._event(self.clock.now, POLICY_STRIKE, fields, values)
 
-    def quarantine(self, policy: str, fallback: str, strikes: int) -> TraceEvent:
-        args = {"policy": policy, "fallback": fallback, "strikes": strikes}
-        return self._event(self.clock.now, QUARANTINE, args)
+    def quarantine(self, policy: str, fallback: str, strikes: int) -> tuple:
+        fields = ("policy", "fallback", "strikes")
+        values = (policy, fallback, strikes)
+        return self._event(self.clock.now, QUARANTINE, fields, values)
 
-    def detach(self, tenant: str, objects: int, nbytes: int, quota: int) -> TraceEvent:
-        args = {"tenant": tenant, "objects": objects, "nbytes": nbytes, "quota": quota}
-        return self._event(self.clock.now, DETACH, args)
+    def detach(self, tenant: str, objects: int, nbytes: int, quota: int) -> tuple:
+        fields = ("tenant", "objects", "nbytes", "quota")
+        values = (tenant, objects, nbytes, quota)
+        return self._event(self.clock.now, DETACH, fields, values)
 
-    def resize(self, device: str, old: int, new: int, via: str) -> TraceEvent:
-        args = {"device": device, "old": old, "new": new, "via": via}
-        return self._event(self.clock.now, RESIZE, args)
+    def resize(self, device: str, old: int, new: int, via: str) -> tuple:
+        fields = ("device", "old", "new", "via")
+        return self._event(self.clock.now, RESIZE, fields, (device, old, new, via))
 
-    def checkpoint(self, kind: str, label: str, kernels: int) -> TraceEvent:
-        return self._event(self.clock.now, kind, {"label": label, "kernels": kernels})
+    def checkpoint(self, kind: str, label: str, kernels: int) -> tuple:
+        return self._event(self.clock.now, kind, ("label", "kernels"), (label, kernels))
 
     def request(
         self, request: str, klass: str, outcome: str, seconds: float,
         queue_wait: float,
-    ) -> TraceEvent:
-        args = {"request": request, "klass": klass, "outcome": outcome,
-                "seconds": seconds, "queue_wait": queue_wait}
-        return self._event(self.clock.now, REQUEST, args)
+    ) -> tuple:
+        fields = ("request", "klass", "outcome", "seconds", "queue_wait")
+        values = (request, klass, outcome, seconds, queue_wait)
+        return self._event(self.clock.now, REQUEST, fields, values)
 
     # -- attribution scopes -------------------------------------------------
 
@@ -485,7 +576,7 @@ class Tracer:
         movement a policy performs in response is attributed to the hint.
         """
         label = subject_label(subject)
-        self._event(self.clock.now, HINT, {"hint": kind, "subject": label})
+        self._event(self.clock.now, HINT, ("hint", "subject"), (kind, label))
         return _Scope(self, f"hint:{kind}:{label}")
 
     @property
@@ -500,7 +591,7 @@ class Tracer:
 
     def clear(self) -> None:
         """Drop collected events (between experiments; scopes are kept)."""
-        self.events.clear()
+        self._records.clear()
 
 
 class NullTracer:
@@ -512,7 +603,7 @@ class NullTracer:
     """
 
     enabled = False
-    events: tuple[TraceEvent, ...] = ()
+    events = EventView()
     cause = ""
     root = ""
     stream = ""

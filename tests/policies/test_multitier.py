@@ -126,6 +126,27 @@ class TestPromotion:
         assert region.device_name == "DRAM"
 
 
+class TestPromotionCascade:
+    def test_a_cascade_cannot_demote_the_object_being_promoted(self):
+        """Promoting a CXL object forces a DRAM eviction whose demotion
+        makes room in CXL; the object being promoted is CXL's coldest
+        candidate, and demoting it would free the region the promotion is
+        about to copy from. It is pinned for the eviction, so the cascade
+        takes the next victim and the promotion completes."""
+        manager, policy = build(dram=48 * KiB, cxl=64 * KiB, nvram=4 * MiB)
+        sizes = (8, 8, 8, 8, 12, 8, 8, 8, 8, 24)
+        objs = [
+            new_obj(manager, policy, size=size * KiB, name=f"t{index}")
+            for index, size in enumerate(sizes)
+        ]
+        assert manager.getprimary(objs[0]).device_name == "CXL"
+        region = policy.ensure_resident(objs[0], AccessIntent.WRITE)
+        assert region.device_name == "DRAM"
+        assert not objs[0].pinned
+        policy.check_invariant()
+        manager.check_invariants()
+
+
 class TestDemotionAcrossLinkedSecondaries:
     """A promotion leaves the lower-tier copy linked as a clean secondary;
     a later span eviction of that tier may cover it (ROADMAP item 1: the

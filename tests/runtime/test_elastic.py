@@ -157,6 +157,19 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 1 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_4_envelope_is_rejected(self, tmp_path):
+        """Version 4 predates retained events as flat records: its tracers
+        pickled a list of ``TraceEvent`` objects where this build keeps
+        records behind an ``EventView``."""
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 4, "snapshot": snap,
+        }
+        path = tmp_path / "v4.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 4 unsupported"):
+            load_snapshot(str(path))
+
     def test_stale_class_layout_is_rejected_with_the_typed_error(
         self, tmp_path
     ):
