@@ -381,45 +381,29 @@ class TwoLMAdapter(SystemAdapter):
     def archive(self, name: str) -> None:
         """Hardware caches receive no semantic hints — deliberately a no-op."""
 
-    def _access_scaled(self, name: str, factor: float, *, is_write: bool):
-        """Stream over a tensor ``factor`` times (fractional tail allowed),
-        yielding each sweep's access result."""
-        offset, size = self.offsets[name], self.sizes[name]
-        system = self.system
-        line_size = system.cache.line_size
-        remaining = factor
-        while remaining > 1e-9:
-            part = min(remaining, 1.0)
-            nbytes = min(max(line_size, int(size * part)), size)
-            yield system.access(offset, nbytes, is_write=is_write)
-            remaining -= part
-
     def kernel(self, kernel: Kernel, trace: KernelTrace) -> KernelTiming:
-        dram_time = 0.0
-        nvram_time = 0.0
-        time_of = self.system.time_of
-        sensitivity = kernel.read_sensitivity
-        for name in kernel.reads:
-            for result in self._access_scaled(
-                name, kernel.read_factor, is_write=False
-            ):
-                dram, nvram = time_of(result)
-                # Demand fills on reads overlap like DRAM traffic for
-                # read-insensitive kernels (hardware MLP), mirroring the CA
-                # path so the two systems stay comparable.
-                dram_time += dram + nvram * (1.0 - sensitivity)
-                nvram_time += nvram * sensitivity
-        for name in kernel.writes:
-            for result in self._access_scaled(
-                name, kernel.write_factor, is_write=True
-            ):
-                dram, nvram = time_of(result)
-                dram_time += dram
-                nvram_time += nvram
+        # Each operand is streamed ``factor`` times (fractional tail
+        # allowed), one sweep per pass; the system walks the whole kernel
+        # in one call.
+        line_size = self.system.cache.line_size
+        sweeps: list[tuple[int, int, bool]] = []
+        for names, factor, is_write in (
+            (kernel.reads, kernel.read_factor, False),
+            (kernel.writes, kernel.write_factor, True),
+        ):
+            for name in names:
+                offset, size = self.offsets[name], self.sizes[name]
+                remaining = factor
+                while remaining > 1e-9:
+                    part = min(remaining, 1.0)
+                    nbytes = min(max(line_size, int(size * part)), size)
+                    sweeps.append((offset, nbytes, is_write))
+                    remaining -= part
+        dram, nvram = self.system.access_sweeps(sweeps, kernel.read_sensitivity)
         compute = self.params.launch_overhead + (
-            kernel.flops / self.params.peak_flops if kernel.flops else 0.0
+            kernel.flops / self.params.peak_flops if kernel.flops > 0 else 0.0
         )
-        return KernelTiming(compute=compute, dram=dram_time, nvram=nvram_time)
+        return KernelTiming(compute=compute, dram=dram, nvram=nvram)
 
     def occupancy(self) -> dict[str, int]:
         return {self.system.nvram.name: self.system.used_bytes}

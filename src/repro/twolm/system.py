@@ -19,6 +19,8 @@ copies (Section V-b).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.errors import ConfigurationError
 from repro.memory.allocator import FreeListAllocator
 from repro.memory.device import MemoryDevice
@@ -27,6 +29,8 @@ from repro.telemetry.counters import TrafficCounters
 from repro.twolm.dramcache import AccessResult, CacheStats, DramCacheSim
 
 __all__ = ["TwoLMSystem"]
+
+_READ, _WRITE = TransferKind.READ, TransferKind.WRITE
 
 
 class TwoLMSystem:
@@ -93,47 +97,94 @@ class TwoLMSystem:
     # -- access path -------------------------------------------------------------
 
     def access(self, offset: int, size: int, *, is_write: bool) -> AccessResult:
-        """Route a tensor access through the DRAM cache; account traffic."""
-        result = self.cache.access_range(offset, size, is_write=is_write)
-        # dram_bytes = the demand access + miss fills + dirty-victim
-        # readouts, and the last two are exactly the NVRAM byte counts.
-        # Fills and write-accesses write DRAM; read-accesses, victim
-        # readouts and the metadata surcharge read it.
-        _, _, _, dram_bytes, fill_bytes, victim_bytes = result
-        metadata_bytes = int(dram_bytes * self.metadata_overhead)
-        if is_write:
-            self.dram_traffic.record_write(dram_bytes - victim_bytes)
-            self.dram_traffic.record_read(victim_bytes + metadata_bytes)
-        else:
-            self.dram_traffic.record_read(dram_bytes - fill_bytes + metadata_bytes)
-            self.dram_traffic.record_write(fill_bytes)
-        self.nvram_traffic.record_read(fill_bytes)
-        self.nvram_traffic.record_write(victim_bytes)
-        return result
+        """Route one tensor access through the DRAM cache; account traffic."""
+        sweep = ((offset, size, is_write),)
+        walked = self.cache.access_ranges(sweep)
+        self._record(*self._fold(sweep, walked, 1.0))
+        return AccessResult.of(*walked[0], self.cache.line_size)
+
+    def access_sweeps(
+        self, sweeps: Sequence[tuple[int, int, bool]], read_sensitivity: float
+    ) -> tuple[float, float]:
+        """Route a kernel's ``(offset, size, is_write)`` sweeps, in order,
+        through the DRAM cache; account traffic and return the kernel's
+        (DRAM seconds, NVRAM seconds) of service time.
+
+        ``read_sensitivity`` is the share of a read sweep's NVRAM time
+        exposed as a stall, as in :func:`~repro.runtime.kernel.kernel_timing`.
+        A batch that fails its checks changes nothing.
+        """
+        if not 0.0 <= read_sensitivity <= 1.0:
+            raise ValueError(f"read_sensitivity must be in [0,1]: {read_sensitivity}")
+        walked = self.cache.access_ranges(sweeps)
+        return self._record(*self._fold(sweeps, walked, read_sensitivity))
 
     def time_of(self, result: AccessResult) -> tuple[float, float]:
-        """(DRAM seconds, NVRAM seconds) of service time for one access."""
-        _, _, _, dram_bytes, nvram_read_bytes, nvram_write_bytes = result
-        dram_seconds = nvram_seconds = 0.0
-        if dram_bytes:
-            dram_seconds = self.dram.bandwidth.transfer_time(
-                TransferKind.READ,
-                int(dram_bytes * (1.0 + self.metadata_overhead)),
-                self.fill_threads,
-            )
-        if nvram_read_bytes:
-            nvram_seconds = (
-                self.nvram.bandwidth.transfer_time(
-                    TransferKind.READ, nvram_read_bytes, self.fill_threads
-                )
-                / self.nvram_read_efficiency
-            )
-        if nvram_write_bytes:
-            # Writebacks are cached (temporal) line writes — the slow path.
-            nvram_seconds += self.nvram.bandwidth.transfer_time(
-                TransferKind.WRITE, nvram_write_bytes, self.writeback_threads
-            )
-        return dram_seconds, nvram_seconds
+        """(DRAM seconds, NVRAM seconds) of service time for one access:
+        the fold of a one-sweep batch at full read sensitivity."""
+        lines = result.hits + result.clean_misses + result.dirty_misses
+        walked = ((lines, result.hits, result.dirty_misses),)
+        return self._fold(((0, 0, False),), walked, 1.0)[:2]
+
+    def _record(self, dram_time, nvram_time, *traffic: int) -> tuple[float, float]:
+        """Record a fold's byte totals (DRAM read, DRAM write, NVRAM read,
+        NVRAM write), one call per counter; pass its times on."""
+        self.dram_traffic.record_read(traffic[0])
+        self.dram_traffic.record_write(traffic[1])
+        self.nvram_traffic.record_read(traffic[2])
+        self.nvram_traffic.record_write(traffic[3])
+        return dram_time, nvram_time
+
+    def _fold(self, sweeps, walked, read_sensitivity: float) -> tuple:
+        """Time and traffic of ``sweeps`` given their ``access_ranges``
+        entries: (DRAM s, NVRAM s, DRAM read, DRAM write, NVRAM read, NVRAM
+        write bytes). Changes nothing."""
+        ls = self.cache.line_size
+        overhead = self.metadata_overhead
+        taxed = 1.0 + overhead  # DRAM bytes moved per access byte
+        dram_cost = self.dram.bandwidth.transfer_time
+        nvram_cost = self.nvram.bandwidth.transfer_time
+        fill_threads, writeback_threads = self.fill_threads, self.writeback_threads
+        efficiency = self.nvram_read_efficiency
+        hidden = 1.0 - read_sensitivity
+        dram_read = dram_write = nvram_read = nvram_write = 0
+        dram_time = nvram_time = 0.0
+        for (_, _, is_write), (lines, hits, dirty) in zip(sweeps, walked):
+            # dram_bytes = the demand access + miss fills + dirty-victim
+            # readouts, and the last two are exactly the NVRAM byte counts.
+            # Fills and write-accesses write DRAM; read-accesses, victim
+            # readouts and the metadata surcharge read it.
+            misses = lines - hits
+            dram_bytes = (lines + misses + dirty) * ls
+            fill_bytes = misses * ls
+            victim_bytes = dirty * ls
+            metadata_bytes = int(dram_bytes * overhead)
+            if is_write:
+                dram_write += dram_bytes - victim_bytes
+                dram_read += victim_bytes + metadata_bytes
+            else:
+                dram_read += dram_bytes - fill_bytes + metadata_bytes
+                dram_write += fill_bytes
+            nvram_read += fill_bytes
+            nvram_write += victim_bytes
+            # Every sweep touches at least one line, so dram_bytes > 0.
+            dram = dram_cost(_READ, int(dram_bytes * taxed), fill_threads)
+            nvram = 0.0
+            if fill_bytes:
+                nvram = nvram_cost(_READ, fill_bytes, fill_threads) / efficiency
+            if victim_bytes:
+                # Writebacks are cached (temporal) line writes — the slow path.
+                nvram += nvram_cost(_WRITE, victim_bytes, writeback_threads)
+            if is_write:
+                dram_time += dram
+                nvram_time += nvram
+            else:
+                # Demand fills on reads overlap like DRAM traffic for
+                # read-insensitive kernels (hardware MLP), mirroring the CA
+                # path so the two systems stay comparable.
+                dram_time += dram + nvram * hidden
+                nvram_time += nvram * read_sensitivity
+        return dram_time, nvram_time, dram_read, dram_write, nvram_read, nvram_write
 
     # -- telemetry -----------------------------------------------------------------
 

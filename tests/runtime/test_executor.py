@@ -148,6 +148,29 @@ def test_policy_stats_only_on_ca():
     assert not twolm_executor().run(trace).iterations[0].policy_stats
 
 
+@pytest.mark.parametrize(
+    "flops, sensitivity", [(1.0e9, -0.1), (1.0e9, 1.5), (-1.0e9, 0.5), (0.0, 1.0)]
+)
+def test_one_kernel_gets_the_same_verdict_on_both_adapters(flops, sensitivity):
+    """A read sensitivity outside [0, 1] is rejected, and non-positive work
+    costs only the launch, on either memory system."""
+    kernel = Kernel("k", ("a",), ("b",), flops, read_sensitivity=sensitivity)
+    verdicts = []
+    for executor in (ca_executor(), twolm_executor()):
+        adapter = executor.adapter
+        for name in "ab":
+            adapter.alloc(TensorSpec(name, 64 * KiB))
+        try:
+            verdicts.append(adapter.kernel(kernel, None).compute)
+        except ValueError as exc:
+            verdicts.append(str(exc))
+    assert verdicts[0] == verdicts[1]
+    if not 0.0 <= sensitivity <= 1.0:
+        assert "read_sensitivity" in verdicts[0]
+    else:
+        assert verdicts[0] == PARAMS.launch_overhead
+
+
 def test_occupancy_timeline_recorded():
     executor = ca_executor()
     trace = annotate(filo_stack_trace(depth=6), memopt=True)

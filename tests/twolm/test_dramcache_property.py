@@ -67,15 +67,32 @@ class CacheModel(RuleBasedStateMachine):
         addr = first * LINE + head
         return addr, max(1, (first + count - 1) * LINE + tail - addr)
 
+    def _check(self, got, expected):
+        """One range's (hits, clean, dirty) against the reference's."""
+        assert got == expected
+        self.expected = CacheStats(
+            *(a + b for a, b in zip(astuple(self.expected), expected))
+        )
+
     @rule(span=spans, is_write=st.booleans())
     def access(self, span, is_write):
         addr, size = self._range(span)
         result = self.sim.access_range(addr, size, is_write=is_write)
-        expected = self.ref.access(addr, size, is_write)
-        assert (result.hits, result.clean_misses, result.dirty_misses) == expected
-        self.expected = CacheStats(
-            *(a + b for a, b in zip(astuple(self.expected), expected))
+        self._check(
+            (result.hits, result.clean_misses, result.dirty_misses),
+            self.ref.access(addr, size, is_write),
         )
+
+    @rule(batch=st.lists(st.tuples(spans, st.booleans()), min_size=1, max_size=4))
+    def batch(self, batch):
+        ranges = [(*self._range(span), is_write) for span, is_write in batch]
+        walked = self.sim.access_ranges(ranges)
+        assert len(walked) == len(ranges)
+        for (addr, size, is_write), (lines, hits, dirty) in zip(ranges, walked):
+            self._check(
+                (hits, lines - hits - dirty, dirty),
+                self.ref.access(addr, size, is_write),
+            )
 
     @rule(span=spans)
     def invalidate_range(self, span):

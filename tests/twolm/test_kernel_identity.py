@@ -1,0 +1,152 @@
+"""A 2LM kernel against a naive reference: timing, tag stats and traffic.
+
+``TwoLMAdapter.kernel`` runs Hypothesis kernels on small caches; the
+reference walks every sweep line by line through ``ScalarAssocCache`` and
+folds the time plainly over ``transfer_time``. Timings compare by
+``float.hex``, counters exactly.
+"""
+
+from dramcache_reference import ScalarAssocCache
+from hypothesis import given, settings, strategies as st
+
+from repro.memory.device import MemoryDevice
+from repro.runtime.executor import TwoLMAdapter
+from repro.runtime.kernel import ExecutionParams
+from repro.sim.bandwidth import TransferKind
+from repro.twolm.system import TwoLMSystem
+from repro.workloads.trace import Kernel, TensorSpec
+
+LINE = 64
+BACKING = 256 * LINE
+PARAMS = ExecutionParams()
+
+factors = st.sampled_from([0.25, 1.0, 1.5, 3.7]) | st.floats(0.05, 4.0)
+# (read operands, write operands, read factor, write factor, sensitivity,
+# flops); operands index the four tensors and may repeat.
+kernels = st.tuples(
+    st.lists(st.integers(0, 3), max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    factors,
+    factors,
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0e9]) | st.floats(0.0, 1.0e12),
+)
+
+
+class Reference:
+    """Per-line tags, per-sweep byte counts, the time fold written out."""
+
+    def __init__(self, system: TwoLMSystem):
+        self.system = system
+        cache = system.cache
+        self.cache = ScalarAssocCache(cache.num_sets, cache.ways, LINE)
+        self.stats = [0, 0, 0]  # hits, clean misses, dirty misses
+        self.dram = [0, 0]  # read, write bytes
+        self.nvram = [0, 0]
+
+    def sweep(self, offset, nbytes, is_write):
+        """One sweep: (DRAM seconds, NVRAM seconds), counters bumped."""
+        system = self.system
+        hits, clean, dirty = self.cache.access(offset, nbytes, is_write)
+        for i, n in enumerate((hits, clean, dirty)):
+            self.stats[i] += n
+        misses = clean + dirty
+        dram_bytes = (hits + misses + misses + dirty) * LINE
+        fill, victim = misses * LINE, dirty * LINE
+        metadata = int(dram_bytes * system.metadata_overhead)
+        if is_write:
+            self.dram[1] += dram_bytes - victim
+            self.dram[0] += victim + metadata
+        else:
+            self.dram[0] += dram_bytes - fill + metadata
+            self.dram[1] += fill
+        self.nvram[0] += fill
+        self.nvram[1] += victim
+        dram_s = nvram_s = 0.0
+        if dram_bytes:
+            dram_s = system.dram.bandwidth.transfer_time(
+                TransferKind.READ,
+                int(dram_bytes * (1.0 + system.metadata_overhead)),
+                system.fill_threads,
+            )
+        if fill:
+            nvram_s = (
+                system.nvram.bandwidth.transfer_time(
+                    TransferKind.READ, fill, system.fill_threads
+                )
+                / system.nvram_read_efficiency
+            )
+        if victim:
+            nvram_s += system.nvram.bandwidth.transfer_time(
+                TransferKind.WRITE, victim, system.writeback_threads
+            )
+        return dram_s, nvram_s
+
+    def kernel(self, operands, kernel):
+        dram_t = nvram_t = 0.0
+        s = kernel.read_sensitivity
+        for names, factor, is_write in (
+            (kernel.reads, kernel.read_factor, False),
+            (kernel.writes, kernel.write_factor, True),
+        ):
+            for name in names:
+                offset, size = operands[name]
+                remaining = factor
+                while remaining > 1e-9:
+                    part = min(remaining, 1.0)
+                    nbytes = min(max(LINE, int(size * part)), size)
+                    dram, nvram = self.sweep(offset, nbytes, is_write)
+                    if is_write:
+                        dram_t += dram
+                        nvram_t += nvram
+                    else:
+                        dram_t += dram + nvram * (1.0 - s)
+                        nvram_t += nvram * s
+                    remaining -= part
+        compute = PARAMS.launch_overhead + (
+            kernel.flops / PARAMS.peak_flops if kernel.flops > 0 else 0.0
+        )
+        return compute, dram_t, nvram_t, 0.0
+
+
+@given(
+    ways=st.sampled_from([1, 2]),
+    num_sets=st.sampled_from([3, 5, 8, 13]),
+    metadata=st.sampled_from([0.0, 0.1, 0.37]),
+    sizes=st.lists(st.integers(1, 40 * LINE), min_size=4, max_size=4),
+    specs=st.lists(kernels, min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_naive_reference(ways, num_sets, metadata, sizes, specs):
+    system = TwoLMSystem(
+        MemoryDevice.dram(num_sets * ways * LINE),
+        MemoryDevice.nvram(BACKING),
+        line_size=LINE,
+        ways=ways,
+        metadata_overhead=metadata,
+    )
+    adapter = TwoLMAdapter(system, PARAMS)
+    names = [f"t{i}" for i in range(len(sizes))]
+    for name, size in zip(names, sizes):
+        adapter.alloc(TensorSpec(name, size))
+    operands = {n: (adapter.offsets[n], adapter.sizes[n]) for n in names}
+    ref = Reference(system)
+    for i, (reads, writes, rf, wf, sensitivity, flops) in enumerate(specs):
+        kernel = Kernel(
+            f"k{i}",
+            tuple(names[r] for r in reads),
+            tuple(names[w] for w in writes),
+            flops,
+            read_factor=rf,
+            write_factor=wf,
+            read_sensitivity=sensitivity,
+        )
+        timing = adapter.kernel(kernel, None)
+        got = (timing.compute, timing.dram, timing.nvram, timing.fixed)
+        want = ref.kernel(operands, kernel)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    stats = system.cache_stats()
+    assert [stats.hits, stats.clean_misses, stats.dirty_misses] == ref.stats
+    dram, nvram = system.dram_traffic, system.nvram_traffic
+    assert [dram.read_bytes, dram.write_bytes] == ref.dram
+    assert [nvram.read_bytes, nvram.write_bytes] == ref.nvram

@@ -1,5 +1,6 @@
 """TwoLMSystem: flat heap + cache access path + timing split."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -58,8 +59,7 @@ def test_bad_parameters_rejected():
 def test_time_split_by_device():
     system = make()
     offset = system.allocate(KiB)
-    result = system.access(offset, KiB, is_write=True)
-    dram_seconds, nvram_seconds = system.time_of(result)
+    dram_seconds, nvram_seconds = system.access_sweeps([(offset, KiB, True)], 1.0)
     assert dram_seconds > 0 and nvram_seconds > 0
 
 
@@ -67,14 +67,53 @@ def test_writeback_time_dominates():
     """Dirty writebacks (temporal NVRAM writes) are the expensive path."""
     system = make()
     system.access(0, 2 * KiB, is_write=True)  # make sets 0..31 dirty
+    before = system.cache_stats()
     # 64 KiB cache -> 1024 sets; the address one cache-size away conflicts.
-    evicting = system.access(64 * KiB, 2 * KiB, is_write=False)
-    assert evicting.dirty_misses == 32
-    _, nvram_with_writeback = system.time_of(evicting)
+    _, nvram_with_writeback = system.access_sweeps([(64 * KiB, 2 * KiB, False)], 1.0)
+    assert (system.cache_stats() - before).dirty_misses == 32
     system.cache.reset()
-    refill = system.access(0, 2 * KiB, is_write=False)  # clean fill only
-    _, nvram_clean = system.time_of(refill)
+    _, nvram_clean = system.access_sweeps([(0, 2 * KiB, False)], 1.0)  # clean fill
     assert nvram_with_writeback > nvram_clean
+
+
+@pytest.mark.parametrize("is_write", [False, True])
+def test_time_of_is_a_one_sweep_batch(is_write):
+    """``access`` then ``time_of`` gives a one-sweep batch's seconds at full
+    read sensitivity exactly, and both count the same traffic."""
+    single, batch = make(), make()
+    for system in (single, batch):
+        system.access(0, 2 * KiB, is_write=True)  # dirty victims for the sweep
+    result = single.access(64 * KiB, 3 * KiB + 5, is_write=is_write)
+    pair = batch.access_sweeps([(64 * KiB, 3 * KiB + 5, is_write)], 1.0)
+    assert result.dirty_misses == 32
+    assert single.time_of(result) == pair
+    assert single.traffic() == batch.traffic()
+    assert single.cache_stats() == batch.cache_stats()
+
+
+@pytest.mark.parametrize("ways", [1, 2])
+@pytest.mark.parametrize(
+    "sweeps, sensitivity, error",
+    [
+        # The last range runs past the 1 MiB backing store.
+        ([(64 * KiB, 2 * KiB, False), (0, KiB, True), (MiB - KiB, 2 * KiB, False)],
+         1.0, ConfigurationError),
+        ([(0, KiB, False), (0, 0, True)], 1.0, ConfigurationError),
+        ([(64 * KiB, 2 * KiB, False)], 1.5, ValueError),
+    ],
+)
+def test_failed_batch_changes_nothing(ways, sweeps, sensitivity, error):
+    system = make(ways=ways)
+    system.access(0, 2 * KiB, is_write=True)
+    cache = system.cache
+    arrays = [a.copy() for a in (cache._tags, cache._dirty, cache._stamp)]
+    tick, stats, traffic = cache._tick, system.cache_stats(), system.traffic()
+    with pytest.raises(error):
+        system.access_sweeps(sweeps, sensitivity)
+    for before, after in zip(arrays, (cache._tags, cache._dirty, cache._stamp)):
+        assert np.array_equal(before, after)
+    assert cache._tick == tick
+    assert system.cache_stats() == stats and system.traffic() == traffic
 
 
 def test_cache_stats_and_traffic_snapshots():
