@@ -16,6 +16,7 @@ iteration and they never carry a ``Free``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import inf
 from typing import Iterable, Iterator
 
 from repro.errors import TraceError
@@ -222,6 +223,15 @@ class KernelTrace:
                     raise TraceError(f"Alloc of dead tensor {event.tensor!r}")
                 live.add(event.tensor)
             elif isinstance(event, Kernel):
+                # Both memory systems trust these: caught here, before either
+                # moves data (an infinite factor would never finish a sweep).
+                rf, wf = event.read_factor, event.write_factor
+                s = event.read_sensitivity
+                if not (0.0 <= rf < inf and 0.0 <= wf < inf and 0.0 <= s <= 1.0):
+                    raise TraceError(
+                        f"kernel {event.name!r}: traffic factors ({rf}, {wf}) must be "
+                        f"finite and >= 0, read_sensitivity ({s}) in [0,1]"
+                    )
                 for name in event.reads:
                     check_use(name, f"kernel {event.name!r} read")
                 for name in event.writes:

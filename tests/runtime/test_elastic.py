@@ -170,6 +170,19 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 4 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_5_envelope_is_rejected(self, tmp_path):
+        """Version 5 predates the run-length 2LM tag store: a paused ``2LM:*``
+        run pickled a ``DramCacheSim`` holding per-set numpy arrays where
+        this build keeps run bounds and run states."""
+        snap = checkpoint_trace_mode(_trace(), "2LM:M", _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 5, "snapshot": snap,
+        }
+        path = tmp_path / "v5.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 5 unsupported"):
+            load_snapshot(str(path))
+
     def test_stale_class_layout_is_rejected_with_the_typed_error(
         self, tmp_path
     ):

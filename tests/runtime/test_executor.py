@@ -1,5 +1,7 @@
 """Executor: trace walking on both systems, GC integration, telemetry."""
 
+import math
+
 import pytest
 
 from repro.core.session import Session, SessionConfig
@@ -13,7 +15,14 @@ from repro.twolm.system import TwoLMSystem
 from repro.units import KiB, MiB
 from repro.workloads.annotate import annotate
 from repro.workloads.synthetic import filo_stack_trace, streaming_trace
-from repro.workloads.trace import IterEnd, Kernel, KernelTrace, TensorSpec
+from repro.workloads.trace import (
+    Alloc,
+    Free,
+    IterEnd,
+    Kernel,
+    KernelTrace,
+    TensorSpec,
+)
 
 PARAMS = ExecutionParams()
 
@@ -110,8 +119,6 @@ def test_trace_without_iterend_rejected():
     executor = ca_executor()
     trace = KernelTrace()
     trace.add_tensor(TensorSpec("t", 64))
-    from repro.workloads.trace import Alloc, Free
-
     trace.events = [Alloc("t"), Free("t")]
     with pytest.raises(TraceError):
         executor.run(annotate(trace, memopt=True))
@@ -169,6 +176,34 @@ def test_one_kernel_gets_the_same_verdict_on_both_adapters(flops, sensitivity):
         assert "read_sensitivity" in verdicts[0]
     else:
         assert verdicts[0] == PARAMS.launch_overhead
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("read_factor", -1.0),
+        ("read_factor", math.nan),
+        ("read_factor", math.inf),
+        ("write_factor", math.inf),
+        ("read_sensitivity", 1.5),
+    ],
+)
+def test_a_bad_kernel_is_refused_before_either_adapter_runs(field, value):
+    """A negative or non-finite traffic factor, or a read sensitivity outside
+    [0, 1], is a TraceError from the trace itself: neither memory system sees
+    the kernel, so none moves data (an infinite factor would never finish)."""
+    trace = KernelTrace(name="one-kernel")
+    for name in "ab":
+        trace.add_tensor(TensorSpec(name, 64 * KiB))
+    kernel = Kernel("k", ("a",), ("b",), 1.0e9, **{field: value})
+    trace.events = [Alloc("a"), Alloc("b"), kernel, Free("a"), Free("b"), IterEnd()]
+    verdicts = []
+    for executor in (ca_executor(), twolm_executor()):
+        with pytest.raises(TraceError, match="traffic factors") as exc:
+            executor.run(annotate(trace, memopt=True))
+        verdicts.append(str(exc.value))
+        assert not any(t.total_bytes for t in executor.adapter.traffic().values())
+    assert verdicts[0] == verdicts[1]
 
 
 def test_occupancy_timeline_recorded():

@@ -118,6 +118,10 @@ class CacheModel(RuleBasedStateMachine):
         assert self.sim.dirty_lines() == self.ref.dirty_lines()
         assert self.sim.stats == self.expected
 
+    @invariant()
+    def runs_are_well_formed(self):
+        self.sim.check_invariants()
+
     def teardown(self):
         """Per-line sweep: residency, then dirty state (read destructively:
         dropping a line lowers the dirty count iff it was dirty)."""

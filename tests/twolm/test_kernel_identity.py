@@ -110,7 +110,7 @@ class Reference:
 
 
 @given(
-    ways=st.sampled_from([1, 2]),
+    ways=st.sampled_from([1, 2, 4]),
     num_sets=st.sampled_from([3, 5, 8, 13]),
     metadata=st.sampled_from([0.0, 0.1, 0.37]),
     sizes=st.lists(st.integers(1, 40 * LINE), min_size=4, max_size=4),
@@ -145,6 +145,7 @@ def test_kernel_matches_naive_reference(ways, num_sets, metadata, sizes, specs):
         got = (timing.compute, timing.dram, timing.nvram, timing.fixed)
         want = ref.kernel(operands, kernel)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+        system.cache.check_invariants()
     stats = system.cache_stats()
     assert [stats.hits, stats.clean_misses, stats.dirty_misses] == ref.stats
     dram, nvram = system.dram_traffic, system.nvram_traffic
