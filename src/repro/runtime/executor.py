@@ -382,23 +382,28 @@ class TwoLMAdapter(SystemAdapter):
         """Hardware caches receive no semantic hints — deliberately a no-op."""
 
     def kernel(self, kernel: Kernel, trace: KernelTrace) -> KernelTiming:
-        # Each operand is streamed ``factor`` times (fractional tail
-        # allowed), one sweep per pass; the system walks the whole kernel
-        # in one call.
+        # Each operand is streamed ``factor`` times, one sweep per pass:
+        # ``whole`` full passes, then a fractional ``tail`` pass clamped to
+        # [one line, the operand]. The factor is split once per operand
+        # list; the system walks and prices the whole kernel in one call.
         line_size = self.system.cache.line_size
+        offsets, sizes = self.offsets, self.sizes
         sweeps: list[tuple[int, int, bool]] = []
         for names, factor, is_write in (
             (kernel.reads, kernel.read_factor, False),
             (kernel.writes, kernel.write_factor, True),
         ):
+            whole, tail = 0, factor
+            while tail >= 1.0:
+                whole += 1
+                tail -= 1.0
             for name in names:
-                offset, size = self.offsets[name], self.sizes[name]
-                remaining = factor
-                while remaining > 1e-9:
-                    part = min(remaining, 1.0)
-                    nbytes = min(max(line_size, int(size * part)), size)
+                offset, size = offsets[name], sizes[name]
+                for _ in range(whole):
+                    sweeps.append((offset, size, is_write))
+                if tail > 1e-9:
+                    nbytes = min(max(line_size, int(size * tail)), size)
                     sweeps.append((offset, nbytes, is_write))
-                    remaining -= part
         dram, nvram = self.system.access_sweeps(sweeps, kernel.read_sensitivity)
         compute = self.params.launch_overhead + (
             kernel.flops / self.params.peak_flops if kernel.flops > 0 else 0.0

@@ -202,7 +202,7 @@ class KernelTrace:
 
     def validate(self) -> None:
         """Reject inconsistent traces (use-before-alloc, use-after-free...)."""
-        live: set[str] = set()
+        live: dict[str, None] = {}  # in allocation order
         dead: set[str] = set()
 
         def check_use(name: str, what: str) -> None:
@@ -221,7 +221,7 @@ class KernelTrace:
                     raise TraceError(f"double Alloc of {event.tensor!r}")
                 if event.tensor in dead:
                     raise TraceError(f"Alloc of dead tensor {event.tensor!r}")
-                live.add(event.tensor)
+                live[event.tensor] = None
             elif isinstance(event, Kernel):
                 # Both memory systems trust these: caught here, before either
                 # moves data (an infinite factor would never finish a sweep).
@@ -232,17 +232,21 @@ class KernelTrace:
                         f"kernel {event.name!r}: traffic factors ({rf}, {wf}) must be "
                         f"finite and >= 0, read_sensitivity ({s}) in [0,1]"
                     )
+                # A live name is in the table and not dead: only a failing
+                # operand pays for the label and the call.
                 for name in event.reads:
-                    check_use(name, f"kernel {event.name!r} read")
+                    if name not in live:
+                        check_use(name, f"kernel {event.name!r} read")
                 for name in event.writes:
-                    check_use(name, f"kernel {event.name!r} write")
+                    if name not in live:
+                        check_use(name, f"kernel {event.name!r} write")
             elif isinstance(event, (Free, Retire, GcDefer)):
                 check_use(event.tensor, type(event).__name__)
                 if self.tensors[event.tensor].persistent:
                     raise TraceError(
                         f"persistent tensor {event.tensor!r} cannot be freed"
                     )
-                live.remove(event.tensor)
+                del live[event.tensor]
                 dead.add(event.tensor)
             elif isinstance(event, (Archive, WillRead, WillWrite)):
                 check_use(event.tensor, type(event).__name__)

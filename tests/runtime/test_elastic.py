@@ -120,6 +120,23 @@ class TestEnvelope:
         result = resume_snapshot(loaded)
         assert digest_mode_result(result) == uninterrupted_digest
 
+    def test_2lm_snapshot_without_the_sweep_memo_restores(self, tmp_path):
+        """Version 6 snapshots exist with and without ``TwoLMSystem``'s
+        sweep-cost memo (it was added without a format bump): a snapshot
+        whose memo is dropped before pickling refills it lazily and
+        finishes on the uninterrupted run's digest. Kernel 1500 is in the second iteration
+        of ``resnet200-small``, with the memo warm."""
+        straight = digest_mode_result(run_trace_mode(_trace(), "2LM:M", _config()))
+        snap = checkpoint_trace_mode(
+            _trace(), "2LM:M", _config(), pause_after=1500
+        )
+        system = snap.payload.adapter.system
+        assert system._sweep_costs
+        del system._sweep_costs
+        loaded = load_snapshot(save_snapshot(snap, str(tmp_path / "2lm.snap")))
+        assert "_sweep_costs" not in vars(loaded.payload.adapter.system)
+        assert digest_mode_result(resume_snapshot(loaded)) == straight
+
     def test_garbage_file_is_rejected(self, tmp_path):
         path = tmp_path / "garbage.snap"
         path.write_bytes(b"not a snapshot at all")

@@ -89,11 +89,13 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
     assert calls_in(first, command) > 100_000
 
 
-# Calls into src/repro (imports included) of the command below once the
-# mechanism tested state inline, read each device constant in one call and
-# recorded a kernel's traffic once per device (400 694 before that; 613 278
-# before a kernel's hints, residency and finish became one policy call each).
-SERVE_CALLS = 332_872
+# Calls into src/repro (imports included) of the command below once
+# `KernelTrace.validate` called `check_use` only for an operand that is not
+# live (333 229 before that; 400 694 before the mechanism tested state
+# inline, read each device constant in one call and recorded a kernel's
+# traffic once per device; 613 278 before a kernel's hints, residency and
+# finish became one policy call each).
+SERVE_CALLS = 331_762
 
 
 def test_serving_calls_per_command_do_not_creep_back():

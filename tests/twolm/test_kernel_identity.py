@@ -2,8 +2,9 @@
 
 ``TwoLMAdapter.kernel`` runs Hypothesis kernels on small caches; the
 reference walks every sweep line by line through ``ScalarAssocCache`` and
-folds the time plainly over ``transfer_time``. Timings compare by
-``float.hex``, counters exactly.
+folds the time plainly over ``transfer_time``. Each example's kernels run
+twice, so the second pass reads ``TwoLMSystem``'s sweep-cost memo warm.
+Timings compare by ``float.hex``, counters exactly.
 """
 
 from dramcache_reference import ScalarAssocCache
@@ -131,8 +132,8 @@ def test_kernel_matches_naive_reference(ways, num_sets, metadata, sizes, specs):
         adapter.alloc(TensorSpec(name, size))
     operands = {n: (adapter.offsets[n], adapter.sizes[n]) for n in names}
     ref = Reference(system)
-    for i, (reads, writes, rf, wf, sensitivity, flops) in enumerate(specs):
-        kernel = Kernel(
+    kernels = [
+        Kernel(
             f"k{i}",
             tuple(names[r] for r in reads),
             tuple(names[w] for w in writes),
@@ -141,6 +142,10 @@ def test_kernel_matches_naive_reference(ways, num_sets, metadata, sizes, specs):
             write_factor=wf,
             read_sensitivity=sensitivity,
         )
+        for i, (reads, writes, rf, wf, sensitivity, flops) in enumerate(specs)
+    ]
+    # The second replay prices its sweeps from a warm cost memo.
+    for kernel in kernels * 2:
         timing = adapter.kernel(kernel, None)
         got = (timing.compute, timing.dram, timing.nvram, timing.fixed)
         want = ref.kernel(operands, kernel)

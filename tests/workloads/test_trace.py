@@ -1,5 +1,9 @@
 """Kernel trace model: validation, metrics, scaling."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import TraceError
@@ -64,6 +68,34 @@ def test_validation_catches_corruption(mutate, message):
     mutate(trace)
     with pytest.raises(TraceError, match=message):
         trace.validate()
+
+
+def test_never_freed_names_the_first_allocated_whatever_the_hash_seed():
+    """Six tensors allocated and never freed: the message names the first in
+    allocation order, so it is the same under every ``PYTHONHASHSEED``
+    (the first of a ``set`` of names would depend on it)."""
+    code = (
+        "from repro.workloads.trace import Alloc, KernelTrace, TensorSpec\n"
+        "trace = KernelTrace()\n"
+        "for name in 'fcadbe':\n"
+        "    trace.add_tensor(TensorSpec(name, 64))\n"
+        "    trace.events.append(Alloc(name))\n"
+        "try:\n"
+        "    trace.validate()\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    messages = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        messages.add(out.stdout.strip())
+    assert messages == {"non-persistent tensor 'f' never freed"}
 
 
 def test_use_after_free_rejected():
