@@ -67,21 +67,19 @@ def _load_events(path: str):
     The analyzers stream the file per pass instead of materializing the
     whole run (O(1) memory on multi-million-event traces). The first event
     is probed eagerly so a missing file or a non-JSONL file still fails
-    right here with a friendly message rather than mid-analysis.
+    right here with a friendly message rather than mid-analysis; a line
+    that goes bad later raises the stream's own one-line
+    :class:`ConfigurationError` mid-pass, which ``main`` prints the same way.
     """
-    from repro.telemetry.export import EventStream, iter_jsonl
+    from repro.telemetry.export import EventStream
 
+    stream = EventStream(path)
     try:
-        with open(path, "r", encoding="utf-8") as fp:
-            for _ in iter_jsonl(fp):
-                break
+        for _ in stream:
+            break
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"{path} is not a JSONL event stream: {exc}"
-        ) from None
-    return EventStream(path)
+    return stream
 
 
 # -- the paper's tables and figures -------------------------------------------

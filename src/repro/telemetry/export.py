@@ -27,8 +27,10 @@ loadable by older tooling and vice versa.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator, Sequence
+import math
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
+from repro.errors import ConfigurationError
 from repro.telemetry.timeline import Timeline
 from repro.telemetry.trace import (
     ALLOC,
@@ -357,6 +359,22 @@ def event_from_json(data: dict) -> TraceEvent:
     )
 
 
+def _non_finite(text: str) -> NoReturn:
+    raise ValueError(f"non-finite number {text}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):  # an overflowing literal such as 1e999
+        _non_finite(text)
+    return value
+
+
+# One decoder for every line: ``json.loads`` with hooks would build a new
+# one per call, which costs more than the hooks.
+_DECODER = json.JSONDecoder(parse_constant=_non_finite, parse_float=_finite_float)
+
+
 def iter_jsonl(fp: IO[str]) -> Iterator[TraceEvent]:
     """Stream a JSONL trace one event at a time — O(1) memory.
 
@@ -364,16 +382,21 @@ def iter_jsonl(fp: IO[str]) -> Iterator[TraceEvent]:
     header; blank lines skipped; unknown top-level fields into ``args``) but
     yields events as lines are read instead of materializing a list, so
     multi-million-event serving traces can be analyzed without holding the
-    whole run in memory. Raises :class:`ValueError` on malformed lines.
+    whole run in memory. Raises :class:`ValueError` naming the line on a
+    malformed one, including a non-finite number (``NaN``, ``Infinity``,
+    ``1e999``): Python's ``json`` accepts those, no writer here emits them,
+    and every fold downstream would be poisoned by one.
     """
     for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            data = json.loads(line)
+            data = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: not JSON: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"line {lineno}: expected an object, got {data!r}")
         if "kind" not in data:
@@ -402,6 +425,8 @@ class EventStream:
     stall attribution. A generator would be exhausted after the first pass,
     so this wrapper re-opens the file on every ``iter()``: each pass streams
     from disk with O(1) memory and no pass sees a half-consumed iterator.
+    A malformed line, however deep in the file, raises
+    :class:`~repro.errors.ConfigurationError` naming the path and the line.
     """
 
     def __init__(self, path: str) -> None:
@@ -409,4 +434,9 @@ class EventStream:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         with open(self.path, "r", encoding="utf-8") as fp:
-            yield from iter_jsonl(fp)
+            try:
+                yield from iter_jsonl(fp)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{self.path} is not a JSONL event stream: {exc}"
+                ) from None

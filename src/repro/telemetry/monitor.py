@@ -27,12 +27,32 @@ Four cooperating pieces, all fed one event at a time by
 
 :class:`MonitorTracer` adapts the monitor to the runtime's tracer slot: it
 *is* a :class:`Tracer` (same scopes, same virtual-time stamps — so cause
-attribution and determinism carry over). With ``keep_events=True`` (the
-full tier) each typed call folds its event where it is built, from the
-values the call holds; by default (the monitor-only tier) the kinds the
-monitor folds go to the ``note_*`` intake and nothing is retained. The
-monitor is pure observation: it never advances the clock and never feeds
-back into policy decisions, so results are bit-identical with it on or off.
+attribution and determinism carry over). Each kind the monitor folds has
+one typed body, shared by both live tiers: :class:`Tracer`'s body hands its
+values to ``_event``, then the body folds them into the window that was
+just counted. With ``keep_events=True`` (the full tier) ``_event`` stamps,
+retains, rings and counts the record; by default (the monitor-only tier)
+``_event`` is :meth:`RuntimeMonitor.note_event`, which counts it and rings a
+compact tuple, and nothing is retained. The monitor is pure observation: it
+never advances the clock and never feeds back into policy decisions, so
+results are bit-identical with it on or off.
+
+What the two live tiers keep different on purpose:
+
+============  ==============================  ================================
+what          full tier                       monitor-only tier
+============  ==============================  ================================
+events seen   every kind, copy end included   only the folded kinds, so window
+                                              event counts are lower
+copy          bytes by root scope, seconds    bytes, seconds and counts by
+              and counts by innermost scope   ``copy_cause``, which an open
+                                              ``evict`` scope sets; rung once,
+                                              after the end window is counted
+checkpoint    snapshot/restore name no        snapshot/restore name a flight
+              flight dump                     dump
+ring record   the retained record             ``(kind, ts, *picked values)``;
+                                              alloc, free, kernel_end skip it
+============  ==============================  ================================
 
 Everything here also works *offline*: :meth:`RuntimeMonitor.observe` is
 the replay intake — feeding it a recorded JSONL trace produces the same
@@ -44,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.telemetry.timeline import Timeline
@@ -437,8 +458,8 @@ class FlightRecorder:
     Appending is O(1) with no allocation beyond the slot write. Slots hold
     the full tier's retained records (see :mod:`repro.telemetry.trace`),
     :class:`TraceEvent` objects (replay and alerts), or the monitor-only
-    tier's compact ``(kind, ts, *values)`` tuples (its ``note_*`` fast path
-    builds no event it would never retain). A
+    tier's compact ``(kind, ts, *values)`` tuples (its ``note_event``
+    intake builds no event it would never retain). A
     dump writes a ``repro.flight`` JSONL document — header line (reason,
     virtual dump time, drop count) followed by the retained records in
     arrival order with sorted keys and compact separators (the same
@@ -490,7 +511,7 @@ class FlightRecorder:
         for entry in events:
             if isinstance(entry, tuple):
                 doc = {"kind": entry[0], "ts": entry[1]}
-                doc.update(zip(_RING_FIELDS[entry[0]], entry[2:]))
+                doc.update(zip(_RING_RECORDS[entry[0]][0], entry[2:]))
             elif isinstance(entry, dict):
                 doc = entry
             else:
@@ -500,30 +521,35 @@ class FlightRecorder:
         return len(events)
 
 
-# Field names for the monitor tier's compact ring records: the note_* fast
-# path appends plain ``(kind, ts, *values)`` tuples (cheaper to build than
-# dicts on the hot path); dump() re-keys them here so the JSONL document is
-# indistinguishable from one built from kwargs.
-_RING_FIELDS: dict[str, tuple[str, ...]] = {
-    STALL: ("kernel", "seconds"),
-    COPY_START: ("src", "dst", "nbytes", "seconds"),
-    EVICT: ("obj", "nbytes"),
-    PREFETCH: ("obj", "nbytes"),
-    GC: ("seconds",),
-    OOM_RETRY: ("obj",),
-    COPY_RETRY: ("reason",),
-    FAULT: ("fault",),
-    RECOVERY_STEP: ("step", "tenant"),
-    RECOVERY: ("step",),
-    POLICY_STRIKE: ("op", "tenant"),
-    QUARANTINE: ("policy",),
-    DETACH: ("subject",),
-    RESIZE: ("subject",),
-    SNAPSHOT: ("subject",),
-    RESTORE: ("subject",),
+# The monitor-only tier's compact ring records, kind -> (field names, pick).
+# ``note_event`` rings ``(kind, ts) + pick(values)``, ``values`` being what
+# the kind's typed body in ``Tracer`` hands ``_event`` (an ``itemgetter``
+# of indexes or a slice: a tuple either way, and no Python frame); dump()
+# re-keys the picked values with the field names, so the JSONL document is
+# indistinguishable from one built from kwargs. Kinds absent here (alloc,
+# free, kernel_end: pure volume, no forensic value) are not rung; the
+# cheap tier's own ``copy`` body rings its COPY_START record itself.
+_FIRST = itemgetter(slice(0, 1))
+_RING_RECORDS: dict[str, tuple[tuple[str, ...], Any]] = {
+    STALL: (("kernel", "seconds"), itemgetter(slice(0, 2))),
+    COPY_START: (("src", "dst", "nbytes", "seconds"), None),
+    EVICT: (("obj", "nbytes"), itemgetter(0, 3)),
+    PREFETCH: (("obj", "nbytes"), itemgetter(0, 3)),
+    GC: (("seconds",), _FIRST),
+    OOM_RETRY: (("obj",), _FIRST),
+    COPY_RETRY: (("reason",), itemgetter(slice(4, 5))),
+    FAULT: (("fault",), _FIRST),
+    RECOVERY_STEP: (("step", "tenant"), itemgetter(0, 5)),
+    RECOVERY: (("step",), _FIRST),
+    POLICY_STRIKE: (("op", "tenant"), itemgetter(0, 3)),
+    QUARANTINE: (("policy",), _FIRST),
+    DETACH: (("subject",), _FIRST),
+    RESIZE: (("subject",), _FIRST),
+    SNAPSHOT: (("subject",), _FIRST),
+    RESTORE: (("subject",), _FIRST),
 }
 
-# Elastic-event kind -> totals key (note_elastic / observe intake).
+# Elastic-event kind -> totals key.
 _ELASTIC_TOTALS = {
     DETACH: "detaches",
     RESIZE: "resizes",
@@ -815,7 +841,7 @@ class RuntimeMonitor:
         # Live aggregates (exact, maintained incrementally from events).
         self.occupancy: dict[str, int] = {}
         self.inflight_copy_bytes = 0
-        # The copy-cause bucket note_copy reads (monitor-only tier): the
+        # The copy-cause bucket the monitor-only tier's ``copy`` reads: the
         # tier's ``scope("evict", ...)`` sets it for the scope's extent —
         # the cheap stand-in for the full tier's attribution stack.
         self.copy_cause = "unattributed"
@@ -893,21 +919,17 @@ class RuntimeMonitor:
 
     # -- event intake --------------------------------------------------------
     #
-    # Three ways in, one arithmetic body per kind (the ``_fold_*``s).
+    # Two ways in, one arithmetic body per kind (the ``_fold_*``s).
     # ``observe`` takes a finished :class:`TraceEvent` — offline replay and
     # hand-emitted events: it rings the event, counts it in its window, and
     # lets ``_EXTRACTORS`` pull the payload out of ``event.args``
-    # (tolerantly: replay reads foreign JSONL) for the kind's fold. The full
-    # tier's typed calls (``MonitorTracer``) ring and count each event as
-    # they build it and call the fold with the values in hand — no
-    # re-parsing. The ``note_*`` methods take the same values positionally
-    # (the monitor-only tier: no kwargs dict, no TraceEvent), ring a compact
-    # ``(kind, ts, *values)`` tuple (see ``_RING_FIELDS``; alloc/free and
-    # kernel notes skip the ring — pure volume, no forensic value) and call
-    # the same fold. What legitimately differs per tier is therefore only
-    # what an intake *sees*: the cheap tier neither sees the unfolded kinds
-    # (so per-window event counts are lower) nor opens per-operand
-    # attribution scopes (copies attribute to ``copy_cause`` alone).
+    # (tolerantly: replay reads foreign JSONL) for the kind's fold. The live
+    # tiers share ``MonitorTracer``'s typed bodies, which call the fold with
+    # the values in hand — no re-parsing — after the tier's ``_event`` has
+    # counted the event: the full tier's rings the retained record, the
+    # monitor-only tier's is ``note_event``, which rings a compact tuple
+    # (see ``_RING_RECORDS``). The differences kept on purpose are the
+    # table in the module docstring.
 
     def _intake(self, ts: float) -> RollupWindow:
         """Count one event at ``ts``; returns the window it landed in, which
@@ -948,15 +970,31 @@ class RuntimeMonitor:
         """Close the trailing window so its stats and alerts are visible."""
         self.rollups.finish()
 
-    def note_kernel(
-        self,
-        ts: float,
-        seconds: float,
-        compute: float = 0.0,
-        memory: float = 0.0,
-        fixed: float = 0.0,
-    ) -> None:
-        self._fold_kernel(self._intake(ts), seconds, compute, memory, fixed)
+    def note_event(self, ts: float, kind: str, fields: tuple, values: tuple) -> None:
+        """The monitor-only tier's ``_event``: count the event in its window,
+        then ring its compact ``(kind, ts, *picked values)`` tuple. Retains
+        nothing; the typed body that called it folds next, into the window
+        left cached here.
+
+        ``_intake`` and ``FlightRecorder.append`` are written in place: this
+        runs once per event of a monitored run, and the two calls cost more
+        than their bodies. Counting comes first, as it always has on this
+        tier: a window it closes rings its alerts before this record.
+        """
+        self.events_seen += 1
+        if ts > self.last_ts:
+            self.last_ts = ts
+        rollups = self.rollups
+        if rollups._cache_lo <= ts < rollups._cache_hi:
+            rollups._cache_window.events += 1
+        else:
+            rollups.window_for(ts).events += 1
+        ring_record = _RING_RECORDS.get(kind)
+        if ring_record is not None:
+            ring = self.ring
+            ring._ring[ring._next] = (kind, ts) + ring_record[1](values)
+            ring._next = (ring._next + 1) % ring.capacity
+            ring.total += 1
 
     def _fold_kernel(
         self,
@@ -979,45 +1017,12 @@ class RuntimeMonitor:
         totals["kernel_fixed_seconds"] += fixed
         self.kernel_latency.observe(seconds)
 
-    def note_stall(self, ts: float, seconds: float, kernel: str = "") -> None:
-        window = self._intake(ts)
-        self.ring.append((STALL, ts, kernel, seconds))
-        self._fold_stall(window, seconds)
-
     def _fold_stall(self, window: RollupWindow, seconds: float) -> None:
         window.stalls += 1
         window.stall_seconds += seconds
         self.totals["stalls"] += 1
         self.totals["stall_seconds"] += seconds
         self.stall_latency.observe(seconds)
-
-    def note_copy(
-        self,
-        start_ts: float,
-        end_ts: float,
-        nbytes: int,
-        src: str,
-        dst: str,
-        seconds: float | None = None,
-    ) -> None:
-        # The same order a COPY_START/COPY_END pair is observed in: the
-        # start window is touched, the copy goes in flight, then the end
-        # window is touched (possibly closing the start window with this
-        # copy still counted in-flight), then the copy lands. ``seconds``
-        # is the exact copy duration when the caller has it; ``end_ts -
-        # start_ts`` recomputes it with float rounding, which would break
-        # note/observe totals parity.
-        if seconds is None:
-            seconds = end_ts - start_ts
-        cause = self.copy_cause
-        self._fold_copy_start(
-            self._intake(start_ts), nbytes, seconds, cause, cause
-        )
-        self._intake(end_ts)
-        self._fold_copy_end(end_ts - start_ts, nbytes)
-        self.ring.append(
-            (COPY_START, start_ts, src, dst, nbytes, end_ts - start_ts)
-        )
 
     def _fold_copy_start(
         self,
@@ -1059,11 +1064,6 @@ class RuntimeMonitor:
         self.inflight_copy_bytes -= nbytes
         self.copy_latency.observe(latency)
 
-    def note_alloc(
-        self, ts: float, device: str, nbytes: int, offset: int, stream: str
-    ) -> None:
-        self._fold_alloc(self._intake(ts), device, nbytes, offset, stream)
-
     def _fold_alloc(
         self,
         window: RollupWindow,
@@ -1082,11 +1082,6 @@ class RuntimeMonitor:
                 self._region_tenant[(device, offset)] = (stream, nbytes)
             key = f"{stream}/{device}"
             self._tenant_used[key] = self._tenant_used.get(key, 0) + nbytes
-
-    def note_free(
-        self, ts: float, device: str, nbytes: int, offset: int, stream: str
-    ) -> None:
-        self._fold_free(self._intake(ts), device, nbytes, offset, stream)
 
     def _fold_free(
         self,
@@ -1113,16 +1108,6 @@ class RuntimeMonitor:
             else:
                 self._tenant_used.pop(key, None)
 
-    def note_evict(self, ts: float, obj: str, nbytes: int) -> None:
-        window = self._intake(ts)
-        self.ring.append((EVICT, ts, obj, nbytes))
-        self._fold_count(window, "evictions")
-
-    def note_prefetch(self, ts: float, obj: str, nbytes: int) -> None:
-        window = self._intake(ts)
-        self.ring.append((PREFETCH, ts, obj, nbytes))
-        self._fold_count(window, "prefetches")
-
     def _fold_count(
         self, window: RollupWindow, name: str, ts: float = 0.0, dump: str = ""
     ) -> None:
@@ -1133,36 +1118,11 @@ class RuntimeMonitor:
         if dump:
             self._maybe_dump(dump, ts)
 
-    def note_gc(self, ts: float, seconds: float) -> None:
-        window = self._intake(ts)
-        self.ring.append((GC, ts, seconds))
-        self._fold_gc(window, seconds)
-
     def _fold_gc(self, window: RollupWindow, seconds: float) -> None:
         window.gcs += 1
         window.gc_seconds += seconds
         self.totals["gcs"] += 1
         self.totals["gc_seconds"] += seconds
-
-    def note_oom_retry(self, ts: float, obj: str = "") -> None:
-        window = self._intake(ts)
-        self.ring.append((OOM_RETRY, ts, obj))
-        self._fold_count(window, "oom_retries")
-
-    def note_copy_retry(self, ts: float, reason: str = "") -> None:
-        window = self._intake(ts)
-        self.ring.append((COPY_RETRY, ts, reason))
-        self._fold_count(window, "copy_retries")
-
-    def note_fault(self, ts: float, label: str) -> None:
-        window = self._intake(ts)
-        self.ring.append((FAULT, ts, label))
-        self._fold_count(window, "faults", ts, f"fault:{label}")
-
-    def note_recovery_step(self, ts: float, step: str, tenant: str = "") -> None:
-        window = self._intake(ts)
-        self.ring.append((RECOVERY_STEP, ts, step, tenant))
-        self._fold_recovery_step(window, ts, step)
 
     def _fold_recovery_step(
         self, window: RollupWindow, ts: float, step: str
@@ -1174,45 +1134,19 @@ class RuntimeMonitor:
         if step in _ESCALATION_STEPS:
             self._maybe_dump(f"recovery:{step}", ts)
 
-    def note_recovery(self, ts: float, step: str) -> None:
-        window = self._intake(ts)
-        self.ring.append((RECOVERY, ts, step))
-        self._fold_recovery(window, step)
-
     def _fold_recovery(self, window: RollupWindow, step: str) -> None:
         self._fold_count(window, "recoveries")
         self.recoveries_by_step[step] = (
             self.recoveries_by_step.get(step, 0) + 1
         )
 
-    def note_strike(self, ts: float, op: str = "", tenant: str = "") -> None:
-        window = self._intake(ts)
-        self.ring.append((POLICY_STRIKE, ts, op, tenant))
-        self._fold_count(window, "strikes", ts, "policy_strike")
-
-    def note_quarantine(self, ts: float, policy: str = "") -> None:
-        window = self._intake(ts)
-        self.ring.append((QUARANTINE, ts, policy))
-        self._fold_count(window, "quarantines", ts, "quarantine")
-
-    def note_elastic(self, kind: str, ts: float, subject: str) -> None:
-        """Monitor-tier intake for rare elastic events.
-
-        ``kind`` is ``"detach"``, ``"resize"``, ``"snapshot"`` or
-        ``"restore"``; ``subject`` is the tenant, device, or checkpoint
-        label. Counted in totals and dropped into the flight ring —
-        elastic reconfiguration is exactly the context a post-mortem needs.
-        """
-        self._intake(ts)
-        self.ring.append((kind, ts, subject))
-        self._fold_elastic(kind, ts, subject)
-
     def _fold_elastic(
         self, kind: str, ts: float, subject: str | None = None
     ) -> None:
         """Totals only (elastic events have no window counters); a subject
-        names a flight dump. The observe path dumps on detach and resize,
-        the note path on all four kinds — each tier as it always has."""
+        names a flight dump. Replay and the full tier dump on detach and
+        resize, the monitor-only tier on all four kinds (its ``checkpoint``
+        passes the label; module docstring)."""
         self.totals[_ELASTIC_TOTALS[kind]] += 1
         if subject is not None:
             self._maybe_dump(f"{kind}:{subject}", ts)
@@ -1442,8 +1376,8 @@ class RuntimeMonitor:
 #
 # kind -> extractor(monitor, window, event): pull the kind's payload out of
 # ``event.args`` (tolerantly — offline replay reads foreign JSONL) and hand
-# it to the fold the typed calls and the ``note_*`` intake share. Only
-# replay and hand-emitted events come this way.
+# it to the fold the live tiers' typed calls share. Only replay and
+# hand-emitted events come this way.
 
 
 def _x_kernel(monitor, window, event):
@@ -1582,7 +1516,9 @@ class MonitorTracer(Tracer):
       reach by re-reading ``event.args``. ``emit``/``emit_at`` (hand-built
       events) go through ``observe``.
     * ``keep_events=False`` (the default, the "monitor-only tier") — the
-      cheap always-on configuration: :class:`_MonitorOnlyTracer`.
+      cheap always-on configuration: :class:`_MonitorOnlyTracer`, which
+      runs the same typed bodies with :meth:`RuntimeMonitor.note_event` as
+      its ``_event``.
 
     Either way the monitor is pure observation — it never advances the
     clock — so results are bit-identical with monitoring on or off.
@@ -1604,7 +1540,10 @@ class MonitorTracer(Tracer):
             # The listener is picked here, once — not by a flag every typed
             # call would have to test. (Re-classing, rather than a __new__
             # that inspects keep_events, keeps pickling by class trivial.)
+            # The bound intake shadows the class's ``_event``, so a typed
+            # body reaches it without a Python frame of its own.
             self.__class__ = _MonitorOnlyTracer
+            self._event = self.monitor.note_event
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
         return self.emit_at(self.clock.now, kind, **args)
@@ -1650,10 +1589,11 @@ class MonitorTracer(Tracer):
     scope = Tracer.scope
     hint = Tracer.hint
 
-    # -- the kinds the monitor folds (those _MonitorOnlyTracer forwards) -----
+    # -- the kinds the monitor folds, on both live tiers ----------------------
     #
-    # Each builds its record through Tracer's body, which rings and counts
-    # it, then folds the values in hand into the window it landed in.
+    # Each hands its values to ``_event`` through Tracer's body, which rings
+    # and counts the event, then folds the values in hand into the window it
+    # landed in. _MonitorOnlyTracer keeps its own copy and checkpoint.
 
     def alloc(self, device, offset, nbytes, obj=None) -> None:
         Tracer.alloc(self, device, offset, nbytes, obj)
@@ -1748,8 +1688,8 @@ class MonitorTracer(Tracer):
 
 
 class _CauseScope:
-    """The one attribution the monitor-only tier tracks: while open,
-    ``note_copy`` buckets copies under ``kind``. Restores (does not clear)
+    """The one attribution the monitor-only tier tracks: while open, its
+    ``copy`` buckets copies under ``kind``. Restores (does not clear)
     on exit, so a demotion cascading out of another keeps the outer cause.
     """
 
@@ -1768,27 +1708,40 @@ class _CauseScope:
         self._monitor.copy_cause = self._outer
 
 
-class _MonitorOnlyTracer(NullTracer, MonitorTracer):
+class _MonitorOnlyTracer(MonitorTracer):
     """``MonitorTracer(keep_events=False)``: the always-on cheap tier.
 
-    A :class:`NullTracer` to every site the monitor does not fold — same
-    no-op typed calls, same shared no-op ``hint()`` scope, ``enabled`` False
-    so no traced-only work runs — that forwards the kinds it does fold
-    straight to the ``RuntimeMonitor.note_*`` intake: positional values, no
-    kwargs dict, no :class:`TraceEvent`, nothing retained. ``scope()`` stays
-    the no-op for the per-operand kinds (their cost is why this tier
-    exists) and tracks only the kinds the copy-cause rollups report.
+    It answers the kinds the monitor folds with :class:`MonitorTracer`'s
+    typed bodies, through an ``_event`` that is the monitor's
+    :meth:`~RuntimeMonitor.note_event` (bound in ``MonitorTracer.__init__``):
+    the event is counted and rung as a compact tuple, and nothing is
+    retained. Every other kind and ``hint()`` are :class:`NullTracer`'s
+    no-ops, and ``enabled`` is False, so no traced-only work runs.
+    ``scope()`` stays the no-op for the per-operand kinds (their cost is why
+    this tier exists) and tracks only the kinds the copy-cause rollups
+    report. ``copy`` and ``checkpoint`` keep bodies of their own: the
+    differences the module docstring's table lists.
     """
 
+    enabled = False
     _TRACKED_SCOPES = frozenset({"evict"})
+
+    # The kinds the monitor does not fold.
+    setprimary = NullTracer.setprimary
+    setdirty = NullTracer.setdirty
+    evict_scan = NullTracer.evict_scan
+    defrag = NullTracer.defrag
+    place = NullTracer.place
+    decision = NullTracer.decision
+    kernel_start = NullTracer.kernel_start
+    invariant_check = NullTracer.invariant_check
+    request = NullTracer.request
+    hint = NullTracer.hint
 
     def scope(self, kind: str, subject: object = ""):
         if kind in self._TRACKED_SCOPES:
             return _CauseScope(self.monitor, kind)
         return _NULL_SCOPE
-
-    def emit(self, kind: str, **args: Any) -> TraceEvent:
-        return self.emit_at(self.clock.now, kind, **args)
 
     def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
         # No typed call lands here; a hand-emitted event is folded through
@@ -1797,67 +1750,24 @@ class _MonitorOnlyTracer(NullTracer, MonitorTracer):
         self.monitor.observe(event)
         return event
 
-    def alloc(self, device, offset, nbytes, obj=None) -> None:
-        self.monitor.note_alloc(
-            self.clock.now, device, nbytes, offset, self.stream
-        )
-
-    def free(self, device, offset, nbytes, obj=None) -> None:
-        self.monitor.note_free(
-            self.clock.now, device, nbytes, offset, self.stream
-        )
-
     def copy(self, src, dst, nbytes, threads, seconds, completes_at, seq) -> None:
-        self.monitor.note_copy(
-            completes_at - seconds, completes_at, nbytes, src, dst, seconds
-        )
-
-    def copy_retry(self, ts, src, dst, nbytes, attempt, reason) -> None:
-        self.monitor.note_copy_retry(ts, reason)
-
-    def prefetch(self, obj, src, dst, nbytes) -> None:
-        self.monitor.note_prefetch(self.clock.now, obj, nbytes)
-
-    def evict(self, obj, src, dst, nbytes, clean) -> None:
-        self.monitor.note_evict(self.clock.now, obj, nbytes)
-
-    def kernel_end(self, kernel, seconds, compute, memory, fixed, phase) -> None:
-        self.monitor.note_kernel(
-            self.clock.now, seconds, compute, memory, fixed
-        )
-
-    def stall(self, kernel, seconds, late=()) -> None:
-        self.monitor.note_stall(self.clock.now, seconds, kernel)
-
-    def gc(self, seconds) -> None:
-        self.monitor.note_gc(self.clock.now, seconds)
-
-    def oom_retry(self, obj, nbytes) -> None:
-        self.monitor.note_oom_retry(self.clock.now, obj)
-
-    def fault(self, site, device, op, index, detail) -> None:
-        self.monitor.note_fault(self.clock.now, site)
-
-    def recovery_step(self, step, device, requested, free, acted, tenant) -> None:
-        self.monitor.note_recovery_step(self.clock.now, step, tenant)
-
-    def recovery(self, step, device, requested, steps, tenant) -> None:
-        self.monitor.note_recovery(self.clock.now, step)
-
-    def policy_strike(self, op, strikes, error, tenant) -> None:
-        self.monitor.note_strike(self.clock.now, op, tenant)
-
-    def quarantine(self, policy, fallback, strikes) -> None:
-        self.monitor.note_quarantine(self.clock.now, policy)
-
-    def detach(self, tenant, objects, nbytes, quota) -> None:
-        self.monitor.note_elastic(DETACH, self.clock.now, tenant)
-
-    def resize(self, device, old, new, via) -> None:
-        self.monitor.note_elastic(RESIZE, self.clock.now, device)
+        # The order a COPY_START/COPY_END pair is observed in: the start
+        # window is counted, the copy goes in flight, then the end window is
+        # counted (possibly closing the start window with this copy still in
+        # flight), then the copy lands and its one record is rung.
+        monitor = self.monitor
+        start = completes_at - seconds
+        cause = monitor.copy_cause
+        window = monitor._intake(start)
+        monitor._fold_copy_start(window, nbytes, seconds, cause, cause)
+        monitor._intake(completes_at)
+        monitor._fold_copy_end(completes_at - start, nbytes)
+        monitor.ring.append((COPY_START, start, src, dst, nbytes, completes_at - start))
 
     def checkpoint(self, kind, label, kernels) -> None:
-        self.monitor.note_elastic(kind, self.clock.now, label)
+        # Snapshot/restore name a flight dump on this tier.
+        Tracer.checkpoint(self, kind, label, kernels)
+        self.monitor._fold_elastic(kind, self.clock.now, label)
 
 
 def pick_tracer(clock: "SimClock", config: Any) -> "Tracer | NullTracer":

@@ -532,7 +532,7 @@ def classify_trace(
 def classify_monitor(monitor: RuntimeMonitor, cost: CostModel) -> Taxonomy:
     """Classify from the cheap monitor tier's rollups alone.
 
-    Works on both a live :class:`MonitorTracer` feed (``note_*``) and an
+    Works on both a live :class:`MonitorTracer` feed (either tier) and an
     offline ``observe_all`` replay. Coarser than :func:`classify_trace` —
     the fast path does not carry per-copy endpoints or kernel phases — but
     the class algebra is identical, with each copy's fixed cost taken as

@@ -44,9 +44,11 @@ listening:
   also rung and counted as it is built, and the kinds the monitor folds
   are folded right there, from the values the typed call already holds.
 * the monitor-only tier (``telemetry.monitor``): the kinds the always-on
-  :class:`~repro.telemetry.monitor.RuntimeMonitor` folds forward their
-  positional values to its ``note_*`` intake — no kwargs dict, no
-  :class:`TraceEvent` — and every other kind is the no-op above.
+  :class:`~repro.telemetry.monitor.RuntimeMonitor` folds run the same
+  typed bodies as the full tier, with the monitor's ``note_event`` as
+  ``_event`` — it counts the event and rings a compact tuple, no kwargs
+  dict, no :class:`TraceEvent`, nothing retained — and every other kind
+  is the no-op above.
 
 **Retained events are records, read through a view.** A traced run keeps
 every event, so what it keeps must cost the cyclic collector nothing: a

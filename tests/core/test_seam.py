@@ -13,7 +13,7 @@ import inspect
 import pathlib
 
 import repro
-from repro.telemetry.monitor import MonitorTracer
+from repro.telemetry.monitor import MonitorTracer, RuntimeMonitor
 from repro.telemetry.trace import NullTracer, Tracer
 
 ROOT = pathlib.Path(repro.__file__).parent
@@ -122,15 +122,38 @@ def typed_calls(cls):
     }
 
 
+# The kinds the monitor folds, on both live tiers.
+FOLDED = {
+    "alloc", "free", "copy", "copy_retry", "prefetch", "evict", "kernel_end",
+    "stall", "gc", "oom_retry", "fault", "recovery_step", "recovery",
+    "policy_strike", "quarantine", "detach", "resize", "checkpoint",
+}
+# The folded kinds whose monitor-only body differs on purpose (the table in
+# ``telemetry/monitor.py``'s docstring).
+CHEAP_BODIES = {"copy", "checkpoint"}
+
+
 def test_every_listener_answers_every_typed_call():
     protocol = typed_calls(NullTracer)
     assert protocol <= typed_calls(Tracer)
-    # The monitor-only tier either forwards a kind or inherits the no-op;
-    # it never falls through to Tracer's event-building body.
-    monitor_only = type(MonitorTracer(None))
+    assert FOLDED <= protocol
+    # The monitor-only tier answers a folded kind with the full tier's body
+    # (two with its own) and every other kind with the no-op; it never
+    # falls through to Tracer's body for a kind the monitor does not fold.
+    tracer = MonitorTracer(None)
+    monitor_only = type(tracer)
+    for name in protocol | {"hint"}:
+        body = getattr(monitor_only, name)
+        if name in CHEAP_BODIES:
+            assert body is vars(monitor_only)[name], name
+        elif name in FOLDED:
+            assert body is vars(MonitorTracer)[name], name
+        else:
+            assert body is vars(NullTracer)[name], name
+    # Its ``_event`` is the monitor's intake, bound once per tracer.
+    assert tracer._event == tracer.monitor.note_event
+    assert not monitor_only.enabled
     for name in protocol:
-        owner = next(c for c in monitor_only.__mro__ if name in vars(c))
-        assert owner in (monitor_only, NullTracer), name
         # Same positional signature everywhere: a site's one call must mean
         # the same thing to whichever listener is attached.
         expected = list(inspect.signature(getattr(Tracer, name)).parameters)
@@ -147,26 +170,26 @@ def class_methods(relative, cls):
 
 
 def test_the_full_tier_folds_at_the_typed_call():
-    """Both monitored tiers fold the same kinds: each kind the monitor-only
-    tier forwards to a ``note_*`` intake, the full tier answers with its own
-    typed method (building the event, then folding the values in hand), and
-    every other kind falls through to ``Tracer``'s body. No typed body
-    reaches the ``emit``/``emit_at`` replay intake."""
+    """Both monitored tiers fold the same kinds with one typed body each:
+    ``MonitorTracer`` overrides exactly the folded kinds, the monitor-only
+    tier defines of them only the bodies it keeps different on purpose,
+    and the monitor has one cheap intake, ``note_event``, where it once had
+    one ``note_*`` per kind. No typed body reaches the ``emit``/``emit_at``
+    replay intake."""
     monitor = "telemetry/monitor.py"
-    forwarded = {
-        name
-        for name, node in class_methods(monitor, "_MonitorOnlyTracer").items()
-        if any(
-            isinstance(call, ast.Call)
-            and getattr(call.func, "attr", "").startswith("note_")
-            for call in ast.walk(node)
-        )
-    }
-    assert len(forwarded) == 18
-    assert typed_calls(MonitorTracer) == forwarded
-    assert typed_calls(type(MonitorTracer(None))) == forwarded
+    assert len(FOLDED) == 18
+    assert typed_calls(MonitorTracer) == FOLDED
+    cheap_bodies = FOLDED & set(class_methods(monitor, "_MonitorOnlyTracer"))
+    assert cheap_bodies == CHEAP_BODIES
+    assert [name for name in vars(RuntimeMonitor) if name.startswith("note_")] == [
+        "note_event"
+    ]
     reaches_emit = [calls("emit"), calls("emit_at")]
-    for relative, cls in (("telemetry/trace.py", "Tracer"), (monitor, "MonitorTracer")):
+    for relative, cls in (
+        ("telemetry/trace.py", "Tracer"),
+        (monitor, "MonitorTracer"),
+        (monitor, "_MonitorOnlyTracer"),
+    ):
         for name, node in class_methods(relative, cls).items():
             if name not in ("emit", "emit_at"):
                 assert not any(

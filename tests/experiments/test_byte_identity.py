@@ -84,7 +84,7 @@ GOLDEN_CHAOS_FLIGHT_TREE = {
     "slow-bus": "6acaa1f663d65df80be0f77826df835489307e9cb4f6b24b957dd49004aeb1f8",
 }
 # The same virtual scenario on the monitor-only tier (compact ring tuples
-# through note_*): (flight-dump tree, health snapshot).
+# through note_event): (flight-dump tree, health snapshot).
 GOLDEN_CHEAP_CHAOS = {
     "alloc-storm": (
         "05253f449dc807dc019c4d02f50f4503a0e7d3db1a3c0c26b687c86a74d67b7a",

@@ -1,5 +1,7 @@
 """CLI entry point."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -477,6 +479,14 @@ PINNED = [
     (f"monitor --model tiny {_FAST} --mode CA:LMP --interval 0.5",
      0, "c1d796db9a3c9b86", ""),
     ("monitor {d}/lm.jsonl --model tiny", 2, "", "fe54b4475856651c"),
+    # A trace that goes bad past its first line (see `_spoil`): one stderr
+    # line naming the path, exit 2, from every command that reads it.
+    ("monitor {d}/bad.jsonl", 2, "", "7107b2e674b60194"),
+    ("explain {d}/bad.jsonl", 2, "", "7107b2e674b60194"),
+    ("diff {d}/lm.jsonl {d}/bad.jsonl", 2, "", "7107b2e674b60194"),
+    ("monitor {d}/nan.jsonl", 2, "", "6eea9f7070341d26"),
+    ("explain {d}/nan.jsonl", 2, "", "6eea9f7070341d26"),
+    ("diff {d}/lm.jsonl {d}/nan.jsonl", 2, "", "6eea9f7070341d26"),
     ("monitor", 2, "", "8346264d421a7a4d"),
     ("monitor --model tiny --interval 0", 2, "", "15ad426605b1f2b5"),
     ("monitor --model nosuch", 2, "", "307a1486846013bd"),
@@ -543,7 +553,23 @@ def cli_dir(tmp_path_factory):
         assert main(
             f"snapshot {_SNAP} --pause-after 20 --out {d}/run.snap".split()
         ) == 0
+    _spoil(d)
     return str(d)
+
+
+def _spoil(d):
+    """Two copies of ``lm.jsonl`` that go bad after line 1: ``bad.jsonl``
+    has a truncated line 51, ``nan.jsonl`` a ``kernel_end`` whose seconds
+    are ``NaN`` (which Python's ``json`` writes and reads back)."""
+    lines = (d / "lm.jsonl").read_text().splitlines()
+    bad = list(lines)
+    bad[50] = bad[50][: len(bad[50]) // 2]
+    (d / "bad.jsonl").write_text("\n".join(bad) + "\n")
+    at = next(i for i, line in enumerate(lines) if '"kind":"kernel_end"' in line)
+    doc = json.loads(lines[at])
+    doc["seconds"] = float("nan")
+    lines[at] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    (d / "nan.jsonl").write_text("\n".join(lines) + "\n")
 
 
 def _run(argv, capsys):

@@ -200,6 +200,20 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 5 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_6_envelope_is_rejected(self, tmp_path):
+        """Version 6 predates the monitor-only tier running the full tier's
+        typed bodies: its cheap tracer pickled no bound ``note_event`` as
+        ``_event``, so it would restore retaining every event."""
+        config = ExperimentConfig(scale=SCALE, iterations=2, monitor=True)
+        snap = checkpoint_trace_mode(_trace(), MODE, config, pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 6, "snapshot": snap,
+        }
+        path = tmp_path / "v6.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 6 unsupported"):
+            load_snapshot(str(path))
+
     def test_stale_class_layout_is_rejected_with_the_typed_error(
         self, tmp_path
     ):
@@ -224,6 +238,45 @@ class TestEnvelope:
         )
         with pytest.raises(ConfigurationError):
             resume_snapshot(snap)
+
+
+class TestMonitorOnlyRoundTrip:
+    def test_paused_monitor_only_run_ends_with_the_uninterrupted_snapshot(
+        self, tmp_path
+    ):
+        """A monitor-only run paused mid-run, written, read back and resumed
+        ends with the monitor state of the uninterrupted run, plus exactly
+        the two checkpoint events the pause itself reports."""
+        from repro.telemetry.monitor import MonitorConfig
+        from repro.telemetry.trace import RESTORE, SNAPSHOT
+
+        monitor_config = MonitorConfig(window_seconds=0.002, ring_capacity=4096)
+        config = ExperimentConfig(
+            scale=SCALE, iterations=2, monitor=True, monitor_config=monitor_config
+        )
+        whole = run_trace_mode(_trace(), MODE, config).monitor
+        snap = checkpoint_trace_mode(_trace(), MODE, config, pause_after=7)
+        path = save_snapshot(snap, str(tmp_path / "monitor.snap"))
+        resumed = resume_snapshot(load_snapshot(path)).monitor
+        assert type(resumed.ring.snapshot()[0]) is tuple  # still the cheap tier
+
+        def state(monitor):
+            return (
+                monitor.snapshot(recent_windows=1 << 20).to_json(),
+                [e for e in monitor.ring.snapshot()
+                 if e[0] not in (SNAPSHOT, RESTORE)],
+                monitor.latency_summaries(),
+            )
+
+        got, ring, latencies = state(resumed)
+        assert got["totals"]["snapshots"] == got["totals"]["restores"] == 1
+        got["totals"]["snapshots"] = got["totals"]["restores"] = 0
+        got["events_seen"] -= 2
+        paused_in = int(snap.virtual_time / monitor_config.window_seconds)
+        (window,) = [w for w in got["recent_windows"] if w["index"] == paused_in]
+        window["events"] -= 2
+        assert len(got["recent_windows"]) > 1
+        assert (got, ring, latencies) == state(whole)
 
 
 class TestCrossProcess:

@@ -2,9 +2,11 @@
 
 import io
 import json
+import re
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim.clock import SimClock
 from repro.telemetry.export import (
     JSONL_SCHEMA_VERSION,
@@ -168,6 +170,20 @@ def test_read_jsonl_rejects_garbage():
         read_jsonl(io.StringIO('{"no_kind": true}\n'))
     with pytest.raises(ValueError):
         read_jsonl(io.StringIO('{"kind": "gc"}\n'))
+    # Python's json reads these as floats; no fold downstream can use one.
+    for number in ("NaN", "Infinity", "-Infinity", "1e999"):
+        body = '{"kind":"gc","ts":1.0}\n{"kind":"gc","seconds":%s,"ts":2.0}\n'
+        with pytest.raises(ValueError, match=f"^line 2: non-finite number {number}$"):
+            read_jsonl(io.StringIO(body % number))
+
+
+def test_event_stream_names_its_path_at_a_bad_line_past_the_first(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text('{"kind":"gc","ts":1.0}\n{"kind":"gc","ts":2.0,\n')
+    stream = EventStream(str(path))
+    expected = f"^{re.escape(str(path))} is not a JSONL event stream: line 2: not JSON"
+    with pytest.raises(ConfigurationError, match=expected):
+        list(stream)
 
 
 def test_iter_jsonl_streams_lazily():

@@ -404,7 +404,7 @@ def test_copy_straddling_a_window_is_in_flight_when_its_start_window_closes():
     """The copy's start folds before its end is counted: counting the end
     closes the start's window, and that window must report the copy as in
     flight — on the full tier's typed call, on replay, and on the cheap
-    tier's ``note_copy``."""
+    tier's own ``copy`` body."""
     config = MonitorConfig(window_seconds=1.0, rules=())
 
     def copy_across_the_boundary(keep_events):
@@ -533,7 +533,7 @@ def test_offline_replay_matches_live_monitoring():
 
 
 def test_cheap_tier_notes_agree_with_full_tier_totals():
-    """The note_* fast intake keeps the same arithmetic as observe():
+    """The cheap tier's typed bodies keep the same arithmetic as observe():
     a cheap-tier run and a full-tracing run of the same workload land on
     identical totals, occupancy, and latency sketches (window event counts
     and copy attribution legitimately differ — the cheap tier neither sees

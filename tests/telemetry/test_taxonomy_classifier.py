@@ -258,13 +258,17 @@ class TestMonitorTier:
             ev(1.9, STALL, seconds=0.2),
         ]
         from_trace = classify_trace(events, COST)
+        # The same run through the monitor-only tier's typed calls.
         monitor = RuntimeMonitor(MonitorConfig(rules=()))
-        tracer = MonitorTracer(SimClock(), monitor)
-        monitor.note_kernel(1.0, 1.0, 0.4, 0.7, 0.1)
-        monitor.note_copy(1.0, 1.5, 1 << 30, "NVRAM", "DRAM")
+        clock = SimClock()
+        tracer = MonitorTracer(clock, monitor)
+        clock.advance(1.0)
+        tracer.kernel_end("k", 1.0, 0.4, 0.7, 0.1, "fwd")
+        tracer.copy("NVRAM", "DRAM", 1 << 30, 1, 0.5, 1.5, 0)
         with tracer.scope("evict", "v"):
-            monitor.note_copy(1.5, 1.8, 1 << 30, "DRAM", "NVRAM")
-        monitor.note_stall(1.9, 0.2)
+            tracer.copy("DRAM", "NVRAM", 1 << 30, 1, 0.3, 1.8, 1)
+        clock.advance(0.9)
+        tracer.stall("k", 0.2)
         from_monitor = classify_monitor(monitor, COST)
         assert from_monitor.source == "monitor"
         assert from_monitor.verdict == from_trace.verdict
@@ -275,8 +279,12 @@ class TestMonitorTier:
 
     def test_monitor_gc_counts_as_capacity(self):
         monitor = RuntimeMonitor(MonitorConfig(rules=()))
-        monitor.note_kernel(1.0, 1.0, 1.0)
-        monitor.note_gc(1.2, 0.2)
+        clock = SimClock()
+        tracer = MonitorTracer(clock, monitor)
+        clock.advance(1.0)
+        tracer.kernel_end("k", 1.0, 1.0, 0.0, 0.0, "fwd")
+        clock.advance(0.2)
+        tracer.gc(0.2)
         t = classify_monitor(monitor, COST)
         assert t.decomposition.capacity == pytest.approx(0.2)
         assert t.gc_seconds == pytest.approx(0.2)
