@@ -89,12 +89,17 @@ class CachedArray:
         self._session.policy.will_use(self._obj)
         return self
 
+    # will_read/will_write take a kernel's hint path, so a traced session
+    # records the hint and attributes the movement it causes to it.
+
     def will_read(self) -> "CachedArray":
-        self._session.policy.will_read(self._obj)
+        session = self._session
+        session.policy.hint_operands((self._obj,), (), session.tracer)
         return self
 
     def will_write(self) -> "CachedArray":
-        self._session.policy.will_write(self._obj)
+        session = self._session
+        session.policy.hint_operands((), (self._obj,), session.tracer)
         return self
 
     def archive(self) -> "CachedArray":

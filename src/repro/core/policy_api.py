@@ -20,9 +20,12 @@ here, because some placement decision must happen at these moments:
   primary must exist *somewhere* readable.
 
 The runtime crosses this boundary once per kernel sweep, not once per
-operand: :meth:`Policy.hint_operands` and :meth:`Policy.resolve_operands`
-take a kernel's operand list and default to the per-object loops, so a
-policy written against Table II alone never sees them.
+operand, traced or not: :meth:`Policy.hint_operands` and
+:meth:`Policy.resolve_operands` take a kernel's operand list and the
+session's tracer, and default to the per-object loops, which open the
+operand's ``hint`` or residency scope around each per-object call — so a
+policy written against Table II alone never sees them, and its movement is
+still attributed to the operand that caused it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.telemetry.trace import NULL_TRACER
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import DataManager
 
-__all__ = ["AccessIntent", "Policy", "DelegatingPolicy"]
+__all__ = ["AccessIntent", "Policy", "DelegatingPolicy", "RESIDENCY_LABELS"]
 
 
 class AccessIntent(enum.Enum):
@@ -50,6 +53,14 @@ class AccessIntent(enum.Enum):
 
 # One (object, intent) pair per unique operand of a kernel.
 Intents = Iterable[tuple[MemObject, AccessIntent]]
+
+# The cause-scope label of each residency intent, precomputed so a traced
+# sweep never concatenates strings per operand.
+RESIDENCY_LABELS = {
+    AccessIntent.USE: "resident_use",
+    AccessIntent.READ: "resident_read",
+    AccessIntent.WRITE: "resident_write",
+}
 
 
 class Policy(abc.ABC):
@@ -133,28 +144,41 @@ class Policy(abc.ABC):
     # -- per-kernel batch entry points ------------------------------------------------
 
     def hint_operands(
-        self, reads: Iterable[MemObject], writes: Iterable[MemObject]
+        self,
+        reads: Iterable[MemObject],
+        writes: Iterable[MemObject],
+        tracer=NULL_TRACER,
     ) -> None:
         """Every ``will_read``/``will_write`` hint of one kernel, in one call.
 
-        The default is the per-object loop; a policy overrides it to answer
-        a whole operand list without a call chain per operand, and must
-        leave exactly the state that loop would.
+        The default is the per-object loop, each hint under its
+        ``tracer.hint`` scope. A policy overrides it to answer a whole
+        operand list without a call chain per operand, and must leave
+        exactly the state and the events that loop would: a ``hint`` event
+        per operand, in operand order, and every move under its operand's
+        scope. The default tracer emits nothing, which is how a caller that
+        opened the hint itself reaches the body.
         """
         for obj in reads:
-            self.will_read(obj)
+            with tracer.hint("will_read", obj):
+                self.will_read(obj)
         for obj in writes:
-            self.will_write(obj)
+            with tracer.hint("will_write", obj):
+                self.will_write(obj)
 
-    def resolve_operands(self, intents: Intents, pinned: list[MemObject]) -> None:
+    def resolve_operands(
+        self, intents: Intents, pinned: list[MemObject], tracer=NULL_TRACER
+    ) -> None:
         """Ensure residency for each of a kernel's unique operands and pin it.
 
         Each object is pinned as soon as it is resident — so a sibling's
         forced prefetch cannot evict it — and appended to ``pinned``, so a
-        failure mid-way tells the caller exactly what to unpin.
+        failure mid-way tells the caller exactly what to unpin. Movement is
+        attributed to the operand's ``RESIDENCY_LABELS`` scope.
         """
         for obj, intent in intents:
-            self.ensure_resident(obj, intent)
+            with tracer.scope(RESIDENCY_LABELS[intent], obj):
+                self.ensure_resident(obj, intent)
             obj.pin()
             pinned.append(obj)
 
@@ -196,7 +220,9 @@ class DelegatingPolicy(Policy):
     The batch entry points are deliberately *not* forwarded: a wrapper
     inherits the per-object loops, so each operand still passes through its
     ``will_read``/``will_write``/``ensure_resident`` — a strike or an
-    injected fault lands on the operand that caused it.
+    injected fault lands on the operand that caused it. The loop opens
+    each operand's scope; the inner per-object method runs its batch body
+    with the no-op tracer, so no event is emitted twice.
     """
 
     def __init__(self, inner: Policy) -> None:

@@ -51,15 +51,6 @@ __all__ = [
     "resolve_residency",
 ]
 
-# Precomputed cause-scope labels for kernel residency resolution, so the
-# traced hot path never concatenates strings per operand.
-RESIDENCY_LABELS = {
-    AccessIntent.USE: "resident_use",
-    AccessIntent.READ: "resident_read",
-    AccessIntent.WRITE: "resident_write",
-}
-
-
 def issue_hints(
     policy: Policy,
     tracer: "tracing.Tracer | tracing.NullTracer",
@@ -68,22 +59,13 @@ def issue_hints(
 ) -> None:
     """Fire ``will_read``/``will_write`` hints for a kernel's operands.
 
-    Untraced (the default for every figure), the whole operand list crosses
-    the policy boundary in one :meth:`Policy.hint_operands` call, whose
-    default is the per-object loop. A trace wants one hint scope per
-    operand, so the traced branch keeps that loop here. Both drive the
-    policy identically, so enabling tracing cannot change placement or
-    timing.
+    Traced or not, the whole operand list crosses the policy boundary in
+    one :meth:`Policy.hint_operands` call, whose default is the per-object
+    loop. The tracer goes with it: the policy emits one ``hint`` event per
+    operand and opens an operand's hint scope around whatever it moves, so
+    enabling tracing cannot change placement or timing.
     """
-    if tracer.enabled:
-        for obj in read_objs:
-            with tracer.hint("will_read", obj):
-                policy.will_read(obj)
-        for obj in write_objs:
-            with tracer.hint("will_write", obj):
-                policy.will_write(obj)
-    else:
-        policy.hint_operands(read_objs, write_objs)
+    policy.hint_operands(read_objs, write_objs, tracer)
 
 
 def resolve_residency(
@@ -100,10 +82,10 @@ def resolve_residency(
     object pinned immediately, so no later ensure can evict an operand that
     is already placed. Objects are appended to ``pinned`` as they are
     pinned, so a failure mid-way leaves the caller able to unpin exactly
-    what was pinned. Untraced, that is one :meth:`Policy.resolve_operands`
-    call (whose default is the loop spelled out in the traced branch, minus
-    the per-operand cause scope); this helper is the single definition both
-    the :class:`Session` kernel scope and the trace executor share.
+    what was pinned. That is one :meth:`Policy.resolve_operands` call,
+    traced or not, whose movement lands under the operand's residency
+    scope; this helper is the single definition both the :class:`Session`
+    kernel scope and the trace executor share.
     """
     read, write = AccessIntent.READ, AccessIntent.WRITE
     intents: dict[int, tuple[MemObject, AccessIntent]] = {}
@@ -111,14 +93,7 @@ def resolve_residency(
         intents[obj.id] = (obj, read)
     for obj in write_objs:
         intents[obj.id] = (obj, write)
-    if tracer.enabled:
-        for obj, intent in intents.values():
-            with tracer.scope(RESIDENCY_LABELS[intent], obj):
-                policy.ensure_resident(obj, intent)
-            obj.pin()
-            pinned.append(obj)
-    else:
-        policy.resolve_operands(intents.values(), pinned)
+    policy.resolve_operands(intents.values(), pinned, tracer)
 
 
 @dataclass

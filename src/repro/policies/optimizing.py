@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.object import MemObject, Region
-from repro.core.policy_api import AccessIntent, Intents, Policy
+from repro.core.policy_api import AccessIntent, Intents, Policy, RESIDENCY_LABELS
 from repro.errors import ConfigurationError, PolicyError
 from repro.policies.base import (
     evict_object,
@@ -38,6 +38,7 @@ from repro.policies.base import (
 )
 from repro.policies.lru import LruTracker
 from repro.telemetry.metrics import Counter, MetricsRegistry
+from repro.telemetry.trace import NULL_TRACER
 
 __all__ = ["OptimizingPolicy", "PolicyStats"]
 
@@ -157,30 +158,52 @@ class OptimizingPolicy(Policy):
     # -- hints ------------------------------------------------------------------
 
     def hint_operands(
-        self, reads: Iterable[MemObject], writes: Iterable[MemObject]
+        self,
+        reads: Iterable[MemObject],
+        writes: Iterable[MemObject],
+        tracer=NULL_TRACER,
     ) -> None:
         """One kernel's hints: every operand counts as used; write targets
-        and — with **P** — reads are pulled into fast memory."""
+        and — with **P** — reads are pulled into fast memory.
+
+        Only a fetch emits events, so only a fetch opens its operand's
+        ``hint`` scope. An operand that moves nothing is *owed* its
+        ``hint`` event: the next fetch's ``tracer.hint`` or the sweep's
+        closing ``tracer.hints`` emits it, in operand order and at the
+        same virtual time, since nothing in between moves the clock. An
+        operand is owed from the moment it is reached (a ``getprimary``
+        that raises leaves its hint out) until its own fetch takes it back.
+        """
         getprimary = self.manager.getprimary
         slow = self.slow
         used: list[MemObject] = []
+        owed_reads: list[MemObject] = []
+        owed_writes: list[MemObject] = []
         try:
             if self.prefetch:
                 for obj in reads:
                     used.append(obj)
-                    if (
-                        getprimary(obj).device_name != slow
-                        or self._fetch(obj, used) is not None
-                    ):
+                    owed_reads.append(obj)
+                    if getprimary(obj).device_name != slow:
                         self.stats.prefetches += 1
+                        continue
+                    owed_reads.pop()
+                    with tracer.hint("will_read", obj, owed_reads, owed_writes):
+                        if self._fetch(obj, used) is not None:
+                            self.stats.prefetches += 1
             else:
                 used.extend(reads)
+                owed_reads.extend(used)
             for obj in writes:
                 used.append(obj)
+                owed_writes.append(obj)
                 if getprimary(obj).device_name == slow:
-                    self._fetch(obj, used)
+                    owed_writes.pop()
+                    with tracer.hint("will_write", obj, owed_reads, owed_writes):
+                        self._fetch(obj, used)
         finally:
             self._note_uses(used)
+            tracer.hints(owed_reads, owed_writes)
 
     def will_use(self, obj: MemObject) -> None:
         self._note_uses([obj])
@@ -211,12 +234,17 @@ class OptimizingPolicy(Policy):
 
     # -- residency ----------------------------------------------------------------
 
-    def resolve_operands(self, intents: Intents, pinned: list[MemObject]) -> None:
+    def resolve_operands(
+        self, intents: Intents, pinned: list[MemObject], tracer=NULL_TRACER
+    ) -> None:
         """Make each operand usable for the kernel about to run, and pin it.
 
         * write intent: migrate into fast memory (best effort);
         * read/use intent: migrate only in cache-like mode (no **L**) —
           with **L**, reads run from NVRAM unless **P** prefetched earlier.
+
+        A fetch runs under its operand's residency scope, the only place
+        this sweep emits events.
         """
         getprimary = self.manager.getprimary
         slow = self.slow
@@ -225,11 +253,13 @@ class OptimizingPolicy(Policy):
         used: list[MemObject] = []
         try:
             for obj, intent in intents:
-                if (
-                    getprimary(obj).device_name != slow
-                    or not (cache_like or intent is write)
-                    or self._fetch(obj, used) is None
+                moved = None
+                if getprimary(obj).device_name == slow and (
+                    cache_like or intent is write
                 ):
+                    with tracer.scope(RESIDENCY_LABELS[intent], obj):
+                        moved = self._fetch(obj, used)
+                if moved is None:
                     used.append(obj)  # stayed where it was: a plain use
                 obj.pin()
                 pinned.append(obj)

@@ -1715,8 +1715,9 @@ class _MonitorOnlyTracer(MonitorTracer):
     typed bodies, through an ``_event`` that is the monitor's
     :meth:`~RuntimeMonitor.note_event` (bound in ``MonitorTracer.__init__``):
     the event is counted and rung as a compact tuple, and nothing is
-    retained. Every other kind and ``hint()`` are :class:`NullTracer`'s
-    no-ops, and ``enabled`` is False, so no traced-only work runs.
+    retained. Every other kind, ``hint()`` and ``hints()`` are
+    :class:`NullTracer`'s no-ops (the monitor folds no hint), and
+    ``enabled`` is False, so no traced-only work runs.
     ``scope()`` stays the no-op for the per-operand kinds (their cost is why
     this tier exists) and tracks only the kinds the copy-cause rollups
     report. ``copy`` and ``checkpoint`` keep bodies of their own: the
@@ -1737,6 +1738,7 @@ class _MonitorOnlyTracer(MonitorTracer):
     invariant_check = NullTracer.invariant_check
     request = NullTracer.request
     hint = NullTracer.hint
+    hints = NullTracer.hints
 
     def scope(self, kind: str, subject: object = ""):
         if kind in self._TRACKED_SCOPES:

@@ -23,17 +23,21 @@ emitted while scopes are open records the innermost scope label as its
 ``cause`` and the outermost as its ``root`` — so a copy triggered by an
 eviction that was itself triggered by a ``will_write`` hint reads
 ``cause="evict:a3" root="hint:will_write:a7"``. That is the hint → policy
-decision → manager action chain the profile report aggregates.
+decision → manager action chain the profile report aggregates. A kernel's
+hint and residency sweeps hand the tracer to the policy's batch bodies,
+which open a scope only around what they move; a hint sweep emits the
+``hint`` events of the operands it moved nothing for as *owed* ones, in
+operand order, through the next ``hint()`` or a closing :meth:`Tracer.hints`.
 
 **One reporting seam, three listeners.** An instrumented site makes exactly
 one unconditional, positional, typed call — ``tracer.copy(...)``,
 ``tracer.alloc(...)``, ``tracer.kernel_end(...)`` — and cannot tell who is
 listening:
 
-* :data:`NULL_TRACER` (the default): every typed call is a no-op and
-  ``scope()``/``hint()`` return a shared singleton context manager, so an
-  untraced site pays one method call with its arguments evaluated and
-  allocates nothing.
+* :data:`NULL_TRACER` (the default): every typed call and ``hints()`` is
+  a no-op and ``scope()``/``hint()`` return a shared singleton context
+  manager, so an untraced site pays one method call with its arguments
+  evaluated and allocates nothing.
 * :class:`Tracer` (full tracing): each typed call retains one flat
   *record* through ``Tracer._event`` and returns it — a tuple of ts, kind,
   cause, root, root_ts, stream, a constant tuple of field names, then the
@@ -62,10 +66,10 @@ first read. ``stall`` and ``decision`` records carry lists, so those rare
 ones stay tracked.
 
 ``tracer.enabled`` survives only where full tracing does extra *work*
-rather than different *reporting* (per-operand attribution scopes, stall
-blame lists, rejected-candidate lists, in-flight copy labels); the
-structural test ``tests/core/test_seam.py`` holds the allow-list. Tracing
-never advances the clock, so no listener can change results.
+rather than different *reporting* (stall blame lists, rejected-candidate
+lists, in-flight copy labels); the structural test
+``tests/core/test_seam.py`` holds the allow-list. Tracing never advances
+the clock, so no listener can change results.
 """
 
 from __future__ import annotations
@@ -571,15 +575,34 @@ class Tracer:
         label = subject_label(subject)
         return _Scope(self, f"{kind}:{label}" if label else kind)
 
-    def hint(self, kind: str, subject: object) -> _Scope:
+    def hint(
+        self, kind: str, subject: object, owed_reads: list = (), owed_writes: list = ()
+    ) -> _Scope:
         """Emit a ``hint`` event and open its attribution scope.
 
-        Used by the session/executor around Table II hint delivery so any
-        movement a policy performs in response is attributed to the hint.
+        Opened around Table II hint delivery — by the executor, and by a
+        policy's hint sweep around each operand it moves — so any movement
+        a policy performs in response is attributed to the hint. A sweep
+        passes the hints it still owes; they go out first (:meth:`hints`).
         """
+        if owed_reads or owed_writes:
+            self.hints(owed_reads, owed_writes)
         label = subject_label(subject)
         self._event(self.clock.now, HINT, ("hint", "subject"), (kind, label))
         return _Scope(self, f"hint:{kind}:{label}")
+
+    def hints(self, owed_reads: list, owed_writes: list) -> None:
+        """Emit the ``hint`` events a policy's hint sweep owes — operands
+        (:class:`~repro.core.object.MemObject`, never nameless) it moved
+        nothing for — ``will_read`` then ``will_write``, in operand order,
+        and empty both lists. No scope opens: nothing moved under them."""
+        now, event, fields = self.clock.now, self._event, ("hint", "subject")
+        for obj in owed_reads:
+            event(now, HINT, fields, ("will_read", obj.name))
+        for obj in owed_writes:
+            event(now, HINT, fields, ("will_write", obj.name))
+        owed_reads.clear()
+        owed_writes.clear()
 
     @property
     def cause(self) -> str:
@@ -619,8 +642,14 @@ class NullTracer:
     def scope(self, kind: str, subject: object = "") -> _NullScope:
         return _NULL_SCOPE
 
-    def hint(self, kind: str, subject: object) -> _NullScope:
+    def hint(
+        self, kind: str, subject: object, owed_reads: list = (), owed_writes: list = ()
+    ) -> _NullScope:
         return _NULL_SCOPE
+
+    def hints(self, owed_reads: list, owed_writes: list) -> None:
+        """A hint sweep's owed ``hint`` events (operands it moved nothing
+        for); the no-op leaves the lists as they are."""
 
     def clear(self) -> None:
         pass

@@ -101,3 +101,41 @@ def test_repr(real_session):
     array = real_session.zeros((2, 2), name="mat")
     text = repr(array)
     assert "mat" in text and "(2, 2)" in text
+
+
+@pytest.mark.parametrize("hint", ["will_read", "will_write"])
+def test_a_hint_method_attributes_its_movement_like_a_kernel_hint(hint):
+    """``array.will_read()`` (or ``will_write()``) takes the kernel's hint
+    path: one ``hint`` event, and every event the move causes rooted at it —
+    the same records as the hint a kernel issues for that operand."""
+    from repro.core.session import Session, SessionConfig, issue_hints
+    from repro.policies.optimizing import OptimizingPolicy
+    from repro.units import KiB, MiB
+
+    def records(deliver):
+        session = Session(
+            SessionConfig(dram=64 * KiB, nvram=1 * MiB, tracing=True),
+            policy=OptimizingPolicy(local_alloc=True, prefetch=True),
+        )
+        arrays = [session.empty(4 * KiB, name=f"a{i}") for i in range(6)]
+        assert arrays[0].device == "NVRAM"  # pushed out by a4 and a5
+        session.tracer.clear()
+        deliver(session, arrays[0])
+        assert arrays[0].device == "DRAM"
+        events = [event.to_json() for event in session.tracer.events]
+        session.close()
+        return events
+
+    def by_method(session, array):
+        getattr(array, hint)()
+
+    def by_kernel(session, array):
+        operands = ([array.obj], []) if hint == "will_read" else ([], [array.obj])
+        issue_hints(session.policy, session.tracer, *operands)
+
+    events = records(by_method)
+    assert events == records(by_kernel)
+    first, *moved = events
+    assert (first["kind"], first["hint"], first["subject"]) == ("hint", hint, "a0")
+    assert {event["kind"] for event in moved} >= {"evict", "prefetch", "copy_start"}
+    assert all(event["root"] == f"hint:{hint}:a0" for event in moved)

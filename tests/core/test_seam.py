@@ -21,9 +21,6 @@ ROOT = pathlib.Path(repro.__file__).parent
 # The only places a caller may ask ``tracer.enabled``: where full tracing
 # does extra *work* (not different reporting) that an untraced run skips.
 ENABLED_READS = {
-    # per-operand hint events + attribution scopes around policy entry points
-    ("core/session.py", "issue_hints"): 1,
-    ("core/session.py", "resolve_residency"): 1,
     # in-flight labels for async copies, so drain stalls can name objects
     ("core/manager.py", "copyto"): 1,
     # stall blame lists, read off the clock before the wait advances it
@@ -142,6 +139,7 @@ def test_every_listener_answers_every_typed_call():
     # falls through to Tracer's body for a kind the monitor does not fold.
     tracer = MonitorTracer(None)
     monitor_only = type(tracer)
+    assert "hints" in protocol  # a hint sweep's owed events: a typed call
     for name in protocol | {"hint"}:
         body = getattr(monitor_only, name)
         if name in CHEAP_BODIES:
@@ -270,26 +268,34 @@ def test_figures_two_to_six_are_views_of_one_matrix():
 
 
 def test_an_untraced_kernel_makes_one_policy_call_per_sweep():
-    """``issue_hints`` and ``resolve_residency`` loop over operands only in
-    their traced arm (one scope per operand); the untraced arm hands the
-    operand list to the policy in one call. The robustness wrappers take
-    the base-class loops — they never forward a batch to ``inner``, so a
-    strike or an injected fault still lands on the operand that drew it."""
+    """``issue_hints`` and ``resolve_residency`` hold no branch: traced or
+    not, each hands the operand list and the tracer to the policy in one
+    call, and the policy opens the per-operand scopes. The robustness
+    wrappers take the base-class loops — they never forward a batch to
+    ``inner``, so a strike or an injected fault still lands on the operand
+    that drew it."""
     tree = ast.parse((ROOT / "core/session.py").read_text())
-    untraced = {}
-    for function, node in nodes_by_function(tree):
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "tracer.enabled":
-            untraced[function] = [
-                call.func.attr
-                for arm in node.orelse
-                for call in ast.walk(arm)
-                if isinstance(call, ast.Call)
-                and ast.unparse(call.func).startswith("policy.")
-            ]
-    assert untraced == {
-        "issue_hints": ["hint_operands"],
-        "resolve_residency": ["resolve_operands"],
+    bodies = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
     }
+    for name, batch in (
+        ("issue_hints", "hint_operands"),
+        ("resolve_residency", "resolve_operands"),
+    ):
+        body = bodies[name]
+        assert not any(
+            isinstance(node, (ast.If, ast.IfExp, ast.Match, ast.Try))
+            for node in ast.walk(body)
+        ), name
+        policy_calls = [
+            call for call in ast.walk(body)
+            if isinstance(call, ast.Call)
+            and ast.unparse(call.func).startswith("policy.")
+        ]
+        assert [ast.unparse(call.func) for call in policy_calls] == [
+            f"policy.{batch}"
+        ], name
+        assert ast.unparse(policy_calls[0].args[-1]) == "tracer", name
 
     from repro.core.policy_api import DelegatingPolicy, Policy
     from repro.faults.policy import FaultyPolicy

@@ -9,14 +9,29 @@ one through the base-class loops (``will_read``/``will_write`` per operand,
 ``ensure_resident`` + ``pin`` per unique operand), and for the two policies
 that implement the batch forms a third through the per-object bodies as
 they stood before the batch forms existed, kept here as the reference.
+
+Traced, a batch must also leave the events that loop would: traced twins
+run the kernel helpers (``issue_hints``/``resolve_residency``) against the
+traced per-operand loops those helpers once held, kept here as the
+reference, and compare every retained record as well as the state.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.policy_api import AccessIntent, DelegatingPolicy, Policy
-from repro.core.session import Session, SessionConfig
-from repro.errors import CachedArraysError, PolicyError
+from repro.core.policy_api import (
+    RESIDENCY_LABELS,
+    AccessIntent,
+    DelegatingPolicy,
+    Policy,
+)
+from repro.core.session import Session, SessionConfig, issue_hints, resolve_residency
+from repro.errors import (
+    CachedArraysError,
+    ObjectStateError,
+    OutOfMemoryError,
+    PolicyError,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import POLICY, FaultPlan, FaultSpec
 from repro.faults.policy import FaultyPolicy
@@ -81,16 +96,67 @@ class ReferenceAdaptive(PerObjectReference, AdaptivePolicy):
     pass
 
 
-def batch(policy):
-    return policy.hint_operands, policy.resolve_operands
+def operand_intents(read_objs, write_objs):
+    """One (object, intent) per unique operand, write intent winning."""
+    intents = {obj.id: (obj, AccessIntent.READ) for obj in read_objs}
+    intents.update((obj.id, (obj, AccessIntent.WRITE)) for obj in write_objs)
+    return intents.values()
 
 
-def loops(policy):
+def batch(session):
+    policy = session.policy
+
+    def resolve(reads, writes, pinned):
+        policy.resolve_operands(operand_intents(reads, writes), pinned)
+
+    return policy.hint_operands, resolve
+
+
+def loops(session):
+    policy = session.policy
+
     def hint(reads, writes):
         Policy.hint_operands(policy, reads, writes)
 
-    def resolve(intents, pinned):
-        Policy.resolve_operands(policy, intents, pinned)
+    def resolve(reads, writes, pinned):
+        Policy.resolve_operands(policy, operand_intents(reads, writes), pinned)
+
+    return hint, resolve
+
+
+def helpers(session):
+    """What a kernel runs: one policy call per sweep, tracer included."""
+    policy, tracer = session.policy, session.tracer
+
+    def hint(reads, writes):
+        issue_hints(policy, tracer, reads, writes)
+
+    def resolve(reads, writes, pinned):
+        resolve_residency(policy, tracer, reads, writes, pinned)
+
+    return hint, resolve
+
+
+def traced_loops(session):
+    """The reference: the kernel helpers' traced arms as they stood when a
+    traced kernel walked its operands one at a time, a hint or residency
+    scope around each per-object call."""
+    policy, tracer = session.policy, session.tracer
+
+    def hint(reads, writes):
+        for obj in reads:
+            with tracer.hint("will_read", obj):
+                policy.will_read(obj)
+        for obj in writes:
+            with tracer.hint("will_write", obj):
+                policy.will_write(obj)
+
+    def resolve(reads, writes, pinned):
+        for obj, intent in operand_intents(reads, writes):
+            with tracer.scope(RESIDENCY_LABELS[intent], obj):
+                policy.ensure_resident(obj, intent)
+            obj.pin()
+            pinned.append(obj)
 
     return hint, resolve
 
@@ -98,15 +164,17 @@ def loops(policy):
 class Twin:
     """One session and the entry points its kernels go through."""
 
-    def __init__(self, policy, entry, *, devices=()):
+    def __init__(
+        self, policy, entry, *, devices=(), tracing=False, dram=64 * KiB, nvram=4 * MiB
+    ):
         config = (
-            SessionConfig(dram=None, nvram=None, devices=devices)
+            SessionConfig(dram=None, nvram=None, devices=devices, tracing=tracing)
             if devices
-            else SessionConfig(dram=64 * KiB, nvram=4 * MiB)
+            else SessionConfig(dram=dram, nvram=nvram, tracing=tracing)
         )
         self.session = Session(config, policy=policy)
         self.policy = policy
-        self.hint, self.resolve = entry(policy)
+        self.hint, self.resolve = entry(self.session)
         self.objects = []
 
     def allocate(self, sizes):
@@ -122,14 +190,12 @@ class Twin:
         policy could neither move nor leave) so the twins compare on it."""
         read_objs = [self.objects[i] for i in reads]
         write_objs = [self.objects[i] for i in writes]
-        intents = {obj.id: (obj, AccessIntent.READ) for obj in read_objs}
-        intents.update((obj.id, (obj, AccessIntent.WRITE)) for obj in write_objs)
         pinned = []
         try:
             if hinted:
                 self.hint(read_objs, write_objs)
             try:
-                self.resolve(intents.values(), pinned)
+                self.resolve(read_objs, write_objs, pinned)
                 held = [(obj.name, obj.pin_count) for obj in pinned]
             finally:
                 for obj in pinned:
@@ -168,6 +234,8 @@ class Twin:
                 getattr(policy, "quarantined", None),
                 list(getattr(policy, "failures", ())),
             ),
+            # Every retained record: kind, args, cause, root, root_ts, order.
+            "events": [event.to_json() for event in self.session.tracer.events],
         }
 
 
@@ -224,22 +292,25 @@ def test_batch_forms_match_the_loops_and_the_per_object_reference(
     )
 
 
+def multitier_twin(entry, promote_on_use, tracing=False):
+    devices = (
+        MemoryDevice.dram(48 * KiB),
+        MemoryDevice.cxl(64 * KiB),
+        MemoryDevice.nvram(4 * MiB),
+    )
+    policy = MultiTierPolicy(["DRAM", "CXL", "NVRAM"], promote_on_use=promote_on_use)
+    return Twin(policy, entry, devices=devices, tracing=tracing)
+
+
 @pytest.mark.parametrize("promote_on_use", [False, True])
 @given(sizes=sizes, kernels=kernels)
 @settings(max_examples=40, deadline=None)
 def test_multitier_takes_the_default_loops(promote_on_use, sizes, kernels):
-    def twin(entry):
-        devices = (
-            MemoryDevice.dram(48 * KiB),
-            MemoryDevice.cxl(64 * KiB),
-            MemoryDevice.nvram(4 * MiB),
-        )
-        policy = MultiTierPolicy(
-            ["DRAM", "CXL", "NVRAM"], promote_on_use=promote_on_use
-        )
-        return Twin(policy, entry, devices=devices)
-
-    assert_twins_agree([twin(batch), twin(loops)], sizes, kernels)
+    assert_twins_agree(
+        [multitier_twin(batch, promote_on_use), multitier_twin(loops, promote_on_use)],
+        sizes,
+        kernels,
+    )
 
 
 def guarded(inner_cls, start, every):
@@ -296,3 +367,123 @@ def test_forwarding_a_batch_to_the_inner_policy_would_hide_faults():
 
     assert outcome(FaultyPolicy) is PolicyError  # the third operand's hint
     assert outcome(Forwarding) == [(f"t{i}", 1) for i in range(4)]
+
+
+# -- traced: the same records as the traced per-operand loop ---------------------
+
+
+@pytest.mark.parametrize(
+    "local_alloc, prefetch",
+    [(False, False), (True, False), (True, True), (False, True)],
+    ids=["CA:0", "CA:L-LM", "CA:LMP", "noL-P"],
+)
+@pytest.mark.parametrize("cls", [OptimizingPolicy, AdaptivePolicy])
+@given(sizes=sizes, kernels=kernels)
+@settings(max_examples=40, deadline=None)
+def test_a_traced_batch_leaves_the_traced_loops_records(
+    cls, local_alloc, prefetch, sizes, kernels
+):
+    """One ``hint`` event per operand in operand order, every move under
+    its operand's scope with the scope's open time as ``root_ts``: owed
+    hints go out before the next move or at the end of the sweep."""
+    toggles = {"local_alloc": local_alloc, "prefetch": prefetch}
+    assert_twins_agree(
+        [
+            Twin(cls(**toggles), helpers, tracing=True),
+            Twin(cls(**toggles), traced_loops, tracing=True),
+        ],
+        sizes,
+        kernels,
+    )
+
+
+@pytest.mark.parametrize("promote_on_use", [False, True])
+@given(sizes=sizes, kernels=kernels)
+@settings(max_examples=30, deadline=None)
+def test_traced_multitier_loops_leave_the_traced_loops_records(
+    promote_on_use, sizes, kernels
+):
+    assert_twins_agree(
+        [
+            multitier_twin(helpers, promote_on_use, tracing=True),
+            multitier_twin(traced_loops, promote_on_use, tracing=True),
+        ],
+        sizes,
+        kernels,
+    )
+
+
+@given(
+    sizes=sizes,
+    kernels=kernels,
+    start=st.integers(0, 40),
+    every=st.integers(3, 17),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_traced_wrapper_leaves_the_traced_loops_records(
+    sizes, kernels, start, every
+):
+    """A wrapper's inherited loop opens each operand's scope; the inner
+    policy's one-element batch runs untraced, so no hint is emitted twice
+    and strikes land at the same point of the stream."""
+    assert_twins_agree(
+        [
+            Twin(guarded(OptimizingPolicy, start, every), helpers, tracing=True),
+            Twin(guarded(OptimizingPolicy, start, every), traced_loops, tracing=True),
+        ],
+        sizes,
+        kernels,
+    )
+
+
+@pytest.mark.parametrize(
+    "failing, hinted",
+    [
+        (([3, 4, 0], [1]), ["r3", "r4", "r0"]),
+        (([3, 4], [3, 0, 1]), ["r3", "r4", "w3", "w0"]),
+    ],
+    ids=["in-the-reads", "in-the-writes"],
+)
+@pytest.mark.parametrize("cls", [OptimizingPolicy, AdaptivePolicy])
+def test_a_forced_prefetch_that_raises_mid_sweep_leaves_the_same_records(
+    cls, failing, hinted
+):
+    """NVRAM is full, so the forced prefetch of t0 cannot evict its victim
+    and raises mid-sweep: the hints owed for the operands before it are out,
+    the ones after it never are, exactly as the per-operand loop left them."""
+    twins = [
+        Twin(cls(prefetch=True), entry, tracing=True, dram=32 * KiB, nvram=48 * KiB)
+        for entry in (helpers, traced_loops)
+    ]
+    for twin in twins:
+        # t0..t2 are pushed out to NVRAM, which they fill; t3 and t4 hold
+        # DRAM. The first kernel moves nothing: its hints are owed to the end.
+        twin.allocate([16 * KiB] * 5)
+        assert twin.kernel([3], [4], True) == [("t3", 1), ("t4", 1)]
+        assert twin.kernel(*failing, True) is OutOfMemoryError
+        kinds = {"will_read": "r", "will_write": "w"}
+        assert [
+            kinds[event.args["hint"]] + event.args["subject"][1:]
+            for event in twin.session.tracer.events
+            if event.kind == "hint"
+        ] == ["r3", "w4", *hinted]
+    assert twins[0].state() == twins[1].state()
+    for twin in twins:
+        twin.session.close()
+
+
+@pytest.mark.parametrize("reads, writes", [([0, 1], [2]), ([0], [2, 1])])
+def test_a_retired_operand_ends_the_sweep_after_its_own_hint(reads, writes):
+    """An operand with no primary raises where the per-operand loop raised,
+    after its ``hint`` event: it is owed from the moment it is reached."""
+    twins = [
+        Twin(OptimizingPolicy(prefetch=True), entry, tracing=True)
+        for entry in (helpers, traced_loops)
+    ]
+    for twin in twins:
+        twin.allocate([8 * KiB] * 3)
+        twin.policy.retire(twin.objects[1])
+        assert twin.kernel(reads, writes, True) is ObjectStateError
+    assert twins[0].state() == twins[1].state()
+    for twin in twins:
+        twin.session.close()

@@ -269,12 +269,14 @@ class CountingSpy:
 def test_an_untraced_kernel_crosses_the_policy_boundary_once_per_sweep(
     operands, hinted
 ):
-    """However many operands a kernel has, the untraced path makes one
-    policy call per sweep: hints (when the kernel is hinted), residency,
-    finish. A traced kernel still opens one scope per operand and sweep."""
+    """However many operands a kernel has, traced or not, the kernel makes
+    one policy call per sweep: hints (when the kernel is hinted), residency,
+    finish. A traced kernel opens a scope only around an operand that
+    moves, yet still records one ``hint`` event per operand."""
 
     def kernel_calls(tracing):
-        spy = CountingSpy(OptimizingPolicy())
+        # Born in NVRAM (no L): a fetch is what opens a scope.
+        spy = CountingSpy(OptimizingPolicy(local_alloc=False))
         session = Session(
             SessionConfig(dram=4 * MiB, nvram=64 * MiB, tracing=tracing), policy=spy
         )
@@ -292,22 +294,26 @@ def test_an_untraced_kernel_crosses_the_policy_boundary_once_per_sweep(
                 setattr(
                     tracer,
                     method,
-                    lambda kind, subject="", original=original: (
-                        opened.append(kind) or original(kind, subject)
+                    lambda kind, subject="", *owed, original=original: (
+                        opened.append(kind) or original(kind, subject, *owed)
                     ),
                 )
+            tracer.clear()
         kernel = Kernel("k", tuple(names), (names[0],), 1e6, hinted=hinted)
         adapter.kernel(kernel, trace)
+        hints = [e.args["hint"] for e in session.tracer.events if e.kind == "hint"]
         session.close()
-        return spy.calls, opened
+        return spy.calls, opened, hints
 
-    calls, _ = kernel_calls(tracing=False)
     sweeps = ["resolve_operands", "on_kernel_finish"]
-    assert calls == (["hint_operands"] if hinted else []) + sweeps
+    untraced, _, _ = kernel_calls(tracing=False)
+    assert untraced == (["hint_operands"] if hinted else []) + sweeps
 
-    calls, opened = kernel_calls(tracing=True)
-    hints = ["will_read"] * operands + ["will_write"] if hinted else []
-    assert calls == hints + ["ensure_resident"] * operands + ["on_kernel_finish"]
-    # names[0] is read and written: one residency scope, write intent wins.
-    residency = ["resident_write"] + ["resident_read"] * (operands - 1)
-    assert opened == hints + residency
+    calls, opened, hints = kernel_calls(tracing=True)
+    assert calls == untraced
+    # names[0] is read and written: its write hint (or, unhinted, its
+    # residency with write intent winning) moves it; every other operand
+    # moves at residency, under its own scope.
+    first = ["will_write"] if hinted else ["resident_write"]
+    assert opened == first + ["resident_read"] * (operands - 1)
+    assert hints == (["will_read"] * operands + ["will_write"] if hinted else [])

@@ -104,3 +104,17 @@ def test_serving_calls_per_command_do_not_creep_back():
     here) from an unrelated helper call or import."""
     command = "-m repro serve --scale 2048 --requests 60"
     assert calls_in(status_line(command), command) <= SERVE_CALLS * 1.02
+
+
+# Calls into src/repro (imports included) of the traced command below once a
+# traced kernel's hints and residency became one policy call each, opening a
+# scope only around an operand that moves (724 266 before that).
+PROFILE_CALLS = 635_897
+
+
+def test_traced_calls_per_command_do_not_creep_back():
+    """The traced path's count, under the same allowance: a per-operand
+    scope or policy crossing creeping back into a traced kernel costs tens
+    of thousands of calls here."""
+    command = "-m repro profile --model resnet200-large --scale 2048 --iterations 1"
+    assert calls_in(status_line(command), command) <= PROFILE_CALLS * 1.02
