@@ -7,7 +7,7 @@ regions inside it. This subpackage provides that substrate:
 * :class:`~repro.memory.device.MemoryDevice` — a DRAM- or NVRAM-class device
   with a bandwidth model and, optionally, a *real* numpy arena so data
   integrity can be verified end to end.
-* :class:`~repro.memory.allocator.FreeListAllocator` — an address-ordered
+* :class:`~repro.memory.allocator.FreeListAllocator` — a boundary-tag
   first-fit allocator with coalescing, contiguous-span carving (the substrate
   for ``evictfrom``), and compaction (the paper defragments between
   iterations).

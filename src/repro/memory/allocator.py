@@ -1,4 +1,4 @@
-"""Address-ordered free-list allocator over a preallocated arena.
+"""Boundary-tag free-list allocator over a preallocated arena.
 
 This is the allocator underneath every CachedArrays heap. Design points taken
 from the paper:
@@ -14,31 +14,34 @@ from the paper:
   callback so the heap can relocate real data and the manager can re-point
   regions.
 
-The allocator keeps every block (free and used) in a single address-ordered
-list and coalesces free neighbours eagerly, so fragmentation metrics and span
-queries are straightforward and the list length stays proportional to the
-number of live allocations. First-fit and best-fit placement are both
-implemented; first-fit is the default (and what the ablation benchmark
-compares).
+The allocator keeps no block list. Every block (free and used) is one entry
+in one of two maps keyed by its start offset, and the blocks tile
+``[0, capacity)`` in address order, so walking ``offset += size`` from any
+block start visits its successors. Free neighbours are coalesced eagerly, so
+the number of blocks stays proportional to the number of live allocations.
+First-fit and best-fit placement are both implemented; first-fit is the
+default (and what the ablation benchmark compares).
 
-Hot-path layout (docs/benchmarking.md): two pure indexes ride beside the
-block list. Free blocks are indexed in size-class bins (one bin per
-``size.bit_length()``, each an offset-sorted list), so placement probes a
-handful of bins instead of scanning the whole block list. ``_offsets`` is the
-sorted list of every block's start offset, parallel to ``_blocks``;
-``allocate``, ``free`` and ``collect_span`` find the block containing an
-address with one C-level ``bisect_right`` over it. Neither index decides
-anything — placement is bit-for-bit identical to the naive linear scans
-(first-fit: lowest-offset free block that fits; best-fit: smallest fitting
-size, lowest offset on ties) and the address lookup answers what a linear walk
-of the block list would, which the property tests in
+Hot-path layout (docs/benchmarking.md): boundary tags. ``_used`` maps each
+allocation's offset to its size; ``_free_sizes`` maps each free block's
+offset to its size, and ``_free_ends`` maps its end back to its offset (the
+end tag). Freeing finds the successor as ``_free_sizes[offset + size]`` and
+the predecessor as ``_free_ends[offset]`` — coalescing is two dict lookups,
+with no search over the arena. Free blocks are also filed in size-class bins
+(one bin per ``size.bit_length()``, each an offset-sorted list), so
+placement probes a handful of bins, and a split writes the remainder's two
+tags and re-files one offset. ``Block`` objects exist only as address-ordered
+views (:meth:`blocks`, :meth:`live_blocks`) for scans off the hot path and for
+tests. The bins only speed placement up — it is bit-for-bit identical to the
+naive linear scans (first-fit: lowest-offset free block that fits; best-fit:
+smallest fitting size, lowest offset on ties), which the property tests in
 ``tests/memory/test_allocator_property.py`` check against reference
-implementations.
+implementations over :meth:`blocks`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Iterator, Literal
 
@@ -95,34 +98,30 @@ class FreeListAllocator:
         # before each allocation. The allocator never imports repro.faults.
         self.fault_hook = fault_hook
         self.label = label
-        self._blocks: list[Block] = [Block(offset=0, size=capacity, free=True)]
-        # Address index: _offsets[i] == _blocks[i].offset, kept in step at
-        # every site that inserts, removes or renumbers a block.
-        self._offsets: list[int] = [0]
-        self._by_offset: dict[int, Block] = {}  # allocated blocks only
         self.used_bytes = 0
-        # Size-class index over the free blocks: bin k holds the offsets
-        # (sorted) of free blocks whose size has bit_length k, and
-        # _free_sizes maps each free offset to its size. Everything the
-        # placement scan needs, without walking allocated blocks.
-        self._bins: list[list[int]] = [[] for _ in range(capacity.bit_length() + 2)]
+        self._used: dict[int, int] = {}  # allocation offset -> size
+        # Free blocks: offset -> size, and the boundary tag end -> offset.
         self._free_sizes: dict[int, int] = {}
+        self._free_ends: dict[int, int] = {}
+        # Size-class index over the free blocks: bin k holds the offsets
+        # (sorted) of free blocks whose size has bit_length k. Everything the
+        # placement scan needs, without walking allocated blocks. There is
+        # always a bin past the capacity's class (``grow`` adds them).
+        self._bins: list[list[int]] = [[] for _ in range(capacity.bit_length() + 2)]
         self._free_add(0, capacity)
 
     # -- free-block index ---------------------------------------------------
 
     def _free_add(self, offset: int, size: int) -> None:
-        k = size.bit_length()
-        bins = self._bins
-        if k >= len(bins):  # arena grew past the initial capacity
-            bins.extend([] for _ in range(k - len(bins) + 1))
-        insort(bins[k], offset)
+        insort(self._bins[size.bit_length()], offset)
         self._free_sizes[offset] = size
+        self._free_ends[offset + size] = offset
 
-    def _free_remove(self, offset: int, size: int) -> None:
+    def _free_remove(self, offset: int) -> None:
+        size = self._free_sizes.pop(offset)
+        del self._free_ends[offset + size]
         bin_ = self._bins[size.bit_length()]
         del bin_[bisect_left(bin_, offset)]
-        del self._free_sizes[offset]
 
     # -- queries ----------------------------------------------------------
 
@@ -131,19 +130,27 @@ class FreeListAllocator:
         return self.capacity - self.used_bytes
 
     def blocks(self) -> Iterator[Block]:
-        """All blocks in address order (free and allocated)."""
-        return iter(self._blocks)
+        """All blocks in address order (free and allocated), built as views."""
+        used, free_sizes = self._used, self._free_sizes
+        offset = 0
+        while offset < self.capacity:
+            free = offset not in used
+            size = free_sizes[offset] if free else used[offset]
+            yield Block(offset, size, free)
+            offset += size
 
     def live_blocks(self) -> Iterator[Block]:
-        """Allocated blocks in address order."""
-        return (block for block in self._blocks if not block.free)
+        """Allocated blocks in address order, built as views."""
+        return (
+            Block(offset, size, False) for offset, size in sorted(self._used.items())
+        )
 
     def size_of(self, offset: int) -> int:
         """Size of the allocation starting at ``offset``."""
-        block = self._by_offset.get(offset)
-        if block is None:
+        size = self._used.get(offset)
+        if size is None:
             raise AllocationError(f"no allocation at offset {offset:#x}")
-        return block.size
+        return size
 
     def stats(self) -> AllocatorStats:
         # The largest free block lives in the highest non-empty size-class
@@ -158,16 +165,15 @@ class FreeListAllocator:
             capacity=self.capacity,
             used_bytes=self.used_bytes,
             free_bytes=self.free_bytes,
-            live_allocations=len(self._by_offset),
-            free_blocks=len(self._free_sizes),
+            live_allocations=len(self._used),
+            free_blocks=len(free_sizes),
             largest_free_block=largest,
         )
 
     # -- allocation -------------------------------------------------------
 
     def _round_up(self, size: int) -> int:
-        mask = self.alignment - 1
-        return (size + mask) & ~mask
+        return (size + self.alignment - 1) & -self.alignment
 
     def allocate(self, size: int) -> int:
         """Allocate ``size`` bytes; returns the arena offset.
@@ -177,7 +183,7 @@ class FreeListAllocator:
         """
         if size <= 0:
             raise AllocationError(f"allocation size must be positive, got {size}")
-        rounded = self._round_up(size)
+        rounded = (size + self.alignment - 1) & -self.alignment  # _round_up
         if self.fault_hook is not None:
             verdict = self.fault_hook(self.label, rounded, self.free_bytes)
             if verdict is not None:
@@ -186,97 +192,100 @@ class FreeListAllocator:
                 # the real free-byte count — free >= requested tells the
                 # recovery ladder that defragmentation is the right response.
                 raise OutOfMemoryError(self.label, rounded, self.free_bytes)
-        offset = self._find_fit(rounded)
-        if offset is None:
+        if rounded > self.capacity - self.used_bytes:
+            # No free block is that large. This also keeps the request's
+            # class c inside the bins (there is one past the capacity's).
             raise OutOfMemoryError(self.label, rounded, self.free_bytes)
-        index = self._block_index_at(offset)
-        block = self._blocks[index]
-        self._free_remove(block.offset, block.size)
-        if block.size > rounded:
-            remainder = Block(
-                offset=block.offset + rounded,
-                size=block.size - rounded,
-                free=True,
-            )
-            block.size = rounded
-            self._blocks.insert(index + 1, remainder)
-            self._offsets.insert(index + 1, remainder.offset)
-            self._free_add(remainder.offset, remainder.size)
-        block.free = False
-        self._by_offset[block.offset] = block
-        self.used_bytes += block.size
-        return block.offset
-
-    def _find_fit(self, size: int) -> int | None:
-        """Offset of the placement target, or ``None`` when nothing fits.
-
-        Probes the size-class bins: for a request of class ``c`` every block
-        in a higher bin fits, while bin ``c`` itself must be checked
-        per-block. Both fit policies reproduce the naive full-list scan
-        exactly (see the module docstring).
-        """
-        bins = self._bins
-        free_sizes = self._free_sizes
-        c = size.bit_length()
-        if c >= len(bins):
-            return None
+        # Placement probes the size-class bins: for a request of class c
+        # every block in a higher bin fits, while bin c itself must be
+        # checked per block. Both fit policies reproduce the naive full-list
+        # scan exactly (see the module docstring).
+        bins, free_sizes = self._bins, self._free_sizes
+        c = rounded.bit_length()
+        offset = None
         if self.fit == "first":
-            # Lowest-offset fitting block: the best candidate from bin c
-            # versus the lowest head of any higher (always-fitting) bin.
-            best: int | None = None
-            for offset in bins[c]:
-                if free_sizes[offset] >= size:
-                    best = offset
+            # Lowest-offset fitting block: the first fit in bin c versus the
+            # lowest head of any higher (always-fitting) bin.
+            for candidate in bins[c]:
+                if free_sizes[candidate] >= rounded:
+                    offset = candidate
                     break
             for bin_ in bins[c + 1:]:
-                if bin_ and (best is None or bin_[0] < best):
-                    best = bin_[0]
-            return best
-        # Best fit: bins partition sizes into disjoint ranges, so the first
-        # bin (lowest class) containing a fitting block holds the smallest
-        # fitting size; ties break to the lowest offset, matching the
-        # linear scan's first-encountered-in-address-order rule.
-        for k in range(c, len(bins)):
-            best = None
-            best_size = None
-            for offset in bins[k]:
-                blk_size = free_sizes[offset]
-                if blk_size < size:
-                    continue
-                if best_size is None or blk_size < best_size:
-                    best, best_size = offset, blk_size
-            if best is not None:
-                return best
-        return None
+                if bin_ and (offset is None or bin_[0] < offset):
+                    offset = bin_[0]
+        else:
+            # Best fit: bins partition sizes into disjoint ranges, so the
+            # first bin (lowest class) holding a fitting block holds the
+            # smallest fitting size; ties break to the lowest offset, the
+            # linear scan's first-encountered-in-address-order rule.
+            for bin_ in bins[c:]:
+                best_size = 0
+                for candidate in bin_:
+                    candidate_size = free_sizes[candidate]
+                    if candidate_size >= rounded and (
+                        offset is None or candidate_size < best_size
+                    ):
+                        offset, best_size = candidate, candidate_size
+                if offset is not None:
+                    break
+        if offset is None:
+            raise OutOfMemoryError(self.label, rounded, self.free_bytes)
+        block_size = free_sizes.pop(offset)
+        bin_ = bins[block_size.bit_length()]
+        index = bisect_left(bin_, offset)
+        end = offset + block_size
+        if block_size > rounded:
+            # Split: the remainder keeps the block's end tag and gets a start
+            # tag. No other free block starts inside [offset, end), so when
+            # the remainder stays in this bin it takes the target's slot.
+            rest = offset + rounded
+            rest_size = block_size - rounded
+            free_sizes[rest] = rest_size
+            self._free_ends[end] = rest
+            k = rest_size.bit_length()
+            if bin_ is bins[k]:
+                bin_[index] = rest
+            else:
+                del bin_[index]
+                insort(bins[k], rest)
+        else:
+            del bin_[index]
+            del self._free_ends[end]
+        self._used[offset] = rounded
+        self.used_bytes += rounded
+        return offset
 
     def free(self, offset: int) -> None:
         """Free the allocation at ``offset``, coalescing with neighbours."""
-        block = self._by_offset.pop(offset, None)
-        if block is None:
+        size = self._used.pop(offset, None)
+        if size is None:
             raise AllocationError(f"double free or bad offset {offset:#x}")
-        block.free = True
-        self.used_bytes -= block.size
-        self._coalesce_around(self._block_index_at(block.offset))
-
-    def _coalesce_around(self, index: int) -> None:
-        # Merge with successor first so `index` stays valid; the merged
-        # result enters the free index exactly once.
-        blocks = self._blocks
-        offsets = self._offsets
-        block = blocks[index]
-        if index + 1 < len(blocks) and blocks[index + 1].free:
-            nxt = blocks.pop(index + 1)
-            offsets.pop(index + 1)
-            self._free_remove(nxt.offset, nxt.size)
-            block.size += nxt.size
-        if index > 0 and blocks[index - 1].free:
-            prev = blocks[index - 1]
-            self._free_remove(prev.offset, prev.size)
-            prev.size += block.size
-            blocks.pop(index)
-            offsets.pop(index)
-            block = prev
-        self._free_add(block.offset, block.size)
+        self.used_bytes -= size
+        bins, free_sizes, free_ends = self._bins, self._free_sizes, self._free_ends
+        end = offset + size
+        # A free successor starts at our end; its end tag is overwritten
+        # below by the merged block's.
+        next_size = free_sizes.pop(end, None)
+        if next_size is not None:
+            bin_ = bins[next_size.bit_length()]
+            del bin_[bisect_left(bin_, end)]
+            end += next_size
+        # A free predecessor's end tag is our offset; it keeps its start
+        # (and its bin slot, when the merge leaves its size class alone).
+        prev = free_ends.pop(offset, None)
+        if prev is None:
+            size = end - offset
+            insort(bins[size.bit_length()], offset)
+        else:
+            k = free_sizes[prev].bit_length()
+            offset = prev
+            size = end - offset
+            if size.bit_length() != k:
+                bin_ = bins[k]
+                del bin_[bisect_left(bin_, offset)]
+                insort(bins[size.bit_length()], offset)
+        free_sizes[offset] = size
+        free_ends[end] = offset
 
     # -- span carving (the substrate for evictfrom) ------------------------
 
@@ -292,27 +301,29 @@ class FreeListAllocator:
         """
         if size <= 0:
             raise AllocationError(f"span size must be positive, got {size}")
-        rounded = self._round_up(size)
-        blocks = self._blocks
-        start_index = self._block_index_at(start_offset)
-        span_start = blocks[start_index].offset
+        capacity = self.capacity
+        if not 0 <= start_offset < capacity:
+            raise AllocationError(
+                f"offset {start_offset:#x} outside arena [0, {capacity:#x})"
+            )
+        used, free_sizes = self._used, self._free_sizes
+        offset = start_offset
+        if offset not in used and offset not in free_sizes:
+            # Not a block start (callers pass region starts or 0): find the
+            # block that contains it the slow way.
+            offset = next(b.offset for b in self.blocks() if start_offset < b.end)
+        limit = offset + self._round_up(size)
         victims: list[int] = []
-        for index in range(start_index, len(blocks)):
-            block = blocks[index]
-            if not block.free:
-                victims.append(block.offset)
-            if block.end - span_start >= rounded:
+        while offset < capacity:
+            block_size = used.get(offset)
+            if block_size is None:
+                block_size = free_sizes[offset]
+            else:
+                victims.append(offset)
+            offset += block_size
+            if offset >= limit:
                 return victims
         return None
-
-    def _block_index_at(self, offset: int) -> int:
-        if not 0 <= offset < self.capacity:
-            raise AllocationError(
-                f"offset {offset:#x} outside arena [0, {self.capacity:#x})"
-            )
-        # Blocks tile [0, capacity), so the last start <= offset is the
-        # block that contains it.
-        return bisect_right(self._offsets, offset) - 1
 
     # -- compaction ---------------------------------------------------------
 
@@ -328,29 +339,21 @@ class FreeListAllocator:
         """
         moved = 0
         cursor = 0
-        new_blocks: list[Block] = []
-        for block in self._blocks:
-            if block.free:
-                continue
-            if block.offset != cursor:
+        used: dict[int, int] = {}
+        for offset, size in sorted(self._used.items()):
+            if offset != cursor:
                 if on_move is not None:
-                    on_move(block.offset, cursor, block.size)
-                del self._by_offset[block.offset]
-                block.offset = cursor
-                self._by_offset[cursor] = block
+                    on_move(offset, cursor, size)
                 moved += 1
-            new_blocks.append(block)
-            cursor += block.size
+            used[cursor] = size
+            cursor += size
+        self._used = used
         for bin_ in self._bins:
             bin_.clear()
         self._free_sizes.clear()
+        self._free_ends.clear()
         if cursor < self.capacity:
-            new_blocks.append(
-                Block(offset=cursor, size=self.capacity - cursor, free=True)
-            )
             self._free_add(cursor, self.capacity - cursor)
-        self._blocks = new_blocks
-        self._offsets = [block.offset for block in new_blocks]
         return moved
 
     # -- dynamic resizing (Section III-C's "growing or shrinking the base
@@ -362,16 +365,12 @@ class FreeListAllocator:
             raise AllocationError(
                 f"grow target {new_capacity} not larger than {self.capacity}"
             )
-        added = new_capacity - self.capacity
-        last = self._blocks[-1]
-        if last.free:
-            self._free_remove(last.offset, last.size)
-            last.size += added
-            self._free_add(last.offset, last.size)
-        else:
-            self._blocks.append(Block(offset=self.capacity, size=added, free=True))
-            self._offsets.append(self.capacity)
-            self._free_add(self.capacity, added)
+        bins = self._bins  # keep one bin past the capacity's class
+        bins.extend([] for _ in range(new_capacity.bit_length() + 2 - len(bins)))
+        tail = self._free_ends.get(self.capacity, self.capacity)
+        if tail < self.capacity:
+            self._free_remove(tail)
+        self._free_add(tail, new_capacity - tail)
         self.capacity = new_capacity
 
     def shrink(self, new_capacity: int) -> None:
@@ -387,67 +386,65 @@ class FreeListAllocator:
             raise AllocationError(
                 f"shrink target {new_capacity} not smaller than {self.capacity}"
             )
-        last = self._blocks[-1]
-        if not last.free or last.offset > new_capacity:
+        tail = self._free_ends.get(self.capacity, self.capacity)
+        if tail > new_capacity:  # no free tail reads as one starting at capacity
             raise AllocationError(
                 f"cannot shrink to {new_capacity}: tail is occupied "
-                f"(free tail starts at {last.offset if last.free else self.capacity})"
+                f"(free tail starts at {tail})"
             )
-        removed = self.capacity - new_capacity
-        self._free_remove(last.offset, last.size)
-        if last.size == removed:
-            self._blocks.pop()
-            self._offsets.pop()
-        else:
-            last.size -= removed
-            self._free_add(last.offset, last.size)
+        self._free_remove(tail)
+        if tail < new_capacity:
+            self._free_add(tail, new_capacity - tail)
         self.capacity = new_capacity
 
     # -- validation (test support) -----------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert the block list exactly tiles the arena without overlap."""
-        cursor = 0
-        used = 0
-        previous_free = False
-        for block in self._blocks:
-            if block.offset != cursor:
+        """Assert the two maps exactly tile the arena without overlap and
+        every index (end tags, size-class bins) agrees with them."""
+        used, free_sizes, free_ends = self._used, self._free_sizes, self._free_ends
+        both = used.keys() & free_sizes.keys()
+        if both:
+            raise AssertionError(
+                f"boundary-tag index files {sorted(both)} as both used and free"
+            )
+        cursor, live_bytes, previous_free = 0, 0, False
+        for offset, size, free in sorted(
+            [(offset, size, False) for offset, size in used.items()]
+            + [(offset, size, True) for offset, size in free_sizes.items()]
+        ):
+            block = Block(offset, size, free)
+            if offset != cursor:
                 raise AssertionError(
-                    f"block list has a gap/overlap at {cursor:#x}: {block!r}"
+                    f"blocks have a gap/overlap at {cursor:#x}: {block!r}"
                 )
-            if block.size <= 0:
+            if size <= 0:
                 raise AssertionError(f"empty block {block!r}")
-            if block.free and previous_free:
-                raise AssertionError(f"uncoalesced free blocks at {block.offset:#x}")
-            if not block.free:
-                used += block.size
-                if self._by_offset.get(block.offset) is not block:
-                    raise AssertionError(f"index out of sync for {block!r}")
-            previous_free = block.free
+            if free and previous_free:
+                raise AssertionError(f"uncoalesced free blocks at {offset:#x}")
+            if free and free_ends.get(block.end) != offset:
+                raise AssertionError(f"boundary-tag index has no end tag for {block!r}")
+            live_bytes += 0 if free else size
+            previous_free = free
             cursor = block.end
         if cursor != self.capacity:
             raise AssertionError(f"blocks cover {cursor} of {self.capacity} bytes")
-        if used != self.used_bytes:
+        if live_bytes != self.used_bytes:
             raise AssertionError(
-                f"used-byte counter {self.used_bytes} != actual {used}"
+                f"used-byte counter {self.used_bytes} != actual {live_bytes}"
             )
-        if self._offsets != [block.offset for block in self._blocks]:
-            raise AssertionError("address index out of sync with the block list")
-        if len(self._by_offset) != sum(1 for b in self._blocks if not b.free):
-            raise AssertionError("allocation index size mismatch")
-        free_view = {b.offset: b.size for b in self._blocks if b.free}
-        if self._free_sizes != free_view:
-            raise AssertionError(
-                f"free index out of sync: {self._free_sizes} != {free_view}"
-            )
+        if len(free_ends) != len(free_sizes):
+            raise AssertionError("boundary-tag index has stale end tags")
         for k, bin_ in enumerate(self._bins):
             if bin_ != sorted(bin_):
                 raise AssertionError(f"free bin {k} not offset-sorted: {bin_}")
             for offset in bin_:
-                size = self._free_sizes.get(offset)
+                size = free_sizes.get(offset)
                 if size is None or size.bit_length() != k:
                     raise AssertionError(
                         f"free block at {offset:#x} filed in wrong bin {k}"
                     )
-        if sum(len(bin_) for bin_ in self._bins) != len(self._free_sizes):
+        if len(self._bins) < self.capacity.bit_length() + 2:
+            raise AssertionError("no free bin past the capacity's size class")
+        if sum(len(bin_) for bin_ in self._bins) != len(free_sizes):
             raise AssertionError("free bins and free-size map disagree")

@@ -2,7 +2,9 @@
 
 A :class:`Block` is a half-open byte range ``[offset, offset + size)`` inside
 one heap's arena, either free or allocated. Blocks never overlap and always
-tile the arena exactly; the allocator owns and enforces those invariants.
+tile the arena exactly; the allocator owns and enforces those invariants. The
+allocator keeps its blocks as boundary tags, not objects: a ``Block`` is a
+view it builds on request (``blocks()``, ``live_blocks()``).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ __all__ = ["Block"]
 class Block:
     """A contiguous byte range in a heap arena.
 
-    Identity equality (``eq=False``): the allocator tracks blocks by position,
-    and value-comparing mutable bookkeeping records is never meaningful.
+    Identity equality (``eq=False``): a block is a snapshot of allocator
+    state, and value-comparing two snapshots is never meaningful.
     """
 
     offset: int

@@ -132,33 +132,10 @@ def resize_sequences(draw):
     return ops
 
 
-def _reference_block_index(allocator, offset: int) -> int:
-    """The naive linear walk ``_block_index_at``'s bisect must agree with."""
-    for index, block in enumerate(allocator._blocks):
-        if block.offset <= offset < block.end:
-            return index
-    raise AssertionError(f"no block contains {offset:#x}")
-
-
-def _assert_address_index_matches_linear_scan(allocator, probe: int) -> None:
-    """Every block's first, middle and last byte, plus one arbitrary address."""
-    offsets = {probe % allocator.capacity}
-    for block in allocator._blocks:
-        offsets.update(
-            (block.offset, block.offset + block.size // 2, block.end - 1)
-        )
-    for offset in offsets:
-        assert allocator._block_index_at(offset) == _reference_block_index(
-            allocator, offset
-        ), f"address index disagrees with the block list at {offset:#x}"
-
-
-@given(resize_sequences())
-@settings(max_examples=40, deadline=None)
-def test_grow_shrink_preserve_invariants(ops):
+def _apply_resize_ops(allocator, ops):
+    """Run ``ops`` on ``allocator``, yielding each op's value after it ran."""
     from repro.errors import AllocationError
 
-    allocator = FreeListAllocator(CAPACITY)
     live: list[int] = []
     for kind, value in ops:
         try:
@@ -178,45 +155,103 @@ def test_grow_shrink_preserve_invariants(ops):
                 live = [moves.get(offset, offset) for offset in live]
         except AllocationError:
             pass  # rejected resizes/allocs must leave state untouched
-        allocator.check_invariants()
-        _assert_address_index_matches_linear_scan(allocator, value * 7919)
+        yield value
     # Used bytes always remain addressable.
     for offset in live:
         assert offset + allocator.size_of(offset) <= allocator.capacity
 
 
-def test_check_invariants_catches_a_desynchronised_address_index():
+@given(resize_sequences())
+@settings(max_examples=40, deadline=None)
+def test_grow_shrink_preserve_invariants(ops):
+    allocator = FreeListAllocator(CAPACITY)
+    for _ in _apply_resize_ops(allocator, ops):
+        allocator.check_invariants()
+
+
+def _reference_collect_span(allocator, start: int, size: int) -> list[int] | None:
+    """The naive walk over :meth:`blocks` ``collect_span`` must agree with:
+    from the block containing ``start``, gather allocations until the span
+    reaches ``size`` (rounded), or ``None`` at the arena end."""
+    rounded = allocator._round_up(size)
+    span_start = None
+    victims: list[int] = []
+    for block in allocator.blocks():
+        if span_start is None:
+            if block.end <= start:
+                continue
+            span_start = block.offset
+        if not block.free:
+            victims.append(block.offset)
+        if block.end - span_start >= rounded:
+            return victims
+    return None
+
+
+@given(resize_sequences())
+@settings(max_examples=40, deadline=None)
+def test_collect_span_from_any_address_matches_a_naive_walk(ops):
+    """Every block's first, middle and last byte, plus one arbitrary address,
+    as the span start — the interior ones take ``collect_span``'s slow
+    containing-block lookup."""
+    allocator = FreeListAllocator(CAPACITY)
+    for value in _apply_resize_ops(allocator, ops):
+        starts = {value * 7919 % allocator.capacity}
+        for block in allocator.blocks():
+            starts.update(
+                (block.offset, block.offset + block.size // 2, block.end - 1)
+            )
+        for start in starts:
+            for size in (1, value * 64, allocator.capacity):
+                assert allocator.collect_span(
+                    start, size
+                ) == _reference_collect_span(allocator, start, size), (
+                    f"collect_span({start:#x}, {size}) disagrees with the walk"
+                )
+
+
+def test_check_invariants_catches_a_damaged_boundary_tag_index():
     allocator = FreeListAllocator(CAPACITY)
     first = allocator.allocate(4096)
-    allocator.allocate(4096)
+    second = allocator.allocate(4096)
     allocator.free(first)
     allocator.check_invariants()
-    for damage in (
-        lambda offsets: offsets.pop(),  # a split the index never saw
-        lambda offsets: offsets.insert(1, 64),  # a coalesce it never saw
-        lambda offsets: offsets.__setitem__(1, offsets[1] + 64),  # stale start
-    ):
-        good = list(allocator._offsets)
-        damage(allocator._offsets)
-        with pytest.raises(AssertionError, match="address index"):
+    ends = allocator._free_ends
+
+    def drop_an_end_tag():  # a split or merge the tags never saw
+        offset = ends.pop(4096)
+        return lambda: ends.__setitem__(4096, offset)
+
+    def add_a_stale_end_tag():  # a coalesce that left an old tag behind
+        ends[2048] = 0
+        return lambda: ends.pop(2048)
+
+    def file_an_offset_as_used_and_free():
+        allocator._free_sizes[second] = allocator.size_of(second)
+        return lambda: allocator._free_sizes.pop(second)
+
+    for damage in (drop_an_end_tag, add_a_stale_end_tag,
+                   file_an_offset_as_used_and_free):
+        repair = damage()
+        with pytest.raises(AssertionError, match="boundary-tag index"):
             allocator.check_invariants()
-        allocator._offsets[:] = good
-    allocator.check_invariants()
+        repair()
+        allocator.check_invariants()
 
 
 def _reference_find_fit(allocator, size: int, fit: str) -> int | None:
-    """The naive O(n) scan over the address-ordered block list.
+    """The naive O(n) scan over the address-ordered :meth:`blocks` view.
 
     This is the seed implementation's placement rule, kept as the executable
-    specification for the size-class-indexed ``_find_fit``: first fit takes
-    the lowest-offset free block that fits; best fit takes the smallest
-    fitting block, with the strict ``<`` breaking size ties toward the
+    specification for the size-class-indexed probe in ``allocate``: first
+    fit takes the lowest-offset free block that fits; best fit takes the
+    smallest fitting block, with the strict ``<`` breaking size ties toward the
     earlier (lower-offset) block. The indexed allocator must reproduce these
     choices exactly — placement determinism is what keeps every simulated
     virtual-time result bit-identical across the optimization.
     """
     best = None
-    for block in allocator._blocks:
+    for block in allocator.blocks():
         if not block.free or block.size < size:
             continue
         if fit == "first":

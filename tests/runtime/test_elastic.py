@@ -214,6 +214,19 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 6 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_7_envelope_is_rejected(self, tmp_path):
+        """Version 7 predates the boundary-tag allocator: its heaps pickled
+        a block list and an address index where this build keeps ``_used``,
+        ``_free_sizes`` and ``_free_ends``."""
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 7, "snapshot": snap,
+        }
+        path = tmp_path / "v7.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 7 unsupported"):
+            load_snapshot(str(path))
+
     def test_stale_class_layout_is_rejected_with_the_typed_error(
         self, tmp_path
     ):

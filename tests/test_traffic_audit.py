@@ -89,13 +89,16 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
     assert calls_in(first, command) > 100_000
 
 
-# Calls into src/repro (imports included) of the command below once
+# Calls into src/repro (imports included) of the command below once the
+# allocator moved onto boundary tags and placed inline, with no per-split or
+# per-free index helpers (333 820 before that; 331 762 before the no-op
+# hint seam of one kernel path for traced and untraced runs; 333 229 before
 # `KernelTrace.validate` called `check_use` only for an operand that is not
-# live (333 229 before that; 400 694 before the mechanism tested state
-# inline, read each device constant in one call and recorded a kernel's
-# traffic once per device; 613 278 before a kernel's hints, residency and
-# finish became one policy call each).
-SERVE_CALLS = 331_762
+# live; 400 694 before the mechanism tested state inline, read each device
+# constant in one call and recorded a kernel's traffic once per device;
+# 613 278 before a kernel's hints, residency and finish became one policy
+# call each).
+SERVE_CALLS = 313_322
 
 
 def test_serving_calls_per_command_do_not_creep_back():
@@ -106,10 +109,11 @@ def test_serving_calls_per_command_do_not_creep_back():
     assert calls_in(status_line(command), command) <= SERVE_CALLS * 1.02
 
 
-# Calls into src/repro (imports included) of the traced command below once a
-# traced kernel's hints and residency became one policy call each, opening a
-# scope only around an operand that moves (724 266 before that).
-PROFILE_CALLS = 635_897
+# Calls into src/repro (imports included) of the traced command below once
+# the allocator moved onto boundary tags and placed inline (635 897 before
+# that; 724 266 before a traced kernel's hints and residency became one
+# policy call each, opening a scope only around an operand that moves).
+PROFILE_CALLS = 606_179
 
 
 def test_traced_calls_per_command_do_not_creep_back():
