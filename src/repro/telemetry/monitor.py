@@ -28,14 +28,16 @@ Four cooperating pieces, all fed one event at a time by
 :class:`MonitorTracer` adapts the monitor to the runtime's tracer slot: it
 *is* a :class:`Tracer` (same scopes, same virtual-time stamps — so cause
 attribution and determinism carry over). Each kind the monitor folds has
-one typed body, shared by both live tiers: :class:`Tracer`'s body hands its
-values to ``_event``, then the body folds them into the window that was
-just counted. With ``keep_events=True`` (the full tier) ``_event`` stamps,
-retains, rings and counts the record; by default (the monitor-only tier)
-``_event`` is :meth:`RuntimeMonitor.note_event`, which counts it and rings a
-compact tuple, and nothing is retained. The monitor is pure observation: it
-never advances the clock and never feeds back into policy decisions, so
-results are bit-identical with it on or off.
+one typed body, :class:`Tracer`'s, shared by both live tiers, and one fold,
+keyed by kind in ``_FOLDS``, shared by all three intakes. Each intake rings
+and counts the event in its own order, then folds it. With
+``keep_events=True`` (the full tier) ``_event`` stamps and retains the
+record, rings it, counts it and folds the values the body handed over; by
+default (the monitor-only tier) ``_event`` hands them to
+:meth:`RuntimeMonitor.note_event`, which counts the event, rings a compact
+tuple and folds it, and nothing is retained. The monitor is pure
+observation: it never advances the clock and never feeds back into policy
+decisions, so results are bit-identical with it on or off.
 
 What the two live tiers keep different on purpose:
 
@@ -55,8 +57,10 @@ ring record   the retained record             ``(kind, ts, *picked values)``;
 ============  ==============================  ================================
 
 Everything here also works *offline*: :meth:`RuntimeMonitor.observe` is
-the replay intake — feeding it a recorded JSONL trace produces the same
-rollups/alerts the live run saw — and that is what ``python -m repro
+the replay intake — it maps each recorded event's args onto its kind's
+``SCHEMA`` row (tolerantly: a missing field reads as its replay default)
+and calls the same fold, so feeding it a recorded JSONL trace produces the
+same rollups/alerts the live run saw — and that is what ``python -m repro
 monitor trace.jsonl`` does.
 """
 
@@ -91,6 +95,8 @@ from repro.telemetry.trace import (
     SNAPSHOT,
     STALL,
     NULL_TRACER,
+    REPLAY_DEFAULTS,
+    SCHEMA,
     NullTracer,
     TraceEvent,
     Tracer,
@@ -919,17 +925,18 @@ class RuntimeMonitor:
 
     # -- event intake --------------------------------------------------------
     #
-    # Two ways in, one arithmetic body per kind (the ``_fold_*``s).
-    # ``observe`` takes a finished :class:`TraceEvent` — offline replay and
-    # hand-emitted events: it rings the event, counts it in its window, and
-    # lets ``_EXTRACTORS`` pull the payload out of ``event.args``
-    # (tolerantly: replay reads foreign JSONL) for the kind's fold. The live
-    # tiers share ``MonitorTracer``'s typed bodies, which call the fold with
-    # the values in hand — no re-parsing — after the tier's ``_event`` has
-    # counted the event: the full tier's rings the retained record, the
-    # monitor-only tier's is ``note_event``, which rings a compact tuple
-    # (see ``_RING_RECORDS``). The differences kept on purpose are the
-    # table in the module docstring.
+    # Three ways in, one fold per kind (``_FOLDS``, below the class). Each
+    # intake rings and counts the event in its own order, then calls the
+    # kind's fold with the window it counted the event in, the event's ts,
+    # kind, cause, root and stream, and its fields and values in ``SCHEMA``
+    # order. The full tier's ``MonitorTracer._event`` rings the retained
+    # record, counts it and folds the values its typed body handed over.
+    # The monitor-only tier's ``note_event`` counts, rings a compact tuple
+    # (see ``_RING_RECORDS``) and folds. ``observe`` takes a finished
+    # :class:`TraceEvent` (offline replay and hand-emitted events): it rings
+    # and counts the event, then maps ``event.args`` onto the kind's row,
+    # tolerantly, since replay reads foreign JSONL. The differences kept on
+    # purpose are the table in the module docstring.
 
     def _intake(self, ts: float) -> RollupWindow:
         """Count one event at ``ts``; returns the window it landed in, which
@@ -951,14 +958,17 @@ class RuntimeMonitor:
 
     def observe(self, event: TraceEvent) -> None:
         """Fold one finished event into every monitor structure (the replay
-        intake; a live full-tier run folds at the typed call instead)."""
+        intake; a live run folds as each typed call reports)."""
         self.ring.append(event)
         window = self._intake(event.ts)
-        extract = _EXTRACTORS.get(event.kind)
-        if extract is not None:
-            extract(self, window, event)
-        # Other kinds (hint/place/decision/...) only count toward
-        # window.events and ride in the flight ring.
+        fold = _FOLDS.get(event.kind)
+        if fold is None:
+            # Other kinds (hint/place/decision/...) only count toward
+            # window.events and ride in the flight ring.
+            return
+        fields, values = _replay_row(event.kind, event.args)
+        fold(self, window, event.ts, event.kind, event.cause, event.root,
+             event.stream, fields, values)
 
     def observe_all(self, events: Iterable[TraceEvent]) -> "RuntimeMonitor":
         """Replay a whole event stream (offline mode); returns self."""
@@ -970,11 +980,12 @@ class RuntimeMonitor:
         """Close the trailing window so its stats and alerts are visible."""
         self.rollups.finish()
 
-    def note_event(self, ts: float, kind: str, fields: tuple, values: tuple) -> None:
-        """The monitor-only tier's ``_event``: count the event in its window,
-        then ring its compact ``(kind, ts, *picked values)`` tuple. Retains
-        nothing; the typed body that called it folds next, into the window
-        left cached here.
+    def note_event(
+        self, ts: float, kind: str, fields: tuple, values: tuple, stream: str
+    ) -> None:
+        """The monitor-only tier's intake, which its tracer's ``_event``
+        hands every event: count the event in its window, ring its compact
+        ``(kind, ts, *picked values)`` tuple, then fold it. Retains nothing.
 
         ``_intake`` and ``FlightRecorder.append`` are written in place: this
         runs once per event of a monitored run, and the two calls cost more
@@ -986,24 +997,79 @@ class RuntimeMonitor:
             self.last_ts = ts
         rollups = self.rollups
         if rollups._cache_lo <= ts < rollups._cache_hi:
-            rollups._cache_window.events += 1
+            window = rollups._cache_window
         else:
-            rollups.window_for(ts).events += 1
+            window = rollups.window_for(ts)
+        window.events += 1
         ring_record = _RING_RECORDS.get(kind)
         if ring_record is not None:
             ring = self.ring
             ring._ring[ring._next] = (kind, ts) + ring_record[1](values)
             ring._next = (ring._next + 1) % ring.capacity
             ring.total += 1
+        # Only the folded kinds reach this tier's ``_event``.
+        _FOLDS[kind](self, window, ts, kind, "", "", stream, fields, values)
 
-    def _fold_kernel(
-        self,
-        window: RollupWindow,
-        seconds: float,
-        compute: float,
-        memory: float,
-        fixed: float,
-    ) -> None:
+    # -- the folds -----------------------------------------------------------
+    #
+    # One per kind the monitor folds, all with one signature: the window the
+    # event was counted in, then ts, kind, cause, root, stream, fields and
+    # values, as a full-tier record holds them.
+
+    def _fold_alloc(self, window, ts, kind, cause, root, stream, fields, values):
+        # Either row (``SCHEMA`` or ``NAMED_REGION``): device first, offset
+        # and nbytes last.
+        device, offset, nbytes = values[0], values[-2], values[-1]
+        window.allocs += 1
+        window.alloc_bytes += nbytes
+        self.totals["allocs"] += 1
+        occupancy = self.occupancy
+        occupancy[device] = occupancy.get(device, 0) + nbytes
+        if stream:
+            if offset is not None:
+                self._region_tenant[(device, offset)] = (stream, nbytes)
+            key = f"{stream}/{device}"
+            self._tenant_used[key] = self._tenant_used.get(key, 0) + nbytes
+
+    def _fold_free(self, window, ts, kind, cause, root, stream, fields, values):
+        device, offset, nbytes = values[0], values[-2], values[-1]
+        window.frees += 1
+        window.free_bytes += nbytes
+        self.totals["frees"] += 1
+        occupancy = self.occupancy
+        occupancy[device] = occupancy.get(device, 0) - nbytes
+        owner = None
+        if offset is not None and self._region_tenant:
+            owner = self._region_tenant.pop((device, offset), None)
+        tenant = owner[0] if owner else stream
+        if tenant:
+            key = f"{tenant}/{device}"
+            remaining = self._tenant_used.get(key, 0) - nbytes
+            if remaining > 0:
+                self._tenant_used[key] = remaining
+            else:
+                self._tenant_used.pop(key, None)
+
+    def _fold_copy_start(self, window, ts, kind, cause, root, stream, fields, values):
+        # In flight until the end with the same ``seq`` lands.
+        _, _, nbytes, _, seconds, seq = values
+        self._copy_started(
+            window, nbytes, seconds, cause_kind(root), cause_kind(cause)
+        )
+        if seq is not None:
+            self._inflight[seq] = (ts, nbytes)
+
+    def _fold_copy_end(self, window, ts, kind, cause, root, stream, fields, values):
+        # Paired with its start by ``seq``; an unmatched end (a replayed
+        # trace that begins mid-copy) only counts as an event.
+        seq = values[3]
+        started = None if seq is None else self._inflight.pop(seq, None)
+        if started is not None:
+            start_ts, nbytes = started
+            self._copy_landed(ts - start_ts, nbytes)
+
+    def _fold_kernel_end(self, window, ts, kind, cause, root, stream, fields, values):
+        _, seconds, compute, memory, fixed, _ = values
         window.kernels += 1
         window.kernel_seconds += seconds
         window.kernel_compute_seconds += compute
@@ -1017,14 +1083,62 @@ class RuntimeMonitor:
         totals["kernel_fixed_seconds"] += fixed
         self.kernel_latency.observe(seconds)
 
-    def _fold_stall(self, window: RollupWindow, seconds: float) -> None:
+    def _fold_stall(self, window, ts, kind, cause, root, stream, fields, values):
+        seconds = values[1]
         window.stalls += 1
         window.stall_seconds += seconds
         self.totals["stalls"] += 1
         self.totals["stall_seconds"] += seconds
         self.stall_latency.observe(seconds)
 
-    def _fold_copy_start(
+    def _fold_gc(self, window, ts, kind, cause, root, stream, fields, values):
+        seconds = values[0]
+        window.gcs += 1
+        window.gc_seconds += seconds
+        self.totals["gcs"] += 1
+        self.totals["gc_seconds"] += seconds
+
+    def _fold_counted(self, window, ts, kind, cause, root, stream, fields, values):
+        name, dump = _COUNTED[kind]
+        self._count(window, name, ts, dump)
+
+    def _fold_fault(self, window, ts, kind, cause, root, stream, fields, values):
+        # The detail's ``fault`` names the dump where it has one, else the
+        # site (``fault`` is never a row field, so the whole record is read).
+        label = dict(zip(fields, values)).get("fault") or values[0] or "?"
+        self._count(window, "faults", ts, f"fault:{label}")
+
+    def _fold_recovery_step(
+        self, window, ts, kind, cause, root, stream, fields, values
+    ):
+        step = values[0]
+        self._count(window, "recovery_steps")
+        self.recovery_steps_by_rung[step] = (
+            self.recovery_steps_by_rung.get(step, 0) + 1
+        )
+        if step in _ESCALATION_STEPS:
+            self._maybe_dump(f"recovery:{step}", ts)
+
+    def _fold_recovery(self, window, ts, kind, cause, root, stream, fields, values):
+        step = values[0]
+        self._count(window, "recoveries")
+        self.recoveries_by_step[step] = (
+            self.recoveries_by_step.get(step, 0) + 1
+        )
+
+    def _fold_elastic(self, window, ts, kind, cause, root, stream, fields, values):
+        """Totals only (elastic events have no window counters). Detach and
+        resize name a flight dump by their subject (tenant, device); the
+        monitor-only tier's ``checkpoint`` names one for snapshot/restore
+        itself (module docstring)."""
+        self.totals[_ELASTIC_TOTALS[kind]] += 1
+        if kind in (DETACH, RESIZE):
+            self._maybe_dump(f"{kind}:{values[0]}", ts)
+
+    # The copy arithmetic the folds share with the monitor-only tier's own
+    # ``copy`` body.
+
+    def _copy_started(
         self,
         window: RollupWindow,
         nbytes: int,
@@ -1032,13 +1146,13 @@ class RuntimeMonitor:
         bytes_cause: str,
         mechanism: str,
     ) -> None:
-        # Bytes attribute to ``bytes_cause`` (on the observe path the *root*
-        # cause: who started the cascade); seconds and counts attribute to
-        # ``mechanism`` (the *innermost* cause: what the copy mechanically
-        # was — an eviction nested under a placement is still eviction
-        # work). The cheap tier passes ``copy_cause`` for both, which is the
-        # innermost keying, so the bottleneck taxonomy reads the same
-        # mechanism mix from either tier.
+        # Bytes attribute to ``bytes_cause`` (the full tier's and replay's
+        # *root* cause: who started the cascade); seconds and counts
+        # attribute to ``mechanism`` (the *innermost* cause: what the copy
+        # mechanically was — an eviction nested under a placement is still
+        # eviction work). The cheap tier passes ``copy_cause`` for both,
+        # which is the innermost keying, so the bottleneck taxonomy reads
+        # the same mechanism mix from either tier.
         window.copies += 1
         window.copy_bytes += nbytes
         window.copy_seconds += seconds
@@ -1060,96 +1174,19 @@ class RuntimeMonitor:
         )
         self.inflight_copy_bytes += nbytes
 
-    def _fold_copy_end(self, latency: float, nbytes: int) -> None:
+    def _copy_landed(self, latency: float, nbytes: int) -> None:
         self.inflight_copy_bytes -= nbytes
         self.copy_latency.observe(latency)
 
-    def _fold_alloc(
-        self,
-        window: RollupWindow,
-        device: str,
-        nbytes: int,
-        offset: int | None,
-        stream: str,
-    ) -> None:
-        window.allocs += 1
-        window.alloc_bytes += nbytes
-        self.totals["allocs"] += 1
-        occupancy = self.occupancy
-        occupancy[device] = occupancy.get(device, 0) + nbytes
-        if stream:
-            if offset is not None:
-                self._region_tenant[(device, offset)] = (stream, nbytes)
-            key = f"{stream}/{device}"
-            self._tenant_used[key] = self._tenant_used.get(key, 0) + nbytes
-
-    def _fold_free(
-        self,
-        window: RollupWindow,
-        device: str,
-        nbytes: int,
-        offset: int | None,
-        stream: str,
-    ) -> None:
-        window.frees += 1
-        window.free_bytes += nbytes
-        self.totals["frees"] += 1
-        occupancy = self.occupancy
-        occupancy[device] = occupancy.get(device, 0) - nbytes
-        owner = None
-        if offset is not None and self._region_tenant:
-            owner = self._region_tenant.pop((device, offset), None)
-        tenant = owner[0] if owner else stream
-        if tenant:
-            key = f"{tenant}/{device}"
-            remaining = self._tenant_used.get(key, 0) - nbytes
-            if remaining > 0:
-                self._tenant_used[key] = remaining
-            else:
-                self._tenant_used.pop(key, None)
-
-    def _fold_count(
+    def _count(
         self, window: RollupWindow, name: str, ts: float = 0.0, dump: str = ""
     ) -> None:
-        """The kinds that are only counted: ``name`` is both the window
-        attribute and the totals key; ``dump`` names a flight dump."""
+        """A kind that is counted: ``name`` is both the window attribute and
+        the totals key; ``dump`` names a flight dump."""
         setattr(window, name, getattr(window, name) + 1)
         self.totals[name] += 1
         if dump:
             self._maybe_dump(dump, ts)
-
-    def _fold_gc(self, window: RollupWindow, seconds: float) -> None:
-        window.gcs += 1
-        window.gc_seconds += seconds
-        self.totals["gcs"] += 1
-        self.totals["gc_seconds"] += seconds
-
-    def _fold_recovery_step(
-        self, window: RollupWindow, ts: float, step: str
-    ) -> None:
-        self._fold_count(window, "recovery_steps")
-        self.recovery_steps_by_rung[step] = (
-            self.recovery_steps_by_rung.get(step, 0) + 1
-        )
-        if step in _ESCALATION_STEPS:
-            self._maybe_dump(f"recovery:{step}", ts)
-
-    def _fold_recovery(self, window: RollupWindow, step: str) -> None:
-        self._fold_count(window, "recoveries")
-        self.recoveries_by_step[step] = (
-            self.recoveries_by_step.get(step, 0) + 1
-        )
-
-    def _fold_elastic(
-        self, kind: str, ts: float, subject: str | None = None
-    ) -> None:
-        """Totals only (elastic events have no window counters); a subject
-        names a flight dump. Replay and the full tier dump on detach and
-        resize, the monitor-only tier on all four kinds (its ``checkpoint``
-        passes the label; module docstring)."""
-        self.totals[_ELASTIC_TOTALS[kind]] += 1
-        if subject is not None:
-            self._maybe_dump(f"{kind}:{subject}", ts)
 
     def _current_usage(self) -> Mapping[str, int]:
         """Per-tenant usage, "tenant/device"-keyed: exact probe when bound
@@ -1209,20 +1246,9 @@ class RuntimeMonitor:
         window: RollupWindow,
         status: str,
     ) -> None:
-        event = TraceEvent(
-            ts=window.end,
-            kind=ALERT,
-            args={
-                "rule": rule.name,
-                "label": label,
-                "metric": rule.metric,
-                "value": round(value, 6),
-                "threshold": rule.threshold,
-                "severity": rule.severity,
-                "status": status,
-                "window": window.index,
-            },
-        )
+        values = (rule.name, label, rule.metric, round(value, 6),
+                  rule.threshold, rule.severity, status, window.index)
+        event = TraceEvent(window.end, ALERT, dict(zip(SCHEMA[ALERT], values)))
         self.alert_events.append(event)
         self.ring.append(event)
         if self._alert_sink is not None:
@@ -1372,131 +1398,58 @@ class RuntimeMonitor:
         return out
 
 
-# -- observe-path extractors ---------------------------------------------------
-#
-# kind -> extractor(monitor, window, event): pull the kind's payload out of
-# ``event.args`` (tolerantly — offline replay reads foreign JSONL) and hand
-# it to the fold the live tiers' typed calls share. Only replay and
-# hand-emitted events come this way.
+# -- the fold table ----------------------------------------------------------
 
-
-def _x_kernel(monitor, window, event):
-    args = event.args
-    monitor._fold_kernel(
-        window,
-        float(args.get("seconds", 0.0)),
-        float(args.get("compute", 0.0)),
-        float(args.get("memory", 0.0)),
-        float(args.get("fixed", 0.0)),
-    )
-
-
-def _x_region(fold):
-    def extract(monitor, window, event):
-        args = event.args
-        offset = args.get("offset")
-        fold(
-            monitor,
-            window,
-            args.get("device", "?"),
-            int(args.get("nbytes", 0)),
-            None if offset is None else int(offset),
-            event.stream,
-        )
-
-    return extract
-
-
-def _x_copy_start(monitor, window, event):
-    args = event.args
-    nbytes = int(args.get("nbytes", 0))
-    monitor._fold_copy_start(
-        window,
-        nbytes,
-        float(args.get("seconds", 0.0)),
-        cause_kind(event.root),
-        cause_kind(event.cause),
-    )
-    seq = args.get("seq")
-    if seq is not None:
-        monitor._inflight[int(seq)] = (event.ts, nbytes)
-
-
-def _x_copy_end(monitor, window, event):
-    # Paired with its start by ``seq``; an unmatched end (a replayed trace
-    # that begins mid-copy) only counts as an event.
-    seq = event.args.get("seq")
-    started = None if seq is None else monitor._inflight.pop(int(seq), None)
-    if started is not None:
-        start_ts, nbytes = started
-        monitor._fold_copy_end(event.ts - start_ts, nbytes)
-
-
-def _x_stall(monitor, window, event):
-    monitor._fold_stall(window, float(event.args.get("seconds", 0.0)))
-
-
-def _x_gc(monitor, window, event):
-    monitor._fold_gc(window, float(event.args.get("seconds", 0.0)))
-
-
-def _x_count(name, dump=""):
-    return lambda monitor, window, event: monitor._fold_count(
-        window, name, event.ts, dump
-    )
-
-
-def _x_fault(monitor, window, event):
-    args = event.args
-    label = args.get("fault") or args.get("site") or "?"
-    monitor._fold_count(window, "faults", event.ts, f"fault:{label}")
-
-
-def _x_recovery_step(monitor, window, event):
-    monitor._fold_recovery_step(
-        window, event.ts, str(event.args.get("step", "?"))
-    )
-
-
-def _x_recovery(monitor, window, event):
-    monitor._fold_recovery(window, str(event.args.get("step", "?")))
-
-
-def _x_elastic(subject_field):
-    def extract(monitor, window, event):
-        subject = (
-            None if subject_field is None
-            else event.args.get(subject_field, "?")
-        )
-        monitor._fold_elastic(event.kind, event.ts, subject)
-
-    return extract
-
-
-_EXTRACTORS: dict[
-    str, Callable[[RuntimeMonitor, RollupWindow, TraceEvent], None]
-] = {
-    KERNEL_END: _x_kernel,
-    ALLOC: _x_region(RuntimeMonitor._fold_alloc),
-    FREE: _x_region(RuntimeMonitor._fold_free),
-    COPY_START: _x_copy_start,
-    COPY_END: _x_copy_end,
-    STALL: _x_stall,
-    GC: _x_gc,
-    EVICT: _x_count("evictions"),
-    PREFETCH: _x_count("prefetches"),
-    OOM_RETRY: _x_count("oom_retries"),
-    COPY_RETRY: _x_count("copy_retries"),
-    FAULT: _x_fault,
-    RECOVERY_STEP: _x_recovery_step,
-    RECOVERY: _x_recovery,
-    POLICY_STRIKE: _x_count("strikes", "policy_strike"),
-    QUARANTINE: _x_count("quarantines", "quarantine"),
-    DETACH: _x_elastic("tenant"),
-    RESIZE: _x_elastic("device"),
-    SNAPSHOT: _x_elastic(None),
-    RESTORE: _x_elastic(None),
+# The kinds that are only counted -> (totals key and window attribute, the
+# flight dump they name, if any).
+_COUNTED = {
+    EVICT: ("evictions", ""),
+    PREFETCH: ("prefetches", ""),
+    OOM_RETRY: ("oom_retries", ""),
+    COPY_RETRY: ("copy_retries", ""),
+    POLICY_STRIKE: ("strikes", "policy_strike"),
+    QUARANTINE: ("quarantines", "quarantine"),
 }
+
+# Kind -> its fold: every kind the monitor folds, on all three intakes.
+_FOLDS: dict[str, Callable[..., None]] = {
+    ALLOC: RuntimeMonitor._fold_alloc,
+    FREE: RuntimeMonitor._fold_free,
+    COPY_START: RuntimeMonitor._fold_copy_start,
+    COPY_END: RuntimeMonitor._fold_copy_end,
+    KERNEL_END: RuntimeMonitor._fold_kernel_end,
+    STALL: RuntimeMonitor._fold_stall,
+    GC: RuntimeMonitor._fold_gc,
+    FAULT: RuntimeMonitor._fold_fault,
+    RECOVERY_STEP: RuntimeMonitor._fold_recovery_step,
+    RECOVERY: RuntimeMonitor._fold_recovery,
+    **dict.fromkeys(_COUNTED, RuntimeMonitor._fold_counted),
+    **dict.fromkeys(_ELASTIC_TOTALS, RuntimeMonitor._fold_elastic),
+}
+
+
+def _replay_row(kind: str, args: Mapping[str, Any]) -> tuple[tuple, tuple]:
+    """A replayed event's fields and values in its kind's ``SCHEMA`` order:
+    each row field read through ``REPLAY_DEFAULTS``, then a fault's detail
+    as it comes. Any other field the row does not name is dropped. A value
+    its cast cannot read (a null or a word where a number belongs) reads as
+    the default, as a missing one does, so no row field raises."""
+    fields = SCHEMA[kind]
+    values = []
+    for name in fields:
+        default, cast = REPLAY_DEFAULTS.get(name, (None, None))
+        value = args.get(name, default)
+        if cast is not None and value is not default:  # a None default stays
+            try:
+                value = cast(value)
+            except (TypeError, ValueError):
+                value = default
+        values.append(value)
+    if kind == FAULT:
+        detail = tuple(key for key in args if key not in fields)
+        fields += detail
+        values += [args[key] for key in detail]
+    return fields, tuple(values)
 
 
 # -- tracer adapter ------------------------------------------------------------
@@ -1510,15 +1463,15 @@ class MonitorTracer(Tracer):
     * ``keep_events=True`` — full tracing *plus* live monitoring (the
       profile/chaos configuration): this class. Every typed call builds and
       retains its event through :class:`Tracer`'s body, whose ``_event`` is
-      extended here to ring the event and count it in its window as it is
-      built; each kind the monitor folds then calls its ``_fold_*`` with the
-      values the call already holds — the same arithmetic ``observe`` would
-      reach by re-reading ``event.args``. ``emit``/``emit_at`` (hand-built
-      events) go through ``observe``.
+      extended here to ring the record, count it in its window and, for a
+      kind the monitor folds, call the kind's fold with the values the body
+      handed over — the fold ``observe`` reaches by re-reading
+      ``event.args``. ``emit``/``emit_at`` (hand-built events) go through
+      ``observe``.
     * ``keep_events=False`` (the default, the "monitor-only tier") — the
       cheap always-on configuration: :class:`_MonitorOnlyTracer`, which
-      runs the same typed bodies with :meth:`RuntimeMonitor.note_event` as
-      its ``_event``.
+      runs the same typed bodies with an ``_event`` that hands each event
+      to :meth:`RuntimeMonitor.note_event`.
 
     Either way the monitor is pure observation — it never advances the
     clock — so results are bit-identical with monitoring on or off.
@@ -1540,10 +1493,7 @@ class MonitorTracer(Tracer):
             # The listener is picked here, once — not by a flag every typed
             # call would have to test. (Re-classing, rather than a __new__
             # that inspects keep_events, keeps pickling by class trivial.)
-            # The bound intake shadows the class's ``_event``, so a typed
-            # body reaches it without a Python frame of its own.
             self.__class__ = _MonitorOnlyTracer
-            self._event = self.monitor.note_event
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
         return self.emit_at(self.clock.now, kind, **args)
@@ -1562,13 +1512,23 @@ class MonitorTracer(Tracer):
                               *args.values()))
 
     def _event(self, ts: float, kind: str, fields: tuple, values: tuple) -> tuple:
-        # Tracer._event (stamp, retain), then what ``observe`` does before it
-        # folds — ring, then count — with ``FlightRecorder.append`` and
-        # ``RuntimeMonitor._intake`` written in place: this runs once per
-        # event of a traced run, and the two calls cost more than their
-        # bodies. The window the event landed in is left as the aggregator's
-        # cached window, which is where the typed folds below find it.
-        record = Tracer._event(self, ts, kind, fields, values)
+        # Tracer._event (stamp, retain), then what ``observe`` does — ring,
+        # count, fold — with all three of Tracer._event,
+        # ``FlightRecorder.append`` and ``RuntimeMonitor._intake`` written
+        # in place: this runs once per event of a traced run, and the calls
+        # cost more than their bodies (the record layout is pinned by the
+        # byte-identity tests). A copy's start record therefore folds before
+        # its end is counted: that count may close the start's window,
+        # which must see the copy in flight.
+        stream, scopes = self.stream, self._scopes
+        if scopes:
+            root, root_ts = scopes[0]
+            cause = scopes[-1][0]
+            record = (ts, kind, cause, root, root_ts, stream, fields) + values
+        else:
+            cause = root = ""
+            record = (ts, kind, "", "", None, stream, fields) + values
+        self._records.append(record)
         monitor = self.monitor
         ring = monitor.ring
         ring._ring[ring._next] = record
@@ -1579,112 +1539,19 @@ class MonitorTracer(Tracer):
             monitor.last_ts = ts
         rollups = monitor.rollups
         if rollups._cache_lo <= ts < rollups._cache_hi:
-            rollups._cache_window.events += 1
+            window = rollups._cache_window
         else:
-            rollups.window_for(ts).events += 1
+            window = rollups.window_for(ts)
+        window.events += 1
+        if kind in _FOLDS:
+            _FOLDS[kind](monitor, window, ts, kind, cause, root, stream, fields,
+                         values)
         return record
 
     # Unchanged from Tracer; bound here because the layered benchmark
     # resolves its telemetry spans through this class's own namespace.
     scope = Tracer.scope
     hint = Tracer.hint
-
-    # -- the kinds the monitor folds, on both live tiers ----------------------
-    #
-    # Each hands its values to ``_event`` through Tracer's body, which rings
-    # and counts the event, then folds the values in hand into the window it
-    # landed in. _MonitorOnlyTracer keeps its own copy and checkpoint.
-
-    def alloc(self, device, offset, nbytes, obj=None) -> None:
-        Tracer.alloc(self, device, offset, nbytes, obj)
-        window = self.monitor.rollups._cache_window
-        self.monitor._fold_alloc(window, device, nbytes, offset, self.stream)
-
-    def free(self, device, offset, nbytes, obj=None) -> None:
-        Tracer.free(self, device, offset, nbytes, obj)
-        window = self.monitor.rollups._cache_window
-        self.monitor._fold_free(window, device, nbytes, offset, self.stream)
-
-    def copy(self, src, dst, nbytes, threads, seconds, completes_at, seq) -> None:
-        # The start folds before the end event is counted: that count may
-        # close the start's window, which must see this copy in flight.
-        # (A record reads ts, kind, cause, root, ...: see Tracer._event.)
-        start = self._copy_start(src, dst, nbytes, threads, seconds, completes_at, seq)
-        monitor = self.monitor
-        window = monitor.rollups._cache_window
-        monitor._fold_copy_start(
-            window, nbytes, seconds, cause_kind(start[3]), cause_kind(start[2])
-        )
-        end = self._copy_end(src, dst, nbytes, completes_at, seq)
-        monitor._fold_copy_end(end[0] - start[0], nbytes)
-
-    def copy_retry(self, ts, src, dst, nbytes, attempt, reason) -> None:
-        Tracer.copy_retry(self, ts, src, dst, nbytes, attempt, reason)
-        self._fold_count("copy_retries")
-
-    def prefetch(self, obj, src, dst, nbytes) -> None:
-        Tracer.prefetch(self, obj, src, dst, nbytes)
-        self._fold_count("prefetches")
-
-    def evict(self, obj, src, dst, nbytes, clean) -> None:
-        Tracer.evict(self, obj, src, dst, nbytes, clean)
-        self._fold_count("evictions")
-
-    def kernel_end(self, kernel, seconds, compute, memory, fixed, phase) -> None:
-        Tracer.kernel_end(self, kernel, seconds, compute, memory, fixed, phase)
-        window = self.monitor.rollups._cache_window
-        self.monitor._fold_kernel(window, seconds, compute, memory, fixed)
-
-    def stall(self, kernel, seconds, late=()) -> None:
-        Tracer.stall(self, kernel, seconds, late)
-        self.monitor._fold_stall(self.monitor.rollups._cache_window, seconds)
-
-    def gc(self, seconds) -> None:
-        Tracer.gc(self, seconds)
-        self.monitor._fold_gc(self.monitor.rollups._cache_window, seconds)
-
-    def oom_retry(self, obj, nbytes) -> None:
-        Tracer.oom_retry(self, obj, nbytes)
-        self._fold_count("oom_retries")
-
-    def fault(self, site, device, op, index, detail) -> None:
-        Tracer.fault(self, site, device, op, index, detail)
-        label = detail.get("fault") or site or "?"
-        self._fold_count("faults", f"fault:{label}")
-
-    def recovery_step(self, step, device, requested, free, acted, tenant) -> None:
-        Tracer.recovery_step(self, step, device, requested, free, acted, tenant)
-        window = self.monitor.rollups._cache_window
-        self.monitor._fold_recovery_step(window, self.clock.now, step)
-
-    def recovery(self, step, device, requested, steps, tenant) -> None:
-        Tracer.recovery(self, step, device, requested, steps, tenant)
-        self.monitor._fold_recovery(self.monitor.rollups._cache_window, step)
-
-    def policy_strike(self, op, strikes, error, tenant) -> None:
-        Tracer.policy_strike(self, op, strikes, error, tenant)
-        self._fold_count("strikes", "policy_strike")
-
-    def quarantine(self, policy, fallback, strikes) -> None:
-        Tracer.quarantine(self, policy, fallback, strikes)
-        self._fold_count("quarantines", "quarantine")
-
-    def detach(self, tenant, objects, nbytes, quota) -> None:
-        Tracer.detach(self, tenant, objects, nbytes, quota)
-        self.monitor._fold_elastic(DETACH, self.clock.now, tenant)
-
-    def resize(self, device, old, new, via) -> None:
-        Tracer.resize(self, device, old, new, via)
-        self.monitor._fold_elastic(RESIZE, self.clock.now, device)
-
-    def checkpoint(self, kind, label, kernels) -> None:
-        # Snapshot/restore name no flight dump on this tier, as on replay.
-        Tracer.checkpoint(self, kind, label, kernels)
-        self.monitor._fold_elastic(kind, self.clock.now)
-
-    def _fold_count(self, name: str, dump: str = "") -> None:
-        monitor = self.monitor
-        monitor._fold_count(monitor.rollups._cache_window, name, self.clock.now, dump)
 
 
 class _CauseScope:
@@ -1711,17 +1578,16 @@ class _CauseScope:
 class _MonitorOnlyTracer(MonitorTracer):
     """``MonitorTracer(keep_events=False)``: the always-on cheap tier.
 
-    It answers the kinds the monitor folds with :class:`MonitorTracer`'s
-    typed bodies, through an ``_event`` that is the monitor's
-    :meth:`~RuntimeMonitor.note_event` (bound in ``MonitorTracer.__init__``):
-    the event is counted and rung as a compact tuple, and nothing is
-    retained. Every other kind, ``hint()`` and ``hints()`` are
-    :class:`NullTracer`'s no-ops (the monitor folds no hint), and
-    ``enabled`` is False, so no traced-only work runs.
-    ``scope()`` stays the no-op for the per-operand kinds (their cost is why
-    this tier exists) and tracks only the kinds the copy-cause rollups
-    report. ``copy`` and ``checkpoint`` keep bodies of their own: the
-    differences the module docstring's table lists.
+    It answers the kinds the monitor folds with :class:`Tracer`'s typed
+    bodies, through an ``_event`` that hands each event and the stream to
+    the monitor's :meth:`~RuntimeMonitor.note_event`: the event is counted,
+    rung as a compact tuple and folded, and nothing is retained. Every
+    other kind, ``hint()`` and ``hints()`` are :class:`NullTracer`'s no-ops
+    (the monitor folds no hint), and ``enabled`` is False, so no
+    traced-only work runs. ``scope()`` stays the no-op for the per-operand
+    kinds (their cost is why this tier exists) and tracks only the kinds
+    the copy-cause rollups report. ``copy`` and ``checkpoint`` keep bodies
+    of their own: the differences the module docstring's table lists.
     """
 
     enabled = False
@@ -1739,6 +1605,9 @@ class _MonitorOnlyTracer(MonitorTracer):
     request = NullTracer.request
     hint = NullTracer.hint
     hints = NullTracer.hints
+
+    def _event(self, ts: float, kind: str, fields: tuple, values: tuple) -> None:
+        self.monitor.note_event(ts, kind, fields, values, self.stream)
 
     def scope(self, kind: str, subject: object = ""):
         if kind in self._TRACKED_SCOPES:
@@ -1761,15 +1630,16 @@ class _MonitorOnlyTracer(MonitorTracer):
         start = completes_at - seconds
         cause = monitor.copy_cause
         window = monitor._intake(start)
-        monitor._fold_copy_start(window, nbytes, seconds, cause, cause)
+        monitor._copy_started(window, nbytes, seconds, cause, cause)
         monitor._intake(completes_at)
-        monitor._fold_copy_end(completes_at - start, nbytes)
+        monitor._copy_landed(completes_at - start, nbytes)
         monitor.ring.append((COPY_START, start, src, dst, nbytes, completes_at - start))
 
     def checkpoint(self, kind, label, kernels) -> None:
-        # Snapshot/restore name a flight dump on this tier.
+        # Counted, rung and folded as on the full tier; snapshot/restore
+        # also name a flight dump on this tier.
         Tracer.checkpoint(self, kind, label, kernels)
-        self.monitor._fold_elastic(kind, self.clock.now, label)
+        self.monitor._maybe_dump(f"{kind}:{label}", self.clock.now)
 
 
 def pick_tracer(clock: "SimClock", config: Any) -> "Tracer | NullTracer":

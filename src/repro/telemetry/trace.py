@@ -40,19 +40,20 @@ listening:
   evaluated and allocates nothing.
 * :class:`Tracer` (full tracing): each typed call retains one flat
   *record* through ``Tracer._event`` and returns it — a tuple of ts, kind,
-  cause, root, root_ts, stream, a constant tuple of field names, then the
-  values. These bodies are the only code that knows the event schema —
-  kind, field names, field order, timestamp. :meth:`Tracer.emit`/
+  cause, root, root_ts, stream, the kind's field names, then the values.
+  The field names are :data:`SCHEMA`, the one table of the event schema
+  (kind → field names in args order); each body knows its kind's
+  timestamp and hands its values in that order. :meth:`Tracer.emit`/
   :meth:`Tracer.emit_at` remain for hand-emitted events only. With the
-  monitor attached (``MonitorTracer(keep_events=True)``) each record is
-  also rung and counted as it is built, and the kinds the monitor folds
-  are folded right there, from the values the typed call already holds.
+  monitor attached (``MonitorTracer(keep_events=True)``) ``_event`` also
+  rings and counts each record as it is built and folds the kinds the
+  monitor folds, from the values in hand.
 * the monitor-only tier (``telemetry.monitor``): the kinds the always-on
   :class:`~repro.telemetry.monitor.RuntimeMonitor` folds run the same
-  typed bodies as the full tier, with the monitor's ``note_event`` as
-  ``_event`` — it counts the event and rings a compact tuple, no kwargs
-  dict, no :class:`TraceEvent`, nothing retained — and every other kind
-  is the no-op above.
+  typed bodies as the full tier, with an ``_event`` that hands them to the
+  monitor's ``note_event`` — it counts the event, rings a compact tuple
+  and folds it: no kwargs dict, no :class:`TraceEvent`, nothing retained
+  — and every other kind is the no-op above.
 
 **Retained events are records, read through a view.** A traced run keeps
 every event, so what it keeps must cost the cyclic collector nothing: a
@@ -87,6 +88,9 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "EVENT_KINDS",
+    "SCHEMA",
+    "NAMED_REGION",
+    "REPLAY_DEFAULTS",
     "subject_label",
 ]
 
@@ -135,15 +139,66 @@ RESTORE = "restore"        # execution resumed from a checkpoint
 # per-request attribution `repro serve` reports percentiles over.
 REQUEST = "request"        # a serving request reached a final outcome
 
-EVENT_KINDS = frozenset(
-    {
-        ALLOC, FREE, COPY_START, COPY_END, EVICT, EVICT_SCAN, PREFETCH,
-        PLACE, HINT, SETPRIMARY, DECISION, SETDIRTY, KERNEL_START,
-        KERNEL_END, STALL, DEFRAG, GC, OOM_RETRY, INVARIANT_CHECK, FAULT,
-        RECOVERY_STEP, RECOVERY, COPY_RETRY, POLICY_STRIKE, QUARANTINE,
-        ALERT, DETACH, RESIZE, SNAPSHOT, RESTORE, REQUEST,
-    }
-)
+# -- the event schema ---------------------------------------------------------
+#
+# Each kind's field names, in args order: the one place they are written.
+# A typed body hands ``_event`` its kind's row (a shared tuple, so a record
+# adds no container of its own); ``RuntimeMonitor.observe`` maps a replayed
+# event's args onto the same row. ``decision``'s ``**extra`` and ``fault``'s
+# ``detail`` extend their row, in the order given.
+SCHEMA: dict[str, tuple[str, ...]] = {
+    ALLOC: ("device", "offset", "nbytes"),
+    FREE: ("device", "offset", "nbytes"),
+    COPY_START: ("src", "dst", "nbytes", "threads", "seconds", "seq"),
+    COPY_END: ("src", "dst", "nbytes", "seq"),
+    EVICT: ("obj", "src", "dst", "nbytes", "clean"),
+    EVICT_SCAN: ("device", "depth", "nbytes"),
+    PREFETCH: ("obj", "src", "dst", "nbytes"),
+    PLACE: ("obj", "device", "nbytes"),
+    HINT: ("hint", "subject"),
+    SETPRIMARY: ("obj", "device", "nbytes"),
+    DECISION: ("policy", "action", "device", "need", "chosen", "considered",
+               "rejected", "rejected_dropped"),
+    SETDIRTY: ("obj", "device", "nbytes", "dirty"),
+    KERNEL_START: ("kernel",),
+    KERNEL_END: ("kernel", "seconds", "compute", "memory", "fixed", "phase"),
+    STALL: ("kernel", "seconds", "objects", "charged"),
+    DEFRAG: ("device", "moves"),
+    GC: ("seconds",),
+    OOM_RETRY: ("obj", "nbytes"),
+    INVARIANT_CHECK: ("kernels",),
+    FAULT: ("site", "device", "op", "index"),
+    RECOVERY_STEP: ("step", "device", "requested", "free", "acted", "tenant"),
+    RECOVERY: ("step", "device", "requested", "steps", "tenant"),
+    COPY_RETRY: ("src", "dst", "nbytes", "attempt", "reason"),
+    POLICY_STRIKE: ("op", "strikes", "error", "tenant"),
+    QUARANTINE: ("policy", "fallback", "strikes"),
+    ALERT: ("rule", "label", "metric", "value", "threshold", "severity",
+            "status", "window"),
+    DETACH: ("tenant", "objects", "nbytes", "quota"),
+    RESIZE: ("device", "old", "new", "via"),
+    SNAPSHOT: ("label", "kernels"),
+    RESTORE: ("label", "kernels"),
+    REQUEST: ("request", "klass", "outcome", "seconds", "queue_wait"),
+}
+# The second row of ``alloc`` and ``free``: where the site names the object
+# (the 2LM adapter). It keeps ``device`` first and ``offset``, ``nbytes``
+# last, so a fold reads either row at the same places.
+NAMED_REGION = ("device", "obj", "offset", "nbytes")
+
+# Replay's reading of a row field, by field name: the default a foreign
+# record that lacks it (or holds a value the cast cannot read) reads as,
+# and the cast a present value takes (None: as it comes). Fields not named
+# here no fold reads; replay takes them as they come, None when missing.
+REPLAY_DEFAULTS: dict[str, tuple[Any, type | None]] = {
+    "device": ("?", None), "tenant": ("?", None), "site": ("?", None),
+    "step": ("?", str),
+    "nbytes": (0, int), "offset": (None, int), "seq": (None, int),
+    "seconds": (0.0, float), "compute": (0.0, float), "memory": (0.0, float),
+    "fixed": (0.0, float),
+}
+
+EVENT_KINDS = frozenset(SCHEMA)
 
 
 def subject_label(subject: object) -> str:
@@ -241,9 +296,8 @@ class TraceEvent:
 # -- retained records ------------------------------------------------------------
 #
 # A record is ``(ts, kind, cause, root, root_ts, stream, fields, *values)``,
-# ``fields`` naming the values in args order. Each typed body passes its
-# field names as a tuple literal: a code constant, one shared object, so a
-# record adds no container of its own.
+# ``fields`` naming the values in args order: the kind's ``SCHEMA`` row,
+# one shared tuple.
 
 
 def _as_event(record: tuple) -> TraceEvent:
@@ -372,9 +426,10 @@ class Tracer:
         return _as_event(self._event(ts, kind, tuple(args), tuple(args.values())))
 
     def _event(self, ts: float, kind: str, fields: tuple, values: tuple) -> tuple:
-        # The one place a record is stamped with its attribution scopes and
-        # retained. The values arrive as one tuple, so a listener extending
-        # this passes them on without a ``*values`` repack.
+        # Where a record is stamped with its attribution scopes and
+        # retained (``MonitorTracer._event`` writes this in place). The
+        # values arrive as one tuple, so a listener passes them on without a
+        # ``*values`` repack.
         scopes = self._scopes
         if scopes:
             root, root_ts = scopes[0]
@@ -388,47 +443,43 @@ class Tracer:
     # -- the typed seam -------------------------------------------------------
     #
     # One method per instrumented site kind, called unconditionally with
-    # positional values (see NullTracer for what each reports). These bodies
-    # are the event schema: kind, field names, field order, timestamp. Each
-    # hands ``_event`` its field names and values positionally (never
-    # through ``emit``'s kwargs repack) and returns the record, so a
-    # listener that extends a body has what it built in hand.
+    # positional values (see NullTracer for what each reports). Each stamps
+    # its event's time and hands ``_event`` its kind's ``SCHEMA`` row and the
+    # values in that order, positionally (never through ``emit``'s kwargs
+    # repack), and returns the record, so a listener that extends a body has
+    # what it built in hand.
 
     def alloc(
         self, device: str, offset: int, nbytes: int, obj: str | None = None
     ) -> tuple:
         if obj is not None:  # named only where the site names one (2LM)
-            fields = ("device", "obj", "offset", "nbytes")
             values = (device, obj, offset, nbytes)
-            return self._event(self.clock.now, ALLOC, fields, values)
-        fields = ("device", "offset", "nbytes")
-        return self._event(self.clock.now, ALLOC, fields, (device, offset, nbytes))
+            return self._event(self.clock.now, ALLOC, NAMED_REGION, values)
+        values = (device, offset, nbytes)
+        return self._event(self.clock.now, ALLOC, SCHEMA[ALLOC], values)
 
     def free(
         self, device: str, offset: int, nbytes: int, obj: str | None = None
     ) -> tuple:
         if obj is not None:  # named only where the site names one (2LM)
-            fields = ("device", "obj", "offset", "nbytes")
             values = (device, obj, offset, nbytes)
-            return self._event(self.clock.now, FREE, fields, values)
-        fields = ("device", "offset", "nbytes")
-        return self._event(self.clock.now, FREE, fields, (device, offset, nbytes))
+            return self._event(self.clock.now, FREE, NAMED_REGION, values)
+        return self._event(self.clock.now, FREE, SCHEMA[FREE], (device, offset, nbytes))
 
     def setprimary(self, obj: str, device: str, nbytes: int) -> tuple:
-        fields = ("obj", "device", "nbytes")
-        return self._event(self.clock.now, SETPRIMARY, fields, (obj, device, nbytes))
+        values = (obj, device, nbytes)
+        return self._event(self.clock.now, SETPRIMARY, SCHEMA[SETPRIMARY], values)
 
     def setdirty(self, obj: str, device: str, nbytes: int, dirty: bool) -> tuple:
-        fields = ("obj", "device", "nbytes", "dirty")
         values = (obj, device, nbytes, dirty)
-        return self._event(self.clock.now, SETDIRTY, fields, values)
+        return self._event(self.clock.now, SETDIRTY, SCHEMA[SETDIRTY], values)
 
     def evict_scan(self, device: str, depth: int, nbytes: int) -> tuple:
-        fields = ("device", "depth", "nbytes")
-        return self._event(self.clock.now, EVICT_SCAN, fields, (device, depth, nbytes))
+        values = (device, depth, nbytes)
+        return self._event(self.clock.now, EVICT_SCAN, SCHEMA[EVICT_SCAN], values)
 
     def defrag(self, device: str, moves: int) -> tuple:
-        return self._event(self.clock.now, DEFRAG, ("device", "moves"), (device, moves))
+        return self._event(self.clock.now, DEFRAG, SCHEMA[DEFRAG], (device, moves))
 
     def copy(
         self, src: str, dst: str, nbytes: int, threads: int, seconds: float,
@@ -437,60 +488,50 @@ class Tracer:
         # The span runs [completes_at - seconds, completes_at] in both
         # modes: synchronous copies just advanced the clock by `seconds`,
         # asynchronous ones queued on the destination's DMA channel. Two
-        # steps, so a listener can act between the start and the end.
-        self._copy_start(src, dst, nbytes, threads, seconds, completes_at, seq)
-        return self._copy_end(src, dst, nbytes, completes_at, seq)
-
-    def _copy_start(self, src, dst, nbytes, threads, seconds, completes_at, seq):
-        fields = ("src", "dst", "nbytes", "threads", "seconds", "seq")
+        # records, so a listener folds the start before it counts the end.
         values = (src, dst, nbytes, threads, seconds, seq)
-        return self._event(completes_at - seconds, COPY_START, fields, values)
-
-    def _copy_end(self, src, dst, nbytes, completes_at, seq):
-        fields = ("src", "dst", "nbytes", "seq")
-        return self._event(completes_at, COPY_END, fields, (src, dst, nbytes, seq))
+        self._event(completes_at - seconds, COPY_START, SCHEMA[COPY_START], values)
+        values = (src, dst, nbytes, seq)
+        return self._event(completes_at, COPY_END, SCHEMA[COPY_END], values)
 
     def copy_retry(
         self, ts: float, src: str, dst: str, nbytes: int, attempt: int, reason: str
     ) -> tuple:
-        fields = ("src", "dst", "nbytes", "attempt", "reason")
-        return self._event(ts, COPY_RETRY, fields, (src, dst, nbytes, attempt, reason))
+        values = (src, dst, nbytes, attempt, reason)
+        return self._event(ts, COPY_RETRY, SCHEMA[COPY_RETRY], values)
 
     def place(self, obj: str, device: str, nbytes: int) -> tuple:
-        fields = ("obj", "device", "nbytes")
-        return self._event(self.clock.now, PLACE, fields, (obj, device, nbytes))
+        return self._event(self.clock.now, PLACE, SCHEMA[PLACE], (obj, device, nbytes))
 
     def prefetch(self, obj: str, src: str, dst: str, nbytes: int) -> tuple:
-        fields = ("obj", "src", "dst", "nbytes")
-        return self._event(self.clock.now, PREFETCH, fields, (obj, src, dst, nbytes))
+        values = (obj, src, dst, nbytes)
+        return self._event(self.clock.now, PREFETCH, SCHEMA[PREFETCH], values)
 
     def evict(
         self, obj: str, src: str, dst: str, nbytes: int, clean: bool
     ) -> tuple:
-        fields = ("obj", "src", "dst", "nbytes", "clean")
         values = (obj, src, dst, nbytes, clean)
-        return self._event(self.clock.now, EVICT, fields, values)
+        return self._event(self.clock.now, EVICT, SCHEMA[EVICT], values)
 
     def decision(
         self, policy: str, action: str, device: str, need: int, chosen: str,
         considered: int, rejected: list[dict], rejected_dropped: int, **extra: Any,
     ) -> tuple:
-        fields = ("policy", "action", "device", "need", "chosen", "considered",
-                  "rejected", "rejected_dropped", *extra)
+        fields = (*SCHEMA[DECISION], *extra)
         values = (policy, action, device, need, chosen, considered, rejected,
                   rejected_dropped, *extra.values())
         return self._event(self.clock.now, DECISION, fields, values)
 
     def kernel_start(self, kernel: str) -> tuple:
-        return self._event(self.clock.now, KERNEL_START, ("kernel",), (kernel,))
+        fields = SCHEMA[KERNEL_START]
+        return self._event(self.clock.now, KERNEL_START, fields, (kernel,))
 
     def kernel_end(
         self, kernel: str, seconds: float, compute: float, memory: float,
         fixed: float, phase: str,
     ) -> tuple:
-        fields = ("kernel", "seconds", "compute", "memory", "fixed", "phase")
         values = (kernel, seconds, compute, memory, fixed, phase)
-        return self._event(self.clock.now, KERNEL_END, fields, values)
+        return self._event(self.clock.now, KERNEL_END, SCHEMA[KERNEL_END], values)
 
     def stall(
         self, kernel: str, seconds: float, late: Sequence[tuple[str, float]] = ()
@@ -501,23 +542,23 @@ class Tracer:
         total_late = sum(remaining for _, remaining in late)
         charged = ([seconds * remaining / total_late for _, remaining in late]
                    if total_late > 0 else [])
-        fields = ("kernel", "seconds", "objects", "charged")
         values = (kernel, seconds, [name for name, _ in late], charged)
-        return self._event(self.clock.now, STALL, fields, values)
+        return self._event(self.clock.now, STALL, SCHEMA[STALL], values)
 
     def gc(self, seconds: float) -> tuple:
-        return self._event(self.clock.now, GC, ("seconds",), (seconds,))
+        return self._event(self.clock.now, GC, SCHEMA[GC], (seconds,))
 
     def oom_retry(self, obj: str, nbytes: int) -> tuple:
-        return self._event(self.clock.now, OOM_RETRY, ("obj", "nbytes"), (obj, nbytes))
+        return self._event(self.clock.now, OOM_RETRY, SCHEMA[OOM_RETRY], (obj, nbytes))
 
     def invariant_check(self, kernels: int) -> tuple:
-        return self._event(self.clock.now, INVARIANT_CHECK, ("kernels",), (kernels,))
+        fields = SCHEMA[INVARIANT_CHECK]
+        return self._event(self.clock.now, INVARIANT_CHECK, fields, (kernels,))
 
     def fault(
         self, site: str, device: str, op: str, index: int, detail: Mapping[str, Any]
     ) -> tuple:
-        fields = ("site", "device", "op", "index", *detail)
+        fields = (*SCHEMA[FAULT], *detail)
         values = (site, device, op, index, *detail.values())
         return self._event(self.clock.now, FAULT, fields, values)
 
@@ -525,48 +566,42 @@ class Tracer:
         self, step: str, device: str, requested: int, free: int, acted: bool,
         tenant: str,
     ) -> tuple:
-        fields = ("step", "device", "requested", "free", "acted", "tenant")
         values = (step, device, requested, free, acted, tenant)
-        return self._event(self.clock.now, RECOVERY_STEP, fields, values)
+        return self._event(self.clock.now, RECOVERY_STEP, SCHEMA[RECOVERY_STEP], values)
 
     def recovery(
         self, step: str, device: str, requested: int, steps: str, tenant: str
     ) -> tuple:
-        fields = ("step", "device", "requested", "steps", "tenant")
         values = (step, device, requested, steps, tenant)
-        return self._event(self.clock.now, RECOVERY, fields, values)
+        return self._event(self.clock.now, RECOVERY, SCHEMA[RECOVERY], values)
 
     def policy_strike(
         self, op: str, strikes: int, error: str, tenant: str
     ) -> tuple:
-        fields = ("op", "strikes", "error", "tenant")
         values = (op, strikes, error, tenant)
-        return self._event(self.clock.now, POLICY_STRIKE, fields, values)
+        return self._event(self.clock.now, POLICY_STRIKE, SCHEMA[POLICY_STRIKE], values)
 
     def quarantine(self, policy: str, fallback: str, strikes: int) -> tuple:
-        fields = ("policy", "fallback", "strikes")
         values = (policy, fallback, strikes)
-        return self._event(self.clock.now, QUARANTINE, fields, values)
+        return self._event(self.clock.now, QUARANTINE, SCHEMA[QUARANTINE], values)
 
     def detach(self, tenant: str, objects: int, nbytes: int, quota: int) -> tuple:
-        fields = ("tenant", "objects", "nbytes", "quota")
         values = (tenant, objects, nbytes, quota)
-        return self._event(self.clock.now, DETACH, fields, values)
+        return self._event(self.clock.now, DETACH, SCHEMA[DETACH], values)
 
     def resize(self, device: str, old: int, new: int, via: str) -> tuple:
-        fields = ("device", "old", "new", "via")
-        return self._event(self.clock.now, RESIZE, fields, (device, old, new, via))
+        values = (device, old, new, via)
+        return self._event(self.clock.now, RESIZE, SCHEMA[RESIZE], values)
 
     def checkpoint(self, kind: str, label: str, kernels: int) -> tuple:
-        return self._event(self.clock.now, kind, ("label", "kernels"), (label, kernels))
+        return self._event(self.clock.now, kind, SCHEMA[kind], (label, kernels))
 
     def request(
         self, request: str, klass: str, outcome: str, seconds: float,
         queue_wait: float,
     ) -> tuple:
-        fields = ("request", "klass", "outcome", "seconds", "queue_wait")
         values = (request, klass, outcome, seconds, queue_wait)
-        return self._event(self.clock.now, REQUEST, fields, values)
+        return self._event(self.clock.now, REQUEST, SCHEMA[REQUEST], values)
 
     # -- attribution scopes -------------------------------------------------
 
@@ -588,7 +623,7 @@ class Tracer:
         if owed_reads or owed_writes:
             self.hints(owed_reads, owed_writes)
         label = subject_label(subject)
-        self._event(self.clock.now, HINT, ("hint", "subject"), (kind, label))
+        self._event(self.clock.now, HINT, SCHEMA[HINT], (kind, label))
         return _Scope(self, f"hint:{kind}:{label}")
 
     def hints(self, owed_reads: list, owed_writes: list) -> None:
@@ -596,7 +631,7 @@ class Tracer:
         (:class:`~repro.core.object.MemObject`, never nameless) it moved
         nothing for — ``will_read`` then ``will_write``, in operand order,
         and empty both lists. No scope opens: nothing moved under them."""
-        now, event, fields = self.clock.now, self._event, ("hint", "subject")
+        now, event, fields = self.clock.now, self._event, SCHEMA[HINT]
         for obj in owed_reads:
             event(now, HINT, fields, ("will_read", obj.name))
         for obj in owed_writes:

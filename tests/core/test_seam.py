@@ -119,7 +119,7 @@ def typed_calls(cls):
     }
 
 
-# The kinds the monitor folds, on both live tiers.
+# The typed calls whose kinds the monitor folds, on both live tiers.
 FOLDED = {
     "alloc", "free", "copy", "copy_retry", "prefetch", "evict", "kernel_end",
     "stall", "gc", "oom_retry", "fault", "recovery_step", "recovery",
@@ -134,9 +134,9 @@ def test_every_listener_answers_every_typed_call():
     protocol = typed_calls(NullTracer)
     assert protocol <= typed_calls(Tracer)
     assert FOLDED <= protocol
-    # The monitor-only tier answers a folded kind with the full tier's body
-    # (two with its own) and every other kind with the no-op; it never
-    # falls through to Tracer's body for a kind the monitor does not fold.
+    # The monitor-only tier answers a folded kind with Tracer's body (two
+    # with its own) and every other kind with the no-op; it never falls
+    # through to Tracer's body for a kind the monitor does not fold.
     tracer = MonitorTracer(None)
     monitor_only = type(tracer)
     assert "hints" in protocol  # a hint sweep's owed events: a typed call
@@ -145,11 +145,13 @@ def test_every_listener_answers_every_typed_call():
         if name in CHEAP_BODIES:
             assert body is vars(monitor_only)[name], name
         elif name in FOLDED:
-            assert body is vars(MonitorTracer)[name], name
+            assert body is vars(Tracer)[name], name
         else:
             assert body is vars(NullTracer)[name], name
-    # Its ``_event`` is the monitor's intake, bound once per tracer.
-    assert tracer._event == tracer.monitor.note_event
+    # Its ``_event`` is a method of the class, handing the monitor's intake
+    # the stream: a tracer pickles no bound intake of its own.
+    assert "_event" not in vars(tracer)
+    assert "_event" in vars(monitor_only)
     assert not monitor_only.enabled
     for name in protocol:
         # Same positional signature everywhere: a site's one call must mean
@@ -168,20 +170,28 @@ def class_methods(relative, cls):
 
 
 def test_the_full_tier_folds_at_the_typed_call():
-    """Both monitored tiers fold the same kinds with one typed body each:
-    ``MonitorTracer`` overrides exactly the folded kinds, the monitor-only
-    tier defines of them only the bodies it keeps different on purpose,
-    and the monitor has one cheap intake, ``note_event``, where it once had
-    one ``note_*`` per kind. No typed body reaches the ``emit``/``emit_at``
-    replay intake."""
+    """Every intake folds through one table: both monitored tiers fold in
+    their ``_event``, during the typed call, so ``MonitorTracer`` overrides
+    none of the folded typed calls and the monitor-only tier defines of
+    them only the bodies it keeps different on purpose. Replay has no
+    adapter of its own (no kind -> extractor table, no ``_x_*`` helpers),
+    the monitor keeps one cheap intake, ``note_event``, and no typed body
+    reaches the ``emit``/``emit_at`` replay intake."""
     monitor = "telemetry/monitor.py"
     assert len(FOLDED) == 18
-    assert typed_calls(MonitorTracer) == FOLDED
+    assert not FOLDED & set(vars(MonitorTracer))
     cheap_bodies = FOLDED & set(class_methods(monitor, "_MonitorOnlyTracer"))
     assert cheap_bodies == CHEAP_BODIES
     assert [name for name in vars(RuntimeMonitor) if name.startswith("note_")] == [
         "note_event"
     ]
+    names = {
+        node.id if isinstance(node, ast.Name) else node.name
+        for node in ast.walk(ast.parse((ROOT / monitor).read_text()))
+        if isinstance(node, (ast.Name, ast.FunctionDef))
+    }
+    assert "_EXTRACTORS" not in names
+    assert not [name for name in names if name.startswith("_x_")]
     reaches_emit = [calls("emit"), calls("emit_at")]
     for relative, cls in (
         ("telemetry/trace.py", "Tracer"),

@@ -56,8 +56,9 @@ GOLDEN_CHEAP_FLIGHT = {
     True: "00b330a6fa28911721dca9788f409119688879373d6ad5ff956c1a7737b40548",
 }
 # The full tier's monitor (tracing + monitor: every event rung and folded),
-# recorded before its typed calls folded in place instead of through
-# ``observe``: (health snapshot, flight ring).
+# recorded while it still folded through ``observe`` and must not move now
+# that its ``_event`` calls the fold table all intakes share: (health
+# snapshot, flight ring).
 GOLDEN_FULL_MONITOR = {
     False: (
         "fa8ceb12205fe0209e2b52a4d94cd733caf21d74031d41639d1593fd119b1ffd",
@@ -69,7 +70,8 @@ GOLDEN_FULL_MONITOR = {
     ),
 }
 # Flight-dump tree of `repro chaos --plan <name> --dump-dir D` (full tier +
-# monitor: TraceEvent ring records through observe()).
+# monitor: each retained record rung by ``MonitorTracer._event``, dumped as
+# the TraceEvent the trace view reads).
 GOLDEN_CHAOS_FLIGHT_TREE = {
     "alloc-storm": "3327a481d1dbc82a0985132024c048b17a4bf7d4042c4a3059dd9267bf03717d",
     "bisect-demo": "61b8296a749b9c5627e0fdb00fd3dd5f37fbad9f36574b3e047b3ace90ec0407",
@@ -84,7 +86,8 @@ GOLDEN_CHAOS_FLIGHT_TREE = {
     "slow-bus": "6acaa1f663d65df80be0f77826df835489307e9cb4f6b24b957dd49004aeb1f8",
 }
 # The same virtual scenario on the monitor-only tier (compact ring tuples
-# through note_event): (flight-dump tree, health snapshot).
+# rung by ``RuntimeMonitor.note_event``, which its tracer's ``_event`` hands
+# every event): (flight-dump tree, health snapshot).
 GOLDEN_CHEAP_CHAOS = {
     "alloc-storm": (
         "05253f449dc807dc019c4d02f50f4503a0e7d3db1a3c0c26b687c86a74d67b7a",

@@ -227,6 +227,21 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 7 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_8_envelope_is_rejected(self, tmp_path):
+        """Version 8 predates both monitored tiers folding in their
+        ``_event``: its cheap tracer pickled ``note_event`` bound as its own
+        ``_event``, so it would call this build's intake without the
+        stream."""
+        config = ExperimentConfig(scale=SCALE, iterations=2, monitor=True)
+        snap = checkpoint_trace_mode(_trace(), MODE, config, pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 8, "snapshot": snap,
+        }
+        path = tmp_path / "v8.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 8 unsupported"):
+            load_snapshot(str(path))
+
     def test_stale_class_layout_is_rejected_with_the_typed_error(
         self, tmp_path
     ):

@@ -110,10 +110,13 @@ def test_serving_calls_per_command_do_not_creep_back():
 
 
 # Calls into src/repro (imports included) of the traced command below once
-# the allocator moved onto boundary tags and placed inline (635 897 before
-# that; 724 266 before a traced kernel's hints and residency became one
+# the full tier stamped, rang, counted and folded each event in its own
+# ``_event``, through the monitor's one fold table, instead of through a
+# typed override per folded kind and ``Tracer._event`` (606 179 before
+# that; 635 897 before the allocator moved onto boundary tags and placed
+# inline; 724 266 before a traced kernel's hints and residency became one
 # policy call each, opening a scope only around an operand that moves).
-PROFILE_CALLS = 606_179
+PROFILE_CALLS = 569_321
 
 
 def test_traced_calls_per_command_do_not_creep_back():
