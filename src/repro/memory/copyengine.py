@@ -5,14 +5,17 @@ traffic is "the result of explicit, well-shaped memory copies" using
 non-temporal stores and a thread count tuned to the destination device,
 instead of the haphazard line-sized fills/writebacks of the hardware cache.
 
-The engine does three things per copy:
+The engine does three things per copy, each read off a *plan* it builds the
+first time a (source heap, destination heap) pair is used and keeps after:
 
 1. **Accounting** — read bytes on the source heap's counters, write bytes on
-   the destination's (what Figure 5 plots).
+   the destination's (what Figure 5 plots). The plan holds both counters.
 2. **Virtual time** — advances the shared clock by the bandwidth-modelled
    duration, with the per-destination optimal thread count (write bandwidth
    to Optane *decreases* past ~4 threads, Section V-d) and non-temporal
-   stores toward NVRAM.
+   stores toward NVRAM. The plan holds the worker count and both devices'
+   peak rates and setup latencies, so a copy is priced with
+   :func:`~repro.sim.bandwidth.copy_time`'s expression and no model call.
 3. **Data** — when both devices are real, an honest memcpy (chunked across a
    thread pool above a size threshold, mirroring the paper's multi-threaded
    engine; numpy releases the GIL for large block copies).
@@ -26,16 +29,17 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import ConfigurationError, CopyError
-from repro.memory.device import MemoryKind
 from repro.memory.heap import Heap
-from repro.sim.bandwidth import DegradedBandwidth, copy_time, optimal_copy_threads
+from repro.sim.bandwidth import TransferKind, optimal_copy_threads
 from repro.sim.clock import SimClock, snap_residue
 from repro.telemetry import trace as tracing
+from repro.telemetry.counters import TrafficCounters
 from repro.units import MiB
 
 __all__ = ["CopyEngine", "CopyRecord"]
 
 MOVEMENT = "movement"  # clock busy-category for data movement
+_new_tuple = tuple.__new__
 
 
 class CopyRecord(NamedTuple):
@@ -46,7 +50,8 @@ class CopyRecord(NamedTuple):
     ones queued on the DMA channel. Always populated — consumers (ledger,
     export) never need to special-case a missing value. A tuple, built once
     per copy: a frozen dataclass sets each field through
-    ``object.__setattr__``.
+    ``object.__setattr__``. The engine builds it with ``tuple.__new__``,
+    which skips the generated ``__new__``'s Python frame.
     """
 
     source: str
@@ -56,6 +61,24 @@ class CopyRecord(NamedTuple):
     seconds: float
     nt_stores: bool
     completes_at: float
+
+
+class _PairPlan(NamedTuple):
+    """Everything a copy between one (source, destination) heap pair needs
+    that does not depend on the copy: built once per pair, after the pair
+    has passed the engine's refusal checks."""
+
+    source: str
+    dest: str
+    threads: int
+    nt_stores: bool
+    read_peak: float  # source read peak at ``threads``
+    read_setup: float
+    write_peak: float  # destination (non-temporal) write peak at ``threads``
+    write_setup: float
+    source_traffic: TrafficCounters
+    dest_traffic: TrafficCounters
+    real: bool  # both devices real-backed: the copy moves bytes
 
 
 class CopyEngine:
@@ -103,7 +126,7 @@ class CopyEngine:
         self.parallel_threshold = parallel_threshold
         self._pool_workers = pool_workers
         self._pool: ThreadPoolExecutor | None = None
-        self._thread_cache: dict[tuple[int, int], tuple[int, bool]] = {}
+        self._plans: dict[tuple[Heap, Heap], _PairPlan] = {}
         self.records: list[CopyRecord] = []
         self.keep_records = False
         # Fault-injection seam (docs/robustness.md): duck-typed object with
@@ -125,27 +148,39 @@ class CopyEngine:
     def threads_for(self, source: Heap, dest: Heap, *, nt_stores: bool) -> int:
         """Optimal worker count for this (source, destination) device pair."""
         return optimal_copy_threads(
-            source.device.bandwidth,
-            dest.device.bandwidth,
-            self.max_threads,
+            source.device.bandwidth, dest.device.bandwidth, self.max_threads,
             nt_stores=nt_stores,
         )
 
-    @staticmethod
-    def _use_nt_stores(dest: Heap) -> bool:
+    def _plan(self, source: Heap, dest: Heap) -> _PairPlan:
+        """The plan table's miss path: refuse a pair the engine cannot copy
+        between, then bind the pair's constants. A refused pair is never
+        remembered, so it is refused again on every call."""
+        src_device, dst_device = source.device, dest.device
+        src_real, dst_real = src_device.is_real, dst_device.is_real
+        if self.async_mode:
+            if src_real or dst_real:
+                raise ConfigurationError(
+                    "asynchronous movement is a timing model; it requires "
+                    "virtual devices"
+                )
+        elif src_real != dst_real:
+            raise ConfigurationError(
+                "cannot copy between a real and a virtual device: "
+                f"{src_device.name!r} -> {dst_device.name!r}"
+            )
         # Non-temporal stores are crucial for NVRAM write bandwidth
         # (Section V-d); toward DRAM they avoid cache pollution for bulk
         # copies, so the engine always streams.
-        return True
-
-    def _tune_pair(self, source: Heap, dest: Heap) -> tuple[int, bool]:
-        """The thread memo's miss path: a device pair's worker count and
-        store kind, remembered per pair of bandwidth models."""
-        nt_stores = self._use_nt_stores(dest)
-        tuning = (self.threads_for(source, dest, nt_stores=nt_stores), nt_stores)
-        key = (id(source.device.bandwidth), id(dest.device.bandwidth))
-        self._thread_cache[key] = tuning
-        return tuning
+        threads = self.threads_for(source, dest, nt_stores=True)
+        src_model, dst_model = src_device.bandwidth, dst_device.bandwidth
+        plan = self._plans[source, dest] = _PairPlan(
+            src_device.name, dst_device.name, threads, True,
+            src_model.peak(TransferKind.READ, threads), src_model.setup_latency,
+            dst_model.peak(TransferKind.WRITE_NT, threads), dst_model.setup_latency,
+            source.traffic, dest.traffic, src_real and dst_real,
+        )
+        return plan
 
     # -- the copy -----------------------------------------------------------
 
@@ -165,74 +200,57 @@ class CopyEngine:
         With a fault injector attached, injected copy failures are absorbed by
         retrying (each failed attempt is honestly charged: full transfer time
         on the clock and full traffic on both heaps, plus a ``copy_retry``
-        trace event), injected bandwidth degradation derates the destination
-        model, and — on real-backed device pairs — the destination is verified
-        against the source after the memcpy so injected silent corruption is
-        caught and redone. Faults that persist past ``max_copy_retries``
-        raise :class:`~repro.errors.CopyError` after charging what was spent:
-        loud failure, never a silently-corrupt destination.
+        trace event), injected bandwidth degradation derates the destination's
+        write peak, and — on real-backed device pairs — the destination is
+        verified against the source after the memcpy so injected silent
+        corruption is caught and redone. Faults that persist past
+        ``max_copy_retries`` raise :class:`~repro.errors.CopyError` after
+        charging what was spent: loud failure, never a silently-corrupt
+        destination.
         """
         if nbytes < 0:
             raise ConfigurationError(f"copy size must be non-negative, got {nbytes}")
-        src_device = source.device
-        dst_device = dest.device
-        src_name = src_device.name
-        dst_name = dst_device.name
-        src_real = src_device.is_real
-        dst_real = dst_device.is_real
-        if self.async_mode:
-            if src_real or dst_real:
-                raise ConfigurationError(
-                    "asynchronous movement is a timing model; it requires "
-                    "virtual devices"
-                )
-        elif src_real != dst_real:
-            raise ConfigurationError(
-                "cannot copy between a real and a virtual device: "
-                f"{src_name!r} -> {dst_name!r}"
-            )
-        src_model = src_device.bandwidth
-        dest_model = dst_device.bandwidth
         try:
-            threads, nt_stores = self._thread_cache[id(src_model), id(dest_model)]
+            plan = self._plans[source, dest]
         except KeyError:
-            threads, nt_stores = self._tune_pair(source, dest)
+            plan = self._plan(source, dest)
+        (src_name, dst_name, threads, nt_stores, read_peak, read_setup,
+         write_peak, write_setup, src_traffic, dst_traffic, real_pair) = plan
 
-        fault = None
+        failed = corrupt = 0
+        attempts = 1
         if self.injector is not None:
             fault = self.injector.copy_plan(src_name, dst_name, nbytes)
-            if fault.clean:
-                fault = None
-        if fault is not None and fault.slowdown > 1.0:
-            dest_model = DegradedBandwidth(inner=dest_model, factor=fault.slowdown)
+            if not fault.clean:
+                if fault.slowdown > 1.0:
+                    # DegradedBandwidth's peak: the inner peak over the factor.
+                    write_peak /= fault.slowdown
+                failed = fault.failures
+                corrupt = fault.corrupt
+                if corrupt and not real_pair:
+                    # Virtual devices carry no payload to corrupt; model the
+                    # verification mismatch as a failed-and-retried attempt
+                    # instead, so timing-mode chaos runs exercise the same
+                    # retry budget.
+                    failed += corrupt
+                    corrupt = 0
+                if failed > self.max_copy_retries:  # every attempt fails
+                    failed = attempts = self.max_copy_retries + 1
+                else:
+                    attempts = failed + 1
 
-        attempt_seconds = copy_time(
-            src_model,
-            dest_model,
-            nbytes,
-            threads,
-            nt_stores=nt_stores,
-        )
+        # copy_time's expression, term for term, from the plan's constants.
         if nbytes:
+            read_bw = nbytes / (nbytes / read_peak + read_setup)
+            write_bw = nbytes / (nbytes / write_peak + write_setup)
+            attempt_seconds = nbytes / (1.0 / (1.0 / read_bw + 1.0 / write_bw))
             attempt_seconds += self.per_transfer_overhead
-
-        real_pair = src_real and dst_real
-        failures = fault.failures if fault is not None else 0
-        corrupt = fault.corrupt if fault is not None else 0
-        if corrupt and not real_pair:
-            # Virtual devices carry no payload to corrupt; model the
-            # verification mismatch as a failed-and-retried attempt instead,
-            # so timing-mode chaos runs exercise the same retry budget.
-            failures += corrupt
-            corrupt = 0
-
-        exhausted = failures > self.max_copy_retries
-        failed_attempts = self.max_copy_retries + 1 if exhausted else failures
-        attempts = failed_attempts + (0 if exhausted else 1)
+        else:
+            attempt_seconds = 0.0
         seconds = attempt_seconds * attempts
-        for _ in range(attempts):
-            source.traffic.record_read(nbytes)
-            dest.traffic.record_write(nbytes)
+        charged = nbytes * attempts
+        src_traffic.read_bytes += charged
+        dst_traffic.write_bytes += charged
 
         if self.async_mode:
             free_at = self._channel_free_at.get(dst_name, 0.0)
@@ -240,26 +258,19 @@ class CopyEngine:
             completes_at = start + seconds
             self._channel_free_at[dst_name] = completes_at
         else:
-            self.clock.advance(seconds, MOVEMENT)
-            completes_at = self.clock.now
+            completes_at = self.clock.advance(seconds, MOVEMENT)
 
-        for attempt in range(1, failed_attempts + 1):
-            self.tracer.copy_retry(
-                completes_at - seconds + attempt_seconds * attempt,
-                src_name,
-                dst_name,
-                nbytes,
-                attempt,
-                "injected copy failure",
-            )
-        if exhausted:
-            raise CopyError(
-                src_name,
-                dst_name,
-                nbytes,
-                failed_attempts,
-                "injected copy fault persisted past the retry budget",
-            )
+        if failed:
+            for attempt in range(1, failed + 1):
+                self.tracer.copy_retry(
+                    completes_at - seconds + attempt_seconds * attempt,
+                    src_name, dst_name, nbytes, attempt, "injected copy failure",
+                )
+            if failed == attempts:
+                raise CopyError(
+                    src_name, dst_name, nbytes, failed,
+                    "injected copy fault persisted past the retry budget",
+                )
 
         if real_pair and nbytes:  # real devices only ever copy synchronously
             self._memcpy(source, source_offset, dest, dest_offset, nbytes)
@@ -270,9 +281,9 @@ class CopyEngine:
                 )
                 seconds += extra
 
-        record = CopyRecord(
+        record = _new_tuple(CopyRecord, (
             src_name, dst_name, nbytes, threads, seconds, nt_stores, completes_at
-        )
+        ))
         if self.keep_records:
             self.records.append(record)
         seq = self._copy_seq = self._copy_seq + 1
@@ -418,16 +429,16 @@ class CopyEngine:
             self._pool = None
 
     # -- snapshot/restore ---------------------------------------------------
-    # Two members cannot cross a process boundary: the lazily-created
-    # ThreadPoolExecutor (rebuilt on demand by ``_memcpy``) and the thread
-    # tuning cache, whose keys are ``id()``s of bandwidth-model objects —
-    # meaningless in another process. Both are derived state; dropping them
-    # changes no simulated result.
+    # Two members are not pickled: the lazily-created ThreadPoolExecutor
+    # (rebuilt on demand by ``_memcpy``), which cannot cross a process
+    # boundary, and the pair plans, which are rebuilt on the first copy
+    # after a restore from the restored heaps. Both are derived state;
+    # dropping them changes no simulated result.
 
     def __getstate__(self) -> dict[str, object]:
         state = dict(self.__dict__)
         state["_pool"] = None
-        state["_thread_cache"] = {}
+        state["_plans"] = {}
         return state
 
     def __setstate__(self, state: dict[str, object]) -> None:

@@ -9,6 +9,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
+from repro.sim.bandwidth import DegradedBandwidth, copy_time
 from repro.sim.clock import SimClock
 from repro.telemetry import trace as tracing
 from repro.telemetry.trace import Tracer
@@ -49,6 +50,12 @@ def clean_copy_seconds(real=False):
     return engine.copy(dram, src, nvram, dst, NBYTES).seconds
 
 
+def exact(got, expected):
+    """Equal to the last bit: a retried or derated copy's seconds are the
+    clean attempt's arithmetic, not an approximation of it."""
+    return float(got).hex() == float(expected).hex()
+
+
 def retry_events(tracer, reason):
     return [
         e for e in tracer.events
@@ -64,13 +71,13 @@ def test_injected_failure_is_retried_and_fully_charged():
     dst = nvram.allocate(NBYTES)
     record = engine.copy(dram, src, nvram, dst, NBYTES)
     # Two attempts: the failure and the successful retry, both charged.
-    assert record.seconds == pytest.approx(2 * clean_copy_seconds())
+    assert exact(record.seconds, 2 * clean_copy_seconds())
     assert dram.traffic.read_bytes == 2 * NBYTES
     assert nvram.traffic.write_bytes == 2 * NBYTES
     assert len(retry_events(tracer, "injected copy failure")) == 1
     # The next copy is clean: the fault budget is spent.
     record2 = engine.copy(dram, src, nvram, dst, NBYTES)
-    assert record2.seconds == pytest.approx(clean_copy_seconds())
+    assert exact(record2.seconds, clean_copy_seconds())
 
 
 def test_failures_past_retry_budget_raise_typed_copy_error():
@@ -96,6 +103,13 @@ def test_bandwidth_fault_derates_the_transfer():
     record = engine.copy(dram, src, nvram, dst, NBYTES)
     clean = clean_copy_seconds()
     assert record.seconds > clean * 2  # materially slower
+    # Exactly the copy priced over the destination's model derated 4x, at
+    # the thread count tuned for the healthy pair.
+    derated = DegradedBandwidth(inner=nvram.device.bandwidth, factor=4.0)
+    assert exact(
+        record.seconds,
+        copy_time(dram.device.bandwidth, derated, NBYTES, record.threads),
+    )
     # Same bytes, same accounting: degradation costs time, not traffic.
     assert nvram.traffic.write_bytes == NBYTES
 
@@ -113,7 +127,7 @@ def test_corruption_is_caught_by_verification_and_redone():
     record = engine.copy(dram, src, nvram, dst, NBYTES)
     assert np.array_equal(nvram.view(dst, NBYTES), payload)  # healed
     assert len(retry_events(tracer, "verification mismatch")) == 1
-    assert record.seconds == pytest.approx(2 * clean_copy_seconds(real=True))
+    assert exact(record.seconds, 2 * clean_copy_seconds(real=True))
     assert nvram.traffic.write_bytes == 2 * NBYTES
 
 
@@ -138,7 +152,7 @@ def test_virtual_corruption_folds_into_the_retry_budget():
     src = dram.allocate(NBYTES)
     dst = nvram.allocate(NBYTES)
     record = engine.copy(dram, src, nvram, dst, NBYTES)
-    assert record.seconds == pytest.approx(2 * clean_copy_seconds())
+    assert exact(record.seconds, 2 * clean_copy_seconds())
     assert len(retry_events(tracer, "injected copy failure")) == 1
 
 
@@ -150,7 +164,7 @@ def test_clean_copies_match_fault_free_engine_exactly():
     src = dram.allocate(NBYTES)
     dst = nvram.allocate(NBYTES)
     record = engine.copy(dram, src, nvram, dst, NBYTES)
-    assert record.seconds == pytest.approx(clean_copy_seconds())
+    assert exact(record.seconds, clean_copy_seconds())
     assert dram.traffic.read_bytes == NBYTES
     assert not retry_events(tracer, "injected copy failure")
 
@@ -165,4 +179,4 @@ def test_real_pair_verification_runs_only_under_injection():
     dram.view(src, 64 * KiB)[:] = 7
     record = engine.copy(dram, src, nvram, dst, 64 * KiB)
     assert np.all(nvram.view(dst, 64 * KiB) == 7)
-    assert record.seconds == pytest.approx(clock.now)
+    assert exact(record.seconds, clock.now)

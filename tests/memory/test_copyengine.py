@@ -8,6 +8,7 @@ from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
 from repro.sim.clock import SimClock
+from repro.telemetry.trace import Tracer
 from repro.units import KiB, MiB
 
 
@@ -125,6 +126,7 @@ def rejected_copy_state(engine, source, dest):
         dict(engine._channel_free_at),
         dict(engine.injector._counts),
         list(engine.injector.fired),
+        len(engine.tracer.events),
     )
 
 
@@ -147,23 +149,28 @@ def test_a_rejected_copy_leaves_every_counter_untouched(
 ):
     """A copy the engine refuses is refused before it is charged: no clock
     advance, no traffic on either heap, no sequence number, no DMA-channel
-    booking, and the fault plan's copy counter has not moved."""
+    booking, no trace event, and the fault plan's copy counter has not
+    moved. The check runs before the pair's plan exists, so a refused pair
+    never gets one and the second call is refused the same way."""
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import COPY, FaultPlan, FaultSpec
 
     clock = SimClock()
     plan = FaultPlan("copy-fails", specs=(FaultSpec(COPY),))
     injector = FaultInjector(plan, clock=clock)
-    engine = CopyEngine(clock, async_mode=async_mode, injector=injector)
+    engine = CopyEngine(
+        clock, async_mode=async_mode, injector=injector, tracer=Tracer(clock)
+    )
     engine._channel_free_at["NVRAM"] = 1.0
     source = Heap(MemoryDevice.dram(MiB, real=source_real))
     dest = Heap(MemoryDevice.nvram(MiB, real=dest_real))
     before = rejected_copy_state(engine, source, dest)
-    with pytest.raises(ConfigurationError) as caught:
-        engine.copy(source, source.allocate(4 * KiB), dest, dest.allocate(4 * KiB),
-                    4 * KiB)
-    assert str(caught.value) == message
-    assert rejected_copy_state(engine, source, dest) == before
+    src, dst = source.allocate(4 * KiB), dest.allocate(4 * KiB)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError) as caught:
+            engine.copy(source, src, dest, dst, 4 * KiB)
+        assert str(caught.value) == message
+        assert rejected_copy_state(engine, source, dest) == before
     assert before[0] == 0.0 and before[2] == before[3] == (0, 0)
 
 

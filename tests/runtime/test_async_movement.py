@@ -17,6 +17,7 @@ from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
 from repro.policies.optimizing import OptimizingPolicy
 from repro.sim.clock import SimClock
+from repro.telemetry.trace import Tracer
 from repro.units import GB, KiB, MiB
 from repro.workloads.annotate import annotate
 from repro.workloads.synthetic import filo_stack_trace
@@ -71,11 +72,27 @@ class TestEngineAsyncMode:
         assert engine.drain_wait() == 0.0
 
     def test_async_rejects_real_devices(self):
-        engine = CopyEngine(SimClock(), async_mode=True)
+        """On every call: the check runs before a pair's plan exists, so a
+        refused pair never gets one, and no call moves the clock, either
+        heap's counters, the copy sequence or the trace."""
+        clock = SimClock()
+        tracer = Tracer(clock)
+        engine = CopyEngine(clock, async_mode=True, tracer=tracer)
         real = Heap(MemoryDevice.dram(MiB, real=True))
         other = Heap(MemoryDevice.nvram(MiB, real=True))
-        with pytest.raises(ConfigurationError):
-            engine.copy(real, 0, other, 0, KiB)
+
+        def state():
+            return (
+                clock.now, dict(clock.categories()),
+                [(h.traffic.read_bytes, h.traffic.write_bytes) for h in (real, other)],
+                engine._copy_seq, dict(engine._channel_free_at), len(tracer.events),
+            )
+
+        before = state()
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                engine.copy(real, 0, other, 0, KiB)
+            assert state() == before
 
 
 class TestSessionIntegration:

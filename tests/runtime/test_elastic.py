@@ -242,6 +242,19 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 8 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_9_envelope_is_rejected(self, tmp_path):
+        """Version 9 predates the copy engine's per-pair plans: its engine
+        pickled a ``_thread_cache`` keyed on bandwidth models' ``id()``
+        where this build keeps ``_plans``."""
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 9, "snapshot": snap,
+        }
+        path = tmp_path / "v9.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 9 unsupported"):
+            load_snapshot(str(path))
+
     def test_stale_class_layout_is_rejected_with_the_typed_error(
         self, tmp_path
     ):
@@ -367,3 +380,41 @@ class TestRealBackedRoundTrip:
                 restored_workload.run_step(restored_session)
             assert restored_workload.digests() == original
             restored_session.manager.check()
+
+
+class TestCopyEngineRoundTrip:
+    def test_restored_engine_charges_the_restored_heaps(self):
+        """The engine's pair plans bind the heaps' traffic counters, so they
+        are not pickled: a session restored mid-run rebuilds them from the
+        restored heaps. Its next copy costs the same seconds as the
+        original's and charges the restored heaps, never the originals."""
+        from repro.faults.chaos import ScriptedWorkload, _build_session
+        from repro.faults.plan import FaultPlan
+        from repro.units import KiB
+
+        session, _ = _build_session(FaultPlan("rt-copy", specs=()), real=True)
+        workload = ScriptedWorkload()
+
+        def charged(s):
+            return [
+                (s.heaps[name].traffic.read_bytes, s.heaps[name].traffic.write_bytes)
+                for name in ("DRAM", "NVRAM")
+            ]
+
+        def next_copy(s):
+            return s.engine.copy(s.heaps["DRAM"], 0, s.heaps["NVRAM"], 0, 48 * KiB)
+
+        with session:
+            for _ in range(9):
+                workload.run_step(session)
+            assert session.engine._copy_seq > 0  # the pair plans are warm
+            restored = pickle.loads(pickle.dumps(session, pickle.HIGHEST_PROTOCOL))
+            assert charged(restored) == charged(session)
+            first = next_copy(session)
+            after = charged(session)
+            with restored:
+                again = next_copy(restored)
+                assert again.seconds.hex() == first.seconds.hex()
+                assert charged(restored) == after
+                assert charged(session) == after
+                assert restored.clock.now == session.clock.now

@@ -1,15 +1,21 @@
 """The timing arithmetic is bit-identical to its documented formula.
 
 ``BandwidthModel.transfer_time``, ``copy_time`` and ``kernel_timing`` read
-``peak`` through a per-instance memo and inline the rate expression; this
-property test recomputes each from ``peak()`` directly — no memo, one
-helper per formula, in the order the docstrings give — and compares the
-results by ``float.hex``, cold memo and warm alike.
+``peak`` through a per-instance memo and inline the rate expression, and
+``CopyEngine.copy`` prices a copy from constants its per-pair plan bound
+once; this property test recomputes each from ``peak()`` directly — no
+memo, no plan, one helper per formula, in the order the docstrings give —
+and compares the results by ``float.hex``, cold memo (or engine) and warm
+alike.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import BANDWIDTH, FaultPlan, FaultSpec
+from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice, MemoryKind
+from repro.memory.heap import Heap
 from repro.runtime.kernel import ExecutionParams, kernel_timing
 from repro.sim.bandwidth import (
     DegradedBandwidth,
@@ -17,7 +23,9 @@ from repro.sim.bandwidth import (
     copy_time,
     dram_bandwidth_model,
     optane_bandwidth_model,
+    optimal_copy_threads,
 )
+from repro.sim.clock import SimClock
 
 READ, WRITE, WRITE_NT = TransferKind.READ, TransferKind.WRITE, TransferKind.WRITE_NT
 
@@ -99,6 +107,95 @@ def test_copy_time_is_the_formula(source, dest, nbytes, threads, nt_stores):
     for _ in range(2):
         got = copy_time(source, dest, nbytes, threads, nt_stores=nt_stores)
         assert hexes(got) == hexes(expected)
+
+
+# -- the copy engine -------------------------------------------------------
+
+# One long-lived engine whose plans fill up across examples, over one heap
+# per preset (the plan table is keyed by heap pair).
+WARM_ENGINE = CopyEngine(SimClock())
+WARM_HEAPS = {
+    name: Heap(MemoryDevice(name, kind, 1, WARM[name]))
+    for name, (kind, _) in PRESETS.items()
+}
+
+
+@st.composite
+def heap_pairs(draw):
+    """``(engine, source heap, dest heap)``: a fresh engine over fresh heaps
+    and models (cold plan and memo), or the shared engine and heaps."""
+    source = draw(st.sampled_from(sorted(PRESETS)))
+    dest = draw(st.sampled_from(sorted(PRESETS)))
+    if draw(st.booleans()):
+        return WARM_ENGINE, WARM_HEAPS[source], WARM_HEAPS[dest]
+
+    def heap(name):
+        kind, factory = PRESETS[name]
+        return Heap(MemoryDevice(name, kind, 1, factory()))
+
+    return CopyEngine(SimClock()), heap(source), heap(dest)
+
+
+copy_sizes = st.integers(min_value=0, max_value=2**40)
+overheads = st.floats(min_value=0.0, max_value=1.0)
+
+
+def expected_copy(engine, source, dest, dest_model, nbytes):
+    """``(threads, seconds)`` a copy should take: ``copy_seconds`` over
+    ``dest_model`` at the pair's optimal thread count, plus the
+    per-transfer overhead for a non-empty copy."""
+    threads = optimal_copy_threads(
+        source.device.bandwidth, dest.device.bandwidth, engine.max_threads
+    )
+    if not nbytes:
+        return threads, 0.0
+    seconds = copy_seconds(source.device.bandwidth, dest_model, nbytes, threads, True)
+    return threads, seconds + engine.per_transfer_overhead
+
+
+def check_copies(engine, source, dest, nbytes, threads, seconds):
+    """Two copies, the first of which may build the pair's plan: each takes
+    ``seconds`` by ``float.hex``, moves the clock and its movement time by
+    exactly that, and charges ``nbytes`` to both heaps' counters."""
+    clock = engine.clock
+    for _ in range(2):
+        now, busy = clock.now, clock.busy("movement")
+        read, write = source.traffic.read_bytes, dest.traffic.write_bytes
+        record = engine.copy(source, 0, dest, 0, nbytes)
+        assert (record.threads, record.nt_stores) == (threads, True)
+        assert hexes(record.seconds, clock.now, clock.busy("movement")) == hexes(
+            seconds, now + seconds, busy + seconds
+        )
+        assert source.traffic.read_bytes - read == nbytes
+        assert dest.traffic.write_bytes - write == nbytes
+
+
+@settings(max_examples=300)
+@given(heap_pairs(), copy_sizes, overheads)
+def test_engine_prices_a_copy_as_the_formula(pair, nbytes, overhead):
+    engine, source, dest = pair
+    engine.per_transfer_overhead = overhead
+    expected = expected_copy(engine, source, dest, dest.device.bandwidth, nbytes)
+    check_copies(engine, source, dest, nbytes, *expected)
+
+
+@settings(max_examples=200)
+@given(heap_pairs(), copy_sizes, overheads, st.floats(min_value=1.0, max_value=64.0))
+def test_engine_prices_a_derated_copy_as_the_degraded_model(
+    pair, nbytes, overhead, slowdown
+):
+    """A bandwidth fault derates the plan's write peak: the same seconds as
+    pricing the copy over ``DegradedBandwidth`` wrapping the destination."""
+    _, source, dest = pair
+    clock = SimClock()
+    spec = FaultSpec(BANDWIDTH, count=None, magnitude=slowdown)
+    engine = CopyEngine(
+        clock, per_transfer_overhead=overhead,
+        injector=FaultInjector(FaultPlan("derate", specs=(spec,)), clock=clock),
+    )
+    derated = DegradedBandwidth(inner=dest.device.bandwidth, factor=slowdown)
+    expected = expected_copy(engine, source, dest, derated, nbytes)
+    check_copies(engine, source, dest, nbytes, *expected)
 
 
 # Kernel operands: ``kernel_timing`` skips the non-positive sizes.

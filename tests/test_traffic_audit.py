@@ -90,15 +90,18 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
 
 
 # Calls into src/repro (imports included) of the command below once the
-# allocator moved onto boundary tags and placed inline, with no per-split or
-# per-free index helpers (333 820 before that; 331 762 before the no-op
+# copy engine priced, charged and recorded each copy from its pair's plan,
+# with no `copy_time`, `is_real` or counter-method call per copy (313 310
+# before that, against 313 322 pinned once the allocator moved onto
+# boundary tags and placed inline, with no per-split or per-free index
+# helpers; 333 820 before that; 331 762 before the no-op
 # hint seam of one kernel path for traced and untraced runs; 333 229 before
 # `KernelTrace.validate` called `check_use` only for an operand that is not
 # live; 400 694 before the mechanism tested state inline, read each device
 # constant in one call and recorded a kernel's traffic once per device;
 # 613 278 before a kernel's hints, residency and finish became one policy
 # call each).
-SERVE_CALLS = 313_322
+SERVE_CALLS = 313_047
 
 
 def test_serving_calls_per_command_do_not_creep_back():
@@ -110,13 +113,14 @@ def test_serving_calls_per_command_do_not_creep_back():
 
 
 # Calls into src/repro (imports included) of the traced command below once
-# the full tier stamped, rang, counted and folded each event in its own
-# ``_event``, through the monitor's one fold table, instead of through a
-# typed override per folded kind and ``Tracer._event`` (606 179 before
-# that; 635 897 before the allocator moved onto boundary tags and placed
+# the copy engine priced, charged and recorded each copy from its pair's
+# plan (569 321 before that, once the full tier stamped, rang, counted and
+# folded each event in its own ``_event``, through the monitor's one fold
+# table, instead of through a typed override per folded kind and
+# ``Tracer._event``; 606 179 before that; 635 897 before the allocator moved onto boundary tags and placed
 # inline; 724 266 before a traced kernel's hints and residency became one
 # policy call each, opening a scope only around an operand that moves).
-PROFILE_CALLS = 569_321
+PROFILE_CALLS = 558_455
 
 
 def test_traced_calls_per_command_do_not_creep_back():
