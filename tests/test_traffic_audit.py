@@ -90,8 +90,12 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
 
 
 # Calls into src/repro (imports included) of the command below once the
+# run loop sampled all of a stream's tracks with one frame stamp, the
+# kernel adapter priced each operand from its heap's plan, with no
+# `kernel_timing`, `transfer_time` or counter-method call per kernel, and
+# `KernelTiming.total` became a slot (313 047 before that, once the
 # copy engine priced, charged and recorded each copy from its pair's plan,
-# with no `copy_time`, `is_real` or counter-method call per copy (313 310
+# with no `copy_time`, `is_real` or counter-method call per copy; 313 310
 # before that, against 313 322 pinned once the allocator moved onto
 # boundary tags and placed inline, with no per-split or per-free index
 # helpers; 333 820 before that; 331 762 before the no-op
@@ -101,7 +105,7 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
 # constant in one call and recorded a kernel's traffic once per device;
 # 613 278 before a kernel's hints, residency and finish became one policy
 # call each).
-SERVE_CALLS = 313_047
+SERVE_CALLS = 285_118
 
 
 def test_serving_calls_per_command_do_not_creep_back():
@@ -113,14 +117,16 @@ def test_serving_calls_per_command_do_not_creep_back():
 
 
 # Calls into src/repro (imports included) of the traced command below once
-# the copy engine priced, charged and recorded each copy from its pair's
-# plan (569 321 before that, once the full tier stamped, rang, counted and
+# the run loop sampled its tracks with one frame stamp and the kernel
+# adapter priced each operand from its heap's plan (558 455 before that,
+# once the copy engine priced, charged and recorded each copy from its
+# pair's plan; 569 321 before that, once the full tier stamped, rang, counted and
 # folded each event in its own ``_event``, through the monitor's one fold
 # table, instead of through a typed override per folded kind and
 # ``Tracer._event``; 606 179 before that; 635 897 before the allocator moved onto boundary tags and placed
 # inline; 724 266 before a traced kernel's hints and residency became one
 # policy call each, opening a scope only around an operand that moves).
-PROFILE_CALLS = 558_455
+PROFILE_CALLS = 540_551
 
 
 def test_traced_calls_per_command_do_not_creep_back():
