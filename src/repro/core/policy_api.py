@@ -19,20 +19,22 @@ here, because some placement decision must happen at these moments:
 * :meth:`Policy.ensure_resident` — a kernel is about to pin the object, so a
   primary must exist *somewhere* readable.
 
-The runtime crosses this boundary once per kernel sweep, not once per
-operand, traced or not: :meth:`Policy.hint_operands` and
-:meth:`Policy.resolve_operands` take a kernel's operand list and the
-session's tracer, and default to the per-object loops, which open the
-operand's ``hint`` or residency scope around each per-object call — so a
-policy written against Table II alone never sees them, and its movement is
-still attributed to the operand that caused it.
+A kernel crosses this boundary once before it runs, traced or not, and
+once after: :meth:`Policy.acquire_operands` takes the kernel's operand lists
+and the session's tracer and does its pre-launch work — the hint sweep
+(:meth:`Policy.hint_operands`) when the kernel is hinted, then the residency
+sweep (:meth:`Policy.resolve_operands`) over the unique operands — and
+:meth:`Policy.on_kernel_finish` follows it. The defaults are the per-object
+loops, which open the operand's ``hint`` or residency scope around each
+per-object call — so a policy written against Table II alone never sees
+them, and its movement is still attributed to the operand that caused it.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.object import MemObject, Region
 from repro.telemetry.trace import NULL_TRACER
@@ -40,7 +42,13 @@ from repro.telemetry.trace import NULL_TRACER
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.manager import DataManager
 
-__all__ = ["AccessIntent", "Policy", "DelegatingPolicy", "RESIDENCY_LABELS"]
+__all__ = [
+    "AccessIntent",
+    "Policy",
+    "DelegatingPolicy",
+    "RESIDENCY_LABELS",
+    "operand_intents",
+]
 
 
 class AccessIntent(enum.Enum):
@@ -61,6 +69,18 @@ RESIDENCY_LABELS = {
     AccessIntent.READ: "resident_read",
     AccessIntent.WRITE: "resident_write",
 }
+
+
+def operand_intents(
+    reads: Iterable[MemObject], writes: Iterable[MemObject]
+) -> Intents:
+    """One ``(object, intent)`` pair per unique operand of a kernel, in
+    first-operand order; write intent wins for an operand that is both read
+    and written (in-place updates). Objects hash by identity, so the
+    dedupe is two C-level dict builds."""
+    intents = dict.fromkeys(reads, AccessIntent.READ)
+    intents.update(dict.fromkeys(writes, AccessIntent.WRITE))
+    return intents.items()
 
 
 class Policy(abc.ABC):
@@ -143,6 +163,30 @@ class Policy(abc.ABC):
 
     # -- per-kernel batch entry points ------------------------------------------------
 
+    def acquire_operands(
+        self,
+        reads: Sequence[MemObject],
+        writes: Sequence[MemObject],
+        hinted: bool,
+        pinned: list[MemObject],
+        tracer=NULL_TRACER,
+    ) -> None:
+        """A kernel's pre-launch work, in one call: its hints (when
+        ``hinted``), then residency and a pin for each unique operand.
+
+        The default is :meth:`hint_operands` followed by
+        :meth:`resolve_operands` over :func:`operand_intents`. The caller
+        unpins ``pinned`` and, if the kernel ran, calls
+        :meth:`on_kernel_finish` with the same lists, nothing moving in
+        between. An override must leave the state and the records the
+        default would once that call returns, and, if it raises, the state
+        the default leaves on the same error: it may defer bookkeeping that
+        :meth:`on_kernel_finish` redoes, never the movement or the pins.
+        """
+        if hinted:
+            self.hint_operands(reads, writes, tracer)
+        self.resolve_operands(operand_intents(reads, writes), pinned, tracer)
+
     def hint_operands(
         self,
         reads: Iterable[MemObject],
@@ -217,8 +261,9 @@ class DelegatingPolicy(Policy):
     and binds the *inner* policy, whose ``bind`` attaches its own stats to
     the metrics registry exactly once.
 
-    The batch entry points are deliberately *not* forwarded: a wrapper
-    inherits the per-object loops, so each operand still passes through its
+    The batch entry points (:meth:`~Policy.acquire_operands` included)
+    are deliberately *not* forwarded: a wrapper inherits the per-object
+    loops, so each operand still passes through its
     ``will_read``/``will_write``/``ensure_resident`` — a strike or an
     injected fault lands on the operand that caused it. The loop opens
     each operand's scope; the inner per-object method runs its batch body

@@ -31,7 +31,7 @@ from repro.errors import AllocationError, ConfigurationError, OutOfMemoryError
 from repro.core.cachedarray import CachedArray
 from repro.core.manager import DataManager
 from repro.core.object import MemObject
-from repro.core.policy_api import AccessIntent, Policy
+from repro.core.policy_api import Policy, operand_intents
 from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
@@ -63,7 +63,9 @@ def issue_hints(
     one :meth:`Policy.hint_operands` call, whose default is the per-object
     loop. The tracer goes with it: the policy emits one ``hint`` event per
     operand and opens an operand's hint scope around whatever it moves, so
-    enabling tracing cannot change placement or timing.
+    enabling tracing cannot change placement or timing. A kernel makes
+    this call, and :func:`resolve_residency`'s, through one
+    :meth:`Policy.acquire_operands` call instead.
     """
     policy.hint_operands(read_objs, write_objs, tracer)
 
@@ -84,16 +86,9 @@ def resolve_residency(
     pinned, so a failure mid-way leaves the caller able to unpin exactly
     what was pinned. That is one :meth:`Policy.resolve_operands` call,
     traced or not, whose movement lands under the operand's residency
-    scope; this helper is the single definition both the :class:`Session`
-    kernel scope and the trace executor share.
+    scope.
     """
-    read, write = AccessIntent.READ, AccessIntent.WRITE
-    intents: dict[int, tuple[MemObject, AccessIntent]] = {}
-    for obj in read_objs:
-        intents[obj.id] = (obj, read)
-    for obj in write_objs:
-        intents[obj.id] = (obj, write)
-    policy.resolve_operands(intents.values(), pinned, tracer)
+    policy.resolve_operands(operand_intents(read_objs, write_objs), pinned, tracer)
 
 
 @dataclass
@@ -609,19 +604,21 @@ class Session:
 
         Issues ``will_read``/``will_write`` hints (Section III-E), resolves
         each operand to its primary region once, pins it so the primary
-        cannot move mid-kernel, and yields ``(read_views, write_views)``.
-        On exit, operands are unpinned and written primaries marked dirty.
-        In virtual sessions the views are empty lists — only placement and
-        accounting happen.
+        cannot move mid-kernel — one :meth:`Policy.acquire_operands` call —
+        and yields ``(read_views, write_views)``. On exit, operands are
+        unpinned and written primaries marked dirty. In virtual sessions the
+        views are empty lists — only placement and accounting happen. A body
+        that raises skips :meth:`Policy.on_kernel_finish`, so a policy that
+        leaves recency to it (:class:`OptimizingPolicy`) counts only the uses
+        noted before the kernel's last fetch.
         """
         read_objs = [a.obj for a in reads]
         write_objs = [a.obj for a in writes]
-        tracer = self.tracer
-        if hints:
-            issue_hints(self.policy, tracer, read_objs, write_objs)
         pinned: list[MemObject] = []
         try:
-            resolve_residency(self.policy, tracer, read_objs, write_objs, pinned)
+            self.policy.acquire_operands(
+                read_objs, write_objs, hints, pinned, self.tracer
+            )
             if self.is_real:
                 yield [a.view() for a in reads], [a.view() for a in writes]
             else:

@@ -28,6 +28,7 @@ from collections import OrderedDict
 from itertools import chain
 
 from repro.core.object import MemObject, Region
+from repro.core.policy_api import Policy
 from repro.policies.base import find_eviction_start
 from repro.policies.optimizing import OptimizingPolicy
 
@@ -74,6 +75,13 @@ class AdaptivePolicy(OptimizingPolicy):
         self.quiet_evictions = 0
 
     # -- bookkeeping --------------------------------------------------------
+
+    # Every use of every sweep counts here (the recency clock, regret
+    # detection and alpha read the counts), so a kernel takes the base
+    # class's hint and residency calls, each noting its own uses, rather
+    # than the reference policy's one sweep that leaves the last uses to
+    # ``on_kernel_finish``.
+    acquire_operands = Policy.acquire_operands
 
     def _note_uses(self, objs: list[MemObject]) -> None:
         super()._note_uses(objs)

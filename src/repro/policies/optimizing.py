@@ -25,10 +25,16 @@ Independent of the toggles, the policy:
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.object import MemObject, Region
-from repro.core.policy_api import AccessIntent, Intents, Policy, RESIDENCY_LABELS
+from repro.core.policy_api import (
+    RESIDENCY_LABELS,
+    AccessIntent,
+    Intents,
+    Policy,
+    operand_intents,
+)
 from repro.errors import ConfigurationError, PolicyError
 from repro.policies.base import (
     evict_object,
@@ -155,6 +161,39 @@ class OptimizingPolicy(Policy):
         tracer.place(obj.name, self.slow, obj.size)
         return region
 
+    # -- one kernel's pre-launch work --------------------------------------------
+
+    def acquire_operands(
+        self,
+        reads: Sequence[MemObject],
+        writes: Sequence[MemObject],
+        hinted: bool,
+        pinned: list[MemObject],
+        tracer=NULL_TRACER,
+    ) -> None:
+        """Both sweeps over one ``used`` list, with one recency note per
+        fetch instead of one per sweep.
+
+        A fetch still notes the uses collected so far first, because its
+        victim scan reads the order. The uses after the last fetch are not
+        noted here: :meth:`on_kernel_finish` touches every operand, in
+        ``[*reads, *writes]`` order, with nothing moved in between, and
+        touching a subset of those operands just before leaves the same LRU
+        order. If a sweep raises, ``used`` is noted before the error goes
+        on, as :meth:`hint_operands`'s and :meth:`resolve_operands`'s
+        ``finally`` blocks do. A policy whose ``_note_uses`` counts every
+        use (:class:`~repro.policies.adaptive.AdaptivePolicy`) takes the
+        base class's two calls instead.
+        """
+        used: list[MemObject] = []
+        try:
+            if hinted:
+                self._hint_sweep(reads, writes, used, tracer)
+            self._resolve_sweep(operand_intents(reads, writes), pinned, used, tracer)
+        except BaseException:
+            self._note_uses(used)
+            raise
+
     # -- hints ------------------------------------------------------------------
 
     def hint_operands(
@@ -163,8 +202,22 @@ class OptimizingPolicy(Policy):
         writes: Iterable[MemObject],
         tracer=NULL_TRACER,
     ) -> None:
-        """One kernel's hints: every operand counts as used; write targets
-        and — with **P** — reads are pulled into fast memory.
+        """One kernel's hints (:meth:`_hint_sweep`), its uses noted at the end."""
+        used: list[MemObject] = []
+        try:
+            self._hint_sweep(reads, writes, used, tracer)
+        finally:
+            self._note_uses(used)
+
+    def _hint_sweep(
+        self,
+        reads: Iterable[MemObject],
+        writes: Iterable[MemObject],
+        used: list[MemObject],
+        tracer,
+    ) -> None:
+        """Every operand counts as used (appended to ``used``); write
+        targets and — with **P** — reads are pulled into fast memory.
 
         Only a fetch emits events, so only a fetch opens its operand's
         ``hint`` scope. An operand that moves nothing is *owed* its
@@ -173,10 +226,10 @@ class OptimizingPolicy(Policy):
         same virtual time, since nothing in between moves the clock. An
         operand is owed from the moment it is reached (a ``getprimary``
         that raises leaves its hint out) until its own fetch takes it back.
+        Each operand's primary is read inline; ``getprimary`` is called only
+        for one that has none, to raise its error.
         """
-        getprimary = self.manager.getprimary
         slow = self.slow
-        used: list[MemObject] = []
         owed_reads: list[MemObject] = []
         owed_writes: list[MemObject] = []
         try:
@@ -184,7 +237,10 @@ class OptimizingPolicy(Policy):
                 for obj in reads:
                     used.append(obj)
                     owed_reads.append(obj)
-                    if getprimary(obj).device_name != slow:
+                    primary = obj.primary
+                    if primary is None or obj.retired:
+                        self.manager.getprimary(obj)  # raises
+                    if primary.device_name != slow:
                         self.stats.prefetches += 1
                         continue
                     owed_reads.pop()
@@ -192,17 +248,19 @@ class OptimizingPolicy(Policy):
                         if self._fetch(obj, used) is not None:
                             self.stats.prefetches += 1
             else:
-                used.extend(reads)
-                owed_reads.extend(used)
+                owed_reads.extend(reads)
+                used.extend(owed_reads)
             for obj in writes:
                 used.append(obj)
                 owed_writes.append(obj)
-                if getprimary(obj).device_name == slow:
+                primary = obj.primary
+                if primary is None or obj.retired:
+                    self.manager.getprimary(obj)  # raises
+                if primary.device_name == slow:
                     owed_writes.pop()
                     with tracer.hint("will_write", obj, owed_reads, owed_writes):
                         self._fetch(obj, used)
         finally:
-            self._note_uses(used)
             tracer.hints(owed_reads, owed_writes)
 
     def will_use(self, obj: MemObject) -> None:
@@ -237,34 +295,44 @@ class OptimizingPolicy(Policy):
     def resolve_operands(
         self, intents: Intents, pinned: list[MemObject], tracer=NULL_TRACER
     ) -> None:
+        """One kernel's residency (:meth:`_resolve_sweep`), its uses noted
+        at the end."""
+        used: list[MemObject] = []
+        try:
+            self._resolve_sweep(intents, pinned, used, tracer)
+        finally:
+            self._note_uses(used)
+
+    def _resolve_sweep(
+        self, intents: Intents, pinned: list[MemObject], used: list[MemObject], tracer
+    ) -> None:
         """Make each operand usable for the kernel about to run, and pin it.
 
         * write intent: migrate into fast memory (best effort);
         * read/use intent: migrate only in cache-like mode (no **L**) —
           with **L**, reads run from NVRAM unless **P** prefetched earlier.
 
-        A fetch runs under its operand's residency scope, the only place
-        this sweep emits events.
+        An operand that stays where it was is a plain use, appended to
+        ``used``. A fetch runs under its operand's residency scope, the only
+        place this sweep emits events. Primaries are read as in
+        :meth:`_hint_sweep`, and that check is the one ``MemObject.pin``
+        makes (a fetch leaves a primary), so the pin is its count bump.
         """
-        getprimary = self.manager.getprimary
         slow = self.slow
         cache_like = not self.local_alloc
         write = AccessIntent.WRITE
-        used: list[MemObject] = []
-        try:
-            for obj, intent in intents:
-                moved = None
-                if getprimary(obj).device_name == slow and (
-                    cache_like or intent is write
-                ):
-                    with tracer.scope(RESIDENCY_LABELS[intent], obj):
-                        moved = self._fetch(obj, used)
-                if moved is None:
-                    used.append(obj)  # stayed where it was: a plain use
-                obj.pin()
-                pinned.append(obj)
-        finally:
-            self._note_uses(used)
+        for obj, intent in intents:
+            primary = obj.primary
+            if primary is None or obj.retired:
+                self.manager.getprimary(obj)  # raises
+            if primary.device_name != slow or not (cache_like or intent is write):
+                used.append(obj)  # stays where it is: a plain use
+            else:
+                with tracer.scope(RESIDENCY_LABELS[intent], obj):
+                    if self._fetch(obj, used) is None:
+                        used.append(obj)  # could not move: a plain use
+            obj.pin_count += 1
+            pinned.append(obj)
 
     def ensure_resident(self, obj: MemObject, intent: AccessIntent) -> Region:
         """:meth:`resolve_operands` for one operand outside a kernel."""

@@ -21,10 +21,11 @@ from __future__ import annotations
 import abc
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import inf
 from typing import NamedTuple
 
 from repro.core.object import MemObject
-from repro.core.session import Session, issue_hints, resolve_residency
+from repro.core.session import Session
 from repro.errors import OutOfMemoryError, TraceError
 from repro.memory.allocator import FreeListAllocator
 from repro.memory.device import MemoryKind
@@ -75,6 +76,15 @@ GC = "gc"
 MeterSources = tuple[
     list[tuple[str, FreeListAllocator]], list[tuple[str, TrafficCounters]]
 ]
+
+
+def _bad_factors(kernel: Kernel) -> ValueError:
+    """``KernelTrace.validate``'s rule, for a kernel that reached an adapter
+    unvalidated: each traffic factor finite and at least 0 (NaN is neither)."""
+    return ValueError(
+        f"kernel {kernel.name!r}: traffic factors ({kernel.read_factor}, "
+        f"{kernel.write_factor}) must be finite and >= 0"
+    )
 
 
 class SystemAdapter(abc.ABC):
@@ -232,46 +242,30 @@ class CachedArraysAdapter(SystemAdapter):
 
     def kernel(self, kernel: Kernel, trace: KernelTrace) -> KernelTiming:
         # Refused before any hint, residency move or traffic charge, with
-        # kernel_timing's error.
+        # kernel_timing's error for the sensitivity.
+        if not (0.0 <= kernel.read_factor < inf and 0.0 <= kernel.write_factor < inf):
+            raise _bad_factors(kernel)
         sensitivity = kernel.read_sensitivity
         if not 0.0 <= sensitivity <= 1.0:
             raise ValueError(f"read_sensitivity must be in [0,1]: {sensitivity}")
         policy = self.session.policy
         tracer = self.tracer
         objects = self.objects
-        read_objs = [objects[name] for name in kernel.reads]
-        write_objs = [objects[name] for name in kernel.writes]
-        if kernel.hinted:
-            issue_hints(policy, tracer, read_objs, write_objs)
+        read_objs = [*map(objects.__getitem__, kernel.reads)]
+        write_objs = [*map(objects.__getitem__, kernel.writes)]
         pinned: list[MemObject] = []
         try:
-            resolve_residency(policy, tracer, read_objs, write_objs, pinned)
-            # Asynchronous movement: the kernel cannot start until every
-            # operand's in-flight copy has completed. The wait is clamped
-            # at the source: ready_at sums can drift a few ULPs past the
-            # clock, and those residues are not real stalls.
-            ready_at = 0.0
-            for obj in pinned:
-                primary = obj.primary
-                if primary and primary.ready_at > ready_at:
-                    ready_at = primary.ready_at
-            wait = snap_residue(ready_at - self.clock.now, self.clock.now)
-            if wait > 0:
-                # Extra work only a full trace wants: which operands are
-                # still in flight, and by how much, read off the clock
-                # *before* the wait advances it.
-                now = self.clock.now
-                late = [
-                    (obj.name, obj.primary.ready_at - now)
-                    for obj in pinned
-                    if obj.primary is not None and obj.primary.ready_at > now
-                ] if tracer.enabled else ()
-                self.clock.advance(wait, MOVEMENT_WAIT)
-                tracer.stall(kernel.name, wait, late)
+            policy.acquire_operands(
+                read_objs, write_objs, kernel.hinted, pinned, tracer
+            )
             # kernel_timing's expression, term for term and in its order
             # (reads, then writes, each in operand order), from the plan of
             # the heap each operand lives on; each operand's bytes are
-            # charged to that heap's counters as it is priced.
+            # charged to that heap's counters as it is priced. A positive
+            # size times a checked factor is never a negative byte count.
+            # The same walk finds the latest ``ready_at`` of the operands'
+            # primaries, for the wait below.
+            ready_at = 0.0
             params = self.params
             flops = kernel.flops
             compute = params.launch_overhead + (
@@ -285,6 +279,8 @@ class CachedArraysAdapter(SystemAdapter):
             for obj in read_objs:
                 primary = obj.primary
                 assert primary is not None
+                if primary.ready_at > ready_at:
+                    ready_at = primary.ready_at
                 nbytes = int(obj.size * factor)
                 if nbytes > 0:
                     heap = primary.heap
@@ -301,14 +297,12 @@ class CachedArraysAdapter(SystemAdapter):
                         dram += seconds * (1.0 - sensitivity)
                     else:
                         dram += seconds
-                elif nbytes:
-                    raise ValueError(
-                        f"read byte count must be non-negative, got {nbytes}"
-                    )
             factor = kernel.write_factor
             for obj in write_objs:
                 primary = obj.primary
                 assert primary is not None
+                if primary.ready_at > ready_at:
+                    ready_at = primary.ready_at
                 nbytes = int(obj.size * factor)
                 if nbytes > 0:
                     heap = primary.heap
@@ -324,10 +318,24 @@ class CachedArraysAdapter(SystemAdapter):
                         nvram += seconds
                     else:
                         dram += seconds
-                elif nbytes:
-                    raise ValueError(
-                        f"write byte count must be non-negative, got {nbytes}"
-                    )
+            # Asynchronous movement: the kernel cannot start until every
+            # operand's in-flight copy has completed (pricing reads no
+            # clock, so the wait may follow it). The wait is clamped at the
+            # source: ready_at sums can drift a few ULPs past the clock,
+            # and those residues are not real stalls.
+            now = self.clock.now
+            wait = snap_residue(ready_at - now, now)
+            if wait > 0:
+                # Extra work only a full trace wants: which operands are
+                # still in flight, and by how much, read off the clock
+                # *before* the wait advances it.
+                late = [
+                    (obj.name, obj.primary.ready_at - now)
+                    for obj in pinned
+                    if obj.primary is not None and obj.primary.ready_at > now
+                ] if tracer.enabled else ()
+                self.clock.advance(wait, MOVEMENT_WAIT)
+                tracer.stall(kernel.name, wait, late)
             timing = KernelTiming(compute, dram, nvram, fixed)
         finally:
             MemObject.unpin_all(pinned)
@@ -468,6 +476,9 @@ class TwoLMAdapter(SystemAdapter):
         # ``whole`` full passes, then a fractional ``tail`` pass clamped to
         # [one line, the operand]. The factor is split once per operand
         # list; the system walks and prices the whole kernel in one call.
+        # An infinite factor would never leave the split: refused first.
+        if not (0.0 <= kernel.read_factor < inf and 0.0 <= kernel.write_factor < inf):
+            raise _bad_factors(kernel)
         line_size = self.system.cache.line_size
         offsets, sizes = self.offsets, self.sizes
         sweeps: list[tuple[int, int, bool]] = []
@@ -618,6 +629,12 @@ _Tracks = tuple[
 class Executor:
     """Walks annotated traces over a system adapter, collecting telemetry."""
 
+    # True once a finished stream handed the frame's tracks to its
+    # RunResult: the next stream that samples records into a copy, so a
+    # returned result never changes. A class default, so a snapshot taken
+    # before this flag existed restores with it unset.
+    _tracks_returned = False
+
     def __init__(
         self,
         adapter: SystemAdapter,
@@ -641,7 +658,8 @@ class Executor:
         self._track_prefix = f"{stream_name}/" if stream_name else ""
         self._timelines: dict[str, Timeline] = {}
         # The frame behind those tracks, made by the first stream that
-        # samples; later and resumed streams keep recording into it.
+        # samples; later and resumed streams keep recording into it (into
+        # a copy of it once a result holds it).
         self._frame: TimelineFrame | None = None
         # Elastic checkpointing: when ``pause_after`` is set, the stream
         # returns (result ``None``) once that many kernels have executed,
@@ -705,12 +723,17 @@ class Executor:
         (cumulative traffic: differencing two samples gives the utilisation
         over the window between them) — by the first stream that samples;
         a resumed stream finds the frame its first leg (or a restored
-        snapshot) made.
+        snapshot) made. A stream after a finished one records into a copy
+        of the frame, whose tracks that run's result holds.
         """
         if not self.sample_timeline:
             return None
         occupancy, traffic = meters
         frame = self._frame
+        if frame is not None and self._tracks_returned:
+            frame = self._frame = frame.copy()
+            self._timelines = {track.name: track for track in frame.tracks}
+            self._tracks_returned = False
         if frame is None:
             prefix = self._track_prefix
             names = [prefix + device for device, _ in occupancy]
@@ -932,6 +955,7 @@ class Executor:
                     policy_stats=self.adapter.policy_stats(),
                 )
             )
+        self._tracks_returned = True
         return RunResult(
             trace_name=trace.name,
             iterations=results,

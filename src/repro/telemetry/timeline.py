@@ -145,6 +145,18 @@ class TimelineFrame:
             self.tracks.append(track)
         self.columns: list[list[float]] = [track._values for track in self.tracks]
 
+    def copy(self) -> "TimelineFrame":
+        """A frame of its own, with new tracks of the same names holding
+        every sample recorded so far: later samples into either frame do
+        not reach the other. Copied from the frame's columns, so a track
+        that left the frame does not change what the copy holds."""
+        out = TimelineFrame([track.name for track in self.tracks])
+        out._times.extend(self._times)
+        out._labels.extend(self._labels)
+        for column, values in zip(out.columns, self.columns):
+            column.extend(values)
+        return out
+
     def stamp(self, time: float, label: str = "") -> None:
         """Open a sample at ``time``: time must be non-decreasing.
 

@@ -277,13 +277,33 @@ def test_figures_two_to_six_are_views_of_one_matrix():
     ) == {("experiments/common.py", "run_matrix")}
 
 
-def test_an_untraced_kernel_makes_one_policy_call_per_sweep():
-    """``issue_hints`` and ``resolve_residency`` hold no branch: traced or
-    not, each hands the operand list and the tracer to the policy in one
-    call, and the policy opens the per-operand scopes. The robustness
-    wrappers take the base-class loops — they never forward a batch to
-    ``inner``, so a strike or an injected fault still lands on the operand
-    that drew it."""
+def test_a_kernel_makes_one_policy_call_before_it_runs():
+    """Both kernel paths, traced or not, hand the operand lists, the hinted
+    flag, the pin list and the tracer to the policy in one
+    ``acquire_operands`` call, and the policy opens the per-operand scopes.
+    ``issue_hints`` and ``resolve_residency`` stay one branch-free batch
+    call each. The robustness wrappers take the base-class loops — they
+    never forward a batch to ``inner``, so a strike or an injected fault
+    still lands on the operand that drew it."""
+    for relative, cls in (
+        ("core/session.py", "Session"),
+        ("runtime/executor.py", "CachedArraysAdapter"),
+    ):
+        kernel = class_methods(relative, cls)["kernel"]
+        policy_calls = sorted(
+            (
+                call for call in ast.walk(kernel)
+                if isinstance(call, ast.Call)
+                and "policy" in ast.unparse(call.func).split(".")[:-1]
+            ),
+            key=lambda call: (call.lineno, call.col_offset),
+        )
+        assert [call.func.attr for call in policy_calls] == [
+            "acquire_operands",
+            "on_kernel_finish",
+        ], cls
+        assert ast.unparse(policy_calls[0].args[-1]).endswith("tracer"), cls
+
     tree = ast.parse((ROOT / "core/session.py").read_text())
     bodies = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -312,5 +332,14 @@ def test_an_untraced_kernel_makes_one_policy_call_per_sweep():
     from repro.policies.watchdog import PolicyWatchdog
 
     for wrapper in (DelegatingPolicy, PolicyWatchdog, FaultyPolicy):
+        assert wrapper.acquire_operands is Policy.acquire_operands, wrapper
         assert wrapper.hint_operands is Policy.hint_operands, wrapper
         assert wrapper.resolve_operands is Policy.resolve_operands, wrapper
+
+    # A policy that counts every use, or that never wrote the batch forms,
+    # takes the base class's two sweeps.
+    from repro.policies.adaptive import AdaptivePolicy
+    from repro.policies.multitier import MultiTierPolicy
+
+    for cls in (AdaptivePolicy, MultiTierPolicy):
+        assert cls.acquire_operands is Policy.acquire_operands, cls

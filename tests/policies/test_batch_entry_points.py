@@ -1,19 +1,22 @@
 """A batch is exactly its loop.
 
 ``Policy.hint_operands`` / ``Policy.resolve_operands`` take one kernel's
-operand list in one call. Whatever a policy does inside them, it must leave
+operand list in one call, and ``Policy.acquire_operands`` takes both sweeps
+of a kernel in one call. Whatever a policy does inside them, it must leave
 the state the per-object loops would: same recency order, same statistics,
-same bytes moved, same clock, same pins — after every kernel. Twin sessions
-run the same random kernels, one through the policy's batch entry points,
-one through the base-class loops (``will_read``/``will_write`` per operand,
+same bytes moved, same clock, same pins — after every kernel, including one
+that raises. Twin sessions run the same random kernels, one through the
+policy's batch entry points, one through its one-call entry point, one
+through the base-class loops (``will_read``/``will_write`` per operand,
 ``ensure_resident`` + ``pin`` per unique operand), and for the two policies
-that implement the batch forms a third through the per-object bodies as
+that implement the batch forms a fourth through the per-object bodies as
 they stood before the batch forms existed, kept here as the reference.
 
 Traced, a batch must also leave the events that loop would: traced twins
-run the kernel helpers (``issue_hints``/``resolve_residency``) against the
-traced per-operand loops those helpers once held, kept here as the
-reference, and compare every retained record as well as the state.
+run the one-call entry point and the kernel helpers
+(``issue_hints``/``resolve_residency``) against the traced per-operand
+loops those helpers once held, kept here as the reference, and compare
+every retained record as well as the state.
 """
 
 import pytest
@@ -50,6 +53,7 @@ class PerObjectReference:
     at a time, as written before the batch forms; the batch entry points
     are the base-class loops over them."""
 
+    acquire_operands = Policy.acquire_operands
     hint_operands = Policy.hint_operands
     resolve_operands = Policy.resolve_operands
 
@@ -104,37 +108,49 @@ def operand_intents(read_objs, write_objs):
 
 
 def batch(session):
+    """The two batch sweeps, one call each."""
     policy = session.policy
 
-    def resolve(reads, writes, pinned):
+    def acquire(reads, writes, hinted, pinned):
+        if hinted:
+            policy.hint_operands(reads, writes)
         policy.resolve_operands(operand_intents(reads, writes), pinned)
 
-    return policy.hint_operands, resolve
+    return acquire
+
+
+def acquire(session):
+    """What a kernel runs: one policy call for both sweeps, tracer included."""
+    policy, tracer = session.policy, session.tracer
+
+    def acquire(reads, writes, hinted, pinned):
+        policy.acquire_operands(reads, writes, hinted, pinned, tracer)
+
+    return acquire
 
 
 def loops(session):
     policy = session.policy
 
-    def hint(reads, writes):
-        Policy.hint_operands(policy, reads, writes)
-
-    def resolve(reads, writes, pinned):
+    def acquire(reads, writes, hinted, pinned):
+        if hinted:
+            Policy.hint_operands(policy, reads, writes)
         Policy.resolve_operands(policy, operand_intents(reads, writes), pinned)
 
-    return hint, resolve
+    return acquire
 
 
 def helpers(session):
-    """What a kernel runs: one policy call per sweep, tracer included."""
+    """What a kernel ran before the one-call entry point: one policy call
+    per sweep, tracer included."""
     policy, tracer = session.policy, session.tracer
 
-    def hint(reads, writes):
-        issue_hints(policy, tracer, reads, writes)
-
-    def resolve(reads, writes, pinned):
+    def acquire(reads, writes, hinted, pinned):
+        if hinted:
+            issue_hints(policy, tracer, reads, writes)
         resolve_residency(policy, tracer, reads, writes, pinned)
 
-    return hint, resolve
+    return acquire
 
 
 def traced_loops(session):
@@ -143,22 +159,21 @@ def traced_loops(session):
     scope around each per-object call."""
     policy, tracer = session.policy, session.tracer
 
-    def hint(reads, writes):
-        for obj in reads:
-            with tracer.hint("will_read", obj):
-                policy.will_read(obj)
-        for obj in writes:
-            with tracer.hint("will_write", obj):
-                policy.will_write(obj)
-
-    def resolve(reads, writes, pinned):
+    def acquire(reads, writes, hinted, pinned):
+        if hinted:
+            for obj in reads:
+                with tracer.hint("will_read", obj):
+                    policy.will_read(obj)
+            for obj in writes:
+                with tracer.hint("will_write", obj):
+                    policy.will_write(obj)
         for obj, intent in operand_intents(reads, writes):
             with tracer.scope(RESIDENCY_LABELS[intent], obj):
                 policy.ensure_resident(obj, intent)
             obj.pin()
             pinned.append(obj)
 
-    return hint, resolve
+    return acquire
 
 
 class Twin:
@@ -174,7 +189,7 @@ class Twin:
         )
         self.session = Session(config, policy=policy)
         self.policy = policy
-        self.hint, self.resolve = entry(self.session)
+        self.acquire = entry(self.session)
         self.objects = []
 
     def allocate(self, sizes):
@@ -184,7 +199,7 @@ class Twin:
             self.objects.append(obj)
 
     def kernel(self, reads, writes, hinted):
-        """``CachedArraysAdapter.kernel`` without the timing: hints,
+        """``CachedArraysAdapter.kernel`` without the timing: hints and
         residency + pins, unpin, finish. Returns what was pinned, or the
         type of the typed error that ended the kernel (an operand the
         policy could neither move nor leave) so the twins compare on it."""
@@ -192,10 +207,8 @@ class Twin:
         write_objs = [self.objects[i] for i in writes]
         pinned = []
         try:
-            if hinted:
-                self.hint(read_objs, write_objs)
             try:
-                self.resolve(read_objs, write_objs, pinned)
+                self.acquire(read_objs, write_objs, hinted, pinned)
                 held = [(obj.name, obj.pin_count) for obj in pinned]
             finally:
                 for obj in pinned:
@@ -228,6 +241,8 @@ class Twin:
                 getattr(inner, "alpha", None),
                 getattr(inner, "regrets", None),
                 getattr(inner, "quiet_evictions", None),
+                getattr(inner, "_recency_clock", None),
+                [getattr(inner, "_last_touch", {}).get(o.id) for o in self.objects],
             ),
             "watchdog": (
                 getattr(policy, "strikes", None),
@@ -284,6 +299,7 @@ def test_batch_forms_match_the_loops_and_the_per_object_reference(
     assert_twins_agree(
         [
             Twin(cls(**toggles), batch),
+            Twin(cls(**toggles), acquire),
             Twin(cls(**toggles), loops),
             Twin(reference(**toggles), batch),
         ],
@@ -307,7 +323,11 @@ def multitier_twin(entry, promote_on_use, tracing=False):
 @settings(max_examples=40, deadline=None)
 def test_multitier_takes_the_default_loops(promote_on_use, sizes, kernels):
     assert_twins_agree(
-        [multitier_twin(batch, promote_on_use), multitier_twin(loops, promote_on_use)],
+        [
+            multitier_twin(batch, promote_on_use),
+            multitier_twin(acquire, promote_on_use),
+            multitier_twin(loops, promote_on_use),
+        ],
         sizes,
         kernels,
     )
@@ -340,6 +360,7 @@ def test_a_wrapper_strikes_on_the_same_operand_either_way(
     assert_twins_agree(
         [
             Twin(guarded(OptimizingPolicy, start, every), batch),
+            Twin(guarded(OptimizingPolicy, start, every), acquire),
             Twin(guarded(OptimizingPolicy, start, every), loops),
             Twin(guarded(ReferenceOptimizing, start, every), batch),
         ],
@@ -389,6 +410,7 @@ def test_a_traced_batch_leaves_the_traced_loops_records(
     toggles = {"local_alloc": local_alloc, "prefetch": prefetch}
     assert_twins_agree(
         [
+            Twin(cls(**toggles), acquire, tracing=True),
             Twin(cls(**toggles), helpers, tracing=True),
             Twin(cls(**toggles), traced_loops, tracing=True),
         ],
@@ -405,6 +427,7 @@ def test_traced_multitier_loops_leave_the_traced_loops_records(
 ):
     assert_twins_agree(
         [
+            multitier_twin(acquire, promote_on_use, tracing=True),
             multitier_twin(helpers, promote_on_use, tracing=True),
             multitier_twin(traced_loops, promote_on_use, tracing=True),
         ],
@@ -428,6 +451,7 @@ def test_a_traced_wrapper_leaves_the_traced_loops_records(
     and strikes land at the same point of the stream."""
     assert_twins_agree(
         [
+            Twin(guarded(OptimizingPolicy, start, every), acquire, tracing=True),
             Twin(guarded(OptimizingPolicy, start, every), helpers, tracing=True),
             Twin(guarded(OptimizingPolicy, start, every), traced_loops, tracing=True),
         ],
@@ -453,7 +477,7 @@ def test_a_forced_prefetch_that_raises_mid_sweep_leaves_the_same_records(
     the ones after it never are, exactly as the per-operand loop left them."""
     twins = [
         Twin(cls(prefetch=True), entry, tracing=True, dram=32 * KiB, nvram=48 * KiB)
-        for entry in (helpers, traced_loops)
+        for entry in (acquire, helpers, traced_loops)
     ]
     for twin in twins:
         # t0..t2 are pushed out to NVRAM, which they fill; t3 and t4 hold
@@ -467,7 +491,8 @@ def test_a_forced_prefetch_that_raises_mid_sweep_leaves_the_same_records(
             for event in twin.session.tracer.events
             if event.kind == "hint"
         ] == ["r3", "w4", *hinted]
-    assert twins[0].state() == twins[1].state()
+    assert twins[1].state() == twins[0].state()
+    assert twins[2].state() == twins[0].state()
     for twin in twins:
         twin.session.close()
 
@@ -478,12 +503,52 @@ def test_a_retired_operand_ends_the_sweep_after_its_own_hint(reads, writes):
     after its ``hint`` event: it is owed from the moment it is reached."""
     twins = [
         Twin(OptimizingPolicy(prefetch=True), entry, tracing=True)
-        for entry in (helpers, traced_loops)
+        for entry in (acquire, helpers, traced_loops)
     ]
     for twin in twins:
         twin.allocate([8 * KiB] * 3)
         twin.policy.retire(twin.objects[1])
         assert twin.kernel(reads, writes, True) is ObjectStateError
-    assert twins[0].state() == twins[1].state()
+    assert twins[1].state() == twins[0].state()
+    assert twins[2].state() == twins[0].state()
+    for twin in twins:
+        twin.session.close()
+
+
+@pytest.mark.parametrize("hinted", [True, False], ids=["hinted", "unhinted"])
+@pytest.mark.parametrize("cls", [OptimizingPolicy, AdaptivePolicy])
+def test_a_sweep_that_raises_notes_the_uses_it_collected(cls, hinted):
+    """t0 is used, then the retired t1 raises in the residency sweep, with
+    no fetch before it: the one-call entry point notes t0 (and, hinted,
+    t2) before the error goes on, as the two sweeps' ``finally`` blocks
+    did, so t0 ends at the hot end on every path."""
+    twins = [Twin(cls(), entry) for entry in (acquire, batch, loops)]
+    for twin in twins:
+        twin.allocate([8 * KiB] * 3)
+        twin.policy.retire(twin.objects[1])
+        assert twin.kernel([0, 1], [2], hinted) is ObjectStateError
+        assert [obj.name for _, obj in twin.policy.lru.ranked()] == ["t2", "t0"]
+    for twin in twins[1:]:
+        assert twin.state() == twins[0].state()
+    for twin in twins:
+        twin.session.close()
+
+
+@pytest.mark.parametrize("cls", [OptimizingPolicy, AdaptivePolicy])
+def test_a_fetch_reads_the_uses_noted_before_it(cls):
+    """DRAM holds t1 and t2, t1 the colder (placing t2 evicted t0). The
+    kernel uses t1, then its write target t0 is fetched from NVRAM: t1's
+    use is noted before the fetch's victim scan, so t2, not the operand
+    just used, is evicted."""
+    twins = [
+        Twin(cls(), entry, dram=32 * KiB) for entry in (acquire, batch, loops)
+    ]
+    for twin in twins:
+        twin.allocate([16 * KiB] * 3)
+        assert twin.state()["where"] == ["NVRAM", "DRAM", "DRAM"]
+        assert twin.kernel([1], [0], True) == [("t1", 1), ("t0", 1)]
+        assert twin.state()["where"] == ["DRAM", "DRAM", "NVRAM"]
+    for twin in twins[1:]:
+        assert twin.state() == twins[0].state()
     for twin in twins:
         twin.session.close()

@@ -255,6 +255,91 @@ def test_a_bad_read_sensitivity_changes_nothing():
     assert state() != before
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("read_factor", -1.0),
+        ("write_factor", -0.5),
+        ("read_factor", math.nan),
+        ("read_factor", math.inf),
+        ("write_factor", math.inf),
+    ],
+)
+def test_a_bad_traffic_factor_changes_nothing_on_either_adapter(field, value):
+    """An unvalidated kernel with a negative or non-finite traffic factor is
+    refused by ``KernelTrace.validate``'s rule at the top of both adapters'
+    ``kernel``: on CachedArrays before its hints, residency moves or traffic
+    charges (the clock, the counters, every primary and every pin are as
+    they were); on 2LM before the factor split, which an infinite factor
+    would never leave, so the clock, the counters and the cache stats are as
+    they were."""
+    kernel = Kernel("k", ("a",), ("b",), 1.0e9, **{field: value})
+    # Born in NVRAM (no L) behind a DRAM the operands fit in, so a kernel
+    # that ran its hints and residency would fetch them.
+    session = Session(
+        SessionConfig(dram=4 * MiB, nvram=64 * MiB),
+        policy=OptimizingPolicy(local_alloc=False),
+    )
+    ca = CachedArraysAdapter(session, PARAMS)
+    twolm = twolm_executor().adapter
+    for adapter in (ca, twolm):
+        for name in "ab":
+            adapter.alloc(TensorSpec(name, 256 * KiB))
+
+    def state(adapter):
+        clock = adapter.clock
+        return (
+            clock.now,
+            {c: clock.busy(c) for c in ("movement", "movement_wait")},
+            {d: (s.read_bytes, s.write_bytes) for d, s in adapter.traffic().items()},
+            {
+                name: (obj.primary.device_name, obj.primary.offset, obj.pin_count)
+                for name, obj in getattr(adapter, "objects", {}).items()
+            },
+            adapter.cache_stats(),
+        )
+
+    for adapter in (ca, twolm):
+        before = state(adapter)
+        with pytest.raises(ValueError, match="traffic factors .* must be finite and >= 0"):
+            adapter.kernel(kernel, None)
+        assert state(adapter) == before
+        # The same kernel with valid factors does charge traffic.
+        adapter.kernel(Kernel("k", ("a",), ("b",), 1.0e9), None)
+        assert state(adapter) != before
+
+
+def test_a_second_run_leaves_the_first_results_tracks_as_they_were():
+    """A run's occupancy timelines are its own: running the executor again
+    neither grows the first result's tracks nor shares them with the second
+    result, which still holds every sample of both runs."""
+    executor = ca_executor()
+    trace = annotate(filo_stack_trace(depth=4), memopt=True)
+    first = executor.run(trace)
+    recorded = {name: t.to_dict() for name, t in first.occupancy_timeline.items()}
+    second = executor.run(trace)
+    assert {n: t.to_dict() for n, t in first.occupancy_timeline.items()} == recorded
+    for name, track in second.occupancy_timeline.items():
+        assert track is not first.occupancy_timeline[name]
+        assert len(track) == 2 * len(first.occupancy_timeline[name])
+        assert track.to_dict()["samples"][: len(recorded[name]["samples"])] == (
+            recorded[name]["samples"]
+        )
+
+
+def test_a_paused_then_resumed_run_returns_every_sample():
+    trace = annotate(filo_stack_trace(depth=6), memopt=True)
+    whole = ca_executor().run(trace, iterations=2)
+    executor = ca_executor()
+    executor.pause_after = 5
+    assert executor.run(trace, iterations=2) is None
+    executor.pause_after = None
+    resumed = executor.run(trace, iterations=2)
+    assert {n: t.to_dict() for n, t in resumed.occupancy_timeline.items()} == {
+        n: t.to_dict() for n, t in whole.occupancy_timeline.items()
+    }
+
+
 def test_occupancy_timeline_recorded():
     executor = ca_executor()
     trace = annotate(filo_stack_trace(depth=6), memopt=True)
@@ -319,9 +404,10 @@ def test_an_untraced_kernel_crosses_the_policy_boundary_once_per_sweep(
     operands, hinted
 ):
     """However many operands a kernel has, traced or not, the kernel makes
-    one policy call per sweep: hints (when the kernel is hinted), residency,
-    finish. A traced kernel opens a scope only around an operand that
-    moves, yet still records one ``hint`` event per operand."""
+    one policy call before it runs — hints (when the kernel is hinted) and
+    residency — and one after it, finish. A traced kernel opens a scope
+    only around an operand that moves, yet still records one ``hint`` event
+    per operand."""
 
     def kernel_calls(tracing):
         # Born in NVRAM (no L): a fetch is what opens a scope.
@@ -354,9 +440,8 @@ def test_an_untraced_kernel_crosses_the_policy_boundary_once_per_sweep(
         session.close()
         return spy.calls, opened, hints
 
-    sweeps = ["resolve_operands", "on_kernel_finish"]
     untraced, _, _ = kernel_calls(tracing=False)
-    assert untraced == (["hint_operands"] if hinted else []) + sweeps
+    assert untraced == ["acquire_operands", "on_kernel_finish"]
 
     calls, opened, hints = kernel_calls(tracing=True)
     assert calls == untraced

@@ -273,7 +273,7 @@ def test_a_backwards_sample_is_refused_and_leaves_the_tracks_aligned():
         match=rf"^timeline 'DRAM': time went backwards \({last / 2} < {last}\)$",
     ):
         executor.run(_trace(), iterations=1)
-    assert {name: len(t) for name, t in run.occupancy_timeline.items()} == lengths
+    assert {name: len(t) for name, t in executor._timelines.items()} == lengths
 
 
 def test_a_paused_pickled_and_resumed_run_keeps_its_tracks_aligned():
@@ -297,7 +297,8 @@ def test_a_paused_pickled_and_resumed_run_keeps_its_tracks_aligned():
         it.peak_occupancy for it in whole.iterations
     ]
     # Restored tracks still share their time and label columns: a sample
-    # taken after the run is seen by all of them at once.
-    lengths = {len(t) for t in run.occupancy_timeline.values()}
+    # taken after the run is seen by all of the executor's tracks at once
+    # (in a copy of the frame: the result keeps the tracks it returned).
+    lengths = {len(t) for t in restored._timelines.values()}
     restored._sample(restored._bind_tracks(restored.adapter.meters()), "probe")
-    assert {len(t) for t in run.occupancy_timeline.values()} == {lengths.pop() + 1}
+    assert {len(t) for t in restored._timelines.values()} == {lengths.pop() + 1}

@@ -215,3 +215,23 @@ def test_executor_records_traffic_timelines():
     values = timeline.values()
     assert values == sorted(values)  # cumulative => monotone
     assert values[-1] > 0
+
+
+def test_a_frame_copy_holds_the_samples_so_far_and_nothing_after():
+    """Samples into the copy do not reach the original's tracks, nor the
+    reverse, and a track that left the original frame does not change what
+    the copy holds."""
+    frame = make_frame()
+    frame.tracks[0].record(2.0, 99, "mine")  # DRAM leaves the frame
+    copy = frame.copy()
+    assert [t.name for t in copy.tracks] == ["DRAM", "NVRAM", "total"]
+    assert [t.to_dict() for t in copy.tracks[1:]] == [
+        t.to_dict() for t in frame.tracks[1:]
+    ]
+    assert copy.tracks[0].values() == [10, 15, 5]
+    originals = [t.to_dict() for t in frame.tracks]
+    sample(copy, 3.0, [1, 2, 3])
+    assert [t.to_dict() for t in frame.tracks] == originals
+    sample(frame, 4.0, [4, 5, 6])
+    assert [len(t) for t in copy.tracks] == [4, 4, 4]
+    assert [t.last() for t in copy.tracks] == [1, 2, 3]
