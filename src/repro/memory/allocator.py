@@ -28,8 +28,10 @@ offset to its size, and ``_free_ends`` maps its end back to its offset (the
 end tag). Freeing finds the successor as ``_free_sizes[offset + size]`` and
 the predecessor as ``_free_ends[offset]`` — coalescing is two dict lookups,
 with no search over the arena. Free blocks are also filed in size-class bins
-(one bin per ``size.bit_length()``, each an offset-sorted list), so
-placement probes a handful of bins, and a split writes the remainder's two
+(one bin per ``size.bit_length()``, each an offset-sorted list), and
+``_mask`` has bit k set while bin k is non-empty, so placement probes a
+handful of bins and first fit visits only non-empty ones above the
+request's class; a split writes the remainder's two
 tags and re-files one offset. ``Block`` objects exist only as address-ordered
 views (:meth:`blocks`, :meth:`live_blocks`) for scans off the hot path and for
 tests. The bins only speed placement up — it is bit-for-bit identical to the
@@ -108,20 +110,38 @@ class FreeListAllocator:
         # placement scan needs, without walking allocated blocks. There is
         # always a bin past the capacity's class (``grow`` adds them).
         self._bins: list[list[int]] = [[] for _ in range(capacity.bit_length() + 2)]
+        # Bit k is set iff bin k is non-empty, so first fit visits only the
+        # non-empty bins above a request's class. Derived from the bins:
+        # dropped on save, rebuilt on restore.
+        self._mask = 0
         self._free_add(0, capacity)
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_mask"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._mask = sum(1 << k for k, bin_ in enumerate(self._bins) if bin_)
 
     # -- free-block index ---------------------------------------------------
 
     def _free_add(self, offset: int, size: int) -> None:
-        insort(self._bins[size.bit_length()], offset)
+        k = size.bit_length()
+        insort(self._bins[k], offset)
+        self._mask |= 1 << k
         self._free_sizes[offset] = size
         self._free_ends[offset + size] = offset
 
     def _free_remove(self, offset: int) -> None:
         size = self._free_sizes.pop(offset)
         del self._free_ends[offset + size]
-        bin_ = self._bins[size.bit_length()]
+        k = size.bit_length()
+        bin_ = self._bins[k]
         del bin_[bisect_left(bin_, offset)]
+        if not bin_:
+            self._mask ^= 1 << k
 
     # -- queries ----------------------------------------------------------
 
@@ -157,10 +177,9 @@ class FreeListAllocator:
         # bin (bin k holds sizes in [2^(k-1), 2^k), disjoint across bins).
         largest = 0
         free_sizes = self._free_sizes
-        for bin_ in reversed(self._bins):
-            if bin_:
-                largest = max(free_sizes[offset] for offset in bin_)
-                break
+        if self._mask:
+            bin_ = self._bins[self._mask.bit_length() - 1]
+            largest = max(free_sizes[offset] for offset in bin_)
         return AllocatorStats(
             capacity=self.capacity,
             used_bytes=self.used_bytes,
@@ -205,14 +224,21 @@ class FreeListAllocator:
         offset = None
         if self.fit == "first":
             # Lowest-offset fitting block: the first fit in bin c versus the
-            # lowest head of any higher (always-fitting) bin.
+            # lowest head of any higher (always-fitting) non-empty bin,
+            # visited lowest class first through the mask's set bits.
             for candidate in bins[c]:
                 if free_sizes[candidate] >= rounded:
                     offset = candidate
                     break
-            for bin_ in bins[c + 1:]:
-                if bin_ and (offset is None or bin_[0] < offset):
-                    offset = bin_[0]
+            higher = self._mask >> (c + 1)
+            k = c
+            while higher:
+                skip = (higher & -higher).bit_length()
+                k += skip
+                higher >>= skip
+                head = bins[k][0]
+                if offset is None or head < offset:
+                    offset = head
         else:
             # Best fit: bins partition sizes into disjoint ranges, so the
             # first bin (lowest class) holding a fitting block holds the
@@ -231,7 +257,8 @@ class FreeListAllocator:
         if offset is None:
             raise OutOfMemoryError(self.label, rounded, self.free_bytes)
         block_size = free_sizes.pop(offset)
-        bin_ = bins[block_size.bit_length()]
+        block_k = block_size.bit_length()
+        bin_ = bins[block_k]
         index = bisect_left(bin_, offset)
         end = offset + block_size
         if block_size > rounded:
@@ -243,14 +270,19 @@ class FreeListAllocator:
             free_sizes[rest] = rest_size
             self._free_ends[end] = rest
             k = rest_size.bit_length()
-            if bin_ is bins[k]:
+            if k == block_k:
                 bin_[index] = rest
             else:
                 del bin_[index]
                 insort(bins[k], rest)
+                self._mask |= 1 << k
+                if not bin_:
+                    self._mask ^= 1 << block_k
         else:
             del bin_[index]
             del self._free_ends[end]
+            if not bin_:
+                self._mask ^= 1 << block_k
         self._used[offset] = rounded
         self.used_bytes += rounded
         return offset
@@ -267,15 +299,20 @@ class FreeListAllocator:
         # below by the merged block's.
         next_size = free_sizes.pop(end, None)
         if next_size is not None:
-            bin_ = bins[next_size.bit_length()]
+            k = next_size.bit_length()
+            bin_ = bins[k]
             del bin_[bisect_left(bin_, end)]
+            if not bin_:
+                self._mask ^= 1 << k
             end += next_size
         # A free predecessor's end tag is our offset; it keeps its start
         # (and its bin slot, when the merge leaves its size class alone).
         prev = free_ends.pop(offset, None)
         if prev is None:
             size = end - offset
-            insort(bins[size.bit_length()], offset)
+            k = size.bit_length()
+            insort(bins[k], offset)
+            self._mask |= 1 << k
         else:
             k = free_sizes[prev].bit_length()
             offset = prev
@@ -283,7 +320,11 @@ class FreeListAllocator:
             if size.bit_length() != k:
                 bin_ = bins[k]
                 del bin_[bisect_left(bin_, offset)]
-                insort(bins[size.bit_length()], offset)
+                if not bin_:
+                    self._mask ^= 1 << k
+                k = size.bit_length()
+                insort(bins[k], offset)
+                self._mask |= 1 << k
         free_sizes[offset] = size
         free_ends[end] = offset
 
@@ -350,6 +391,7 @@ class FreeListAllocator:
         self._used = used
         for bin_ in self._bins:
             bin_.clear()
+        self._mask = 0
         self._free_sizes.clear()
         self._free_ends.clear()
         if cursor < self.capacity:
@@ -448,3 +490,8 @@ class FreeListAllocator:
             raise AssertionError("no free bin past the capacity's size class")
         if sum(len(bin_) for bin_ in self._bins) != len(free_sizes):
             raise AssertionError("free bins and free-size map disagree")
+        mask = sum(1 << k for k, bin_ in enumerate(self._bins) if bin_)
+        if self._mask != mask:
+            raise AssertionError(
+                f"non-empty-bin mask {self._mask:#b} != the bins' {mask:#b}"
+            )

@@ -72,7 +72,9 @@ class PolicyStats:
     telemetry :class:`Counter`. When the policy binds to a session,
     :meth:`attach` re-homes the counters into the session's
     :class:`MetricsRegistry` under ``policy.*`` names, so reports read one
-    flat namespace instead of scattered per-policy dicts.
+    flat namespace instead of scattered per-policy dicts. The policy's own
+    bumps skip the descriptor's two calls and add to the backing counter
+    (``self.stats._counters[name].value += 1``).
     """
 
     FIELDS = (
@@ -152,12 +154,12 @@ class OptimizingPolicy(Policy):
             if region is not None:
                 manager.setprimary(obj, region)
                 self.lru.touch(obj)
-                self.stats.placed_fast += 1
+                self.stats._counters["placed_fast"].value += 1
                 tracer.place(obj.name, region.device_name, obj.size)
                 return region
         region = manager.allocate(self.slow, obj.size)
         manager.setprimary(obj, region)
-        self.stats.placed_slow += 1
+        self.stats._counters["placed_slow"].value += 1
         tracer.place(obj.name, self.slow, obj.size)
         return region
 
@@ -241,12 +243,12 @@ class OptimizingPolicy(Policy):
                     if primary is None or obj.retired:
                         self.manager.getprimary(obj)  # raises
                     if primary.device_name != slow:
-                        self.stats.prefetches += 1
+                        self.stats._counters["prefetches"].value += 1
                         continue
                     owed_reads.pop()
                     with tracer.hint("will_read", obj, owed_reads, owed_writes):
                         if self._fetch(obj, used) is not None:
-                            self.stats.prefetches += 1
+                            self.stats._counters["prefetches"].value += 1
             else:
                 owed_reads.extend(reads)
                 used.extend(owed_reads)
@@ -280,7 +282,7 @@ class OptimizingPolicy(Policy):
     def retire(self, obj: MemObject) -> None:
         self.lru.discard(obj)
         self.manager.destroy_object(obj)
-        self.stats.retires += 1
+        self.stats._counters["retires"].value += 1
 
     def _note_uses(self, objs: list[MemObject]) -> None:
         """Recency bookkeeping for a run of uses with no movement between
@@ -384,7 +386,7 @@ class OptimizingPolicy(Policy):
 
     def _find_eviction_start(self, size: int) -> Region | None:
         """Coldest-first victim order for Listing 2's ``find_region``."""
-        self.stats.forced_eviction_rounds += 1
+        self.stats._counters["forced_eviction_rounds"].value += 1
         manager = self.manager
         return find_eviction_start(
             manager,
@@ -410,9 +412,9 @@ class OptimizingPolicy(Policy):
         with tracer.scope("evict", obj):
             evicted = evict_object(manager, obj, self.fast, self.slow)
         if evicted:
-            self.stats.evictions += 1
+            self.stats._counters["evictions"].value += 1
             if was_clean:
-                self.stats.elided_writebacks += 1
+                self.stats._counters["elided_writebacks"].value += 1
         self.lru.discard(obj)
 
     # -- recovery (docs/robustness.md) ------------------------------------------------

@@ -450,11 +450,36 @@ class TwoLMAdapter(SystemAdapter):
         self.tracer = tracing.NULL_TRACER
         self.offsets: dict[str, int] = {}
         self.sizes: dict[str, int] = {}
+        # Each live tensor's whole-pass ``(first line, lines, is_write)``
+        # span, one dict per write flag: a kernel hands the same tuple for
+        # every full pass. Derived from ``offsets``/``sizes``: dropped on
+        # save, rebuilt on restore.
+        self._read_spans: dict[str, tuple[int, int, bool]] = {}
+        self._write_spans: dict[str, tuple[int, int, bool]] = {}
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_read_spans"], state["_write_spans"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._read_spans, self._write_spans = {}, {}
+        for name, offset in self.offsets.items():
+            self._add_spans(name, offset, self.sizes[name])
+
+    def _add_spans(self, name: str, offset: int, nbytes: int) -> None:
+        line_size = self.system.cache.line_size
+        first = offset // line_size
+        lines = (offset + nbytes - 1) // line_size - first + 1
+        self._read_spans[name] = (first, lines, False)
+        self._write_spans[name] = (first, lines, True)
 
     def alloc(self, spec: TensorSpec) -> None:
         offset = self.system.allocate(spec.nbytes)
         self.offsets[spec.name] = offset
         self.sizes[spec.name] = spec.nbytes
+        self._add_spans(spec.name, offset, spec.nbytes)
         self.tracer.alloc(
             self.system.nvram.name, offset, spec.nbytes, spec.name
         )
@@ -465,6 +490,7 @@ class TwoLMAdapter(SystemAdapter):
     def release(self, name: str) -> None:
         offset = self.offsets.pop(name)
         nbytes = self.sizes.pop(name)
+        del self._read_spans[name], self._write_spans[name]
         self.system.free(offset)
         self.tracer.free(self.system.nvram.name, offset, nbytes, name)
 
@@ -473,31 +499,37 @@ class TwoLMAdapter(SystemAdapter):
 
     def kernel(self, kernel: Kernel, trace: KernelTrace) -> KernelTiming:
         # Each operand is streamed ``factor`` times, one sweep per pass:
-        # ``whole`` full passes, then a fractional ``tail`` pass clamped to
-        # [one line, the operand]. The factor is split once per operand
-        # list; the system walks and prices the whole kernel in one call.
+        # ``whole`` full passes, each the operand's one shared span, then a
+        # fractional ``tail`` pass clamped to [one line, the operand]. The
+        # factor is split once per operand list; the system walks and
+        # prices the whole kernel in one call.
         # An infinite factor would never leave the split: refused first.
         if not (0.0 <= kernel.read_factor < inf and 0.0 <= kernel.write_factor < inf):
             raise _bad_factors(kernel)
         line_size = self.system.cache.line_size
         offsets, sizes = self.offsets, self.sizes
-        sweeps: list[tuple[int, int, bool]] = []
-        for names, factor, is_write in (
-            (kernel.reads, kernel.read_factor, False),
-            (kernel.writes, kernel.write_factor, True),
+        spans: list[tuple[int, int, bool]] = []
+        for names, factor, is_write, whole_spans in (
+            (kernel.reads, kernel.read_factor, False, self._read_spans),
+            (kernel.writes, kernel.write_factor, True, self._write_spans),
         ):
+            if factor == 1.0:  # one full pass per operand, the common case
+                spans += map(whole_spans.__getitem__, names)
+                continue
             whole, tail = 0, factor
             while tail >= 1.0:
                 whole += 1
                 tail -= 1.0
             for name in names:
-                offset, size = offsets[name], sizes[name]
-                for _ in range(whole):
-                    sweeps.append((offset, size, is_write))
+                span = whole_spans[name]
+                spans += (span,) * whole
                 if tail > 1e-9:
+                    offset, size = offsets[name], sizes[name]
                     nbytes = min(max(line_size, int(size * tail)), size)
-                    sweeps.append((offset, nbytes, is_write))
-        dram, nvram = self.system.access_sweeps(sweeps, kernel.read_sensitivity)
+                    first = span[0]
+                    lines = (offset + nbytes - 1) // line_size - first + 1
+                    spans.append((first, lines, is_write))
+        dram, nvram = self.system.access_spans(spans, kernel.read_sensitivity)
         compute = self.params.launch_overhead + (
             kernel.flops / self.params.peak_flops if kernel.flops > 0 else 0.0
         )

@@ -99,17 +99,24 @@ class TwoLMSystem:
 
     def access(self, offset: int, size: int, *, is_write: bool) -> AccessResult:
         """Route one tensor access through the DRAM cache; account traffic."""
-        sweep = ((offset, size, is_write),)
-        walked = self.cache.access_ranges(sweep)
-        self._record(*self._fold(sweep, walked, 1.0))
+        spans = self.cache.line_spans(((offset, size, is_write),))
+        walked = self.cache.access_spans(spans)
+        self._record(*self._fold(spans, walked, 1.0))
         return AccessResult.of(*walked[0], self.cache.line_size)
 
     def access_sweeps(
         self, sweeps: Sequence[tuple[int, int, bool]], read_sensitivity: float
     ) -> tuple[float, float]:
-        """Route a kernel's ``(offset, size, is_write)`` sweeps, in order,
-        through the DRAM cache; account traffic and return the kernel's
-        (DRAM seconds, NVRAM seconds) of service time.
+        """:meth:`access_spans` over byte-addressed ``(offset, size,
+        is_write)`` sweeps."""
+        return self.access_spans(self.cache.line_spans(sweeps), read_sensitivity)
+
+    def access_spans(
+        self, spans: Sequence[tuple[int, int, bool]], read_sensitivity: float
+    ) -> tuple[float, float]:
+        """Route a kernel's ``(first line, lines, is_write)`` spans, in
+        order, through the DRAM cache; account traffic and return the
+        kernel's (DRAM seconds, NVRAM seconds) of service time.
 
         ``read_sensitivity`` is the share of a read sweep's NVRAM time
         exposed as a stall, as in :func:`~repro.runtime.kernel.kernel_timing`.
@@ -117,8 +124,8 @@ class TwoLMSystem:
         """
         if not 0.0 <= read_sensitivity <= 1.0:
             raise ValueError(f"read_sensitivity must be in [0,1]: {read_sensitivity}")
-        walked = self.cache.access_ranges(sweeps)
-        return self._record(*self._fold(sweeps, walked, read_sensitivity))
+        walked = self.cache.access_spans(spans)
+        return self._record(*self._fold(spans, walked, read_sensitivity))
 
     def time_of(self, result: AccessResult) -> tuple[float, float]:
         """(DRAM seconds, NVRAM seconds) of service time for one access:
@@ -128,12 +135,14 @@ class TwoLMSystem:
         return self._fold(((0, 0, False),), walked, 1.0)[:2]
 
     def _record(self, dram_time, nvram_time, *traffic: int) -> tuple[float, float]:
-        """Record a fold's byte totals (DRAM read, DRAM write, NVRAM read,
-        NVRAM write), one call per counter; pass its times on."""
-        self.dram_traffic.record_read(traffic[0])
-        self.dram_traffic.record_write(traffic[1])
-        self.nvram_traffic.record_read(traffic[2])
-        self.nvram_traffic.record_write(traffic[3])
+        """Charge a fold's byte totals (DRAM read, DRAM write, NVRAM read,
+        NVRAM write) to the counters in place (a fold's totals are never
+        negative); pass its times on."""
+        dram, nvram = self.dram_traffic, self.nvram_traffic
+        dram.read_bytes += traffic[0]
+        dram.write_bytes += traffic[1]
+        nvram.read_bytes += traffic[2]
+        nvram.write_bytes += traffic[3]
         return dram_time, nvram_time
 
     @cached_property
@@ -152,7 +161,7 @@ class TwoLMSystem:
     def _sweep_cost(self, is_write: bool, entry: tuple[int, int, int]) -> tuple:
         """The memo's miss path, and the only body of a sweep's arithmetic:
         (DRAM s, NVRAM s, DRAM read, DRAM write, NVRAM read, NVRAM write
-        bytes) from its ``access_ranges`` entry. The NVRAM time is whole;
+        bytes) from its ``access_spans`` entry. The NVRAM time is whole;
         the fold splits a read's into hidden and exposed shares."""
         lines, hits, dirty = entry
         ls = self.cache.line_size
@@ -194,21 +203,26 @@ class TwoLMSystem:
         return cost
 
     def _fold(self, sweeps, walked, read_sensitivity: float) -> tuple:
-        """Time and traffic of ``sweeps`` given their ``access_ranges``
+        """Time and traffic of ``sweeps`` given their ``access_spans``
         entries: (DRAM s, NVRAM s, DRAM read, DRAM write, NVRAM read, NVRAM
-        write bytes). Each sweep's cost is one memo lookup; the sums run in
-        sweep order. Changes nothing but the memo."""
+        write bytes). A sweep's cost is one memo lookup, made only when its
+        entry or write flag differs from the sweep before it (a repeated
+        pass reuses the cost in hand); the sums run in sweep order. Changes
+        nothing but the memo."""
         costs = self._sweep_costs
         hidden = 1.0 - read_sensitivity
         dram_read = dram_write = nvram_read = nvram_write = 0
         dram_time = nvram_time = 0.0
+        last = last_write = None
         for (_, _, is_write), entry in zip(sweeps, walked):
-            try:
-                dram, nvram, d_read, d_write, n_read, n_write = costs[is_write, entry]
-            except KeyError:
-                dram, nvram, d_read, d_write, n_read, n_write = self._sweep_cost(
-                    is_write, entry
-                )
+            if entry != last or is_write != last_write:
+                last, last_write = entry, is_write
+                try:
+                    dram, nvram, d_read, d_write, n_read, n_write = costs[is_write, entry]
+                except KeyError:
+                    dram, nvram, d_read, d_write, n_read, n_write = self._sweep_cost(
+                        is_write, entry
+                    )
             dram_read += d_read
             dram_write += d_write
             nvram_read += n_read

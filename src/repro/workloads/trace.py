@@ -15,7 +15,7 @@ iteration and they never carry a ``Free``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import inf
 from typing import Iterable, Iterator
 
@@ -273,12 +273,21 @@ class KernelTrace:
             raise TraceError(f"scale factor must be >= 1, got {factor}")
         if factor == 1:
             return self
+        # Built directly (dataclasses.replace costs a field walk per copy);
+        # __post_init__ checks run as before.
         tensors = {
-            name: replace(spec, nbytes=max(64, spec.nbytes // factor))
+            name: TensorSpec(
+                spec.name, max(64, spec.nbytes // factor), spec.kind, spec.persistent
+            )
             for name, spec in self.tensors.items()
         }
         events: list[Event] = [
-            replace(e, flops=e.flops / factor) if isinstance(e, Kernel) else e
+            Kernel(
+                e.name, e.reads, e.writes, e.flops / factor, e.phase,
+                e.read_factor, e.write_factor, e.read_sensitivity, e.hinted,
+            )
+            if isinstance(e, Kernel)
+            else e
             for e in self.events
         ]
         return KernelTrace(

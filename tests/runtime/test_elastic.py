@@ -460,3 +460,37 @@ class TestAdapterRoundTrip:
         ]
         assert charged(restored) == after != before
         assert charged(adapter) == after
+
+    def test_restored_2lm_adapter_rebuilds_its_line_spans(self):
+        """The 2LM adapter's line spans and its allocator's non-empty-bin
+        mask are derived state: neither is pickled, both are rebuilt on
+        restore, and the restored adapter's next kernel (two full passes and
+        a tail per operand) charges the restored system identically."""
+        from repro.workloads.trace import Kernel
+
+        snap = checkpoint_trace_mode(_trace(), "2LM:M", _config(), pause_after=5)
+        adapter = snap.payload.adapter
+        allocator = adapter.system.allocator
+        assert adapter._read_spans and allocator._mask  # five kernels have run
+        assert "_read_spans" not in adapter.__getstate__()
+        assert "_write_spans" not in adapter.__getstate__()
+        assert "_mask" not in allocator.__getstate__()
+        restored = pickle.loads(pickle.dumps(adapter, pickle.HIGHEST_PROTOCOL))
+        assert restored._read_spans == adapter._read_spans
+        assert restored._write_spans == adapter._write_spans
+        assert restored.system.allocator._mask == allocator._mask
+        restored.system.allocator.check_invariants()
+        name = next(iter(adapter.offsets))
+        kernel = Kernel("probe", (name,), (name,), 1.0e9, read_factor=2.5,
+                        write_factor=2.0)
+
+        def charged(a):
+            traffic = {d: (s.read_bytes, s.write_bytes) for d, s in a.traffic().items()}
+            return traffic, a.cache_stats()
+
+        first = adapter.kernel(kernel, None)
+        again = restored.kernel(kernel, None)
+        assert [v.hex() for v in (again.compute, again.dram, again.nvram, again.fixed)] == [
+            v.hex() for v in (first.compute, first.dram, first.nvram, first.fixed)
+        ]
+        assert charged(restored) == charged(adapter)

@@ -83,18 +83,21 @@ def calls_in(line, command):
 def test_call_count_of_a_fixed_command_repeats_exactly():
     """ROADMAP item 1(a): function calls per pass as a deterministic number —
     two fresh processes running one fixed command report the same count
-    (98 818 calls once a kernel made one policy call before it runs; the
-    floor only says the serving sweep really ran)."""
+    (98 818 calls once a kernel made one policy call before it runs, 94 736
+    once the policy bumped its stats counters in place; the floor only says
+    the serving sweep really ran)."""
     command = "-m repro serve --scale 2048 --requests 20"
     first, second = status_line(command), status_line(command)
     assert first == second
     assert calls_in(first, command) > 50_000
 
 
-# Calls into src/repro (imports included) of the command below once a
+# Calls into src/repro (imports included) of the command below once the
+# policy bumped its stats counters in place, with no descriptor calls
+# (226 276 before that, once a
 # kernel's hints and residency became one policy call, whose sweeps note
 # recency only before a fetch, read each primary inline and bump each pin
-# count in place (285 118 before that, once the run loop sampled all of a
+# count in place; 285 118 before that, once the run loop sampled all of a
 # stream's tracks with one frame stamp, the kernel adapter priced each
 # operand from its heap's plan, with no `kernel_timing`, `transfer_time` or
 # counter-method call per kernel, and `KernelTiming.total` became a slot;
@@ -110,7 +113,7 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
 # constant in one call and recorded a kernel's traffic once per device;
 # 613 278 before a kernel's hints, residency and finish became one policy
 # call each).
-SERVE_CALLS = 226_276
+SERVE_CALLS = 217_280
 
 
 def test_serving_calls_per_command_do_not_creep_back():
@@ -122,7 +125,9 @@ def test_serving_calls_per_command_do_not_creep_back():
 
 
 # Calls into src/repro (imports included) of the traced command below once
-# a kernel's hints and residency became one policy call (540 551 before
+# the policy bumped its stats counters in place, with no descriptor calls
+# (518 818 before that, once
+# a kernel's hints and residency became one policy call; 540 551 before
 # that, once the run loop sampled its tracks with one frame stamp and the
 # kernel adapter priced each operand from its heap's plan; 558 455 before that,
 # once the copy engine priced, charged and recorded each copy from its
@@ -132,7 +137,7 @@ def test_serving_calls_per_command_do_not_creep_back():
 # ``Tracer._event``; 606 179 before that; 635 897 before the allocator moved onto boundary tags and placed
 # inline; 724 266 before a traced kernel's hints and residency became one
 # policy call each, opening a scope only around an operand that moves).
-PROFILE_CALLS = 518_818
+PROFILE_CALLS = 511_328
 
 
 def test_traced_calls_per_command_do_not_creep_back():

@@ -94,6 +94,33 @@ class CacheModel(RuleBasedStateMachine):
                 self.ref.access(addr, size, is_write),
             )
 
+    @rule(
+        first=st.integers(0, LINES - 1),
+        lines=st.integers(1, 16) | st.integers(1, LINES),
+        is_write=st.booleans(),
+        copies=st.integers(0, 3),
+        tail=st.none() | st.tuples(st.integers(1, 16), st.booleans()),
+    )
+    def repeated_passes(self, first, lines, is_write, copies, tail):
+        """What a kernel hands the walk for one operand: a line span (it
+        may fit the set array or run past it), then ``copies`` more full
+        passes as the same tuple, then a tail span that starts with it and
+        is no longer, with either write flag. The walk answers a repeat in
+        closed form when the span fits a direct-mapped set array; the
+        reference walks every line."""
+        whole = (first, min(lines, LINES - first), is_write)
+        batch = [whole] * (copies + 1)
+        if tail is not None:
+            lines, tail_write = tail
+            batch.append((first, min(lines, whole[1]), tail_write))
+        walked = self.sim.access_spans(batch)
+        for (first, lines, write), (count, hits, dirty) in zip(batch, walked):
+            assert count == lines
+            self._check(
+                (hits, count - hits - dirty, dirty),
+                self.ref.access(first * LINE, lines * LINE, write),
+            )
+
     @rule(span=spans)
     def invalidate_range(self, span):
         addr, size = self._range(span)

@@ -7,6 +7,7 @@ twice, so the second pass reads ``TwoLMSystem``'s sweep-cost memo warm.
 Timings compare by ``float.hex``, counters exactly.
 """
 
+import pytest
 from dramcache_reference import ScalarAssocCache
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,8 @@ LINE = 64
 BACKING = 256 * LINE
 PARAMS = ExecutionParams()
 
-factors = st.sampled_from([0.25, 1.0, 1.5, 3.7]) | st.floats(0.05, 4.0)
+# Under one pass, one, and two or more full passes with and without a tail.
+factors = st.sampled_from([0.25, 1.0, 1.5, 2.0, 3.0, 3.7]) | st.floats(0.05, 5.0)
 # (read operands, write operands, read factor, write factor, sensitivity,
 # flops); operands index the four tensors and may repeat.
 kernels = st.tuples(
@@ -110,15 +112,9 @@ class Reference:
         return compute, dram_t, nvram_t, 0.0
 
 
-@given(
-    ways=st.sampled_from([1, 2, 4]),
-    num_sets=st.sampled_from([3, 5, 8, 13]),
-    metadata=st.sampled_from([0.0, 0.1, 0.37]),
-    sizes=st.lists(st.integers(1, 40 * LINE), min_size=4, max_size=4),
-    specs=st.lists(kernels, min_size=1, max_size=6),
-)
-@settings(max_examples=150, deadline=None)
-def test_kernel_matches_naive_reference(ways, num_sets, metadata, sizes, specs):
+def check_kernels(ways, num_sets, metadata, sizes, specs):
+    """Run ``specs`` twice through ``TwoLMAdapter.kernel`` and the
+    reference; every timing, the tag stats and both counters must agree."""
     system = TwoLMSystem(
         MemoryDevice.dram(num_sets * ways * LINE),
         MemoryDevice.nvram(BACKING),
@@ -156,3 +152,34 @@ def test_kernel_matches_naive_reference(ways, num_sets, metadata, sizes, specs):
     dram, nvram = system.dram_traffic, system.nvram_traffic
     assert [dram.read_bytes, dram.write_bytes] == ref.dram
     assert [nvram.read_bytes, nvram.write_bytes] == ref.nvram
+
+
+@given(
+    ways=st.sampled_from([1, 2, 4]),
+    num_sets=st.sampled_from([3, 5, 8, 13]),
+    metadata=st.sampled_from([0.0, 0.1, 0.37]),
+    sizes=st.lists(st.integers(1, 40 * LINE), min_size=4, max_size=4),
+    specs=st.lists(kernels, min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_naive_reference(ways, num_sets, metadata, sizes, specs):
+    check_kernels(ways, num_sets, metadata, sizes, specs)
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4])
+def test_repeated_passes_over_tensors_larger_than_the_cache(ways):
+    """Fixed cases for the closed form's edges, factors of 2 or more
+    throughout: a tensor of exactly the cache's lines, one line more,
+    twice the cache, a tensor read and written by one kernel, and tails
+    that are and are not contained. A pass after the first is answered in
+    closed form only when its span fits a direct-mapped set array."""
+    lines = 8
+    sizes = [lines * LINE, (lines + 1) * LINE, 2 * lines * LINE + 5, 3 * LINE]
+    specs = [
+        ((0,), (0,), 2.0, 3.0, 1.0, 1.0e9),
+        ((1,), (1,), 2.5, 2.0, 0.5, 0.0),
+        ((2, 2), (3,), 3.7, 2.0, 0.0, 1.0e9),
+        ((3, 0), (3,), 2.25, 2.5, 1.0, 1.0e9),
+        ((0, 1, 2, 3), (2,), 4.0, 1.0, 0.3, 1.0e12),
+    ]
+    check_kernels(ways, lines // ways, 0.1, sizes, specs)

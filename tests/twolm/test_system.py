@@ -114,6 +114,33 @@ def test_failed_batch_changes_nothing(ways, sweeps, sensitivity, error):
     assert system.cache_stats() == stats and system.traffic() == traffic
 
 
+@pytest.mark.parametrize("ways", [1, 2])
+@pytest.mark.parametrize(
+    "spans",
+    [
+        # The last span runs past the backing store's 16 384 lines.
+        [(1024, 32, False), (0, 16, True), (16384 - 16, 32, False)],
+        [(0, 16, False), (0, 0, True)],
+        [(0, 16, False), (-1, 2, True)],
+        # A bad span after a repeat, which the walk answers in closed form.
+        [(0, 16, False), (0, 16, False), (16384, 1, False)],
+    ],
+)
+def test_failed_span_batch_changes_nothing(ways, spans):
+    """The kernel path's line spans are checked like byte ranges: a batch
+    with one bad span raises before any tag, stat or counter changes."""
+    system = make(ways=ways)
+    system.access(0, 2 * KiB, is_write=True)
+    cache = system.cache
+    runs = (list(cache._bounds), list(cache._states))
+    tick, stats, traffic = cache._tick, system.cache_stats(), system.traffic()
+    with pytest.raises(ConfigurationError):
+        system.access_spans(spans, 1.0)
+    assert (cache._bounds, cache._states) == runs
+    assert cache._tick == tick
+    assert system.cache_stats() == stats and system.traffic() == traffic
+
+
 def test_cache_stats_and_traffic_snapshots():
     system = make()
     offset = system.allocate(KiB)
