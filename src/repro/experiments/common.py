@@ -292,8 +292,8 @@ def prepare_trace_mode(
 ) -> PreparedRun:
     """Build the system + executor for one mode without running it."""
     mode_cfg = resolve_mode(mode_name)
-    footprint = trace.peak_live_bytes()
     annotated = annotate(trace, memopt=mode_cfg.memopt)
+    footprint = trace.peak_live_bytes()  # from annotate's walk
     if mode_cfg.system == "2lm":
         system = TwoLMSystem(
             config.build_dram(),

@@ -776,11 +776,9 @@ def run_serving(
     traces: dict[str, KernelTrace] = {}
     footprints: dict[str, int] = {}
     for cls in REQUEST_CLASSES:
-        annotated = annotate(
-            request_trace(cls).scaled(config.scale), memopt=mode_cfg.memopt
-        )
-        traces[cls.name] = annotated
-        footprints[cls.name] = annotated.peak_live_bytes()
+        raw = request_trace(cls).scaled(config.scale)
+        traces[cls.name] = annotate(raw, memopt=mode_cfg.memopt)
+        footprints[cls.name] = raw.peak_live_bytes()  # from annotate's walk
 
     mean_footprint = sum(
         cls.weight * footprints[cls.name] for cls in REQUEST_CLASSES

@@ -98,11 +98,17 @@ class TwoLMSystem:
     # -- access path -------------------------------------------------------------
 
     def access(self, offset: int, size: int, *, is_write: bool) -> AccessResult:
-        """Route one tensor access through the DRAM cache; account traffic."""
+        """Route one tensor access through the DRAM cache; account traffic.
+        A one-sweep :meth:`access_spans` batch, its counts read off the
+        cache's ``stats``."""
+        stats = self.cache.stats
+        hits, dirty = stats.hits, stats.dirty_misses
         spans = self.cache.line_spans(((offset, size, is_write),))
-        walked = self.cache.access_spans(spans)
-        self._record(*self._fold(spans, walked, 1.0))
-        return AccessResult.of(*walked[0], self.cache.line_size)
+        self.access_spans(spans, 1.0)
+        return AccessResult.of(
+            spans[0][1], stats.hits - hits, stats.dirty_misses - dirty,
+            self.cache.line_size,
+        )
 
     def access_sweeps(
         self, sweeps: Sequence[tuple[int, int, bool]], read_sensitivity: float
@@ -120,23 +126,27 @@ class TwoLMSystem:
 
         ``read_sensitivity`` is the share of a read sweep's NVRAM time
         exposed as a stall, as in :func:`~repro.runtime.kernel.kernel_timing`.
-        A batch that fails its checks changes nothing.
+        The cache prices each sweep from the sweep-cost memo as it walks
+        it (:meth:`DramCacheSim.walk_spans`). A batch that fails its checks
+        changes nothing.
         """
         if not 0.0 <= read_sensitivity <= 1.0:
             raise ValueError(f"read_sensitivity must be in [0,1]: {read_sensitivity}")
-        walked = self.cache.access_spans(spans)
-        return self._record(*self._fold(spans, walked, read_sensitivity))
+        return self._record(*self.cache.walk_spans(
+            spans, self._sweep_costs, self._sweep_cost, read_sensitivity
+        ))
 
     def time_of(self, result: AccessResult) -> tuple[float, float]:
         """(DRAM seconds, NVRAM seconds) of service time for one access:
-        the fold of a one-sweep batch at full read sensitivity."""
+        its sweep's cost at full read sensitivity."""
         lines = result.hits + result.clean_misses + result.dirty_misses
-        walked = ((lines, result.hits, result.dirty_misses),)
-        return self._fold(((0, 0, False),), walked, 1.0)[:2]
+        entry = (lines, result.hits, result.dirty_misses)
+        cost = self._sweep_costs.get((False, entry)) or self._sweep_cost(False, entry)
+        return cost[0], cost[1]
 
     def _record(self, dram_time, nvram_time, *traffic: int) -> tuple[float, float]:
-        """Charge a fold's byte totals (DRAM read, DRAM write, NVRAM read,
-        NVRAM write) to the counters in place (a fold's totals are never
+        """Charge a walk's byte totals (DRAM read, DRAM write, NVRAM read,
+        NVRAM write) to the counters in place (a walk's totals are never
         negative); pass its times on."""
         dram, nvram = self.dram_traffic, self.nvram_traffic
         dram.read_bytes += traffic[0]
@@ -152,8 +162,8 @@ class TwoLMSystem:
 
         A sweep's cost depends on nothing else: the line size, the device
         models, the thread counts and the overheads are fixed at
-        construction, and the read sensitivity is applied by the fold. A
-        ``cnn-2lm`` pass folds 141 332 sweeps and misses the memo 2 196
+        construction, and the read sensitivity is applied by the walk. A
+        ``cnn-2lm`` pass prices 141 332 sweeps and misses the memo 2 196
         times. A snapshot written without the memo refills it lazily.
         """
         return {}
@@ -161,8 +171,9 @@ class TwoLMSystem:
     def _sweep_cost(self, is_write: bool, entry: tuple[int, int, int]) -> tuple:
         """The memo's miss path, and the only body of a sweep's arithmetic:
         (DRAM s, NVRAM s, DRAM read, DRAM write, NVRAM read, NVRAM write
-        bytes) from its ``access_spans`` entry. The NVRAM time is whole;
-        the fold splits a read's into hidden and exposed shares."""
+        bytes) from its ``(lines, hits, dirty misses)`` entry. The NVRAM
+        time is whole; the walk splits a read's into hidden and exposed
+        shares."""
         lines, hits, dirty = entry
         ls = self.cache.line_size
         overhead = self.metadata_overhead
@@ -201,42 +212,6 @@ class TwoLMSystem:
             dram, nvram, dram_read, dram_write, fill_bytes, victim_bytes
         )
         return cost
-
-    def _fold(self, sweeps, walked, read_sensitivity: float) -> tuple:
-        """Time and traffic of ``sweeps`` given their ``access_spans``
-        entries: (DRAM s, NVRAM s, DRAM read, DRAM write, NVRAM read, NVRAM
-        write bytes). A sweep's cost is one memo lookup, made only when its
-        entry or write flag differs from the sweep before it (a repeated
-        pass reuses the cost in hand); the sums run in sweep order. Changes
-        nothing but the memo."""
-        costs = self._sweep_costs
-        hidden = 1.0 - read_sensitivity
-        dram_read = dram_write = nvram_read = nvram_write = 0
-        dram_time = nvram_time = 0.0
-        last = last_write = None
-        for (_, _, is_write), entry in zip(sweeps, walked):
-            if entry != last or is_write != last_write:
-                last, last_write = entry, is_write
-                try:
-                    dram, nvram, d_read, d_write, n_read, n_write = costs[is_write, entry]
-                except KeyError:
-                    dram, nvram, d_read, d_write, n_read, n_write = self._sweep_cost(
-                        is_write, entry
-                    )
-            dram_read += d_read
-            dram_write += d_write
-            nvram_read += n_read
-            nvram_write += n_write
-            if is_write:
-                dram_time += dram
-                nvram_time += nvram
-            else:
-                # Demand fills on reads overlap like DRAM traffic for
-                # read-insensitive kernels (hardware MLP), mirroring the CA
-                # path so the two systems stay comparable.
-                dram_time += dram + nvram * hidden
-                nvram_time += nvram * read_sensitivity
-        return dram_time, nvram_time, dram_read, dram_write, nvram_read, nvram_write
 
     # -- telemetry -----------------------------------------------------------------
 

@@ -17,6 +17,19 @@ here the equivalent pass rewrites a raw kernel trace:
 ``will_read``/``will_write`` hints are issued per kernel by the executor
 (they are positionally determined: immediately before the kernel), so they
 do not appear as trace events.
+
+One walk per content. :func:`annotate` checks its input, rewrites it and
+measures its peak live bytes in one walk, and never re-checks its output,
+which is valid by construction (``tests/workloads/test_annotate.py`` holds
+that as a property). It keeps what it derived on the raw trace, as a
+:class:`~repro.workloads.trace.Prepared` in ``trace.prepared``: at most
+``KEPT_ANNOTATIONS`` annotated event tuples keyed by the options, used only
+while the trace's name, tensor table and events equal the ones they were
+made from (compared element by element, identity first). Every call returns
+a fresh ``KernelTrace`` with its own tensor table and event list over the
+shared, frozen events, so a caller that runs one trace under several modes
+walks it once per option set, and ``peak_live_bytes`` on that trace
+answers from the same walk. The kept result is never compared or pickled.
 """
 
 from __future__ import annotations
@@ -25,15 +38,19 @@ from repro.workloads.trace import (
     Alloc,
     Archive,
     Event,
-    Free,
     GcDefer,
     Kernel,
     KernelTrace,
+    Prepared,
     Retire,
     WillRead,
 )
 
 __all__ = ["annotate"]
+
+# Annotations kept per raw trace content: a figure runs each trace with
+# memopt on and off.
+KEPT_ANNOTATIONS = 2
 
 
 def annotate(
@@ -50,36 +67,49 @@ def annotate(
     than the operand's allocation). With a prefetching policy and an
     asynchronous copy engine, this is what lets data movement overlap with
     compute — the paper's Section VI / Figure 7 projection.
+
+    The result is remembered on ``trace`` (module docstring): every call
+    returns a new trace, but a trace whose content has not changed is
+    walked once per option set.
     """
-    trace.validate()
-    events: list[Event] = []
-    freed_next: set[str] = set()
-    raw = trace.events
-    for index, event in enumerate(raw):
-        if isinstance(event, Free):
-            events.append(
-                Retire(event.tensor) if memopt else GcDefer(event.tensor)
-            )
-            continue
-        events.append(event)
-        if archive_hints and isinstance(event, Kernel) and event.phase == "forward":
-            freed_next.clear()
-            # Look ahead past this kernel for immediate frees: archiving a
-            # tensor that dies right away would be pure hint noise.
-            for successor in raw[index + 1 : index + 1 + len(event.reads)]:
-                if isinstance(successor, Free):
-                    freed_next.add(successor.tensor)
-            for name in event.reads:
-                if name not in freed_next:
-                    events.append(Archive(name))
-    if lookahead > 0:
-        events = _insert_lookahead_hints(events, lookahead)
+    key = (memopt, archive_hints, lookahead)
+    prepared = trace.prepared
+    if prepared is not None and not prepared.holds(trace):
+        prepared = None
+    events = None if prepared is None else prepared.annotated.get(key)
+    if events is None:
+        archives = {} if prepared is None else prepared.archives
+        rewritten, footprint = _rewrite(trace, memopt, archive_hints, archives)
+        if lookahead > 0:
+            rewritten = _insert_lookahead_hints(rewritten, lookahead)
+        if prepared is None:
+            prepared = trace.prepared = Prepared(trace, footprint, archives)
+        kept = prepared.annotated
+        if len(kept) >= KEPT_ANNOTATIONS:
+            del kept[next(iter(kept))]
+        events = kept[key] = tuple(rewritten)
     suffix = f"{'M' if memopt else 'gc'}{'A' if archive_hints else ''}"
     if lookahead:
         suffix += f"+la{lookahead}"
-    annotated = trace.with_events(events, suffix)
-    annotated.validate()
-    return annotated
+    return KernelTrace(
+        tensors=dict(trace.tensors), events=list(events), name=f"{trace.name}:{suffix}"
+    )
+
+
+def _rewrite(
+    trace: KernelTrace, memopt: bool, archive_hints: bool, archives: dict[str, Archive]
+) -> tuple[list[Event], int]:
+    """Check, rewrite and measure ``trace`` in one walk
+    (:meth:`KernelTrace.walk_lifetimes`): the annotated events without
+    lookahead hints, and the raw peak live bytes. Raises ``validate()``'s
+    error for an invalid trace. The output needs no check of its own: a
+    ``Free`` becomes a ``Retire``/``GcDefer`` of the same tensor, and an
+    ``Archive`` directly follows a kernel that read its tensor."""
+    events: list[Event] = []
+    footprint = trace.walk_lifetimes(
+        events, Retire if memopt else GcDefer, archives if archive_hints else None
+    )
+    return events, footprint
 
 
 def _insert_lookahead_hints(events: list[Event], lookahead: int) -> list[Event]:

@@ -11,6 +11,10 @@ reclaim it), and inserts :class:`Archive` hints.
 Tensors are identified by name. ``persistent`` tensors (weights, optimiser
 state) survive across iterations: their ``Alloc`` is a no-op after the first
 iteration and they never carry a ``Free``.
+
+``TensorSpec`` and every event class are frozen, slotted dataclasses: a
+trace's events are shared values, so one event object may sit in many
+traces (the annotation pass hands every mode the same ones).
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ __all__ = [
     "IterEnd",
     "Event",
     "KernelTrace",
+    "Prepared",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorSpec:
     """One logical tensor of a workload."""
 
@@ -51,12 +56,12 @@ class TensorSpec:
             raise TraceError(f"tensor {self.name!r} has non-positive size")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alloc:
     tensor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kernel:
     """One compute kernel: operand names, work, and traffic factors.
 
@@ -86,35 +91,35 @@ class Kernel:
     hinted: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Free:
     """Semantic death point of a tensor (raw traces only)."""
 
     tensor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Retire:
     """Eagerly reclaim a tensor (annotated traces, M enabled)."""
 
     tensor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GcDefer:
     """The tensor is dead, but reclamation waits for the collector."""
 
     tensor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Archive:
     """Table II ``archive``: not used for some time; prefer as a victim."""
 
     tensor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WillRead:
     """Table II ``will_read``, issued explicitly ahead of the kernel.
 
@@ -126,14 +131,14 @@ class WillRead:
     tensor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WillWrite:
     """Table II ``will_write``, issued explicitly ahead of the kernel."""
 
     tensor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterEnd:
     """End of one training iteration (GC + defragmentation point)."""
 
@@ -144,6 +149,37 @@ Event = (
 )
 
 
+class Prepared:
+    """What the annotation pass derived from one content of a raw trace.
+
+    It copies the content it was made from (name, tensor table, event
+    list) and holds that content's peak live bytes, the annotated event
+    tuples keyed by annotation options, and one ``Archive`` per tensor
+    name for those tuples to share. :meth:`holds` says whether a trace
+    still has that content; the comparison is element by element, and
+    an unchanged element compares by identity.
+    """
+
+    __slots__ = ("name", "tensors", "events", "footprint", "annotated", "archives")
+
+    def __init__(
+        self, trace: "KernelTrace", footprint: int, archives: dict[str, "Archive"]
+    ) -> None:
+        self.name = trace.name
+        self.tensors = dict(trace.tensors)
+        self.events = list(trace.events)
+        self.footprint = footprint
+        self.annotated: dict[tuple, tuple[Event, ...]] = {}
+        self.archives = archives
+
+    def holds(self, trace: "KernelTrace") -> bool:
+        return (
+            self.name == trace.name
+            and self.events == trace.events
+            and self.tensors == trace.tensors
+        )
+
+
 @dataclass
 class KernelTrace:
     """A tensor table plus an ordered event stream for one iteration."""
@@ -151,6 +187,16 @@ class KernelTrace:
     tensors: dict[str, TensorSpec] = field(default_factory=dict)
     events: list[Event] = field(default_factory=list)
     name: str = "trace"
+    # What annotate derived from this trace's content; derived state, never
+    # compared, shown or pickled.
+    prepared: Prepared | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("prepared", None)
+        return state
 
     # -- construction helpers ----------------------------------------------
 
@@ -180,8 +226,12 @@ class KernelTrace:
         Persistent tensors count from their first Alloc onward; others
         between Alloc and Free/Retire/GcDefer (a GC-deferred tensor is
         semantically dead, so it does not count toward the *minimum* memory
-        footprint the paper reports).
+        footprint the paper reports). A trace annotated since its last
+        change answers from the annotation pass's walk.
         """
+        prepared = self.prepared
+        if prepared is not None and prepared.holds(self):
+            return prepared.footprint
         live = 0
         peak = 0
         sizes = {name: spec.nbytes for name, spec in self.tensors.items()}
@@ -202,26 +252,54 @@ class KernelTrace:
 
     def validate(self) -> None:
         """Reject inconsistent traces (use-before-alloc, use-after-free...)."""
+        self.walk_lifetimes()
+
+    def walk_lifetimes(
+        self,
+        out: list[Event] | None = None,
+        free_as: type | None = None,
+        archives: dict[str, Archive] | None = None,
+    ) -> int:
+        """:meth:`validate`'s walk: raises on the first inconsistent event,
+        returns the peak live bytes (:meth:`peak_live_bytes`).
+
+        With ``out``, the same walk also writes the annotation pass's
+        rewrite of every event into it: a ``Free`` becomes
+        ``free_as(tensor)``, and, when ``archives`` is given, a forward
+        kernel is followed by an ``Archive`` of each operand it reads that
+        none of the next ``len(reads)`` events frees (archiving a tensor
+        that dies right away would be pure hint noise). ``archives`` keeps
+        one ``Archive`` per tensor name, to share across rewrites.
+        """
+        tensors = self.tensors
         live: dict[str, None] = {}  # in allocation order
         dead: set[str] = set()
+        live_bytes = peak = 0
+        freed_next: set[str] = set()
 
         def check_use(name: str, what: str) -> None:
-            if name not in self.tensors:
+            if name not in tensors:
                 raise TraceError(f"{what} of unknown tensor {name!r}")
             if name in dead:
                 raise TraceError(f"{what} of dead tensor {name!r}")
-            if name not in live:
-                raise TraceError(f"{what} of unallocated tensor {name!r}")
+            raise TraceError(f"{what} of unallocated tensor {name!r}")
 
-        for event in self.events:
+        # A live name is in the table and not dead: only a failing use
+        # pays for the label and the call.
+        raw = self.events
+        for index, event in enumerate(raw):
             if isinstance(event, Alloc):
-                if event.tensor not in self.tensors:
-                    raise TraceError(f"Alloc of unknown tensor {event.tensor!r}")
-                if event.tensor in live:
-                    raise TraceError(f"double Alloc of {event.tensor!r}")
-                if event.tensor in dead:
-                    raise TraceError(f"Alloc of dead tensor {event.tensor!r}")
-                live[event.tensor] = None
+                name = event.tensor
+                if name not in tensors:
+                    raise TraceError(f"Alloc of unknown tensor {name!r}")
+                if name in live:
+                    raise TraceError(f"double Alloc of {name!r}")
+                if name in dead:
+                    raise TraceError(f"Alloc of dead tensor {name!r}")
+                live[name] = None
+                live_bytes += tensors[name].nbytes
+                if live_bytes > peak:
+                    peak = live_bytes
             elif isinstance(event, Kernel):
                 # Both memory systems trust these: caught here, before either
                 # moves data (an infinite factor would never finish a sweep).
@@ -232,27 +310,46 @@ class KernelTrace:
                         f"kernel {event.name!r}: traffic factors ({rf}, {wf}) must be "
                         f"finite and >= 0, read_sensitivity ({s}) in [0,1]"
                     )
-                # A live name is in the table and not dead: only a failing
-                # operand pays for the label and the call.
                 for name in event.reads:
                     if name not in live:
                         check_use(name, f"kernel {event.name!r} read")
                 for name in event.writes:
                     if name not in live:
                         check_use(name, f"kernel {event.name!r} write")
+                if archives is not None and event.phase == "forward":
+                    out.append(event)
+                    freed_next.clear()
+                    for successor in raw[index + 1 : index + 1 + len(event.reads)]:
+                        if isinstance(successor, Free):
+                            freed_next.add(successor.tensor)
+                    for name in event.reads:
+                        if name not in freed_next:
+                            archive = archives.get(name)
+                            if archive is None:
+                                archive = archives[name] = Archive(name)
+                            out.append(archive)
+                    continue
             elif isinstance(event, (Free, Retire, GcDefer)):
-                check_use(event.tensor, type(event).__name__)
-                if self.tensors[event.tensor].persistent:
-                    raise TraceError(
-                        f"persistent tensor {event.tensor!r} cannot be freed"
-                    )
-                del live[event.tensor]
-                dead.add(event.tensor)
+                name = event.tensor
+                if name not in live:
+                    check_use(name, type(event).__name__)
+                spec = tensors[name]
+                if spec.persistent:
+                    raise TraceError(f"persistent tensor {name!r} cannot be freed")
+                del live[name]
+                dead.add(name)
+                live_bytes -= spec.nbytes
+                if free_as is not None and isinstance(event, Free):
+                    event = free_as(name)
             elif isinstance(event, (Archive, WillRead, WillWrite)):
-                check_use(event.tensor, type(event).__name__)
+                if event.tensor not in live:
+                    check_use(event.tensor, type(event).__name__)
+            if out is not None:
+                out.append(event)
         for name in live:
-            if not self.tensors[name].persistent:
+            if not tensors[name].persistent:
                 raise TraceError(f"non-persistent tensor {name!r} never freed")
+        return peak
 
     def with_events(self, events: Iterable[Event], suffix: str) -> "KernelTrace":
         """A sibling trace with the same tensor table but new events."""

@@ -17,6 +17,7 @@ from repro.core.object import MemObject
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentConfig, run_trace_mode
 from repro.nn.models import MODEL_REGISTRY
+from repro.workloads.trace import Alloc
 from repro.runtime.elastic import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
@@ -267,6 +268,38 @@ class TestEnvelope:
         path.write_bytes(pickle.dumps(envelope))
         with pytest.raises(ConfigurationError, match="version 10 unsupported"):
             load_snapshot(str(path))
+
+    def test_version_11_envelope_is_rejected(self, tmp_path):
+        """Version 11 predates slotted trace events. Its ``Alloc`` pickled
+        a ``__dict__`` state, which this build's slotted frozen dataclass
+        reads field by field, so it would load silently wrong: a dict-state
+        ``Alloc('w1')`` unpickles as ``Alloc(tensor='tensor')``."""
+
+        class DictStateAlloc:
+            def __reduce__(self):
+                return object.__new__, (Alloc,), {"tensor": "w1"}
+
+        assert pickle.loads(pickle.dumps(DictStateAlloc())) == Alloc("tensor")
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 11, "snapshot": snap,
+        }
+        path = tmp_path / "v11.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 11 unsupported"):
+            load_snapshot(str(path))
+
+    def test_slotted_trace_round_trips_through_a_snapshot(self, tmp_path):
+        """A paused run's annotated trace is frozen, slotted events: it
+        loads equal, event by event, with no instance ``__dict__``."""
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        loaded = load_snapshot(save_snapshot(snap, str(tmp_path / "t.snap")))
+        before, after = snap.payload.annotated, loaded.payload.annotated
+        assert after == before and after.events is not before.events
+        assert [type(e) for e in after.events] == [type(e) for e in before.events]
+        assert after.tensors == before.tensors
+        assert not any(hasattr(e, "__dict__") for e in after.events)
+        assert after.prepared is None
 
     def test_stale_class_layout_is_rejected_with_the_typed_error(
         self, tmp_path

@@ -84,8 +84,9 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
     """ROADMAP item 1(a): function calls per pass as a deterministic number —
     two fresh processes running one fixed command report the same count
     (98 818 calls once a kernel made one policy call before it runs, 94 736
-    once the policy bumped its stats counters in place; the floor only says
-    the serving sweep really ran)."""
+    once the policy bumped its stats counters in place, 94 596 once the
+    annotation pass checked, rewrote and measured a trace in one walk; the
+    floor only says the serving sweep really ran)."""
     command = "-m repro serve --scale 2048 --requests 20"
     first, second = status_line(command), status_line(command)
     assert first == second
@@ -93,8 +94,11 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
 
 
 # Calls into src/repro (imports included) of the command below once the
-# policy bumped its stats counters in place, with no descriptor calls
-# (226 276 before that, once a
+# annotation pass checked, rewrote and measured each request trace in one
+# walk, and the trace check stopped calling ``check_use`` for a live
+# tensor's ``Free`` or ``Archive`` (217 280 before that, once the
+# policy bumped its stats counters in place, with no descriptor calls;
+# 226 276 before that, once a
 # kernel's hints and residency became one policy call, whose sweeps note
 # recency only before a fetch, read each primary inline and bump each pin
 # count in place; 285 118 before that, once the run loop sampled all of a
@@ -113,7 +117,7 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
 # constant in one call and recorded a kernel's traffic once per device;
 # 613 278 before a kernel's hints, residency and finish became one policy
 # call each).
-SERVE_CALLS = 217_280
+SERVE_CALLS = 217_140
 
 
 def test_serving_calls_per_command_do_not_creep_back():
@@ -125,8 +129,11 @@ def test_serving_calls_per_command_do_not_creep_back():
 
 
 # Calls into src/repro (imports included) of the traced command below once
-# the policy bumped its stats counters in place, with no descriptor calls
-# (518 818 before that, once
+# the annotation pass checked, rewrote and measured the trace in one walk
+# instead of checking its input and output in two more (511 328 before
+# that, once
+# the policy bumped its stats counters in place, with no descriptor calls;
+# 518 818 before that, once
 # a kernel's hints and residency became one policy call; 540 551 before
 # that, once the run loop sampled its tracks with one frame stamp and the
 # kernel adapter priced each operand from its heap's plan; 558 455 before that,
@@ -137,7 +144,7 @@ def test_serving_calls_per_command_do_not_creep_back():
 # ``Tracer._event``; 606 179 before that; 635 897 before the allocator moved onto boundary tags and placed
 # inline; 724 266 before a traced kernel's hints and residency became one
 # policy call each, opening a scope only around an operand that moves).
-PROFILE_CALLS = 511_328
+PROFILE_CALLS = 508_417
 
 
 def test_traced_calls_per_command_do_not_creep_back():

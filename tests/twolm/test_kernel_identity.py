@@ -183,3 +183,97 @@ def test_repeated_passes_over_tensors_larger_than_the_cache(ways):
         ((0, 1, 2, 3), (2,), 4.0, 1.0, 0.3, 1.0e12),
     ]
     check_kernels(ways, lines // ways, 0.1, sizes, specs)
+
+
+# -- the fused walk against the walk followed by a separate fold ---------------
+
+
+def fold_after_walk(system, spans, walked, read_sensitivity):
+    """The fold that re-walked a batch's ``(lines, hits, dirty)`` entries
+    once the tag walk had built them: each sweep's cost from
+    ``_sweep_cost``, summed in sweep order. (DRAM s, NVRAM s, DRAM read,
+    DRAM write, NVRAM read, NVRAM write bytes)."""
+    hidden = 1.0 - read_sensitivity
+    dram_time = nvram_time = 0.0
+    traffic = [0, 0, 0, 0]
+    for (_, _, is_write), entry in zip(spans, walked):
+        dram, nvram, *bytes_moved = system._sweep_cost(is_write, entry)
+        traffic = [a + b for a, b in zip(traffic, bytes_moved)]
+        if is_write:
+            dram_time += dram
+            nvram_time += nvram
+        else:
+            dram_time += dram + nvram * hidden
+            nvram_time += nvram * read_sensitivity
+    return dram_time, nvram_time, *traffic
+
+
+def counters(system):
+    dram, nvram = system.dram_traffic, system.nvram_traffic
+    return [dram.read_bytes, dram.write_bytes, nvram.read_bytes, nvram.write_bytes]
+
+
+# One operand's passes as a kernel hands them: a span, ``copies`` more
+# passes as the same tuple, then perhaps a tail that starts with it.
+operand_passes = st.tuples(
+    st.integers(0, 255),
+    st.integers(1, 16) | st.integers(1, 120),
+    st.booleans(),
+    st.integers(0, 3),
+    st.none() | st.tuples(st.integers(1, 40), st.booleans()),
+)
+
+
+def kernel_spans(operands):
+    spans = []
+    for first, lines, is_write, copies, tail in operands:
+        whole = (first, min(lines, 256 - first), is_write)
+        spans += [whole] * (copies + 1)
+        if tail is not None:
+            lines, tail_write = tail
+            spans.append((first, min(lines, whole[1]), tail_write))
+    return spans
+
+
+@given(
+    ways=st.sampled_from([1, 2, 4]),
+    num_sets=st.sampled_from([3, 5, 8, 13, 32]),
+    metadata=st.sampled_from([0.0, 0.1, 0.37]),
+    batches=st.lists(
+        st.tuples(st.lists(operand_passes, min_size=1, max_size=4), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_fused_walk_equals_walk_then_fold(ways, num_sets, metadata, batches):
+    """``TwoLMSystem.access_spans`` prices each sweep inside the tag walk.
+    A twin system walks the same batches span by span
+    (``DramCacheSim.access_spans``) and folds the entries afterwards: the
+    seconds agree by ``float.hex``, the four counter deltas, the tag stats
+    and the tag store exactly."""
+    fused, twin = (
+        TwoLMSystem(
+            MemoryDevice.dram(num_sets * ways * LINE),
+            MemoryDevice.nvram(BACKING),
+            line_size=LINE,
+            ways=ways,
+            metadata_overhead=metadata,
+        )
+        for _ in range(2)
+    )
+    for operands, sensitivity in batches:
+        spans = kernel_spans(operands)
+        before = counters(fused)
+        got = fused.access_spans(spans, sensitivity)
+        moved = [a - b for a, b in zip(counters(fused), before)]
+        want = fold_after_walk(
+            twin, spans, twin.cache.access_spans(spans), sensitivity
+        )
+        assert [x.hex() for x in got] == [x.hex() for x in want[:2]]
+        assert moved == list(want[2:])
+        assert fused.cache_stats() == twin.cache_stats()
+        assert (fused.cache._bounds, fused.cache._states) == (
+            twin.cache._bounds, twin.cache._states
+        )
+        fused.cache.check_invariants()
