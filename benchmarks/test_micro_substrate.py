@@ -78,7 +78,7 @@ def test_copyengine_real_memcpy(benchmark):
     nvram = Heap(MemoryDevice.nvram(64 * MiB, real=True))
     src = dram.allocate(32 * MiB)
     dst = nvram.allocate(32 * MiB)
-    engine = CopyEngine(SimClock(), parallel_threshold=4 * MiB, pool_workers=4)
+    engine = CopyEngine(SimClock())  # 32 MiB: past PARALLEL_THRESHOLD, pooled
 
     def copy():
         engine.copy(dram, src, nvram, dst, 32 * MiB)

@@ -89,17 +89,20 @@ class CachedArray:
         self._session.policy.will_use(self._obj)
         return self
 
-    # will_read/will_write take a kernel's hint path, so a traced session
-    # records the hint and attributes the movement it causes to it.
+    # will_read/will_write take a kernel's per-operand hint path, so a
+    # traced session records the hint and attributes the movement it
+    # causes to it.
 
     def will_read(self) -> "CachedArray":
-        session = self._session
-        session.policy.hint_operands((self._obj,), (), session.tracer)
+        session, obj = self._session, self._obj
+        with session.tracer.hint("will_read", obj):
+            session.policy.will_read(obj)
         return self
 
     def will_write(self) -> "CachedArray":
-        session = self._session
-        session.policy.hint_operands((), (self._obj,), session.tracer)
+        session, obj = self._session, self._obj
+        with session.tracer.hint("will_write", obj):
+            session.policy.will_write(obj)
         return self
 
     def archive(self) -> "CachedArray":

@@ -21,10 +21,10 @@ here, because some placement decision must happen at these moments:
 
 A kernel crosses this boundary once before it runs, traced or not, and
 once after: :meth:`Policy.acquire_operands` takes the kernel's operand lists
-and the session's tracer and does its pre-launch work — the hint sweep
-(:meth:`Policy.hint_operands`) when the kernel is hinted, then the residency
-sweep (:meth:`Policy.resolve_operands`) over the unique operands — and
-:meth:`Policy.on_kernel_finish` follows it. The defaults are the per-object
+and the session's tracer and does its pre-launch work — its hints when the
+kernel is hinted (:func:`issue_hints`), then residency and a pin for each
+unique operand (:func:`resolve_residency`) — and
+:meth:`Policy.on_kernel_finish` follows it. The default is those per-object
 loops, which open the operand's ``hint`` or residency scope around each
 per-object call — so a policy written against Table II alone never sees
 them, and its movement is still attributed to the operand that caused it.
@@ -47,7 +47,9 @@ __all__ = [
     "Policy",
     "DelegatingPolicy",
     "RESIDENCY_LABELS",
+    "issue_hints",
     "operand_intents",
+    "resolve_residency",
 ]
 
 
@@ -81,6 +83,45 @@ def operand_intents(
     intents = dict.fromkeys(reads, AccessIntent.READ)
     intents.update(dict.fromkeys(writes, AccessIntent.WRITE))
     return intents.items()
+
+
+def issue_hints(
+    policy: "Policy",
+    tracer,
+    read_objs: Iterable[MemObject],
+    write_objs: Iterable[MemObject],
+) -> None:
+    """Fire ``will_read``/``will_write`` for a kernel's operands, each under
+    its ``tracer.hint`` scope: the tracer emits one ``hint`` event per
+    operand, in operand order, and roots whatever the hint moves at it."""
+    for obj in read_objs:
+        with tracer.hint("will_read", obj):
+            policy.will_read(obj)
+    for obj in write_objs:
+        with tracer.hint("will_write", obj):
+            policy.will_write(obj)
+
+
+def resolve_residency(
+    policy: "Policy",
+    tracer,
+    read_objs: Iterable[MemObject],
+    write_objs: Iterable[MemObject],
+    pinned: list[MemObject],
+) -> None:
+    """Ensure residency for each of a kernel's unique operands
+    (:func:`operand_intents`) and pin it.
+
+    Each object is pinned as soon as it is resident — so a sibling's
+    forced prefetch cannot evict it — and appended to ``pinned``, so a
+    failure mid-way tells the caller exactly what to unpin. Movement is
+    attributed to the operand's ``RESIDENCY_LABELS`` scope.
+    """
+    for obj, intent in operand_intents(read_objs, write_objs):
+        with tracer.scope(RESIDENCY_LABELS[intent], obj):
+            policy.ensure_resident(obj, intent)
+        obj.pin()
+        pinned.append(obj)
 
 
 class Policy(abc.ABC):
@@ -161,7 +202,7 @@ class Policy(abc.ABC):
         """The object will never be used again; default frees everything."""
         self.manager.destroy_object(obj)
 
-    # -- per-kernel batch entry points ------------------------------------------------
+    # -- one kernel's pre-launch work ---------------------------------------------
 
     def acquire_operands(
         self,
@@ -174,57 +215,19 @@ class Policy(abc.ABC):
         """A kernel's pre-launch work, in one call: its hints (when
         ``hinted``), then residency and a pin for each unique operand.
 
-        The default is :meth:`hint_operands` followed by
-        :meth:`resolve_operands` over :func:`operand_intents`. The caller
-        unpins ``pinned`` and, if the kernel ran, calls
-        :meth:`on_kernel_finish` with the same lists, nothing moving in
-        between. An override must leave the state and the records the
-        default would once that call returns, and, if it raises, the state
-        the default leaves on the same error: it may defer bookkeeping that
+        The default is the per-object loops, :func:`issue_hints` then
+        :func:`resolve_residency`. The caller unpins ``pinned`` and, if the
+        kernel ran, calls :meth:`on_kernel_finish` with the same lists,
+        nothing moving in between. An override must leave the state and
+        the records the loops would once that call returns — a ``hint``
+        event per operand, in operand order, and every move under its
+        operand's scope — and, if it raises, the state the loops leave on
+        the same error: it may defer bookkeeping that
         :meth:`on_kernel_finish` redoes, never the movement or the pins.
         """
         if hinted:
-            self.hint_operands(reads, writes, tracer)
-        self.resolve_operands(operand_intents(reads, writes), pinned, tracer)
-
-    def hint_operands(
-        self,
-        reads: Iterable[MemObject],
-        writes: Iterable[MemObject],
-        tracer=NULL_TRACER,
-    ) -> None:
-        """Every ``will_read``/``will_write`` hint of one kernel, in one call.
-
-        The default is the per-object loop, each hint under its
-        ``tracer.hint`` scope. A policy overrides it to answer a whole
-        operand list without a call chain per operand, and must leave
-        exactly the state and the events that loop would: a ``hint`` event
-        per operand, in operand order, and every move under its operand's
-        scope. The default tracer emits nothing, which is how a caller that
-        opened the hint itself reaches the body.
-        """
-        for obj in reads:
-            with tracer.hint("will_read", obj):
-                self.will_read(obj)
-        for obj in writes:
-            with tracer.hint("will_write", obj):
-                self.will_write(obj)
-
-    def resolve_operands(
-        self, intents: Intents, pinned: list[MemObject], tracer=NULL_TRACER
-    ) -> None:
-        """Ensure residency for each of a kernel's unique operands and pin it.
-
-        Each object is pinned as soon as it is resident — so a sibling's
-        forced prefetch cannot evict it — and appended to ``pinned``, so a
-        failure mid-way tells the caller exactly what to unpin. Movement is
-        attributed to the operand's ``RESIDENCY_LABELS`` scope.
-        """
-        for obj, intent in intents:
-            with tracer.scope(RESIDENCY_LABELS[intent], obj):
-                self.ensure_resident(obj, intent)
-            obj.pin()
-            pinned.append(obj)
+            issue_hints(self, tracer, reads, writes)
+        resolve_residency(self, tracer, reads, writes, pinned)
 
     # -- bookkeeping hooks ----------------------------------------------------------
 
@@ -261,12 +264,11 @@ class DelegatingPolicy(Policy):
     and binds the *inner* policy, whose ``bind`` attaches its own stats to
     the metrics registry exactly once.
 
-    The batch entry points (:meth:`~Policy.acquire_operands` included)
-    are deliberately *not* forwarded: a wrapper inherits the per-object
-    loops, so each operand still passes through its
-    ``will_read``/``will_write``/``ensure_resident`` — a strike or an
-    injected fault lands on the operand that caused it. The loop opens
-    each operand's scope; the inner per-object method runs its batch body
+    :meth:`~Policy.acquire_operands` is deliberately *not* forwarded: a
+    wrapper inherits the per-object loops, so each operand still passes
+    through its ``will_read``/``will_write``/``ensure_resident`` — a strike
+    or an injected fault lands on the operand that caused it. The loop
+    opens each operand's scope; the inner per-object method runs its sweep
     with the no-op tracer, so no event is emitted twice.
     """
 

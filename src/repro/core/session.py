@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.errors import AllocationError, ConfigurationError, OutOfMemoryError
 from repro.core.cachedarray import CachedArray
 from repro.core.manager import DataManager
 from repro.core.object import MemObject
-from repro.core.policy_api import Policy, operand_intents
+from repro.core.policy_api import Policy, issue_hints, resolve_residency
 from repro.memory.copyengine import CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
@@ -50,45 +50,6 @@ __all__ = [
     "issue_hints",
     "resolve_residency",
 ]
-
-def issue_hints(
-    policy: Policy,
-    tracer: "tracing.Tracer | tracing.NullTracer",
-    read_objs: Iterable[MemObject],
-    write_objs: Iterable[MemObject],
-) -> None:
-    """Fire ``will_read``/``will_write`` hints for a kernel's operands.
-
-    Traced or not, the whole operand list crosses the policy boundary in
-    one :meth:`Policy.hint_operands` call, whose default is the per-object
-    loop. The tracer goes with it: the policy emits one ``hint`` event per
-    operand and opens an operand's hint scope around whatever it moves, so
-    enabling tracing cannot change placement or timing. A kernel makes
-    this call, and :func:`resolve_residency`'s, through one
-    :meth:`Policy.acquire_operands` call instead.
-    """
-    policy.hint_operands(read_objs, write_objs, tracer)
-
-
-def resolve_residency(
-    policy: Policy,
-    tracer: "tracing.Tracer | tracing.NullTracer",
-    read_objs: Iterable[MemObject],
-    write_objs: Iterable[MemObject],
-    pinned: list[MemObject],
-) -> None:
-    """Ensure residency for each of a kernel's operands and pin it.
-
-    Residency is resolved once per unique object — write intent wins for an
-    operand that is both read and written (in-place updates) — and the
-    object pinned immediately, so no later ensure can evict an operand that
-    is already placed. Objects are appended to ``pinned`` as they are
-    pinned, so a failure mid-way leaves the caller able to unpin exactly
-    what was pinned. That is one :meth:`Policy.resolve_operands` call,
-    traced or not, whose movement lands under the operand's residency
-    scope.
-    """
-    policy.resolve_operands(operand_intents(read_objs, write_objs), pinned, tracer)
 
 
 @dataclass

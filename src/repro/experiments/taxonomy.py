@@ -255,9 +255,9 @@ def run_taxonomy(
     """Run and classify the workload x mode matrix.
 
     Every cell runs with full tracing and is classified from its event
-    stream; reference-mode cells additionally run monitor-only (the ~1%
-    tier) and are classified from rollups, get per-window and ledger
-    evidence, and carry the pinned expected class.
+    stream; reference-mode cells additionally run monitor-only (the tier
+    that retains no events) and are classified from rollups, get per-window
+    and ledger evidence, and carry the pinned expected class.
     """
     config = config or ExperimentConfig()
     mode_names = tuple(modes) if modes else tuple(MODES)

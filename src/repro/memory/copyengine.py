@@ -39,6 +39,13 @@ from repro.units import MiB
 __all__ = ["CopyEngine", "CopyRecord"]
 
 MOVEMENT = "movement"  # clock busy-category for data movement
+# A real copy of at least PARALLEL_THRESHOLD bytes is chunked across a pool
+# of POOL_WORKERS threads.
+PARALLEL_THRESHOLD = 8 * MiB
+POOL_WORKERS = 4
+# Extra attempts an injected copy failure or a verification mismatch gets
+# before the copy raises CopyError.
+MAX_COPY_RETRIES = 2
 _new_tuple = tuple.__new__
 
 
@@ -91,21 +98,14 @@ class CopyEngine:
         max_threads: int = 28,
         per_transfer_overhead: float = 0.0,
         async_mode: bool = False,
-        parallel_threshold: int = 8 * MiB,
-        pool_workers: int = 4,
         tracer: "tracing.Tracer | tracing.NullTracer | None" = None,
         injector: object | None = None,
-        max_copy_retries: int = 2,
     ) -> None:
         if max_threads < 1:
             raise ConfigurationError(f"max_threads must be >= 1, got {max_threads}")
         if per_transfer_overhead < 0:
             raise ConfigurationError(
                 f"per_transfer_overhead must be >= 0, got {per_transfer_overhead}"
-            )
-        if max_copy_retries < 0:
-            raise ConfigurationError(
-                f"max_copy_retries must be >= 0, got {max_copy_retries}"
             )
         self.clock = clock
         self.max_threads = max_threads
@@ -123,18 +123,13 @@ class CopyEngine:
         # DRAM). Virtual sessions only.
         self.async_mode = async_mode
         self._channel_free_at: dict[str, float] = {}
-        self.parallel_threshold = parallel_threshold
-        self._pool_workers = pool_workers
         self._pool: ThreadPoolExecutor | None = None
         self._plans: dict[tuple[Heap, Heap], _PairPlan] = {}
-        self.records: list[CopyRecord] = []
-        self.keep_records = False
         # Fault-injection seam (docs/robustness.md): duck-typed object with
         # ``copy_plan(source, dest, nbytes)``; the engine never imports
         # repro.faults. Retry-with-verification only runs when an injector is
         # present, so fault-free runs pay nothing.
         self.injector = injector
-        self.max_copy_retries = max_copy_retries
         # Structured tracing: one copy_start/copy_end event pair per copy,
         # tagged with a sequence id so exporters can pair them as async spans.
         self.tracer = tracer if tracer is not None else tracing.NULL_TRACER
@@ -204,7 +199,7 @@ class CopyEngine:
         write peak, and — on real-backed device pairs — the destination is
         verified against the source after the memcpy so injected silent
         corruption is caught and redone. Faults that persist past
-        ``max_copy_retries`` raise :class:`~repro.errors.CopyError` after
+        ``MAX_COPY_RETRIES`` raise :class:`~repro.errors.CopyError` after
         charging what was spent: loud failure, never a silently-corrupt
         destination.
         """
@@ -234,8 +229,8 @@ class CopyEngine:
                     # retry budget.
                     failed += corrupt
                     corrupt = 0
-                if failed > self.max_copy_retries:  # every attempt fails
-                    failed = attempts = self.max_copy_retries + 1
+                if failed > MAX_COPY_RETRIES:  # every attempt fails
+                    failed = attempts = MAX_COPY_RETRIES + 1
                 else:
                     attempts = failed + 1
 
@@ -284,8 +279,6 @@ class CopyEngine:
         record = _new_tuple(CopyRecord, (
             src_name, dst_name, nbytes, threads, seconds, nt_stores, completes_at
         ))
-        if self.keep_records:
-            self.records.append(record)
         seq = self._copy_seq = self._copy_seq + 1
         self.tracer.copy(
             src_name, dst_name, nbytes, threads, seconds, completes_at, seq
@@ -321,7 +314,7 @@ class CopyEngine:
             if np.array_equal(src, dst):
                 return extra, self.clock.now
             mismatches += 1
-            if mismatches > self.max_copy_retries:
+            if mismatches > MAX_COPY_RETRIES:
                 raise CopyError(
                     source.name,
                     dest.name,
@@ -353,15 +346,15 @@ class CopyEngine:
     ) -> None:
         src = source.view(source_offset, nbytes)
         dst = dest.view(dest_offset, nbytes)
-        if nbytes < self.parallel_threshold or self._pool_workers <= 1:
+        if nbytes < PARALLEL_THRESHOLD:
             dst[:] = src
             return
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self._pool_workers,
+                max_workers=POOL_WORKERS,
                 thread_name_prefix="cachedarrays-copy",
             )
-        chunk = -(-nbytes // self._pool_workers)  # ceil division
+        chunk = -(-nbytes // POOL_WORKERS)  # ceil division
 
         def copy_chunk(start: int) -> None:
             stop = min(start + chunk, nbytes)

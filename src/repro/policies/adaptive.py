@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import chain
+from typing import Sequence
 
 from repro.core.object import MemObject, Region
-from repro.core.policy_api import Policy
+from repro.core.policy_api import operand_intents
 from repro.policies.base import find_eviction_start
 from repro.policies.optimizing import OptimizingPolicy
+from repro.telemetry.trace import NULL_TRACER
 
 __all__ = ["AdaptivePolicy"]
 
@@ -76,12 +78,24 @@ class AdaptivePolicy(OptimizingPolicy):
 
     # -- bookkeeping --------------------------------------------------------
 
-    # Every use of every sweep counts here (the recency clock, regret
-    # detection and alpha read the counts), so a kernel takes the base
-    # class's hint and residency calls, each noting its own uses, rather
-    # than the reference policy's one sweep that leaves the last uses to
-    # ``on_kernel_finish``.
-    acquire_operands = Policy.acquire_operands
+    def acquire_operands(
+        self,
+        reads: Sequence[MemObject],
+        writes: Sequence[MemObject],
+        hinted: bool,
+        pinned: list[MemObject],
+        tracer=NULL_TRACER,
+    ) -> None:
+        """The two sweeps, each noting its own uses when it ends.
+
+        Every use of every sweep counts here (the recency clock, regret
+        detection and alpha read the counts), so a kernel does not take the
+        reference policy's one pass, which leaves the last uses to
+        :meth:`on_kernel_finish`.
+        """
+        if hinted:
+            self._hint_operands(reads, writes, tracer)
+        self._resolve_operands(operand_intents(reads, writes), pinned, tracer)
 
     def _note_uses(self, objs: list[MemObject]) -> None:
         super()._note_uses(objs)

@@ -182,10 +182,10 @@ class OptimizingPolicy(Policy):
         ``[*reads, *writes]`` order, with nothing moved in between, and
         touching a subset of those operands just before leaves the same LRU
         order. If a sweep raises, ``used`` is noted before the error goes
-        on, as :meth:`hint_operands`'s and :meth:`resolve_operands`'s
-        ``finally`` blocks do. A policy whose ``_note_uses`` counts every
-        use (:class:`~repro.policies.adaptive.AdaptivePolicy`) takes the
-        base class's two calls instead.
+        on, as the ``finally`` blocks of :meth:`_hint_operands` and
+        :meth:`_resolve_operands` do. A policy whose ``_note_uses`` counts
+        every use (:class:`~repro.policies.adaptive.AdaptivePolicy`) makes
+        those two calls instead.
         """
         used: list[MemObject] = []
         try:
@@ -198,13 +198,15 @@ class OptimizingPolicy(Policy):
 
     # -- hints ------------------------------------------------------------------
 
-    def hint_operands(
+    def _hint_operands(
         self,
         reads: Iterable[MemObject],
         writes: Iterable[MemObject],
         tracer=NULL_TRACER,
     ) -> None:
-        """One kernel's hints (:meth:`_hint_sweep`), its uses noted at the end."""
+        """One kernel's hints (:meth:`_hint_sweep`), its uses noted at the
+        end. The default tracer emits nothing, which is how a caller that
+        opened the hint itself reaches the body."""
         used: list[MemObject] = []
         try:
             self._hint_sweep(reads, writes, used, tracer)
@@ -269,10 +271,10 @@ class OptimizingPolicy(Policy):
         self._note_uses([obj])
 
     def will_read(self, obj: MemObject) -> None:
-        self.hint_operands((obj,), ())
+        self._hint_operands((obj,), ())
 
     def will_write(self, obj: MemObject) -> None:
-        self.hint_operands((), (obj,))
+        self._hint_operands((), (obj,))
 
     def archive(self, obj: MemObject) -> None:
         """No data movement — just make the object the preferred victim."""
@@ -294,7 +296,7 @@ class OptimizingPolicy(Policy):
 
     # -- residency ----------------------------------------------------------------
 
-    def resolve_operands(
+    def _resolve_operands(
         self, intents: Intents, pinned: list[MemObject], tracer=NULL_TRACER
     ) -> None:
         """One kernel's residency (:meth:`_resolve_sweep`), its uses noted
@@ -337,8 +339,8 @@ class OptimizingPolicy(Policy):
             pinned.append(obj)
 
     def ensure_resident(self, obj: MemObject, intent: AccessIntent) -> Region:
-        """:meth:`resolve_operands` for one operand outside a kernel."""
-        self.resolve_operands(((obj, intent),), [])
+        """:meth:`_resolve_operands` for one operand outside a kernel."""
+        self._resolve_operands(((obj, intent),), [])
         obj.unpin()  # a lone residency request holds no pin
         return obj.primary
 

@@ -11,7 +11,7 @@ policy and:
 * records a **strike** per failure (a ``policy_strike`` trace event and a
   ``watchdog.strikes`` metric), then patches the run forward — falling back
   to the static fallback policy for the failed operation;
-* after ``max_strikes`` failures, **quarantines** the wrapped policy: a
+* after ``MAX_STRIKES`` failures, **quarantines** the wrapped policy: a
   ``quarantine`` event fires, an invariant sweep runs, and every subsequent
   operation is routed to the fallback (an
   :class:`~repro.policies.interleave.InterleavePolicy` by default — no
@@ -31,26 +31,19 @@ from repro.errors import PolicyError
 
 __all__ = ["PolicyWatchdog"]
 
+MAX_STRIKES = 3  # failures before the wrapped policy is quarantined
+
 
 class PolicyWatchdog(DelegatingPolicy):
     """Strike-and-quarantine wrapper around an untrusted policy."""
 
-    def __init__(
-        self,
-        inner: Policy,
-        *,
-        fallback: Policy | None = None,
-        max_strikes: int = 3,
-    ) -> None:
+    def __init__(self, inner: Policy, *, fallback: Policy | None = None) -> None:
         super().__init__(inner)
-        if max_strikes < 1:
-            raise ValueError(f"max_strikes must be >= 1, got {max_strikes}")
         if fallback is None:
             from repro.policies.interleave import InterleavePolicy
 
             fallback = InterleavePolicy()
         self.fallback = fallback
-        self.max_strikes = max_strikes
         self.strikes = 0
         self.quarantined = False
         self.failures: list[str] = []
@@ -70,7 +63,7 @@ class PolicyWatchdog(DelegatingPolicy):
         tenant = getattr(self.manager, "active_tenant", "")
         tracer.policy_strike(op, self.strikes, str(error), tenant)
         self.manager.metrics.counter("watchdog.strikes").inc()
-        if self.strikes >= self.max_strikes and not self.quarantined:
+        if self.strikes >= MAX_STRIKES and not self.quarantined:
             self.quarantined = True
             tracer.quarantine(
                 type(self.inner).__name__,

@@ -50,6 +50,7 @@ from typing import Any, Callable, Generator
 from repro.errors import ConfigurationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
+from repro.telemetry.trace import Tracer
 
 __all__ = ["Stream", "StreamScheduler"]
 
@@ -98,8 +99,9 @@ class StreamScheduler:
         self, clock: SimClock, *, tracer: Any = None, dynamic: bool = False
     ) -> None:
         self.clock = clock
-        # The tracer to tag with the active stream id; ``None`` or a
-        # disabled tracer is never touched.
+        # The tracer to tag with the active stream id: any ``Tracer``,
+        # the monitor tiers included; ``None`` and the shared no-op
+        # tracer are never touched.
         self.tracer = tracer
         # Dynamic schedules accept spawn() mid-run (open-loop arrivals) and
         # always take the multi-stream path so the event queue exists.
@@ -269,7 +271,7 @@ class StreamScheduler:
 
     def _tag(self, name: str) -> None:
         tracer = self.tracer
-        if tracer is not None and getattr(tracer, "enabled", False):
+        if isinstance(tracer, Tracer):
             tracer.stream = name
 
     def _flight_dump(self, stream_name: str) -> None:

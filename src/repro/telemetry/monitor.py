@@ -807,6 +807,8 @@ def _fmt_bytes(n: float) -> str:
 
 # -- the monitor ---------------------------------------------------------------
 
+SKETCH_RELATIVE_ERROR = 0.005  # the latency sketches' quantile accuracy
+
 
 @dataclass(frozen=True)
 class MonitorConfig:
@@ -817,7 +819,6 @@ class MonitorConfig:
     window_seconds: float = 0.25
     max_windows: int = 240
     ring_capacity: int = 512
-    sketch_relative_error: float = 0.005
     dump_dir: str | None = None
     max_dumps: int = 8
     rules: tuple[AlertRule, ...] = DEFAULT_ALERT_RULES
@@ -839,9 +840,9 @@ class RuntimeMonitor:
             cfg.window_seconds, cfg.max_windows, on_close=self._on_close
         )
         self.ring = FlightRecorder(cfg.ring_capacity)
-        self.kernel_latency = QuantileSketch(cfg.sketch_relative_error)
-        self.stall_latency = QuantileSketch(cfg.sketch_relative_error)
-        self.copy_latency = QuantileSketch(cfg.sketch_relative_error)
+        self.kernel_latency = QuantileSketch(SKETCH_RELATIVE_ERROR)
+        self.stall_latency = QuantileSketch(SKETCH_RELATIVE_ERROR)
+        self.copy_latency = QuantileSketch(SKETCH_RELATIVE_ERROR)
         self.events_seen = 0
         self.last_ts = 0.0
         # Live aggregates (exact, maintained incrementally from events).

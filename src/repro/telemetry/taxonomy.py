@@ -28,8 +28,8 @@ wall with *zero* observed copies to carry it.
 
 ``classify_trace`` consumes a full traced event list and also yields
 per-kernel-phase and per-window drill-downs; ``classify_monitor`` consumes
-a :class:`~repro.telemetry.monitor.RuntimeMonitor` (the ~1% overhead tier)
-and reaches the same verdicts from windowed rollups alone, approximating
+a :class:`~repro.telemetry.monitor.RuntimeMonitor` (the monitor-only tier,
+which retains no events) and reaches the same verdicts from windowed rollups alone, approximating
 each copy's fixed cost as one DRAM<->NVRAM pair — exact in the two-device
 system this repo models.
 """

@@ -101,21 +101,14 @@ class TwoLMSystem:
         """Route one tensor access through the DRAM cache; account traffic.
         A one-sweep :meth:`access_spans` batch, its counts read off the
         cache's ``stats``."""
-        stats = self.cache.stats
+        cache = self.cache
+        stats = cache.stats
         hits, dirty = stats.hits, stats.dirty_misses
-        spans = self.cache.line_spans(((offset, size, is_write),))
-        self.access_spans(spans, 1.0)
+        first, count = cache.line_span(offset, size)
+        self.access_spans(((first, count, is_write),), 1.0)
         return AccessResult.of(
-            spans[0][1], stats.hits - hits, stats.dirty_misses - dirty,
-            self.cache.line_size,
+            count, stats.hits - hits, stats.dirty_misses - dirty, cache.line_size
         )
-
-    def access_sweeps(
-        self, sweeps: Sequence[tuple[int, int, bool]], read_sensitivity: float
-    ) -> tuple[float, float]:
-        """:meth:`access_spans` over byte-addressed ``(offset, size,
-        is_write)`` sweeps."""
-        return self.access_spans(self.cache.line_spans(sweeps), read_sensitivity)
 
     def access_spans(
         self, spans: Sequence[tuple[int, int, bool]], read_sensitivity: float

@@ -14,9 +14,10 @@ here the equivalent pass rewrites a raw kernel trace:
   after each forward kernel, its read operands get an ``Archive`` hint
   (unless the very next event already frees them).
 
-``will_read``/``will_write`` hints are issued per kernel by the executor
-(they are positionally determined: immediately before the kernel), so they
-do not appear as trace events.
+``will_read``/``will_write`` hints are issued per kernel by the executor,
+in the policy's one ``acquire_operands`` call (they are positionally
+determined: immediately before the kernel), so they do not appear as trace
+events.
 
 One walk per content. :func:`annotate` checks its input, rewrites it and
 measures its peak live bytes in one walk, and never re-checks its output,
@@ -29,7 +30,10 @@ made from (compared element by element, identity first). Every call returns
 a fresh ``KernelTrace`` with its own tensor table and event list over the
 shared, frozen events, so a caller that runs one trace under several modes
 walks it once per option set, and ``peak_live_bytes`` on that trace
-answers from the same walk. The kept result is never compared or pickled.
+answers from the same walk. ``KernelTrace.walk_lifetimes`` is the only
+lifetime loop: ``validate`` and ``peak_live_bytes`` on a trace without a
+valid kept result run it too. The kept result is never compared or
+pickled.
 """
 
 from __future__ import annotations

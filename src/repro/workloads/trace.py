@@ -227,23 +227,13 @@ class KernelTrace:
         between Alloc and Free/Retire/GcDefer (a GC-deferred tensor is
         semantically dead, so it does not count toward the *minimum* memory
         footprint the paper reports). A trace annotated since its last
-        change answers from the annotation pass's walk.
+        change answers from the annotation pass's walk; any other trace is
+        walked (:meth:`walk_lifetimes`), so an inconsistent one raises.
         """
         prepared = self.prepared
         if prepared is not None and prepared.holds(self):
             return prepared.footprint
-        live = 0
-        peak = 0
-        sizes = {name: spec.nbytes for name, spec in self.tensors.items()}
-        seen: set[str] = set()
-        for event in self.events:
-            if isinstance(event, Alloc) and event.tensor not in seen:
-                seen.add(event.tensor)
-                live += sizes[event.tensor]
-                peak = max(peak, live)
-            elif isinstance(event, (Free, Retire, GcDefer)):
-                live -= sizes[event.tensor]
-        return peak
+        return self.walk_lifetimes()
 
     def total_kernel_flops(self) -> float:
         return sum(k.flops for k in self.kernels())

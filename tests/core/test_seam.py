@@ -281,10 +281,12 @@ def test_a_kernel_makes_one_policy_call_before_it_runs():
     """Both kernel paths, traced or not, hand the operand lists, the hinted
     flag, the pin list and the tracer to the policy in one
     ``acquire_operands`` call, and the policy opens the per-operand scopes.
-    ``issue_hints`` and ``resolve_residency`` stay one branch-free batch
-    call each. The robustness wrappers take the base-class loops — they
-    never forward a batch to ``inner``, so a strike or an injected fault
-    still lands on the operand that drew it."""
+    That call is the only batch hook ``Policy`` has: its default is the
+    per-object loops, ``issue_hints`` then ``resolve_residency``, which
+    the session module exports under the same names and which stay
+    branch-free. The robustness wrappers take those loops — they never
+    forward a batch to ``inner``, so a strike or an injected fault still
+    lands on the operand that drew it."""
     for relative, cls in (
         ("core/session.py", "Session"),
         ("runtime/executor.py", "CachedArraysAdapter"),
@@ -304,42 +306,65 @@ def test_a_kernel_makes_one_policy_call_before_it_runs():
         ], cls
         assert ast.unparse(policy_calls[0].args[-1]).endswith("tracer"), cls
 
-    tree = ast.parse((ROOT / "core/session.py").read_text())
+    from repro.core import policy_api, session
+    from repro.core.policy_api import DelegatingPolicy, Policy
+
+    # The whole public surface of a policy: Table II, the two placement
+    # callbacks, one batch hook before a kernel and one after it.
+    assert sorted(
+        name for name in vars(Policy)
+        if not name.startswith("_") and name not in ("manager", "tracer")
+    ) == [
+        "acquire_operands", "archive", "bind", "ensure_resident",
+        "handle_pressure", "on_bound", "on_iteration_end", "on_kernel_finish",
+        "place", "retire", "will_read", "will_use", "will_write",
+    ]
+    default = class_methods("core/policy_api.py", "Policy")["acquire_operands"]
+    assert [
+        name for _, name in sorted(
+            (call.lineno, ast.unparse(call.func)) for call in ast.walk(default)
+            if isinstance(call, ast.Call)
+        )
+    ] == ["issue_hints", "resolve_residency"]
+
+    assert session.issue_hints is policy_api.issue_hints
+    assert session.resolve_residency is policy_api.resolve_residency
+    tree = ast.parse((ROOT / "core/policy_api.py").read_text())
     bodies = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
     }
-    for name, batch in (
-        ("issue_hints", "hint_operands"),
-        ("resolve_residency", "resolve_operands"),
+    for name, per_object in (
+        ("issue_hints", ["policy.will_read", "policy.will_write"]),
+        ("resolve_residency", ["policy.ensure_resident"]),
     ):
         body = bodies[name]
         assert not any(
             isinstance(node, (ast.If, ast.IfExp, ast.Match, ast.Try))
             for node in ast.walk(body)
         ), name
-        policy_calls = [
-            call for call in ast.walk(body)
-            if isinstance(call, ast.Call)
-            and ast.unparse(call.func).startswith("policy.")
-        ]
-        assert [ast.unparse(call.func) for call in policy_calls] == [
-            f"policy.{batch}"
-        ], name
-        assert ast.unparse(policy_calls[0].args[-1]) == "tracer", name
+        policy_calls = sorted(
+            (
+                call for call in ast.walk(body)
+                if isinstance(call, ast.Call)
+                and ast.unparse(call.func).startswith("policy.")
+            ),
+            key=lambda call: (call.lineno, call.col_offset),
+        )
+        assert [ast.unparse(call.func) for call in policy_calls] == per_object, name
 
-    from repro.core.policy_api import DelegatingPolicy, Policy
     from repro.faults.policy import FaultyPolicy
+    from repro.policies.adaptive import AdaptivePolicy
+    from repro.policies.multitier import MultiTierPolicy
+    from repro.policies.optimizing import OptimizingPolicy
     from repro.policies.watchdog import PolicyWatchdog
 
     for wrapper in (DelegatingPolicy, PolicyWatchdog, FaultyPolicy):
         assert wrapper.acquire_operands is Policy.acquire_operands, wrapper
-        assert wrapper.hint_operands is Policy.hint_operands, wrapper
-        assert wrapper.resolve_operands is Policy.resolve_operands, wrapper
-
-    # A policy that counts every use, or that never wrote the batch forms,
-    # takes the base class's two sweeps.
-    from repro.policies.adaptive import AdaptivePolicy
-    from repro.policies.multitier import MultiTierPolicy
-
-    for cls in (AdaptivePolicy, MultiTierPolicy):
-        assert cls.acquire_operands is Policy.acquire_operands, cls
+    # A policy that never wrote a batch form takes the loops; no policy
+    # grows a second public batch form beside the one hook.
+    assert MultiTierPolicy.acquire_operands is Policy.acquire_operands
+    for cls in (OptimizingPolicy, AdaptivePolicy, MultiTierPolicy, PolicyWatchdog):
+        assert {
+            name for klass in cls.__mro__ for name in vars(klass)
+            if name.endswith("_operands") and not name.startswith("_")
+        } == {"acquire_operands"}, cls

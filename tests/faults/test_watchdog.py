@@ -92,7 +92,7 @@ def test_out_of_memory_is_not_absorbed():
 
 def test_quarantine_after_max_strikes_routes_to_fallback():
     policy = ExplodingPlace(OptimizingPolicy(local_alloc=True), failures=10)
-    watchdog = PolicyWatchdog(policy, max_strikes=3)
+    watchdog = PolicyWatchdog(policy)
     with make_session(watchdog) as session:
         for i in range(5):
             session.empty(1024, name=f"x{i}")
@@ -112,7 +112,7 @@ def test_dropped_hint_strikes_but_does_not_fail_the_access():
     policy = faulty_optimizing(
         FaultSpec(site="policy", op="will_read", start=0, every=1, count=1)
     )
-    watchdog = PolicyWatchdog(policy, max_strikes=5)
+    watchdog = PolicyWatchdog(policy)
     with make_session(watchdog) as session:
         array = session.empty(1024, name="x")
         payload = np.arange(1024, dtype=np.float32)
@@ -126,7 +126,7 @@ def test_full_run_completes_under_persistent_policy_faults():
     policy = faulty_optimizing(
         FaultSpec(site="policy", op="*", start=0, every=2, count=None)
     )
-    watchdog = PolicyWatchdog(policy, max_strikes=3)
+    watchdog = PolicyWatchdog(policy)
     with make_session(watchdog) as session:
         payloads = {}
         arrays = {}

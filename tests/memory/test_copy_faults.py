@@ -25,7 +25,7 @@ def heap_pair(real=False):
     )
 
 
-def engine_with(*specs, real=False, seed=0, max_copy_retries=2):
+def engine_with(*specs, real=False, seed=0):
     clock = SimClock()
     tracer = Tracer(clock)
     injector = FaultInjector(
@@ -33,10 +33,7 @@ def engine_with(*specs, real=False, seed=0, max_copy_retries=2):
         clock=clock,
         tracer=tracer,
     )
-    engine = CopyEngine(
-        clock, injector=injector, max_copy_retries=max_copy_retries,
-        tracer=tracer,
-    )
+    engine = CopyEngine(clock, injector=injector, tracer=tracer)
     dram, nvram = heap_pair(real=real)
     return engine, dram, nvram, tracer
 
@@ -88,7 +85,7 @@ def test_failures_past_retry_budget_raise_typed_copy_error():
     dst = nvram.allocate(NBYTES)
     with pytest.raises(CopyError) as excinfo:
         engine.copy(dram, src, nvram, dst, NBYTES)
-    assert excinfo.value.attempts == 3  # max_copy_retries=2 -> 3 attempts
+    assert excinfo.value.attempts == 3  # MAX_COPY_RETRIES=2 -> 3 attempts
     # Every failed attempt was honestly charged before the abort.
     assert dram.traffic.read_bytes == 3 * NBYTES
     assert len(retry_events(tracer, "injected copy failure")) == 3

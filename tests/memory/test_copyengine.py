@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.memory.copyengine import CopyEngine
+from repro.memory.copyengine import PARALLEL_THRESHOLD, CopyEngine
 from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
 from repro.sim.clock import SimClock
@@ -26,6 +26,7 @@ def test_copy_accounts_traffic_and_time():
     src = dram.allocate(MiB)
     dst = nvram.allocate(MiB)
     record = engine.copy(dram, src, nvram, dst, MiB)
+    assert (record.source, record.dest, record.nbytes) == ("DRAM", "NVRAM", MiB)
     assert dram.traffic.read_bytes == MiB
     assert nvram.traffic.write_bytes == MiB
     assert clock.now == record.seconds > 0
@@ -95,14 +96,19 @@ def test_real_copy_moves_bytes():
 
 
 def test_real_copy_parallel_path():
-    engine = CopyEngine(SimClock(), parallel_threshold=KiB, pool_workers=3)
-    dram, nvram = heap_pair(real=True)
-    src = dram.allocate(2 * MiB)
-    dst = nvram.allocate(2 * MiB)
-    data = np.random.default_rng(0).integers(0, 255, 2 * MiB, dtype=np.uint8)
-    dram.view(src)[:] = data
-    engine.copy(dram, src, nvram, dst, 2 * MiB)
-    assert np.array_equal(nvram.view(dst, 2 * MiB), data)
+    """A copy of PARALLEL_THRESHOLD bytes or more is chunked across the
+    worker pool, and every byte arrives."""
+    nbytes = PARALLEL_THRESHOLD + 3  # the last chunk is a short one
+    engine = CopyEngine(SimClock())
+    dram = Heap(MemoryDevice.dram(16 * MiB, real=True))
+    nvram = Heap(MemoryDevice.nvram(16 * MiB, real=True))
+    src = dram.allocate(nbytes)
+    dst = nvram.allocate(nbytes)
+    data = np.random.default_rng(0).integers(0, 255, nbytes, dtype=np.uint8)
+    dram.view(src, nbytes)[:] = data
+    engine.copy(dram, src, nvram, dst, nbytes)
+    assert engine._pool is not None
+    assert np.array_equal(nvram.view(dst, nbytes), data)
     engine.shutdown()
 
 
@@ -172,15 +178,6 @@ def test_a_rejected_copy_leaves_every_counter_untouched(
         assert str(caught.value) == message
         assert rejected_copy_state(engine, source, dest) == before
     assert before[0] == 0.0 and before[2] == before[3] == (0, 0)
-
-
-def test_keep_records():
-    engine = CopyEngine(SimClock())
-    engine.keep_records = True
-    dram, nvram = heap_pair()
-    engine.copy(dram, 0, nvram, 0, KiB)
-    engine.copy(nvram, 0, dram, 0, KiB)
-    assert [r.source for r in engine.records] == ["DRAM", "NVRAM"]
 
 
 def test_context_manager_shuts_down():

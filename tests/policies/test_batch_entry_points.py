@@ -1,22 +1,22 @@
-"""A batch is exactly its loop.
+"""One call is exactly its loops.
 
-``Policy.hint_operands`` / ``Policy.resolve_operands`` take one kernel's
-operand list in one call, and ``Policy.acquire_operands`` takes both sweeps
-of a kernel in one call. Whatever a policy does inside them, it must leave
-the state the per-object loops would: same recency order, same statistics,
+``Policy.acquire_operands`` takes one kernel's hints and residency in one
+call; its default is the per-object loops (``issue_hints`` then
+``resolve_residency``). Whatever a policy does inside an override, it must
+leave the state those loops would: same recency order, same statistics,
 same bytes moved, same clock, same pins — after every kernel, including one
 that raises. Twin sessions run the same random kernels, one through the
-policy's batch entry points, one through its one-call entry point, one
-through the base-class loops (``will_read``/``will_write`` per operand,
-``ensure_resident`` + ``pin`` per unique operand), and for the two policies
-that implement the batch forms a fourth through the per-object bodies as
-they stood before the batch forms existed, kept here as the reference.
+policy's one-call entry point, one through the base-class loops
+(``will_read``/``will_write`` per operand, ``ensure_resident`` + ``pin`` per
+unique operand), and for the two policies that override the entry point a
+third through the per-object bodies as they stood before the batch forms
+existed, kept here as the reference.
 
-Traced, a batch must also leave the events that loop would: traced twins
-run the one-call entry point and the kernel helpers
+Traced, the one call must also leave the events the loops would: traced
+twins run the one-call entry point and the session's loop helpers
 (``issue_hints``/``resolve_residency``) against the traced per-operand
-loops those helpers once held, kept here as the reference, and compare
-every retained record as well as the state.
+loops written out here as the reference, and compare every retained
+record as well as the state.
 """
 
 import pytest
@@ -50,12 +50,10 @@ POOL = 10  # objects of 8-24 KiB over 64 KiB of DRAM: always under pressure
 
 class PerObjectReference:
     """``OptimizingPolicy``'s hint, residency and finish bodies one object
-    at a time, as written before the batch forms; the batch entry points
-    are the base-class loops over them."""
+    at a time, as written before the batch forms; the one-call entry point
+    is the base-class loops over them."""
 
     acquire_operands = Policy.acquire_operands
-    hint_operands = Policy.hint_operands
-    resolve_operands = Policy.resolve_operands
 
     def _note_use(self, obj):
         self._note_uses([obj])
@@ -107,18 +105,6 @@ def operand_intents(read_objs, write_objs):
     return intents.values()
 
 
-def batch(session):
-    """The two batch sweeps, one call each."""
-    policy = session.policy
-
-    def acquire(reads, writes, hinted, pinned):
-        if hinted:
-            policy.hint_operands(reads, writes)
-        policy.resolve_operands(operand_intents(reads, writes), pinned)
-
-    return acquire
-
-
 def acquire(session):
     """What a kernel runs: one policy call for both sweeps, tracer included."""
     policy, tracer = session.policy, session.tracer
@@ -130,19 +116,18 @@ def acquire(session):
 
 
 def loops(session):
-    policy = session.policy
+    """The base class's entry point, whatever the policy overrides: the
+    per-object loops."""
+    policy, tracer = session.policy, session.tracer
 
     def acquire(reads, writes, hinted, pinned):
-        if hinted:
-            Policy.hint_operands(policy, reads, writes)
-        Policy.resolve_operands(policy, operand_intents(reads, writes), pinned)
+        Policy.acquire_operands(policy, reads, writes, hinted, pinned, tracer)
 
     return acquire
 
 
 def helpers(session):
-    """What a kernel ran before the one-call entry point: one policy call
-    per sweep, tracer included."""
+    """The session's loop helpers, one per sweep, tracer included."""
     policy, tracer = session.policy, session.tracer
 
     def acquire(reads, writes, hinted, pinned):
@@ -154,9 +139,8 @@ def helpers(session):
 
 
 def traced_loops(session):
-    """The reference: the kernel helpers' traced arms as they stood when a
-    traced kernel walked its operands one at a time, a hint or residency
-    scope around each per-object call."""
+    """The reference: a traced kernel walking its operands one at a time,
+    a hint or residency scope around each per-object call."""
     policy, tracer = session.policy, session.tracer
 
     def acquire(reads, writes, hinted, pinned):
@@ -298,10 +282,9 @@ def test_batch_forms_match_the_loops_and_the_per_object_reference(
     toggles = {"local_alloc": local_alloc, "prefetch": prefetch}
     assert_twins_agree(
         [
-            Twin(cls(**toggles), batch),
             Twin(cls(**toggles), acquire),
             Twin(cls(**toggles), loops),
-            Twin(reference(**toggles), batch),
+            Twin(reference(**toggles), acquire),
         ],
         sizes,
         kernels,
@@ -324,9 +307,9 @@ def multitier_twin(entry, promote_on_use, tracing=False):
 def test_multitier_takes_the_default_loops(promote_on_use, sizes, kernels):
     assert_twins_agree(
         [
-            multitier_twin(batch, promote_on_use),
             multitier_twin(acquire, promote_on_use),
             multitier_twin(loops, promote_on_use),
+            multitier_twin(helpers, promote_on_use),
         ],
         sizes,
         kernels,
@@ -340,7 +323,7 @@ def guarded(inner_cls, start, every):
         "batch", specs=(FaultSpec(POLICY, start=start, every=every, count=None),)
     )
     faulty = FaultyPolicy(inner_cls(prefetch=True), FaultInjector(plan))
-    return PolicyWatchdog(faulty, max_strikes=4)
+    return PolicyWatchdog(faulty)
 
 
 @given(
@@ -356,13 +339,12 @@ def test_a_wrapper_strikes_on_the_same_operand_either_way(
     """The robustness chain inherits the loops: every operand still passes
     through the wrappers' per-object methods, so the same operation draws
     the injected fault, the strike count and the quarantine point agree, and
-    the inner policy's one-element batches leave the reference's state."""
+    the inner policy's one-element sweeps leave the reference's state."""
     assert_twins_agree(
         [
-            Twin(guarded(OptimizingPolicy, start, every), batch),
             Twin(guarded(OptimizingPolicy, start, every), acquire),
             Twin(guarded(OptimizingPolicy, start, every), loops),
-            Twin(guarded(ReferenceOptimizing, start, every), batch),
+            Twin(guarded(ReferenceOptimizing, start, every), acquire),
         ],
         sizes,
         kernels,
@@ -370,19 +352,16 @@ def test_a_wrapper_strikes_on_the_same_operand_either_way(
 
 
 def test_forwarding_a_batch_to_the_inner_policy_would_hide_faults():
-    """Why ``DelegatingPolicy`` must not forward the batch forms: a wrapper
-    that did would skip the per-operand fault sites."""
+    """Why ``DelegatingPolicy`` must not forward ``acquire_operands``: a
+    wrapper that did would skip the per-operand fault sites."""
 
     class Forwarding(FaultyPolicy):
-        def hint_operands(self, reads, writes):
-            self.inner.hint_operands(reads, writes)
-
-        def resolve_operands(self, intents, pinned):
-            self.inner.resolve_operands(intents, pinned)
+        def acquire_operands(self, reads, writes, hinted, pinned, tracer):
+            self.inner.acquire_operands(reads, writes, hinted, pinned, tracer)
 
     def outcome(wrapper):
         plan = FaultPlan("batch", specs=(FaultSpec(POLICY, start=POOL + 2),))
-        twin = Twin(wrapper(OptimizingPolicy(), FaultInjector(plan)), batch)
+        twin = Twin(wrapper(OptimizingPolicy(), FaultInjector(plan)), acquire)
         twin.allocate([8 * KiB] * POOL)  # operations 0..POOL-1: the place() calls
         return twin.kernel([0, 1, 2], [3], True)
 
@@ -447,7 +426,7 @@ def test_a_traced_wrapper_leaves_the_traced_loops_records(
     sizes, kernels, start, every
 ):
     """A wrapper's inherited loop opens each operand's scope; the inner
-    policy's one-element batch runs untraced, so no hint is emitted twice
+    policy's one-element sweep runs untraced, so no hint is emitted twice
     and strikes land at the same point of the stream."""
     assert_twins_agree(
         [
@@ -520,9 +499,9 @@ def test_a_retired_operand_ends_the_sweep_after_its_own_hint(reads, writes):
 def test_a_sweep_that_raises_notes_the_uses_it_collected(cls, hinted):
     """t0 is used, then the retired t1 raises in the residency sweep, with
     no fetch before it: the one-call entry point notes t0 (and, hinted,
-    t2) before the error goes on, as the two sweeps' ``finally`` blocks
-    did, so t0 ends at the hot end on every path."""
-    twins = [Twin(cls(), entry) for entry in (acquire, batch, loops)]
+    t2) before the error goes on, as the per-object loops did, so t0 ends
+    at the hot end on every path."""
+    twins = [Twin(cls(), entry) for entry in (acquire, helpers, loops)]
     for twin in twins:
         twin.allocate([8 * KiB] * 3)
         twin.policy.retire(twin.objects[1])
@@ -541,7 +520,7 @@ def test_a_fetch_reads_the_uses_noted_before_it(cls):
     use is noted before the fetch's victim scan, so t2, not the operand
     just used, is evicted."""
     twins = [
-        Twin(cls(), entry, dram=32 * KiB) for entry in (acquire, batch, loops)
+        Twin(cls(), entry, dram=32 * KiB) for entry in (acquire, helpers, loops)
     ]
     for twin in twins:
         twin.allocate([16 * KiB] * 3)

@@ -400,3 +400,38 @@ class TestTracerTagging:
         streams = {e.args["kernel"]: e.stream for e in tracer.events}
         assert streams == {"k0": "t0", "k1": "t1"}
         assert tracer.stream == ""  # untagged after the run
+
+    @pytest.mark.parametrize("keep_events", [True, False], ids=["full", "monitor-only"])
+    def test_both_monitor_tiers_learn_each_streams_usage(self, keep_events):
+        """The scheduler tags every tracer it drives, the monitor-only tier
+        included (its ``enabled`` is False): each stream's allocation is
+        charged to that stream in the monitor's per-tenant usage."""
+        from repro.telemetry.monitor import MonitorTracer
+
+        clock = SimClock()
+        tracer = MonitorTracer(clock, keep_events=keep_events)
+        scheduler = StreamScheduler(clock, tracer=tracer)
+
+        def gen(offset, nbytes):
+            tracer.alloc("DRAM", offset, nbytes)
+            yield 1.0, "kernel"
+            return None
+
+        scheduler.spawn("t0", gen(0, 100))
+        scheduler.spawn("t1", gen(4096, 300))
+        scheduler.run()
+        monitor = tracer.monitor
+        monitor.finish()
+        used = [w.tenant_used for w in monitor.rollups.windows.values()]
+        assert used[-1] == {"t0/DRAM": 100, "t1/DRAM": 300}
+        assert tracer.stream == ""  # untagged after the run
+
+    def test_the_shared_null_tracer_is_never_tagged(self):
+        from repro.telemetry.trace import NULL_TRACER
+
+        clock = SimClock()
+        scheduler = StreamScheduler(clock, tracer=NULL_TRACER)
+        scheduler.spawn("t0", make_stream([], "t0", [1.0])(clock))
+        scheduler.spawn("t1", make_stream([], "t1", [1.0])(clock))
+        scheduler.run()
+        assert NULL_TRACER.stream == "" and "stream" not in vars(NULL_TRACER)

@@ -45,6 +45,11 @@ spans = st.tuples(
 )
 
 
+def unpriced(is_write, entry):
+    """A sweep-cost pricer for walks that only count: every cost is zero."""
+    return 0.0, 0.0, 0, 0, 0, 0
+
+
 class CacheModel(RuleBasedStateMachine):
     """The simulator against the per-line reference, any operation order."""
 
@@ -83,16 +88,29 @@ class CacheModel(RuleBasedStateMachine):
             self.ref.access(addr, size, is_write),
         )
 
+    def _walk(self, batch):
+        """One unpriced ``walk_spans`` call over a batch of ``(first line,
+        lines, is_write)`` spans: its ``stats`` delta must be the summed
+        counts of the reference walking each span line by line."""
+        before = self.sim.stats.snapshot()
+        self.sim.walk_spans(batch, {}, unpriced, 1.0)
+        counts = [
+            self.ref.access(first * LINE, lines * LINE, is_write)
+            for first, lines, is_write in batch
+        ]
+        walked = CacheStats(*map(sum, zip(*counts)))
+        assert self.sim.stats - before == walked
+        self.expected = CacheStats(
+            *(a + b for a, b in zip(astuple(self.expected), astuple(walked)))
+        )
+
     @rule(batch=st.lists(st.tuples(spans, st.booleans()), min_size=1, max_size=4))
     def batch(self, batch):
         ranges = [(*self._range(span), is_write) for span, is_write in batch]
-        walked = self.sim.access_ranges(ranges)
-        assert len(walked) == len(ranges)
-        for (addr, size, is_write), (lines, hits, dirty) in zip(ranges, walked):
-            self._check(
-                (hits, lines - hits - dirty, dirty),
-                self.ref.access(addr, size, is_write),
-            )
+        self._walk([
+            (*self.sim.line_span(addr, size), is_write)
+            for addr, size, is_write in ranges
+        ])
 
     @rule(
         first=st.integers(0, LINES - 1),
@@ -105,21 +123,16 @@ class CacheModel(RuleBasedStateMachine):
         """What a kernel hands the walk for one operand: a line span (it
         may fit the set array or run past it), then ``copies`` more full
         passes as the same tuple, then a tail span that starts with it and
-        is no longer, with either write flag. The walk answers a repeat in
-        closed form when the span fits a direct-mapped set array; the
-        reference walks every line."""
+        is no longer, with either write flag — all in one ``walk_spans``
+        call, as a kernel makes it. The walk answers a repeat in closed
+        form when the span fits a direct-mapped set array; the reference
+        walks every line."""
         whole = (first, min(lines, LINES - first), is_write)
         batch = [whole] * (copies + 1)
         if tail is not None:
             lines, tail_write = tail
             batch.append((first, min(lines, whole[1]), tail_write))
-        walked = self.sim.access_spans(batch)
-        for (first, lines, write), (count, hits, dirty) in zip(batch, walked):
-            assert count == lines
-            self._check(
-                (hits, count - hits - dirty, dirty),
-                self.ref.access(first * LINE, lines * LINE, write),
-            )
+        self._walk(batch)
 
     @rule(span=spans)
     def invalidate_range(self, span):

@@ -189,10 +189,10 @@ def test_repeated_passes_over_tensors_larger_than_the_cache(ways):
 
 
 def fold_after_walk(system, spans, walked, read_sensitivity):
-    """The fold that re-walked a batch's ``(lines, hits, dirty)`` entries
-    once the tag walk had built them: each sweep's cost from
-    ``_sweep_cost``, summed in sweep order. (DRAM s, NVRAM s, DRAM read,
-    DRAM write, NVRAM read, NVRAM write bytes)."""
+    """A batch's cost folded after its walk, from each sweep's ``(lines,
+    hits, dirty)`` entry: each sweep's cost from ``_sweep_cost``, summed in
+    sweep order. (DRAM s, NVRAM s, DRAM read, DRAM write, NVRAM read,
+    NVRAM write bytes)."""
     hidden = 1.0 - read_sensitivity
     dram_time = nvram_time = 0.0
     traffic = [0, 0, 0, 0]
@@ -248,32 +248,33 @@ def kernel_spans(operands):
 @settings(max_examples=150, deadline=None)
 def test_fused_walk_equals_walk_then_fold(ways, num_sets, metadata, batches):
     """``TwoLMSystem.access_spans`` prices each sweep inside the tag walk.
-    A twin system walks the same batches span by span
-    (``DramCacheSim.access_spans``) and folds the entries afterwards: the
-    seconds agree by ``float.hex``, the four counter deltas, the tag stats
-    and the tag store exactly."""
-    fused, twin = (
-        TwoLMSystem(
-            MemoryDevice.dram(num_sets * ways * LINE),
-            MemoryDevice.nvram(BACKING),
-            line_size=LINE,
-            ways=ways,
-            metadata_overhead=metadata,
-        )
-        for _ in range(2)
+    The per-line reference walks the same batches span by span, and its
+    ``(lines, hits, dirty)`` entries are folded afterwards: the seconds
+    agree by ``float.hex``, the four counter deltas, the tag stats and the
+    dirty-line count exactly."""
+    fused = TwoLMSystem(
+        MemoryDevice.dram(num_sets * ways * LINE),
+        MemoryDevice.nvram(BACKING),
+        line_size=LINE,
+        ways=ways,
+        metadata_overhead=metadata,
     )
+    ref = ScalarAssocCache(num_sets, ways, LINE)
+    stats = [0, 0, 0]  # hits, clean misses, dirty misses
     for operands, sensitivity in batches:
         spans = kernel_spans(operands)
         before = counters(fused)
         got = fused.access_spans(spans, sensitivity)
         moved = [a - b for a, b in zip(counters(fused), before)]
-        want = fold_after_walk(
-            twin, spans, twin.cache.access_spans(spans), sensitivity
-        )
+        walked = []
+        for first, lines, is_write in spans:
+            hits, clean, dirty = ref.access(first * LINE, lines * LINE, is_write)
+            stats = [stats[0] + hits, stats[1] + clean, stats[2] + dirty]
+            walked.append((lines, hits, dirty))
+        want = fold_after_walk(fused, spans, walked, sensitivity)
         assert [x.hex() for x in got] == [x.hex() for x in want[:2]]
         assert moved == list(want[2:])
-        assert fused.cache_stats() == twin.cache_stats()
-        assert (fused.cache._bounds, fused.cache._states) == (
-            twin.cache._bounds, twin.cache._states
-        )
+        cache = fused.cache_stats()
+        assert [cache.hits, cache.clean_misses, cache.dirty_misses] == stats
+        assert fused.cache.dirty_lines() == ref.dirty_lines()
         fused.cache.check_invariants()

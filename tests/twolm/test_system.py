@@ -8,13 +8,26 @@ from repro.twolm.system import TwoLMSystem
 from repro.units import KiB, MiB
 
 
+LINE = 64
+
+
 def make(**kwargs):
     return TwoLMSystem(
         MemoryDevice.dram(64 * KiB),
         MemoryDevice.nvram(MiB),
-        line_size=64,
+        line_size=LINE,
         **kwargs,
     )
+
+
+def spans(sweeps):
+    """The ``(first line, lines, is_write)`` span of each byte-addressed
+    ``(offset, size, is_write)`` sweep, unchecked: an empty or out-of-range
+    sweep becomes a span the batch itself must refuse."""
+    return [
+        (offset // LINE, (offset + size - 1) // LINE - offset // LINE + 1, is_write)
+        for offset, size, is_write in sweeps
+    ]
 
 
 def test_allocator_over_nvram_space():
@@ -58,7 +71,9 @@ def test_bad_parameters_rejected():
 def test_time_split_by_device():
     system = make()
     offset = system.allocate(KiB)
-    dram_seconds, nvram_seconds = system.access_sweeps([(offset, KiB, True)], 1.0)
+    dram_seconds, nvram_seconds = system.access_spans(
+        spans([(offset, KiB, True)]), 1.0
+    )
     assert dram_seconds > 0 and nvram_seconds > 0
 
 
@@ -68,10 +83,12 @@ def test_writeback_time_dominates():
     system.access(0, 2 * KiB, is_write=True)  # make sets 0..31 dirty
     before = system.cache_stats()
     # 64 KiB cache -> 1024 sets; the address one cache-size away conflicts.
-    _, nvram_with_writeback = system.access_sweeps([(64 * KiB, 2 * KiB, False)], 1.0)
+    _, nvram_with_writeback = system.access_spans(
+        spans([(64 * KiB, 2 * KiB, False)]), 1.0
+    )
     assert (system.cache_stats() - before).dirty_misses == 32
     system.cache.reset()
-    _, nvram_clean = system.access_sweeps([(0, 2 * KiB, False)], 1.0)  # clean fill
+    _, nvram_clean = system.access_spans(spans([(0, 2 * KiB, False)]), 1.0)  # clean fill
     assert nvram_with_writeback > nvram_clean
 
 
@@ -83,7 +100,7 @@ def test_time_of_is_a_one_sweep_batch(is_write):
     for system in (single, batch):
         system.access(0, 2 * KiB, is_write=True)  # dirty victims for the sweep
     result = single.access(64 * KiB, 3 * KiB + 5, is_write=is_write)
-    pair = batch.access_sweeps([(64 * KiB, 3 * KiB + 5, is_write)], 1.0)
+    pair = batch.access_spans(spans([(64 * KiB, 3 * KiB + 5, is_write)]), 1.0)
     assert result.dirty_misses == 32
     assert single.time_of(result) == pair
     assert single.traffic() == batch.traffic()
@@ -108,7 +125,7 @@ def test_failed_batch_changes_nothing(ways, sweeps, sensitivity, error):
     runs = (list(cache._bounds), list(cache._states))
     tick, stats, traffic = cache._tick, system.cache_stats(), system.traffic()
     with pytest.raises(error):
-        system.access_sweeps(sweeps, sensitivity)
+        system.access_spans(spans(sweeps), sensitivity)
     assert (cache._bounds, cache._states) == runs
     assert cache._tick == tick
     assert system.cache_stats() == stats and system.traffic() == traffic
