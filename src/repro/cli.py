@@ -501,7 +501,7 @@ def _taxonomy(args) -> int:
     def gate(result):
         # The matrix must also be correctly classified: fractions sum to 1,
         # >=95% of reference-cell time attributed, pinned verdicts hold, and
-        # the cheap monitor tier agrees with the full trace.
+        # the monitor's rollups agree with the full trace.
         return taxonomy_mod.check_taxonomy(result), (
             "classification: fractions exact, verdicts pinned, "
             "monitor tier agrees with full trace"

@@ -13,13 +13,13 @@ matrix covers the four corners of the class space:
 * ``stream-compute`` — a flop-heavy pipeline, expected **compute**-bound
   (the control: a workload the memory system does not bottleneck).
 
-Every cell runs fully traced and classifies from the event stream; the
-reference mode additionally runs under the cheap monitor-only tier and
-classifies from rollups alone, pinning the contract that both tiers reach
-the same verdict. Expected classes are asserted on the *reference mode*
-(eviction-based policies): the 2LM hardware cache has no eviction machinery
-visible to software, so capacity pressure legitimately classifies as
-movement latency/bandwidth there.
+Every cell runs fully traced, with the runtime monitor attached, and
+classifies from the event stream; the reference cell is also classified
+from its monitor's rollups alone, pinning the contract that the bounded
+rollups reach the same verdict as the full trace. Expected classes are
+asserted on the *reference mode* (eviction-based policies): the 2LM
+hardware cache has no eviction machinery visible to software, so capacity
+pressure legitimately classifies as movement latency/bandwidth there.
 
 Everything is deterministic: seeded workload builders, virtual-time
 simulation, and a :meth:`TaxonomyResult.digest` fingerprint over every
@@ -152,10 +152,10 @@ class TaxonomyCell:
 
 @dataclass
 class TaxonomyResult:
-    """The full workload x mode matrix plus the cheap-tier cross-check."""
+    """The full workload x mode matrix plus the monitor cross-check."""
 
     cells: list[TaxonomyCell]
-    monitor_taxonomies: dict[str, Taxonomy]  # workload -> cheap-tier verdict
+    monitor_taxonomies: dict[str, Taxonomy]  # workload -> rollups' verdict
     workloads: tuple[str, ...]
     modes: tuple[str, ...]
     reference_mode: str
@@ -254,10 +254,10 @@ def run_taxonomy(
 ) -> TaxonomyResult:
     """Run and classify the workload x mode matrix.
 
-    Every cell runs with full tracing and is classified from its event
-    stream; reference-mode cells additionally run monitor-only (the tier
-    that retains no events) and are classified from rollups, get per-window
-    and ledger evidence, and carry the pinned expected class.
+    Every cell runs with full tracing and the monitor and is classified
+    from its event stream; reference-mode cells are also classified from
+    their monitor's rollups, get per-window and ledger evidence, and carry
+    the pinned expected class.
     """
     config = config or ExperimentConfig()
     mode_names = tuple(modes) if modes else tuple(MODES)
@@ -275,9 +275,6 @@ def run_taxonomy(
             raise ConfigurationError(f"duplicate {what}: {list(names)}")
     traced = replace(
         config, tracing=True, monitor=True, monitor_config=MonitorConfig(rules=())
-    )
-    monitor_only = replace(
-        config, tracing=False, monitor=True, monitor_config=MonitorConfig(rules=())
     )
     cost = CostModel.from_config(config)
     cells: list[TaxonomyCell] = []
@@ -304,10 +301,8 @@ def run_taxonomy(
                     for history in ledger.top_moved(3)
                 )
                 ping_pongs = len(ledger.ping_pongs())
-                mon_result = run_trace_mode(trace, mode_name, monitor_only)
-                assert mon_result.monitor is not None
                 monitor_taxonomies[workload] = classify_monitor(
-                    mon_result.monitor, cost
+                    result.monitor, cost
                 )
             else:
                 taxonomy = classify_trace(events, cost)
@@ -339,7 +334,7 @@ def check_taxonomy(result: TaxonomyResult) -> list[str]:
     * every cell's class fractions sum to 1 and are individually sane;
     * >= 95% of every reference cell's time is attributed to a real class;
     * reference-mode verdicts match each workload's pinned expected class;
-    * the cheap monitor tier reaches the same verdict as the full trace;
+    * the monitor's rollups reach the same verdict as the full trace;
     * per-phase decompositions partition the run total exactly;
     * reference cells carry a per-window drill-down.
     """

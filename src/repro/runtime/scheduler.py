@@ -100,8 +100,8 @@ class StreamScheduler:
     ) -> None:
         self.clock = clock
         # The tracer to tag with the active stream id: any ``Tracer``,
-        # the monitor tiers included; ``None`` and the shared no-op
-        # tracer are never touched.
+        # ``MonitorTracer`` included; ``None`` and the shared no-op tracer
+        # are never touched.
         self.tracer = tracer
         # Dynamic schedules accept spawn() mid-run (open-loop arrivals) and
         # always take the multi-stream path so the event queue exists.

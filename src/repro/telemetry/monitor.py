@@ -26,35 +26,16 @@ Four cooperating pieces, all fed one event at a time by
   pressure) with hysteresis, emitting ``alert`` events into the trace.
 
 :class:`MonitorTracer` adapts the monitor to the runtime's tracer slot: it
-*is* a :class:`Tracer` (same scopes, same virtual-time stamps — so cause
-attribution and determinism carry over). Each kind the monitor folds has
-one typed body, :class:`Tracer`'s, shared by both live tiers, and one fold,
-keyed by kind in ``_FOLDS``, shared by all three intakes. Each intake rings
-and counts the event in its own order, then folds it. With
-``keep_events=True`` (the full tier) ``_event`` stamps and retains the
-record, rings it, counts it and folds the values the body handed over; by
-default (the monitor-only tier) ``_event`` hands them to
-:meth:`RuntimeMonitor.note_event`, which counts the event, rings a compact
-tuple and folds it, and nothing is retained. The monitor is pure
-observation: it never advances the clock and never feeds back into policy
-decisions, so results are bit-identical with it on or off.
-
-What the two live tiers keep different on purpose:
-
-============  ==============================  ================================
-what          full tier                       monitor-only tier
-============  ==============================  ================================
-events seen   every kind, copy end included   only the folded kinds, so window
-                                              event counts are lower
-copy          bytes by root scope, seconds    bytes, seconds and counts by
-              and counts by innermost scope   ``copy_cause``, which an open
-                                              ``evict`` scope sets; rung once,
-                                              after the end window is counted
-checkpoint    snapshot/restore name no        snapshot/restore name a flight
-              flight dump                     dump
-ring record   the retained record             ``(kind, ts, *picked values)``;
-                                              alloc, free, kernel_end skip it
-============  ==============================  ================================
+*is* a :class:`Tracer` (same typed bodies, same scopes, same virtual-time
+stamps — so cause attribution and determinism carry over). Its ``_event``
+stamps the record, rings it, counts it in its window and folds it through
+the kind's entry in ``_FOLDS``, the one fold table. Whether the record is
+also retained is decided once, when the tracer is built: without
+``keep_events`` it is handed to a ``deque(maxlen=0)``, so a monitored run
+folds the same events, and leaves the same monitor, whether or not it keeps
+them. The monitor is pure observation: it never advances the clock and
+never feeds back into policy decisions, so results are bit-identical with
+it on or off.
 
 Everything here also works *offline*: :meth:`RuntimeMonitor.observe` is
 the replay intake — it maps each recorded event's args onto its kind's
@@ -67,8 +48,8 @@ monitor trace.jsonl`` does.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.telemetry.timeline import Timeline
@@ -97,10 +78,10 @@ from repro.telemetry.trace import (
     NULL_TRACER,
     REPLAY_DEFAULTS,
     SCHEMA,
+    EventView,
     NullTracer,
     TraceEvent,
     Tracer,
-    _NULL_SCOPE,
     _as_event,
 )
 
@@ -462,15 +443,14 @@ class FlightRecorder:
     """A fixed-size ring of the most recent events: the run's black box.
 
     Appending is O(1) with no allocation beyond the slot write. Slots hold
-    the full tier's retained records (see :mod:`repro.telemetry.trace`),
-    :class:`TraceEvent` objects (replay and alerts), or the monitor-only
-    tier's compact ``(kind, ts, *values)`` tuples (its ``note_event``
-    intake builds no event it would never retain). A
-    dump writes a ``repro.flight`` JSONL document — header line (reason,
-    virtual dump time, drop count) followed by the retained records in
-    arrival order with sorted keys and compact separators (the same
-    encoding as :func:`~repro.telemetry.export.jsonl_lines`), so a seeded
-    rerun produces a byte-identical dump.
+    the records a :class:`MonitorTracer` stamps (see
+    :mod:`repro.telemetry.trace`), whether or not its run retains them, or
+    :class:`TraceEvent` objects (replay and alerts). A dump writes a
+    ``repro.flight`` JSONL document — header line (reason, virtual dump
+    time, drop count) followed by the ringed events in arrival order with
+    sorted keys and compact separators (the same encoding as
+    :func:`~repro.telemetry.export.jsonl_lines`), so a seeded rerun
+    produces a byte-identical dump.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -478,25 +458,23 @@ class FlightRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.total = 0
-        self._ring: list[TraceEvent | dict | tuple | None] = [None] * capacity
+        self._ring: list[TraceEvent | tuple | None] = [None] * capacity
         self._next = 0
 
     def __len__(self) -> int:
         return min(self.total, self.capacity)
 
-    def append(self, event: "TraceEvent | dict | tuple") -> None:
+    def append(self, event: "TraceEvent | tuple") -> None:
         self._ring[self._next] = event
         self._next = (self._next + 1) % self.capacity
         self.total += 1
 
-    def snapshot(self) -> list["TraceEvent | dict | tuple"]:
-        """Retained entries in arrival order (oldest first), a full-tier
-        record as the event the trace view reads; cheap-tier tuples (kind
-        first, where a record starts with its ts) stay as they are."""
+    def snapshot(self) -> list[TraceEvent]:
+        """Retained entries in arrival order (oldest first), a record as the
+        event the trace view reads."""
         tail = self._ring[self._next:] + self._ring[: self._next]
         return [
-            _as_event(e) if type(e) is tuple and type(e[0]) is not str else e
-            for e in tail if e is not None
+            _as_event(e) if type(e) is tuple else e for e in tail if e is not None
         ]
 
     def dump(self, fp: IO[str], *, reason: str, ts: float) -> int:
@@ -514,46 +492,12 @@ class FlightRecorder:
         }
         fp.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
         fp.write("\n")
-        for entry in events:
-            if isinstance(entry, tuple):
-                doc = {"kind": entry[0], "ts": entry[1]}
-                doc.update(zip(_RING_RECORDS[entry[0]][0], entry[2:]))
-            elif isinstance(entry, dict):
-                doc = entry
-            else:
-                doc = entry.to_json()
+        for event in events:
+            doc = event.to_json()
             fp.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
             fp.write("\n")
         return len(events)
 
-
-# The monitor-only tier's compact ring records, kind -> (field names, pick).
-# ``note_event`` rings ``(kind, ts) + pick(values)``, ``values`` being what
-# the kind's typed body in ``Tracer`` hands ``_event`` (an ``itemgetter``
-# of indexes or a slice: a tuple either way, and no Python frame); dump()
-# re-keys the picked values with the field names, so the JSONL document is
-# indistinguishable from one built from kwargs. Kinds absent here (alloc,
-# free, kernel_end: pure volume, no forensic value) are not rung; the
-# cheap tier's own ``copy`` body rings its COPY_START record itself.
-_FIRST = itemgetter(slice(0, 1))
-_RING_RECORDS: dict[str, tuple[tuple[str, ...], Any]] = {
-    STALL: (("kernel", "seconds"), itemgetter(slice(0, 2))),
-    COPY_START: (("src", "dst", "nbytes", "seconds"), None),
-    EVICT: (("obj", "nbytes"), itemgetter(0, 3)),
-    PREFETCH: (("obj", "nbytes"), itemgetter(0, 3)),
-    GC: (("seconds",), _FIRST),
-    OOM_RETRY: (("obj",), _FIRST),
-    COPY_RETRY: (("reason",), itemgetter(slice(4, 5))),
-    FAULT: (("fault",), _FIRST),
-    RECOVERY_STEP: (("step", "tenant"), itemgetter(0, 5)),
-    RECOVERY: (("step",), _FIRST),
-    POLICY_STRIKE: (("op", "tenant"), itemgetter(0, 3)),
-    QUARANTINE: (("policy",), _FIRST),
-    DETACH: (("subject",), _FIRST),
-    RESIZE: (("subject",), _FIRST),
-    SNAPSHOT: (("subject",), _FIRST),
-    RESTORE: (("subject",), _FIRST),
-}
 
 # Elastic-event kind -> totals key.
 _ELASTIC_TOTALS = {
@@ -848,10 +792,6 @@ class RuntimeMonitor:
         # Live aggregates (exact, maintained incrementally from events).
         self.occupancy: dict[str, int] = {}
         self.inflight_copy_bytes = 0
-        # The copy-cause bucket the monitor-only tier's ``copy`` reads: the
-        # tier's ``scope("evict", ...)`` sets it for the scope's extent —
-        # the cheap stand-in for the full tier's attribution stack.
-        self.copy_cause = "unattributed"
         self._inflight: dict[int, tuple[float, int]] = {}  # seq -> (ts, nbytes)
         self.totals: dict[str, Any] = {
             "copies": 0, "copy_bytes": 0, "copy_seconds": 0.0,
@@ -926,50 +866,25 @@ class RuntimeMonitor:
 
     # -- event intake --------------------------------------------------------
     #
-    # Three ways in, one fold per kind (``_FOLDS``, below the class). Each
-    # intake rings and counts the event in its own order, then calls the
-    # kind's fold with the window it counted the event in, the event's ts,
-    # kind, cause, root and stream, and its fields and values in ``SCHEMA``
-    # order. The full tier's ``MonitorTracer._event`` rings the retained
-    # record, counts it and folds the values its typed body handed over.
-    # The monitor-only tier's ``note_event`` counts, rings a compact tuple
-    # (see ``_RING_RECORDS``) and folds. ``observe`` takes a finished
-    # :class:`TraceEvent` (offline replay and hand-emitted events): it rings
-    # and counts the event, then maps ``event.args`` onto the kind's row,
-    # tolerantly, since replay reads foreign JSONL. The differences kept on
-    # purpose are the table in the module docstring.
-
-    def _intake(self, ts: float) -> RollupWindow:
-        """Count one event at ``ts``; returns the window it landed in, which
-        is also left as the aggregator's cached window."""
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        # Consecutive events nearly always land in the aggregator's cached
-        # current window: test its bounds in place rather than paying a
-        # call to find that out.
-        rollups = self.rollups
-        window = (
-            rollups._cache_window
-            if rollups._cache_lo <= ts < rollups._cache_hi
-            else rollups.window_for(ts)
-        )
-        window.events += 1
-        return window
+    # Two ways in, one fold per kind (``_FOLDS``, below the class). Each
+    # rings the event, counts it in its window, then calls the kind's fold
+    # with that window, the event's ts, kind, cause, root and stream, and
+    # its fields and values in ``SCHEMA`` order. A live run's
+    # ``MonitorTracer._event`` does so with the record its typed body
+    # stamped, written in place. ``observe`` takes a finished
+    # :class:`TraceEvent` (offline replay and hand-emitted events), maps
+    # ``event.args`` onto the kind's row — tolerantly, since replay reads
+    # foreign JSONL — and hands both to :meth:`note_event`.
 
     def observe(self, event: TraceEvent) -> None:
         """Fold one finished event into every monitor structure (the replay
         intake; a live run folds as each typed call reports)."""
-        self.ring.append(event)
-        window = self._intake(event.ts)
-        fold = _FOLDS.get(event.kind)
-        if fold is None:
-            # Other kinds (hint/place/decision/...) only count toward
-            # window.events and ride in the flight ring.
-            return
-        fields, values = _replay_row(event.kind, event.args)
-        fold(self, window, event.ts, event.kind, event.cause, event.root,
-             event.stream, fields, values)
+        kind = event.kind
+        # Other kinds (hint/place/decision/...) only count toward
+        # window.events and ride in the flight ring.
+        fields, values = _replay_row(kind, event.args) if kind in _FOLDS else ((), ())
+        self.note_event(event, event.ts, kind, event.cause, event.root,
+                        event.stream, fields, values)
 
     def observe_all(self, events: Iterable[TraceEvent]) -> "RuntimeMonitor":
         """Replay a whole event stream (offline mode); returns self."""
@@ -982,34 +897,20 @@ class RuntimeMonitor:
         self.rollups.finish()
 
     def note_event(
-        self, ts: float, kind: str, fields: tuple, values: tuple, stream: str
+        self, entry: TraceEvent, ts: float, kind: str, cause: str, root: str,
+        stream: str, fields: tuple, values: tuple,
     ) -> None:
-        """The monitor-only tier's intake, which its tracer's ``_event``
-        hands every event: count the event in its window, ring its compact
-        ``(kind, ts, *picked values)`` tuple, then fold it. Retains nothing.
-
-        ``_intake`` and ``FlightRecorder.append`` are written in place: this
-        runs once per event of a monitored run, and the two calls cost more
-        than their bodies. Counting comes first, as it always has on this
-        tier: a window it closes rings its alerts before this record.
-        """
+        """Ring ``entry``, count it in the window ``ts`` lands in, then fold
+        its values if its kind is one the monitor folds."""
+        self.ring.append(entry)
         self.events_seen += 1
         if ts > self.last_ts:
             self.last_ts = ts
-        rollups = self.rollups
-        if rollups._cache_lo <= ts < rollups._cache_hi:
-            window = rollups._cache_window
-        else:
-            window = rollups.window_for(ts)
+        window = self.rollups.window_for(ts)
         window.events += 1
-        ring_record = _RING_RECORDS.get(kind)
-        if ring_record is not None:
-            ring = self.ring
-            ring._ring[ring._next] = (kind, ts) + ring_record[1](values)
-            ring._next = (ring._next + 1) % ring.capacity
-            ring.total += 1
-        # Only the folded kinds reach this tier's ``_event``.
-        _FOLDS[kind](self, window, ts, kind, "", "", stream, fields, values)
+        fold = _FOLDS.get(kind)
+        if fold is not None:
+            fold(self, window, ts, kind, cause, root, stream, fields, values)
 
     # -- the folds -----------------------------------------------------------
     #
@@ -1052,11 +953,33 @@ class RuntimeMonitor:
                 self._tenant_used.pop(key, None)
 
     def _fold_copy_start(self, window, ts, kind, cause, root, stream, fields, values):
-        # In flight until the end with the same ``seq`` lands.
+        # Bytes attribute to the *root* cause (who started the cascade);
+        # seconds and counts to the *innermost* cause, the ``mechanism``
+        # (what the copy mechanically was — an eviction nested under a
+        # placement is still eviction work). In flight until the end with
+        # the same ``seq`` lands.
         _, _, nbytes, _, seconds, seq = values
-        self._copy_started(
-            window, nbytes, seconds, cause_kind(root), cause_kind(cause)
+        bytes_cause, mechanism = cause_kind(root), cause_kind(cause)
+        window.copies += 1
+        window.copy_bytes += nbytes
+        window.copy_seconds += seconds
+        by_bytes = window.copy_bytes_by_cause
+        by_bytes[bytes_cause] = by_bytes.get(bytes_cause, 0) + nbytes
+        by_seconds = window.copy_seconds_by_cause
+        by_seconds[mechanism] = by_seconds.get(mechanism, 0.0) + seconds
+        by_count = window.copies_by_cause
+        by_count[mechanism] = by_count.get(mechanism, 0) + 1
+        totals = self.totals
+        totals["copies"] += 1
+        totals["copy_bytes"] += nbytes
+        totals["copy_seconds"] += seconds
+        self.copies_by_cause[mechanism] = (
+            self.copies_by_cause.get(mechanism, 0) + 1
         )
+        self.copy_seconds_by_cause[mechanism] = (
+            self.copy_seconds_by_cause.get(mechanism, 0.0) + seconds
+        )
+        self.inflight_copy_bytes += nbytes
         if seq is not None:
             self._inflight[seq] = (ts, nbytes)
 
@@ -1067,7 +990,8 @@ class RuntimeMonitor:
         started = None if seq is None else self._inflight.pop(seq, None)
         if started is not None:
             start_ts, nbytes = started
-            self._copy_landed(ts - start_ts, nbytes)
+            self.inflight_copy_bytes -= nbytes
+            self.copy_latency.observe(ts - start_ts)
 
     def _fold_kernel_end(self, window, ts, kind, cause, root, stream, fields, values):
         _, seconds, compute, memory, fixed, _ = values
@@ -1129,55 +1053,10 @@ class RuntimeMonitor:
 
     def _fold_elastic(self, window, ts, kind, cause, root, stream, fields, values):
         """Totals only (elastic events have no window counters). Detach and
-        resize name a flight dump by their subject (tenant, device); the
-        monitor-only tier's ``checkpoint`` names one for snapshot/restore
-        itself (module docstring)."""
+        resize name a flight dump by their subject (tenant, device)."""
         self.totals[_ELASTIC_TOTALS[kind]] += 1
         if kind in (DETACH, RESIZE):
             self._maybe_dump(f"{kind}:{values[0]}", ts)
-
-    # The copy arithmetic the folds share with the monitor-only tier's own
-    # ``copy`` body.
-
-    def _copy_started(
-        self,
-        window: RollupWindow,
-        nbytes: int,
-        seconds: float,
-        bytes_cause: str,
-        mechanism: str,
-    ) -> None:
-        # Bytes attribute to ``bytes_cause`` (the full tier's and replay's
-        # *root* cause: who started the cascade); seconds and counts
-        # attribute to ``mechanism`` (the *innermost* cause: what the copy
-        # mechanically was — an eviction nested under a placement is still
-        # eviction work). The cheap tier passes ``copy_cause`` for both,
-        # which is the innermost keying, so the bottleneck taxonomy reads
-        # the same mechanism mix from either tier.
-        window.copies += 1
-        window.copy_bytes += nbytes
-        window.copy_seconds += seconds
-        by_bytes = window.copy_bytes_by_cause
-        by_bytes[bytes_cause] = by_bytes.get(bytes_cause, 0) + nbytes
-        by_seconds = window.copy_seconds_by_cause
-        by_seconds[mechanism] = by_seconds.get(mechanism, 0.0) + seconds
-        by_count = window.copies_by_cause
-        by_count[mechanism] = by_count.get(mechanism, 0) + 1
-        totals = self.totals
-        totals["copies"] += 1
-        totals["copy_bytes"] += nbytes
-        totals["copy_seconds"] += seconds
-        self.copies_by_cause[mechanism] = (
-            self.copies_by_cause.get(mechanism, 0) + 1
-        )
-        self.copy_seconds_by_cause[mechanism] = (
-            self.copy_seconds_by_cause.get(mechanism, 0.0) + seconds
-        )
-        self.inflight_copy_bytes += nbytes
-
-    def _copy_landed(self, latency: float, nbytes: int) -> None:
-        self.inflight_copy_bytes -= nbytes
-        self.copy_latency.observe(latency)
 
     def _count(
         self, window: RollupWindow, name: str, ts: float = 0.0, dump: str = ""
@@ -1459,20 +1338,16 @@ def _replay_row(kind: str, args: Mapping[str, Any]) -> tuple[tuple, tuple]:
 class MonitorTracer(Tracer):
     """A :class:`Tracer` that streams events into a :class:`RuntimeMonitor`.
 
-    ``keep_events`` picks the listener once, at construction:
-
-    * ``keep_events=True`` — full tracing *plus* live monitoring (the
-      profile/chaos configuration): this class. Every typed call builds and
-      retains its event through :class:`Tracer`'s body, whose ``_event`` is
-      extended here to ring the record, count it in its window and, for a
-      kind the monitor folds, call the kind's fold with the values the body
-      handed over — the fold ``observe`` reaches by re-reading
-      ``event.args``. ``emit``/``emit_at`` (hand-built events) go through
-      ``observe``.
-    * ``keep_events=False`` (the default, the "monitor-only tier") — the
-      cheap always-on configuration: :class:`_MonitorOnlyTracer`, which
-      runs the same typed bodies with an ``_event`` that hands each event
-      to :meth:`RuntimeMonitor.note_event`.
+    Every typed call builds its record through :class:`Tracer`'s body,
+    whose ``_event`` is extended here to ring the record, count it in its
+    window and, for a kind the monitor folds, call the kind's fold with the
+    values the body handed over — the fold ``observe`` reaches by re-reading
+    ``event.args``. ``emit``/``emit_at`` (hand-built events) go through
+    ``observe``. ``keep_events`` decides only whether the records are
+    retained: with it (full tracing *plus* live monitoring, the
+    profile/chaos configuration) they are, as on :class:`Tracer`; without
+    it (the default) they are dropped as they are stamped, and the monitor
+    and its ring are byte for byte the same.
 
     Either way the monitor is pure observation — it never advances the
     clock — so results are bit-identical with monitoring on or off.
@@ -1487,20 +1362,19 @@ class MonitorTracer(Tracer):
     ) -> None:
         super().__init__(clock)
         self.monitor = monitor if monitor is not None else RuntimeMonitor()
-        self.keep_events = keep_events
-        if keep_events:
-            self.monitor.set_alert_sink(self._log_alert)
-        else:
-            # The listener is picked here, once — not by a flag every typed
-            # call would have to test. (Re-classing, rather than a __new__
-            # that inspects keep_events, keeps pickling by class trivial.)
-            self.__class__ = _MonitorOnlyTracer
+        self.monitor.set_alert_sink(self._log_alert)
+        if not keep_events:
+            # Retention is decided here, once — not by a flag every event
+            # would have to test: the records go to a sink that keeps none.
+            self._records = deque(maxlen=0)
+            self.events = EventView(self._records)
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
         return self.emit_at(self.clock.now, kind, **args)
 
     def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
-        # A hand-built event: stamped and retained, then the replay intake.
+        # A hand-built event: stamped (and retained if kept), then the
+        # replay intake.
         record = Tracer._event(self, ts, kind, tuple(args), tuple(args.values()))
         event = _as_event(record)
         self.monitor.observe(event)
@@ -1515,7 +1389,7 @@ class MonitorTracer(Tracer):
     def _event(self, ts: float, kind: str, fields: tuple, values: tuple) -> tuple:
         # Tracer._event (stamp, retain), then what ``observe`` does — ring,
         # count, fold — with all three of Tracer._event,
-        # ``FlightRecorder.append`` and ``RuntimeMonitor._intake`` written
+        # ``FlightRecorder.append`` and ``RuntimeMonitor.note_event`` written
         # in place: this runs once per event of a traced run, and the calls
         # cost more than their bodies (the record layout is pinned by the
         # byte-identity tests). A copy's start record therefore folds before
@@ -1555,94 +1429,6 @@ class MonitorTracer(Tracer):
     hint = Tracer.hint
 
 
-class _CauseScope:
-    """The one attribution the monitor-only tier tracks: while open, its
-    ``copy`` buckets copies under ``kind``. Restores (does not clear)
-    on exit, so a demotion cascading out of another keeps the outer cause.
-    """
-
-    __slots__ = ("_monitor", "_kind", "_outer")
-
-    def __init__(self, monitor: RuntimeMonitor, kind: str) -> None:
-        self._monitor = monitor
-        self._kind = kind
-
-    def __enter__(self) -> "_CauseScope":
-        self._outer = self._monitor.copy_cause
-        self._monitor.copy_cause = self._kind
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._monitor.copy_cause = self._outer
-
-
-class _MonitorOnlyTracer(MonitorTracer):
-    """``MonitorTracer(keep_events=False)``: the always-on cheap tier.
-
-    It answers the kinds the monitor folds with :class:`Tracer`'s typed
-    bodies, through an ``_event`` that hands each event and the stream to
-    the monitor's :meth:`~RuntimeMonitor.note_event`: the event is counted,
-    rung as a compact tuple and folded, and nothing is retained. Every
-    other kind, ``hint()`` and ``hints()`` are :class:`NullTracer`'s no-ops
-    (the monitor folds no hint), and ``enabled`` is False, so no
-    traced-only work runs. ``scope()`` stays the no-op for the per-operand
-    kinds (their cost is why this tier exists) and tracks only the kinds
-    the copy-cause rollups report. ``copy`` and ``checkpoint`` keep bodies
-    of their own: the differences the module docstring's table lists.
-    """
-
-    enabled = False
-    _TRACKED_SCOPES = frozenset({"evict"})
-
-    # The kinds the monitor does not fold.
-    setprimary = NullTracer.setprimary
-    setdirty = NullTracer.setdirty
-    evict_scan = NullTracer.evict_scan
-    defrag = NullTracer.defrag
-    place = NullTracer.place
-    decision = NullTracer.decision
-    kernel_start = NullTracer.kernel_start
-    invariant_check = NullTracer.invariant_check
-    request = NullTracer.request
-    hint = NullTracer.hint
-    hints = NullTracer.hints
-
-    def _event(self, ts: float, kind: str, fields: tuple, values: tuple) -> None:
-        self.monitor.note_event(ts, kind, fields, values, self.stream)
-
-    def scope(self, kind: str, subject: object = ""):
-        if kind in self._TRACKED_SCOPES:
-            return _CauseScope(self.monitor, kind)
-        return _NULL_SCOPE
-
-    def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
-        # No typed call lands here; a hand-emitted event is folded through
-        # the replay intake and dropped (no scopes are ever open).
-        event = TraceEvent(ts, kind, args, stream=self.stream)
-        self.monitor.observe(event)
-        return event
-
-    def copy(self, src, dst, nbytes, threads, seconds, completes_at, seq) -> None:
-        # The order a COPY_START/COPY_END pair is observed in: the start
-        # window is counted, the copy goes in flight, then the end window is
-        # counted (possibly closing the start window with this copy still in
-        # flight), then the copy lands and its one record is rung.
-        monitor = self.monitor
-        start = completes_at - seconds
-        cause = monitor.copy_cause
-        window = monitor._intake(start)
-        monitor._copy_started(window, nbytes, seconds, cause, cause)
-        monitor._intake(completes_at)
-        monitor._copy_landed(completes_at - start, nbytes)
-        monitor.ring.append((COPY_START, start, src, dst, nbytes, completes_at - start))
-
-    def checkpoint(self, kind, label, kernels) -> None:
-        # Counted, rung and folded as on the full tier; snapshot/restore
-        # also name a flight dump on this tier.
-        Tracer.checkpoint(self, kind, label, kernels)
-        self.monitor._maybe_dump(f"{kind}:{label}", self.clock.now)
-
-
 def pick_tracer(clock: "SimClock", config: Any) -> "Tracer | NullTracer":
     """The one listener a run's instrumented sites call, chosen from the
     ``tracing`` / ``monitor`` / ``monitor_config`` fields of ``config`` (a
@@ -1651,7 +1437,7 @@ def pick_tracer(clock: "SimClock", config: Any) -> "Tracer | NullTracer":
     Nothing asked for: the shared no-op :data:`NULL_TRACER`. ``tracing``
     alone: a recording :class:`Tracer`. ``monitor``: a fresh
     :class:`RuntimeMonitor` behind a :class:`MonitorTracer`, which retains
-    events only when ``tracing`` is on too.
+    its records only when ``tracing`` is on too.
     """
     if config.monitor:
         return MonitorTracer(

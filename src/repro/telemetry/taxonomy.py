@@ -1,6 +1,6 @@
 """DAMOV-style movement-bottleneck taxonomy over a run's telemetry.
 
-Folds a run's event stream (or the cheap monitor tier's rollups) into an
+Folds a run's event stream (or a runtime monitor's rollups) into an
 exact decomposition of wall time into four bottleneck classes:
 
 * **compute** — kernel flop time (the part of ``compute`` past launch);
@@ -28,10 +28,11 @@ wall with *zero* observed copies to carry it.
 
 ``classify_trace`` consumes a full traced event list and also yields
 per-kernel-phase and per-window drill-downs; ``classify_monitor`` consumes
-a :class:`~repro.telemetry.monitor.RuntimeMonitor` (the monitor-only tier,
-which retains no events) and reaches the same verdicts from windowed rollups alone, approximating
-each copy's fixed cost as one DRAM<->NVRAM pair — exact in the two-device
-system this repo models.
+a :class:`~repro.telemetry.monitor.RuntimeMonitor`, whose bounded state is
+all a monitored run that keeps no events leaves, and reaches the same
+verdicts from windowed rollups alone, approximating each copy's fixed cost
+as one DRAM<->NVRAM pair — exact in the two-device system this repo
+models.
 """
 
 from __future__ import annotations
@@ -530,11 +531,11 @@ def classify_trace(
 
 
 def classify_monitor(monitor: RuntimeMonitor, cost: CostModel) -> Taxonomy:
-    """Classify from the cheap monitor tier's rollups alone.
+    """Classify from a runtime monitor's rollups alone.
 
-    Works on both a live :class:`MonitorTracer` feed (either tier) and an
-    offline ``observe_all`` replay. Coarser than :func:`classify_trace` —
-    the fast path does not carry per-copy endpoints or kernel phases — but
+    Works on both a live :class:`MonitorTracer` feed (events kept or not)
+    and an offline ``observe_all`` replay. Coarser than :func:`classify_trace` —
+    the rollups do not carry per-copy endpoints or kernel phases — but
     the class algebra is identical, with each copy's fixed cost taken as
     :attr:`CostModel.default_copy_fixed`.
     """

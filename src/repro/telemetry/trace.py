@@ -29,7 +29,7 @@ which open a scope only around what they move; a hint sweep emits the
 ``hint`` events of the operands it moved nothing for as *owed* ones, in
 operand order, through the next ``hint()`` or a closing :meth:`Tracer.hints`.
 
-**One reporting seam, three listeners.** An instrumented site makes exactly
+**One reporting seam, two listeners.** An instrumented site makes exactly
 one unconditional, positional, typed call — ``tracer.copy(...)``,
 ``tracer.alloc(...)``, ``tracer.kernel_end(...)`` — and cannot tell who is
 listening:
@@ -45,15 +45,11 @@ listening:
   (kind → field names in args order); each body knows its kind's
   timestamp and hands its values in that order. :meth:`Tracer.emit`/
   :meth:`Tracer.emit_at` remain for hand-emitted events only. With the
-  monitor attached (``MonitorTracer(keep_events=True)``) ``_event`` also
-  rings and counts each record as it is built and folds the kinds the
-  monitor folds, from the values in hand.
-* the monitor-only tier (``telemetry.monitor``): the kinds the always-on
-  :class:`~repro.telemetry.monitor.RuntimeMonitor` folds run the same
-  typed bodies as the full tier, with an ``_event`` that hands them to the
-  monitor's ``note_event`` — it counts the event, rings a compact tuple
-  and folds it: no kwargs dict, no :class:`TraceEvent`, nothing retained
-  — and every other kind is the no-op above.
+  monitor attached (:class:`~repro.telemetry.monitor.MonitorTracer`)
+  ``_event`` also rings and counts each record as it is built and folds
+  the kinds the monitor folds, from the values in hand; whether the
+  records are also retained is fixed when that tracer is built, and the
+  monitor folds the same events either way.
 
 **Retained events are records, read through a view.** A traced run keeps
 every event, so what it keeps must cost the cyclic collector nothing: a
@@ -328,7 +324,9 @@ class EventView(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [_as_event(record) for record in self._records[index]]
+            # An empty sink may be one that keeps nothing (a deque).
+            records = self._records[index] if self._records else ()
+            return [_as_event(record) for record in records]
         return _as_event(self._records[index])
 
     def __iter__(self) -> Iterator[TraceEvent]:
@@ -659,7 +657,7 @@ class NullTracer:
 
     Every typed call an instrumented site can make is listed here with what
     it reports; here each does nothing. :class:`Tracer` turns the same calls
-    into events and the monitor-only tier forwards the ones it folds.
+    into events.
     """
 
     enabled = False

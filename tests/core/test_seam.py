@@ -2,8 +2,9 @@
 
 Every instrumented site outside ``repro/telemetry`` makes one unconditional
 typed call on its tracer (``tracer.copy(...)``, ``tracer.alloc(...)``) and
-cannot tell which listener is attached — the no-op, the full tracer, or the
-monitor-only tier. These tests pin that, in the idiom of
+cannot tell which listener is attached — the no-op, the recording tracer,
+or the recording tracer with the monitor attached, records kept or not.
+These tests pin that, in the idiom of
 ``test_separation.py``: an AST walk over the sources, so a refactor cannot
 quietly grow a second reporting arm back.
 """
@@ -119,45 +120,35 @@ def typed_calls(cls):
     }
 
 
-# The typed calls whose kinds the monitor folds, on both live tiers.
+# The typed calls whose kinds the monitor folds.
 FOLDED = {
     "alloc", "free", "copy", "copy_retry", "prefetch", "evict", "kernel_end",
     "stall", "gc", "oom_retry", "fault", "recovery_step", "recovery",
     "policy_strike", "quarantine", "detach", "resize", "checkpoint",
 }
-# The folded kinds whose monitor-only body differs on purpose (the table in
-# ``telemetry/monitor.py``'s docstring).
-CHEAP_BODIES = {"copy", "checkpoint"}
 
 
 def test_every_listener_answers_every_typed_call():
     protocol = typed_calls(NullTracer)
     assert protocol <= typed_calls(Tracer)
     assert FOLDED <= protocol
-    # The monitor-only tier answers a folded kind with Tracer's body (two
-    # with its own) and every other kind with the no-op; it never falls
-    # through to Tracer's body for a kind the monitor does not fold.
-    tracer = MonitorTracer(None)
-    monitor_only = type(tracer)
     assert "hints" in protocol  # a hint sweep's owed events: a typed call
-    for name in protocol | {"hint"}:
-        body = getattr(monitor_only, name)
-        if name in CHEAP_BODIES:
-            assert body is vars(monitor_only)[name], name
-        elif name in FOLDED:
-            assert body is vars(Tracer)[name], name
-        else:
-            assert body is vars(NullTracer)[name], name
-    # Its ``_event`` is a method of the class, handing the monitor's intake
-    # the stream: a tracer pickles no bound intake of its own.
-    assert "_event" not in vars(tracer)
-    assert "_event" in vars(monitor_only)
-    assert not monitor_only.enabled
+    # A monitored tracer is one class whether or not it keeps its records:
+    # it answers every typed call, folded kind or not, with Tracer's body,
+    # and folds in the one ``_event`` of its class (a tracer pickles no
+    # bound intake of its own).
+    for keep_events in (False, True):
+        tracer = MonitorTracer(None, keep_events=keep_events)
+        assert type(tracer) is MonitorTracer and tracer.enabled
+        assert "_event" not in vars(tracer)
+        for name in protocol | {"hint"}:
+            assert getattr(MonitorTracer, name) is vars(Tracer)[name], name
+    assert "_event" in vars(MonitorTracer)
     for name in protocol:
         # Same positional signature everywhere: a site's one call must mean
         # the same thing to whichever listener is attached.
         expected = list(inspect.signature(getattr(Tracer, name)).parameters)
-        for listener in (NullTracer, monitor_only, MonitorTracer):
+        for listener in (NullTracer, MonitorTracer):
             got = list(inspect.signature(getattr(listener, name)).parameters)
             assert got == expected, f"{listener.__name__}.{name}"
 
@@ -170,33 +161,52 @@ def class_methods(relative, cls):
 
 
 def test_the_full_tier_folds_at_the_typed_call():
-    """Every intake folds through one table: both monitored tiers fold in
-    their ``_event``, during the typed call, so ``MonitorTracer`` overrides
-    none of the folded typed calls and the monitor-only tier defines of
-    them only the bodies it keeps different on purpose. Replay has no
-    adapter of its own (no kind -> extractor table, no ``_x_*`` helpers),
-    the monitor keeps one cheap intake, ``note_event``, and no typed body
-    reaches the ``emit``/``emit_at`` replay intake."""
+    """Every intake folds through one table: a monitored tracer folds in
+    its ``_event``, during the typed call, so ``MonitorTracer`` overrides
+    none of the folded typed calls, and it is the one tracer class the
+    monitor module defines: no second tier picked by re-classing, no
+    scope of its own, no attribute of the monitor's that only it sets.
+    Replay has no adapter of its own (no kind -> extractor table, no
+    ``_x_*`` helpers); its one intake past the ``SCHEMA`` mapping is
+    ``note_event``, which ``observe`` calls. No typed body reaches the
+    ``emit``/``emit_at`` replay intake."""
     monitor = "telemetry/monitor.py"
     assert len(FOLDED) == 18
     assert not FOLDED & set(vars(MonitorTracer))
-    cheap_bodies = FOLDED & set(class_methods(monitor, "_MonitorOnlyTracer"))
-    assert cheap_bodies == CHEAP_BODIES
+    tree = ast.parse((ROOT / monitor).read_text())
+    assert [
+        node.name for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and not {ast.unparse(base) for base in node.bases}.isdisjoint(
+            {"Tracer", "MonitorTracer", "NullTracer"}
+        )
+    ] == ["MonitorTracer"]
+    init = class_methods(monitor, "MonitorTracer")["__init__"]
+    assert "__class__" not in {
+        node.attr for node in ast.walk(init) if isinstance(node, ast.Attribute)
+    }
     assert [name for name in vars(RuntimeMonitor) if name.startswith("note_")] == [
         "note_event"
     ]
+    assert any(
+        calls("note_event")(node)
+        for node in ast.walk(class_methods(monitor, "RuntimeMonitor")["observe"])
+    )
     names = {
         node.id if isinstance(node, ast.Name) else node.name
-        for node in ast.walk(ast.parse((ROOT / monitor).read_text()))
-        if isinstance(node, (ast.Name, ast.FunctionDef))
-    }
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.FunctionDef, ast.ClassDef))
+    } | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "_EXTRACTORS" not in names
     assert not [name for name in names if name.startswith("_x_")]
+    assert not names & {
+        "_MonitorOnlyTracer", "_CauseScope", "copy_cause", "_RING_RECORDS",
+        "_intake",
+    }
     reaches_emit = [calls("emit"), calls("emit_at")]
     for relative, cls in (
         ("telemetry/trace.py", "Tracer"),
         (monitor, "MonitorTracer"),
-        (monitor, "_MonitorOnlyTracer"),
     ):
         for name, node in class_methods(relative, cls).items():
             if name not in ("emit", "emit_at"):

@@ -1,9 +1,10 @@
 """Byte-identity pins for the telemetry seam (beside the golden digests).
 
-The golden digests hold the *simulated* result; these hold what the three
-tracer tiers *report* about it, byte for byte: the full tier's JSONL v3
-export, each monitored tier's health snapshot and flight ring, and the
-flight-dump tree a chaos plan leaves behind. They were recorded at the
+The golden digests hold the *simulated* result; these hold what the
+tracers *report* about it, byte for byte: the full tier's JSONL v3 export,
+the monitor's health snapshot and flight ring (the same whether or not the
+run keeps its records), and the flight-dump tree a chaos plan leaves
+behind. They were recorded at the
 commit before the one-seam refactor (every site hand-building its event in
 an ``if tracer.enabled`` arm and again in an ``elif tracer.monitoring``
 arm) and must not move: a change here means an emitted event, a rollup, or
@@ -47,18 +48,11 @@ GOLDEN_JSONL = {
     False: "dd05151bc130f280ebd0ee2bd889be03cce70e8b98cad535463e6f5aaa59c84f",
     True: "8558cfd9594309ea7bb06b47be3309a2c3ff04a0a566b68efd70597c91ecc406",
 }
-GOLDEN_SNAPSHOT = {
-    False: "c7b8df30d85b42e69f2ab18c06282b5879ca975e387e5e44be0dac743dc10d53",
-    True: "103bdfe672ca45620c4488454599759740c8f4ff72697da9f0ab4d9acd783d57",
-}
-GOLDEN_CHEAP_FLIGHT = {
-    False: "07aa71c18d926f912f6f9b8c957918f27517588d2eff929810bb48ce2912af05",
-    True: "00b330a6fa28911721dca9788f409119688879373d6ad5ff956c1a7737b40548",
-}
 # The full tier's monitor (tracing + monitor: every event rung and folded),
 # recorded while it still folded through ``observe`` and must not move now
 # that its ``_event`` calls the fold table all intakes share: (health
-# snapshot, flight ring).
+# snapshot, flight ring). A monitored run that keeps no records folds the
+# same events and must land on the same pair.
 GOLDEN_FULL_MONITOR = {
     False: (
         "fa8ceb12205fe0209e2b52a4d94cd733caf21d74031d41639d1593fd119b1ffd",
@@ -85,58 +79,58 @@ GOLDEN_CHAOS_FLIGHT_TREE = {
     "policy-bug": "51c99e3444440031cb1ee44b031e3a2867cddc8e71aca5b2c2411cd22512f9fc",
     "slow-bus": "6acaa1f663d65df80be0f77826df835489307e9cb4f6b24b957dd49004aeb1f8",
 }
-# The same virtual scenario on the monitor-only tier (compact ring tuples
-# rung by ``RuntimeMonitor.note_event``, which its tracer's ``_event`` hands
-# every event): (flight-dump tree, health snapshot).
-GOLDEN_CHEAP_CHAOS = {
+# The chaos virtual scenario below, monitored without keeping records (each
+# test first checks it equals the same scenario traced): (flight-dump
+# tree, health snapshot).
+GOLDEN_MONITOR_ONLY_CHAOS = {
     "alloc-storm": (
-        "05253f449dc807dc019c4d02f50f4503a0e7d3db1a3c0c26b687c86a74d67b7a",
-        "4263019c7cd4b061f345b22f4e3318d476028eb205a45b82c17ae992b9c74138",
+        "b4b6e290eb2313aa89ae8adadd8569db143ee001fb9def8b4508c77f595a07c2",
+        "94a348b9d4e2bc2508c35d2e4be63fead80d4da39f67101fe8cf24fcd3831bf8",
     ),
     "bisect-demo": (
-        "2c7cd4038b93d70db3d97f979a8e491a994dc0e07ed2480929b8b2717c1f14f6",
-        "b86e2bdb9dcab60a8d83ade3fbd185a4a40153f22e7cabb4e566b0e8f1ee2d2c",
+        "6a7d1ddf48e0ad0a73d52c089c4a2a8588ddf0b90f86bc0b0f0b6b95a58e26eb",
+        "c115309451141a64ccad58140157c0f78c28644ebd15bdea654495bbbe403547",
     ),
     "copy-corrupt": (
-        "7cf1473598d652566a430f207e706771288ba1ba1d937f475583b43bcbe921d5",
-        "54706ed7e7a766f4defd07cc565331dd6998b7d0b8b08b702cbf9c708145af10",
+        "3ad098b996613826e88bcef4b3a8b8679b8233a646d6830e08724595953565f1",
+        "ec583ba0d8e5653dcdabd1c70775629f46c157af3ebd8e0844a5e8d96812c365",
     ),
     "copy-exhaust": (
-        "7149371620a08c4e66941b93057f57a94de7e2c0c3f715c98397358af897a4f5",
-        "1a658bd744a0ed37942a31ef7fff20d9f74e3927e0f7a5dc904c8a78e57980d7",
+        "ac7dd53463553ad5e9e1b8080af10924f7e04873fe811fe0395ce6e516456714",
+        "ed214cf09cd4569f791152e75f17ee972f0aa0cf4002a50774c163de7eda48e8",
     ),
     "copy-flaky": (
-        "c4b69f3447d51d7b06005cd445ce6d3ab0f69c2fcd943be388f251c7b3733942",
-        "e56b2a52b9f650aa264e2f13ca02f6bc2c4a14c958966ff14eae4685430cbae2",
+        "ee0124b1195be87b9f1400742782241871db5cfb552d822c401f9cb1a0fcb743",
+        "40f4ddebdbbfc69a29be00b7106c50d24174236f49f0f839f21e79ea3e6af6bb",
     ),
     "dram-squeeze": (
-        "905aa325ef4320d9fb60c5c0f4d54342218512157ce7132d5b77535fd4ab017d",
-        "f34cc704fb97f61ba6e8f010e4785d0e5947ebac51dea334149501f1b5435c08",
+        "cb0fd8f3cf74fa770fbe520334483f307f8a60c21557d214a278e8e099868091",
+        "af3643ea99e20f865ffb424ad4ab958fadef28081cfbf0c90c952b96fde5c0f6",
     ),
     "elastic-ops": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "89894ee47f73437c0dcaabb2e9648053d35d4a581367b344b6498ecb79e1a6c1",
+        "cafb2a8532e176390adf31fc4e6060c4b1204242cb0201fd649af798f18ce81e",
     ),
     "fragmentation": (
-        "a501b744f5787d42017d3711781b9c7acac9a99838dc6bf2e2dc1d20c62b4587",
-        "2baefe1244814c7cf619e976a8d4d75dc6662b36e94b5414846ed0c1f2e006c4",
+        "a66b600a578abe172b55357fabf5c7136ff51a52967e751c7f087aef84593c21",
+        "f8e67c81d30847d08b6e36d20fdc0b2b593112a61c2fcf2e80148cc9aed60239",
     ),
     "kitchen-sink": (
-        "2e6942ee8821d3defd43befa807af4f4a1696efad7b5ff2bdf36f4af7b8a5d48",
-        "539b1a93cd2c93a4a031dc12bf39873f1ed8811bdab8c86cea73fdfcfad61dfa",
+        "19a76bc75480b9c032311842680cfe534fec76bc52644f9642263bca839fc75d",
+        "d63aaea5566ae58a463620b42895dd77201a21b10fce79b951c1722da8b9057b",
     ),
     "policy-bug": (
-        "1eacdfeb0b2369ddea278ab114086fd6488fa6951260d8b38e2fbf6352a1f218",
-        "2181e0eca08b83cfb16d877b3145d3d43fb414d8da72c25f69613f62f52f9084",
+        "37864f7f21208542164489e8715671e05e45ed663fe499d2a3a430d597b359c2",
+        "b37c50cb36a058a3373d81d9889ec0335907c1ddafc21d34c00da9dc61bcfc87",
     ),
     "slow-bus": (
-        "931a0d4de203593612d388424029d20d091ba1160a07776bf0e339cfa6266f80",
-        "189e11038e8413dae3ee9e6ab811c4c6f00ea8d543f5f435a98d46273a8bbe35",
+        "0ca9f83f90d41a97ed5090ed8460a199d9f332ce367fce6023b6e2b150a86014",
+        "fe9efe0694916484192f99252cb30ee0d9050ef31c12d62c350752ec36dee801",
     ),
 }
-GOLDEN_CHEAP_ELASTIC = (
-    "ad5ec0466970bd79984093c95e483a9a2e9f905a892001fa9b33c65dda5e462e",
-    "fe5eba499ccac29e2727143b9be7251bf6e6ea89a7fcf4908d9b6b037566f77d",
+GOLDEN_MONITOR_ONLY_ELASTIC = (
+    "76899c7b5146e73a717c97c09b45df8549dcce38e273999ef9cc9379f457245e",
+    "f392ebd73cc967b96359622b6347d94c8c4f31ca701e0500cf86cf0546cf0b24",
 )
 
 
@@ -196,9 +190,12 @@ def test_full_tier_snapshot_and_flight_ring_bytes(async_movement):
 
 @pytest.mark.parametrize("async_movement", [False, True])
 def test_monitor_only_tier_snapshot_and_flight_ring_bytes(async_movement):
-    monitor = _run(async_movement, tracing=False).monitor
-    assert _snapshot_digest(monitor) == GOLDEN_SNAPSHOT[async_movement]
-    assert _ring_digest(monitor) == GOLDEN_CHEAP_FLIGHT[async_movement]
+    result = _run(async_movement, tracing=False)
+    assert len(result.run.trace) == 0
+    monitor = result.monitor
+    assert (
+        _snapshot_digest(monitor), _ring_digest(monitor)
+    ) == GOLDEN_FULL_MONITOR[async_movement]
 
 
 @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
@@ -207,8 +204,8 @@ def test_chaos_flight_dump_tree_bytes(plan, tmp_path):
     assert _tree_digest(tmp_path) == GOLDEN_CHAOS_FLIGHT_TREE[plan]
 
 
-def _cheap_virtual_scenario(plan: str, dump_dir: str):
-    """chaos.py's trace-virtual scenario, on the monitor-only tier."""
+def _virtual_scenario(plan: str, dump_dir: str, *, tracing: bool):
+    """chaos.py's trace-virtual scenario, monitored."""
     injector = FaultInjector(fault_plan(plan))
     policy = PolicyWatchdog(
         FaultyPolicy(
@@ -220,6 +217,7 @@ def _cheap_virtual_scenario(plan: str, dump_dir: str):
         SessionConfig(
             dram=2 * MiB,
             nvram=32 * MiB,
+            tracing=tracing,
             monitor=True,
             monitor_config=MonitorConfig(dump_dir=dump_dir),
         ),
@@ -243,18 +241,21 @@ def _cheap_virtual_scenario(plan: str, dump_dir: str):
 
 @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
 def test_monitor_only_tier_chaos_flight_and_snapshot_bytes(plan, tmp_path):
-    monitor = _cheap_virtual_scenario(plan, str(tmp_path))
-    assert (
-        _tree_digest(tmp_path), _snapshot_digest(monitor)
-    ) == GOLDEN_CHEAP_CHAOS[plan]
+    kept, dropped = tmp_path / "kept", tmp_path / "dropped"
+    traced = _virtual_scenario(plan, str(kept), tracing=True)
+    monitor = _virtual_scenario(plan, str(dropped), tracing=False)
+    digests = _tree_digest(dropped), _snapshot_digest(monitor)
+    assert digests == (_tree_digest(kept), _snapshot_digest(traced))
+    assert digests == GOLDEN_MONITOR_ONLY_CHAOS[plan]
 
 
-def _cheap_elastic_scenario(dump_dir: str):
-    """Tenant churn and online resize on the monitor-only tier."""
+def _elastic_scenario(dump_dir: str, *, tracing: bool):
+    """Tenant churn and online resize, monitored."""
     runtime = SharedRuntime(
         SessionConfig(
             dram=4 * MiB,
             nvram=32 * MiB,
+            tracing=tracing,
             monitor=True,
             monitor_config=MonitorConfig(dump_dir=dump_dir),
         )
@@ -279,11 +280,13 @@ def _cheap_elastic_scenario(dump_dir: str):
 
 
 def test_monitor_only_tier_elastic_events_bytes(tmp_path):
-    monitor = _cheap_elastic_scenario(str(tmp_path))
+    kept, dropped = tmp_path / "kept", tmp_path / "dropped"
+    traced = _elastic_scenario(str(kept), tracing=True)
+    monitor = _elastic_scenario(str(dropped), tracing=False)
     assert monitor.totals["detaches"] == 1 and monitor.totals["resizes"] == 2
-    assert (
-        _tree_digest(tmp_path), _snapshot_digest(monitor)
-    ) == GOLDEN_CHEAP_ELASTIC
+    digests = _tree_digest(dropped), _snapshot_digest(monitor)
+    assert digests == (_tree_digest(kept), _snapshot_digest(traced))
+    assert digests == GOLDEN_MONITOR_ONLY_ELASTIC
 
 
 # -- the victim scans ------------------------------------------------------------

@@ -289,6 +289,20 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 11 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_12_envelope_is_rejected(self, tmp_path):
+        """Version 12 predates one monitor tier: a monitored run that kept
+        no records pickled a ``_MonitorOnlyTracer``, a class this build
+        does not have, and a monitor with a ``copy_cause`` field."""
+        config = ExperimentConfig(scale=SCALE, iterations=2, monitor=True)
+        snap = checkpoint_trace_mode(_trace(), MODE, config, pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 12, "snapshot": snap,
+        }
+        path = tmp_path / "v12.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 12 unsupported"):
+            load_snapshot(str(path))
+
     def test_slotted_trace_round_trips_through_a_snapshot(self, tmp_path):
         """A paused run's annotated trace is frozen, slotted events: it
         loads equal, event by event, with no instance ``__dict__``."""
@@ -331,11 +345,12 @@ class TestMonitorOnlyRoundTrip:
     def test_paused_monitor_only_run_ends_with_the_uninterrupted_snapshot(
         self, tmp_path
     ):
-        """A monitor-only run paused mid-run, written, read back and resumed
-        ends with the monitor state of the uninterrupted run, plus exactly
-        the two checkpoint events the pause itself reports."""
+        """A monitored run that keeps no records, paused mid-run, written,
+        read back and resumed ends with the monitor state of the
+        uninterrupted run, plus exactly the two checkpoint events the pause
+        itself reports."""
         from repro.telemetry.monitor import MonitorConfig
-        from repro.telemetry.trace import RESTORE, SNAPSHOT
+        from repro.telemetry.trace import RESTORE, SCHEMA, SNAPSHOT
 
         monitor_config = MonitorConfig(window_seconds=0.002, ring_capacity=4096)
         config = ExperimentConfig(
@@ -344,14 +359,17 @@ class TestMonitorOnlyRoundTrip:
         whole = run_trace_mode(_trace(), MODE, config).monitor
         snap = checkpoint_trace_mode(_trace(), MODE, config, pause_after=7)
         path = save_snapshot(snap, str(tmp_path / "monitor.snap"))
-        resumed = resume_snapshot(load_snapshot(path)).monitor
-        assert type(resumed.ring.snapshot()[0]) is tuple  # still the cheap tier
+        result = resume_snapshot(load_snapshot(path))
+        assert len(result.run.trace) == 0  # still keeps no records
+        resumed = result.monitor
+        # The ring holds the records the tracer stamped, kind at index 1.
+        assert resumed.ring._ring[0][1] in SCHEMA
 
         def state(monitor):
             return (
                 monitor.snapshot(recent_windows=1 << 20).to_json(),
                 [e for e in monitor.ring.snapshot()
-                 if e[0] not in (SNAPSHOT, RESTORE)],
+                 if e.kind not in (SNAPSHOT, RESTORE)],
                 monitor.latency_summaries(),
             )
 

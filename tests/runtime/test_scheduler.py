@@ -403,9 +403,9 @@ class TestTracerTagging:
 
     @pytest.mark.parametrize("keep_events", [True, False], ids=["full", "monitor-only"])
     def test_both_monitor_tiers_learn_each_streams_usage(self, keep_events):
-        """The scheduler tags every tracer it drives, the monitor-only tier
-        included (its ``enabled`` is False): each stream's allocation is
-        charged to that stream in the monitor's per-tenant usage."""
+        """The scheduler tags every tracer it drives, a monitor that keeps
+        no records included: each stream's allocation is charged to that
+        stream in the monitor's per-tenant usage, records kept or not."""
         from repro.telemetry.monitor import MonitorTracer
 
         clock = SimClock()

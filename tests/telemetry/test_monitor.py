@@ -333,49 +333,30 @@ def test_snapshot_status_reflects_worst_active_severity():
 
 def test_monitor_tracer_folds_without_retaining_by_default():
     tracer = MonitorTracer(SimClock())
-    # Per-operand scopes are no-ops in the monitor-only tier — they were a
-    # measurable share of its overhead; only the scope kinds the copy-cause
-    # rollups report are tracked (see the next test).
+    # Scopes attribute exactly as on the full tier; only retention differs.
     with tracer.scope("hint:will_write", "a7"):
         tracer.emit(COPY_START, nbytes=32, seq=0)
-    assert tracer.events == []  # monitor tier retains nothing
+    assert tracer.events == []  # retains nothing
     assert tracer.monitor.events_seen == 1
     window = tracer.monitor.rollups.window_for(0.0)
-    assert window.copy_bytes_by_cause == {"unattributed": 32}
-
-
-def test_monitor_tier_copy_cause_attributes_note_copies():
-    clock = SimClock()
-    tracer = MonitorTracer(clock, RuntimeMonitor(MonitorConfig(window_seconds=1.0)))
-    tracer.copy("DRAM", "NVRAM", 64, 8, 0.1, 0.1, 1)
-    with tracer.scope("evict", "victim"):
-        tracer.copy("DRAM", "NVRAM", 32, 8, 0.1, 0.3, 2)
-        # A demotion cascading out of another: leaving the inner scope
-        # restores the outer attribution instead of clearing it.
-        with tracer.scope("evict", "cascaded"):
-            tracer.copy("CXL", "NVRAM", 8, 8, 0.1, 0.4, 3)
-        tracer.copy("DRAM", "CXL", 16, 8, 0.1, 0.5, 4)
-    tracer.copy("NVRAM", "DRAM", 4, 8, 0.1, 0.6, 5)
-    monitor = tracer.monitor
-    window = monitor.rollups.window_for(0.0)
-    assert window.copy_bytes_by_cause == {"unattributed": 68, "evict": 56}
-    assert monitor.copies_by_cause == {"unattributed": 2, "evict": 3}
-    assert monitor.totals["copy_bytes"] == 124
+    assert window.copy_bytes_by_cause == {"hint:will_write": 32}
 
 
 def test_both_monitor_tiers_survive_a_pickle_round_trip_as_themselves():
-    """Snapshots pickle the tracer; a restored run must keep its tier."""
+    """Snapshots pickle the tracer; a restored run must keep, or keep not
+    keeping, its records."""
     import pickle
 
     for keep_events in (False, True):
         tracer = MonitorTracer(SimClock(), keep_events=keep_events)
         tracer.gc(0.5)
         restored = pickle.loads(pickle.dumps(tracer))
-        assert type(restored) is type(tracer)
-        assert restored.enabled is keep_events
+        assert type(restored) is MonitorTracer and restored.enabled
+        assert restored.events._records is restored._records
         restored.gc(0.25)
         assert len(restored.events) == (2 if keep_events else 0)
         assert restored.monitor.totals["gcs"] == 2
+        assert restored.monitor.ring.total == 2
 
 
 def test_monitor_tracer_keep_events_gives_full_tracing_plus_alerts():
@@ -403,8 +384,7 @@ def test_monitor_tracer_emit_at_supports_async_completions():
 def test_copy_straddling_a_window_is_in_flight_when_its_start_window_closes():
     """The copy's start folds before its end is counted: counting the end
     closes the start's window, and that window must report the copy as in
-    flight — on the full tier's typed call, on replay, and on the cheap
-    tier's own ``copy`` body."""
+    flight — on the typed call, records kept or not, and on replay."""
     config = MonitorConfig(window_seconds=1.0, rules=())
 
     def copy_across_the_boundary(keep_events):
@@ -533,11 +513,9 @@ def test_offline_replay_matches_live_monitoring():
 
 
 def test_cheap_tier_notes_agree_with_full_tier_totals():
-    """The cheap tier's typed bodies keep the same arithmetic as observe():
-    a cheap-tier run and a full-tracing run of the same workload land on
-    identical totals, occupancy, and latency sketches (window event counts
-    and copy attribution legitimately differ — the cheap tier neither sees
-    skipped event kinds nor opens attribution scopes)."""
+    """A monitored run that keeps no records and a full-tracing run of the
+    same workload land on the same monitor: totals, occupancy, latency
+    sketches, and every other piece :func:`monitor_state` reads."""
     from repro.experiments.common import (
         ExperimentConfig,
         model_trace,
@@ -561,14 +539,14 @@ def test_cheap_tier_notes_agree_with_full_tier_totals():
         cheap.monitor.kernel_latency.summary()
         == full.monitor.kernel_latency.summary()
     )
+    assert monitor_state(cheap.monitor) == monitor_state(full.monitor)
 
 
 def test_copy_cause_seconds_rollups_agree_across_tiers():
     """The per-cause copy seconds/counts rollups key by the copy's
-    *mechanism* (innermost scope in the full tier, ``copy_cause`` in the
-    cheap tier), so — unlike the root-keyed byte attribution — the two
-    tiers must land on identical maps, including under eviction pressure
-    where evictions nest inside placement scopes."""
+    *mechanism* (the innermost scope), records kept or not, and land on
+    identical maps, including under eviction pressure where evictions nest
+    inside placement scopes."""
     from repro.experiments.common import ExperimentConfig, run_trace_mode
     from repro.workloads.signatures import tiny_objects_trace
 

@@ -258,7 +258,7 @@ class TestMonitorTier:
             ev(1.9, STALL, seconds=0.2),
         ]
         from_trace = classify_trace(events, COST)
-        # The same run through the monitor-only tier's typed calls.
+        # The same run through a monitor's typed calls (no records kept).
         monitor = RuntimeMonitor(MonitorConfig(rules=()))
         clock = SimClock()
         tracer = MonitorTracer(clock, monitor)
