@@ -504,7 +504,7 @@ def _taxonomy(args) -> int:
         # the monitor's rollups agree with the full trace.
         return taxonomy_mod.check_taxonomy(result), (
             "classification: fractions exact, verdicts pinned, "
-            "monitor tier agrees with full trace"
+            "monitor rollups agree with full trace"
         )
 
     return _checked(args, taxonomy_mod, run, gate, "CLASSIFICATION FAIL")

@@ -11,7 +11,7 @@ pressure every *other* tenant's policy has to handle.
 
 Protocol:
 
-1. DRAM is sized to ``dram_fraction`` (default 0.6) of the tenants'
+1. DRAM is sized to ``DRAM_FRACTION`` (0.6) of the tenants'
    combined footprint — each workload fits comfortably alone, but the
    co-run cannot keep everyone fast-tier resident.
 2. Each tenant first runs **solo** on that same device configuration; its
@@ -30,13 +30,16 @@ deterministic: same tenants + config → bit-identical results, pinned by
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.core.session import SharedRuntime
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig, tenant_executor
+from repro.experiments.common import (
+    ExperimentConfig,
+    float_hex_digest,
+    tenant_executor,
+)
 from repro.policies.modes import ModeConfig, mode as resolve_mode
 from repro.runtime.executor import RunResult
 from repro.runtime.scheduler import StreamScheduler
@@ -49,6 +52,7 @@ from repro.workloads.synthetic import filo_stack_trace, streaming_trace
 from repro.workloads.trace import KernelTrace
 
 __all__ = [
+    "DRAM_FRACTION",
     "ColoResult",
     "TenantOutcome",
     "TenantSpec",
@@ -109,6 +113,10 @@ WORKLOADS: dict[str, TenantSpec] = {
 
 DEFAULT_TENANTS = ("cnn", "dlrm")
 
+# Shared DRAM as a fraction of the tenants' combined peak footprint: each
+# workload fits comfortably alone, the co-run cannot keep everyone resident.
+DRAM_FRACTION = 0.6
+
 
 @dataclass
 class TenantOutcome:
@@ -147,18 +155,16 @@ class ColoResult:
 
     def digest(self) -> str:
         """A determinism fingerprint over every reported number."""
-        hasher = hashlib.sha256()
+        parts: list[str | float | int] = []
         for tenant in self.tenants:
-            hasher.update(tenant.name.encode())
-            hasher.update(float(tenant.solo_seconds).hex().encode())
-            hasher.update(float(tenant.colo_seconds).hex().encode())
-        hasher.update(float(self.makespan_seconds).hex().encode())
+            parts += (
+                tenant.name, float(tenant.solo_seconds), float(tenant.colo_seconds)
+            )
+        parts.append(float(self.makespan_seconds))
         for device in sorted(self.traffic):
             snap = self.traffic[device]
-            hasher.update(
-                f"{device}:{snap.read_bytes}:{snap.write_bytes}".encode()
-            )
-        return hasher.hexdigest()
+            parts += (device, ":", snap.read_bytes, ":", snap.write_bytes)
+        return float_hex_digest(parts)
 
     def to_json(self) -> dict:
         scale = self.config.scale
@@ -263,19 +269,14 @@ def run_colo(
     config: ExperimentConfig | None = None,
     *,
     mode_name: str | ModeConfig = "CA:LM",
-    dram_fraction: float = 0.6,
 ) -> ColoResult:
     """Run the co-location experiment: solo baselines, then the co-run.
 
-    ``dram_fraction`` sizes DRAM relative to the tenants' combined peak
+    ``DRAM_FRACTION`` sizes DRAM relative to the tenants' combined peak
     footprint; the NVRAM capacity comes from ``config``. Tracing is forced
     on for the co-located run (stall attribution needs it) and off for the
     solo baselines (they only contribute a finish time).
     """
-    if not 0.0 < dram_fraction <= 1.0:
-        raise ConfigurationError(
-            f"dram_fraction must be in (0, 1], got {dram_fraction}"
-        )
     config = config or ExperimentConfig()
     mode_cfg = resolve_mode(mode_name)
     if mode_cfg.system != "ca":
@@ -287,7 +288,7 @@ def run_colo(
     # Choose the shared DRAM so the co-run cannot keep everyone resident;
     # solos use the *same* capacity so the slowdown ratio isolates the
     # effect of co-location, not of a different machine.
-    dram_bytes = max(config.line_size, int(combined * dram_fraction)) * config.scale
+    dram_bytes = max(config.line_size, int(combined * DRAM_FRACTION)) * config.scale
     sized = config.with_dram(dram_bytes)
 
     solo_seconds: dict[str, float] = {}

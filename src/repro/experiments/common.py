@@ -18,6 +18,8 @@ the mapping it returns.
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.core.session import Session, SessionConfig
@@ -42,11 +44,13 @@ from repro.workloads.synthetic import filo_stack_trace
 from repro.workloads.trace import KernelTrace
 
 __all__ = [
+    "COPY_OVERHEAD",
     "ExperimentConfig",
     "Matrix",
     "ModeResult",
     "PreparedRun",
     "available_models",
+    "float_hex_digest",
     "model_trace",
     "prepare_trace_mode",
     "run_matrix",
@@ -54,6 +58,10 @@ __all__ = [
     "run_modes",
     "tenant_executor",
 ]
+
+
+# The copy engine's ramp per transfer (unscaled seconds; EXPERIMENTS.md).
+COPY_OVERHEAD = 5e-3
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,6 @@ class ExperimentConfig:
     iterations: int = 2
     line_size: int = 4096
     gc_trigger_fraction: float = 0.85  # of the workload footprint
-    copy_overhead: float = 5e-3  # engine ramp per transfer (unscaled seconds)
     async_movement: bool = False  # overlap copies with compute (Section VI)
     params: ExecutionParams = field(default_factory=ExecutionParams)
     sample_timeline: bool = True
@@ -130,7 +137,7 @@ class ExperimentConfig:
         devices.append(self.build_nvram())
         return SessionConfig(
             devices=devices,
-            copy_overhead=self.copy_overhead / self.scale,
+            copy_overhead=COPY_OVERHEAD / self.scale,
             async_movement=self.async_movement,
             tracing=self.tracing,
             monitor=self.monitor,
@@ -380,3 +387,20 @@ def run_matrix(
     iterations), so this is the only models x modes loop they share.
     """
     return {model: run_modes(model, list(modes), config) for model in models}
+
+
+def float_hex_digest(parts: Iterable[str | float | int]) -> str:
+    """The sha256 hex digest of ``parts`` fed in order: a ``str`` as it
+    is, a ``float`` as its ``float.hex()``, an ``int`` in decimal.
+
+    The determinism fingerprint of the ``--check`` commands: two results
+    digest alike only when every float is bit-identical.
+    """
+    hasher = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, float):
+            part = part.hex()
+        elif not isinstance(part, str):
+            part = str(part)
+        hasher.update(part.encode())
+    return hasher.hexdigest()

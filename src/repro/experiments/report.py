@@ -20,13 +20,9 @@ def header(title: str, subtitle: str = "") -> str:
     return "\n".join(lines)
 
 
-def table(
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    *,
-    align_left_first: bool = True,
-) -> str:
-    """Render an aligned text table."""
+def table(columns: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Render an aligned text table: the first column left-aligned, the
+    rest right-aligned."""
     rendered = [[str(cell) for cell in row] for row in rows]
     widths = [
         max(len(columns[i]), *(len(r[i]) for r in rendered)) if rendered else len(columns[i])
@@ -36,7 +32,7 @@ def table(
     def fmt(cells: Sequence[str]) -> str:
         parts = []
         for i, cell in enumerate(cells):
-            if i == 0 and align_left_first:
+            if i == 0:
                 parts.append(cell.ljust(widths[i]))
             else:
                 parts.append(cell.rjust(widths[i]))

@@ -21,7 +21,7 @@ quota — the slot is reused by the next queued request.
 Admission control (docs/serving.md):
 
 * a request *declares* its peak footprint on arrival; the admission budget
-  is the shared DRAM capacity times an oversubscription factor;
+  is the shared DRAM capacity times ``OVERSUBSCRIPTION``;
 * an arrival is **admitted** when a slot is free and the declared bytes
   fit the remaining budget, **queued** (bounded FIFO, no overtaking) when
   not, and **rejected** when the queue is full;
@@ -37,7 +37,6 @@ config → bit-identical results, pinned by :meth:`ServingResult.digest`
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from collections import deque
@@ -48,7 +47,11 @@ import numpy as np
 
 from repro.core.session import Session, SharedRuntime
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig, tenant_executor
+from repro.experiments.common import (
+    ExperimentConfig,
+    float_hex_digest,
+    tenant_executor,
+)
 from repro.policies.modes import ModeConfig, mode as resolve_mode
 from repro.runtime.executor import Executor
 from repro.runtime.scheduler import StreamScheduler
@@ -66,6 +69,11 @@ from repro.workloads.trace import (
 )
 
 __all__ = [
+    "ADMIT_MARGIN",
+    "DRAM_FRACTION",
+    "OVERSUBSCRIPTION",
+    "PATIENCE_FACTOR",
+    "QUEUE_DEPTH",
     "RequestClass",
     "REQUEST_CLASSES",
     "ServingConfig",
@@ -161,45 +169,45 @@ def request_trace(cls: RequestClass) -> KernelTrace:
     return trace
 
 
+# The serving experiment's fixed admission setup (docs/serving.md).
+# Bounded waiting room: an arrival that finds it full is rejected.
+QUEUE_DEPTH = 16
+# A client's patience: ``PATIENCE_FACTOR x`` its class's solo latency,
+# measured from arrival (queue wait included). Queued past it: renege;
+# running past it: disconnect (detach).
+PATIENCE_FACTOR = 4.0
+# Admission budget = OVERSUBSCRIPTION x shared DRAM bytes: admitted
+# declared footprints may exceed DRAM (the overflow tiers to NVRAM), but
+# not without bound.
+OVERSUBSCRIPTION = 1.5
+# Shared DRAM capacity as a fraction of slots x mean request footprint.
+DRAM_FRACTION = 0.75
+# Deadline-aware admission: a queue head is reneged instead of admitted
+# when its remaining patience is below ``ADMIT_MARGIN x`` its class's
+# *solo* latency. 1.0 never knowingly wastes a slot; below 1.0 the server
+# is optimistic (it cannot know the contention slowdown in advance), so
+# some admitted requests still disconnect mid-run — the wasted service
+# that makes goodput fall past saturation.
+ADMIT_MARGIN = 0.5
+
+
 @dataclass(frozen=True)
 class ServingConfig:
     """Serving knobs (platform knobs live in :class:`ExperimentConfig`)."""
 
     slots: int = 4             # concurrent request sessions (llama.cpp -np)
-    queue_depth: int = 16      # bounded waiting room; overflow is rejected
     requests: int = 60         # arrivals per rate point
     seed: int = 7
     # Offered loads in requests per *paper-magnitude* second. None derives
     # them from the measured saturation rate via ``rate_multipliers``.
     rates: tuple[float, ...] | None = None
     rate_multipliers: tuple[float, ...] = (0.5, 1.0, 1.5, 2.5)
-    # A client's patience: ``patience_factor x`` its class's solo latency,
-    # measured from arrival (queue wait included). Queued past it: renege;
-    # running past it: disconnect (detach).
-    patience_factor: float = 4.0
-    # Admission budget = oversubscription x shared DRAM bytes: admitted
-    # declared footprints may exceed DRAM (the overflow tiers to NVRAM),
-    # but not without bound.
-    oversubscription: float = 1.5
-    # Shared DRAM capacity as a fraction of slots x mean request footprint.
-    dram_fraction: float = 0.75
-    # Deadline-aware admission: a queue head is reneged instead of
-    # admitted when its remaining patience is below ``admit_margin x`` its
-    # class's *solo* latency. 1.0 never knowingly wastes a slot; below 1.0
-    # the server is optimistic (it cannot know the contention slowdown in
-    # advance), so some admitted requests still disconnect mid-run — the
-    # wasted service that makes goodput fall past saturation.
-    admit_margin: float = 0.5
     # Test hook: override the admission budget (bytes, post-``scale``).
     admission_budget_bytes: int | None = None
 
     def validate(self) -> None:
         if self.slots < 1:
             raise ConfigurationError(f"need at least one slot, got {self.slots}")
-        if self.queue_depth < 0:
-            raise ConfigurationError(
-                f"queue_depth cannot be negative, got {self.queue_depth}"
-            )
         if self.requests < 1:
             raise ConfigurationError(
                 f"need at least one request, got {self.requests}"
@@ -207,27 +215,10 @@ class ServingConfig:
         if self.seed < 0:
             # numpy's default_rng raises a bare ValueError on a negative seed.
             raise ConfigurationError(f"seed cannot be negative, got {self.seed}")
-        if self.patience_factor <= 1.0:
-            raise ConfigurationError(
-                "patience_factor must exceed 1.0 (a solo request must be "
-                f"able to finish), got {self.patience_factor}"
-            )
         if self.rates is not None and (
             not self.rates or any(r <= 0 for r in self.rates)
         ):
             raise ConfigurationError(f"rates must be positive: {self.rates}")
-        if self.oversubscription <= 0:
-            raise ConfigurationError(
-                f"oversubscription must be positive, got {self.oversubscription}"
-            )
-        if not 0.0 < self.dram_fraction <= 1.0:
-            raise ConfigurationError(
-                f"dram_fraction must be in (0, 1], got {self.dram_fraction}"
-            )
-        if self.admit_margin < 0:
-            raise ConfigurationError(
-                f"admit_margin cannot be negative, got {self.admit_margin}"
-            )
 
 
 # `repro serve --check` sweeps these multiples of the measured saturation
@@ -283,7 +274,7 @@ class PointResult:
     # standard slowdown metric for heterogeneous request sizes. Raw
     # percentiles censor failures at per-class patience bounds, so the raw
     # tail shifts with the class mix of the shed traffic; normalizing makes
-    # the censoring cap uniform (``patience_factor`` for every class), which
+    # the censoring cap uniform (``PATIENCE_FACTOR`` for every class), which
     # is what the sweep's monotonicity gate checks.
     p99_norm: float
     mean_latency: float
@@ -349,26 +340,22 @@ class ServingResult:
 
     def digest(self) -> str:
         """Determinism fingerprint over every per-request outcome."""
-        hasher = hashlib.sha256()
+        parts: list[str | float | int] = []
         for name in sorted(self.solo_seconds):
-            hasher.update(name.encode())
-            hasher.update(float(self.solo_seconds[name]).hex().encode())
+            parts += (name, float(self.solo_seconds[name]))
         for point in self.points:
-            hasher.update(float(point.rate).hex().encode())
+            parts.append(float(point.rate))
             for req in point.requests:
                 finish = -1.0 if req.finish_time is None else req.finish_time
                 admit = -1.0 if req.admit_time is None else req.admit_time
-                hasher.update(
-                    f"{req.name}:{req.cls.name}:{req.outcome}:"
-                    f"{float(req.arrival).hex()}:{float(admit).hex()}:"
-                    f"{float(finish).hex()}".encode()
+                parts += (
+                    f"{req.name}:{req.cls.name}:{req.outcome}:",
+                    float(req.arrival), ":", float(admit), ":", float(finish),
                 )
             for device in sorted(point.traffic):
                 snap = point.traffic[device]
-                hasher.update(
-                    f"{device}:{snap.read_bytes}:{snap.write_bytes}".encode()
-                )
-        return hasher.hexdigest()
+                parts += (device, ":", snap.read_bytes, ":", snap.write_bytes)
+        return float_hex_digest(parts)
 
     def to_json(self) -> dict:
         scale = self.config.scale
@@ -376,10 +363,10 @@ class ServingResult:
             "mode": self.mode.name,
             "scale": scale,
             "slots": self.serving.slots,
-            "queue_depth": self.serving.queue_depth,
+            "queue_depth": QUEUE_DEPTH,
             "requests_per_point": self.serving.requests,
             "seed": self.serving.seed,
-            "patience_factor": self.serving.patience_factor,
+            "patience_factor": PATIENCE_FACTOR,
             "dram_gb": round(self.dram_bytes / GB, 2),
             "admission_budget_gb": round(
                 self.admission_budget * scale / GB, 2
@@ -520,7 +507,7 @@ class _PointRunner:
             return
         if self._can_admit(req):
             self._admit(req)
-        elif len(self._waiting) < self.serving.queue_depth:
+        elif len(self._waiting) < QUEUE_DEPTH:
             req.state = _QUEUED
             self._waiting.append(req)
         else:
@@ -556,14 +543,13 @@ class _PointRunner:
     def _admit_from_queue(self) -> None:
         # Strict FIFO: the head admits or nobody does (no overtaking, so a
         # large request cannot starve behind a stream of small ones). A
-        # head whose remaining patience is under ``admit_margin x`` its
+        # head whose remaining patience is under ``ADMIT_MARGIN x`` its
         # solo latency reneges instead of being admitted — deadline-aware
         # admission, so slots are not spent on obviously doomed requests.
-        margin = self.serving.admit_margin
         while self._waiting:
             head = self._waiting[0]
             remaining = head.deadline - self.clock.now
-            if remaining < margin * self.solo[head.cls.name]:
+            if remaining < ADMIT_MARGIN * self.solo[head.cls.name]:
                 self._waiting.popleft()
                 self._finalize(head, TIMED_OUT)
                 continue
@@ -716,14 +702,14 @@ def _measure_point(
         end = req.finish_time if req.finish_time is not None else req.arrival
         makespan = max(makespan, end)
     # Goodput is measured past the fill transient, the standard
-    # load-generator methodology: the first ``slots + queue_depth``
+    # load-generator methodology: the first ``slots + QUEUE_DEPTH``
     # arrivals only fill an empty system, so counting them would credit
     # overload runs with ramp-up efficiency they never sustain. The window
     # runs from the transient's last arrival to the final departure, and
     # only completions of post-transient arrivals count — under sustained
     # overload late arrivals are mostly rejected, which is exactly why
     # goodput falls past saturation.
-    warmup = min(serving.slots + serving.queue_depth, len(requests) // 3)
+    warmup = min(serving.slots + QUEUE_DEPTH, len(requests) // 3)
     window_start = requests[warmup].arrival if warmup < len(requests) else 0.0
     completed = sum(
         1 for r in requests[warmup:] if r.outcome == COMPLETED
@@ -757,7 +743,7 @@ def run_serving(
 ) -> ServingResult:
     """Run the serving load sweep: solo baselines, then one run per rate.
 
-    DRAM is sized to ``dram_fraction`` of ``slots x`` the mean declared
+    DRAM is sized to ``DRAM_FRACTION`` of ``slots x`` the mean declared
     request footprint — a full house cannot keep every KV cache
     fast-tier-resident — and the same capacity serves the solo baselines,
     so slowdowns isolate contention, not platform changes. When
@@ -786,7 +772,7 @@ def run_serving(
     dram_bytes = (
         max(
             config.line_size,
-            int(serving.slots * mean_footprint * serving.dram_fraction),
+            int(serving.slots * mean_footprint * DRAM_FRACTION),
         )
         * config.scale
     )
@@ -796,13 +782,13 @@ def run_serving(
     budget = (
         serving.admission_budget_bytes
         if serving.admission_budget_bytes is not None
-        else int(sized.scaled_dram() * serving.oversubscription)
+        else int(sized.scaled_dram() * OVERSUBSCRIPTION)
     )
     largest = max(footprints.values())
     if budget < largest:
         raise ConfigurationError(
             f"admission budget {budget} B cannot fit the largest request "
-            f"class ({largest} B); raise oversubscription or dram_fraction"
+            f"class ({largest} B); use more slots"
         )
 
     solo = {
@@ -824,7 +810,7 @@ def run_serving(
     )
 
     patience = {
-        cls.name: serving.patience_factor * solo[cls.name]
+        cls.name: PATIENCE_FACTOR * solo[cls.name]
         for cls in REQUEST_CLASSES
     }
     classes = _pick_classes(serving.requests, serving.seed)
@@ -866,7 +852,7 @@ def check_serving(result: ServingResult) -> list[str]:
     censored at per-class patience bounds: when load shedding changes the
     class mix of the shed traffic, the raw tail can shift down even though
     every class individually got slower. Normalizing makes the censoring
-    cap uniform across classes (``patience_factor``), so the tail is
+    cap uniform across classes (``PATIENCE_FACTOR``), so the tail is
     monotone in load.
 
     The goodput gate is statistical: it holds robustly at the default
@@ -905,7 +891,7 @@ def render(result: ServingResult) -> str:
     serving = result.serving
     lines = [
         f"Serving load sweep ({result.mode.name}, {serving.slots} slots, "
-        f"queue {serving.queue_depth}, {serving.requests} requests/point, "
+        f"queue {QUEUE_DEPTH}, {serving.requests} requests/point, "
         f"DRAM {result.dram_bytes / GB:.0f} GB shared, scale {scale})",
         "",
         "solo latencies: "

@@ -29,12 +29,15 @@ compares).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig, run_trace_mode
+from repro.experiments.common import (
+    ExperimentConfig,
+    float_hex_digest,
+    run_trace_mode,
+)
 from repro.policies.modes import MODES
 from repro.telemetry.ledger import build_ledger
 from repro.telemetry.monitor import MonitorConfig
@@ -181,28 +184,26 @@ class TaxonomyResult:
 
     def digest(self) -> str:
         """A determinism fingerprint over every reported number."""
-        hasher = hashlib.sha256()
+        parts: list[str | float | int] = []
         for cell in self.cells:
-            hasher.update(f"{cell.workload}|{cell.mode}|".encode())
-            hasher.update(float(cell.seconds).hex().encode())
-            hasher.update(cell.verdict.encode())
+            parts += (
+                f"{cell.workload}|{cell.mode}|", float(cell.seconds), cell.verdict
+            )
             decomposition = cell.taxonomy.decomposition
-            for value in (
-                decomposition.compute,
-                decomposition.bandwidth,
-                decomposition.latency,
-                decomposition.capacity,
-                decomposition.unattributed,
-            ):
-                hasher.update(float(value).hex().encode())
-            hasher.update(
-                f"|{cell.taxonomy.copies}:{cell.taxonomy.copy_bytes}".encode()
+            parts += (
+                float(decomposition.compute),
+                float(decomposition.bandwidth),
+                float(decomposition.latency),
+                float(decomposition.capacity),
+                float(decomposition.unattributed),
+                "|", cell.taxonomy.copies, ":", cell.taxonomy.copy_bytes,
             )
         for workload in sorted(self.monitor_taxonomies):
             taxonomy = self.monitor_taxonomies[workload]
-            hasher.update(f"mon|{workload}|{taxonomy.verdict}".encode())
-            hasher.update(float(taxonomy.wall_seconds).hex().encode())
-        return hasher.hexdigest()
+            parts += (
+                f"mon|{workload}|{taxonomy.verdict}", float(taxonomy.wall_seconds)
+            )
+        return float_hex_digest(parts)
 
     def to_json(self) -> dict:
         scale = self.config.scale
@@ -365,10 +366,10 @@ def check_taxonomy(result: TaxonomyResult) -> list[str]:
             )
         monitor = result.monitor_taxonomies.get(workload)
         if monitor is None:
-            problems.append(f"{workload}: missing monitor-tier taxonomy")
+            problems.append(f"{workload}: missing monitor taxonomy")
         elif monitor.verdict != reference.verdict:
             problems.append(
-                f"{workload}: monitor tier says {monitor.verdict}, "
+                f"{workload}: monitor rollups say {monitor.verdict}, "
                 f"full trace says {reference.verdict}"
             )
         run_total = reference.taxonomy.decomposition.total
@@ -416,7 +417,7 @@ def render(result: TaxonomyResult) -> str:
         lines.append("")
         lines.append(
             f"{workload}: {reference.verdict}-bound "
-            f"(expected {WORKLOADS[workload].expected}; monitor tier agrees: "
+            f"(expected {WORKLOADS[workload].expected}; monitor rollups agree: "
             f"{'yes' if monitor and monitor.verdict == reference.verdict else 'NO'})"
         )
         lines.append(

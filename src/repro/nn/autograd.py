@@ -73,9 +73,8 @@ class _TapeEntry:
 class Tape:
     """Records forward ops; ``backward()`` replays adjoints in reverse."""
 
-    def __init__(self, session: Session, *, eager_retire: bool = True) -> None:
+    def __init__(self, session: Session) -> None:
         self.session = session
-        self.eager_retire = eager_retire
         self._entries: list[_TapeEntry] = []
         self._activations: set[int] = set()  # obj ids of op outputs
         self._loss: float | None = None
@@ -263,9 +262,8 @@ class Tape:
             raise KernelError("call softmax_cross_entropy before backward()")
         for entry in reversed(self._entries):
             entry.backward()
-            if self.eager_retire:
-                entry.output.retire()
-                self._activations.discard(entry.output.array.obj.id)
+            entry.output.retire()
+            self._activations.discard(entry.output.array.obj.id)
         self._entries.clear()
         self._loss = None
 

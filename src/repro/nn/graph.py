@@ -161,11 +161,9 @@ class GraphBuilder:
         kernel: int = 3,
         stride: int = 1,
         padding: int | None = None,
-        *,
-        fuse_norm_act: bool = True,
     ) -> TensorHandle:
-        """Convolution, optionally fused with batch-norm + activation
-        (the oneDNN post-op fusion the paper's kernels use)."""
+        """Convolution fused with batch-norm + activation (the oneDNN
+        post-op fusion the paper's kernels use)."""
         n, c, h, w = x.shape
         if padding is None:
             padding = kernel // 2
@@ -180,9 +178,8 @@ class GraphBuilder:
         )
         bias = self._tensor("b_conv", (out_channels,), kind="weight", persistent=True)
         flops = 2.0 * n * out_channels * c * kernel * kernel * oh * ow
-        op = "convbnrelu" if fuse_norm_act else "conv"
         return self._node(
-            op,
+            "convbnrelu",
             [x],
             [weight, bias],
             (n, out_channels, oh, ow),

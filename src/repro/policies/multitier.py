@@ -85,14 +85,13 @@ class TierStats:
 class MultiTierPolicy(Policy):
     """LRU tiering over an ordered device chain, fastest first."""
 
-    def __init__(self, tiers: list[str], *, promote_on_use: bool = False) -> None:
+    def __init__(self, tiers: list[str]) -> None:
         super().__init__()
         if len(tiers) < 2:
             raise ConfigurationError("need at least two tiers")
         if len(set(tiers)) != len(tiers):
             raise ConfigurationError(f"duplicate tiers in {tiers}")
         self.tiers = list(tiers)
-        self.promote_on_use = promote_on_use
         self.lru: dict[str, LruTracker] = {tier: LruTracker() for tier in tiers}
         self.stats = TierStats()
 
@@ -202,8 +201,6 @@ class MultiTierPolicy(Policy):
 
     def will_use(self, obj: MemObject) -> None:
         self._touch(obj)
-        if self.promote_on_use:
-            self._promote(obj)
 
     def will_write(self, obj: MemObject) -> None:
         self._touch(obj)

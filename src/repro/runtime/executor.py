@@ -35,7 +35,14 @@ from repro.runtime.recovery import LadderHooks, recover_allocation
 # ``kernel_timing`` is not called here (the adapter prices inline); it stays
 # bound because the layered benchmark's span recorder wraps a target's
 # by-name imports in the hot modules and its self-test reads this binding.
-from repro.runtime.kernel import ExecutionParams, KernelTiming, kernel_timing  # noqa: F401
+from repro.runtime.kernel import (  # noqa: F401
+    KERNEL_THREADS,
+    NVRAM_WRITE_THREADS,
+    PEAK_FLOPS,
+    ExecutionParams,
+    KernelTiming,
+    kernel_timing,
+)
 from repro.runtime.scheduler import StreamGen, StreamScheduler
 from repro.sim.bandwidth import TransferKind
 from repro.sim.clock import SimClock, snap_residue
@@ -172,10 +179,10 @@ class SystemAdapter(abc.ABC):
 
 class _HeapPlan(NamedTuple):
     """What pricing a kernel operand on one heap reads that does not depend
-    on the operand: built once per heap, at the adapter's params."""
+    on the operand: built once per heap."""
 
-    read_peak: float  # READ at kernel_threads
-    write_peak: float  # NVRAM: WRITE_NT at nvram_write_threads; else WRITE
+    read_peak: float  # READ at KERNEL_THREADS
+    write_peak: float  # NVRAM: WRITE_NT at NVRAM_WRITE_THREADS; else WRITE
     setup: float  # the model's setup_latency
     nvram: bool
     traffic: TrafficCounters
@@ -266,10 +273,9 @@ class CachedArraysAdapter(SystemAdapter):
             # The same walk finds the latest ``ready_at`` of the operands'
             # primaries, for the wait below.
             ready_at = 0.0
-            params = self.params
             flops = kernel.flops
-            compute = params.launch_overhead + (
-                flops / params.peak_flops if flops > 0 else 0.0
+            compute = self.params.launch_overhead + (
+                flops / PEAK_FLOPS if flops > 0 else 0.0
             )
             dram = 0.0
             nvram = 0.0
@@ -348,16 +354,15 @@ class CachedArraysAdapter(SystemAdapter):
 
     def _plan(self, heap: Heap) -> _HeapPlan:
         """The plan table's miss path: the rates and counters of ``heap``
-        that pricing an operand on it reads, at this adapter's params."""
-        params = self.params
+        that pricing an operand on it reads."""
         model = heap.device.bandwidth
         is_nvram = heap.device.kind is MemoryKind.NVRAM
         if is_nvram:
-            write_peak = model.peak(TransferKind.WRITE_NT, params.nvram_write_threads)
+            write_peak = model.peak(TransferKind.WRITE_NT, NVRAM_WRITE_THREADS)
         else:
-            write_peak = model.peak(TransferKind.WRITE, params.kernel_threads)
+            write_peak = model.peak(TransferKind.WRITE, KERNEL_THREADS)
         plan = self._plans[heap] = _HeapPlan(
-            model.peak(TransferKind.READ, params.kernel_threads),
+            model.peak(TransferKind.READ, KERNEL_THREADS),
             write_peak,
             model.setup_latency,
             is_nvram,
@@ -531,7 +536,7 @@ class TwoLMAdapter(SystemAdapter):
                     spans.append((first, lines, is_write))
         dram, nvram = self.system.access_spans(spans, kernel.read_sensitivity)
         compute = self.params.launch_overhead + (
-            kernel.flops / self.params.peak_flops if kernel.flops > 0 else 0.0
+            kernel.flops / PEAK_FLOPS if kernel.flops > 0 else 0.0
         )
         return KernelTiming(compute, dram, nvram)
 

@@ -3,7 +3,7 @@
 A kernel's modelled execution time separates memory service time by device
 class:
 
-``t = max(flops / peak_flops, t_dram) + t_nvram``
+``t = max(flops / PEAK_FLOPS, t_dram) + t_nvram``
 
 DRAM traffic overlaps with compute (deep MLP, prefetchers — the classic
 roofline), but NVRAM traffic does not: Optane's ~300 ns loads and
@@ -13,7 +13,7 @@ arguments" (Section V) and why all-NVRAM execution is 3-4x slower (Figure 7).
 The same rule prices the 2LM baseline's cache fills and writebacks, so the
 comparison stays apples-to-apples.
 
-Kernels run on all cores (``kernel_threads``), which puts NVRAM writes deep
+Kernels run on all cores (``KERNEL_THREADS``), which puts NVRAM writes deep
 into the bandwidth-degradation regime of the Optane model — oneDNN kernels
 are not optimised for writing to NVRAM (Section V-d).
 """
@@ -25,7 +25,14 @@ from dataclasses import dataclass
 from repro.memory.device import MemoryDevice, MemoryKind
 from repro.sim.bandwidth import TransferKind
 
-__all__ = ["ExecutionParams", "KernelTiming", "kernel_timing"]
+__all__ = [
+    "KERNEL_THREADS",
+    "NVRAM_WRITE_THREADS",
+    "PEAK_FLOPS",
+    "ExecutionParams",
+    "KernelTiming",
+    "kernel_timing",
+]
 
 # Enum members bound once: a class-attribute read of a member is a
 # Python-level lookup, and the sweep below makes several per operand.
@@ -33,20 +40,22 @@ _READ, _WRITE, _WRITE_NT = TransferKind.READ, TransferKind.WRITE, TransferKind.W
 _NVRAM = MemoryKind.NVRAM
 
 
+# The modelled compute node, one 28-core Cascade Lake socket (PAPER.md).
+# ``PEAK_FLOPS`` approximates it running oneDNN fp32 kernels (~70% of the
+# 4.3 TFLOP/s AVX-512 peak).
+PEAK_FLOPS = 3.0e12
+KERNEL_THREADS = 28
+# oneDNN writes large outputs with streaming stores, but its blocked
+# parallel decomposition presents more concurrent write streams than
+# Optane's sweet spot — modelled as NT writes at this concurrency.
+NVRAM_WRITE_THREADS = 8
+
+
 @dataclass(frozen=True)
 class ExecutionParams:
-    """Machine parameters of the modelled compute node.
+    """Per-run execution parameters; the machine itself is the constants
+    above."""
 
-    ``peak_flops`` approximates a 28-core Cascade Lake socket running oneDNN
-    fp32 kernels (~70% of the 4.3 TFLOP/s AVX-512 peak).
-    """
-
-    peak_flops: float = 3.0e12
-    kernel_threads: int = 28
-    # oneDNN writes large outputs with streaming stores, but its blocked
-    # parallel decomposition presents more concurrent write streams than
-    # Optane's sweet spot — modelled as NT writes at this concurrency.
-    nvram_write_threads: int = 8
     # Fixed dispatch cost per kernel (runtime + primitive setup).
     launch_overhead: float = 2e-3
     # Paranoia level: every N kernels the adapter runs the manager's (and
@@ -119,17 +128,16 @@ def kernel_timing(
     if not 0.0 <= read_sensitivity <= 1.0:
         raise ValueError(f"read_sensitivity must be in [0,1]: {read_sensitivity}")
     compute = params.launch_overhead + (
-        flops / params.peak_flops if flops > 0 else 0.0
+        flops / PEAK_FLOPS if flops > 0 else 0.0
     )
     dram = 0.0
     nvram = 0.0
     fixed = 0.0
-    threads = params.kernel_threads
     for device, nbytes in reads:
         if nbytes <= 0:
             continue
         model = device.bandwidth
-        seconds = model.transfer_time(_READ, nbytes, threads)
+        seconds = model.transfer_time(_READ, nbytes, KERNEL_THREADS)
         fixed += model.setup_latency
         if device.kind is _NVRAM:
             nvram += seconds * read_sensitivity
@@ -142,7 +150,7 @@ def kernel_timing(
         model = device.bandwidth
         fixed += model.setup_latency
         if device.kind is _NVRAM:
-            nvram += model.transfer_time(_WRITE_NT, nbytes, params.nvram_write_threads)
+            nvram += model.transfer_time(_WRITE_NT, nbytes, NVRAM_WRITE_THREADS)
         else:
-            dram += model.transfer_time(_WRITE, nbytes, threads)
+            dram += model.transfer_time(_WRITE, nbytes, KERNEL_THREADS)
     return KernelTiming(compute, dram, nvram, fixed)

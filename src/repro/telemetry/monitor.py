@@ -1291,7 +1291,8 @@ _COUNTED = {
     QUARANTINE: ("quarantines", "quarantine"),
 }
 
-# Kind -> its fold: every kind the monitor folds, on all three intakes.
+# Kind -> its fold: every kind the monitor folds, on both intakes (the live
+# ``MonitorTracer._event`` and the replay ``RuntimeMonitor.observe``).
 _FOLDS: dict[str, Callable[..., None]] = {
     ALLOC: RuntimeMonitor._fold_alloc,
     FREE: RuntimeMonitor._fold_free,

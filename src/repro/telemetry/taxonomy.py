@@ -102,7 +102,7 @@ class CostModel:
         nvram = config.build_nvram()
         return cls(
             launch_overhead=config.scaled_params().launch_overhead,
-            per_transfer_overhead=config.copy_overhead / config.scale,
+            per_transfer_overhead=config.session_config().copy_overhead,
             setup_latency={
                 dram.name: dram.bandwidth.setup_latency,
                 nvram.name: nvram.bandwidth.setup_latency,
@@ -123,7 +123,7 @@ class CostModel:
     def default_copy_fixed(self) -> float:
         """Fixed cost assuming one endpoint per known device.
 
-        The monitor tier records copy counts, not endpoints; with exactly
+        The monitor's rollups record copy counts, not endpoints; with exactly
         two devices every cross-tier copy touches both, so this is exact
         there (and a documented approximation for same-device moves).
         """

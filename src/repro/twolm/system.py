@@ -12,7 +12,7 @@ It mirrors the paper's baseline setup:
 
 Timing: NVRAM fills and writebacks happen at line granularity chosen by the
 cache, not as shaped streaming copies, so they are charged at *temporal*
-(cached-store) write bandwidth and a configurable read-efficiency derate —
+(cached-store) write bandwidth and a fixed read-efficiency derate —
 this is the "haphazard traffic" versus CachedArrays' non-temporal shaped
 copies (Section V-b).
 """
@@ -22,16 +22,34 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 
-from repro.errors import ConfigurationError
 from repro.memory.allocator import FreeListAllocator
 from repro.memory.device import MemoryDevice
 from repro.sim.bandwidth import TransferKind
 from repro.telemetry.counters import TrafficCounters
 from repro.twolm.dramcache import AccessResult, CacheStats, DramCacheSim
 
-__all__ = ["TwoLMSystem"]
+__all__ = [
+    "FILL_THREADS",
+    "METADATA_OVERHEAD",
+    "NVRAM_READ_EFFICIENCY",
+    "WRITEBACK_THREADS",
+    "TwoLMSystem",
+]
 
 _READ, _WRITE = TransferKind.READ, TransferKind.WRITE
+
+# The read-efficiency derate on NVRAM line fills.
+NVRAM_READ_EFFICIENCY = 0.75
+# Demand fills exploit the memory controller's deep MLP (many outstanding
+# line reads); writebacks contend in the WPQ and behave like few-threaded
+# temporal writes [4].
+FILL_THREADS = 16
+WRITEBACK_THREADS = 4
+# Cascade Lake's DRAM cache keeps its tags/metadata in DRAM; every access
+# carries extra metadata traffic — the "cache-line-level metadata tracking
+# ... poor bandwidth utilization" of the paper's introduction. Modelled as
+# a fractional DRAM traffic surcharge.
+METADATA_OVERHEAD = 0.10
 
 
 class TwoLMSystem:
@@ -44,20 +62,8 @@ class TwoLMSystem:
         *,
         line_size: int = 4096,
         ways: int = 1,
-        nvram_read_efficiency: float = 0.75,
-        fill_threads: int = 16,
-        writeback_threads: int = 4,
-        metadata_overhead: float = 0.10,
         alignment: int = 64,
     ) -> None:
-        if not 0.0 < nvram_read_efficiency <= 1.0:
-            raise ConfigurationError(
-                f"nvram_read_efficiency must be in (0, 1], got {nvram_read_efficiency}"
-            )
-        if metadata_overhead < 0:
-            raise ConfigurationError(
-                f"metadata_overhead must be >= 0, got {metadata_overhead}"
-            )
         self.dram = dram
         self.nvram = nvram
         self.cache = DramCacheSim(
@@ -66,17 +72,6 @@ class TwoLMSystem:
         self.allocator = FreeListAllocator(nvram.capacity, alignment=alignment)
         self.dram_traffic = TrafficCounters(dram.name)
         self.nvram_traffic = TrafficCounters(nvram.name)
-        self.nvram_read_efficiency = nvram_read_efficiency
-        # Demand fills exploit the memory controller's deep MLP (many
-        # outstanding line reads); writebacks contend in the WPQ and behave
-        # like few-threaded temporal writes [4].
-        self.fill_threads = fill_threads
-        self.writeback_threads = writeback_threads
-        # Cascade Lake's DRAM cache keeps its tags/metadata in DRAM; every
-        # access carries extra metadata traffic — the "cache-line-level
-        # metadata tracking ... poor bandwidth utilization" of the paper's
-        # introduction. Modelled as a fractional DRAM traffic surcharge.
-        self.metadata_overhead = metadata_overhead
 
     # -- heap ------------------------------------------------------------------
 
@@ -153,9 +148,10 @@ class TwoLMSystem:
         """Each distinct sweep's cost, keyed by ``(is_write, (lines, hits,
         dirty misses))`` and filled by :meth:`_sweep_cost`.
 
-        A sweep's cost depends on nothing else: the line size, the device
-        models, the thread counts and the overheads are fixed at
-        construction, and the read sensitivity is applied by the walk. A
+        A sweep's cost depends on nothing else: the line size and the device
+        models are fixed at construction, the thread counts and the
+        overheads are module constants, and the read sensitivity is applied
+        by the walk. A
         ``cnn-2lm`` pass prices 141 332 sweeps and misses the memo 2 196
         times. A snapshot written without the memo refills it lazily.
         """
@@ -169,7 +165,7 @@ class TwoLMSystem:
         shares."""
         lines, hits, dirty = entry
         ls = self.cache.line_size
-        overhead = self.metadata_overhead
+        overhead = METADATA_OVERHEAD
         # dram_bytes = the demand access + miss fills + dirty-victim
         # readouts, and the last two are exactly the NVRAM byte counts.
         # Fills and write-accesses write DRAM; read-accesses, victim
@@ -188,18 +184,18 @@ class TwoLMSystem:
         # Every sweep touches at least one line, so dram_bytes > 0; the
         # metadata surcharge taxes every DRAM byte moved.
         dram = self.dram.bandwidth.transfer_time(
-            _READ, int(dram_bytes * (1.0 + overhead)), self.fill_threads
+            _READ, int(dram_bytes * (1.0 + overhead)), FILL_THREADS
         )
         nvram = 0.0
         if fill_bytes:
             nvram = (
-                self.nvram.bandwidth.transfer_time(_READ, fill_bytes, self.fill_threads)
-                / self.nvram_read_efficiency
+                self.nvram.bandwidth.transfer_time(_READ, fill_bytes, FILL_THREADS)
+                / NVRAM_READ_EFFICIENCY
             )
         if victim_bytes:
             # Writebacks are cached (temporal) line writes — the slow path.
             nvram += self.nvram.bandwidth.transfer_time(
-                _WRITE, victim_bytes, self.writeback_threads
+                _WRITE, victim_bytes, WRITEBACK_THREADS
             )
         cost = self._sweep_costs[is_write, entry] = (
             dram, nvram, dram_read, dram_write, fill_bytes, victim_bytes

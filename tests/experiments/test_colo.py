@@ -84,12 +84,6 @@ class TestValidation:
                 mode_name="2LM:0",
             )
 
-    def test_rejects_bad_dram_fraction(self):
-        with pytest.raises(ConfigurationError):
-            run_colo(
-                ("cnn", "dlrm"), ExperimentConfig(scale=SCALE), dram_fraction=0.0
-            )
-
     def test_workload_registry_is_self_describing(self):
         for name, spec in WORKLOADS.items():
             assert spec.name == name

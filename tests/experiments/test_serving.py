@@ -197,14 +197,9 @@ class TestValidation:
     def test_rejects_bad_knobs(self):
         for bad in (
             ServingConfig(slots=0),
-            ServingConfig(queue_depth=-1),
             ServingConfig(requests=0),
-            ServingConfig(patience_factor=1.0),
             ServingConfig(rates=()),
             ServingConfig(rates=(0.0,)),
-            ServingConfig(oversubscription=0.0),
-            ServingConfig(dram_fraction=0.0),
-            ServingConfig(admit_margin=-0.1),
         ):
             with pytest.raises(ConfigurationError):
                 run_serving(config(), bad)

@@ -75,17 +75,6 @@ def test_backward_retires_activations(session):
     x.retire()
 
 
-def test_eager_retire_disabled_keeps_activations(session):
-    tape = Tape(session, eager_retire=False)
-    x = tape.input(np.ones((2, 2), dtype=np.float32))
-    w = tape.parameter(np.eye(2, dtype=np.float32), "w")
-    b = tape.parameter(np.zeros(2, dtype=np.float32), "b")
-    out = tape.linear(x, w, b)
-    tape.softmax_cross_entropy(out, np.zeros(2, dtype=np.int64))
-    tape.backward()
-    assert not out.array.retired
-
-
 def test_backward_without_loss_rejected(session):
     tape = Tape(session)
     with pytest.raises(KernelError):

@@ -291,26 +291,29 @@ def test_batch_forms_match_the_loops_and_the_per_object_reference(
     )
 
 
-def multitier_twin(entry, promote_on_use, tracing=False):
-    devices = (
-        MemoryDevice.dram(48 * KiB),
-        MemoryDevice.cxl(64 * KiB),
-        MemoryDevice.nvram(4 * MiB),
+def multitier_twin(entry, cxl, tracing=False):
+    """A MultiTier session over DRAM and NVRAM, with a CXL tier between
+    them when ``cxl``: a demotion chain of one step or two."""
+    tiers = ["DRAM", "CXL", "NVRAM"] if cxl else ["DRAM", "NVRAM"]
+    devices = {
+        "DRAM": MemoryDevice.dram(48 * KiB),
+        "CXL": MemoryDevice.cxl(64 * KiB),
+        "NVRAM": MemoryDevice.nvram(4 * MiB),
+    }
+    policy = MultiTierPolicy(tiers)
+    return Twin(
+        policy, entry, devices=tuple(devices[t] for t in tiers), tracing=tracing
     )
-    policy = MultiTierPolicy(["DRAM", "CXL", "NVRAM"], promote_on_use=promote_on_use)
-    return Twin(policy, entry, devices=devices, tracing=tracing)
 
 
-@pytest.mark.parametrize("promote_on_use", [False, True])
+@pytest.mark.parametrize("cxl", [False, True])
 @given(sizes=sizes, kernels=kernels)
 @settings(max_examples=40, deadline=None)
-def test_multitier_takes_the_default_loops(promote_on_use, sizes, kernels):
+def test_multitier_takes_the_default_loops(cxl, sizes, kernels):
+    """MultiTier overrides no batch hook: a kernel's one call is the
+    per-object loops, over two tiers or three."""
     assert_twins_agree(
-        [
-            multitier_twin(acquire, promote_on_use),
-            multitier_twin(loops, promote_on_use),
-            multitier_twin(helpers, promote_on_use),
-        ],
+        [multitier_twin(entry, cxl) for entry in (acquire, loops, helpers)],
         sizes,
         kernels,
     )
@@ -398,17 +401,14 @@ def test_a_traced_batch_leaves_the_traced_loops_records(
     )
 
 
-@pytest.mark.parametrize("promote_on_use", [False, True])
+@pytest.mark.parametrize("cxl", [False, True])
 @given(sizes=sizes, kernels=kernels)
 @settings(max_examples=30, deadline=None)
-def test_traced_multitier_loops_leave_the_traced_loops_records(
-    promote_on_use, sizes, kernels
-):
+def test_traced_multitier_loops_leave_the_traced_loops_records(cxl, sizes, kernels):
     assert_twins_agree(
         [
-            multitier_twin(acquire, promote_on_use, tracing=True),
-            multitier_twin(helpers, promote_on_use, tracing=True),
-            multitier_twin(traced_loops, promote_on_use, tracing=True),
+            multitier_twin(entry, cxl, tracing=True)
+            for entry in (acquire, helpers, traced_loops)
         ],
         sizes,
         kernels,

@@ -17,14 +17,14 @@ from repro.units import KiB, MiB
 TIERS = ["DRAM", "CXL", "NVRAM"]
 
 
-def build(dram=64 * KiB, cxl=128 * KiB, nvram=1 * MiB, **kwargs):
+def build(dram=64 * KiB, cxl=128 * KiB, nvram=1 * MiB):
     heaps = {
         "DRAM": Heap(MemoryDevice.dram(dram)),
         "CXL": Heap(MemoryDevice.cxl(cxl)),
         "NVRAM": Heap(MemoryDevice.nvram(nvram)),
     }
     manager = DataManager(heaps, CopyEngine(SimClock()))
-    policy = MultiTierPolicy(TIERS, **kwargs)
+    policy = MultiTierPolicy(TIERS)
     policy.bind(manager)
     return manager, policy
 
@@ -96,8 +96,8 @@ class TestPromotion:
         assert manager.getprimary(demoted).device_name == "DRAM"
         assert policy.stats.promotions.get("DRAM", 0) >= 1
 
-    def test_will_use_promotes_only_when_configured(self):
-        manager, policy = build(promote_on_use=False)
+    def test_will_use_leaves_a_demoted_object_in_place(self):
+        manager, policy = build()
         objs = [new_obj(manager, policy, name=f"o{i}") for i in range(5)]
         demoted = next(
             obj for obj in objs
@@ -105,15 +105,6 @@ class TestPromotion:
         )
         policy.will_use(demoted)
         assert manager.getprimary(demoted).device_name != "DRAM"
-
-        manager2, policy2 = build(promote_on_use=True)
-        objs2 = [new_obj(manager2, policy2, name=f"p{i}") for i in range(5)]
-        demoted2 = next(
-            obj for obj in objs2
-            if manager2.getprimary(obj).device_name != "DRAM"
-        )
-        policy2.will_use(demoted2)
-        assert manager2.getprimary(demoted2).device_name == "DRAM"
 
     def test_write_intent_residency_promotes(self):
         manager, policy = build()

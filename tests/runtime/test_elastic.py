@@ -303,6 +303,20 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 12 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_13_envelope_is_rejected(self, tmp_path):
+        """Version 13 predates the machine and 2LM cache constants: a
+        paused run pickled ``ExecutionParams`` with ``peak_flops`` and the
+        thread counts, and an ``ExperimentConfig`` with ``copy_overhead``,
+        fields this build does not have."""
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 13, "snapshot": snap,
+        }
+        path = tmp_path / "v13.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 13 unsupported"):
+            load_snapshot(str(path))
+
     def test_slotted_trace_round_trips_through_a_snapshot(self, tmp_path):
         """A paused run's annotated trace is frozen, slotted events: it
         loads equal, event by event, with no instance ``__dict__``."""

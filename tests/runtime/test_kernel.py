@@ -3,22 +3,28 @@
 import pytest
 
 from repro.memory.device import MemoryDevice
-from repro.runtime.kernel import ExecutionParams, KernelTiming, kernel_timing
+from repro.runtime.kernel import (
+    PEAK_FLOPS,
+    ExecutionParams,
+    KernelTiming,
+    kernel_timing,
+)
 from repro.units import GB, MiB
 
-PARAMS = ExecutionParams(peak_flops=1e12, kernel_threads=28, launch_overhead=0.0)
+PARAMS = ExecutionParams(launch_overhead=0.0)
+ONE_SECOND = PEAK_FLOPS  # flops of one second of compute
 DRAM = MemoryDevice.dram(GB)
 NVRAM = MemoryDevice.nvram(GB)
 
 
 def test_pure_compute():
-    timing = kernel_timing(1e12, [], [], PARAMS)
+    timing = kernel_timing(ONE_SECOND, [], [], PARAMS)
     assert timing.total == pytest.approx(1.0)
     assert timing.total <= timing.compute
 
 
 def test_dram_traffic_overlaps_with_compute():
-    timing = kernel_timing(1e12, [(DRAM, 10 * MiB)], [], PARAMS)
+    timing = kernel_timing(ONE_SECOND, [(DRAM, 10 * MiB)], [], PARAMS)
     assert timing.total == pytest.approx(1.0)  # hidden under compute
 
 
@@ -29,14 +35,14 @@ def test_dram_bound_kernel():
 
 
 def test_nvram_reads_stall_when_sensitive():
-    compute_only = kernel_timing(1e12, [], [], PARAMS).total
-    timing = kernel_timing(1e12, [(NVRAM, GB)], [], PARAMS, read_sensitivity=1.0)
+    compute_only = kernel_timing(ONE_SECOND, [], [], PARAMS).total
+    timing = kernel_timing(ONE_SECOND, [(NVRAM, GB)], [], PARAMS, read_sensitivity=1.0)
     assert timing.total > compute_only
     assert timing.nvram > 0
 
 
 def test_nvram_reads_hidden_when_insensitive():
-    timing = kernel_timing(1e12, [(NVRAM, MiB)], [], PARAMS, read_sensitivity=0.0)
+    timing = kernel_timing(ONE_SECOND, [(NVRAM, MiB)], [], PARAMS, read_sensitivity=0.0)
     assert timing.nvram == 0.0
     assert timing.total == pytest.approx(1.0)
 
@@ -54,7 +60,7 @@ def test_sensitivity_bounds_checked():
 
 
 def test_nvram_writes_always_stall():
-    timing = kernel_timing(1e12, [], [(NVRAM, GB)], PARAMS, read_sensitivity=0.0)
+    timing = kernel_timing(ONE_SECOND, [], [(NVRAM, GB)], PARAMS, read_sensitivity=0.0)
     assert timing.nvram > 0
     assert timing.total > 1.0
 
@@ -71,7 +77,7 @@ def test_zero_byte_operands_skipped():
 
 
 def test_launch_overhead_charged_as_compute():
-    params = ExecutionParams(peak_flops=1e12, launch_overhead=0.25)
+    params = ExecutionParams(launch_overhead=0.25)
     timing = kernel_timing(0, [], [], params)
     assert timing.compute == pytest.approx(0.25)
 

@@ -20,7 +20,13 @@ from repro.memory.device import MemoryDevice, MemoryKind
 from repro.memory.heap import Heap
 from repro.policies.noop import PinnedPolicy
 from repro.runtime.executor import CachedArraysAdapter
-from repro.runtime.kernel import ExecutionParams, kernel_timing
+from repro.runtime.kernel import (
+    KERNEL_THREADS,
+    NVRAM_WRITE_THREADS,
+    PEAK_FLOPS,
+    ExecutionParams,
+    kernel_timing,
+)
 from repro.sim.bandwidth import (
     DegradedBandwidth,
     TransferKind,
@@ -213,17 +219,11 @@ operands = st.lists(
 @given(
     operands,
     operands,
-    threads,
-    threads,
     st.floats(min_value=0.0, max_value=1e15),
     st.floats(min_value=0.0, max_value=1.0),
 )
-def test_kernel_timing_is_the_formula(
-    reads, writes, kernel_threads, write_threads, flops, sensitivity
-):
-    params = ExecutionParams(
-        kernel_threads=kernel_threads, nvram_write_threads=write_threads
-    )
+def test_kernel_timing_is_the_formula(reads, writes, flops, sensitivity):
+    params = ExecutionParams()
 
     def device(kind, model):
         return MemoryDevice("dev", kind, 1, model)
@@ -231,13 +231,13 @@ def test_kernel_timing_is_the_formula(
     reads = [(device(*m), n) for m, n in reads]
     writes = [(device(*m), n) for m, n in writes]
     compute = params.launch_overhead + (
-        flops / params.peak_flops if flops > 0 else 0.0
+        flops / PEAK_FLOPS if flops > 0 else 0.0
     )
     dram = nvram = fixed = 0.0
     for dev, nbytes in reads:
         if nbytes <= 0:
             continue
-        seconds = transfer_seconds(dev.bandwidth, READ, nbytes, kernel_threads)
+        seconds = transfer_seconds(dev.bandwidth, READ, nbytes, KERNEL_THREADS)
         fixed += dev.bandwidth.setup_latency
         if dev.kind is MemoryKind.NVRAM:
             nvram += seconds * sensitivity
@@ -249,9 +249,11 @@ def test_kernel_timing_is_the_formula(
             continue
         fixed += dev.bandwidth.setup_latency
         if dev.kind is MemoryKind.NVRAM:
-            nvram += transfer_seconds(dev.bandwidth, WRITE_NT, nbytes, write_threads)
+            nvram += transfer_seconds(
+                dev.bandwidth, WRITE_NT, nbytes, NVRAM_WRITE_THREADS
+            )
         else:
-            dram += transfer_seconds(dev.bandwidth, WRITE, nbytes, kernel_threads)
+            dram += transfer_seconds(dev.bandwidth, WRITE, nbytes, KERNEL_THREADS)
     for _ in range(2):
         got = kernel_timing(flops, reads, writes, params, read_sensitivity=sensitivity)
         assert hexes(got.compute, got.dram, got.nvram, got.fixed) == hexes(
@@ -281,13 +283,10 @@ factors = st.one_of(
     factors,
     factors,
     st.floats(min_value=0.0, max_value=1.0),
-    threads,
-    threads,
     st.floats(min_value=0.0, max_value=1e15),
 )
 def test_adapter_prices_a_kernel_as_kernel_timing(
-    reads, writes, read_factor, write_factor, sensitivity,
-    kernel_threads, write_threads, flops,
+    reads, writes, read_factor, write_factor, sensitivity, flops,
 ):
     """The adapter's ``KernelTiming`` equals ``kernel_timing`` over the
     operands' devices and effective byte counts, field by field, by
@@ -303,9 +302,7 @@ def test_adapter_prices_a_kernel_as_kernel_timing(
         SessionConfig(devices=devices),
         policy=PinnedPolicy("dram", {name: dev for name, dev, _ in named}),
     )
-    params = ExecutionParams(
-        kernel_threads=kernel_threads, nvram_write_threads=write_threads
-    )
+    params = ExecutionParams()
     adapter = CachedArraysAdapter(session, params)
     for name, _, size in named:
         adapter.alloc(TensorSpec(name, size))

@@ -510,54 +510,3 @@ def test_offline_replay_matches_live_monitoring():
         assert live.rollups.windows_closed > 1
         assert monitor_state(replayed) == monitor_state(live), async_movement
         assert live._inflight == {} and replayed._inflight == {}
-
-
-def test_cheap_tier_notes_agree_with_full_tier_totals():
-    """A monitored run that keeps no records and a full-tracing run of the
-    same workload land on the same monitor: totals, occupancy, latency
-    sketches, and every other piece :func:`monitor_state` reads."""
-    from repro.experiments.common import (
-        ExperimentConfig,
-        model_trace,
-        run_trace_mode,
-    )
-
-    cheap_cfg = ExperimentConfig(scale=256, iterations=1, monitor=True)
-    full_cfg = ExperimentConfig(
-        scale=256, iterations=1, tracing=True, monitor=True
-    )
-    cheap = run_trace_mode(model_trace("tiny", cheap_cfg), "CA:LM", cheap_cfg)
-    full = run_trace_mode(model_trace("tiny", full_cfg), "CA:LM", full_cfg)
-    assert cheap.iteration.seconds == full.iteration.seconds
-    assert cheap.monitor.totals == full.monitor.totals
-    assert cheap.monitor.occupancy == full.monitor.occupancy
-    assert (
-        cheap.monitor.copy_latency.summary()
-        == full.monitor.copy_latency.summary()
-    )
-    assert (
-        cheap.monitor.kernel_latency.summary()
-        == full.monitor.kernel_latency.summary()
-    )
-    assert monitor_state(cheap.monitor) == monitor_state(full.monitor)
-
-
-def test_copy_cause_seconds_rollups_agree_across_tiers():
-    """The per-cause copy seconds/counts rollups key by the copy's
-    *mechanism* (the innermost scope), records kept or not, and land on
-    identical maps, including under eviction pressure where evictions nest
-    inside placement scopes."""
-    from repro.experiments.common import ExperimentConfig, run_trace_mode
-    from repro.workloads.signatures import tiny_objects_trace
-
-    trace = tiny_objects_trace().scaled(2048)
-    cheap_cfg = ExperimentConfig(scale=2048, iterations=1, monitor=True)
-    full_cfg = ExperimentConfig(
-        scale=2048, iterations=1, tracing=True, monitor=True
-    )
-    cheap = run_trace_mode(trace, "CA:LM", cheap_cfg).monitor
-    full = run_trace_mode(trace, "CA:LM", full_cfg).monitor
-    assert cheap.copies_by_cause.get("evict", 0) > 0
-    assert cheap.copies_by_cause == full.copies_by_cause
-    assert cheap.copy_seconds_by_cause == full.copy_seconds_by_cause
-    assert sum(cheap.copies_by_cause.values()) == cheap.totals["copies"]

@@ -8,7 +8,9 @@ byte-identical between the two: the health snapshot with every retained
 window, the flight ring's dump, the latency summaries and the flight-dump
 files. A replay of the kept records through ``observe()`` must land on the
 same totals, occupancy, tenant usage, sketches, per-cause copy maps and
-dump reasons.
+dump reasons. One model run under eviction pressure checks what the
+random sequences cannot reach: copies attributed to evictions nested in
+placement scopes.
 """
 
 import io
@@ -21,6 +23,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.common import ExperimentConfig, run_trace_mode
 from repro.sim.clock import SimClock
 from repro.telemetry.monitor import (
     MonitorConfig,
@@ -29,6 +32,7 @@ from repro.telemetry.monitor import (
     RuntimeMonitor,
 )
 from repro.telemetry.trace import ALERT, RESTORE, SNAPSHOT
+from repro.workloads.signatures import tiny_objects_trace
 
 WINDOW = 0.25
 TICK = 1 / 64  # exact in binary, so a timestamp's window is never in doubt
@@ -185,6 +189,7 @@ def test_keeping_records_changes_nothing_the_monitor_reports(steps):
             count[inner_key] += 1
             nbytes_by_root[root_key] += nbytes
         assert kept.copies_by_cause == replay.copies_by_cause == dict(count)
+        assert sum(kept.copies_by_cause.values()) == kept.totals["copies"]
         assert by_cause(kept, "copy_bytes_by_cause") == {
             k: v for k, v in nbytes_by_root.items() if v
         }
@@ -200,3 +205,14 @@ def test_keeping_records_changes_nothing_the_monitor_reports(steps):
         }
         assert replay._dump_reasons == kept._dump_reasons
         assert not checkpoints & kept._dump_reasons
+
+
+def test_eviction_pressure_attributes_copies_to_evict():
+    """Thousands of small objects at DRAM capacity: evictions run inside
+    placement scopes, and the per-cause copy counts key by the innermost
+    scope, so some land on ``evict``; the counts add up to every copy."""
+    config = ExperimentConfig(scale=2048, iterations=1, monitor=True)
+    trace = tiny_objects_trace().scaled(2048)
+    monitor = run_trace_mode(trace, "CA:LM", config).monitor
+    assert monitor.copies_by_cause.get("evict", 0) > 0
+    assert sum(monitor.copies_by_cause.values()) == monitor.totals["copies"]

@@ -8,7 +8,7 @@ confirm the ledger and monitor evidence the taxonomy report leans on.
 
 import pytest
 
-from repro.experiments.common import ExperimentConfig, run_trace_mode
+from repro.experiments.common import COPY_OVERHEAD, ExperimentConfig, run_trace_mode
 from repro.telemetry.ledger import build_ledger
 from repro.sim.clock import SimClock
 from repro.telemetry.monitor import MonitorConfig, MonitorTracer, RuntimeMonitor
@@ -55,7 +55,7 @@ class TestCostModel:
         cost = CostModel.from_config(config)
         params = config.scaled_params()
         assert cost.launch_overhead == params.launch_overhead
-        assert cost.per_transfer_overhead == config.copy_overhead / 16
+        assert cost.per_transfer_overhead == COPY_OVERHEAD / 16
         dram = config.build_dram()
         nvram = config.build_nvram()
         assert cost.setup_latency[dram.name] == dram.bandwidth.setup_latency

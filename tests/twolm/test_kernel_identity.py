@@ -13,9 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.memory.device import MemoryDevice
 from repro.runtime.executor import TwoLMAdapter
-from repro.runtime.kernel import ExecutionParams
+from repro.runtime.kernel import PEAK_FLOPS, ExecutionParams
 from repro.sim.bandwidth import TransferKind
-from repro.twolm.system import TwoLMSystem
+from repro.twolm.system import (
+    FILL_THREADS,
+    METADATA_OVERHEAD,
+    NVRAM_READ_EFFICIENCY,
+    WRITEBACK_THREADS,
+    TwoLMSystem,
+)
 from repro.workloads.trace import Kernel, TensorSpec
 
 LINE = 64
@@ -56,7 +62,7 @@ class Reference:
         misses = clean + dirty
         dram_bytes = (hits + misses + misses + dirty) * LINE
         fill, victim = misses * LINE, dirty * LINE
-        metadata = int(dram_bytes * system.metadata_overhead)
+        metadata = int(dram_bytes * METADATA_OVERHEAD)
         if is_write:
             self.dram[1] += dram_bytes - victim
             self.dram[0] += victim + metadata
@@ -69,19 +75,19 @@ class Reference:
         if dram_bytes:
             dram_s = system.dram.bandwidth.transfer_time(
                 TransferKind.READ,
-                int(dram_bytes * (1.0 + system.metadata_overhead)),
-                system.fill_threads,
+                int(dram_bytes * (1.0 + METADATA_OVERHEAD)),
+                FILL_THREADS,
             )
         if fill:
             nvram_s = (
                 system.nvram.bandwidth.transfer_time(
-                    TransferKind.READ, fill, system.fill_threads
+                    TransferKind.READ, fill, FILL_THREADS
                 )
-                / system.nvram_read_efficiency
+                / NVRAM_READ_EFFICIENCY
             )
         if victim:
             nvram_s += system.nvram.bandwidth.transfer_time(
-                TransferKind.WRITE, victim, system.writeback_threads
+                TransferKind.WRITE, victim, WRITEBACK_THREADS
             )
         return dram_s, nvram_s
 
@@ -107,12 +113,12 @@ class Reference:
                         nvram_t += nvram * s
                     remaining -= part
         compute = PARAMS.launch_overhead + (
-            kernel.flops / PARAMS.peak_flops if kernel.flops > 0 else 0.0
+            kernel.flops / PEAK_FLOPS if kernel.flops > 0 else 0.0
         )
         return compute, dram_t, nvram_t, 0.0
 
 
-def check_kernels(ways, num_sets, metadata, sizes, specs):
+def check_kernels(ways, num_sets, sizes, specs):
     """Run ``specs`` twice through ``TwoLMAdapter.kernel`` and the
     reference; every timing, the tag stats and both counters must agree."""
     system = TwoLMSystem(
@@ -120,7 +126,6 @@ def check_kernels(ways, num_sets, metadata, sizes, specs):
         MemoryDevice.nvram(BACKING),
         line_size=LINE,
         ways=ways,
-        metadata_overhead=metadata,
     )
     adapter = TwoLMAdapter(system, PARAMS)
     names = [f"t{i}" for i in range(len(sizes))]
@@ -157,13 +162,12 @@ def check_kernels(ways, num_sets, metadata, sizes, specs):
 @given(
     ways=st.sampled_from([1, 2, 4]),
     num_sets=st.sampled_from([3, 5, 8, 13]),
-    metadata=st.sampled_from([0.0, 0.1, 0.37]),
     sizes=st.lists(st.integers(1, 40 * LINE), min_size=4, max_size=4),
     specs=st.lists(kernels, min_size=1, max_size=6),
 )
 @settings(max_examples=150, deadline=None)
-def test_kernel_matches_naive_reference(ways, num_sets, metadata, sizes, specs):
-    check_kernels(ways, num_sets, metadata, sizes, specs)
+def test_kernel_matches_naive_reference(ways, num_sets, sizes, specs):
+    check_kernels(ways, num_sets, sizes, specs)
 
 
 @pytest.mark.parametrize("ways", [1, 2, 4])
@@ -182,7 +186,7 @@ def test_repeated_passes_over_tensors_larger_than_the_cache(ways):
         ((3, 0), (3,), 2.25, 2.5, 1.0, 1.0e9),
         ((0, 1, 2, 3), (2,), 4.0, 1.0, 0.3, 1.0e12),
     ]
-    check_kernels(ways, lines // ways, 0.1, sizes, specs)
+    check_kernels(ways, lines // ways, sizes, specs)
 
 
 # -- the fused walk against the walk followed by a separate fold ---------------
@@ -238,7 +242,6 @@ def kernel_spans(operands):
 @given(
     ways=st.sampled_from([1, 2, 4]),
     num_sets=st.sampled_from([3, 5, 8, 13, 32]),
-    metadata=st.sampled_from([0.0, 0.1, 0.37]),
     batches=st.lists(
         st.tuples(st.lists(operand_passes, min_size=1, max_size=4), st.floats(0.0, 1.0)),
         min_size=1,
@@ -246,7 +249,7 @@ def kernel_spans(operands):
     ),
 )
 @settings(max_examples=150, deadline=None)
-def test_fused_walk_equals_walk_then_fold(ways, num_sets, metadata, batches):
+def test_fused_walk_equals_walk_then_fold(ways, num_sets, batches):
     """``TwoLMSystem.access_spans`` prices each sweep inside the tag walk.
     The per-line reference walks the same batches span by span, and its
     ``(lines, hits, dirty)`` entries are folded afterwards: the seconds
@@ -257,7 +260,6 @@ def test_fused_walk_equals_walk_then_fold(ways, num_sets, metadata, batches):
         MemoryDevice.nvram(BACKING),
         line_size=LINE,
         ways=ways,
-        metadata_overhead=metadata,
     )
     ref = ScalarAssocCache(num_sets, ways, LINE)
     stats = [0, 0, 0]  # hits, clean misses, dirty misses
