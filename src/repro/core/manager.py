@@ -42,7 +42,6 @@ from repro.core.object import MemObject, Region
 from repro.memory.copyengine import CopyEngine
 from repro.memory.heap import Heap
 from repro.telemetry import trace as tracing
-from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["DataManager"]
 
@@ -56,17 +55,12 @@ class DataManager:
         engine: CopyEngine,
         *,
         tracer: "tracing.Tracer | tracing.NullTracer | None" = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if not heaps:
             raise ConfigurationError("DataManager needs at least one heap")
         self.heaps = dict(heaps)
         self.engine = engine
         self.tracer = tracer if tracer is not None else tracing.NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._cascade_depth = self.metrics.histogram(
-            "manager.eviction_cascade_depth"
-        )
         self._regions: dict[tuple[str, int], Region] = {}
         self.objects: dict[int, MemObject] = {}
         # Multi-tenant accounting (docs/architecture.md, "Multi-tenant
@@ -484,7 +478,6 @@ class DataManager:
         heap, victims = self._span(device, start, size)
         if victims is None:
             raise OutOfMemoryError(device, size, heap.free_bytes)
-        self._cascade_depth.observe(len(victims))
         self.tracer.evict_scan(device, len(victims), size)
         for offset in victims:
             region = self._regions[(device, offset)]

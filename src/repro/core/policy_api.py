@@ -142,10 +142,6 @@ class Policy(abc.ABC):
         if self._manager is not None and self._manager is not manager:
             raise RuntimeError("policy is already bound to a different manager")
         self._manager = manager
-        stats = getattr(self, "stats", None)
-        attach = getattr(stats, "attach", None)
-        if attach is not None:
-            attach(manager.metrics)
         self.on_bound()
 
     @property
@@ -261,8 +257,7 @@ class DelegatingPolicy(Policy):
     call ``super()`` (or ``self.inner`` directly) to delegate.
 
     Binding is forwarded, not duplicated: the wrapper records the manager
-    and binds the *inner* policy, whose ``bind`` attaches its own stats to
-    the metrics registry exactly once.
+    and binds the *inner* policy, which keeps its own stats.
 
     :meth:`~Policy.acquire_operands` is deliberately *not* forwarded: a
     wrapper inherits the per-object loops, so each operand still passes

@@ -4,8 +4,8 @@ Two layers (docs/architecture.md, "Multi-tenant runtime"):
 
 * :class:`SharedRuntime` owns the *mechanism*: preallocated heaps (one per
   device), the shared virtual clock, the copy engine, the
-  :class:`DataManager`, the metrics registry, and the tracer. There is one
-  per memory system, however many workloads run on it.
+  :class:`DataManager` and the tracer. There is one per memory system,
+  however many workloads run on it.
 * :class:`Session` is a lightweight per-tenant *view* over a runtime: one
   bound :class:`Policy`, a tenant-prefixed object namespace, and an optional
   DRAM quota. Applications create arrays through it and access them inside
@@ -39,7 +39,6 @@ from repro.policies.optimizing import OptimizingPolicy
 from repro.sim.clock import SimClock
 from repro.telemetry import trace as tracing
 from repro.telemetry.counters import TrafficSnapshot
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.monitor import MonitorConfig, RuntimeMonitor, pick_tracer
 from repro.units import parse_size
 
@@ -102,8 +101,8 @@ class SessionConfig:
 class SharedRuntime:
     """The mechanism layer one memory system exposes to every tenant.
 
-    Owns the devices, heaps, clock, copy engine, data manager, metrics,
-    and tracer. Tenants attach through :meth:`session`, each bringing its
+    Owns the devices, heaps, clock, copy engine, data manager and
+    tracer. Tenants attach through :meth:`session`, each bringing its
     own policy; they contend for the same heaps and DMA channels, so one
     tenant's pressure is visible to every other tenant's policy.
 
@@ -149,7 +148,6 @@ class SharedRuntime:
             )
             for device in devices
         }
-        self.metrics = MetricsRegistry()
         self.engine = CopyEngine(
             self.clock,
             max_threads=self.config.copy_threads,
@@ -158,9 +156,7 @@ class SharedRuntime:
             tracer=self.tracer,
             injector=injector,
         )
-        self.manager = DataManager(
-            self.heaps, self.engine, tracer=self.tracer, metrics=self.metrics
-        )
+        self.manager = DataManager(self.heaps, self.engine, tracer=self.tracer)
         # The always-on monitor (if any tracer carries one) gets the exact
         # context the offline replay path can only estimate: device
         # capacities for occupancy alerts and the manager's quota
@@ -328,9 +324,7 @@ class SharedRuntime:
                     defrag=lambda dev: self.manager.defragment(dev) > 0,
                     fallback=lambda: self._migrate_tail(device, new),
                 )
-                result = recover_allocation(
-                    attempt, err, hooks, tracer=self.tracer, metrics=self.metrics
-                )
+                result = recover_allocation(attempt, err, hooks, tracer=self.tracer)
                 steps = "ladder" if result else ""
         self.tracer.resize(device, old, new, steps)
         self._monitor_capacities[device] = heap.capacity
@@ -474,10 +468,6 @@ class Session:
     @property
     def heaps(self) -> dict[str, Heap]:
         return self.runtime.heaps
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.runtime.metrics
 
     @property
     def engine(self) -> CopyEngine:

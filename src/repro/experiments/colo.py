@@ -255,9 +255,6 @@ def _run_group(
             executor.stream(trace, config.iterations),
             activate=lambda name=spec.name: runtime.activate(name),
         )
-    # Zero any policy-stat counts accumulated before bind (same ablation
-    # hygiene as run_trace_mode).
-    runtime.metrics.reset()
     scheduler.run()
     finish = {name: stream.local_time for name, stream in streams.items()}
     results = {name: stream.result for name, stream in streams.items()}

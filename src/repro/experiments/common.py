@@ -322,11 +322,6 @@ def prepare_trace_mode(
 
             policy = SingleDevicePolicy("NVRAM")
         session = Session(config.session_config(), policy=policy)
-        # Ablation hygiene: PolicyStats.attach deliberately carries counts
-        # accumulated before bind into the session registry, so a policy
-        # that saw any pre-session use would leak them into this mode's
-        # report. Zero everything in place before the run starts.
-        session.metrics.reset()
         executor = tenant_executor(
             session, config, footprint, sample_timeline=config.sample_timeline
         )

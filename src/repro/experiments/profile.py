@@ -23,7 +23,6 @@ from repro.telemetry.ledger import ObjectLedger, build_ledger
 from repro.telemetry.monitor import MonitorConfig
 from repro.telemetry.metrics import (
     Attribution,
-    MetricsRegistry,
     attribute_copies,
     derive_metrics,
 )
@@ -40,7 +39,7 @@ class ProfileResult:
     mode: str
     result: ModeResult
     attribution: Attribution
-    metrics: MetricsRegistry
+    metrics: dict[str, object]
     ledger: ObjectLedger
 
     @property
@@ -81,13 +80,12 @@ def run_profile(
     )
     result = run_mode(model, mode, config)
     events = result.run.trace
-    registry = derive_metrics(events)
     return ProfileResult(
         model=model,
         mode=mode,
         result=result,
         attribution=attribute_copies(events),
-        metrics=registry,
+        metrics=derive_metrics(events),
         ledger=build_ledger(events),
     )
 
@@ -133,15 +131,15 @@ def render(profile: ProfileResult, *, top: int = 15) -> str:
         dropped = len(attribution.buckets) - top
         if dropped > 0:
             lines.append(f"... and {dropped} more cause(s)")
-    latency = profile.metrics.as_dict().get("trace.hint_to_movement_seconds")
-    if isinstance(latency, dict) and latency["count"]:
+    latency = profile.metrics.get("trace.hint_to_movement_seconds")
+    if latency:  # present once a copy carried a root timestamp
         lines.append(
             f"hint-to-movement latency: mean {latency['mean'] * scale * 1e3:.2f} ms, "
             f"max {latency['max'] * scale * 1e3:.2f} ms "
             f"over {latency['count']} copies (paper scale)"
         )
-    cascade = profile.metrics.as_dict().get("trace.eviction_cascade_depth")
-    if isinstance(cascade, dict) and cascade["count"]:
+    cascade = profile.metrics.get("trace.eviction_cascade_depth")
+    if cascade:
         lines.append(
             f"eviction scans: {cascade['count']}, mean cascade depth "
             f"{cascade['mean']:.1f}, max {cascade['max']:.0f}"

@@ -208,6 +208,14 @@ class ServingConfig:
     def validate(self) -> None:
         if self.slots < 1:
             raise ConfigurationError(f"need at least one slot, got {self.slots}")
+        if self.slots < 2:
+            # The budget scales with slots; the largest request class needs
+            # about 1.96x the mean footprint.
+            raise ConfigurationError(
+                "need at least two slots: one slot's admission budget, "
+                f"{OVERSUBSCRIPTION * DRAM_FRACTION:g}x the mean request "
+                "footprint, cannot fit the largest request class"
+            )
         if self.requests < 1:
             raise ConfigurationError(
                 f"need at least one request, got {self.requests}"
@@ -463,7 +471,6 @@ class _PointRunner:
 
     def run(self) -> dict[str, TrafficSnapshot]:
         self.scheduler.spawn("driver", self._driver())
-        self.runtime.metrics.reset()
         self.scheduler.run()
         traffic = self.runtime.traffic()
         self.runtime.close()

@@ -15,7 +15,7 @@ Two scenarios exercise the two halves of the runtime:
 * ``session-real`` — a tiny *real-backed* session (DRAM squeezed far below
   the working set so eviction traffic is constant) driven by a scripted,
   seeded workload. Array payloads are real bytes, so completion is checked
-  by SHA-256 digest against a fault-free baseline run.
+  by SHA-256 digest against the seeded payloads a fault-free run writes.
 * ``trace-virtual`` — the trace :class:`~repro.runtime.executor.Executor`
   over a synthetic streaming workload on virtual devices, exercising the
   executor's OOM escalation ladder, deferred GC, and iteration housekeeping
@@ -201,12 +201,15 @@ def _platform(
 
 
 def _build_session(
-    plan: FaultPlan | None, **platform
-) -> tuple[Session, FaultInjector | None]:
-    injector = FaultInjector(plan) if plan is not None else None
-    policy = OptimizingPolicy(fast="DRAM", slow="NVRAM", local_alloc=True)
-    if injector is not None:
-        policy = PolicyWatchdog(FaultyPolicy(policy, injector))
+    plan: FaultPlan, **platform
+) -> tuple[Session, FaultInjector]:
+    injector = FaultInjector(plan)
+    policy = PolicyWatchdog(
+        FaultyPolicy(
+            OptimizingPolicy(fast="DRAM", slow="NVRAM", local_alloc=True),
+            injector,
+        )
+    )
     session = Session(_platform(**platform), policy=policy, injector=injector)
     return session, injector
 
@@ -221,17 +224,13 @@ def _guarded_empty(session: Session, elements: int, name: str):
         return attempt()
     except OutOfMemoryError as error:
         return recover_allocation(
-            attempt,
-            error,
-            session_hooks(session),
-            tracer=session.tracer,
-            metrics=session.metrics,
+            attempt, error, session_hooks(session), tracer=session.tracer
         )
 
 
 def _payload(step: int, elements: int) -> np.ndarray:
-    """The (seeded, per-step) contents of array ``step`` — identical across
-    baseline and fault runs by construction."""
+    """The (seeded, per-step) contents of array ``step`` — identical in
+    every run by construction."""
     rng = np.random.default_rng(1000 + step)
     return rng.random(elements, dtype=np.float32)
 
@@ -285,8 +284,16 @@ class ScriptedWorkload:
         return self.digests()
 
 
-def _scripted_workload(session: Session) -> dict[str, str]:
-    return ScriptedWorkload().run(session)
+def _expected_digests(workload: ScriptedWorkload) -> dict[str, str]:
+    """What the live arrays must contain: the seeded payloads, unchanged by
+    any amount of eviction, migration, or resize traffic."""
+    out: dict[str, str] = {}
+    for step in sorted(workload.live):
+        elements = SHAPE_CYCLE[step % len(SHAPE_CYCLE)]
+        out[f"a{step}"] = hashlib.sha256(
+            _payload(step, elements).tobytes()
+        ).hexdigest()
+    return out
 
 
 @contextmanager
@@ -322,7 +329,7 @@ def _sweep(sessions: list[Session]) -> bool:
 def _close_out(
     outcome: ScenarioOutcome,
     sessions: list[Session],
-    injector: FaultInjector | None,
+    injector: FaultInjector,
 ) -> None:
     """Everything a scenario reports once its guarded body is over, for the
     tenant ``sessions`` of one runtime: the abort's black box, the invariant
@@ -338,7 +345,7 @@ def _close_out(
         monitor.record_escalation(f"abort:{outcome.error}")
     monitor.finish()
     outcome.invariants_clean = _sweep(sessions)
-    outcome.faults_fired = len(injector.fired) if injector else 0
+    outcome.faults_fired = len(injector.fired)
     outcome.recoveries = dict(monitor.recoveries_by_step)
     outcome.copy_retries = monitor.totals["copy_retries"]
     outcome.strikes = monitor.totals["strikes"]
@@ -354,13 +361,12 @@ def _run_real_scenario(
     plan: FaultPlan, *, dump_dir: str | None = None
 ) -> ScenarioOutcome:
     outcome = ScenarioOutcome(scenario="session-real", completed=False)
-    baseline_session, _ = _build_session(None)
-    with baseline_session:
-        baseline = _scripted_workload(baseline_session)
     session, injector = _build_session(plan, dump_dir=dump_dir)
     with session:
         with _guarded(outcome):
-            outcome.digests_match = _scripted_workload(session) == baseline
+            workload = ScriptedWorkload()
+            digests = workload.run(session)
+            outcome.digests_match = digests == _expected_digests(workload)
         _close_out(outcome, [session], injector)
     return outcome
 
@@ -391,18 +397,6 @@ def _run_virtual_scenario(
 # -- scenario C: multi-tenant shared runtime under churn + resize --------------
 
 ELASTIC_TENANTS = ("t0", "t1")
-
-
-def _expected_digests(workload: ScriptedWorkload) -> dict[str, str]:
-    """What the live arrays must contain: the seeded payloads, unchanged by
-    any amount of eviction, migration, or resize traffic."""
-    out: dict[str, str] = {}
-    for step in sorted(workload.live):
-        elements = SHAPE_CYCLE[step % len(SHAPE_CYCLE)]
-        out[f"a{step}"] = hashlib.sha256(
-            _payload(step, elements).tobytes()
-        ).hexdigest()
-    return out
 
 
 def _run_elastic_scenario(
@@ -539,7 +533,6 @@ def bisect_plan(plan_or_name: FaultPlan | str) -> BisectResult:
         else plan_or_name
     )
     session, injector = _build_session(plan)
-    assert injector is not None
     snapshots: list[tuple[bytes, int]] = []
     error = ""
     with session:

@@ -31,43 +31,20 @@ from repro.policies.base import (
     prefetch_object,
 )
 from repro.policies.lru import LruTracker
-from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["MultiTierPolicy", "TierStats"]
 
 
 @dataclass
 class TierStats:
-    """Per-tier movement counters, mirrored into the metrics registry."""
+    """Per-tier movement counters, one set per policy."""
 
     demotions: dict[str, int] = field(default_factory=dict)
     promotions: dict[str, int] = field(default_factory=dict)
     placed: dict[str, int] = field(default_factory=dict)
-    _registry: "MetricsRegistry | None" = field(
-        default=None, repr=False, compare=False
-    )
-
-    def _named(self) -> tuple[tuple[str, dict[str, int]], ...]:
-        return (
-            ("policy.demotions", self.demotions),
-            ("policy.promotions", self.promotions),
-            ("policy.placed", self.placed),
-        )
-
-    def attach(self, registry: MetricsRegistry) -> None:
-        """Mirror counters into ``registry`` (pre-bind counts carry over)."""
-        self._registry = registry
-        for name, counter in self._named():
-            for tier, count in counter.items():
-                registry.counter(name, tier=tier).value += count
 
     def bump(self, counter: dict[str, int], tier: str) -> None:
         counter[tier] = counter.get(tier, 0) + 1
-        if self._registry is not None:
-            for name, candidate in self._named():
-                if candidate is counter:
-                    self._registry.counter(name, tier=tier).inc()
-                    break
 
     def as_dict(self) -> dict[str, int]:
         """Flattened counters (the executor's policy_stats interface)."""

@@ -43,38 +43,16 @@ from repro.policies.base import (
     prefetch_object,
 )
 from repro.policies.lru import LruTracker
-from repro.telemetry.metrics import Counter, MetricsRegistry
 from repro.telemetry.trace import NULL_TRACER
 
 __all__ = ["OptimizingPolicy", "PolicyStats"]
 
 
-class _CounterField:
-    """``stats.<name>``: the value of the field's backing counter."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, stats: "PolicyStats | None", owner: type | None = None):
-        if stats is None:
-            return self
-        return stats._counters[self.name].value
-
-    def __set__(self, stats: "PolicyStats", value: int) -> None:
-        stats._counters[self.name].value = value
-
-
 class PolicyStats:
     """Observable policy behaviour, for reports and regression tests.
 
-    Attribute access works exactly like the old plain-int dataclass
-    (``stats.evictions += 1``), but each field is a descriptor over a
-    telemetry :class:`Counter`. When the policy binds to a session,
-    :meth:`attach` re-homes the counters into the session's
-    :class:`MetricsRegistry` under ``policy.*`` names, so reports read one
-    flat namespace instead of scattered per-policy dicts. The policy's own
-    bumps skip the descriptor's two calls and add to the backing counter
-    (``self.stats._counters[name].value += 1``).
+    Plain int fields, one set per policy: co-located tenants each keep
+    their own counts.
     """
 
     FIELDS = (
@@ -86,28 +64,18 @@ class PolicyStats:
         "forced_eviction_rounds",
         "retires",
     )
+    __slots__ = FIELDS
 
     def __init__(self) -> None:
-        self._counters = {name: Counter() for name in self.FIELDS}
-
-    def attach(self, registry: MetricsRegistry) -> None:
-        """Back the fields with registry counters (pre-bind counts carry over)."""
-        counters = self._counters
         for name in self.FIELDS:
-            shared = registry.counter(f"policy.{name}")
-            shared.value += counters[name].value
-            counters[name] = shared
+            setattr(self, name, 0)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"PolicyStats({fields})"
 
     def as_dict(self) -> dict[str, int]:
-        return {name: counter.value for name, counter in self._counters.items()}
-
-
-for _name in PolicyStats.FIELDS:
-    setattr(PolicyStats, _name, _CounterField(_name))
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 class OptimizingPolicy(Policy):
@@ -154,12 +122,12 @@ class OptimizingPolicy(Policy):
             if region is not None:
                 manager.setprimary(obj, region)
                 self.lru.touch(obj)
-                self.stats._counters["placed_fast"].value += 1
+                self.stats.placed_fast += 1
                 tracer.place(obj.name, region.device_name, obj.size)
                 return region
         region = manager.allocate(self.slow, obj.size)
         manager.setprimary(obj, region)
-        self.stats._counters["placed_slow"].value += 1
+        self.stats.placed_slow += 1
         tracer.place(obj.name, self.slow, obj.size)
         return region
 
@@ -245,12 +213,12 @@ class OptimizingPolicy(Policy):
                     if primary is None or obj.retired:
                         self.manager.getprimary(obj)  # raises
                     if primary.device_name != slow:
-                        self.stats._counters["prefetches"].value += 1
+                        self.stats.prefetches += 1
                         continue
                     owed_reads.pop()
                     with tracer.hint("will_read", obj, owed_reads, owed_writes):
                         if self._fetch(obj, used) is not None:
-                            self.stats._counters["prefetches"].value += 1
+                            self.stats.prefetches += 1
             else:
                 owed_reads.extend(reads)
                 used.extend(owed_reads)
@@ -284,7 +252,7 @@ class OptimizingPolicy(Policy):
     def retire(self, obj: MemObject) -> None:
         self.lru.discard(obj)
         self.manager.destroy_object(obj)
-        self.stats._counters["retires"].value += 1
+        self.stats.retires += 1
 
     def _note_uses(self, objs: list[MemObject]) -> None:
         """Recency bookkeeping for a run of uses with no movement between
@@ -388,7 +356,7 @@ class OptimizingPolicy(Policy):
 
     def _find_eviction_start(self, size: int) -> Region | None:
         """Coldest-first victim order for Listing 2's ``find_region``."""
-        self.stats._counters["forced_eviction_rounds"].value += 1
+        self.stats.forced_eviction_rounds += 1
         manager = self.manager
         return find_eviction_start(
             manager,
@@ -414,9 +382,9 @@ class OptimizingPolicy(Policy):
         with tracer.scope("evict", obj):
             evicted = evict_object(manager, obj, self.fast, self.slow)
         if evicted:
-            self.stats._counters["evictions"].value += 1
+            self.stats.evictions += 1
             if was_clean:
-                self.stats._counters["elided_writebacks"].value += 1
+                self.stats.elided_writebacks += 1
         self.lru.discard(obj)
 
     # -- recovery (docs/robustness.md) ------------------------------------------------

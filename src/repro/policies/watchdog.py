@@ -8,8 +8,8 @@ policy and:
 * catches :class:`~repro.errors.PolicyError` escaping each policy operation
   (and post-checks the placement contract: ``place``/``ensure_resident``
   must return the object's live primary region);
-* records a **strike** per failure (a ``policy_strike`` trace event and a
-  ``watchdog.strikes`` metric), then patches the run forward — falling back
+* records a **strike** per failure (a ``policy_strike`` trace event and
+  its own ``strikes`` count), then patches the run forward — falling back
   to the static fallback policy for the failed operation;
 * after ``MAX_STRIKES`` failures, **quarantines** the wrapped policy: a
   ``quarantine`` event fires, an invariant sweep runs, and every subsequent
@@ -62,7 +62,6 @@ class PolicyWatchdog(DelegatingPolicy):
         # multi-tenant escalations separate in `repro explain`/flight dumps.
         tenant = getattr(self.manager, "active_tenant", "")
         tracer.policy_strike(op, self.strikes, str(error), tenant)
-        self.manager.metrics.counter("watchdog.strikes").inc()
         if self.strikes >= MAX_STRIKES and not self.quarantined:
             self.quarantined = True
             tracer.quarantine(
@@ -70,7 +69,6 @@ class PolicyWatchdog(DelegatingPolicy):
                 type(self.fallback).__name__,
                 self.strikes,
             )
-            self.manager.metrics.counter("watchdog.quarantines").inc()
             # The quarantined policy may have died mid-operation; make sure
             # it did not leave the mechanism layer inconsistent before the
             # fallback takes over.

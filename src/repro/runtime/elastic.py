@@ -66,7 +66,7 @@ __all__ = [
 SNAPSHOT_FORMAT = "repro-runtime-snapshot"
 # Counts pickled layouts: bump it whenever a class in the snapshot's object
 # graph gains, loses or renames a field (docs/robustness.md has the history).
-SNAPSHOT_VERSION = 14
+SNAPSHOT_VERSION = 15
 
 
 @dataclass

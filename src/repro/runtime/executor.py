@@ -159,11 +159,6 @@ class SystemAdapter(abc.ABC):
 
     # -- recovery-ladder hooks (docs/robustness.md); defaults decline --------
 
-    @property
-    def metrics(self):
-        """The system's metrics registry, if it has one (for recovery counters)."""
-        return None
-
     def make_room(self, device: str, nbytes: int) -> bool:
         """Ladder rung 2: free a contiguous span on ``device``; default declines."""
         return False
@@ -417,10 +412,6 @@ class CachedArraysAdapter(SystemAdapter):
         return stats.as_dict() if stats is not None else {}
 
     # -- recovery-ladder hooks -----------------------------------------------
-
-    @property
-    def metrics(self):
-        return self.session.metrics
 
     def make_room(self, device: str, nbytes: int) -> bool:
         with self.tracer.scope("pressure", device):
@@ -733,7 +724,6 @@ class Executor:
                     fallback=lambda: self.adapter.alloc_fallback(spec),
                 ),
                 tracer=tracer,
-                metrics=self.adapter.metrics,
                 tenant=self.adapter.tenant,
             )
         self.gc.on_alloc(spec.nbytes)

@@ -74,7 +74,6 @@ def recover_allocation(
     hooks: LadderHooks,
     *,
     tracer: Any = NULL_TRACER,
-    metrics: Any = None,
     tenant: str = "",
 ) -> T | Any:
     """Climb the ladder until ``attempt()`` succeeds or rungs run out.
@@ -100,8 +99,6 @@ def recover_allocation(
         tracer.recovery(
             step, error.device, error.requested, ",".join(steps_taken), tenant
         )
-        if metrics is not None:
-            metrics.counter("recovery.success", step=step).inc()
         return result
 
     for step in (COLLECT, EVICT, DEFRAG):
@@ -134,8 +131,6 @@ def recover_allocation(
         if result:
             return _succeed(FALLBACK, result)
 
-    if metrics is not None:
-        metrics.counter("recovery.exhausted").inc()
     # Announce the exhaustion as a final ladder step before raising: the
     # runtime monitor treats it as an escalation and dumps the flight
     # recorder, so the typed abort ships with its last-N-events context.

@@ -4,12 +4,13 @@ The paper reads CPU performance counters to capture DRAM/NVRAM read and write
 traffic (Figure 5), DRAM-cache tag statistics (Figure 4), bus utilisation
 (Figure 6), and resident-heap timelines (Figure 3). This subpackage provides
 the equivalent instrumentation for the simulated memory system, plus the
-structured event-tracing layer (:mod:`repro.telemetry.trace`), the metrics
-registry (:mod:`repro.telemetry.metrics`), the Perfetto/Chrome-trace and
-JSONL exporters (:mod:`repro.telemetry.export`), the object-lifetime ledger
-(:mod:`repro.telemetry.ledger`), the cross-run differential analyzer
-(:mod:`repro.telemetry.diff`), and the DAMOV-style movement-bottleneck
-classifier (:mod:`repro.telemetry.taxonomy`) — see ``docs/observability.md``.
+structured event-tracing layer (:mod:`repro.telemetry.trace`), the
+trace-derived movement metrics (:mod:`repro.telemetry.metrics`), the
+Perfetto/Chrome-trace and JSONL exporters (:mod:`repro.telemetry.export`),
+the object-lifetime ledger (:mod:`repro.telemetry.ledger`), the cross-run
+differential analyzer (:mod:`repro.telemetry.diff`), and the DAMOV-style
+movement-bottleneck classifier (:mod:`repro.telemetry.taxonomy`) — see
+``docs/observability.md``.
 """
 
 from repro.telemetry.counters import TrafficCounters, TrafficSnapshot
@@ -56,9 +57,6 @@ from repro.telemetry.monitor import (
 )
 from repro.telemetry.metrics import (
     Attribution,
-    Counter,
-    Histogram,
-    MetricsRegistry,
     attribute_copies,
     derive_metrics,
 )
@@ -91,9 +89,6 @@ __all__ = [
     "NULL_TRACER",
     "TraceEvent",
     "subject_label",
-    "MetricsRegistry",
-    "Counter",
-    "Histogram",
     "derive_metrics",
     "attribute_copies",
     "Attribution",

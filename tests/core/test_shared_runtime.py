@@ -5,7 +5,7 @@ import pytest
 from repro.core.session import Session, SessionConfig, SharedRuntime
 from repro.errors import ConfigurationError, OutOfMemoryError
 from repro.memory.device import MemoryDevice
-from repro.policies.optimizing import OptimizingPolicy
+from repro.policies.optimizing import OptimizingPolicy, PolicyStats
 from repro.units import MiB
 
 
@@ -30,6 +30,17 @@ class TestTenantViews:
         assert a.clock is b.clock
         assert a.heaps is b.heaps
         assert a.policy is not b.policy
+
+    def test_tenants_keep_their_own_policy_stats(self):
+        runtime = small_runtime()
+        a = runtime.session(policy(), tenant="a")
+        b = runtime.session(policy(), tenant="b")
+        a.empty(MiB // 4, name="x")
+        b.empty(MiB // 4, name="y")
+        b.release(b.empty(MiB // 4, name="z"))
+        zero = dict.fromkeys(PolicyStats.FIELDS, 0)
+        assert a.policy.stats.as_dict() == {**zero, "placed_fast": 1}
+        assert b.policy.stats.as_dict() == {**zero, "placed_fast": 2, "retires": 1}
 
     def test_object_names_are_tenant_namespaced(self):
         runtime = small_runtime()

@@ -77,25 +77,6 @@ def test_mode_object_accepted_directly():
     assert result.mode.memopt
 
 
-def test_pre_run_policy_counts_do_not_bleed_into_a_mode():
-    """PolicyStats.attach carries pre-bind counts into the session registry;
-    run_trace_mode must zero the registry so every mode starts from scratch."""
-    from repro.policies.modes import ModeConfig
-
-    class DirtyPolicyMode(ModeConfig):
-        def make_policy(self, fast, slow):
-            policy = super().make_policy(fast, slow)
-            policy.stats.evictions = 1_000_000  # pre-session garbage
-            return policy
-
-    mode_cfg = DirtyPolicyMode("CA:LM", system="ca", local_alloc=True, memopt=True)
-    trace = filo_stack_trace(depth=6, activation_bytes=1 << 20)
-    config = ExperimentConfig(scale=4, iterations=1, sample_timeline=False)
-    result = run_trace_mode(trace.scaled(4), mode_cfg, config, model_label="filo")
-    evictions = result.iteration.policy_stats.get("evictions", 0)
-    assert evictions < 1_000_000
-
-
 def test_back_to_back_modes_report_independent_policy_stats():
     trace = filo_stack_trace(depth=6, activation_bytes=1 << 20)
     config = ExperimentConfig(scale=4, iterations=1, sample_timeline=False)

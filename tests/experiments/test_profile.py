@@ -37,7 +37,7 @@ def test_profile_forces_tracing_and_moves_data(tiny_profile):
 
 
 def test_profile_metrics_cover_copies(tiny_profile):
-    data = tiny_profile.metrics.as_dict()
+    data = tiny_profile.metrics
     copy_bytes = {
         key: value
         for key, value in data.items()

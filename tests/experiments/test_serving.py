@@ -194,6 +194,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_serving(config(), ServingConfig(), mode_name="2LM:0")
 
+    def test_one_slot_is_refused_before_the_run(self):
+        with pytest.raises(ConfigurationError, match="at least two slots"):
+            ServingConfig(slots=1).validate()
+
     def test_rejects_bad_knobs(self):
         for bad in (
             ServingConfig(slots=0),

@@ -64,7 +64,6 @@ def test_strike_patches_a_failed_placement_forward():
         assert array.device  # placed (by the fallback) despite the failure
         assert watchdog.strikes == 1
         assert not watchdog.quarantined
-        assert session.metrics.counter("watchdog.strikes").value == 1
         strikes = [
             e for e in session.tracer.events
             if e.kind == tracing.POLICY_STRIKE
@@ -104,7 +103,6 @@ def test_quarantine_after_max_strikes_routes_to_fallback():
         ]
         assert len(quarantines) == 1
         assert quarantines[0].args["fallback"] == "InterleavePolicy"
-        assert session.metrics.counter("watchdog.quarantines").value == 1
         session.manager.check()
 
 

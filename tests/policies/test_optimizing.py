@@ -12,7 +12,6 @@ from repro.memory.device import MemoryDevice
 from repro.memory.heap import Heap
 from repro.policies.optimizing import OptimizingPolicy, PolicyStats
 from repro.sim.clock import SimClock
-from repro.telemetry.metrics import MetricsRegistry
 from repro.units import KiB
 
 
@@ -234,8 +233,8 @@ class TestInvariant:
 
 
 class TestPolicyStats:
-    """Seven named fields over telemetry counters, read and written like
-    plain ints without a failed attribute lookup on the way."""
+    """Seven plain int fields, read and written without a failed
+    attribute lookup on the way."""
 
     def test_fields_read_and_increment_like_ints(self):
         stats = PolicyStats()
@@ -259,18 +258,6 @@ class TestPolicyStats:
             assert name in vars(PolicyStats)
         with pytest.raises(AttributeError):
             PolicyStats().evictoins
-
-    def test_attach_rehomes_counts_into_the_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("policy.evictions").inc(10)
-        stats = PolicyStats()
-        stats.evictions = 5  # pre-bind counts carry over
-        stats.attach(registry)
-        assert stats.evictions == 15
-        stats.evictions += 1
-        assert registry.counter("policy.evictions").value == 16
-        registry.counter("policy.retires").inc()
-        assert stats.retires == 1
 
     def test_pickles_with_its_counts(self):
         stats = PolicyStats()

@@ -317,6 +317,19 @@ class TestEnvelope:
         with pytest.raises(ConfigurationError, match="version 13 unsupported"):
             load_snapshot(str(path))
 
+    def test_version_14_envelope_is_rejected(self, tmp_path):
+        """Version 14 predates per-policy stats: a paused run pickled
+        ``PolicyStats`` over registry counters and a ``DataManager`` with
+        a metrics registry, fields this build does not have."""
+        snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=3)
+        envelope = {
+            "format": SNAPSHOT_FORMAT, "version": 14, "snapshot": snap,
+        }
+        path = tmp_path / "v14.snap"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ConfigurationError, match="version 14 unsupported"):
+            load_snapshot(str(path))
+
     def test_slotted_trace_round_trips_through_a_snapshot(self, tmp_path):
         """A paused run's annotated trace is frozen, slotted events: it
         loads equal, event by event, with no instance ``__dict__``."""

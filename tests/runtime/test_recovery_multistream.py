@@ -42,7 +42,6 @@ def _guarded(session, elements: int, name: str):
             error,
             session_hooks(session),
             tracer=session.tracer,
-            metrics=session.metrics,
             tenant=session.tenant,
         )
 

@@ -116,18 +116,6 @@ def test_paranoia_zero_skips_checks():
     assert not any(e.kind == INVARIANT_CHECK for e in result.run.trace)
 
 
-def test_policy_stats_mirrored_into_registry():
-    from repro.core.session import Session, SessionConfig
-
-    session = Session(SessionConfig(dram=1 * MiB, nvram=64 * MiB))
-    array = session.empty(64 * KiB, name="x")
-    assert session.policy.stats.placed_fast == 1
-    assert session.metrics.as_dict()["policy.placed_fast"] == 1
-    session.release(array)
-    assert session.metrics.as_dict()["policy.retires"] == 1
-    assert session.policy.stats.as_dict()["retires"] == 1
-
-
 def test_twolm_adapter_traces_allocs():
     result = run_trace_mode(small_trace(), "2LM:M", tight_config())
     kinds = {e.kind for e in result.run.trace}
@@ -139,7 +127,7 @@ def test_eviction_cascade_metric_derivable():
     from repro.telemetry.metrics import derive_metrics
 
     events = run_traced().run.trace
-    data = derive_metrics(events).as_dict()
+    data = derive_metrics(events)
     cascade = data["trace.eviction_cascade_depth"]
     assert cascade["count"] > 0
     assert cascade["min"] >= 1

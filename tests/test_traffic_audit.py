@@ -93,10 +93,12 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
     assert calls_in(first, command) > 50_000
 
 
-# Calls into src/repro (imports included) of the command below once the
+# Calls into src/repro (imports included) of the command below once each
+# policy kept its stats as plain ints, with no registry to bind into and no
+# runtime registry to build per tenant (217 140 before that, once the
 # annotation pass checked, rewrote and measured each request trace in one
 # walk, and the trace check stopped calling ``check_use`` for a live
-# tensor's ``Free`` or ``Archive`` (217 280 before that, once the
+# tensor's ``Free`` or ``Archive``; 217 280 before that, once the
 # policy bumped its stats counters in place, with no descriptor calls;
 # 226 276 before that, once a
 # kernel's hints and residency became one policy call, whose sweeps note
@@ -117,7 +119,7 @@ def test_call_count_of_a_fixed_command_repeats_exactly():
 # constant in one call and recorded a kernel's traffic once per device;
 # 613 278 before a kernel's hints, residency and finish became one policy
 # call each).
-SERVE_CALLS = 217_140
+SERVE_CALLS = 211_374
 
 
 def test_serving_calls_per_command_do_not_creep_back():
@@ -129,8 +131,10 @@ def test_serving_calls_per_command_do_not_creep_back():
 
 
 # Calls into src/repro (imports included) of the traced command below once
+# ``derive_metrics`` counted into plain dicts instead of registry counters
+# (508 417 before that, once
 # the annotation pass checked, rewrote and measured the trace in one walk
-# instead of checking its input and output in two more (511 328 before
+# instead of checking its input and output in two more; 511 328 before
 # that, once
 # the policy bumped its stats counters in place, with no descriptor calls;
 # 518 818 before that, once
@@ -144,7 +148,7 @@ def test_serving_calls_per_command_do_not_creep_back():
 # ``Tracer._event``; 606 179 before that; 635 897 before the allocator moved onto boundary tags and placed
 # inline; 724 266 before a traced kernel's hints and residency became one
 # policy call each, opening a scope only around an operand that moves).
-PROFILE_CALLS = 508_417
+PROFILE_CALLS = 395_371
 
 
 def test_traced_calls_per_command_do_not_creep_back():
